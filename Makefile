@@ -15,7 +15,7 @@ RACE_PKGS = ./internal/correlate ./internal/flowtuple ./internal/apiserve \
 	./cmd/iotwatch ./cmd/iotserve ./cmd/iotinfer ./cmd/iotreport \
 	./cmd/iotnotify
 
-.PHONY: check build test vet race fuzz scenarios bench benchall benchdiff chaos
+.PHONY: check build test vet race fuzz scenarios bench benchall benchdiff chaos perf
 
 # The full gate: tier-1 build/test plus vet and the race suite.
 check: vet build test race
@@ -56,7 +56,8 @@ scenarios:
 # Serving chaos suite: signal-driven lifecycle (SIGHUP reload under load,
 # corrupt-dataset reload, SIGTERM drain) plus HTTP admission-control and
 # slow-client shedding, plus the streaming collector killed mid-seal and
-# restarted (byte-identical checkpoint, exactly-once alerts), all
+# restarted (byte-identical checkpoint, exactly-once alerts) and killed at
+# every write, fsync and rename of its checkpoint commits, all
 # race-detector clean.
 chaos:
 	$(GO) test -race -run 'TestChaos' ./cmd/iotserve ./internal/apiserve ./internal/stream
@@ -69,19 +70,27 @@ chaos:
 BENCH_DATE ?= $(shell date +%F)
 BENCH_TAG ?= dev
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkPipelineCorrelate$$|BenchmarkPipelineCorrelateSharded$$|BenchmarkPipelineStaged$$|BenchmarkIncrementalIngest$$|BenchmarkStreamIngest$$|BenchmarkSnapshotSave$$|BenchmarkSnapshotLoad$$|BenchmarkSnapshotAnalyze$$|BenchmarkServeSummary$$|BenchmarkServeSummaryLegacy$$|BenchmarkServeDevicesFilter$$|BenchmarkServeDevicesFilterLegacy$$|BenchmarkServeHTTPLoad$$|BenchmarkGenerate$$' \
+	$(GO) test -run '^$$' -bench 'BenchmarkPipelineCorrelate$$|BenchmarkPipelineCorrelateSharded$$|BenchmarkPipelineStaged$$|BenchmarkIncrementalIngest$$|BenchmarkStreamIngest$$|BenchmarkStreamIngestDurable$$|BenchmarkSnapshotSave$$|BenchmarkSnapshotLoad$$|BenchmarkSnapshotAnalyze$$|BenchmarkServeSummary$$|BenchmarkServeSummaryLegacy$$|BenchmarkServeDevicesFilter$$|BenchmarkServeDevicesFilterLegacy$$|BenchmarkServeHTTPLoad$$|BenchmarkGenerate$$' \
 		-benchmem -benchtime 2s -count 3 . ./internal/apiserve \
 		| $(GO) run ./tools/bench2json -date $(BENCH_DATE) -tag $(BENCH_TAG) > BENCH_$(BENCH_DATE)-$(BENCH_TAG).json
 	$(GO) run ./tools/bench2json -extract BENCH_$(BENCH_DATE)-$(BENCH_TAG).json
 
 # Regression gate against the newest committed BENCH_*.json: >25% median
-# regression of the correlation hot path or the HTTP serve hot paths
-# fails; cross-machine baselines are skipped with a warning (see
-# tools/benchdiff).
+# regression of the correlation hot path, the followed drain (in memory
+# and durable) or the HTTP serve hot paths fails; cross-machine baselines
+# are skipped with a warning (see tools/benchdiff).
 benchdiff:
-	$(GO) test -run '^$$' -bench 'BenchmarkPipelineCorrelate$$|BenchmarkServeSummary$$|BenchmarkServeDevicesFilter$$|BenchmarkGenerate$$' -benchmem -count 5 . ./internal/apiserve \
+	$(GO) test -run '^$$' -bench 'BenchmarkPipelineCorrelate$$|BenchmarkStreamIngest$$|BenchmarkStreamIngestDurable$$|BenchmarkServeSummary$$|BenchmarkServeDevicesFilter$$|BenchmarkGenerate$$' -benchmem -count 5 . ./internal/apiserve \
 		| $(GO) run ./tools/bench2json -date $(BENCH_DATE) -tag gate > /tmp/bench-gate.json
-	$(GO) run ./tools/benchdiff -new /tmp/bench-gate.json -dir . -bench PipelineCorrelate,ServeSummary,ServeDevicesFilter,Generate -threshold 25
+	$(GO) run ./tools/benchdiff -new /tmp/bench-gate.json -dir . -bench PipelineCorrelate,StreamIngest,StreamIngestDurable,ServeSummary,ServeDevicesFilter,Generate -threshold 25
+
+# The repository benchmark (BENCHMARK.json, tools/perfledger/README.md): one
+# workload's ten end-to-end metrics plus, traced, the per-layer ledger.
+# make perf W=batch-paper SEED=7
+W ?= stream-follow
+SEED ?= 1
+perf:
+	bash tools/perfledger/run.sh --workload $(W) --seed $(SEED) --seconds 24 --trace 1
 
 # Every benchmark in the repo, text output only.
 benchall:

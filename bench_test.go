@@ -670,29 +670,59 @@ var benchInc *correlate.Incremental
 // collector drains the shared dataset through the tailer, event-time
 // windows, watermark-driven seals, alert derivation (including the
 // per-window campaign pass), and the in-memory alert journal.
-func BenchmarkStreamIngest(b *testing.B) {
+func BenchmarkStreamIngest(b *testing.B) { benchStreamDrain(b, false) }
+
+// BenchmarkStreamIngestDurable is the same drain as iotwatch -follow
+// -checkpoint-dir runs it: every sealed window also commits the checkpoint
+// (one fsynced delta frame, or a compaction) and journals its alerts to an
+// fsynced on-disk log. The gap to BenchmarkStreamIngest is what durability
+// costs.
+func BenchmarkStreamIngestDurable(b *testing.B) { benchStreamDrain(b, true) }
+
+func benchStreamDrain(b *testing.B, durable bool) {
 	ds, _ := benchFixture(b)
 	cfg := core.DefaultConfig(benchScale, benchSeed)
 	cfg.Lenient = true
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		col, err := stream.New(stream.Config{
+		scfg := stream.Config{
 			Dir:       ds.Dir,
 			Poll:      time.Millisecond,
 			Drain:     true,
 			Campaigns: true,
-		}, func() (*correlate.Incremental, error) {
+		}
+		var alog *stream.AlertLog
+		if durable {
+			b.StopTimer()
+			state := b.TempDir()
+			scfg.CheckpointPath = filepath.Join(state, "checkpoint.irs")
+			var err error
+			if alog, err = stream.OpenAlertLog(filepath.Join(state, "alerts.jsonl")); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		col, err := stream.New(scfg, func() (*correlate.Incremental, error) {
 			return ds.NewIncremental(cfg)
-		}, stream.NewHub(nil))
+		}, stream.NewHub(alog))
 		if err != nil {
 			b.Fatal(err)
 		}
 		if err := col.Run(context.Background()); err != nil {
 			b.Fatal(err)
 		}
-		if st := col.Stats(); st.WindowsSealed == 0 || st.AlertsEmitted == 0 {
+		st := col.Stats()
+		if st.WindowsSealed == 0 || st.AlertsEmitted == 0 {
 			b.Fatalf("drain sealed %d windows, emitted %d alerts", st.WindowsSealed, st.AlertsEmitted)
+		}
+		if durable {
+			if st.CheckpointWrites != uint64(st.WindowsSealed) || st.CheckpointFailures != 0 {
+				b.Fatalf("%d commits (%d failed) for %d windows", st.CheckpointWrites, st.CheckpointFailures, st.WindowsSealed)
+			}
+			if err := alog.Close(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -1,5 +1,8 @@
 // Command flowcat inspects flowtuple files: print records, summarize an
-// hour, summarize a whole dataset, or integrity-check hour files.
+// hour, summarize a whole dataset, or integrity-check hour files — and
+// result-store artifacts (*.irs), for which the verdict reports the
+// snapshot or checkpoint's shape, including how far a live checkpoint is
+// from its next compaction.
 //
 // Usage:
 //
@@ -7,8 +10,14 @@
 //	flowcat -data DIR [-hour 5]              # per-hour or dataset summary
 //	flowcat -verify -data DIR                # per-file integrity verdicts
 //	flowcat -verify -file hour-000.ft.gz     # one-file verdict
+//	flowcat -verify -file checkpoint.irs     # result-store verdict
+//	flowcat -verify -file checkpoint.irs -data DIR   # ... plus its state digest
 //
-// -verify exits nonzero if any file is corrupt or truncated.
+// -verify exits nonzero if any file is corrupt or truncated. Given the
+// dataset a checkpoint was taken over, the verdict also restores it — base,
+// then frames replayed — and prints the content digest of the state it
+// holds: two checkpoints of the same hours agree on it however their files
+// were appended to and compacted.
 package main
 
 import (
@@ -18,10 +27,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"iotscope/internal/classify"
+	"iotscope/internal/core"
 	"iotscope/internal/flowtuple"
 	"iotscope/internal/profiling"
+	"iotscope/internal/resultstore"
 )
 
 func main() {
@@ -56,7 +68,7 @@ func run(args []string) error {
 	}()
 	switch {
 	case *verify && *file != "":
-		return verifyFiles([]string{*file})
+		return verifyFiles([]string{*file}, *data)
 	case *verify && *data != "":
 		return verifyDataset(*data)
 	case *file != "":
@@ -81,23 +93,44 @@ func verifyDataset(dir string) error {
 	for i, h := range hours {
 		paths[i] = flowtuple.HourPath(dir, h)
 	}
-	return verifyFiles(paths)
+	return verifyFiles(paths, "")
 }
 
 // verifyFiles prints a per-file verdict and fails if any file is bad.
-func verifyFiles(paths []string) error {
+// dataset, when set, is the directory a checkpoint store is restored over.
+func verifyFiles(paths []string, dataset string) error {
 	bad := 0
 	for _, path := range paths {
-		hdr, err := flowtuple.Verify(path)
+		var ok string
+		var err error
+		truncated := flowtuple.ErrTruncated
+		if strings.HasSuffix(path, ".irs") {
+			truncated = resultstore.ErrTruncated
+			var info resultstore.Info
+			if info, err = resultstore.Verify(path); err == nil {
+				ok = describeStore(info)
+				if dataset != "" && info.Kind == resultstore.KindCheckpoint {
+					var state string
+					if state, err = checkpointState(path, dataset); err == nil {
+						ok += "; " + state
+					}
+				}
+			}
+		} else {
+			var hdr flowtuple.Header
+			if hdr, err = flowtuple.Verify(path); err == nil {
+				ok = fmt.Sprintf("hour %d, %d records", hdr.Hour, hdr.Count)
+			}
+		}
 		switch {
-		case errors.Is(err, flowtuple.ErrTruncated):
+		case errors.Is(err, truncated):
 			bad++
 			fmt.Printf("%s: TRUNCATED: %v\n", path, err)
 		case err != nil:
 			bad++
 			fmt.Printf("%s: CORRUPT: %v\n", path, err)
 		default:
-			fmt.Printf("%s: ok (hour %d, %d records)\n", path, hdr.Hour, hdr.Count)
+			fmt.Printf("%s: ok (%s)\n", path, ok)
 		}
 	}
 	if bad > 0 {
@@ -105,6 +138,46 @@ func verifyFiles(paths []string) error {
 	}
 	fmt.Printf("all %d files ok\n", len(paths))
 	return nil
+}
+
+// describeStore renders a verified result store's summary. A checkpoint
+// compacts when its frames would outgrow the base, so base minus frame
+// bytes is the room left before the next rewrite.
+func describeStore(info resultstore.Info) string {
+	s := fmt.Sprintf("%s v%d, %d hours, %d bytes", info.Kind, info.Version, info.Hours, info.Size)
+	if info.Kind == resultstore.KindCheckpoint {
+		s += fmt.Sprintf("; base %d bytes, %d frames / %d bytes to replay, %d bytes to next compaction",
+			info.BaseSize, info.Frames, info.FrameBytes, info.BaseSize-info.FrameBytes)
+		if info.TornBytes > 0 {
+			s += fmt.Sprintf(", torn tail of %d bytes dropped", info.TornBytes)
+		}
+	}
+	return s
+}
+
+// checkpointState restores the checkpoint over its dataset the way iotwatch
+// resumes from it and digests the state it holds.
+func checkpointState(path, dataset string) (string, error) {
+	ds, err := core.Open(dataset)
+	if err != nil {
+		return "", err
+	}
+	cp, err := resultstore.ReadCheckpoint(path)
+	if err != nil {
+		return "", err
+	}
+	cfg := core.DefaultConfig(ds.Scenario.Scale, ds.Scenario.Seed)
+	cfg.Lenient = true
+	inc, err := ds.RestoreIncremental(cfg, cp)
+	if err != nil {
+		return "", err
+	}
+	digest, err := resultstore.DigestResult(inc.Result())
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("state %08x over %d hours ingested, %d quarantined",
+		digest, inc.HoursIngested(), len(inc.QuarantinedHours())), nil
 }
 
 func dumpFile(path string, n int) error {

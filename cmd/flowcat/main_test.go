@@ -1,12 +1,15 @@
 package main
 
 import (
+	"context"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"iotscope/internal/core"
 	"iotscope/internal/faultfs"
 	"iotscope/internal/flowtuple"
+	"iotscope/internal/resultstore"
 )
 
 func testDataset(t *testing.T) string {
@@ -85,5 +88,69 @@ func TestVerifyFlagsDamage(t *testing.T) {
 	// Single-file mode flags the same damage.
 	if err := run([]string{"-verify", "-file", flowtuple.HourPath(dir, 1)}); err == nil {
 		t.Fatal("corrupt file verified clean")
+	}
+}
+
+// -verify on a result-store artifact: a live checkpoint (base + frames)
+// verifies clean, a torn tail frame is reported but is not damage, and a
+// file cut inside its base is TRUNCATED like an hour file.
+func TestVerifyResultStore(t *testing.T) {
+	dir := testDataset(t)
+	ds, err := core.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, err := ds.NewIncremental(core.DefaultConfig(ds.Scenario.Scale, ds.Scenario.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "checkpoint.irs")
+	log := resultstore.NewCheckpointLog(path, nil)
+	defer log.Close()
+	for h := 0; h < 3; h++ {
+		if _, err := inc.Ingest(context.Background(), dir, h); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := log.Commit(inc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	info, err := resultstore.Verify(path)
+	if err != nil || info.Frames != 2 {
+		t.Fatalf("fixture: %+v, %v", info, err)
+	}
+	if got := describeStore(info); !strings.Contains(got, "2 frames") || !strings.Contains(got, "to next compaction") {
+		t.Fatalf("description %q", got)
+	}
+	if err := run([]string{"-verify", "-file", path}); err != nil {
+		t.Fatal(err)
+	}
+	// Over its dataset the verdict carries the state digest, which a
+	// frameless rewrite of the same state shares.
+	state, err := checkpointState(path, dir)
+	if err != nil || !strings.Contains(state, "over 3 hours ingested") {
+		t.Fatalf("state %q, %v", state, err)
+	}
+	compact := filepath.Join(t.TempDir(), "compact.irs")
+	if err := resultstore.WriteCheckpoint(compact, inc.Export()); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := checkpointState(compact, dir); err != nil || again != state {
+		t.Fatalf("compacted state %q, %v; framed %q", again, err, state)
+	}
+	if err := run([]string{"-verify", "-file", path, "-data", dir}); err != nil {
+		t.Fatal(err)
+	}
+	if err := faultfs.TruncateTail(path, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-verify", "-file", path}); err != nil {
+		t.Fatalf("torn tail frame reported as damage: %v", err)
+	}
+	if err := faultfs.TruncateTail(path, info.FrameBytes+40); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-verify", "-file", path}); err == nil {
+		t.Fatal("checkpoint cut inside its base verified clean")
 	}
 }

@@ -156,7 +156,10 @@ func followSummary(s stream.Stats) {
 	fmt.Printf("followed to hour %d (watermark %d): %d windows sealed (%d partial), %d records in %d batches, %d quarantined\n",
 		s.MaxHour, s.Watermark, s.WindowsSealed, s.WindowsPartial,
 		s.RecordsIngested, s.BatchesIngested, s.HoursQuarantined)
-	fmt.Printf("    alerts: %d emitted, %d suppressed as duplicates; late: %d hours, %d records (%d dropped); shed: %d batches; restarts: %d; checkpoints: %d written, %d failed\n",
+	fmt.Printf("    alerts: %d emitted, %d suppressed as duplicates; late: %d hours, %d records (%d dropped); shed: %d batches; restarts: %d\n",
 		s.AlertsEmitted, s.AlertsSuppressed, s.LateHours, s.LateRecords, s.LateDropped,
-		s.ShedBatches, s.Restarts, s.CheckpointWrites, s.CheckpointFailures)
+		s.ShedBatches, s.Restarts)
+	fmt.Printf("    checkpoints: %d committed, %d failed; %d bytes written, %d compactions, %d failed appends\n",
+		s.CheckpointWrites, s.CheckpointFailures,
+		s.CheckpointBytes, s.CheckpointCompactions, s.CheckpointAppendFailures)
 }

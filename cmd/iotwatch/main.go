@@ -14,8 +14,9 @@
 // from the shared core pipeline config (Config.Lenient), so batch and
 // watch modes cannot drift.
 //
-// With -checkpoint-dir the watcher persists its incremental state as a
-// result store checkpoint (internal/resultstore) after every ingested or
+// With -checkpoint-dir the watcher commits its incremental state to a
+// result store checkpoint (internal/resultstore: a base plus one appended
+// delta frame per commit, compacted as it grows) after every ingested or
 // quarantined hour, and resumes from it at startup: a killed watcher
 // restarts exactly where it stopped, re-reading nothing, and converges on
 // the same state an uninterrupted run would have reached. An unreadable or
@@ -132,8 +133,7 @@ func run(args []string) error {
 
 	w := &watcher{
 		dir: ds.Dir, inv: ds.Inventory, inc: inc,
-		alarm:    *alarm,
-		ckptPath: ckptPath,
+		alarm: *alarm,
 		policy: pipeline.RetryPolicy{
 			MaxRetries:  *retries,
 			BaseBackoff: *backoff,
@@ -142,6 +142,10 @@ func run(args []string) error {
 		ingested: make(map[int]bool),
 		attempts: make(map[int]int),
 		nextTry:  make(map[int]time.Time),
+	}
+	if ckptPath != "" {
+		w.ckpt = resultstore.NewCheckpointLog(ckptPath, nil)
+		defer w.ckpt.Close()
 	}
 	// A resumed watcher must not re-ingest hours the checkpoint already
 	// holds — re-ingestion would double-count and Incremental rejects it.
@@ -198,12 +202,12 @@ func openIncremental(ds *core.Dataset, cfg core.Config, dir string) (*correlate.
 }
 
 type watcher struct {
-	dir      string
-	inv      *devicedb.Inventory
-	inc      *correlate.Incremental
-	alarm    float64
-	ckptPath string
-	policy   pipeline.RetryPolicy
+	dir    string
+	inv    *devicedb.Inventory
+	inc    *correlate.Incremental
+	alarm  float64
+	ckpt   *resultstore.CheckpointLog // nil without -checkpoint-dir
+	policy pipeline.RetryPolicy
 
 	ingested map[int]bool
 	attempts map[int]int
@@ -312,16 +316,16 @@ func (w *watcher) sweep(ctx context.Context) (int, error) {
 	return processed, nil
 }
 
-// checkpoint persists the incremental state (atomic write, see
-// resultstore). The quarantine decision is checkpointed too: a resumed
-// watcher must not burn a fresh retry budget on an hour already given up
-// on. A write failure warns but never aborts the watch — losing a
+// checkpoint commits the incremental state (append-or-compact, see
+// resultstore.CheckpointLog). The quarantine decision is checkpointed too:
+// a resumed watcher must not burn a fresh retry budget on an hour already
+// given up on. A write failure warns but never aborts the watch — losing a
 // checkpoint costs a re-ingest after a crash, aborting costs the watch.
 func (w *watcher) checkpoint() {
-	if w.ckptPath == "" {
+	if w.ckpt == nil {
 		return
 	}
-	if err := resultstore.WriteCheckpoint(w.ckptPath, w.inc.Export()); err != nil {
+	if _, err := w.ckpt.Commit(w.inc); err != nil {
 		fmt.Fprintf(os.Stderr, "iotwatch: checkpoint write failed: %v\n", err)
 	}
 }

@@ -361,15 +361,17 @@ func TestCheckpointKillRestartResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	w1 := newTestWatcher(t, dir, ds.Inventory, 1)
-	w1.inc, w1.ckptPath = inc1, path
+	w1.inc, w1.ckpt = inc1, resultstore.NewCheckpointLog(path, nil)
 	if _, err := w1.sweep(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if got := inc1.HoursIngested(); got != 4 {
 		t.Fatalf("phase 1 ingested %d hours, want 4", got)
 	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("no checkpoint written: %v", err)
+	// The file the kill leaves behind is a base plus appended frames, so
+	// the restart below resumes by replaying frames, not just a base.
+	if info, err := resultstore.Verify(path); err != nil || info.Frames == 0 {
+		t.Fatalf("phase 1 checkpoint: %+v, %v (want appended frames)", info, err)
 	}
 	// SIGKILL: w1 is abandoned here. No summary, no final write.
 

@@ -73,10 +73,18 @@ type Campaign struct {
 	Packets uint64
 }
 
-// deviceProfile is a device's significant-port scan profile.
+// portWeight is one port of a scan profile with the packets attributed to it.
+type portWeight struct {
+	port uint16
+	w    uint64
+}
+
+// deviceProfile is a device's significant-port scan profile, ascending by
+// port: every float sum over a profile runs in that one order, so Detect is
+// a pure function of the result.
 type deviceProfile struct {
 	id    int
-	ports map[uint16]uint64
+	ports []portWeight
 	total uint64
 }
 
@@ -95,29 +103,24 @@ func Detect(res *correlate.Result, cfg Config) ([]Campaign, error) {
 	// Invert to port -> profile indices so similarity candidates are only
 	// the devices sharing at least one significant port (the graph is
 	// sparse: comparing all pairs would be quadratic in the population).
-	byPort := make(map[uint16][]int)
+	byPort := make(map[uint16][]int32)
 	for i, p := range profiles {
-		for port := range p.ports {
-			byPort[port] = append(byPort[port], i)
+		for _, pw := range p.ports {
+			byPort[pw.port] = append(byPort[pw.port], int32(i))
 		}
 	}
 
+	// Clustering is single-linkage, so a pair already in one component has
+	// nothing to add: skipping it spares a cohort of n identical profiles
+	// all but n-1 of its n²/2 comparisons. Which pairs get skipped depends
+	// on map order; the components do not.
 	uf := newUnionFind(len(profiles))
-	seenPair := make(map[[2]int]struct{})
 	for _, members := range byPort {
-		for i := 0; i < len(members); i++ {
-			for j := i + 1; j < len(members); j++ {
-				a, b := members[i], members[j]
-				if a > b {
-					a, b = b, a
-				}
-				key := [2]int{a, b}
-				if _, done := seenPair[key]; done {
-					continue
-				}
-				seenPair[key] = struct{}{}
-				if weightedJaccard(profiles[a], profiles[b]) >= cfg.Similarity {
-					uf.union(a, b)
+		for i, a := range members {
+			for _, b := range members[i+1:] {
+				if uf.find(int(a)) != uf.find(int(b)) &&
+					weightedJaccard(profiles[a], profiles[b]) >= cfg.Similarity {
+					uf.union(int(a), int(b))
 				}
 			}
 		}
@@ -139,9 +142,9 @@ func Detect(res *correlate.Result, cfg Config) ([]Campaign, error) {
 		for _, i := range members {
 			p := profiles[i]
 			c.Devices = append(c.Devices, p.id)
-			for port, w := range p.ports {
-				portW[port] += w
-				c.Packets += w
+			for _, pw := range p.ports {
+				portW[pw.port] += pw.w
+				c.Packets += pw.w
 			}
 		}
 		sort.Ints(c.Devices)
@@ -162,57 +165,80 @@ func Detect(res *correlate.Result, cfg Config) ([]Campaign, error) {
 }
 
 // buildProfiles extracts per-device significant-port profiles from the
-// correlation result's TCP scan port index.
+// correlation result's TCP scan port index. Ports are visited ascending
+// through a dense table and each device's cells land in one shared slab by
+// counting sort, so profiles come out port-sorted with a handful of
+// allocations however many devices scan.
 func buildProfiles(res *correlate.Result, cfg Config) []deviceProfile {
-	perDevice := make(map[int]map[uint16]uint64)
+	// end[id] first counts device id's cells, then becomes the fill cursor
+	// running from start[id] to one past its last cell in the slab.
+	byPort := make([]*correlate.TCPPortAgg, 1<<16)
+	var end []int32
+	total := 0
 	for port, agg := range res.TCPScanPorts {
+		byPort[port] = agg
+		for _, list := range [][]int32{agg.DevicesConsumer, agg.DevicesCPS} {
+			for _, id := range list {
+				if int(id) >= len(end) {
+					end = append(end, make([]int32, int(id)+1-len(end))...)
+				}
+				end[id]++
+			}
+			total += len(list)
+		}
+	}
+	if total == 0 {
+		return nil
+	}
+	start := make([]int32, len(end)+1)
+	for id, n := range end {
+		start[id+1] = start[id] + n
+		end[id] = start[id]
+	}
+	cells := make([]portWeight, total)
+	for port, agg := range byPort {
+		if agg == nil || len(agg.DevicesConsumer)+len(agg.DevicesCPS) == 0 {
+			continue
+		}
 		// The per-port aggregate does not retain per-device packet splits;
 		// attribute the port's packets evenly across its scanners. For
 		// campaign detection only the *membership* structure matters, and
 		// even-split weights preserve it.
-		devs := len(agg.DevicesConsumer) + len(agg.DevicesCPS)
-		if devs == 0 {
-			continue
-		}
-		share := agg.Packets / uint64(devs)
+		share := agg.Packets / uint64(len(agg.DevicesConsumer)+len(agg.DevicesCPS))
 		if share == 0 {
 			share = 1
 		}
-		add := func(id int) {
-			m := perDevice[id]
-			if m == nil {
-				m = make(map[uint16]uint64, 4)
-				perDevice[id] = m
+		for _, list := range [][]int32{agg.DevicesConsumer, agg.DevicesCPS} {
+			for _, id := range list {
+				// A device listed twice under one port (both realms) is
+				// one cell.
+				if n := end[id]; n > start[id] && cells[n-1].port == uint16(port) {
+					cells[n-1].w += share
+					continue
+				}
+				cells[end[id]] = portWeight{uint16(port), share}
+				end[id]++
 			}
-			m[port] += share
-		}
-		for _, id := range agg.DevicesConsumer {
-			add(int(id))
-		}
-		for _, id := range agg.DevicesCPS {
-			add(int(id))
 		}
 	}
 
-	ids := make([]int, 0, len(perDevice))
-	for id := range perDevice {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-
-	profiles := make([]deviceProfile, 0, len(ids))
-	for _, id := range ids {
-		all := perDevice[id]
+	var profiles []deviceProfile
+	for id := range end {
+		all := cells[start[id]:end[id]]
+		if len(all) == 0 {
+			continue
+		}
 		var total uint64
-		for _, w := range all {
-			total += w
+		for _, pw := range all {
+			total += pw.w
 		}
-		sig := make(map[uint16]uint64)
+		// Keep the significant ports, compacting the device's cells in place.
+		sig := all[:0]
 		var sigTotal uint64
-		for port, w := range all {
-			if float64(w) >= cfg.MinPortShare*float64(total) {
-				sig[port] = w
-				sigTotal += w
+		for _, pw := range all {
+			if float64(pw.w) >= cfg.MinPortShare*float64(total) {
+				sig = append(sig, pw)
+				sigTotal += pw.w
 			}
 		}
 		if len(sig) == 0 || len(sig) > cfg.MaxProfilePorts {
@@ -223,44 +249,34 @@ func buildProfiles(res *correlate.Result, cfg Config) []deviceProfile {
 	return profiles
 }
 
-// weightedJaccard computes sum(min)/sum(max) over normalized port weights.
+// weightedJaccard computes sum(min)/sum(max) over normalized port weights,
+// merging the two port-sorted profiles so both sums run in ascending port
+// order.
 func weightedJaccard(a, b deviceProfile) float64 {
 	if a.total == 0 || b.total == 0 {
 		return 0
 	}
 	var interMin, unionMax float64
-	seen := make(map[uint16]struct{}, len(a.ports)+len(b.ports))
-	for port, wa := range a.ports {
-		fa := float64(wa) / float64(a.total)
-		fb := float64(b.ports[port]) / float64(b.total)
-		interMin += minF(fa, fb)
-		unionMax += maxF(fa, fb)
-		seen[port] = struct{}{}
-	}
-	for port, wb := range b.ports {
-		if _, done := seen[port]; done {
-			continue
+	pa, pb := a.ports, b.ports
+	for len(pa) > 0 || len(pb) > 0 {
+		var fa, fb float64
+		takeA := len(pb) == 0 || (len(pa) > 0 && pa[0].port <= pb[0].port)
+		takeB := len(pa) == 0 || (len(pb) > 0 && pb[0].port <= pa[0].port)
+		if takeA {
+			fa = float64(pa[0].w) / float64(a.total)
+			pa = pa[1:]
 		}
-		unionMax += float64(wb) / float64(b.total)
+		if takeB {
+			fb = float64(pb[0].w) / float64(b.total)
+			pb = pb[1:]
+		}
+		interMin += min(fa, fb)
+		unionMax += max(fa, fb)
 	}
 	if unionMax == 0 {
 		return 0
 	}
 	return interMin / unionMax
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func sortPortsByWeight(w map[uint16]uint64) []uint16 {

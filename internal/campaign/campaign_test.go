@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"os"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -110,20 +111,56 @@ func TestDetectEmptyAndNil(t *testing.T) {
 }
 
 func TestWeightedJaccard(t *testing.T) {
-	a := deviceProfile{ports: map[uint16]uint64{23: 50, 2323: 50}, total: 100}
-	b := deviceProfile{ports: map[uint16]uint64{23: 50, 2323: 50}, total: 100}
+	a := deviceProfile{ports: []portWeight{{23, 50}, {2323, 50}}, total: 100}
+	b := deviceProfile{ports: []portWeight{{23, 50}, {2323, 50}}, total: 100}
 	if sim := weightedJaccard(a, b); sim != 1 {
 		t.Fatalf("identical profiles sim %v", sim)
 	}
-	c := deviceProfile{ports: map[uint16]uint64{22: 100}, total: 100}
+	c := deviceProfile{ports: []portWeight{{22, 100}}, total: 100}
 	if sim := weightedJaccard(a, c); sim != 0 {
 		t.Fatalf("disjoint profiles sim %v", sim)
 	}
 	// Half overlap: a={23:100}, d={23:50, 80:50} -> min 0.5 / max 1.5.
-	e := deviceProfile{ports: map[uint16]uint64{23: 100}, total: 100}
-	d := deviceProfile{ports: map[uint16]uint64{23: 50, 80: 50}, total: 100}
+	e := deviceProfile{ports: []portWeight{{23, 100}}, total: 100}
+	d := deviceProfile{ports: []portWeight{{23, 50}, {80, 50}}, total: 100}
 	if sim := weightedJaccard(e, d); sim < 0.33 || sim > 0.34 {
 		t.Fatalf("partial overlap sim %v", sim)
+	}
+	if weightedJaccard(e, d) != weightedJaccard(d, e) {
+		t.Fatal("similarity is not symmetric")
+	}
+}
+
+// A pair planted exactly on the similarity threshold: device 1 scans three
+// ports with even-split shares 29, 17 and 23, device 2 the first two, so
+// sum(min)/sum(max) is (46/69)/(4/3) = 1/2 in exact arithmetic. In floats
+// the quotient lands on either side of 0.5 depending on the order the
+// three terms are summed, which under map iteration made the pair join a
+// campaign in some calls and not in others. Summing in ascending port order
+// makes Detect a function of its input: 200 calls, one answer.
+func TestDetectDeterministicAtThreshold(t *testing.T) {
+	res := &correlate.Result{TCPScanPorts: map[uint16]*correlate.TCPPortAgg{
+		23:   {Packets: 58, DevicesConsumer: []int32{1, 2}},
+		80:   {Packets: 34, DevicesConsumer: []int32{1}, DevicesCPS: []int32{2}},
+		8080: {Packets: 23, DevicesConsumer: []int32{1}},
+		// A bystander cohort, so the output is never trivially empty.
+		22: {Packets: 300, DevicesConsumer: []int32{7, 8, 9}},
+	}}
+	first, err := Detect(res, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first) == 0 {
+		t.Fatal("bystander cohort not detected")
+	}
+	for i := 1; i < 200; i++ {
+		got, err := Detect(res, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, first) {
+			t.Fatalf("call %d detected %+v, call 0 detected %+v", i, got, first)
+		}
 	}
 }
 

@@ -93,23 +93,15 @@ func (s *u64set) reset() {
 	}
 }
 
-// forEach visits every key, in table order.
-func (s *u64set) forEach(fn func(key uint64)) {
+// addTo inserts every key into dst and appends the ones dst did not hold
+// to gained, which it returns.
+func (s *u64set) addTo(dst *u64set, gained []uint64) []uint64 {
 	for _, k := range s.slots {
-		if k != 0 {
-			fn(k - 1)
+		if k != 0 && dst.add(k-1) {
+			gained = append(gained, k-1)
 		}
 	}
-}
-
-// appendKeys appends every key to dst and returns it.
-func (s *u64set) appendKeys(dst []uint64) []uint64 {
-	for _, k := range s.slots {
-		if k != 0 {
-			dst = append(dst, k-1)
-		}
-	}
-	return dst
+	return gained
 }
 
 // ipIndex is a fixed open-addressed hash table joining a source address to
@@ -473,29 +465,34 @@ type portHourPkts struct {
 // amortizing the Result's pointer allocations, dense by-index/by-port pointer
 // tables replacing every map the merge loop used to probe, and the global
 // (port, device) membership sets behind the Result's per-port device lists.
-// The Result's maps and lists are only materialized by finalizeResult —
-// per-hour merges are pure array indexing.
+// Aggregates enter the Result's maps at first touch; what a merge leaves
+// pending — port-hour cells and newly gained membership keys — is folded in
+// by finalizeResult, whose cost therefore follows what changed since the
+// last finalize, not what has accumulated.
 type mergeState struct {
 	slab    deviceSlab
 	udpSlab []PortAgg
 	tcpSlab []TCPPortAgg
 
 	// Dense lookup tables: device index → stats, port → aggregate. The
-	// port tables are full 65536-slot arrays; the touched lists record
-	// first-use order so finalizeResult can presize the Result's maps.
+	// port tables are full 65536-slot arrays.
 	devByIdx  []*DeviceStats
-	devCount  int
 	udpByPort []*PortAgg
 	tcpByPort []*TCPPortAgg
-	udpList   []uint16
-	tcpList   []uint16
-	portHours []portHourPkts
 
-	udp      u64set // port<<32 | device, UDP probes
-	con      u64set // port<<32 | device, TCP scans from consumer devices
-	cps      u64set // port<<32 | device, TCP scans from CPS devices
-	keyBuf   []uint64
-	unlisted bool // merged state not yet materialized into res
+	udp u64set // port<<32 | device, UDP probes
+	con u64set // port<<32 | device, TCP scans from consumer devices
+	cps u64set // port<<32 | device, TCP scans from CPS devices
+
+	// Pending since the last finalizeResult: each (port, hour) cell is
+	// produced by exactly one hour's merge, so the merger appends instead of
+	// inserting into a growing map; the gained lists hold the keys each
+	// membership set did not have before, which name the ports whose device
+	// lists are stale.
+	portHours []portHourPkts
+	udpGained []uint64
+	conGained []uint64
+	cpsGained []uint64
 }
 
 func newMergeState() *mergeState {
@@ -530,90 +527,94 @@ func (st *mergeState) newTCPPortAgg() *TCPPortAgg {
 	return a
 }
 
-// finalizeResult materializes the Result's reader-facing views from the
-// merger's dense state: the device and port maps are built once, presized
-// from the touched lists, and the per-port device lists come from dumping
-// and sorting each membership set — the uint64 order (port major, device
-// minor) is exactly the grouping needed — with every port's ascending list
-// carved from one shared backing array. Idempotent and cheap to re-run;
-// callers invoke it before handing res to a reader.
+// finalizeResult brings the Result's reader-facing views up to date with
+// the merges since the last call: pending port-hour cells are folded into
+// TCPPortHour (presized when this is the first fold, the batch case), and
+// the device list of every port whose membership set gained a key is
+// re-merged — untouched ports keep their lists. Idempotent and free when
+// nothing is pending; callers invoke it before handing res to a reader.
 func (st *mergeState) finalizeResult(res *Result) {
-	if !st.unlisted {
-		return
-	}
-	res.Devices = make(map[int]*DeviceStats, st.devCount)
-	for idx, g := range st.devByIdx {
-		if g != nil {
-			res.Devices[idx] = g
+	if len(st.portHours) > 0 {
+		if len(res.TCPPortHour) == 0 {
+			res.TCPPortHour = make(map[PortHour]uint64, len(st.portHours))
 		}
+		for _, e := range st.portHours {
+			res.TCPPortHour[e.key] += e.pkts
+		}
+		st.portHours = st.portHours[:0]
 	}
-	res.UDPPorts = make(map[uint16]*PortAgg, len(st.udpList))
-	for _, p := range st.udpList {
-		res.UDPPorts[p] = st.udpByPort[p]
-	}
-	res.TCPScanPorts = make(map[uint16]*TCPPortAgg, len(st.tcpList))
-	for _, p := range st.tcpList {
-		res.TCPScanPorts[p] = st.tcpByPort[p]
-	}
-	res.TCPPortHour = make(map[PortHour]uint64, len(st.portHours))
-	for _, e := range st.portHours {
-		res.TCPPortHour[e.key] += e.pkts
-	}
-	st.fillLists(&st.udp, func(p uint16, devs []int32) {
-		st.udpByPort[p].Devices = devs
-	})
-	st.fillLists(&st.con, func(p uint16, devs []int32) {
-		st.tcpByPort[p].DevicesConsumer = devs
-	})
-	st.fillLists(&st.cps, func(p uint16, devs []int32) {
-		st.tcpByPort[p].DevicesCPS = devs
-	})
-	st.unlisted = false
+	st.udpGained = mergeLists(st.udpGained, func(p uint16) *[]int32 { return &st.udpByPort[p].Devices })
+	st.conGained = mergeLists(st.conGained, func(p uint16) *[]int32 { return &st.tcpByPort[p].DevicesConsumer })
+	st.cpsGained = mergeLists(st.cpsGained, func(p uint16) *[]int32 { return &st.tcpByPort[p].DevicesCPS })
 }
 
-func (st *mergeState) fillLists(set *u64set, assign func(port uint16, devs []int32)) {
-	keys := set.appendKeys(st.keyBuf[:0])
-	st.keyBuf = keys
-	slices.Sort(keys)
-	backing := make([]int32, len(keys))
-	for i, k := range keys {
-		backing[i] = int32(uint32(k))
+// mergeLists folds the gained membership keys into the per-port device
+// lists and returns the emptied buffer. Sorting the keys (port major,
+// device minor) yields exactly the grouping needed; each dirty port's old
+// ascending list is merged with its ascending new devices into one shared
+// backing array, so a finalize performs one list allocation however many
+// ports it touches. Gained keys are by construction absent from the old
+// lists, so the merge never meets a duplicate.
+func mergeLists(gained []uint64, list func(port uint16) *[]int32) []uint64 {
+	if len(gained) == 0 {
+		return gained
 	}
-	for lo := 0; lo < len(keys); {
-		port := uint16(keys[lo] >> 32)
-		hi := lo + 1
-		for hi < len(keys) && uint16(keys[hi]>>32) == port {
-			hi++
+	slices.Sort(gained)
+	total := len(gained)
+	for lo := 0; lo < len(gained); lo = portRun(gained, lo) {
+		total += len(*list(uint16(gained[lo] >> 32)))
+	}
+	backing := make([]int32, 0, total)
+	for lo := 0; lo < len(gained); {
+		hi := portRun(gained, lo)
+		l := list(uint16(gained[lo] >> 32))
+		start, old := len(backing), *l
+		for _, k := range gained[lo:hi] {
+			dev := int32(uint32(k))
+			for len(old) > 0 && old[0] < dev {
+				backing = append(backing, old[0])
+				old = old[1:]
+			}
+			backing = append(backing, dev)
 		}
-		assign(port, backing[lo:hi:hi])
+		backing = append(backing, old...)
+		*l = backing[start:len(backing):len(backing)]
 		lo = hi
 	}
+	return gained[:0]
+}
+
+// portRun returns the end of the run of keys sharing keys[lo]'s port.
+func portRun(keys []uint64, lo int) int {
+	port := keys[lo] >> 32
+	hi := lo + 1
+	for hi < len(keys) && keys[hi]>>32 == port {
+		hi++
+	}
+	return hi
 }
 
 // newMergeStateFromResult rebuilds the merger's dense accumulation state
 // from a finalized Result — the restore half of incremental checkpointing.
-// The dense tables point at the Result's own aggregates (exactly as they
-// would after finalizeResult), so subsequent mergeDense calls mutate the
-// same objects an uninterrupted run would have.
+// The dense tables point at the Result's own aggregates, so subsequent
+// mergeDense calls mutate the same objects an uninterrupted run would
+// have; the Result already carries every view, so nothing is pending.
 func newMergeStateFromResult(res *Result, invLen int) *mergeState {
 	st := newMergeState()
 	st.devByIdx = make([]*DeviceStats, invLen)
 	for id, d := range res.Devices {
 		st.devByIdx[id] = d
 	}
-	st.devCount = len(res.Devices)
 	st.udpByPort = make([]*PortAgg, 1<<16)
 	st.tcpByPort = make([]*TCPPortAgg, 1<<16)
 	for p, a := range res.UDPPorts {
 		st.udpByPort[p] = a
-		st.udpList = append(st.udpList, p)
 		for _, dev := range a.Devices {
 			st.udp.add(uint64(p)<<32 | uint64(uint32(dev)))
 		}
 	}
 	for p, a := range res.TCPScanPorts {
 		st.tcpByPort[p] = a
-		st.tcpList = append(st.tcpList, p)
 		for _, dev := range a.DevicesConsumer {
 			st.con.add(uint64(p)<<32 | uint64(uint32(dev)))
 		}
@@ -621,12 +622,6 @@ func newMergeStateFromResult(res *Result, invLen int) *mergeState {
 			st.cps.add(uint64(p)<<32 | uint64(uint32(dev)))
 		}
 	}
-	for k, pkts := range res.TCPPortHour {
-		st.portHours = append(st.portHours, portHourPkts{key: k, pkts: pkts})
-	}
-	// The Result already carries the materialized views, so nothing is
-	// pending; the next merge flips unlisted and finalizeResult rebuilds.
-	st.unlisted = false
 	return st
 }
 
@@ -655,7 +650,7 @@ func mergeDense(res *Result, s *hourScratch, bgSources *sketch.HLL, st *mergeSta
 				g.BackscatterHourly = map[int]uint64{s.hour: s.bsPkts[idx]}
 			}
 			st.devByIdx[idx] = g
-			st.devCount++
+			res.Devices[int(idx)] = g
 			continue
 		}
 		if d.FirstSeen < g.FirstSeen {
@@ -688,7 +683,7 @@ func mergeDense(res *Result, s *hourScratch, bgSources *sketch.HLL, st *mergeSta
 		if g == nil {
 			g = st.newPortAgg()
 			st.udpByPort[p] = g
-			st.udpList = append(st.udpList, p)
+			res.UDPPorts[p] = g
 		}
 		g.Packets += s.udpPkts[p]
 	}
@@ -697,7 +692,7 @@ func mergeDense(res *Result, s *hourScratch, bgSources *sketch.HLL, st *mergeSta
 		if g == nil {
 			g = st.newTCPPortAgg()
 			st.tcpByPort[p] = g
-			st.tcpList = append(st.tcpList, p)
+			res.TCPScanPorts[p] = g
 		}
 		g.Packets += s.tcpPkts[p]
 		g.PacketsConsumer += s.tcpPktsCon[p]
@@ -705,9 +700,8 @@ func mergeDense(res *Result, s *hourScratch, bgSources *sketch.HLL, st *mergeSta
 			portHourPkts{key: PortHour{Port: p, Hour: uint16(s.hour)}, pkts: s.tcpPkts[p]})
 	}
 	// Per-port device membership folds into the merger's global sets; the
-	// Result's lists are carved out later by finalizeResult.
-	s.udpPortDev.forEach(func(key uint64) { st.udp.add(key) })
-	s.tcpDevCon.forEach(func(key uint64) { st.con.add(key) })
-	s.tcpDevCPS.forEach(func(key uint64) { st.cps.add(key) })
-	st.unlisted = true
+	// keys they gain are what finalizeResult re-merges lists from.
+	st.udpGained = s.udpPortDev.addTo(&st.udp, st.udpGained)
+	st.conGained = s.tcpDevCon.addTo(&st.con, st.conGained)
+	st.cpsGained = s.tcpDevCPS.addTo(&st.cps, st.cpsGained)
 }

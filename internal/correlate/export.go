@@ -1,10 +1,11 @@
 package correlate
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io/fs"
-	"sort"
+	"slices"
 
 	"iotscope/internal/classify"
 	"iotscope/internal/flowtuple"
@@ -16,8 +17,8 @@ import (
 // shared-backing lists a live Result carries. ResultExport (and its
 // incremental sibling CheckpointExport) is what internal/resultstore
 // encodes; Export/Result convert between the two without perturbing the
-// dense hot path — maps are only rebuilt at import time, exactly as
-// finalizeResult builds them after a merge.
+// dense hot path — maps are only rebuilt at import time, with the same
+// invariants a merged and finalized Result obeys.
 
 // ErrBadFormat flags a structurally invalid export, checkpoint, or shard
 // partial: unsorted or duplicate keys, out-of-range hours, inconsistent
@@ -141,19 +142,17 @@ func (r *Result) Export() *ResultExport {
 			for h, n := range d.BackscatterHourly {
 				de.Backscatter = append(de.Backscatter, HourCount{Hour: int32(h), Count: n})
 			}
-			sort.Slice(de.Backscatter, func(i, j int) bool {
-				return de.Backscatter[i].Hour < de.Backscatter[j].Hour
-			})
+			slices.SortFunc(de.Backscatter, func(a, b HourCount) int { return cmp.Compare(a.Hour, b.Hour) })
 		}
 		e.Devices = append(e.Devices, de)
 	}
-	sort.Slice(e.Devices, func(i, j int) bool { return e.Devices[i].ID < e.Devices[j].ID })
+	slices.SortFunc(e.Devices, func(a, b DeviceExport) int { return cmp.Compare(a.ID, b.ID) })
 
 	e.UDPPorts = make([]PortExport, 0, len(r.UDPPorts))
 	for p, a := range r.UDPPorts {
 		e.UDPPorts = append(e.UDPPorts, PortExport{Port: p, Packets: a.Packets, Devices: a.Devices})
 	}
-	sort.Slice(e.UDPPorts, func(i, j int) bool { return e.UDPPorts[i].Port < e.UDPPorts[j].Port })
+	slices.SortFunc(e.UDPPorts, func(a, b PortExport) int { return cmp.Compare(a.Port, b.Port) })
 
 	e.TCPScanPorts = make([]TCPPortExport, 0, len(r.TCPScanPorts))
 	for p, a := range r.TCPScanPorts {
@@ -165,35 +164,66 @@ func (r *Result) Export() *ResultExport {
 			DevicesCPS:      a.DevicesCPS,
 		})
 	}
-	sort.Slice(e.TCPScanPorts, func(i, j int) bool { return e.TCPScanPorts[i].Port < e.TCPScanPorts[j].Port })
+	slices.SortFunc(e.TCPScanPorts, func(a, b TCPPortExport) int { return cmp.Compare(a.Port, b.Port) })
 
 	e.TCPPortHour = make([]PortHourExport, 0, len(r.TCPPortHour))
 	for k, pkts := range r.TCPPortHour {
 		e.TCPPortHour = append(e.TCPPortHour, PortHourExport{Port: k.Port, Hour: k.Hour, Packets: pkts})
 	}
-	sort.Slice(e.TCPPortHour, func(i, j int) bool {
-		a, b := e.TCPPortHour[i], e.TCPPortHour[j]
-		if a.Port != b.Port {
-			return a.Port < b.Port
-		}
-		return a.Hour < b.Hour
+	// Port-major, hour-minor: one packed key per cell keeps the largest
+	// sort of the export a plain integer comparison.
+	slices.SortFunc(e.TCPPortHour, func(a, b PortHourExport) int {
+		return cmp.Compare(uint32(a.Port)<<16|uint32(a.Hour), uint32(b.Port)<<16|uint32(b.Hour))
 	})
 
-	if len(r.Ingest.Faults) > 0 {
-		e.Faults = make([]FaultExport, 0, len(r.Ingest.Faults))
-		for _, f := range r.Ingest.Faults {
-			e.Faults = append(e.Faults, FaultExport{
-				Hour:      int32(f.Hour),
-				Attempts:  int32(f.Attempts),
-				Retryable: f.Retryable,
-				Truncated: errors.Is(f.Err, flowtuple.ErrTruncated),
-				BadFormat: errors.Is(f.Err, flowtuple.ErrBadFormat),
-				NotExist:  errors.Is(f.Err, fs.ErrNotExist),
-				Message:   f.Err.Error(),
-			})
-		}
-	}
+	e.Faults = exportFaults(r.Ingest.Faults)
 	return e
+}
+
+// exportFaults flattens ingest faults to their serializable form (nil when
+// there are none).
+func exportFaults(faults []HourFault) []FaultExport {
+	if len(faults) == 0 {
+		return nil
+	}
+	out := make([]FaultExport, 0, len(faults))
+	for _, f := range faults {
+		out = append(out, FaultExport{
+			Hour:      int32(f.Hour),
+			Attempts:  int32(f.Attempts),
+			Retryable: f.Retryable,
+			Truncated: errors.Is(f.Err, flowtuple.ErrTruncated),
+			BadFormat: errors.Is(f.Err, flowtuple.ErrBadFormat),
+			NotExist:  errors.Is(f.Err, fs.ErrNotExist),
+			Message:   f.Err.Error(),
+		})
+	}
+	return out
+}
+
+// restoreFaults rebuilds ingest faults from their export, rejecting a list
+// that is not ascending by hour.
+func restoreFaults(list []FaultExport) ([]HourFault, error) {
+	var out []HourFault
+	prevHour := int32(-1)
+	for _, fe := range list {
+		if fe.Hour <= prevHour {
+			return nil, badf("fault list not ascending at hour %d", fe.Hour)
+		}
+		prevHour = fe.Hour
+		out = append(out, HourFault{
+			Hour:      int(fe.Hour),
+			Attempts:  int(fe.Attempts),
+			Retryable: fe.Retryable,
+			Err: &storedFault{
+				msg:       fe.Message,
+				truncated: fe.Truncated,
+				badFormat: fe.BadFormat,
+				notExist:  fe.NotExist,
+			},
+		})
+	}
+	return out, nil
 }
 
 // storedFault is the reconstructed form of an ingest fault's error: the
@@ -226,7 +256,7 @@ func (f *storedFault) Is(target error) bool {
 // Result rebuilds a live Result from the export. The rebuilt value obeys
 // every invariant of a correlator-produced Result: non-nil maps, Hourly
 // indexed by hour, ascending nil-when-empty device lists (carved from one
-// shared backing per section, like finalizeResult). Structural violations
+// shared backing per section). Structural violations
 // in the export — wrong hour indexing, unsorted or duplicate keys,
 // out-of-range values — are rejected with an error rather than producing
 // a subtly wrong Result.
@@ -362,23 +392,9 @@ func (e *ResultExport) Result() (*Result, error) {
 		res.TCPPortHour[PortHour{Port: ph.Port, Hour: ph.Hour}] = ph.Packets
 	}
 
-	prevHour := int32(-1)
-	for _, fe := range e.Faults {
-		if fe.Hour <= prevHour {
-			return nil, badf("fault list not ascending at hour %d", fe.Hour)
-		}
-		prevHour = fe.Hour
-		res.Ingest.Faults = append(res.Ingest.Faults, HourFault{
-			Hour:      int(fe.Hour),
-			Attempts:  int(fe.Attempts),
-			Retryable: fe.Retryable,
-			Err: &storedFault{
-				msg:       fe.Message,
-				truncated: fe.Truncated,
-				badFormat: fe.BadFormat,
-				notExist:  fe.NotExist,
-			},
-		})
+	var err error
+	if res.Ingest.Faults, err = restoreFaults(e.Faults); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -409,6 +425,11 @@ func carveList(backing *[]int32, devs []int32, known []bool, proto string, port 
 // complete state: the finalized running Result plus the per-hour
 // bookkeeping and the background-sources HLL registers. Restoring it and
 // continuing to ingest is indistinguishable from never having stopped.
+//
+// Deltas are the commits appended to a stored checkpoint since that base
+// was written, oldest first; Export never fills them (it captures the
+// whole state), a checkpoint reader does, and RestoreIncremental replays
+// them on top of the base.
 type CheckpointExport struct {
 	MaxHours         int
 	IngestedHours    []int32 // ascending
@@ -416,6 +437,7 @@ type CheckpointExport struct {
 	BGPrecision      uint8
 	BGRegisters      []uint8
 	Result           *ResultExport
+	Deltas           []*CheckpointDelta
 }
 
 // Export captures the incremental correlator's complete state. The running
@@ -442,7 +464,7 @@ func sortedHourList(set map[int]bool) []int32 {
 	for h := range set {
 		out = append(out, int32(h))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -452,7 +474,7 @@ func (inc *Incremental) IngestedHours() []int {
 	for h := range inc.hours {
 		out = append(out, h)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -460,9 +482,12 @@ func (inc *Incremental) IngestedHours() []int {
 // previously captured with Export. The correlator must be configured
 // compatibly with the one that wrote the checkpoint: same inventory (device
 // indices are validated against it) and same sketch precision (the running
-// HLL must merge with per-hour sketches). The restored instance's future
-// behavior — fresh-device notifications, merged statistics, Result — is
-// identical to the original's had it never stopped.
+// HLL must merge with per-hour sketches). Any Deltas are replayed on top of
+// the base through the live merge path; a delta the base cannot take (an
+// hour out of range or already settled, a device outside the inventory) is
+// ErrBadFormat. The restored instance's future behavior — fresh-device
+// notifications, merged statistics, Result — is identical to the
+// original's had it never stopped.
 func (c *Correlator) RestoreIncremental(cp *CheckpointExport) (*Incremental, error) {
 	if cp == nil || cp.Result == nil {
 		return nil, badf("checkpoint missing result")
@@ -507,14 +532,21 @@ func (c *Correlator) RestoreIncremental(cp *CheckpointExport) (*Incremental, err
 		return nil, badf("checkpoint counts %d hours ok but lists %d ingested",
 			res.Ingest.HoursOK, len(hours))
 	}
-	return &Incremental{
+	inc := &Incremental{
 		c:           c,
 		res:         res,
 		bg:          bg,
 		st:          newMergeStateFromResult(res, c.inv.Len()),
 		hours:       hours,
 		quarantined: quarantined,
-	}, nil
+	}
+	for _, d := range cp.Deltas {
+		if err := inc.replay(d); err != nil {
+			return nil, err
+		}
+	}
+	inc.unsaved = 0
+	return inc, nil
 }
 
 func restoreHourSet(list []int32, maxHours int, what string) (map[int]bool, error) {

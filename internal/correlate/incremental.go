@@ -28,6 +28,13 @@ type Incremental struct {
 	st          *mergeState
 	hours       map[int]bool
 	quarantined map[int]bool
+
+	// delta holds the one sealed hour not yet handed to a checkpoint
+	// writer; unsaved counts hours sealed since the last Delta call (only
+	// the first of them is captured — beyond one, a frame cannot express
+	// the change and the writer exports in full).
+	delta   HourDelta
+	unsaved int
 }
 
 // NewIncremental returns an incremental correlator sized for up to
@@ -86,18 +93,41 @@ func (inc *Incremental) Ingest(ctx context.Context, dir string, hour int) ([]int
 		}
 		return nil, err
 	}
+	return inc.merge(part), nil
+}
+
+// merge folds a completed hour scratch into the running result — the one
+// sequence Ingest, Window.Seal and checkpoint replay all end in — and
+// returns the devices seen for the first time, ascending. The scratch is
+// recycled; the hour becomes ingested.
+func (inc *Incremental) merge(s *hourScratch) []int {
 	var fresh []int
-	for _, idx := range part.touched {
+	for _, idx := range s.touched {
 		if !inc.st.knownDevice(idx) {
 			fresh = append(fresh, int(idx))
 		}
 	}
 	sort.Ints(fresh)
-	mergeDense(inc.res, part, inc.bg, inc.st)
-	inc.c.putScratch(part)
-	inc.hours[hour] = true
-	inc.res.Ingest.noteSuccess(hour)
-	return fresh, nil
+
+	st := inc.st
+	capture := inc.unsaved == 0
+	var raised []RegisterDelta
+	if capture {
+		raised = inc.delta.BGRegisters[:0]
+		inc.bg.Raised(s.bgSrcHLL, func(i int, rank uint8) { //nolint:errcheck // same precision by construction
+			raised = append(raised, RegisterDelta{Index: uint32(i), Rank: rank})
+		})
+	}
+	nu, nc, np := len(st.udpGained), len(st.conGained), len(st.cpsGained)
+	mergeDense(inc.res, s, inc.bg, st)
+	if capture {
+		inc.delta.capture(s, raised, st.udpGained[nu:], st.conGained[nc:], st.cpsGained[np:])
+	}
+	inc.unsaved++
+	inc.c.putScratch(s)
+	inc.hours[s.hour] = true
+	inc.res.Ingest.noteSuccess(s.hour)
+	return fresh
 }
 
 // Quarantine abandons an hour permanently — typically after the caller has

@@ -94,22 +94,13 @@ func (w *Window) Seal() (WindowStats, error) {
 		return WindowStats{}, fmt.Errorf("correlate: window for hour %d already sealed", w.hour)
 	}
 	w.done = true
-	inc, s := w.inc, w.s
+	s := w.s
 	s.finalize(w.hour)
-
-	var fresh []int
-	for _, idx := range s.touched {
-		if !inc.st.knownDevice(idx) {
-			fresh = append(fresh, int(idx))
-		}
-	}
-	sort.Ints(fresh)
 
 	st := WindowStats{
 		Hour:       w.hour,
 		Records:    w.records,
 		RecordsIoT: s.stats.RecordsIoT,
-		Fresh:      fresh,
 	}
 	bsIdx := classify.Backscatter.Index()
 	for ci := range s.stats.PerCat {
@@ -119,11 +110,8 @@ func (w *Window) Seal() (WindowStats, error) {
 		st.Backscatter += s.stats.PerCat[ci].Packets[bsIdx]
 	}
 
-	mergeDense(inc.res, s, inc.bg, inc.st)
-	inc.c.putScratch(s)
+	st.Fresh = w.inc.merge(s)
 	w.s = nil
-	inc.hours[w.hour] = true
-	inc.res.Ingest.noteSuccess(w.hour)
 	return st, nil
 }
 

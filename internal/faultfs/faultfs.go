@@ -1,16 +1,18 @@
 // Package faultfs injects deterministic storage faults into dataset files
 // so that ingestion failure paths can be exercised by tests: byte-level
 // truncation, bit flips, clean mid-stream cuts, slow non-atomic writes
-// that emulate a legacy collector caught in the act, and a single-stepped
-// Grower that reveals a live file prefix by prefix. Every operation is
-// pure byte surgery — nothing here knows the flowtuple framing — which
-// keeps the injected faults honest stand-ins for real disk and transfer
-// damage.
+// that emulate a legacy collector caught in the act, a single-stepped
+// Grower that reveals a live file prefix by prefix, and an Injector that
+// fails the k-th write, fsync or rename of a durable writer. Every file
+// operation is pure byte surgery — nothing here knows the flowtuple
+// framing — which keeps the injected faults honest stand-ins for real disk
+// and transfer damage.
 package faultfs
 
 import (
 	"bytes"
 	"compress/gzip"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -266,4 +268,80 @@ func rewrite(path string, data []byte) error {
 		return err
 	}
 	return os.WriteFile(path, data, info.Mode().Perm())
+}
+
+// ErrInjected is the error an Injector's failed operation returns.
+var ErrInjected = errors.New("faultfs: injected I/O failure")
+
+// Injector stands between a durable writer and the os package and fails
+// the K-th operation of one kind — "write", "sync" or "rename" — counting
+// from 1 (K == 0 never fails, and just counts). A failed write is torn:
+// half the buffer reaches the file first. With Crash set the failure is
+// the process dying at that operation: every later operation fails too,
+// writing nothing, until Reboot. Its methods match resultstore.FS.
+type Injector struct {
+	Op    string
+	K     int
+	Crash bool
+
+	counts  map[string]int
+	tripped bool
+	dead    bool
+}
+
+// Count returns how many operations of the kind have been attempted.
+func (in *Injector) Count(op string) int { return in.counts[op] }
+
+// Tripped reports whether the configured failure has fired.
+func (in *Injector) Tripped() bool { return in.tripped }
+
+// Dead reports whether a Crash has fired and not yet been rebooted.
+func (in *Injector) Dead() bool { return in.dead }
+
+// Reboot ends a crash: operations succeed again, as after a restart.
+func (in *Injector) Reboot() { in.dead = false }
+
+func (in *Injector) fails(op string) bool {
+	if in.counts == nil {
+		in.counts = make(map[string]int)
+	}
+	in.counts[op]++
+	if in.dead {
+		return true
+	}
+	if in.tripped || op != in.Op || in.counts[op] != in.K {
+		return false
+	}
+	in.tripped, in.dead = true, in.Crash
+	return true
+}
+
+// Write writes p to f, or — at the failure itself — tears the write and
+// fails; a dead process writes nothing.
+func (in *Injector) Write(f *os.File, p []byte) (int, error) {
+	wasDead := in.dead
+	if in.fails("write") {
+		if wasDead {
+			return 0, ErrInjected
+		}
+		n, _ := f.Write(p[:len(p)/2])
+		return n, ErrInjected
+	}
+	return f.Write(p)
+}
+
+// Sync fsyncs f, or fails without syncing.
+func (in *Injector) Sync(f *os.File) error {
+	if in.fails("sync") {
+		return ErrInjected
+	}
+	return f.Sync()
+}
+
+// Rename renames the file, or fails leaving both paths as they were.
+func (in *Injector) Rename(oldpath, newpath string) error {
+	if in.fails("rename") {
+		return ErrInjected
+	}
+	return os.Rename(oldpath, newpath)
 }

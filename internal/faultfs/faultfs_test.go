@@ -105,3 +105,58 @@ func TestWriteFileSlowly(t *testing.T) {
 		t.Fatal("zero chunk accepted")
 	}
 }
+
+// The injector counts every operation, fails exactly the K-th of its kind
+// (a write torn half way), and with Crash keeps failing everything until
+// Reboot — the process is dead until it restarts.
+func TestInjector(t *testing.T) {
+	path := writeTemp(t, nil)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	in := &Injector{Op: "write", K: 2, Crash: true}
+	if n, err := in.Write(f, []byte("abcd")); n != 4 || err != nil {
+		t.Fatalf("first write: %d, %v", n, err)
+	}
+	if in.Tripped() {
+		t.Fatal("tripped early")
+	}
+	if n, err := in.Write(f, []byte("efgh")); n != 2 || err != ErrInjected {
+		t.Fatalf("second write: %d, %v; want a torn half", n, err)
+	}
+	if !in.Tripped() {
+		t.Fatal("second write did not trip")
+	}
+	if in.Sync(f) != ErrInjected || in.Rename(path, path+".x") != ErrInjected {
+		t.Fatal("a crashed process kept working")
+	}
+	if _, err := in.Write(f, []byte("zz")); err != ErrInjected {
+		t.Fatal("a crashed process kept writing")
+	}
+	in.Reboot()
+	if err := in.Sync(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Rename(path, path+".x"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path + ".x")
+	if err != nil || string(got) != "abcdef" {
+		t.Fatalf("file holds %q, %v", got, err)
+	}
+	if in.Count("write") != 3 || in.Count("sync") != 2 || in.Count("rename") != 2 {
+		t.Fatalf("counts: %d writes, %d syncs, %d renames", in.Count("write"), in.Count("sync"), in.Count("rename"))
+	}
+
+	// Without Crash the failure is a one-off, and K == 0 only counts.
+	once := &Injector{Op: "sync", K: 1}
+	if once.Sync(f) != ErrInjected || once.Sync(f) != nil {
+		t.Fatal("a non-crash failure must fire exactly once")
+	}
+	if idle := (&Injector{}); idle.Sync(f) != nil || idle.Tripped() || idle.Count("sync") != 1 {
+		t.Fatal("an unarmed injector interfered")
+	}
+}

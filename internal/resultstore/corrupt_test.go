@@ -2,7 +2,9 @@ package resultstore
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -163,6 +165,162 @@ func TestTruncationSweep(t *testing.T) {
 		}
 		if !errors.Is(err, ErrBadFormat) {
 			t.Fatalf("prefix %d: unclassified error %v", n, err)
+		}
+	}
+}
+
+// framedCheckpoint commits the fixture's first n hours through a
+// CheckpointLog and returns the file's bytes with the offset each frame
+// starts at (the first is the base's size); n-1 frames follow the base.
+func framedCheckpoint(t *testing.T, fx *logFixture, n int) ([]byte, []int) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "checkpoint.irs")
+	live := fx.fresh(t)
+	log := NewCheckpointLog(path, nil)
+	defer log.Close()
+	var starts []int
+	for h := 0; h < n; h++ {
+		fx.ingest(t, live, h)
+		done, err := log.Commit(live)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done.Compacted != (h == 0) {
+			t.Fatalf("hour %d: commit %+v; the fixture wants one base and %d frames", h, done, n-1)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h > 0 {
+			starts = append(starts, int(fi.Size()-done.Bytes))
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, starts
+}
+
+// The frame half of the corruption table. Frames are only appended, so
+// damage confined to the last frame is an append that never finished and
+// costs exactly that frame — the file restores to the previous window —
+// while damage with committed bytes after it, or a frame whose checksum
+// holds but whose content the base cannot take, is permanent.
+func TestFrameCorruptionTaxonomy(t *testing.T) {
+	const n = 4
+	fx := newLogFixture(t, 73, 6)
+	data, starts := framedCheckpoint(t, fx, n)
+	tail, interior := starts[len(starts)-1], starts[0]
+
+	restoreHours := func(t *testing.T, image []byte) (int, Info, error) {
+		t.Helper()
+		_, cp, info, err := decode(image, KindCheckpoint)
+		if err != nil {
+			return 0, info, err
+		}
+		inc, err := fx.c.RestoreIncremental(cp)
+		if err != nil {
+			return 0, info, err
+		}
+		return inc.HoursIngested(), info, nil
+	}
+	mutate := func(fn func(b []byte) []byte) []byte {
+		return fn(append([]byte(nil), data...))
+	}
+	frame := func(d *correlate.CheckpointDelta) []byte { return encodeFrame(d) }
+	hourFrame := func(hour int, dev int32) []byte {
+		hd := &correlate.HourDelta{Devices: []correlate.DeviceDelta{{ID: dev, Records: 1}}}
+		hd.Stats.Hour = hour
+		return frame(&correlate.CheckpointDelta{Hour: hd})
+	}
+
+	if got, info, err := restoreHours(t, data); err != nil || got != n || info.Frames != n-1 || info.TornBytes != 0 {
+		t.Fatalf("intact file: %d hours, %+v, %v", got, info, err)
+	}
+
+	t.Run("every truncation inside the tail frame", func(t *testing.T) {
+		for cut := tail + 1; cut < len(data); cut++ {
+			_, cp, info, err := decode(data[:cut], KindCheckpoint)
+			if err != nil || len(cp.Deltas) != n-2 || info.Frames != n-2 || info.TornBytes != int64(cut-tail) {
+				t.Fatalf("cut at %d of %d: %+v, %v", cut, len(data), info, err)
+			}
+			if cut%89 != 0 { // the decode is per byte; a sample also restores
+				continue
+			}
+			if got, _, err := restoreHours(t, data[:cut]); err != nil || got != n-1 {
+				t.Fatalf("cut at %d of %d restores to %d hours, %v", cut, len(data), got, err)
+			}
+		}
+		// Cut exactly at the frame boundary: nothing torn, one frame fewer.
+		if got, info, err := restoreHours(t, data[:tail]); err != nil || got != n-1 || info.TornBytes != 0 {
+			t.Fatalf("cut at the boundary: %d hours, %+v, %v", got, info, err)
+		}
+	})
+	t.Run("bit flip in the tail frame", func(t *testing.T) {
+		image := mutate(func(b []byte) []byte { b[tail+frameHeaderLen+5] ^= 0x10; return b })
+		if got, info, err := restoreHours(t, image); err != nil || got != n-1 || info.TornBytes == 0 {
+			t.Fatalf("%d hours, %+v, %v", got, info, err)
+		}
+	})
+
+	permanent := []struct {
+		name  string
+		image []byte
+	}{
+		{"bit flip in an interior frame", mutate(func(b []byte) []byte { b[interior+frameHeaderLen+5] ^= 0x10; return b })},
+		{"wrong tag where a frame starts", mutate(func(b []byte) []byte { b[interior] = secMeta; return b })},
+		{"junk after the last frame's checksum holds", append(append([]byte(nil), data...), 0xde, 0xad, 0xbe, 0xef, 0, 0, 0, 0, 0, 0)},
+		{"frame names an hour outside the window", append(append([]byte(nil), data...), hourFrame(6, 0)...)},
+		{"frame names a device outside the inventory", append(append([]byte(nil), data...), hourFrame(5, 1<<30)...)},
+		{"frame repeats a settled hour", append(append([]byte(nil), data...), hourFrame(1, 0)...)},
+		{"frame with unknown flag bits", append(append([]byte(nil), data...), func() []byte {
+			f := frame(&correlate.CheckpointDelta{})
+			f[frameHeaderLen] = 2
+			binary.LittleEndian.PutUint32(f[5:], crc32.ChecksumIEEE(f[frameHeaderLen:]))
+			return f
+		}()...)},
+	}
+	for _, tc := range permanent {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, err := restoreHours(t, tc.image)
+			if err == nil {
+				t.Fatal("damaged checkpoint accepted")
+			}
+			if !errors.Is(err, ErrBadFormat) && !errors.Is(err, correlate.ErrBadFormat) {
+				t.Fatalf("error outside the taxonomy: %v", err)
+			}
+			if IsRetryable(err) {
+				t.Fatalf("permanent damage classified retryable: %v", err)
+			}
+		})
+	}
+}
+
+// The truncation sweep over a framed checkpoint: every prefix that cuts the
+// base is rejected like any store; every prefix past the base is a valid
+// checkpoint holding exactly the frames that fit whole.
+func TestTruncationSweepFrames(t *testing.T) {
+	fx := newLogFixture(t, 74, 5)
+	data, starts := framedCheckpoint(t, fx, 4)
+	base := starts[0]
+	for cut := 0; cut < base; cut += 97 {
+		if _, _, _, err := decode(data[:cut], KindCheckpoint); !errors.Is(err, ErrBadFormat) {
+			t.Fatalf("prefix of %d/%d base bytes: %v", cut, base, err)
+		}
+	}
+	bounds := append(append([]int(nil), starts...), len(data))
+	for cut := base; cut <= len(data); cut++ {
+		whole := 0
+		for _, end := range bounds[1:] {
+			if end <= cut {
+				whole++
+			}
+		}
+		_, cp, info, err := decode(data[:cut], KindCheckpoint)
+		if err != nil || len(cp.Deltas) != whole || info.Frames != whole {
+			t.Fatalf("prefix %d: %d deltas, %+v, %v; want %d frames", cut, len(cp.Deltas), info, err, whole)
 		}
 	}
 }

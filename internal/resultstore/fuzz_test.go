@@ -8,6 +8,7 @@ import (
 
 	"iotscope/internal/classify"
 	"iotscope/internal/correlate"
+	"iotscope/internal/wgen"
 )
 
 // seedExport builds a small synthetic export covering every section shape:
@@ -55,6 +56,40 @@ func seedExport() *correlate.ResultExport {
 	return re
 }
 
+// seedDeltas are two frames over seedExport's inventory: hour 1 sealed,
+// exercising every list of an hour delta, and a bookkeeping-only commit.
+func seedDeltas() []*correlate.CheckpointDelta {
+	hd := &correlate.HourDelta{
+		BGRecords:   4,
+		BGPackets:   9,
+		BGRegisters: []correlate.RegisterDelta{{Index: 3, Rank: 2}, {Index: 11, Rank: 1}},
+		Devices: []correlate.DeviceDelta{
+			{ID: 3, Records: 5, Backscatter: 2, MaxScanPorts: 2, MaxScanDests: 4},
+			{ID: 9, Records: 1},
+		},
+		UDPPorts: []correlate.PortDelta{{Port: 53, Packets: 6}},
+		TCPPorts: []correlate.TCPPortDelta{{Port: 23, Packets: 7, PacketsConsumer: 3}},
+		UDPKeys:  []uint64{53<<32 | 9},
+		ConKeys:  []uint64{23<<32 | 3},
+		CPSKeys:  []uint64{23<<32 | 9},
+	}
+	hd.Stats.Hour = 1
+	hd.Stats.RecordsIoT = 6
+	return []*correlate.CheckpointDelta{
+		{Hour: hd, IngestRetried: 1},
+		{IngestRetried: 1, Faults: []correlate.FaultExport{{Hour: 0, Attempts: 3, Truncated: true, Message: "late rewrite"}}},
+	}
+}
+
+// withFrames appends the deltas to a checkpoint image as frames.
+func withFrames(image []byte, deltas []*correlate.CheckpointDelta) []byte {
+	out := append([]byte(nil), image...)
+	for _, d := range deltas {
+		out = append(out, encodeFrame(d)...)
+	}
+	return out
+}
+
 func seedCheckpoint(re *correlate.ResultExport) *correlate.CheckpointExport {
 	return &correlate.CheckpointExport{
 		MaxHours:      re.Hours,
@@ -69,11 +104,34 @@ func seedCheckpoint(re *correlate.ResultExport) *correlate.CheckpointExport {
 // contract under fuzzing: never panic, never allocate unboundedly, reject
 // everything invalid with an error inside the package taxonomy, and for
 // every accepted image, re-encoding the decoded state must round-trip to
-// equal state (the codec has one canonical interpretation per file).
+// equal state (the codec has one canonical interpretation per file). An
+// accepted checkpoint is also restored — base, then its frames replayed
+// through the live merge — which may reject it but must not panic.
 func FuzzResultStore(f *testing.F) {
+	// In this inventory device 3 is a consumer device and device 9 a CPS
+	// one, as the seed frames' membership keys need.
+	g, err := wgen.New(wgen.Default(0.002, 1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	c := correlate.New(g.Inventory(), correlate.Options{SketchPrecision: 4, FaultPolicy: correlate.Lenient})
 	re := seedExport()
 	f.Add(encode(KindResult, re, nil))
 	f.Add(encode(KindCheckpoint, re, seedCheckpoint(re)))
+	// The framed seed's base holds hour 0 only, so the first frame can seal
+	// hour 1 on top of it.
+	re1 := seedExport()
+	re1.IngestOK = 1
+	cp1 := seedCheckpoint(re1)
+	cp1.IngestedHours = []int32{0}
+	framed := withFrames(encode(KindCheckpoint, re1, cp1), seedDeltas())
+	f.Add(framed)
+	f.Add(framed[:len(framed)-7]) // a torn tail frame
+	if _, cp, _, err := decode(framed, KindCheckpoint); err != nil {
+		f.Fatal(err)
+	} else if inc, err := c.RestoreIncremental(cp); err != nil || inc.HoursIngested() != 2 {
+		f.Fatalf("framed seed does not restore: %v", err)
+	}
 	// A few hand-damaged variants steer the fuzzer toward the guards.
 	valid := encode(KindResult, re, nil)
 	short := append([]byte(nil), valid[:len(valid)/2]...)
@@ -93,8 +151,14 @@ func FuzzResultStore(f *testing.F) {
 		kind := KindResult
 		if gotCP != nil {
 			kind = KindCheckpoint
+			if inc, err := c.RestoreIncremental(gotCP); err == nil {
+				inc.Export()
+			}
 		}
 		reencoded := encode(kind, gotRE, gotCP)
+		if gotCP != nil {
+			reencoded = withFrames(reencoded, gotCP.Deltas)
+		}
 		re2, cp2, _, err := decode(reencoded, kind)
 		if err != nil {
 			t.Fatalf("re-encoded store rejected: %v", err)

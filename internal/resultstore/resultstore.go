@@ -17,9 +17,17 @@
 //	section  tag u8 | payloadLen u32 | crc32(payload) u32 | payload
 //	footer   tag 0 | sectionCount u32 | crc32(concatenated section CRCs) u32
 //
-// followed by mandatory EOF. Unknown tags, duplicate sections, CRC or
-// count mismatches, reserved bits set, and trailing bytes are all
-// ErrBadFormat; a clean end-of-data inside a frame is ErrTruncated.
+// followed by mandatory EOF — except in a version-2 checkpoint, where the
+// footer closes the base and zero or more delta frames follow, one per
+// commit since the base was written (see frame.go and CheckpointLog):
+//
+//	frame    tag 9 | payloadLen u32 | crc32(payload) u32 | payload
+//
+// Unknown tags, duplicate sections, CRC or count mismatches, reserved bits
+// set, and trailing bytes are all ErrBadFormat; a clean end-of-data inside a
+// section is ErrTruncated. A torn or CRC-bad last frame is not an error: an
+// append that never finished is dropped, and the hour it held is simply not
+// yet sealed.
 package resultstore
 
 import (
@@ -36,9 +44,13 @@ import (
 
 const (
 	magic = "IRST"
-	// Version is the current codec version. Readers reject anything newer;
-	// older versions would be migrated here when the format evolves.
+	// Version is the container version of a result store. Result stores
+	// stay at 1: their bytes are the content address DigestResult hashes.
 	Version = 1
+	// CheckpointVersion is the container version of a checkpoint: 2 allows
+	// delta frames after the footer. Version-1 checkpoints (a base, then
+	// EOF) still load, and are rewritten as 2 by the next commit.
+	CheckpointVersion = 2
 )
 
 // Kind distinguishes the two artifact flavors sharing the container.
@@ -92,17 +104,26 @@ const (
 	secPortHour   = 6
 	secFaults     = 7
 	secCheckpoint = 8
+	secDelta      = 9 // only after the footer of a v2 checkpoint
 )
 
 const headerLen = 4 + 1 + 1 + 2 + 4 + 4
 
-// Info summarizes a verified store file.
+// Info summarizes a verified store file. For a checkpoint, BaseSize is the
+// base's share of Size, Frames and FrameBytes count the intact delta frames
+// a restore replays on top of it, and TornBytes is an unfinished last frame
+// the reader dropped; the writer compacts once FrameBytes would exceed
+// BaseSize.
 type Info struct {
-	Kind     Kind
-	Version  int
-	Hours    int
-	Sections int
-	Size     int64
+	Kind       Kind
+	Version    int
+	Hours      int
+	Sections   int
+	Size       int64
+	BaseSize   int64
+	Frames     int
+	FrameBytes int64
+	TornBytes  int64
 }
 
 // WriteResult encodes the finalized Result as a KindResult store at path,
@@ -111,7 +132,7 @@ func WriteResult(path string, res *correlate.Result) error {
 	if res == nil {
 		return errors.New("resultstore: nil result")
 	}
-	return writeAtomic(path, encode(KindResult, res.Export(), nil))
+	return writeAtomic(osFS{}, path, encode(KindResult, res.Export(), nil))
 }
 
 // ReadResult decodes a KindResult store and rebuilds the live Result.
@@ -135,17 +156,20 @@ func ReadResult(path string) (*correlate.Result, error) {
 }
 
 // WriteCheckpoint encodes an incremental checkpoint as a KindCheckpoint
-// store at path, atomically.
+// store at path, atomically: a base with no frames. A live writer commits
+// through CheckpointLog instead, which appends.
 func WriteCheckpoint(path string, cp *correlate.CheckpointExport) error {
 	if cp == nil || cp.Result == nil {
 		return errors.New("resultstore: nil checkpoint")
 	}
-	return writeAtomic(path, encode(KindCheckpoint, cp.Result, cp))
+	return writeAtomic(osFS{}, path, encode(KindCheckpoint, cp.Result, cp))
 }
 
-// ReadCheckpoint decodes a KindCheckpoint store. The returned export is
-// structurally sound at the codec level; semantic restoration (inventory
-// bounds, sketch precision) happens in Correlator.RestoreIncremental.
+// ReadCheckpoint decodes a KindCheckpoint store: the base, with the delta
+// frames appended since in its Deltas. The returned export is structurally
+// sound at the codec level; semantic restoration (inventory bounds, sketch
+// precision, replaying the deltas) happens in
+// Correlator.RestoreIncremental.
 func ReadCheckpoint(path string) (*correlate.CheckpointExport, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -184,29 +208,6 @@ func Verify(path string) (Info, error) {
 	return info, err
 }
 
-func writeAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
 // ---- encoding ----
 
 type enc struct{ b []byte }
@@ -217,11 +218,65 @@ func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
 func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
 func (e *enc) raw(p []byte) { e.b = append(e.b, p...) }
 func (e *enc) str(s string) { e.u32(uint32(len(s))); e.b = append(e.b, s...) }
+func (e *enc) uv(v uint64)  { e.b = binary.AppendUvarint(e.b, v) }
+
+func (e *enc) hourStats(h *correlate.HourStats) {
+	e.u32(uint32(h.Hour))
+	e.u64(h.RecordsIoT)
+	for ci := range h.PerCat {
+		c := &h.PerCat[ci]
+		for _, v := range c.Packets {
+			e.u64(v)
+		}
+		e.u32(uint32(c.ActiveDevices))
+		e.u64(c.UDPDstIPs)
+		e.u64(c.UDPDstPorts)
+		e.u32(uint32(c.UDPDevices))
+		e.u64(c.ScanDstIPs)
+		e.u64(c.ScanDstPorts)
+		e.u32(uint32(c.ScanDevices))
+	}
+}
+
+func (e *enc) faults(faults []correlate.FaultExport) {
+	e.u32(uint32(len(faults)))
+	for i := range faults {
+		f := &faults[i]
+		e.u32(uint32(f.Hour))
+		e.u32(uint32(f.Attempts))
+		var flags uint8
+		if f.Retryable {
+			flags |= 1
+		}
+		if f.Truncated {
+			flags |= 2
+		}
+		if f.BadFormat {
+			flags |= 4
+		}
+		if f.NotExist {
+			flags |= 8
+		}
+		e.u8(flags)
+		e.str(f.Message)
+	}
+}
+
+func (e *enc) hourList(hours []int32) {
+	e.u32(uint32(len(hours)))
+	for _, h := range hours {
+		e.u32(uint32(h))
+	}
+}
 
 func encode(kind Kind, re *correlate.ResultExport, cp *correlate.CheckpointExport) []byte {
 	var out enc
 	out.raw([]byte(magic))
-	out.u8(Version)
+	if kind == KindCheckpoint {
+		out.u8(CheckpointVersion)
+	} else {
+		out.u8(Version)
+	}
 	out.u8(uint8(kind))
 	out.u16(0)
 	out.u32(uint32(re.Hours))
@@ -254,22 +309,7 @@ func encode(kind Kind, re *correlate.ResultExport, cp *correlate.CheckpointExpor
 	section(secHourly, func(p *enc) {
 		p.u32(uint32(len(re.Hourly)))
 		for i := range re.Hourly {
-			h := &re.Hourly[i]
-			p.u32(uint32(h.Hour))
-			p.u64(h.RecordsIoT)
-			for ci := range h.PerCat {
-				c := &h.PerCat[ci]
-				for _, v := range c.Packets {
-					p.u64(v)
-				}
-				p.u32(uint32(c.ActiveDevices))
-				p.u64(c.UDPDstIPs)
-				p.u64(c.UDPDstPorts)
-				p.u32(uint32(c.UDPDevices))
-				p.u64(c.ScanDstIPs)
-				p.u64(c.ScanDstPorts)
-				p.u32(uint32(c.ScanDevices))
-			}
+			p.hourStats(&re.Hourly[i])
 		}
 	})
 	section(secDevices, func(p *enc) {
@@ -330,40 +370,12 @@ func encode(kind Kind, re *correlate.ResultExport, cp *correlate.CheckpointExpor
 			p.u64(ph.Packets)
 		}
 	})
-	section(secFaults, func(p *enc) {
-		p.u32(uint32(len(re.Faults)))
-		for i := range re.Faults {
-			f := &re.Faults[i]
-			p.u32(uint32(f.Hour))
-			p.u32(uint32(f.Attempts))
-			var flags uint8
-			if f.Retryable {
-				flags |= 1
-			}
-			if f.Truncated {
-				flags |= 2
-			}
-			if f.BadFormat {
-				flags |= 4
-			}
-			if f.NotExist {
-				flags |= 8
-			}
-			p.u8(flags)
-			p.str(f.Message)
-		}
-	})
+	section(secFaults, func(p *enc) { p.faults(re.Faults) })
 	if kind == KindCheckpoint {
 		section(secCheckpoint, func(p *enc) {
 			p.u32(uint32(cp.MaxHours))
-			p.u32(uint32(len(cp.IngestedHours)))
-			for _, h := range cp.IngestedHours {
-				p.u32(uint32(h))
-			}
-			p.u32(uint32(len(cp.QuarantinedHours)))
-			for _, h := range cp.QuarantinedHours {
-				p.u32(uint32(h))
-			}
+			p.hourList(cp.IngestedHours)
+			p.hourList(cp.QuarantinedHours)
 			p.u8(cp.BGPrecision)
 			p.u32(uint32(len(cp.BGRegisters)))
 			p.raw(cp.BGRegisters)
@@ -444,6 +456,75 @@ func (d *dec) bytes(n int) []byte {
 	return v
 }
 
+func (d *dec) uv() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.b[d.off:])
+	if n <= 0 {
+		d.err = errShort
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+// count reads a uvarint element count and bounds it by the bytes left —
+// every element takes at least one — so a hostile count cannot size an
+// allocation.
+func (d *dec) count() int {
+	n := d.uv()
+	if d.err == nil && n > uint64(len(d.b)-d.off) {
+		d.err = errShort
+	}
+	if d.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+func (d *dec) hourStats() correlate.HourStats {
+	var h correlate.HourStats
+	h.Hour = int(d.u32())
+	h.RecordsIoT = d.u64()
+	for ci := range h.PerCat {
+		c := &h.PerCat[ci]
+		for k := range c.Packets {
+			c.Packets[k] = d.u64()
+		}
+		c.ActiveDevices = int(d.u32())
+		c.UDPDstIPs = d.u64()
+		c.UDPDstPorts = d.u64()
+		c.UDPDevices = int(d.u32())
+		c.ScanDstIPs = d.u64()
+		c.ScanDstPorts = d.u64()
+		c.ScanDevices = int(d.u32())
+	}
+	return h
+}
+
+func (d *dec) faults() ([]correlate.FaultExport, error) {
+	var out []correlate.FaultExport
+	n := int(d.u32())
+	for i := 0; i < n && d.err == nil; i++ {
+		var fe correlate.FaultExport
+		fe.Hour = int32(d.u32())
+		fe.Attempts = int32(d.u32())
+		flags := d.u8()
+		fe.Retryable = flags&1 != 0
+		fe.Truncated = flags&2 != 0
+		fe.BadFormat = flags&4 != 0
+		fe.NotExist = flags&8 != 0
+		if flags&^uint8(15) != 0 {
+			return nil, badf("fault %d has unknown flag bits %#x", i, flags)
+		}
+		ml := int(d.u32())
+		fe.Message = string(d.bytes(ml))
+		out = append(out, fe)
+	}
+	return out, nil
+}
+
 // finish validates that the section was consumed exactly.
 func (d *dec) finish(what string) error {
 	if d.err != nil {
@@ -473,11 +554,15 @@ func decode(data []byte, wantKind Kind) (*correlate.ResultExport, *correlate.Che
 	}
 	version := data[4]
 	kind := Kind(data[5])
-	if version == 0 || int(version) > Version {
-		return nil, nil, info, badf("unsupported version %d", version)
-	}
 	if kind != KindResult && kind != KindCheckpoint {
 		return nil, nil, info, badf("unknown kind %d", uint8(kind))
+	}
+	maxVersion := Version
+	if kind == KindCheckpoint {
+		maxVersion = CheckpointVersion
+	}
+	if version == 0 || int(version) > maxVersion {
+		return nil, nil, info, badf("unsupported version %d", version)
 	}
 	if binary.LittleEndian.Uint16(data[6:]) != 0 || binary.LittleEndian.Uint32(data[12:]) != 0 {
 		return nil, nil, info, badf("reserved header bits set")
@@ -517,9 +602,6 @@ func decode(data []byte, wantKind Kind) (*correlate.ResultExport, *correlate.Che
 			if digest != crc32.ChecksumIEEE(crcs) {
 				return nil, nil, info, badf("footer digest mismatch")
 			}
-			if off != len(data) {
-				return nil, nil, info, badf("%d trailing bytes after footer", len(data)-off)
-			}
 			sawFooter = true
 			continue
 		}
@@ -551,6 +633,16 @@ func decode(data []byte, wantKind Kind) (*correlate.ResultExport, *correlate.Che
 		crcs = binary.LittleEndian.AppendUint32(crcs, sum)
 	}
 	info.Sections = len(payloads)
+	info.BaseSize = int64(off)
+	var deltas []*correlate.CheckpointDelta
+	if kind == KindCheckpoint && version >= 2 {
+		var err error
+		if deltas, err = decodeFrames(data[off:], &info); err != nil {
+			return nil, nil, info, err
+		}
+	} else if off != len(data) {
+		return nil, nil, info, badf("%d trailing bytes after footer", len(data)-off)
+	}
 
 	required := []uint8{secMeta, secHourly, secDevices, secUDP, secTCP, secPortHour, secFaults}
 	if kind == KindCheckpoint {
@@ -574,6 +666,7 @@ func decode(data []byte, wantKind Kind) (*correlate.ResultExport, *correlate.Che
 		return nil, nil, info, err
 	}
 	cp.Result = re
+	cp.Deltas = deltas
 	return re, cp, info, nil
 }
 
@@ -608,23 +701,7 @@ func parseResultSections(payloads map[uint8][]byte, hours int) (*correlate.Resul
 	}
 	re.Hourly = make([]correlate.HourStats, 0, min(n, 1<<16))
 	for i := 0; i < n && d.err == nil; i++ {
-		var h correlate.HourStats
-		h.Hour = int(d.u32())
-		h.RecordsIoT = d.u64()
-		for ci := range h.PerCat {
-			c := &h.PerCat[ci]
-			for k := range c.Packets {
-				c.Packets[k] = d.u64()
-			}
-			c.ActiveDevices = int(d.u32())
-			c.UDPDstIPs = d.u64()
-			c.UDPDstPorts = d.u64()
-			c.UDPDevices = int(d.u32())
-			c.ScanDstIPs = d.u64()
-			c.ScanDstPorts = d.u64()
-			c.ScanDevices = int(d.u32())
-		}
-		re.Hourly = append(re.Hourly, h)
+		re.Hourly = append(re.Hourly, d.hourStats())
 	}
 	if err := d.finish("hourly"); err != nil {
 		return nil, err
@@ -665,7 +742,7 @@ func parseResultSections(payloads map[uint8][]byte, hours int) (*correlate.Resul
 		var pe correlate.PortExport
 		pe.Port = d.u16()
 		pe.Packets = d.u64()
-		pe.Devices = readDeviceList(d)
+		pe.Devices = d.int32List()
 		re.UDPPorts = append(re.UDPPorts, pe)
 	}
 	if err := d.finish("udp"); err != nil {
@@ -680,8 +757,8 @@ func parseResultSections(payloads map[uint8][]byte, hours int) (*correlate.Resul
 		pe.Port = d.u16()
 		pe.Packets = d.u64()
 		pe.PacketsConsumer = d.u64()
-		pe.DevicesConsumer = readDeviceList(d)
-		pe.DevicesCPS = readDeviceList(d)
+		pe.DevicesConsumer = d.int32List()
+		pe.DevicesCPS = d.int32List()
 		re.TCPScanPorts = append(re.TCPScanPorts, pe)
 	}
 	if err := d.finish("tcp"); err != nil {
@@ -703,22 +780,9 @@ func parseResultSections(payloads map[uint8][]byte, hours int) (*correlate.Resul
 	}
 
 	d = &dec{b: payloads[secFaults]}
-	n = int(d.u32())
-	for i := 0; i < n && d.err == nil; i++ {
-		var fe correlate.FaultExport
-		fe.Hour = int32(d.u32())
-		fe.Attempts = int32(d.u32())
-		flags := d.u8()
-		fe.Retryable = flags&1 != 0
-		fe.Truncated = flags&2 != 0
-		fe.BadFormat = flags&4 != 0
-		fe.NotExist = flags&8 != 0
-		if flags&^uint8(15) != 0 {
-			return nil, badf("fault %d has unknown flag bits %#x", i, flags)
-		}
-		ml := int(d.u32())
-		fe.Message = string(d.bytes(ml))
-		re.Faults = append(re.Faults, fe)
+	var err error
+	if re.Faults, err = d.faults(); err != nil {
+		return nil, err
 	}
 	if err := d.finish("faults"); err != nil {
 		return nil, err
@@ -726,7 +790,9 @@ func parseResultSections(payloads map[uint8][]byte, hours int) (*correlate.Resul
 	return re, nil
 }
 
-func readDeviceList(d *dec) []int32 {
+// int32List reads a u32 count and that many u32 values (device or hour
+// lists), nil when empty — the decode half of enc.hourList.
+func (d *dec) int32List() []int32 {
 	n := int(d.u32())
 	if n == 0 || !d.need(n*4) {
 		return nil
@@ -744,8 +810,8 @@ func parseCheckpoint(payload []byte, hours int) (*correlate.CheckpointExport, er
 	if d.err == nil && cp.MaxHours != hours {
 		return nil, badf("checkpoint spans %d hours, header says %d", cp.MaxHours, hours)
 	}
-	cp.IngestedHours = readHourList(d)
-	cp.QuarantinedHours = readHourList(d)
+	cp.IngestedHours = d.int32List()
+	cp.QuarantinedHours = d.int32List()
 	cp.BGPrecision = d.u8()
 	rn := int(d.u32())
 	cp.BGRegisters = append([]uint8(nil), d.bytes(rn)...)
@@ -756,16 +822,4 @@ func parseCheckpoint(payload []byte, hours int) (*correlate.CheckpointExport, er
 		return nil, badf("checkpoint sketch precision %d with %d registers", cp.BGPrecision, rn)
 	}
 	return cp, nil
-}
-
-func readHourList(d *dec) []int32 {
-	n := int(d.u32())
-	if n == 0 || !d.need(n*4) {
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(d.u32())
-	}
-	return out
 }

@@ -89,6 +89,34 @@ func (h *HLL) Merge(other *HLL) error {
 	return nil
 }
 
+// Raised calls fn, in ascending index order, for every register of other
+// that exceeds h's — exactly the registers Merge(other) would change, and so
+// the sparse record of that merge. Both sketches must share a precision.
+func (h *HLL) Raised(other *HLL, fn func(index int, rank uint8)) error {
+	if h.precision != other.precision {
+		return ErrPrecisionMismatch
+	}
+	for i, r := range other.registers {
+		if r > h.registers[i] {
+			fn(i, r)
+		}
+	}
+	return nil
+}
+
+// Raise lifts one register to at least rank — replaying one entry of a
+// Raised record. The index and rank must be ones a sketch of this precision
+// can hold.
+func (h *HLL) Raise(index int, rank uint8) error {
+	if index < 0 || index >= len(h.registers) || int(rank) > 64-int(h.precision)+1 {
+		return errors.New("sketch: register update outside the sketch")
+	}
+	if rank > h.registers[index] {
+		h.registers[index] = rank
+	}
+	return nil
+}
+
 // Reset clears the sketch for reuse.
 func (h *HLL) Reset() {
 	for i := range h.registers {

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -74,6 +75,52 @@ func TestHLLMerge(t *testing.T) {
 	ea, eu := float64(a.Estimate()), float64(union.Estimate())
 	if math.Abs(ea-eu)/eu > 0.01 {
 		t.Fatalf("merged estimate %v != union estimate %v", ea, eu)
+	}
+}
+
+// Raised is the sparse record of a Merge: replaying it with Raise onto a
+// copy of the pre-merge sketch reproduces the merged registers exactly, and
+// it lists nothing the merge would not change.
+func TestHLLRaisedReplaysMerge(t *testing.T) {
+	a, _ := NewHLL(10)
+	b, _ := NewHLL(10)
+	for i := uint32(0); i < 3000; i++ {
+		a.AddAddr(i)
+		b.AddAddr(i + 2000)
+	}
+	replay, _ := RestoreHLL(10, a.AppendRegisters(nil))
+	n := 0
+	if err := a.Raised(b, func(i int, rank uint8) {
+		n++
+		if err := replay.Raise(i, rank); err != nil {
+			t.Fatal(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n == 0 || n == 1<<10 {
+		t.Fatalf("raised %d of %d registers; the record should be sparse and non-empty", n, 1<<10)
+	}
+	if err := a.Merge(b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(replay.AppendRegisters(nil), a.AppendRegisters(nil)) {
+		t.Fatal("replayed record differs from the merge")
+	}
+	if err := a.Raised(b, func(int, uint8) { t.Fatal("a merged sketch has nothing left to raise") }); err != nil {
+		t.Fatal(err)
+	}
+
+	other, _ := NewHLL(11)
+	if err := a.Raised(other, func(int, uint8) {}); err != ErrPrecisionMismatch {
+		t.Fatalf("mismatched Raised: %v", err)
+	}
+	// Precision 10 leaves 54 hash bits: rank 55 is the most a register holds.
+	if a.Raise(1<<10, 1) == nil || a.Raise(-1, 1) == nil || a.Raise(0, 56) == nil {
+		t.Fatal("Raise accepted an update outside the sketch")
+	}
+	if err := a.Raise(0, 55); err != nil {
+		t.Fatal(err)
 	}
 }
 

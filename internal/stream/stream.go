@@ -8,19 +8,21 @@
 // newest observed hour by a configurable lateness allowance. Hours at or
 // ahead of the watermark accumulate in open windows; when the watermark
 // passes a window it is sealed — finalized into the result, its alerts
-// derived and journaled, and a checkpoint written. Records that surface
+// derived and journaled, and a checkpoint committed. Records that surface
 // behind the watermark are never merged and never silently dropped: they
 // land in a bounded late buffer and are counted, and an hour that first
 // appears behind the watermark is quarantined.
 //
 // Crash safety is the seal ordering: seal (in memory) → alert journal
-// append (durable, deduplicated by key) → checkpoint write (atomic). A
-// crash at any point resumes from the last checkpoint, re-tails the
-// unsealed hours, re-derives their alerts deterministically, and the
-// journal's key dedup suppresses any alert that already became durable —
-// alerts are exactly-once across kill-and-restart, and the resumed
-// checkpoint converges to the byte-identical state a never-killed run
-// produces. A supervisor restarts a crashed ingest loop under
+// append (durable, deduplicated by key) → checkpoint commit (one fsynced
+// delta frame appended to the checkpoint file, or the file rewritten whole
+// when the frames would outgrow their base — see resultstore.CheckpointLog).
+// A crash at any point resumes from the last commit, re-tails the unsealed
+// hours, re-derives their alerts deterministically, and the journal's key
+// dedup suppresses any alert that already became durable — alerts are
+// exactly-once across kill-and-restart, and the resumed checkpoint
+// converges to the state a never-killed run produces, byte-identical once
+// re-encoded. A supervisor restarts a crashed ingest loop under
 // pipeline.RetryPolicy with jittered backoff.
 package stream
 
@@ -52,7 +54,7 @@ type Config struct {
 	// Dir is the dataset directory being tailed.
 	Dir string
 	// CheckpointPath, when set, persists the incremental state there after
-	// every sealed window (and every quarantine), atomically.
+	// every sealed window (and every quarantine): one durable commit each.
 	CheckpointPath string
 	// Poll is the directory sweep interval (default 200ms).
 	Poll time.Duration
@@ -156,9 +158,17 @@ type Stats struct {
 	AlertsSuppressed   uint64
 	CheckpointWrites   uint64
 	CheckpointFailures uint64
-	MaxHour            int
-	Watermark          int
-	OpenWindows        int
+	// CheckpointBytes is the bytes all commits wrote to the checkpoint
+	// file; CheckpointCompactions counts the commits that rewrote it whole
+	// rather than appending a frame (always including the first of each
+	// ingest-loop start); CheckpointAppendFailures counts frame appends
+	// that failed and fell back to a rewrite.
+	CheckpointBytes          uint64
+	CheckpointCompactions    uint64
+	CheckpointAppendFailures uint64
+	MaxHour                  int
+	Watermark                int
+	OpenWindows              int
 }
 
 // Collector is the streaming ingestion engine: one tailer goroutine
@@ -178,6 +188,9 @@ type Collector struct {
 	// "checkpointed", "quarantined"); a returned error kills the ingest
 	// loop there, exactly like a crash, and the supervisor takes over.
 	failpoint func(point string, hour int) error
+	// ckptFS, when set by a test before Run, replaces the file system under
+	// checkpoint commits (internal/faultfs fails its k-th operation).
+	ckptFS resultstore.FS
 }
 
 // New validates the configuration and builds a Collector. hub may be nil
@@ -247,6 +260,7 @@ func (c *Collector) Run(ctx context.Context) error {
 // ingest is the per-run (per-restart) state of the ingest loop.
 type ingest struct {
 	inc      *correlate.Incremental
+	ckpt     *resultstore.CheckpointLog // nil without a CheckpointPath
 	windows  map[int]*correlate.Window
 	sealed   map[int]bool // ingested, quarantined, or window sealed
 	maxHour  int
@@ -271,6 +285,10 @@ func (c *Collector) runOnce(ctx context.Context) (err error) {
 		windows: make(map[int]*correlate.Window),
 		sealed:  make(map[int]bool),
 		maxHour: -1,
+	}
+	if c.cfg.CheckpointPath != "" {
+		st.ckpt = resultstore.NewCheckpointLog(c.cfg.CheckpointPath, c.ckptFS)
+		defer st.ckpt.Close()
 	}
 	// Hours settled in the checkpoint are never re-tailed, and the
 	// watermark resumes at least past them.
@@ -576,19 +594,27 @@ func (c *Collector) emit(a Alert) error {
 	return nil
 }
 
-// checkpoint persists the incremental state atomically. Failures are
-// counted and logged, not fatal: the next seal retries, and until one
-// lands a crash merely replays more work.
+// checkpoint commits the incremental state: one counted durable commit
+// per call, appended or compacted as the log decides. Failures are counted
+// and logged, not fatal: the next seal's commit rewrites the file, and
+// until one lands a crash merely replays more work.
 func (c *Collector) checkpoint(st *ingest) {
-	if c.cfg.CheckpointPath == "" {
+	if st.ckpt == nil {
 		return
 	}
-	err := resultstore.WriteCheckpoint(c.cfg.CheckpointPath, st.inc.Export())
+	done, err := st.ckpt.Commit(st.inc)
 	c.mu.Lock()
 	if err != nil {
 		c.stats.CheckpointFailures++
 	} else {
 		c.stats.CheckpointWrites++
+	}
+	c.stats.CheckpointBytes += uint64(done.Bytes)
+	if done.Compacted {
+		c.stats.CheckpointCompactions++
+	}
+	if done.AppendFailed {
+		c.stats.CheckpointAppendFailures++
 	}
 	c.mu.Unlock()
 	if err != nil {

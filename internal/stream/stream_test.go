@@ -72,7 +72,14 @@ func batchCheckpoint(t *testing.T, ds *core.Dataset, cfg core.Config, dir string
 			t.Fatal(err)
 		}
 	}
-	path := filepath.Join(t.TempDir(), "oracle.irs")
+	return encodeCheckpoint(t, inc)
+}
+
+// encodeCheckpoint is the canonical full encoding of an incremental's
+// state: a base with no frames.
+func encodeCheckpoint(t *testing.T, inc *correlate.Incremental) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "canonical.irs")
 	if err := resultstore.WriteCheckpoint(path, inc.Export()); err != nil {
 		t.Fatal(err)
 	}
@@ -81,6 +88,22 @@ func batchCheckpoint(t *testing.T, ds *core.Dataset, cfg core.Config, dir string
 		t.Fatal(err)
 	}
 	return data
+}
+
+// canonicalCheckpoint restores the live checkpoint file — base plus
+// whatever frames compaction timing left appended — and re-encodes the
+// state it holds canonically, which is what runs are compared by.
+func canonicalCheckpoint(t *testing.T, ds *core.Dataset, cfg core.Config, path string) []byte {
+	t.Helper()
+	cp, err := resultstore.ReadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, err := ds.RestoreIncremental(cfg, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return encodeCheckpoint(t, inc)
 }
 
 func countRecords(t *testing.T, path string) int {
@@ -116,33 +139,44 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestDrainMatchesBatch: streaming a complete dataset in drain mode must
-// converge to a checkpoint byte-identical to the batch pipeline's, with
-// exactly one new-device alert per discovered device.
+// converge to a checkpoint byte-identical (re-encoded) to the batch
+// pipeline's, with exactly one new-device alert per discovered device, and
+// a second drain must journal the same alert keys — new-campaign keys
+// included, which campaign.Detect's ordered float sums make repeatable.
 func TestDrainMatchesBatch(t *testing.T) {
 	dir, ds, cfg := genDataset(t, 21, 6)
-	ckpt := filepath.Join(t.TempDir(), "checkpoint.irs")
-	log, err := OpenAlertLog(filepath.Join(t.TempDir(), "alerts.jsonl"))
-	if err != nil {
-		t.Fatal(err)
+	drain := func() (Stats, *AlertLog, string) {
+		t.Helper()
+		ckpt := filepath.Join(t.TempDir(), "checkpoint.irs")
+		log, err := OpenAlertLog(filepath.Join(t.TempDir(), "alerts.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := New(Config{
+			Dir: dir, CheckpointPath: ckpt, Poll: 2 * time.Millisecond,
+			Drain: true, Campaigns: true,
+		}, checkpointOpener(ds, cfg, ckpt), NewHub(log))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return c.Stats(), log, ckpt
 	}
-	c, err := New(Config{
-		Dir: dir, CheckpointPath: ckpt, Poll: 2 * time.Millisecond,
-		Drain: true, Campaigns: true,
-	}, checkpointOpener(ds, cfg, ckpt), NewHub(log))
-	if err != nil {
-		t.Fatal(err)
+	st, log, ckpt := drain()
+	_, again, _ := drain()
+	if got, want := alertKeys(again), alertKeys(log); !maps.Equal(got, want) {
+		t.Fatalf("a second drain journaled different alert keys: %d vs %d", len(got), len(want))
 	}
-	if err := c.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	st := c.Stats()
 	if st.WindowsSealed != 6 || st.WindowsPartial != 0 || st.RecordsIngested == 0 {
 		t.Fatalf("implausible stream stats: %+v", st)
 	}
-	got, err := os.ReadFile(ckpt)
-	if err != nil {
-		t.Fatal(err)
+	if st.CheckpointWrites != 6 || st.CheckpointFailures != 0 || st.CheckpointCompactions == 0 ||
+		st.CheckpointCompactions == 6 || st.CheckpointBytes == 0 {
+		t.Fatalf("six seals must make six commits, the first a compaction and some appends: %+v", st)
 	}
+	got := canonicalCheckpoint(t, ds, cfg, ckpt)
 	if want := batchCheckpoint(t, ds, cfg, dir, 0, 1, 2, 3, 4, 5); !bytes.Equal(got, want) {
 		t.Fatal("streamed checkpoint diverged from batch ingest")
 	}
@@ -171,12 +205,23 @@ func TestDrainMatchesBatch(t *testing.T) {
 	}
 }
 
+// alertKeys counts the journal's alerts by key.
+func alertKeys(l *AlertLog) map[string]int {
+	m := map[string]int{}
+	for _, a := range l.Since(0) {
+		m[a.Key]++
+	}
+	return m
+}
+
 // TestChaosKillRestartExactlyOnce is the headline chaos proof: the ingest
 // loop is crashed twice at the nastiest points of the seal sequence —
 // once after alerts became durable but before the checkpoint, once after
 // the in-memory seal but before alerts — and the supervised, resumed run
-// must still converge to the byte-identical checkpoint of an uninterrupted
-// run with every alert key emitted exactly once.
+// must still converge to the state of an uninterrupted run, byte-identical
+// in its canonical re-encoding (the raw files differ with compaction
+// timing), with every alert key — new-campaign keys included — emitted
+// exactly once.
 func TestChaosKillRestartExactlyOnce(t *testing.T) {
 	dir, ds, cfg := genDataset(t, 22, 6)
 
@@ -191,6 +236,7 @@ func TestChaosKillRestartExactlyOnce(t *testing.T) {
 		}
 		c, err := New(Config{
 			Dir: dir, CheckpointPath: ckpt, Poll: time.Millisecond, Drain: true,
+			Campaigns: true,
 			Supervisor: pipeline.RetryPolicy{
 				MaxRetries:  8,
 				BaseBackoff: time.Millisecond,
@@ -204,11 +250,7 @@ func TestChaosKillRestartExactlyOnce(t *testing.T) {
 		if err := c.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		data, err := os.ReadFile(ckpt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c.Stats(), log, data, alog
+		return c.Stats(), log, canonicalCheckpoint(t, ds, cfg, ckpt), alog
 	}
 
 	_, wantLog, wantCkpt, _ := run(nil)
@@ -231,14 +273,7 @@ func TestChaosKillRestartExactlyOnce(t *testing.T) {
 	if !bytes.Equal(gotCkpt, wantCkpt) {
 		t.Fatal("chaos-run checkpoint diverged from the uninterrupted run")
 	}
-	keysOf := func(l *AlertLog) map[string]int {
-		m := map[string]int{}
-		for _, a := range l.Since(0) {
-			m[a.Key]++
-		}
-		return m
-	}
-	got, want := keysOf(gotLog), keysOf(wantLog)
+	got, want := alertKeys(gotLog), alertKeys(wantLog)
 	for k, n := range got {
 		if n != 1 {
 			t.Fatalf("alert %q emitted %d times", k, n)
@@ -253,8 +288,111 @@ func TestChaosKillRestartExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer replayed.Close()
-	if !maps.Equal(keysOf(replayed), want) {
+	if !maps.Equal(alertKeys(replayed), want) {
 		t.Fatal("journal replay diverged from the live log")
+	}
+}
+
+// TestChaosCheckpointCrashPoints enumerates the crash points of the
+// checkpoint commit instead of sampling them: for every write, fsync and
+// rename a clean 12-hour drain performs, a run in which the process dies at
+// exactly that operation (the write torn half way, everything after it
+// failing until the supervisor's restart) must still reach the golden
+// state with every alert key journaled once. The commit that died is the
+// only one lost: its hour is re-tailed and sealed again after the restart —
+// unless the frame had reached the file whole and only its fsync died, in
+// which case the restart finds the hour already committed.
+// One mid-run failure per kind that does not kill the process checks the
+// other branch: the commit falls back to a rewrite or is retried by the
+// next seal, with no restart.
+func TestChaosCheckpointCrashPoints(t *testing.T) {
+	const hours = 12
+	dir, ds, cfg := genDataset(t, 28, hours)
+
+	run := func(in *faultfs.Injector) (Stats, []byte, map[string]int) {
+		t.Helper()
+		stateDir := t.TempDir()
+		ckpt := filepath.Join(stateDir, "checkpoint.irs")
+		log, err := OpenAlertLog(filepath.Join(stateDir, "alerts.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer log.Close()
+		restore := checkpointOpener(ds, cfg, ckpt)
+		c, err := New(Config{
+			Dir: dir, CheckpointPath: ckpt, Poll: time.Millisecond, Drain: true,
+			Campaigns: true,
+			Supervisor: pipeline.RetryPolicy{
+				MaxRetries:  2,
+				BaseBackoff: time.Millisecond,
+				Retryable:   func(error) bool { return true },
+			},
+		}, func() (*correlate.Incremental, error) {
+			in.Reboot() // the supervisor's restart is the new process
+			return restore()
+		}, NewHub(log))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.ckptFS = in
+		c.failpoint = func(point string, hour int) error {
+			if point == "checkpointed" && in.Dead() {
+				return fmt.Errorf("process died at %s #%d (hour %d)", in.Op, in.K, hour)
+			}
+			return nil
+		}
+		if err := c.Run(context.Background()); err != nil {
+			t.Fatalf("%s #%d: %v", in.Op, in.K, err)
+		}
+		return c.Stats(), canonicalCheckpoint(t, ds, cfg, ckpt), alertKeys(log)
+	}
+	check := func(in *faultfs.Injector, st Stats, state []byte, keys, wantKeys map[string]int, wantState []byte) {
+		t.Helper()
+		if !in.Tripped() {
+			t.Fatalf("%s #%d never fired", in.Op, in.K)
+		}
+		if !bytes.Equal(state, wantState) {
+			t.Fatalf("%s #%d: final state diverged from the clean run", in.Op, in.K)
+		}
+		for k, n := range keys {
+			if n != 1 {
+				t.Fatalf("%s #%d: alert %q journaled %d times", in.Op, in.K, k, n)
+			}
+		}
+		if !maps.Equal(keys, wantKeys) {
+			t.Fatalf("%s #%d: %d alert keys, clean run has %d", in.Op, in.K, len(keys), len(wantKeys))
+		}
+		if st.CheckpointWrites+st.CheckpointFailures != uint64(st.WindowsSealed) {
+			t.Fatalf("%s #%d: commit accounting %+v", in.Op, in.K, st)
+		}
+	}
+
+	clean := &faultfs.Injector{}
+	st, wantState, wantKeys := run(clean)
+	if st.WindowsSealed != hours || st.CheckpointWrites != hours || st.CheckpointFailures != 0 || st.Restarts != 0 {
+		t.Fatalf("clean run: %+v", st)
+	}
+	for _, op := range []string{"write", "sync", "rename"} {
+		n := clean.Count(op)
+		if n == 0 {
+			t.Fatalf("clean run made no %s", op)
+		}
+		for k := 1; k <= n; k++ {
+			in := &faultfs.Injector{Op: op, K: k, Crash: true}
+			st, state, keys := run(in)
+			check(in, st, state, keys, wantKeys, wantState)
+			if st.Restarts != 1 || st.CheckpointFailures != 1 ||
+				(st.WindowsSealed != hours+1 && !(op == "sync" && st.WindowsSealed == hours)) {
+				t.Fatalf("%s #%d: one crash must cost one commit and at most one re-sealed hour: %+v", op, k, st)
+			}
+		}
+		// The same operation failing once, the process surviving.
+		in := &faultfs.Injector{Op: op, K: (n + 1) / 2}
+		st, state, keys := run(in)
+		check(in, st, state, keys, wantKeys, wantState)
+		if st.Restarts != 0 || st.WindowsSealed != hours || st.CheckpointFailures+st.CheckpointAppendFailures != 1 {
+			t.Fatalf("%s #%d survived: %+v", op, in.K, st)
+		}
 	}
 }
 
@@ -371,10 +509,7 @@ func TestSlowGrowTailing(t *testing.T) {
 	if got := c.Stats().RecordsIngested; got != uint64(total) {
 		t.Fatalf("ingested %d records, dataset has %d", got, total)
 	}
-	got, err := os.ReadFile(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := canonicalCheckpoint(t, ds, cfg, ckpt)
 	if want := batchCheckpoint(t, ds, cfg, dir, 0, 1); !bytes.Equal(got, want) {
 		t.Fatal("slow-grown checkpoint diverged from batch ingest")
 	}
@@ -507,11 +642,7 @@ func TestLateGrowthCounted(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
+	if got := canonicalCheckpoint(t, ds, cfg, ckpt); !bytes.Equal(got, want) {
 		t.Fatal("late growth leaked into the checkpoint")
 	}
 }
