@@ -15,7 +15,7 @@ RACE_PKGS = ./internal/correlate ./internal/flowtuple ./internal/apiserve \
 	./cmd/iotwatch ./cmd/iotserve ./cmd/iotinfer ./cmd/iotreport \
 	./cmd/iotnotify
 
-.PHONY: check build test vet race fuzz scenarios bench benchall benchdiff chaos perf
+.PHONY: check build test vet race fuzz scenarios bench benchall benchdiff chaos perf loc
 
 # The full gate: tier-1 build/test plus vet and the race suite.
 check: vet build test race
@@ -70,7 +70,7 @@ chaos:
 BENCH_DATE ?= $(shell date +%F)
 BENCH_TAG ?= dev
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkPipelineCorrelate$$|BenchmarkPipelineCorrelateSharded$$|BenchmarkPipelineStaged$$|BenchmarkIncrementalIngest$$|BenchmarkStreamIngest$$|BenchmarkStreamIngestDurable$$|BenchmarkSnapshotSave$$|BenchmarkSnapshotLoad$$|BenchmarkSnapshotAnalyze$$|BenchmarkServeSummary$$|BenchmarkServeSummaryLegacy$$|BenchmarkServeDevicesFilter$$|BenchmarkServeDevicesFilterLegacy$$|BenchmarkServeHTTPLoad$$|BenchmarkGenerate$$' \
+	$(GO) test -run '^$$' -bench 'BenchmarkPipelineCorrelate$$|BenchmarkPipelineCorrelateSharded$$|BenchmarkPipelineStaged$$|BenchmarkIncrementalIngest$$|BenchmarkStreamIngest$$|BenchmarkStreamIngestDurable$$|BenchmarkSnapshotSave$$|BenchmarkSnapshotLoad$$|BenchmarkSnapshotAnalyze$$|BenchmarkServeSummary$$|BenchmarkServeDevicesFilter$$|BenchmarkServeHTTPLoad$$|BenchmarkGenerate$$' \
 		-benchmem -benchtime 2s -count 3 . ./internal/apiserve \
 		| $(GO) run ./tools/bench2json -date $(BENCH_DATE) -tag $(BENCH_TAG) > BENCH_$(BENCH_DATE)-$(BENCH_TAG).json
 	$(GO) run ./tools/bench2json -extract BENCH_$(BENCH_DATE)-$(BENCH_TAG).json
@@ -91,6 +91,16 @@ W ?= stream-follow
 SEED ?= 1
 perf:
 	bash tools/perfledger/run.sh --workload $(W) --seed $(SEED) --seconds 24 --trace 1
+
+# Non-test and test Go lines per package, the figures pruning PRs quote in
+# CHANGES.md. make loc | grep -E 'correlate|core$$|iotinfer'
+loc:
+	@printf '%-40s %8s %8s\n' package non-test test
+	@for d in $$(find . -name '*.go' -not -path './.bench_build/*' -exec dirname {} \; | sort -u); do \
+		printf '%-40s %8s %8s\n' $$d \
+			$$(find $$d -maxdepth 1 -name '*.go' -not -name '*_test.go' -exec cat {} + | wc -l) \
+			$$(find $$d -maxdepth 1 -name '*_test.go' -exec cat {} + | wc -l); \
+	done
 
 # Every benchmark in the repo, text output only.
 benchall:

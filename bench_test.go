@@ -222,11 +222,10 @@ func BenchmarkPipelineCorrelate(b *testing.B) {
 }
 
 // BenchmarkPipelineCorrelateSharded sweeps the prefix-partitioned
-// correlation across shard counts. shards-1 delegates to the single-merger
-// path (the free-abstraction check: it must sit within noise of
-// BenchmarkPipelineCorrelate); higher counts expose the scaling curve
-// recorded in docs/PERFORMANCE.md — on a single-core runner the curve is
-// flat and the interesting number is the merge-plane overhead.
+// correlation across shard counts. shards-1 is the unsharded run plus one
+// report (it must sit within noise of BenchmarkPipelineCorrelate); higher
+// counts price the routing and the per-hour plane fold recorded in
+// docs/PERFORMANCE.md §sharded.
 func BenchmarkPipelineCorrelateSharded(b *testing.B) {
 	ds, _ := benchFixture(b)
 	for _, shards := range []int{1, 2, 4, 8} {

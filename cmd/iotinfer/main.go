@@ -12,7 +12,7 @@
 // Usage:
 //
 //	iotinfer -data DIR [-json] [-workers N] [-sketch] [-lenient]
-//	         [-shards N] [-shard-mem-mb MB]
+//	         [-shards N]
 //	         [-save store.irs] [-stage-report FILE|-]
 //	         [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 package main
@@ -47,7 +47,6 @@ func run(args []string) error {
 		sketch      = fs.Bool("sketch", false, "use HyperLogLog destination counters")
 		lenient     = fs.Bool("lenient", false, "quarantine unreadable hours instead of failing")
 		shards      = fs.Int("shards", 0, "partition correlation into N source-prefix shards (power of two, 0/1 = off)")
-		shardMemMB  = fs.Int("shard-mem-mb", 0, "per-shard memory ceiling in MiB (fail fast, no spill; 0 = unlimited)")
 		save        = fs.String("save", "", "write the analyzed correlation state to this result store file")
 		stageReport = fs.String("stage-report", "", "write per-stage pipeline metrics JSON to this file (- = stderr)")
 		cpuProf     = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -79,10 +78,6 @@ func run(args []string) error {
 	cfg.UseSketches = *sketch
 	cfg.Lenient = *lenient
 	cfg.Shards = *shards
-	if *shardMemMB < 0 {
-		return fmt.Errorf("-shard-mem-mb must be >= 0")
-	}
-	cfg.ShardMemoryBudget = uint64(*shardMemMB) << 20
 	// The analysis pipeline, with the optional save-store stage appended so
 	// the artifact write is reported (and cancellable) like any other stage.
 	res := &core.Results{}

@@ -2,12 +2,15 @@ package iotscope_test
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"iotscope/internal/core"
 	"iotscope/internal/correlate"
+	"iotscope/internal/flowtuple"
 	"iotscope/internal/resultstore"
 	"iotscope/internal/scenario"
 	"iotscope/internal/stream"
@@ -30,9 +33,10 @@ var goldenDigests = map[string]uint32{
 }
 
 // TestScenarioModeDigests runs every bundled scenario through batch
-// (Workers 1 and 8), sharded 2, incremental, streamed, and a restore of the
-// streamed run's live checkpoint file (base + delta frames), and requires
-// the one golden digest from all six.
+// (Workers 1 and 8), sharded 2 and 8, incremental in both hour orders,
+// windows fed in 1-record and 4097-record batches, streamed, and a restore
+// of the streamed run's live checkpoint file (base + delta frames), and
+// requires the one golden digest from all ten.
 func TestScenarioModeDigests(t *testing.T) {
 	metas := scenario.List()
 	if len(metas) != len(goldenDigests) {
@@ -75,7 +79,7 @@ func scenarioModeDigests(t *testing.T, m scenario.Meta) {
 	for _, mode := range []struct {
 		name            string
 		workers, shards int
-	}{{"batch workers=1", 1, 0}, {"batch workers=8", 8, 0}, {"sharded 2", 2, 2}} {
+	}{{"batch workers=1", 1, 0}, {"batch workers=8", 8, 0}, {"sharded 2", 2, 2}, {"sharded 8", 8, 8}} {
 		c := cfg
 		c.Workers, c.Shards = mode.workers, mode.shards
 		res, err := correlate.New(ds.Inventory, c.CorrelatorOptions()).ProcessDataset(context.Background(), ds.Dir)
@@ -85,16 +89,55 @@ func scenarioModeDigests(t *testing.T, m scenario.Meta) {
 		check(mode.name, res)
 	}
 
-	inc, err := ds.NewIncremental(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for h := 0; h < ds.Scenario.Hours; h++ {
-		if _, err := inc.Ingest(context.Background(), ds.Dir, h); err != nil {
+	for _, descending := range []bool{false, true} {
+		inc, err := ds.NewIncremental(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
+		for i := 0; i < ds.Scenario.Hours; i++ {
+			h := i
+			if descending {
+				h = ds.Scenario.Hours - 1 - i
+			}
+			if _, err := inc.Ingest(context.Background(), ds.Dir, h); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(fmt.Sprintf("incremental descending=%v", descending), inc.Result())
 	}
-	check("incremental", inc.Result())
+
+	for _, batchLen := range []int{1, flowtuple.BatchSize + 1} {
+		inc, err := ds.NewIncremental(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]flowtuple.Record, batchLen)
+		for h := 0; h < ds.Scenario.Hours; h++ {
+			w, err := inc.OpenWindow(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rd, err := flowtuple.Open(flowtuple.HourPath(ds.Dir, h))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for err == nil {
+				var n int
+				n, err = rd.NextBatch(buf)
+				if ferr := w.Feed(buf[:n]); ferr != nil {
+					t.Fatal(ferr)
+				}
+			}
+			rd.Close()
+			if err != io.EOF {
+				t.Fatal(err)
+			}
+			if _, err := w.Seal(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(fmt.Sprintf("windows batch=%d", batchLen), inc.Result())
+	}
 
 	ckpt := filepath.Join(t.TempDir(), "checkpoint.irs")
 	var streamed *correlate.Incremental

@@ -71,13 +71,10 @@ type Config struct {
 	// This is the shared knob batch (iotinfer) and watch (iotwatch) modes
 	// both derive their correlator from, so the policies cannot drift.
 	Lenient bool
-	// Shards partitions correlation by source-IP prefix into this many
-	// independent shards (power of two; 0 or 1 keeps the single-merger
-	// path). The result is byte-identical either way.
+	// Shards routes each hour's records by source-IP prefix to this many
+	// accumulation planes (power of two; 0 or 1 is one plane). The result
+	// is byte-identical either way.
 	Shards int
-	// ShardMemoryBudget bounds one shard's estimated resident bytes during
-	// correlation; an over-budget run fails fast (no spill). 0 = unlimited.
-	ShardMemoryBudget uint64
 }
 
 // DefaultConfig returns the paper-calibrated configuration.
@@ -329,10 +326,9 @@ const (
 // wiring from.
 func (cfg Config) CorrelatorOptions() correlate.Options {
 	opts := correlate.Options{
-		Workers:           cfg.Workers,
-		UseSketches:       cfg.UseSketches,
-		Shards:            cfg.Shards,
-		ShardMemoryBudget: cfg.ShardMemoryBudget,
+		Workers:     cfg.Workers,
+		UseSketches: cfg.UseSketches,
+		Shards:      cfg.Shards,
 	}
 	if cfg.Lenient {
 		opts.FaultPolicy = correlate.Lenient
@@ -372,27 +368,19 @@ func (ds *Dataset) AnalysisStages(cfg Config, out *Results) []pipeline.Stage {
 }
 
 // correlateStage is the inference stage proper: stream the dataset's hour
-// files through the correlator into out.Correlate. With Shards > 1 the run
-// goes through the prefix-partitioned path and every shard attaches its own
-// metrics record (correlate/shard-K) under the stage's row.
+// files through the correlator into out.Correlate. A sharded run attaches
+// one metrics record per shard (correlate/shard-K) under the stage's row.
 func (ds *Dataset) correlateStage(cfg Config, out *Results) pipeline.Stage {
 	return pipeline.Func(StageCorrelate, func(ctx context.Context, st *pipeline.State) error {
 		corr := correlate.New(ds.Inventory, cfg.CorrelatorOptions())
-		var (
-			res *correlate.Result
-			err error
-		)
-		if cfg.Shards > 1 {
-			var reports []correlate.ShardReport
-			res, reports, err = corr.ProcessDatasetSharded(ctx, ds.Dir)
+		res, reports, err := corr.ProcessDatasetSharded(ctx, ds.Dir)
+		if len(reports) > 1 {
 			for _, r := range reports {
 				sm := pipeline.Attach(ctx, fmt.Sprintf("%s/shard-%d", StageCorrelate, r.Shard))
 				sm.RecordsIn = r.Records
 				sm.RecordsOut = uint64(r.Devices)
-				sm.Note = fmt.Sprintf("iot=%d retained=%dB", r.RecordsIoT, r.RetainedBytes)
+				sm.Note = fmt.Sprintf("iot=%d", r.RecordsIoT)
 			}
-		} else {
-			res, err = corr.ProcessDataset(ctx, ds.Dir)
 		}
 		if err != nil {
 			classifyIngestErr(pipeline.Meter(ctx), err)

@@ -1,11 +1,13 @@
 package correlate
 
 import (
+	"context"
 	"io"
 	"runtime"
 	"runtime/debug"
 	"testing"
 
+	"iotscope/internal/faultfs"
 	"iotscope/internal/flowtuple"
 	"iotscope/internal/wgen"
 )
@@ -28,11 +30,6 @@ func TestWindowAbortRecyclesScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := New(g.Inventory(), Options{Workers: 1})
-	inc, err := c.NewIncremental(2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rd, err := flowtuple.Open(flowtuple.HourPath(dir, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -45,9 +42,21 @@ func TestWindowAbortRecyclesScratch(t *testing.T) {
 	}
 	batch = batch[:n]
 
+	// One P as well: a scratch parked in another P's private pool slot
+	// cannot be drawn, so a migrating goroutine would construct a fresh one.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, shards := range []int{1, 4} {
+		windowAbortRecycles(t, New(g.Inventory(), Options{Workers: 1, Shards: shards}), batch)
+	}
+}
 
-	// Warm the pool: the first cycle legitimately constructs one scratch.
+func windowAbortRecycles(t *testing.T, c *Correlator, batch []flowtuple.Record) {
+	inc, err := c.NewIncremental(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Warm the pool: the first cycle legitimately constructs the planes.
 	w, err := inc.OpenWindow(0)
 	if err != nil {
 		t.Fatal(err)
@@ -90,5 +99,70 @@ func TestWindowAbortRecyclesScratch(t *testing.T) {
 	}
 	if _, err := w.Seal(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The other two ways in draw from the same pool, so they get the same
+// assertion: 200 hours that fail mid-file or are cancelled — through the
+// dataset driver and through Ingest, on one plane and on four — construct
+// no scratch beyond the warm-up. One P and no GC make sync.Pool exact: a
+// scratch put back is the next one drawn.
+func TestFailedHoursRecycleScratch(t *testing.T) {
+	dir, g := cleanDataset(t, 708, 4)
+	for h := 0; h < 4; h++ {
+		n, err := faultfs.UncompressedLen(flowtuple.HourPath(dir, h))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := faultfs.RecompressPrefix(flowtuple.HourPath(dir, h), n/2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, shards := range []int{1, 4} {
+		c := New(g.Inventory(), Options{Workers: 1, Shards: shards, FaultPolicy: Lenient})
+		inc, err := c.NewIncremental(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := map[string]func(i int){
+			"ProcessDataset": func(i int) {
+				if i%4 != 0 {
+					return // one run is four failed hours
+				}
+				res, err := c.ProcessDataset(context.Background(), dir)
+				if err != nil || res.Ingest.HoursQuarantined != 4 {
+					t.Fatalf("lenient run over four truncated hours: %+v, %v", res, err)
+				}
+			},
+			"Ingest": func(i int) {
+				ctx := context.Background()
+				if i%2 == 1 {
+					ctx = cancelled
+				}
+				if _, err := inc.Ingest(ctx, dir, i%4); err == nil {
+					t.Fatalf("hour %d ingested from a truncated file", i%4)
+				}
+			},
+		}
+		for name, hour := range entries {
+			hour(0) // warm-up
+			hour(1)
+			allocs := c.scratchAllocs.Load()
+			for i := 0; i < 200; i++ {
+				hour(i)
+			}
+			if grew := c.scratchAllocs.Load() - allocs; grew != 0 && !raceEnabled {
+				t.Errorf("%s shards=%d: 200 failed hours constructed %d fresh scratches", name, shards, grew)
+			}
+		}
+		// Hours 0 and 2 failed retryably, hours 1 and 3 were only cancelled.
+		if st := inc.Stats(); st.HoursOK != 0 || st.HoursQuarantined != 0 || len(st.Faults) != 2 {
+			t.Errorf("shards=%d: a cancelled hour was booked, or a retryable one settled: %+v", shards, st)
+		}
 	}
 }

@@ -26,16 +26,10 @@ type Options struct {
 	// FaultPolicy selects strict (fail fast, the default) or lenient
 	// (quarantine unreadable hours and continue) ingestion.
 	FaultPolicy FaultPolicy
-	// Shards partitions the source-IP space by top-bits prefix into this
-	// many independent shards (power of two), each with its own dense
-	// accumulators, sketches, scratch pool, and merger — see shard.go.
-	// 0 or 1 keeps the single-merger path.
+	// Shards routes each hour's records by source-IP prefix to this many
+	// accumulation planes (power of two) that are folded back into one
+	// before the hour is merged — see shard.go. 0 or 1 is one plane.
 	Shards int
-	// ShardMemoryBudget bounds one shard's estimated resident bytes
-	// (scratches in flight, merge tables, retained merge-plane surfaces).
-	// There is no spill: a run that would exceed the budget fails fast
-	// with a ShardMemoryError. 0 means unlimited.
-	ShardMemoryBudget uint64
 }
 
 func (o Options) withDefaults() Options {
@@ -55,6 +49,9 @@ func (o Options) withDefaults() Options {
 type Correlator struct {
 	inv  *devicedb.Inventory
 	opts Options
+	// shift maps a source address to its plane, SrcIP >> shift: 32 minus
+	// log2(Shards), so one plane sends every address to index 0.
+	shift uint
 
 	// Hot-path copies of the inventory: a flat IP→index hash table for the
 	// per-record join and a dense category array, so the inner loop never
@@ -62,7 +59,8 @@ type Correlator struct {
 	ips    ipIndex
 	devCat []uint8
 
-	// scratch recycles hourScratch instances across hours; see dense.go.
+	// scratch recycles hourScratch instances across hours and planes; see
+	// dense.go.
 	scratch sync.Pool
 	// scratchAllocs counts fresh hourScratch constructions — the
 	// observable face of pool health (a leak shows up as growth here).
@@ -72,6 +70,7 @@ type Correlator struct {
 // New returns a correlator over the inventory.
 func New(inv *devicedb.Inventory, opts Options) *Correlator {
 	c := &Correlator{inv: inv, opts: opts.withDefaults()}
+	c.shift = 32 - uint(bits.TrailingZeros(uint(c.opts.Shards)))
 	devs := inv.All()
 	c.devCat = make([]uint8, len(devs))
 	for i := range devs {
@@ -81,8 +80,8 @@ func New(inv *devicedb.Inventory, opts Options) *Correlator {
 	return c
 }
 
-// hourOutcome is what a worker hands the merger: a completed dense partial
-// or the error that stopped the hour.
+// hourOutcome is what a worker hands the merger: a folded, finalized hour
+// scratch or the error that stopped the hour.
 type hourOutcome struct {
 	hour int
 	s    *hourScratch
@@ -96,43 +95,40 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// ProcessDataset correlates every hourly file in dir. Hour files are
-// decoded by a bounded worker pool; completed partials flow through a
-// channel to a single merger goroutine, so workers never contend on the
-// global result and no merge lock exists.
+// ProcessDataset correlates every hourly file in dir: an Incremental sized
+// for the dataset, filled by a bounded pool of workers that each take one
+// hour through the same window an Ingest or a live collector would (open,
+// feed from the file, fold the planes), and one merger goroutine — the sole
+// owner of the Incremental until it exits — that merges the hours as they
+// complete. Merges commute, so worker scheduling cannot change the result.
+//
+// Under the Strict policy the run fails with the lowest failing hour's
+// error; under Lenient a failing hour is booked and quarantined exactly as
+// an incremental caller that gave up on it would, and the rest ingested.
 //
 // Cancelling ctx stops the run promptly: workers check ctx between record
-// batches, no further hours are dispatched, in-flight partials are drained
-// and recycled (the scratch pool stays clean), and ProcessDataset returns
-// ctx.Err() — cancellation is never recorded as an ingest fault or
-// quarantine, even under the Lenient policy.
-//
-// With Options.Shards > 1 the run is partitioned by source-IP prefix and
-// recombined through the merge plane (see shard.go); the result is
-// byte-identical either way.
+// batches, no further hours are dispatched, in-flight windows are aborted
+// (the scratch pool stays clean), and ProcessDataset returns ctx.Err() —
+// cancellation is never recorded as an ingest fault or quarantine.
 func (c *Correlator) ProcessDataset(ctx context.Context, dir string) (*Result, error) {
-	if c.opts.Shards > 1 {
-		res, _, err := c.ProcessDatasetSharded(ctx, dir)
-		return res, err
-	}
-	return c.processDatasetSingle(ctx, dir)
+	res, _, err := c.processDataset(ctx, dir)
+	return res, err
 }
 
-// processDatasetSingle is the unsharded engine: one merger goroutine over
-// one set of dense tables.
-func (c *Correlator) processDatasetSingle(ctx context.Context, dir string) (*Result, error) {
+// processDataset also returns, per plane, the background records routed to
+// it over the hours that sealed — the one figure of a ShardReport the
+// Result cannot give back.
+func (c *Correlator) processDataset(ctx context.Context, dir string) (*Result, []atomic.Uint64, error) {
 	hours, err := flowtuple.DatasetHours(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(hours) == 0 {
-		return nil, fmt.Errorf("correlate: no hourly files in %s", dir)
+		return nil, nil, fmt.Errorf("correlate: no hourly files in %s", dir)
 	}
-	maxHour := hours[len(hours)-1]
-	res := newResult(maxHour + 1)
-	bgSources, err := sketch.NewHLL(c.opts.SketchPrecision)
+	inc, err := c.NewIncremental(hours[len(hours)-1] + 1)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	var (
@@ -140,37 +136,27 @@ func (c *Correlator) processDatasetSingle(ctx context.Context, dir string) (*Res
 		sem     = make(chan struct{}, c.opts.Workers)
 		parts   = make(chan hourOutcome, c.opts.Workers)
 		done    = make(chan struct{})
+		routed  = make([]atomic.Uint64, c.opts.Shards)
 		errHour = -1
 		hourErr error
-		st      = newMergeState()
 	)
-	// The merger: sole owner of res until done closes.
 	go func() {
 		defer close(done)
 		for o := range parts {
-			if o.err != nil {
-				// A worker stopped by cancellation produced no partial and
-				// no dataset fault; ctx.Err() is surfaced after the drain.
-				if isCtxErr(o.err) {
-					continue
-				}
-				// Lenient: the hour's partial aggregate was dropped whole
-				// (nothing reaches the merge), the fault recorded, the rest
-				// of the dataset still ingested. Strict: remember the
-				// lowest-hour error for a deterministic failure.
-				if c.opts.FaultPolicy == Lenient {
-					res.Ingest.noteFailure(o.hour, o.err, IsRetryable(o.err))
-					res.Ingest.HoursQuarantined++
-					continue
-				}
-				if errHour == -1 || o.hour < errHour {
-					errHour, hourErr = o.hour, o.err
-				}
-				continue
+			err := o.err
+			if err == nil {
+				err = inc.merge(o.s)
 			}
-			res.Ingest.HoursOK++
-			mergeDense(res, o.s, bgSources, st)
-			c.putScratch(o.s)
+			switch {
+			case err == nil || isCtxErr(err):
+				// A worker stopped by cancellation produced no scratch and
+				// no dataset fault; ctx.Err() is surfaced after the drain.
+			case c.opts.FaultPolicy == Lenient:
+				inc.FailHour(o.hour, err)
+				inc.Quarantine(o.hour, err)
+			case errHour == -1 || o.hour < errHour:
+				errHour, hourErr = o.hour, err
+			}
 		}
 	}()
 	for _, hour := range hours {
@@ -182,7 +168,7 @@ func (c *Correlator) processDatasetSingle(ctx context.Context, dir string) (*Res
 		go func(hour int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			s, err := c.processHourDense(ctx, dir, hour)
+			s, err := inc.readHour(ctx, dir, hour, routed)
 			parts <- hourOutcome{hour: hour, s: s, err: err}
 		}(hour)
 	}
@@ -190,36 +176,31 @@ func (c *Correlator) processDatasetSingle(ctx context.Context, dir string) (*Res
 	close(parts)
 	<-done
 	if hourErr != nil {
-		return nil, hourErr
+		return nil, nil, hourErr
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	st.finalizeResult(res)
-	res.Background.Sources = bgSources.Estimate()
-	return res, nil
+	return inc.Result(), routed, nil
 }
 
-// ProcessHour correlates a single hour file into a fresh partial Result —
-// useful for incremental pipelines and tests.
-func (c *Correlator) ProcessHour(ctx context.Context, dir string, hour int) (*Result, error) {
-	s, err := c.processHourDense(ctx, dir, hour)
+// readHour is a batch worker's whole job: one hour file through a window,
+// short of the merge. On success the caller owns the folded scratch; on
+// error — including cancellation — every plane is already back in the pool.
+// It reads nothing of inc the merger writes.
+func (inc *Incremental) readHour(ctx context.Context, dir string, hour int, routed []atomic.Uint64) (*hourScratch, error) {
+	w, err := inc.openWindow(hour)
 	if err != nil {
 		return nil, err
 	}
-	res := newResult(hour + 1)
-	bg, err := sketch.NewHLL(c.opts.SketchPrecision)
-	if err != nil {
-		c.putScratch(s)
+	if err := w.feedFile(ctx, dir); err != nil {
+		w.Abort()
 		return nil, err
 	}
-	res.Ingest.HoursOK = 1
-	st := newMergeState()
-	mergeDense(res, s, bg, st)
-	c.putScratch(s)
-	st.finalizeResult(res)
-	res.Background.Sources = bg.Estimate()
-	return res, nil
+	for k, s := range w.planes {
+		routed[k].Add(s.bgRecords)
+	}
+	return w.fold(), nil
 }
 
 func newResult(hours int) *Result {
@@ -237,16 +218,15 @@ func newResult(hours int) *Result {
 	return res
 }
 
-// destCounter counts unique destinations exactly or approximately. The two
-// append methods expose the counter's mergeable raw state to the shard
-// merge plane: an exact counter exports its distinct values, an HLL its
-// registers; each returns dst unchanged for the mode it doesn't implement.
+// destCounter counts unique destinations exactly or approximately. absorb
+// folds in another counter of the same mode (one correlator never mixes
+// them): an exact counter takes the union, an HLL the register-wise max,
+// either way the state one counter fed both streams would hold.
 type destCounter interface {
 	add(v uint32)
 	estimate() uint64
 	reset()
-	appendIPs(dst []uint32) []uint32
-	appendRegisters(dst []uint8) []uint8
+	absorb(o destCounter)
 }
 
 // exactCounter is the exact mode, backed by the same open-addressed set the
@@ -259,20 +239,10 @@ func newExactCounter() *exactCounter {
 	return e
 }
 
-func (e *exactCounter) add(v uint32)     { e.s.add(uint64(v)) }
-func (e *exactCounter) estimate() uint64 { return uint64(e.s.used) }
-func (e *exactCounter) reset()           { e.s.reset() }
-
-func (e *exactCounter) appendIPs(dst []uint32) []uint32 {
-	for _, k := range e.s.slots {
-		if k != 0 {
-			dst = append(dst, uint32(k-1))
-		}
-	}
-	return dst
-}
-
-func (e *exactCounter) appendRegisters(dst []uint8) []uint8 { return dst }
+func (e *exactCounter) add(v uint32)         { e.s.add(uint64(v)) }
+func (e *exactCounter) estimate() uint64     { return uint64(e.s.used) }
+func (e *exactCounter) reset()               { e.s.reset() }
+func (e *exactCounter) absorb(o destCounter) { e.s.union(&o.(*exactCounter).s) }
 
 type hllCounter struct{ h *sketch.HLL }
 
@@ -280,10 +250,8 @@ func (h hllCounter) add(v uint32)     { h.h.AddAddr(v) }
 func (h hllCounter) estimate() uint64 { return h.h.Estimate() }
 func (h hllCounter) reset()           { h.h.Reset() }
 
-func (h hllCounter) appendIPs(dst []uint32) []uint32 { return dst }
-
-func (h hllCounter) appendRegisters(dst []uint8) []uint8 {
-	return h.h.AppendRegisters(dst)
+func (h hllCounter) absorb(o destCounter) {
+	h.h.Merge(o.(hllCounter).h) //nolint:errcheck // same precision by construction
 }
 
 func (c *Correlator) newDestCounter() destCounter {
@@ -319,14 +287,9 @@ func (b *portBitset) count() uint64 {
 	return n
 }
 
-// appendPorts appends every set port to dst, ascending.
-func (b *portBitset) appendPorts(dst []uint16) []uint16 {
-	for wi, w := range b {
-		for w != 0 {
-			bit := bits.TrailingZeros64(w)
-			dst = append(dst, uint16(wi<<6|bit))
-			w &^= 1 << bit
-		}
+// or sets every port set in o.
+func (b *portBitset) or(o *portBitset) {
+	for i, w := range o {
+		b[i] |= w
 	}
-	return dst
 }

@@ -172,12 +172,16 @@ func TestResultHelpers(t *testing.T) {
 	}
 }
 
-func TestProcessHourSingle(t *testing.T) {
+func TestIngestSingleHour(t *testing.T) {
 	dir, inv := buildTinyDataset(t)
-	res, err := New(inv, Options{}).ProcessHour(context.Background(), dir, 1)
+	inc, err := New(inv, Options{}).NewIncremental(2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := inc.Ingest(context.Background(), dir, 1); err != nil {
+		t.Fatal(err)
+	}
+	res := inc.Result()
 	if len(res.Devices) != 2 {
 		t.Fatalf("devices %d", len(res.Devices))
 	}

@@ -104,8 +104,8 @@ func (d *HourDelta) capture(s *hourScratch, raised []RegisterDelta, udp, con, cp
 	d.CPSKeys = append(d.CPSKeys[:0], cps...)
 }
 
-// load rebuilds the scratch a sealed hour left behind from its delta, as
-// processHourDense plus finalize would have, validating everything the
+// loadScratch rebuilds the scratch a sealed hour left behind from its delta,
+// as a fed and folded window would have, validating everything the
 // merge indexes with: an entry that names a device outside the inventory,
 // repeats a device or port, or a membership key whose device or port the
 // hour never touched is ErrBadFormat, never a panic or a silently skewed
@@ -228,7 +228,9 @@ func (inc *Incremental) replay(d *CheckpointDelta) error {
 			inc.c.putScratch(s)
 			return err
 		}
-		inc.merge(s)
+		if err := inc.merge(s); err != nil {
+			return err
+		}
 	}
 	quarantined, err := restoreHourSet(d.QuarantinedHours, maxHours, "quarantined")
 	if err != nil {

@@ -1,8 +1,6 @@
 package correlate
 
 import (
-	"context"
-	"io"
 	"math/bits"
 	"slices"
 
@@ -12,13 +10,13 @@ import (
 	"iotscope/internal/sketch"
 )
 
-// This file implements the dense hot path: one hour file is streamed in
-// record batches (flowtuple.NextBatch) into a pool-recycled hourScratch
-// whose accumulators are flat arrays indexed by device index or port — the
+// This file implements the dense hot path: an hour's record batches are
+// accumulated (Window.Feed) into a pool-recycled hourScratch whose
+// accumulators are flat arrays indexed by device index or port — the
 // inventory is dense and its length is known up front, so nothing on the
 // per-record path touches a Go map or allocates. A completed scratch is
-// folded into the global Result by a single merger goroutine (see
-// ProcessDataset), which then resets and recycles it.
+// folded into the running Result by Incremental.merge, which then resets
+// and recycles it.
 
 const fibMult = 0x9E3779B97F4A7C15 // 2^64 / golden ratio, for index hashing
 
@@ -93,6 +91,18 @@ func (s *u64set) reset() {
 	}
 }
 
+// union inserts every key of o.
+func (s *u64set) union(o *u64set) {
+	if o.used == 0 {
+		return
+	}
+	for _, k := range o.slots {
+		if k != 0 {
+			s.add(k - 1)
+		}
+	}
+}
+
 // addTo inserts every key into dst and appends the ones dst did not hold
 // to gained, which it returns.
 func (s *u64set) addTo(dst *u64set, gained []uint64) []uint64 {
@@ -161,10 +171,10 @@ const (
 )
 
 // hourScratch holds every accumulator needed to process one hour file.
-// Instances are recycled through the correlator's sync.Pool: after the
-// merger folds a scratch into the global Result it is reset (touched lists
-// bound the clearing cost) and reused, so steady-state correlation
-// allocates nothing per record and almost nothing per hour.
+// Instances are recycled through the correlator's sync.Pool: after a merge
+// folds a scratch into the running Result it is reset (touched lists bound
+// the clearing cost) and reused, so steady-state correlation allocates
+// nothing per record and almost nothing per hour.
 type hourScratch struct {
 	hour      int
 	stats     HourStats
@@ -295,48 +305,6 @@ func (c *Correlator) putScratch(s *hourScratch) {
 	c.scratch.Put(s)
 }
 
-// processHourDense streams one hour file into a dense scratch aggregate.
-// On success the caller owns the scratch and must return it with putScratch
-// once merged; on error — including cancellation, checked between record
-// batches — the scratch has already been reset and recycled, so the pool
-// never sees partial state.
-func (c *Correlator) processHourDense(ctx context.Context, dir string, hour int) (*hourScratch, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s, err := c.getScratch()
-	if err != nil {
-		return nil, err
-	}
-	s.hour = hour
-	s.stats.Hour = hour
-	rd, err := flowtuple.Open(flowtuple.HourPath(dir, hour))
-	if err != nil {
-		c.putScratch(s)
-		return nil, err
-	}
-	defer rd.Close()
-	for {
-		if err := ctx.Err(); err != nil {
-			c.putScratch(s)
-			return nil, err
-		}
-		n, err := rd.NextBatch(s.batch)
-		for i := 0; i < n; i++ {
-			c.accumulate(s, hour, &s.batch[i])
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			c.putScratch(s)
-			return nil, err
-		}
-	}
-	s.finalize(hour)
-	return s, nil
-}
-
 // accumulate folds one record into the scratch — the innermost loop of the
 // whole pipeline. Every data structure it touches is a flat array.
 func (c *Correlator) accumulate(s *hourScratch, hour int, rec *flowtuple.Record) {
@@ -434,6 +402,62 @@ func (s *hourScratch) finalize(hour int) {
 			d.MaxScanPortsHour = hour
 			d.MaxScanDests = int(s.scanDests[idx])
 		}
+	}
+}
+
+// absorb folds o — another plane of the same hour, fed a disjoint set of
+// source addresses — into s, leaving s what one plane fed both record
+// streams would hold: per-device rows are disjoint and copy, packet and
+// device counters add, the port-device membership sets and the exact
+// destination sets union, HLL registers take the max, port bitsets OR. The
+// per-device dedup sets (devPort, devDest) only feed sweep counters that
+// accumulate has already settled, so they stay behind. s must not be
+// finalized yet; o is left as it was, for its owner to recycle.
+func (s *hourScratch) absorb(o *hourScratch) {
+	s.stats.RecordsIoT += o.stats.RecordsIoT
+	s.bgRecords += o.bgRecords
+	s.bgPackets += o.bgPackets
+	s.bgSrcHLL.Merge(o.bgSrcHLL) //nolint:errcheck // same precision by construction
+
+	for _, idx := range o.touched {
+		s.devs[idx] = o.devs[idx]
+		s.bsPkts[idx] = o.bsPkts[idx]
+		s.devFlags[idx] = o.devFlags[idx]
+		s.scanPorts[idx] = o.scanPorts[idx]
+		s.scanDests[idx] = o.scanDests[idx]
+	}
+	s.touched = append(s.touched, o.touched...)
+
+	for _, p := range o.udpTouched {
+		if !s.udpMark.has(p) {
+			s.udpMark.add(p)
+			s.udpTouched = append(s.udpTouched, p)
+		}
+		s.udpPkts[p] += o.udpPkts[p]
+	}
+	for _, p := range o.tcpTouched {
+		if !s.tcpMark.has(p) {
+			s.tcpMark.add(p)
+			s.tcpTouched = append(s.tcpTouched, p)
+		}
+		s.tcpPkts[p] += o.tcpPkts[p]
+		s.tcpPktsCon[p] += o.tcpPktsCon[p]
+	}
+	s.udpPortDev.union(&o.udpPortDev)
+	s.tcpDevCon.union(&o.tcpDevCon)
+	s.tcpDevCPS.union(&o.tcpDevCPS)
+
+	for ci := range s.stats.PerCat {
+		for cl, v := range o.stats.PerCat[ci].Packets {
+			s.stats.PerCat[ci].Packets[cl] += v
+		}
+		s.activeN[ci] += o.activeN[ci]
+		s.udpDevN[ci] += o.udpDevN[ci]
+		s.scanDevN[ci] += o.scanDevN[ci]
+		s.udpDstIPs[ci].absorb(o.udpDstIPs[ci])
+		s.scanDstIPs[ci].absorb(o.scanDstIPs[ci])
+		s.udpDstPorts[ci].or(&o.udpDstPorts[ci])
+		s.scanDstPorts[ci].or(&o.scanDstPorts[ci])
 	}
 }
 
@@ -625,10 +649,10 @@ func newMergeStateFromResult(res *Result, invLen int) *mergeState {
 	return st
 }
 
-// mergeDense folds a completed hour scratch into the global result. All
+// mergeDense folds a completed hour scratch into the running result. All
 // operations commute, so merge order (and thus worker scheduling) cannot
-// change the outcome. Only the merger goroutine calls this, so it needs no
-// locking.
+// change the outcome. Only Incremental.merge calls this, from whichever one
+// goroutine owns the Incremental, so it needs no locking.
 func mergeDense(res *Result, s *hourScratch, bgSources *sketch.HLL, st *mergeState) {
 	res.Hourly[s.hour] = s.stats
 	res.Background.Records += s.bgRecords

@@ -20,10 +20,9 @@ import (
 // dense hot path — maps are only rebuilt at import time, with the same
 // invariants a merged and finalized Result obeys.
 
-// ErrBadFormat flags a structurally invalid export, checkpoint, or shard
-// partial: unsorted or duplicate keys, out-of-range hours, inconsistent
-// counts. It is the correlate-level member of the repo-wide bad-format
-// taxonomy (flowtuple and resultstore each carry their own sentinel for
+// ErrBadFormat flags a structurally invalid export or checkpoint: unsorted
+// or duplicate keys, out-of-range hours, inconsistent counts. It is the
+// correlate-level member of the repo-wide bad-format taxonomy (flowtuple and resultstore each carry their own sentinel for
 // their layer), so callers classify validation failures with
 // errors.Is(err, correlate.ErrBadFormat) instead of matching messages.
 var ErrBadFormat = errors.New("correlate: bad export format")
@@ -497,6 +496,9 @@ func (c *Correlator) RestoreIncremental(cp *CheckpointExport) (*Incremental, err
 	}
 	if cp.Result.Hours != cp.MaxHours {
 		return nil, badf("checkpoint result spans %d hours, want %d", cp.Result.Hours, cp.MaxHours)
+	}
+	if err := c.checkShards(); err != nil {
+		return nil, err
 	}
 	if int(cp.BGPrecision) != c.opts.SketchPrecision {
 		return nil, fmt.Errorf("correlate: checkpoint sketch precision %d, correlator uses %d",

@@ -3,7 +3,6 @@ package correlate
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"iotscope/internal/sketch"
 )
@@ -43,6 +42,9 @@ func (c *Correlator) NewIncremental(maxHours int) (*Incremental, error) {
 	if maxHours <= 0 {
 		return nil, fmt.Errorf("correlate: maxHours %d must be positive", maxHours)
 	}
+	if err := c.checkShards(); err != nil {
+		return nil, err
+	}
 	bg, err := sketch.NewHLL(c.opts.SketchPrecision)
 	if err != nil {
 		return nil, err
@@ -57,10 +59,10 @@ func (c *Correlator) NewIncremental(maxHours int) (*Incremental, error) {
 	}, nil
 }
 
-// Ingest processes one newly arrived hour file and returns the IDs of
-// devices seen for the first time (the near-real-time notification feed),
-// ascending. Ingesting the same hour twice is rejected, as is an hour that
-// has been quarantined.
+// Ingest processes one newly arrived hour file — a window opened, fed from
+// the file and sealed — and returns the IDs of devices seen for the first
+// time (the near-real-time notification feed), ascending. Ingesting the
+// same hour twice is rejected, as is an hour that has been quarantined.
 //
 // On failure the hour's partial accumulators are discarded atomically and
 // the returned error wraps the cause (test with IsRetryable and
@@ -72,43 +74,44 @@ func (c *Correlator) NewIncremental(maxHours int) (*Incremental, error) {
 // quarantining the hour — it stays eligible for a later Ingest, and the
 // partial accumulators are discarded whole exactly as on a fault.
 func (inc *Incremental) Ingest(ctx context.Context, dir string, hour int) ([]int, error) {
-	if hour < 0 || hour >= len(inc.res.Hourly) {
-		return nil, fmt.Errorf("correlate: hour %d outside [0, %d)", hour, len(inc.res.Hourly))
-	}
-	if inc.hours[hour] {
-		return nil, fmt.Errorf("correlate: hour %d already ingested", hour)
-	}
-	if inc.quarantined[hour] {
-		return nil, fmt.Errorf("correlate: hour %d quarantined", hour)
-	}
-	part, err := inc.c.processHourDense(ctx, dir, hour)
+	w, err := inc.OpenWindow(hour)
 	if err != nil {
-		if inc.c.opts.FaultPolicy == Lenient && !isCtxErr(err) {
-			retryable := IsRetryable(err)
-			inc.res.Ingest.noteFailure(hour, err, retryable)
-			if !retryable {
-				inc.quarantined[hour] = true
-				inc.res.Ingest.HoursQuarantined++
-			}
-		}
 		return nil, err
 	}
-	return inc.merge(part), nil
+	if err := w.feedFile(ctx, dir); err != nil {
+		w.Abort()
+		inc.FailHour(hour, err)
+		return nil, err
+	}
+	st, err := w.Seal()
+	return st.Fresh, err
 }
 
-// merge folds a completed hour scratch into the running result — the one
-// sequence Ingest, Window.Seal and checkpoint replay all end in — and
-// returns the devices seen for the first time, ascending. The scratch is
-// recycled; the hour becomes ingested.
-func (inc *Incremental) merge(s *hourScratch) []int {
-	var fresh []int
-	for _, idx := range s.touched {
-		if !inc.st.knownDevice(idx) {
-			fresh = append(fresh, int(idx))
-		}
+// admits is the guard on every way into the running result: the hour must
+// be in range, not yet ingested and not quarantined.
+func (inc *Incremental) admits(hour int) error {
+	switch {
+	case hour < 0 || hour >= len(inc.res.Hourly):
+		return fmt.Errorf("correlate: hour %d outside [0, %d)", hour, len(inc.res.Hourly))
+	case inc.hours[hour]:
+		return fmt.Errorf("correlate: hour %d already ingested", hour)
+	case inc.quarantined[hour]:
+		return fmt.Errorf("correlate: hour %d quarantined", hour)
 	}
-	sort.Ints(fresh)
+	return nil
+}
 
+// merge folds a folded, finalized hour scratch into the running result —
+// the one sequence Ingest, Window.Seal, the batch merger and checkpoint
+// replay all end in. The scratch is recycled either way; the hour becomes
+// ingested. The guard is re-checked here because a window can be open while
+// its hour is settled by another: merging it too would overwrite the hour's
+// row and double its counters, so it is refused and nothing is booked.
+func (inc *Incremental) merge(s *hourScratch) error {
+	if err := inc.admits(s.hour); err != nil {
+		inc.c.putScratch(s)
+		return err
+	}
 	st := inc.st
 	capture := inc.unsaved == 0
 	var raised []RegisterDelta
@@ -124,10 +127,10 @@ func (inc *Incremental) merge(s *hourScratch) []int {
 		inc.delta.capture(s, raised, st.udpGained[nu:], st.conGained[nc:], st.cpsGained[np:])
 	}
 	inc.unsaved++
-	inc.c.putScratch(s)
 	inc.hours[s.hour] = true
 	inc.res.Ingest.noteSuccess(s.hour)
-	return fresh
+	inc.c.putScratch(s) // last: a concurrent window may draw it at once
+	return nil
 }
 
 // Quarantine abandons an hour permanently — typically after the caller has

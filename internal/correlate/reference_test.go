@@ -95,14 +95,11 @@ func (e *refExactCounter) add(v uint32)     { e.m[v] = struct{}{} }
 func (e *refExactCounter) estimate() uint64 { return uint64(len(e.m)) }
 func (e *refExactCounter) reset()           { clear(e.m) }
 
-func (e *refExactCounter) appendIPs(dst []uint32) []uint32 {
-	for v := range e.m {
-		dst = append(dst, v)
+func (e *refExactCounter) absorb(o destCounter) {
+	for v := range o.(*refExactCounter).m {
+		e.m[v] = struct{}{}
 	}
-	return dst
 }
-
-func (e *refExactCounter) appendRegisters(dst []uint8) []uint8 { return dst }
 
 func refDestCounter(c *Correlator) destCounter {
 	if c.opts.UseSketches {

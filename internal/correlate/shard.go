@@ -3,36 +3,19 @@ package correlate
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/bits"
-	"slices"
-	"sort"
-	"sync"
-
-	"iotscope/internal/classify"
-	"iotscope/internal/flowtuple"
-	"iotscope/internal/sketch"
 )
 
-// This file is the distribution seam: the source-IP space is partitioned by
-// top-bits prefix into N independent shards, each correlating into its own
-// dense tables, sketches, and scratch pool behind its own merger goroutine —
-// shards never contend on shared mutable state. Hour files are still decoded
-// exactly once (decompression dominates the pipeline; see
-// docs/PERFORMANCE.md): an hour worker routes each record to its shard's
-// scratch by prefix, then hands one finished scratch per shard to that
-// shard's merger. The per-shard outputs are self-contained ShardPartials;
-// MergeShards is the merge plane recombining them into one canonical Result,
-// proved byte-identical (through the Export encoding) to an unsharded run.
-//
-// Every per-device and per-port statistic is shard-local or additive across
-// shards, because a source IP — and therefore a device — lives in exactly
-// one shard. The only cross-shard state is the unique-destination surfaces
-// (different shards' devices can probe the same destination), so each
-// partial carries the raw mergeable form of those counters: sorted distinct
-// values in exact mode, HLL registers in sketch mode. Register-wise max over
-// a partition equals the register state of the unpartitioned stream, which
-// is what makes the sharded estimates identical, not merely close.
+// Sharding is a routing choice inside the one correlation core, not a
+// second engine: with Options.Shards = N a window accumulates into N planes
+// keyed by the top log2(N) bits of the source address (Window.Feed), and
+// hourScratch.absorb folds them back into one scratch before the hour is
+// finalized and merged. A source IP — and therefore a device — lives in
+// exactly one plane, so per-device state is disjoint across planes and
+// per-port counters add; the only state different planes can both hold is
+// the unique-destination surface, which absorb unions (exact sets) or maxes
+// register-wise (HLL) — exactly the state an unpartitioned counter would
+// reach, which is what makes the sharded result identical, not merely close.
 
 // ShardOf returns the shard owning a source address: the top log2(shards)
 // bits of the IP. shards must be a power of two; 1 maps everything to
@@ -45,855 +28,44 @@ func ShardOf(srcIP uint32, shards int) int {
 	return int(srcIP >> (32 - uint(bits.TrailingZeros(uint(shards)))))
 }
 
-// CatSurface is the raw unique-destination state of one (hour, category)
-// cell of one shard — the mergeable form behind the CatHour estimates.
-// Exactly one of the IP representations is populated: sorted distinct
-// destination addresses in exact mode, HLL registers in sketch mode (nil
-// when the cell saw no traffic). Ports are always exact and ascending.
-type CatSurface struct {
-	UDPDstIPs     []uint32
-	UDPDstIPRegs  []uint8
-	ScanDstIPs    []uint32
-	ScanDstIPRegs []uint8
-	UDPDstPorts   []uint16
-	ScanDstPorts  []uint16
-}
-
-// HourSurface carries both category cells of one ingested hour.
-type HourSurface struct {
-	Hour   int32
-	PerCat [2]CatSurface
-}
-
-// bytes returns the retained payload size, the unit of the shard memory
-// ceiling's runtime accounting.
-func (h *HourSurface) bytes() uint64 {
-	var b uint64
-	for ci := range h.PerCat {
-		c := &h.PerCat[ci]
-		b += 4 * uint64(len(c.UDPDstIPs)+len(c.ScanDstIPs))
-		b += uint64(len(c.UDPDstIPRegs) + len(c.ScanDstIPRegs))
-		b += 2 * uint64(len(c.UDPDstPorts)+len(c.ScanDstPorts))
+// checkShards rejects a shard count the prefix routing cannot serve.
+func (c *Correlator) checkShards() error {
+	n := c.opts.Shards
+	if bits.OnesCount(uint(n)) != 1 {
+		return fmt.Errorf("correlate: shard count %d is not a power of two", n)
 	}
-	return b
+	if n > 1<<16 {
+		return fmt.Errorf("correlate: shard count %d exceeds 65536", n)
+	}
+	return nil
 }
 
-// ShardPartial is one shard's complete, self-contained output: the shard's
-// canonical ResultExport plus the raw surface payloads and the
-// background-sources HLL registers the merge plane needs. It reuses the
-// exact serialization surface internal/resultstore encodes, so a partial
-// can cross a process or machine boundary — this is the unit a future
-// multi-machine coordinator ships home.
-type ShardPartial struct {
-	Shard           int
-	Shards          int
-	SketchPrecision int
-	Sketches        bool
-	Export          *ResultExport
-	// Surfaces has one entry per ingested hour, ascending.
-	Surfaces    []HourSurface
-	BGRegisters []uint8
-}
-
-// ShardReport summarizes one shard's run for observability (surfaced as
-// per-shard StageMetrics through internal/pipeline).
+// ShardReport summarizes one shard's share of a run for observability
+// (surfaced as per-shard StageMetrics through internal/pipeline).
 type ShardReport struct {
 	Shard      int
 	Records    uint64 // records routed to the shard, incl. background
 	RecordsIoT uint64
 	Devices    int
-	// RetainedBytes is the shard's modeled resident footprint: fixed
-	// tables and scratches plus retained surface payloads — the quantity
-	// the memory ceiling bounds.
-	RetainedBytes uint64
 }
 
-// ErrShardMemory is the sentinel behind ShardMemoryError.
-var ErrShardMemory = fmt.Errorf("correlate: shard memory budget exceeded")
-
-// ShardMemoryError is the fail-fast diagnostic of the per-shard memory
-// ceiling. There is no spill path: a run that cannot fit aborts with the
-// numbers needed to size the budget or the shard count.
-type ShardMemoryError struct {
-	// Shard is the shard that overran, or -1 when the pre-flight estimate
-	// already exceeds the budget (every shard would overrun).
-	Shard int
-	// Hour is the hour being merged when the ceiling was hit, -1 at
-	// startup.
-	Hour     int
-	Budget   uint64
-	Required uint64
-}
-
-func (e *ShardMemoryError) Error() string {
-	if e.Shard < 0 {
-		return fmt.Sprintf(
-			"correlate: shard memory budget %d B below fixed footprint %d B (raise the budget, lower Workers, or use more shards)",
-			e.Budget, e.Required)
-	}
-	return fmt.Sprintf(
-		"correlate: shard %d exceeded memory budget %d B at hour %d (requires %d B; raise the budget or use more shards)",
-		e.Shard, e.Budget, e.Hour, e.Required)
-}
-
-func (e *ShardMemoryError) Unwrap() error { return ErrShardMemory }
-
-const portSlots = 1 << 16
-
-// estimateScratchBytes models one hourScratch's resident footprint — the
-// dominant term of a shard's fixed memory. The model counts the dense
-// arrays exactly and the hash sets and slices at their initial capacity
-// (they grow with traffic; the runtime surface accounting picks up the
-// retained side of that growth).
-func (c *Correlator) estimateScratchBytes() uint64 {
-	n := uint64(c.inv.Len())
-	const deviceStatsBytes = 8*8 + 8*classify.NumClasses // fixed fields + Packets
-	b := n * deviceStatsBytes                            // devs
-	b += n * (8 + 1 + 4 + 4 + 4)                         // bsPkts, devFlags, scanPorts, scanDests, touched
-	b += 3 * portSlots * 8                               // udpPkts, tcpPkts, tcpPktsCon
-	b += 6 * portSlots / 8                               // udpMark, tcpMark, 4 surface bitsets
-	b += 5 * 8192 * 8                                    // devPort, devDest, udpPortDev, tcpDevCon, tcpDevCPS
-	b += flowtuple.BatchSize * 24                        // batch (in-memory Record)
-	b += 1 << uint(c.opts.SketchPrecision)               // bgSrcHLL
-	if c.opts.UseSketches {
-		b += 4 << uint(c.opts.SketchPrecision) // 4 HLL destination counters
-	} else {
-		b += 4 * 2048 * 8 // 4 exact counters at initial capacity
-	}
-	return b
-}
-
-// shardFixedFootprint models one shard's fixed resident bytes: scratches
-// in flight (each hour worker holds one scratch per shard, plus one being
-// merged or pooled), the merger's dense tables, and the shard Result's
-// hourly rows. Retained surface payloads come on top and are accounted at
-// run time.
-func (c *Correlator) shardFixedFootprint(hours int) uint64 {
-	scratch := c.estimateScratchBytes()
-	inflight := uint64(c.opts.Workers) + 1
-	merge := uint64(c.inv.Len())*8 + 2*portSlots*8 + 3*8192*8
-	const hourStatsBytes = 2*8 + 2*(8*classify.NumClasses+6*8)
-	return scratch*inflight + merge + uint64(hours)*hourStatsBytes
-}
-
-// checkShardBudget is the fail-fast pre-flight: if the fixed footprint
-// alone exceeds the per-shard budget, no hour could ever merge, so the run
-// refuses to start.
-func (c *Correlator) checkShardBudget(hours int) error {
-	if c.opts.ShardMemoryBudget == 0 {
-		return nil
-	}
-	if need := c.shardFixedFootprint(hours); need > c.opts.ShardMemoryBudget {
-		return &ShardMemoryError{Shard: -1, Hour: -1, Budget: c.opts.ShardMemoryBudget, Required: need}
-	}
-	return nil
-}
-
-// shardPool recycles hourScratch instances within one shard — each shard
-// owns its pool, so shards never exchange (or contend on) scratch memory.
-type shardPool struct{ pool sync.Pool }
-
-func (p *shardPool) get(c *Correlator) (*hourScratch, error) {
-	if v := p.pool.Get(); v != nil {
-		return v.(*hourScratch), nil
-	}
-	return c.newScratch()
-}
-
-func (p *shardPool) put(s *hourScratch) {
-	s.reset()
-	p.pool.Put(s)
-}
-
-// extractSurface captures the hour's raw unique-destination state before
-// the scratch is recycled. Exact IP sets come out sorted (canonical form);
-// all-zero HLL registers compact to nil so empty cells cost nothing.
-func (s *hourScratch) extractSurface(hour int) HourSurface {
-	hs := HourSurface{Hour: int32(hour)}
-	for ci := range hs.PerCat {
-		cs := &hs.PerCat[ci]
-		cs.UDPDstIPs = sortU32(s.udpDstIPs[ci].appendIPs(nil))
-		cs.UDPDstIPRegs = compactRegs(s.udpDstIPs[ci].appendRegisters(nil))
-		cs.ScanDstIPs = sortU32(s.scanDstIPs[ci].appendIPs(nil))
-		cs.ScanDstIPRegs = compactRegs(s.scanDstIPs[ci].appendRegisters(nil))
-		cs.UDPDstPorts = s.udpDstPorts[ci].appendPorts(nil)
-		cs.ScanDstPorts = s.scanDstPorts[ci].appendPorts(nil)
-	}
-	return hs
-}
-
-func sortU32(v []uint32) []uint32 {
-	slices.Sort(v)
-	return v
-}
-
-func compactRegs(regs []uint8) []uint8 {
-	for _, r := range regs {
-		if r != 0 {
-			return regs
-		}
-	}
-	return nil
-}
-
-// shardRun is one shard's private engine state: its parts channel, merger
-// goroutine, dense tables, background HLL, scratch pool, and retained
-// surfaces. Only the merger goroutine touches the mutable fields until
-// done closes.
-type shardRun struct {
-	shard        int
-	parts        chan *hourScratch
-	done         chan struct{}
-	res          *Result
-	st           *mergeState
-	bg           *sketch.HLL
-	pool         shardPool
-	surfaces     []HourSurface
-	surfaceBytes uint64
-	memErr       *ShardMemoryError
-}
-
-// ProcessDatasetSharded correlates every hourly file in dir across
-// Options.Shards prefix-partitioned shards and recombines the partials
-// through MergeShards. Semantics match ProcessDataset exactly — same
-// strict/lenient fault handling, same cancellation contract, byte-identical
-// Result — plus per-shard reports and the per-shard memory ceiling.
-// With Shards <= 1 it delegates to the single-merger path, so the
-// abstraction costs nothing when unused.
+// ProcessDatasetSharded is ProcessDataset plus one report per shard (one
+// report when unsharded). The Result does not depend on the shard count.
 func (c *Correlator) ProcessDatasetSharded(ctx context.Context, dir string) (*Result, []ShardReport, error) {
-	n := c.opts.Shards
-	if n > 1 && bits.OnesCount(uint(n)) != 1 {
-		return nil, nil, fmt.Errorf("correlate: shard count %d is not a power of two", n)
-	}
-	if n > 1<<16 {
-		return nil, nil, fmt.Errorf("correlate: shard count %d exceeds 65536", n)
-	}
-	hours, err := flowtuple.DatasetHours(dir)
+	res, routed, err := c.processDataset(ctx, dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(hours) == 0 {
-		return nil, nil, fmt.Errorf("correlate: no hourly files in %s", dir)
+	reports := make([]ShardReport, len(routed))
+	for k := range reports {
+		reports[k] = ShardReport{Shard: k, Records: routed[k].Load()}
 	}
-	maxHour := hours[len(hours)-1]
-	if err := c.checkShardBudget(maxHour + 1); err != nil {
-		return nil, nil, err
+	devs := c.inv.All()
+	for id, d := range res.Devices {
+		r := &reports[ShardOf(uint32(devs[id].IP), len(reports))]
+		r.Devices++
+		r.RecordsIoT += d.Records
+		r.Records += d.Records
 	}
-	if n <= 1 {
-		res, err := c.processDatasetSingle(ctx, dir)
-		if err != nil {
-			return nil, nil, err
-		}
-		return res, []ShardReport{singleShardReport(res, c.shardFixedFootprint(res.Hours))}, nil
-	}
-
-	shift := 32 - uint(bits.TrailingZeros(uint(n)))
-	fixed := c.shardFixedFootprint(maxHour + 1)
-	budget := c.opts.ShardMemoryBudget
-
-	runs := make([]*shardRun, n)
-	for k := range runs {
-		bg, err := sketch.NewHLL(c.opts.SketchPrecision)
-		if err != nil {
-			return nil, nil, err
-		}
-		runs[k] = &shardRun{
-			shard: k,
-			parts: make(chan *hourScratch, c.opts.Workers),
-			done:  make(chan struct{}),
-			res:   newResult(maxHour + 1),
-			st:    newMergeState(),
-			bg:    bg,
-		}
-	}
-	for _, r := range runs {
-		go func(r *shardRun) {
-			defer close(r.done)
-			for s := range r.parts {
-				if r.memErr != nil {
-					r.pool.put(s) // fail fast: stop merging, keep draining
-					continue
-				}
-				hs := s.extractSurface(s.hour)
-				need := fixed + r.surfaceBytes + hs.bytes()
-				if budget > 0 && need > budget {
-					r.memErr = &ShardMemoryError{
-						Shard: r.shard, Hour: s.hour, Budget: budget, Required: need,
-					}
-					r.pool.put(s)
-					continue
-				}
-				r.surfaceBytes += hs.bytes()
-				r.surfaces = append(r.surfaces, hs)
-				mergeDense(r.res, s, r.bg, r.st)
-				r.pool.put(s)
-			}
-		}(r)
-	}
-
-	// Ingest bookkeeping happens once per hour at the coordinator — an hour
-	// decodes once, so its success or failure is shared by every shard.
-	var (
-		wg      sync.WaitGroup
-		sem     = make(chan struct{}, c.opts.Workers)
-		mu      sync.Mutex
-		ingest  IngestStats
-		errHour = -1
-		hourErr error
-	)
-	for _, hour := range hours {
-		if ctx.Err() != nil {
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(hour int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			scrs, err := c.processHourShards(ctx, dir, hour, runs, shift)
-			if err != nil {
-				if isCtxErr(err) {
-					return
-				}
-				mu.Lock()
-				if c.opts.FaultPolicy == Lenient {
-					ingest.noteFailure(hour, err, IsRetryable(err))
-					ingest.HoursQuarantined++
-				} else if errHour == -1 || hour < errHour {
-					errHour, hourErr = hour, err
-				}
-				mu.Unlock()
-				return
-			}
-			mu.Lock()
-			ingest.HoursOK++
-			mu.Unlock()
-			for k, s := range scrs {
-				runs[k].parts <- s
-			}
-		}(hour)
-	}
-	wg.Wait()
-	for _, r := range runs {
-		close(r.parts)
-	}
-	for _, r := range runs {
-		<-r.done
-	}
-	if hourErr != nil {
-		return nil, nil, hourErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	for _, r := range runs {
-		if r.memErr != nil {
-			return nil, nil, r.memErr
-		}
-	}
-
-	partials := make([]*ShardPartial, n)
-	reports := make([]ShardReport, n)
-	for k, r := range runs {
-		// Hours arrive at the merger out of order; the partial's canonical
-		// form is ascending.
-		sort.Slice(r.surfaces, func(i, j int) bool { return r.surfaces[i].Hour < r.surfaces[j].Hour })
-		r.st.finalizeResult(r.res)
-		r.res.Background.Sources = r.bg.Estimate()
-		r.res.Ingest = ingest
-		r.res.Ingest.Faults = append([]HourFault(nil), ingest.Faults...)
-		partials[k] = &ShardPartial{
-			Shard:           k,
-			Shards:          n,
-			SketchPrecision: c.opts.SketchPrecision,
-			Sketches:        c.opts.UseSketches,
-			Export:          r.res.Export(),
-			Surfaces:        r.surfaces,
-			BGRegisters:     r.bg.AppendRegisters(nil),
-		}
-		var iot uint64
-		for i := range r.res.Hourly {
-			iot += r.res.Hourly[i].RecordsIoT
-		}
-		reports[k] = ShardReport{
-			Shard:         k,
-			Records:       r.res.Background.Records + iot,
-			RecordsIoT:    iot,
-			Devices:       len(r.res.Devices),
-			RetainedBytes: fixed + r.surfaceBytes,
-		}
-	}
-	merged, err := MergeShards(partials)
-	if err != nil {
-		return nil, nil, err
-	}
-	return merged, reports, nil
-}
-
-func singleShardReport(res *Result, retained uint64) ShardReport {
-	var iot uint64
-	for i := range res.Hourly {
-		iot += res.Hourly[i].RecordsIoT
-	}
-	return ShardReport{
-		Shard:         0,
-		Records:       res.Background.Records + iot,
-		RecordsIoT:    iot,
-		Devices:       len(res.Devices),
-		RetainedBytes: retained,
-	}
-}
-
-// processHourShards decodes one hour file exactly once and routes every
-// record to its shard's scratch by source-IP prefix. On success the caller
-// owns all N finalized scratches; on any error — including cancellation,
-// checked between record batches — every scratch has been reset and
-// returned to its shard's pool.
-func (c *Correlator) processHourShards(ctx context.Context, dir string, hour int, runs []*shardRun, shift uint) ([]*hourScratch, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	scrs := make([]*hourScratch, len(runs))
-	recycle := func() {
-		for k, s := range scrs {
-			if s != nil {
-				runs[k].pool.put(s)
-			}
-		}
-	}
-	for k, r := range runs {
-		s, err := r.pool.get(c)
-		if err != nil {
-			recycle()
-			return nil, err
-		}
-		s.hour = hour
-		s.stats.Hour = hour
-		scrs[k] = s
-	}
-	rd, err := flowtuple.Open(flowtuple.HourPath(dir, hour))
-	if err != nil {
-		recycle()
-		return nil, err
-	}
-	defer rd.Close()
-	batch := scrs[0].batch
-	for {
-		if err := ctx.Err(); err != nil {
-			recycle()
-			return nil, err
-		}
-		n, err := rd.NextBatch(batch)
-		for i := 0; i < n; i++ {
-			rec := &batch[i]
-			c.accumulate(scrs[rec.SrcIP>>shift], hour, rec)
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			recycle()
-			return nil, err
-		}
-	}
-	for _, s := range scrs {
-		s.finalize(hour)
-	}
-	return scrs, nil
-}
-
-// MergeShards is the merge plane: it recombines a complete set of shard
-// partials into one canonical Result, byte-identical (through the Export
-// encoding) to an unsharded run over the same dataset. Per-device and
-// per-port state concatenates (device index spaces are disjoint across
-// shards), packet counters add, and the unique-destination surfaces union
-// — exact sets by sorted dedup, sketches by register-wise max via
-// sketch.Merge semantics. Structural violations are ErrBadFormat-family
-// errors.
-func MergeShards(partials []*ShardPartial) (*Result, error) {
-	ordered, err := orderPartials(partials)
-	if err != nil {
-		return nil, err
-	}
-	base := ordered[0]
-	hours := base.Export.Hours
-	out := &ResultExport{
-		Hours:             hours,
-		Hourly:            make([]HourStats, hours),
-		IngestOK:          base.Export.IngestOK,
-		IngestRetried:     base.Export.IngestRetried,
-		IngestQuarantined: base.Export.IngestQuarantined,
-		Faults:            append([]FaultExport(nil), base.Export.Faults...),
-	}
-	for i := range out.Hourly {
-		out.Hourly[i].Hour = i
-	}
-
-	// Additive hourly fields; the four surface estimates are recomputed
-	// from the union'd payloads below, never summed.
-	for _, p := range ordered {
-		out.Background.Records += p.Export.Background.Records
-		out.Background.Packets += p.Export.Background.Packets
-		for i := range p.Export.Hourly {
-			src := &p.Export.Hourly[i]
-			dst := &out.Hourly[i]
-			dst.RecordsIoT += src.RecordsIoT
-			for ci := range dst.PerCat {
-				d, s := &dst.PerCat[ci], &src.PerCat[ci]
-				for cl := range d.Packets {
-					d.Packets[cl] += s.Packets[cl]
-				}
-				d.ActiveDevices += s.ActiveDevices
-				d.UDPDevices += s.UDPDevices
-				d.ScanDevices += s.ScanDevices
-			}
-		}
-	}
-
-	if err := mergeSurfaces(out, ordered); err != nil {
-		return nil, err
-	}
-	if err := mergeDevices(out, ordered); err != nil {
-		return nil, err
-	}
-	if err := mergePorts(out, ordered); err != nil {
-		return nil, err
-	}
-	mergePortHours(out, ordered)
-
-	sources, err := mergeBGSources(ordered)
-	if err != nil {
-		return nil, err
-	}
-	out.Background.Sources = sources
-	return out.Result()
-}
-
-// orderPartials validates the partial set — complete, mutually consistent,
-// one per shard — and returns it ordered by shard id.
-func orderPartials(partials []*ShardPartial) ([]*ShardPartial, error) {
-	if len(partials) == 0 {
-		return nil, badf("no shard partials to merge")
-	}
-	n := partials[0].Shards
-	if len(partials) != n {
-		return nil, badf("have %d shard partials, want %d", len(partials), n)
-	}
-	ordered := make([]*ShardPartial, n)
-	for _, p := range partials {
-		if p == nil || p.Export == nil {
-			return nil, badf("nil shard partial")
-		}
-		if p.Shards != n {
-			return nil, badf("shard %d claims %d shards, want %d", p.Shard, p.Shards, n)
-		}
-		if p.Shard < 0 || p.Shard >= n {
-			return nil, badf("shard id %d outside [0, %d)", p.Shard, n)
-		}
-		if ordered[p.Shard] != nil {
-			return nil, badf("duplicate partial for shard %d", p.Shard)
-		}
-		ordered[p.Shard] = p
-	}
-	base := ordered[0]
-	for _, p := range ordered[1:] {
-		if p.Export.Hours != base.Export.Hours {
-			return nil, badf("shard %d spans %d hours, shard 0 spans %d", p.Shard, p.Export.Hours, base.Export.Hours)
-		}
-		if p.SketchPrecision != base.SketchPrecision || p.Sketches != base.Sketches {
-			return nil, badf("shard %d sketch configuration diverges from shard 0", p.Shard)
-		}
-		if p.Export.IngestOK != base.Export.IngestOK ||
-			p.Export.IngestRetried != base.Export.IngestRetried ||
-			p.Export.IngestQuarantined != base.Export.IngestQuarantined ||
-			len(p.Export.Faults) != len(base.Export.Faults) {
-			return nil, badf("shard %d ingest bookkeeping diverges from shard 0", p.Shard)
-		}
-		if len(p.Surfaces) != len(base.Surfaces) {
-			return nil, badf("shard %d carries %d hour surfaces, shard 0 carries %d",
-				p.Shard, len(p.Surfaces), len(base.Surfaces))
-		}
-		for j := range p.Surfaces {
-			if p.Surfaces[j].Hour != base.Surfaces[j].Hour {
-				return nil, badf("shard %d surface %d is hour %d, shard 0 has hour %d",
-					p.Shard, j, p.Surfaces[j].Hour, base.Surfaces[j].Hour)
-			}
-		}
-	}
-	return ordered, nil
-}
-
-// mergeSurfaces unions the raw unique-destination payloads of every
-// (hour, category) cell and writes the recomputed estimates into out.
-func mergeSurfaces(out *ResultExport, ordered []*ShardPartial) error {
-	base := ordered[0]
-	ips := make([]uint32, 0, 1024)
-	ports := make([]uint16, 0, 256)
-	var regs []uint8
-	for j := range base.Surfaces {
-		hour := int(base.Surfaces[j].Hour)
-		if hour < 0 || hour >= out.Hours {
-			return badf("surface hour %d outside [0, %d)", hour, out.Hours)
-		}
-		for ci := 0; ci < 2; ci++ {
-			cell := &out.Hourly[hour].PerCat[ci]
-			for _, kind := range [2]bool{true, false} { // UDP, then scan
-				var count uint64
-				var err error
-				if base.Sketches {
-					count, err = unionRegs(ordered, j, ci, kind, base.SketchPrecision, &regs)
-				} else {
-					count, err = unionIPs(ordered, j, ci, kind, &ips)
-				}
-				if err != nil {
-					return err
-				}
-				pcount := unionPorts(ordered, j, ci, kind, &ports)
-				if kind {
-					cell.UDPDstIPs = count
-					cell.UDPDstPorts = pcount
-				} else {
-					cell.ScanDstIPs = count
-					cell.ScanDstPorts = pcount
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// unionIPs counts the distinct destination addresses of one cell across
-// shards (exact mode): concatenate, sort, dedup.
-func unionIPs(ordered []*ShardPartial, j, ci int, udp bool, buf *[]uint32) (uint64, error) {
-	v := (*buf)[:0]
-	for _, p := range ordered {
-		cs := &p.Surfaces[j].PerCat[ci]
-		if udp {
-			v = append(v, cs.UDPDstIPs...)
-		} else {
-			v = append(v, cs.ScanDstIPs...)
-		}
-	}
-	*buf = v
-	slices.Sort(v)
-	var n uint64
-	for i := range v {
-		if i == 0 || v[i] != v[i-1] {
-			n++
-		}
-	}
-	return n, nil
-}
-
-// unionRegs folds one cell's HLL registers across shards by register-wise
-// max — identical to the registers an unpartitioned HLL would hold — and
-// estimates the union cardinality from the merged state.
-func unionRegs(ordered []*ShardPartial, j, ci int, udp bool, precision int, buf *[]uint8) (uint64, error) {
-	want := 1 << uint(precision)
-	merged := (*buf)[:0]
-	for _, p := range ordered {
-		cs := &p.Surfaces[j].PerCat[ci]
-		regs := cs.UDPDstIPRegs
-		if !udp {
-			regs = cs.ScanDstIPRegs
-		}
-		if regs == nil {
-			continue // empty cell in this shard
-		}
-		if len(regs) != want {
-			return 0, badf("shard %d surface %d has %d HLL registers, want %d", p.Shard, j, len(regs), want)
-		}
-		if len(merged) == 0 {
-			merged = append(merged, regs...)
-			continue
-		}
-		for i, r := range regs {
-			if r > merged[i] {
-				merged[i] = r
-			}
-		}
-	}
-	*buf = merged
-	if len(merged) == 0 {
-		return 0, nil
-	}
-	h, err := sketch.RestoreHLL(precision, merged)
-	if err != nil {
-		return 0, badf("restore surface HLL: %v", err)
-	}
-	return h.Estimate(), nil
-}
-
-// unionPorts counts the distinct destination ports of one cell across
-// shards.
-func unionPorts(ordered []*ShardPartial, j, ci int, udp bool, buf *[]uint16) uint64 {
-	v := (*buf)[:0]
-	for _, p := range ordered {
-		cs := &p.Surfaces[j].PerCat[ci]
-		if udp {
-			v = append(v, cs.UDPDstPorts...)
-		} else {
-			v = append(v, cs.ScanDstPorts...)
-		}
-	}
-	*buf = v
-	slices.Sort(v)
-	var n uint64
-	for i := range v {
-		if i == 0 || v[i] != v[i-1] {
-			n++
-		}
-	}
-	return n
-}
-
-// mergeDevices concatenates the shards' device tables. Index spaces are
-// disjoint by construction (a device's IP lives in one shard); overlap is
-// corruption.
-func mergeDevices(out *ResultExport, ordered []*ShardPartial) error {
-	total := 0
-	for _, p := range ordered {
-		total += len(p.Export.Devices)
-	}
-	devs := make([]DeviceExport, 0, total)
-	for _, p := range ordered {
-		devs = append(devs, p.Export.Devices...)
-	}
-	sort.Slice(devs, func(i, j int) bool { return devs[i].ID < devs[j].ID })
-	for i := 1; i < len(devs); i++ {
-		if devs[i].ID == devs[i-1].ID {
-			return badf("device %d appears in more than one shard", devs[i].ID)
-		}
-	}
-	out.Devices = devs
-	return nil
-}
-
-// mergePorts coalesces the per-port aggregates: packets add, device lists
-// concatenate (disjoint across shards) and re-sort ascending.
-func mergePorts(out *ResultExport, ordered []*ShardPartial) error {
-	{
-		var all []PortExport
-		for _, p := range ordered {
-			all = append(all, p.Export.UDPPorts...)
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i].Port < all[j].Port })
-		merged := make([]PortExport, 0, len(all))
-		for lo := 0; lo < len(all); {
-			hi := lo + 1
-			for hi < len(all) && all[hi].Port == all[lo].Port {
-				hi++
-			}
-			pe := PortExport{Port: all[lo].Port}
-			var devs []int32
-			for _, e := range all[lo:hi] {
-				pe.Packets += e.Packets
-				devs = append(devs, e.Devices...)
-			}
-			var err error
-			if pe.Devices, err = sortDisjoint(devs, "UDP", pe.Port); err != nil {
-				return err
-			}
-			merged = append(merged, pe)
-			lo = hi
-		}
-		out.UDPPorts = merged
-	}
-	var all []TCPPortExport
-	for _, p := range ordered {
-		all = append(all, p.Export.TCPScanPorts...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Port < all[j].Port })
-	merged := make([]TCPPortExport, 0, len(all))
-	for lo := 0; lo < len(all); {
-		hi := lo + 1
-		for hi < len(all) && all[hi].Port == all[lo].Port {
-			hi++
-		}
-		pe := TCPPortExport{Port: all[lo].Port}
-		var con, cps []int32
-		for _, e := range all[lo:hi] {
-			pe.Packets += e.Packets
-			pe.PacketsConsumer += e.PacketsConsumer
-			con = append(con, e.DevicesConsumer...)
-			cps = append(cps, e.DevicesCPS...)
-		}
-		var err error
-		if pe.DevicesConsumer, err = sortDisjoint(con, "TCP", pe.Port); err != nil {
-			return err
-		}
-		if pe.DevicesCPS, err = sortDisjoint(cps, "TCP", pe.Port); err != nil {
-			return err
-		}
-		merged = append(merged, pe)
-		lo = hi
-	}
-	out.TCPScanPorts = merged
-	return nil
-}
-
-// sortDisjoint sorts a concatenation of per-shard device lists and rejects
-// duplicates (shard device spaces are disjoint, so a repeat is corruption).
-// Empty stays nil, matching the export convention.
-func sortDisjoint(devs []int32, proto string, port uint16) ([]int32, error) {
-	if len(devs) == 0 {
-		return nil, nil
-	}
-	slices.Sort(devs)
-	for i := 1; i < len(devs); i++ {
-		if devs[i] == devs[i-1] {
-			return nil, badf("%s port %d lists device %d in more than one shard", proto, port, devs[i])
-		}
-	}
-	return devs, nil
-}
-
-// mergePortHours sums the (port, hour) cells across shards, port-major.
-func mergePortHours(out *ResultExport, ordered []*ShardPartial) {
-	var all []PortHourExport
-	for _, p := range ordered {
-		all = append(all, p.Export.TCPPortHour...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Port != all[j].Port {
-			return all[i].Port < all[j].Port
-		}
-		return all[i].Hour < all[j].Hour
-	})
-	merged := make([]PortHourExport, 0, len(all))
-	for _, e := range all {
-		if n := len(merged); n > 0 && merged[n-1].Port == e.Port && merged[n-1].Hour == e.Hour {
-			merged[n-1].Packets += e.Packets
-			continue
-		}
-		merged = append(merged, e)
-	}
-	out.TCPPortHour = merged
-}
-
-// mergeBGSources folds the background-sources HLL registers across shards
-// and estimates the union of non-IoT sources.
-func mergeBGSources(ordered []*ShardPartial) (uint64, error) {
-	prec := ordered[0].SketchPrecision
-	want := 1 << uint(prec)
-	merged := make([]uint8, 0, want)
-	for _, p := range ordered {
-		if len(p.BGRegisters) != want {
-			return 0, badf("shard %d background HLL has %d registers, want %d", p.Shard, len(p.BGRegisters), want)
-		}
-		if len(merged) == 0 {
-			merged = append(merged, p.BGRegisters...)
-			continue
-		}
-		for i, r := range p.BGRegisters {
-			if r > merged[i] {
-				merged[i] = r
-			}
-		}
-	}
-	h, err := sketch.RestoreHLL(prec, merged)
-	if err != nil {
-		return 0, badf("restore background HLL: %v", err)
-	}
-	return h.Estimate(), nil
+	return res, reports, nil
 }

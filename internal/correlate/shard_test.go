@@ -8,11 +8,11 @@ import (
 	"testing"
 )
 
-// The sharded path's contract is byte-identity: for any power-of-two shard
-// count, the merged Result's canonical Export must equal the unsharded
-// oracle's, under both fault policies, both counter modes, and any worker
-// count. These tests are the proof; internal/resultstore carries the
-// companion test that the identity survives the on-disk codec.
+// Sharding's contract is byte-identity: for any power-of-two shard count,
+// the Result's canonical Export must equal the unsharded oracle's, under
+// both fault policies, both counter modes, and any worker count. These
+// tests are the proof; internal/resultstore carries the companion test that
+// the identity survives the on-disk codec.
 
 // requireSameExport compares two Results through the canonical Export
 // encoding — the exact surface resultstore serializes.
@@ -91,13 +91,11 @@ func TestShardedMatchesOracleStrict(t *testing.T) {
 				t.Fatalf("workers=%d shards=%d: %d reports", workers, shards, len(reports))
 			}
 			devs := 0
-			var iot uint64
+			var iot, all uint64
 			for _, r := range reports {
 				devs += r.Devices
 				iot += r.RecordsIoT
-				if r.RetainedBytes == 0 {
-					t.Fatalf("shard %d reports zero retained bytes", r.Shard)
-				}
+				all += r.Records
 			}
 			if devs != len(got.Devices) {
 				t.Fatalf("reports count %d devices, result has %d", devs, len(got.Devices))
@@ -106,8 +104,9 @@ func TestShardedMatchesOracleStrict(t *testing.T) {
 			for i := range got.Hourly {
 				wantIoT += got.Hourly[i].RecordsIoT
 			}
-			if iot != wantIoT {
-				t.Fatalf("reports count %d IoT records, result has %d", iot, wantIoT)
+			if iot != wantIoT || all != wantIoT+got.Background.Records {
+				t.Fatalf("reports count %d IoT of %d records, result has %d of %d",
+					iot, all, wantIoT, wantIoT+got.Background.Records)
 			}
 		}
 	}
@@ -153,8 +152,8 @@ func TestShardedMatchesOracleSketches(t *testing.T) {
 	requireSameExport(t, oracle, got)
 }
 
-// Strict policy over a damaged dataset: the sharded coordinator fails with
-// the same deterministic lowest-hour error as the single path.
+// Strict policy over a damaged dataset: the sharded run fails with the same
+// deterministic lowest-hour error as the unsharded one.
 func TestShardedStrictError(t *testing.T) {
 	dir, g := damagedDataset(t)
 	_, wantErr := New(g.Inventory(), Options{Workers: 4}).ProcessDataset(context.Background(), dir)
@@ -204,59 +203,8 @@ func TestShardedRejectsNonPowerOfTwo(t *testing.T) {
 	}
 }
 
-// A budget below the fixed footprint fails fast at startup, before any
-// hour is read, with the sentinel and the sizing numbers.
-func TestShardMemoryBudgetStartup(t *testing.T) {
-	dir, g := cleanDataset(t, 101, 3)
-	c := New(g.Inventory(), Options{Workers: 2, Shards: 4, ShardMemoryBudget: 1024})
-	_, _, err := c.ProcessDatasetSharded(context.Background(), dir)
-	if !errors.Is(err, ErrShardMemory) {
-		t.Fatalf("got %v, want ErrShardMemory", err)
-	}
-	var me *ShardMemoryError
-	if !errors.As(err, &me) {
-		t.Fatalf("got %T, want *ShardMemoryError", err)
-	}
-	if me.Shard != -1 || me.Hour != -1 {
-		t.Fatalf("startup failure should carry Shard=-1 Hour=-1, got %+v", me)
-	}
-	if me.Required <= me.Budget {
-		t.Fatalf("diagnostic says required %d <= budget %d", me.Required, me.Budget)
-	}
-	// The single-merger path honors the same pre-flight ceiling.
-	c1 := New(g.Inventory(), Options{Workers: 2, Shards: 1, ShardMemoryBudget: 1024})
-	if _, _, err := c1.ProcessDatasetSharded(context.Background(), dir); !errors.Is(err, ErrShardMemory) {
-		t.Fatalf("single-shard path: got %v, want ErrShardMemory", err)
-	}
-}
-
-// A budget that admits the fixed footprint but not the retained surfaces
-// trips at run time, naming the shard and hour that overran.
-func TestShardMemoryBudgetRuntime(t *testing.T) {
-	dir, g := cleanDataset(t, 102, 4)
-	probe := New(g.Inventory(), Options{Workers: 2, Shards: 2})
-	budget := probe.shardFixedFootprint(4) + 8
-	c := New(g.Inventory(), Options{Workers: 2, Shards: 2, ShardMemoryBudget: budget})
-	_, _, err := c.ProcessDatasetSharded(context.Background(), dir)
-	if !errors.Is(err, ErrShardMemory) {
-		t.Fatalf("got %v, want ErrShardMemory", err)
-	}
-	var me *ShardMemoryError
-	if !errors.As(err, &me) {
-		t.Fatalf("got %T, want *ShardMemoryError", err)
-	}
-	if me.Shard < 0 || me.Shard >= 2 || me.Hour < 0 {
-		t.Fatalf("runtime failure should name shard and hour, got %+v", me)
-	}
-	// The pool must still be clean: a follow-up unlimited run succeeds.
-	c2 := New(g.Inventory(), Options{Workers: 2, Shards: 2})
-	if _, _, err := c2.ProcessDatasetSharded(context.Background(), dir); err != nil {
-		t.Fatalf("follow-up run after budget trip: %v", err)
-	}
-}
-
 // Cancellation surfaces ctx.Err() and records no faults, exactly like the
-// single-merger path.
+// unsharded run.
 func TestShardedCancellation(t *testing.T) {
 	dir, g := cleanDataset(t, 103, 4)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -268,27 +216,53 @@ func TestShardedCancellation(t *testing.T) {
 	}
 }
 
-// MergeShards rejects incomplete or inconsistent partial sets with
-// ErrBadFormat-family errors.
-func TestMergeShardsValidation(t *testing.T) {
-	mk := func(shard, shards int) *ShardPartial {
-		return &ShardPartial{Shard: shard, Shards: shards, Export: &ResultExport{Hours: 1}}
-	}
-	cases := map[string][]*ShardPartial{
-		"empty":        {},
-		"short set":    {mk(0, 2)},
-		"nil partial":  {mk(0, 2), nil},
-		"nil export":   {mk(0, 2), {Shard: 1, Shards: 2}},
-		"duplicate id": {mk(0, 2), mk(0, 2)},
-		"id range":     {mk(0, 2), mk(5, 2)},
-		"shard count":  {mk(0, 2), {Shard: 1, Shards: 4, Export: &ResultExport{Hours: 1}}},
-		"hour span": {mk(0, 2), {
-			Shard: 1, Shards: 2, Export: &ResultExport{Hours: 3},
-		}},
-	}
-	for name, partials := range cases {
-		if _, err := MergeShards(partials); !errors.Is(err, ErrBadFormat) {
-			t.Errorf("%s: got %v, want ErrBadFormat", name, err)
+// TestAbsorbEqualsUnsharded is the fold's own proof, below the dataset
+// driver: one hour routed to N planes and absorbed back into one must leave
+// the very scratch a single plane accumulates — same finalized HourStats,
+// same state once merged.
+func TestAbsorbEqualsUnsharded(t *testing.T) {
+	dir, g := cleanDataset(t, 104, 1)
+	for _, sketches := range []bool{false, true} {
+		fold := func(shards int) (HourStats, *CheckpointExport) {
+			t.Helper()
+			c := New(g.Inventory(), Options{UseSketches: sketches, SketchPrecision: 12, Shards: shards})
+			inc, err := c.NewIncremental(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := inc.OpenWindow(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.feedFile(context.Background(), dir); err != nil {
+				t.Fatal(err)
+			}
+			busy := 0
+			for _, s := range w.planes {
+				if s.stats.RecordsIoT > 0 {
+					busy++
+				}
+			}
+			if shards > 1 && busy < 2 {
+				t.Fatalf("shards=%d: IoT records reached %d plane(s); the fold is not exercised", shards, busy)
+			}
+			s := w.fold()
+			stats := s.stats
+			if err := inc.merge(s); err != nil {
+				t.Fatal(err)
+			}
+			return stats, inc.Export()
+		}
+		wantStats, wantExport := fold(1)
+		for _, shards := range []int{2, 8} {
+			stats, export := fold(shards)
+			if !reflect.DeepEqual(wantStats, stats) {
+				t.Fatalf("sketches=%v shards=%d: hour stats diverged:\n one plane %+v\n absorbed  %+v",
+					sketches, shards, wantStats, stats)
+			}
+			if !reflect.DeepEqual(wantExport, export) {
+				t.Fatalf("sketches=%v shards=%d: merged export diverged", sketches, shards)
+			}
 		}
 	}
 }

@@ -5,15 +5,17 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"iotscope/internal/flowtuple"
 	"iotscope/internal/wgen"
 )
 
-// feedHour pushes one complete hour file through a Window in batches of
-// batchLen records, returning the seal stats.
-func feedHour(t *testing.T, inc *Incremental, dir string, hour, batchLen int) WindowStats {
+// fillWindow opens a window on the hour and pushes the complete hour file
+// through it in batches of batchLen records.
+func fillWindow(t *testing.T, inc *Incremental, dir string, hour, batchLen int) *Window {
 	t.Helper()
 	w, err := inc.OpenWindow(hour)
 	if err != nil {
@@ -33,13 +35,18 @@ func feedHour(t *testing.T, inc *Incremental, dir string, hour, batchLen int) Wi
 			}
 		}
 		if err == io.EOF {
-			break
+			return w
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	st, err := w.Seal()
+}
+
+// feedHour fills a window and seals it, returning the seal stats.
+func feedHour(t *testing.T, inc *Incremental, dir string, hour, batchLen int) WindowStats {
+	t.Helper()
+	st, err := fillWindow(t, inc, dir, hour, batchLen).Seal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,6 +182,56 @@ func TestWindowGuards(t *testing.T) {
 	}
 	if !inc.Ingested(2) {
 		t.Fatal("sealed empty window not marked ingested")
+	}
+}
+
+// TestSealRefusesSettledHour: the guard OpenWindow applies is applied again
+// at the merge, because an hour can be settled while a window on it is
+// open. Two windows on hour 3 — and a window overtaken by an Ingest — must
+// merge once: the late Seal fails, the running state is untouched (not
+// overwritten, not doubled), and the refused scratch is back in the pool.
+func TestSealRefusesSettledHour(t *testing.T) {
+	dir, g := cleanDataset(t, 412, 5)
+	c := New(g.Inventory(), Options{})
+	inc, err := c.NewIncremental(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One P and no GC make the pool exact; see TestWindowAbortRecyclesScratch.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	first, second, overtaken := fillWindow(t, inc, dir, 3, 512), fillWindow(t, inc, dir, 3, 512), fillWindow(t, inc, dir, 4, 512)
+	if _, err := inc.Ingest(context.Background(), dir, 4); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := first.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	want := inc.Export()
+	allocs := c.scratchAllocs.Load()
+	if _, err := second.Seal(); err == nil {
+		t.Error("second window on hour 3 sealed: the hour was merged twice")
+	}
+	if _, err := overtaken.Seal(); err == nil {
+		t.Error("window sealed over an hour Ingest had already merged")
+	}
+	// Four scratches are back in the pool (Ingest's, the merged window's, the
+	// two refused): four more windows construct nothing. Under the race
+	// detector sync.Pool drops entries by design, so the count only holds
+	// without it.
+	for _, hour := range []int{0, 1, 2, 0} {
+		w, err := inc.OpenWindow(hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Abort()
+	}
+	if grew := c.scratchAllocs.Load() - allocs; grew != 0 && !raceEnabled {
+		t.Errorf("refused seals leaked %d scratch(es) from the pool", grew)
+	}
+	if !reflect.DeepEqual(want, inc.Export()) {
+		t.Error("a refused seal changed the running state")
 	}
 }
 
