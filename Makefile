@@ -5,12 +5,13 @@ GO ?= go
 # its admission-control layer), the serving lifecycle binary, the staged
 # pipeline engine with its parallel composite, the cmd wiring that drives
 # it, the atomic file writer raced against readers, the result store
-# codec behind checkpoint/resume, and the notification pipeline (outbound
-# queue drain, contact resolver shared across stages), and the streaming
-# collector (tailer goroutine, bounded event channel, alert hub fan-out).
+# codec behind checkpoint/resume and the durable-write primitive under it,
+# the notification pipeline (outbound queue drain, contact resolver shared
+# across stages), and the streaming collector (tailer goroutine, bounded
+# event channel, alert hub fan-out).
 RACE_PKGS = ./internal/correlate ./internal/flowtuple ./internal/apiserve \
 	./internal/resilience ./internal/pipeline ./internal/core \
-	./internal/resultstore ./internal/faultfs \
+	./internal/resultstore ./internal/wal ./internal/faultfs \
 	./internal/outqueue ./internal/abusecontact ./internal/stream \
 	./cmd/iotwatch ./cmd/iotserve ./cmd/iotinfer ./cmd/iotreport \
 	./cmd/iotnotify
@@ -39,7 +40,8 @@ race:
 # Bounded local fuzz budget for the binary decoders and the resolution
 # chain: the flowtuple reader, the result store codec, the outbound-queue
 # segment codec, the contact-resolver fault matrix, the registry's
-# prefix-lookup boundaries, and the scenario config codec (JSON + TOML).
+# prefix-lookup boundaries, the scenario config codec, and the wal frame
+# walker (sealed container and open tail).
 fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=30s ./internal/flowtuple
 	$(GO) test -fuzz=FuzzResultStore -fuzztime=30s ./internal/resultstore
@@ -47,6 +49,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzResolve -fuzztime=15s ./internal/abusecontact
 	$(GO) test -fuzz=FuzzLookup -fuzztime=15s ./internal/geo
 	$(GO) test -fuzz=FuzzScenarioDecode -fuzztime=30s ./internal/wgen
+	$(GO) test -fuzz=FuzzFrames -fuzztime=30s ./internal/wal
 
 # Regenerate the bundled scenario files from their programmatic
 # definitions (TestBundledFilesAreCanonical pins the output).
@@ -57,10 +60,11 @@ scenarios:
 # corrupt-dataset reload, SIGTERM drain) plus HTTP admission-control and
 # slow-client shedding, plus the streaming collector killed mid-seal and
 # restarted (byte-identical checkpoint, exactly-once alerts) and killed at
-# every write, fsync and rename of its checkpoint commits, all
-# race-detector clean.
+# every write, fsync and rename of its checkpoint commits and journal
+# appends, plus the notification queue killed at every one of its segment
+# commits and delivery-log appends, all race-detector clean.
 chaos:
-	$(GO) test -race -run 'TestChaos' ./cmd/iotserve ./internal/apiserve ./internal/stream
+	$(GO) test -race -run 'TestChaos' ./cmd/iotserve ./internal/apiserve ./internal/stream ./internal/outqueue
 
 # Hot-path acceptance benchmarks, recorded as a committed benchstat-
 # comparable JSON file (see docs/PERFORMANCE.md). Compare two runs with:

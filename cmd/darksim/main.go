@@ -1,7 +1,7 @@
 // Command darksim synthesizes a complete telescope dataset: the hourly
 // flowtuple capture, the IoT inventory, and the threat-intelligence and
 // malware databases. The workload comes from a declarative scenario — a
-// bundled one by name, or an external JSON/TOML file — and every dataset is
+// bundled one by name, or an external JSON file — and every dataset is
 // stamped with a run manifest recording its exact provenance.
 //
 // Usage:
@@ -33,7 +33,7 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("darksim", flag.ContinueOnError)
 	var (
 		out     = fs.String("out", "", "output dataset directory (required)")
-		scn     = fs.String("scenario", scenario.DefaultName, "bundled scenario name[@version], or a path to a .json/.toml scenario file")
+		scn     = fs.String("scenario", scenario.DefaultName, "bundled scenario name[@version], or a path to a .json scenario file")
 		scale   = fs.Float64("scale", 0.02, "population/volume scale, in (0, 1] (1.0 = paper magnitudes)")
 		seed    = fs.Uint64("seed", 1, "master seed")
 		hours   = fs.Int("hours", 0, "override the scenario's hour window (0 keeps it)")

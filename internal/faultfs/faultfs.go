@@ -278,7 +278,7 @@ var ErrInjected = errors.New("faultfs: injected I/O failure")
 // from 1 (K == 0 never fails, and just counts). A failed write is torn:
 // half the buffer reaches the file first. With Crash set the failure is
 // the process dying at that operation: every later operation fails too,
-// writing nothing, until Reboot. Its methods match resultstore.FS.
+// writing nothing, until Reboot. Its methods match wal.FS.
 type Injector struct {
 	Op    string
 	K     int

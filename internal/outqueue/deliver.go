@@ -1,17 +1,18 @@
 package outqueue
 
 import (
-	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"os"
+	"strconv"
 	"strings"
 	"sync"
 
 	"iotscope/internal/pipeline"
 	"iotscope/internal/resilience"
+	"iotscope/internal/wal"
 )
 
 // Sink is the pluggable delivery backend — the stand-in for an SMTP
@@ -79,45 +80,58 @@ func renderEntry(item Item) string {
 	if !strings.HasSuffix(item.Body, "\n") {
 		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "=== end report id=%d\n", item.ID)
+	fmt.Fprintf(&b, "%s%d\n", endMarker, item.ID)
 	return b.String()
 }
 
+// endMarker opens an entry's last line; the item ID and a newline close it.
+const endMarker = "=== end report id="
+
 // FileSink appends delivered notifications to a file, one fsync'd write per
-// delivery. It is idempotent under redelivery: on open it scans the file
-// for already-delivered item IDs and silently acknowledges repeats, so the
-// queue's at-least-once drain (a crash between sink write and state commit
-// redelivers one item) still yields an exactly-once delivery log.
+// delivery (a wal.Appender). It is idempotent under redelivery: on open it
+// scans the file for already-delivered item IDs and silently acknowledges
+// repeats, so the queue's at-least-once drain (a crash between sink write
+// and state commit redelivers one item) still yields an exactly-once
+// delivery log. An entry counts as delivered only once its end marker line
+// is complete; whatever follows the last complete one is a torn delivery
+// and is truncated away, so its redelivery starts on a clean line.
 type FileSink struct {
 	mu        sync.Mutex
-	f         *os.File
+	log       *wal.Appender
 	delivered map[uint64]bool
 }
 
 // NewFileSink opens (or creates) the delivery log at path.
-func NewFileSink(path string) (*FileSink, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	s := &FileSink{f: f, delivered: make(map[uint64]bool)}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	for sc.Scan() {
-		var id uint64
-		if _, err := fmt.Sscanf(sc.Text(), "=== end report id=%d", &id); err == nil {
-			s.delivered[id] = true
-		}
-	}
-	if err := sc.Err(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
+func NewFileSink(path string) (*FileSink, error) { return newFileSink(nil, path) }
+
+// newFileSink is NewFileSink over an injectable file system (crash tests).
+func newFileSink(fsys wal.FS, path string) (*FileSink, error) {
+	s := &FileSink{delivered: make(map[uint64]bool)}
+	var err error
+	if s.log, err = wal.OpenAppend(fsys, path, s.scan); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// scan records every complete entry's ID and reports where the last one
+// ends.
+func (s *FileSink) scan(data []byte) (int, error) {
+	keep := 0
+	for off := 0; ; {
+		nl := bytes.IndexByte(data[off:], '\n')
+		if nl < 0 {
+			return keep, nil
+		}
+		line := data[off : off+nl]
+		off += nl + 1
+		if num, ok := bytes.CutPrefix(line, []byte(endMarker)); ok {
+			if id, err := strconv.ParseUint(string(num), 10, 64); err == nil {
+				s.delivered[id] = true
+				keep = off
+			}
+		}
+	}
 }
 
 // Deliver appends the item unless its ID is already on file.
@@ -130,10 +144,7 @@ func (s *FileSink) Deliver(ctx context.Context, item Item) error {
 	if s.delivered[item.ID] {
 		return nil
 	}
-	if _, err := s.f.WriteString(renderEntry(item)); err != nil {
-		return err
-	}
-	if err := s.f.Sync(); err != nil {
+	if err := s.log.Append([]byte(renderEntry(item))); err != nil {
 		return err
 	}
 	s.delivered[item.ID] = true
@@ -148,7 +159,7 @@ func (s *FileSink) Delivered() int {
 }
 
 // Close closes the underlying file.
-func (s *FileSink) Close() error { return s.f.Close() }
+func (s *FileSink) Close() error { return s.log.Close() }
 
 // FlakySink is the chaos sink for tests: each item fails its first
 // FailFirst attempts with a retryable error, and items whose dedup key

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"iotscope/internal/faultfs"
 	"iotscope/internal/pipeline"
 	"iotscope/internal/resilience"
 )
@@ -246,6 +247,129 @@ func TestFileSinkIdempotent(t *testing.T) {
 		marker := fmt.Sprintf("=== end report id=%d\n", id)
 		if got := bytes.Count(data, []byte(marker)); got != 1 {
 			t.Fatalf("item %d delivered %d times", id, got)
+		}
+	}
+
+	// The crash the log itself can suffer: a delivery cut at every byte of
+	// its entry. Only an entry whose end marker line is complete counts —
+	// item 12's marker cut to "id=1" must not acknowledge item 1 — and the
+	// torn tail is gone before the redelivery lands, so the log ends up
+	// byte-identical to one that never tore: one header per delivered id.
+	first := Item{ID: 1, Notification: note("a", 0)}
+	done := Item{ID: 3, Notification: note("c", 0)}
+	last := Item{ID: 12, Notification: note("l", 0)}
+	want := renderEntry(done) + renderEntry(first) + renderEntry(last)
+	entry := renderEntry(last)
+	for cut := 0; cut < len(entry); cut++ {
+		torn := filepath.Join(dir, fmt.Sprintf("torn-%d.txt", cut))
+		if err := os.WriteFile(torn, []byte(renderEntry(done)+entry[:cut]), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewFileSink(torn)
+		if err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		if s.Delivered() != 1 || !s.delivered[done.ID] {
+			t.Fatalf("cut at %d (%q): acknowledged %v, want only item %d", cut, entry[:cut], s.delivered, done.ID)
+		}
+		for _, it := range []Item{first, done, last} {
+			if err := s.Deliver(context.Background(), it); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Close()
+		got, err := os.ReadFile(torn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want {
+			t.Fatalf("cut at %d: log is\n%s\nwant\n%s", cut, got, want)
+		}
+	}
+}
+
+// TestChaosQueueCrashPoints enumerates the crash points of the notification
+// path's two durable writers, the queue's segment commits and the delivery
+// log's appends, both on the one injected file system: for every write,
+// fsync and rename of enqueue → drain into a FileSink, a run in which the
+// process dies at exactly that operation (the write torn half way,
+// everything after it failing), then reboots, reopens both and finishes,
+// must reach the uncrashed run's queue state with every sent item in the
+// delivery log exactly once.
+func TestChaosQueueCrashPoints(t *testing.T) {
+	notes := []Notification{note("a", 0), note("b", 0), note("a", 1), note("c", 2)} // the third is suppressed
+	run := func(in *faultfs.Injector) (fingerprint, delivered []byte) {
+		t.Helper()
+		dir := t.TempDir()
+		logPath := filepath.Join(dir, "delivered.txt")
+		// process is one process lifetime: open both, enqueue unless an
+		// earlier life already did, drain.
+		process := func() error {
+			q, err := Open(filepath.Join(dir, "q"))
+			if err != nil {
+				return err
+			}
+			q.fsys = in
+			sink, err := newFileSink(in, logPath)
+			if err != nil {
+				return err
+			}
+			defer sink.Close()
+			if len(q.Items()) == 0 {
+				if _, _, err := q.Enqueue(notes...); err != nil {
+					return err
+				}
+			}
+			_, err = q.Drain(context.Background(), sink, DrainOptions{})
+			return err
+		}
+		if err := process(); err != nil {
+			if !errors.Is(err, faultfs.ErrInjected) || !in.Dead() {
+				t.Fatalf("%s #%d: %v", in.Op, in.K, err)
+			}
+			in.Reboot()
+			if err := process(); err != nil {
+				t.Fatalf("%s #%d: after the reboot: %v", in.Op, in.K, err)
+			}
+		}
+		q, err := Open(filepath.Join(dir, "q"))
+		if err != nil {
+			t.Fatalf("%s #%d: %v", in.Op, in.K, err)
+		}
+		if st := q.Stats(); st.Sent != 3 || st.Suppressed != 1 || st.Pending+st.Failed != 0 {
+			t.Fatalf("%s #%d: %+v", in.Op, in.K, st)
+		}
+		delivered, err = os.ReadFile(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q.Fingerprint(), delivered
+	}
+
+	clean := &faultfs.Injector{}
+	wantFP, wantLog := run(clean)
+	for _, id := range []uint64{1, 2, 4} {
+		if got := bytes.Count(wantLog, []byte(fmt.Sprintf("=== report id=%d ", id))); got != 1 {
+			t.Fatalf("clean run delivered item %d %d times", id, got)
+		}
+	}
+	for _, op := range []string{"write", "sync", "rename"} {
+		n := clean.Count(op)
+		if n == 0 {
+			t.Fatalf("clean run made no %s", op)
+		}
+		for k := 1; k <= n; k++ {
+			in := &faultfs.Injector{Op: op, K: k, Crash: true}
+			fp, log := run(in)
+			if !in.Tripped() {
+				t.Fatalf("%s #%d never fired", op, k)
+			}
+			if !bytes.Equal(fp, wantFP) {
+				t.Fatalf("%s #%d: queue state diverged from the uncrashed run", op, k)
+			}
+			if !bytes.Equal(log, wantLog) {
+				t.Fatalf("%s #%d: delivery log is\n%s\nwant\n%s", op, k, log, wantLog)
+			}
 		}
 	}
 }

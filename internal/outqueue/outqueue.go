@@ -4,24 +4,20 @@
 // delivery sink with their state (pending/sent/failed/suppressed) surviving
 // any crash.
 //
-// Durability follows the resultstore discipline. The queue directory holds
-// a contiguous run of immutable segment files, seg-00000001.oq onward; each
-// mutation batch (an enqueue call, a single delivery-state transition)
-// becomes one new segment written atomically (`.tmp` + fsync + rename), so
-// a reader never observes a half-written segment and a killed process
-// loses at most the mutation it had not yet committed. Re-opening the
-// directory replays the segments in order through the same apply path the
-// live queue uses, reconstructing byte-identical state.
-//
-// Segment layout (all integers little-endian):
+// The queue directory holds a contiguous run of immutable segment files,
+// seg-00000001.oq onward; each mutation batch (an enqueue call, a single
+// delivery-state transition) becomes one new segment, a wal sealed container
+// written by wal.WriteAtomic, so a reader never observes a half-written
+// segment and a killed process loses at most the mutation it had not yet
+// committed. Re-opening the directory replays the segments in order through
+// the same apply path the live queue uses, reconstructing byte-identical
+// state. The frame, the footer, the atomic replace and the fault taxonomy —
+// ErrTruncated (retryable) wraps ErrBadFormat (permanent) — are
+// internal/wal's, stated once in docs/SNAPSHOTS.md §Durability; this package
+// owns the header and the record payloads (all integers little-endian):
 //
 //	header  "IOQS" | version u8 | reserved u8 | reserved u16=0 | seq u32
-//	record  kind u8 | payloadLen u32 | crc32(payload) u32 | payload
-//	footer  kind 0 | recordCount u32 | crc32(concatenated record CRCs) u32
-//
-// followed by mandatory EOF. The fault taxonomy mirrors resultstore's:
-// ErrTruncated (the segment ends early — retryable) wraps ErrBadFormat
-// (structural corruption — permanent), and fs.ErrNotExist passes through.
+//	record  frame tags 1 enqueue, 2 state, 3 suppress
 //
 // Deduplication is event-time based: the first accepted report for a dedup
 // key suppresses repeats for 24 hours of event time, and every further
@@ -34,13 +30,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+
+	"iotscope/internal/wal"
 )
 
 const (
@@ -57,21 +54,21 @@ const (
 
 const headerLen = 4 + 1 + 1 + 2 + 4
 
-// Record kinds.
+// Record kinds (0 is wal's footer).
 const (
-	recFooter   = 0
 	recEnqueue  = 1
 	recState    = 2
 	recSuppress = 3
 )
 
 // ErrBadFormat indicates a corrupt or foreign segment file, or a replay
-// that contradicts the queue's invariants. Permanent.
-var ErrBadFormat = errors.New("outqueue: bad segment format")
-
-// ErrTruncated indicates a segment that ends before its footer: intact as
-// far as it goes but incomplete. It wraps ErrBadFormat.
-var ErrTruncated = fmt.Errorf("outqueue: truncated: %w", ErrBadFormat)
+// that contradicts the queue's invariants (permanent); ErrTruncated, which
+// wraps it, a segment that ends before its footer. They are wal's errors
+// under the names this package's callers match.
+var (
+	ErrBadFormat = wal.ErrBadFormat
+	ErrTruncated = wal.ErrTruncated
+)
 
 // IsRetryable reports whether an Open failure may resolve on its own: a
 // truncated segment (a producer may still be writing on a non-atomic
@@ -174,6 +171,9 @@ type Stats struct {
 // becomes visible in memory.
 type Queue struct {
 	dir string
+	// fsys, when set by a test after Open, replaces the file system under
+	// segment commits (internal/faultfs fails its k-th operation).
+	fsys wal.FS
 
 	mu      sync.Mutex
 	items   []*Item // items[i].ID == i+1
@@ -378,7 +378,7 @@ func (q *Queue) markState(id uint64, s State, attempts int, detail string) error
 func (q *Queue) commit(recs []record) error {
 	data := encodeSegment(q.nextSeq, recs)
 	path := filepath.Join(q.dir, segName(q.nextSeq))
-	if err := writeAtomic(path, data); err != nil {
+	if err := wal.WriteAtomic(q.fsys, path, data); err != nil {
 		return err
 	}
 	q.nextSeq++
@@ -510,37 +510,37 @@ func (q *Queue) Stats() Stats {
 func (q *Queue) Fingerprint() []byte {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	var e enc
-	e.u32(uint32(len(q.items)))
+	var e wal.Enc
+	e.U32(uint32(len(q.items)))
 	for _, it := range q.items {
-		e.u64(it.ID)
-		e.u8(uint8(it.State))
-		e.u32(uint32(it.Attempts))
-		e.str(it.Detail)
-		e.str(it.DedupKey)
-		e.str(it.Contact)
-		e.str(it.Tier)
-		e.str(it.Subject)
-		e.str(it.Body)
-		e.u32(uint32(it.EventHour))
-		e.u32(uint32(it.Devices))
-		e.u64(it.Packets)
+		e.U64(it.ID)
+		e.U8(uint8(it.State))
+		e.U32(uint32(it.Attempts))
+		e.Str(it.Detail)
+		e.Str(it.DedupKey)
+		e.Str(it.Contact)
+		e.Str(it.Tier)
+		e.Str(it.Subject)
+		e.Str(it.Body)
+		e.U32(uint32(it.EventHour))
+		e.U32(uint32(it.Devices))
+		e.U64(it.Packets)
 	}
 	keys := make([]string, 0, len(q.keys))
 	for k := range q.keys {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	e.u32(uint32(len(keys)))
+	e.U32(uint32(len(keys)))
 	for _, k := range keys {
 		ks := q.keys[k]
-		e.str(k)
-		e.u32(uint32(ks.Reports))
-		e.u32(uint32(ks.Suppressed))
-		e.u32(uint32(ks.LastHour))
-		e.u32(uint32(ks.WindowHours))
+		e.Str(k)
+		e.U32(uint32(ks.Reports))
+		e.U32(uint32(ks.Suppressed))
+		e.U32(uint32(ks.LastHour))
+		e.U32(uint32(ks.WindowHours))
 	}
-	return e.b
+	return e.B
 }
 
 // ---- codec ----
@@ -551,57 +551,39 @@ type record struct {
 	item Item
 }
 
-type enc struct{ b []byte }
-
-func (e *enc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *enc) u16(v uint16) { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
-func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *enc) str(s string) { e.u32(uint32(len(s))); e.b = append(e.b, s...) }
-
 func encodeSegment(seq uint32, recs []record) []byte {
-	var out enc
-	out.b = append(out.b, magic...)
-	out.u8(Version)
-	out.u8(0)
-	out.u16(0)
-	out.u32(seq)
-
-	var crcs []byte
+	var out wal.Enc
+	out.Raw([]byte(magic))
+	out.U8(Version)
+	out.U8(0)
+	out.U16(0)
+	out.U32(seq)
 	for _, r := range recs {
-		var p enc
+		var p wal.Enc
 		switch r.kind {
 		case recEnqueue:
-			p.u64(r.item.ID)
-			p.u32(uint32(r.item.EventHour))
-			p.u32(uint32(r.item.Devices))
-			p.u64(r.item.Packets)
-			p.str(r.item.DedupKey)
-			p.str(r.item.Contact)
-			p.str(r.item.Tier)
-			p.str(r.item.Subject)
-			p.str(r.item.Body)
+			p.U64(r.item.ID)
+			p.U32(uint32(r.item.EventHour))
+			p.U32(uint32(r.item.Devices))
+			p.U64(r.item.Packets)
+			p.Str(r.item.DedupKey)
+			p.Str(r.item.Contact)
+			p.Str(r.item.Tier)
+			p.Str(r.item.Subject)
+			p.Str(r.item.Body)
 		case recSuppress:
-			p.u64(r.item.ID)
-			p.u32(uint32(r.item.EventHour))
-			p.str(r.item.DedupKey)
+			p.U64(r.item.ID)
+			p.U32(uint32(r.item.EventHour))
+			p.Str(r.item.DedupKey)
 		case recState:
-			p.u64(r.item.ID)
-			p.u8(uint8(r.item.State))
-			p.u32(uint32(r.item.Attempts))
-			p.str(r.item.Detail)
+			p.U64(r.item.ID)
+			p.U8(uint8(r.item.State))
+			p.U32(uint32(r.item.Attempts))
+			p.Str(r.item.Detail)
 		}
-		sum := crc32.ChecksumIEEE(p.b)
-		out.u8(r.kind)
-		out.u32(uint32(len(p.b)))
-		out.u32(sum)
-		out.b = append(out.b, p.b...)
-		crcs = binary.LittleEndian.AppendUint32(crcs, sum)
+		out.B = wal.AppendFrame(out.B, r.kind, p.B)
 	}
-	out.u8(recFooter)
-	out.u32(uint32(len(recs)))
-	out.u32(crc32.ChecksumIEEE(crcs))
-	return out.b
+	return wal.Seal(out.B, headerLen)
 }
 
 // decodeSegment parses and fully validates one segment image. Every CRC,
@@ -609,13 +591,13 @@ func encodeSegment(seq uint32, recs []record) []byte {
 // any record is returned.
 func decodeSegment(data []byte, wantSeq uint32) ([]record, error) {
 	if len(data) < len(magic) {
-		return nil, fmt.Errorf("%w: short header", ErrTruncated)
+		return nil, fmt.Errorf("outqueue: %w: short header", ErrTruncated)
 	}
 	if string(data[:len(magic)]) != magic {
 		return nil, badf("bad magic %q", data[:len(magic)])
 	}
 	if len(data) < headerLen {
-		return nil, fmt.Errorf("%w: short header", ErrTruncated)
+		return nil, fmt.Errorf("outqueue: %w: short header", ErrTruncated)
 	}
 	version := data[4]
 	if version == 0 || int(version) > Version {
@@ -628,183 +610,47 @@ func decodeSegment(data []byte, wantSeq uint32) ([]record, error) {
 	if wantSeq != 0 && seq != wantSeq {
 		return nil, badf("segment claims seq %d, file name says %d", seq, wantSeq)
 	}
-
-	var (
-		recs []record
-		crcs []byte
-		off  = headerLen
-	)
-	for {
-		if off >= len(data) {
-			return nil, fmt.Errorf("%w: missing footer", ErrTruncated)
-		}
-		kind := data[off]
-		off++
-		if kind == recFooter {
-			if len(data)-off < 8 {
-				return nil, fmt.Errorf("%w: short footer", ErrTruncated)
-			}
-			count := binary.LittleEndian.Uint32(data[off:])
-			digest := binary.LittleEndian.Uint32(data[off+4:])
-			off += 8
-			if int(count) != len(recs) {
-				return nil, badf("footer counts %d records, read %d", count, len(recs))
-			}
-			if digest != crc32.ChecksumIEEE(crcs) {
-				return nil, badf("footer digest mismatch")
-			}
-			if off != len(data) {
-				return nil, badf("%d trailing bytes after footer", len(data)-off)
-			}
-			return recs, nil
-		}
-		if kind > recSuppress {
-			return nil, badf("unknown record kind %d", kind)
-		}
-		if len(data)-off < 8 {
-			return nil, fmt.Errorf("%w: short record header", ErrTruncated)
-		}
-		plen := binary.LittleEndian.Uint32(data[off:])
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		off += 8
-		if len(data)-off < int(plen) {
-			return nil, fmt.Errorf("%w: record body cut short", ErrTruncated)
-		}
-		payload := data[off : off+int(plen)]
-		off += int(plen)
-		if crc32.ChecksumIEEE(payload) != sum {
-			return nil, badf("record checksum mismatch")
-		}
-		r, err := parseRecord(kind, payload)
+	frames, rest, err := wal.Unseal(data, headerLen, recSuppress)
+	if err != nil {
+		return nil, fmt.Errorf("outqueue: %w", err)
+	}
+	if len(rest) != 0 {
+		return nil, badf("%d trailing bytes after footer", len(rest))
+	}
+	var recs []record
+	for _, f := range frames {
+		r, err := parseRecord(f.Tag, f.Payload)
 		if err != nil {
 			return nil, err
 		}
 		recs = append(recs, r)
-		crcs = binary.LittleEndian.AppendUint32(crcs, sum)
 	}
-}
-
-type dec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *dec) need(n int) bool {
-	if d.err != nil {
-		return false
-	}
-	if len(d.b)-d.off < n {
-		d.err = errors.New("short record")
-		return false
-	}
-	return true
-}
-
-func (d *dec) u8() uint8 {
-	if !d.need(1) {
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *dec) u32() uint32 {
-	if !d.need(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *dec) u64() uint64 {
-	if !d.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *dec) str() string {
-	n := int(d.u32())
-	if !d.need(n) {
-		return ""
-	}
-	v := string(d.b[d.off : d.off+n])
-	d.off += n
-	return v
-}
-
-// finish validates exact consumption: a CRC-valid record that underflows or
-// leaves bytes behind is structurally damaged, never truncation.
-func (d *dec) finish(what string) error {
-	if d.err != nil {
-		return badf("%s record underflows", what)
-	}
-	if d.off != len(d.b) {
-		return badf("%s record has %d leftover bytes", what, len(d.b)-d.off)
-	}
-	return nil
+	return recs, nil
 }
 
 func parseRecord(kind uint8, payload []byte) (record, error) {
-	d := &dec{b: payload}
+	d := &wal.Dec{B: payload}
 	r := record{kind: kind}
 	switch kind {
 	case recEnqueue:
-		r.item.ID = d.u64()
-		r.item.EventHour = int(d.u32())
-		r.item.Devices = int(d.u32())
-		r.item.Packets = d.u64()
-		r.item.DedupKey = d.str()
-		r.item.Contact = d.str()
-		r.item.Tier = d.str()
-		r.item.Subject = d.str()
-		r.item.Body = d.str()
-		if err := d.finish("enqueue"); err != nil {
-			return record{}, err
-		}
+		r.item.ID = d.U64()
+		r.item.EventHour = int(d.U32())
+		r.item.Devices = int(d.U32())
+		r.item.Packets = d.U64()
+		r.item.DedupKey = d.Str()
+		r.item.Contact = d.Str()
+		r.item.Tier = d.Str()
+		r.item.Subject = d.Str()
+		r.item.Body = d.Str()
 	case recSuppress:
-		r.item.ID = d.u64()
-		r.item.EventHour = int(d.u32())
-		r.item.DedupKey = d.str()
-		if err := d.finish("suppress"); err != nil {
-			return record{}, err
-		}
+		r.item.ID = d.U64()
+		r.item.EventHour = int(d.U32())
+		r.item.DedupKey = d.Str()
 	case recState:
-		r.item.ID = d.u64()
-		r.item.State = State(d.u8())
-		r.item.Attempts = int(d.u32())
-		r.item.Detail = d.str()
-		if err := d.finish("state"); err != nil {
-			return record{}, err
-		}
+		r.item.ID = d.U64()
+		r.item.State = State(d.U8())
+		r.item.Attempts = int(d.U32())
+		r.item.Detail = d.Str()
 	}
-	return r, nil
-}
-
-func writeAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return r, d.Finish("record")
 }

@@ -238,6 +238,38 @@ func TestCheckpointV1FixtureRestoresAndUpgrades(t *testing.T) {
 	}
 }
 
+// A committed checkpoint in the current format, written by the commit before
+// internal/wal existed, pins it: base + two delta frames load, restore to the
+// state a fresh ingest of the same hours reaches, and re-encode — base, then
+// each frame — to the committed bytes.
+func TestCheckpointV2FixtureRestoresAndReencodes(t *testing.T) {
+	// testdata/checkpoint-v2.irs: makeDataset(87, 5), hours 0-2 committed
+	// one by one through a CheckpointLog.
+	fx := newLogFixture(t, 87, 5)
+	fixture, err := os.ReadFile(filepath.Join("testdata", "checkpoint-v2.irs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cp, info, err := decode(fixture, KindCheckpoint)
+	if err != nil || info.Version != CheckpointVersion || info.Frames != 2 || info.TornBytes != 0 {
+		t.Fatalf("fixture info %+v, %v", info, err)
+	}
+	if !bytes.Equal(withFrames(encode(KindCheckpoint, cp.Result, cp), cp.Deltas), fixture) {
+		t.Fatal("fixture does not re-encode to its committed bytes")
+	}
+	resumed, err := fx.c.RestoreIncremental(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fx.fresh(t)
+	for h := 0; h < 3; h++ {
+		fx.ingest(t, want, h)
+	}
+	if !bytes.Equal(canonical(resumed), canonical(want)) {
+		t.Fatal("v2 checkpoint restored to a different state than a fresh ingest")
+	}
+}
+
 // Every failure the log can meet — the k-th write torn, the k-th fsync or
 // rename refused, for every k of a 12-hour run — costs at most that one
 // commit: the file on disk always restores to a prefix of the run, the

@@ -2,32 +2,21 @@
 // CRC-guarded binary artifact — the durable form of a correlate.Result
 // (snapshot) or a correlate.CheckpointExport (incremental checkpoint).
 //
-// The format mirrors the flowtuple hour-file discipline: a magic/version
-// header, per-section framing with independent CRC32 guards, a footer that
-// commits the section count and a digest over the section checksums, and
-// atomic `.tmp`+rename writes so a reader never observes a half-written
-// store. The fault taxonomy mirrors flowtuple's too: ErrTruncated (the file
-// ends early — possibly still being written, retryable) wraps ErrBadFormat
-// (structural corruption, permanent), and fs.ErrNotExist passes through,
-// so one IsRetryable covers the producer-not-done-yet cases.
-//
-// File layout (all integers little-endian):
+// A store is a wal sealed container — header, one frame per section, footer,
+// written by wal.WriteAtomic — and a version-2 checkpoint is that container
+// followed by an open tail of delta frames, one per commit since the base was
+// written (frame.go, CheckpointLog). The frame, the footer, the atomic
+// replace and the torn-tail rule are internal/wal's and are stated once, in
+// docs/SNAPSHOTS.md §Durability; this package owns the header and the
+// payloads (all integers little-endian):
 //
 //	header   "IRST" | version u8 | kind u8 | reserved u16=0 | hours u32 | reserved u32=0
-//	section  tag u8 | payloadLen u32 | crc32(payload) u32 | payload
-//	footer   tag 0 | sectionCount u32 | crc32(concatenated section CRCs) u32
+//	section  frame tags 1-8, each at most once; 9 is a delta frame
 //
-// followed by mandatory EOF — except in a version-2 checkpoint, where the
-// footer closes the base and zero or more delta frames follow, one per
-// commit since the base was written (see frame.go and CheckpointLog):
-//
-//	frame    tag 9 | payloadLen u32 | crc32(payload) u32 | payload
-//
-// Unknown tags, duplicate sections, CRC or count mismatches, reserved bits
-// set, and trailing bytes are all ErrBadFormat; a clean end-of-data inside a
-// section is ErrTruncated. A torn or CRC-bad last frame is not an error: an
-// append that never finished is dropped, and the hour it held is simply not
-// yet sealed.
+// The fault taxonomy is wal's: ErrTruncated (the file ends early — possibly
+// still being written, retryable) wraps ErrBadFormat (structural corruption,
+// permanent), and fs.ErrNotExist passes through, so one IsRetryable covers
+// the producer-not-done-yet cases.
 package resultstore
 
 import (
@@ -40,6 +29,7 @@ import (
 
 	"iotscope/internal/classify"
 	"iotscope/internal/correlate"
+	"iotscope/internal/wal"
 )
 
 const (
@@ -73,14 +63,14 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// ErrBadFormat indicates a corrupt, truncated, or foreign store file.
-var ErrBadFormat = errors.New("resultstore: bad store format")
-
-// ErrTruncated indicates a file that ends before its footer: intact as far
-// as it goes but incomplete — against a non-atomic producer, the signature
-// of a store still being written. It wraps ErrBadFormat, so
-// errors.Is(err, ErrBadFormat) still holds.
-var ErrTruncated = fmt.Errorf("resultstore: truncated: %w", ErrBadFormat)
+// ErrBadFormat indicates a corrupt, truncated, or foreign store file, and
+// ErrTruncated (which wraps it) one that ends before its footer — against a
+// non-atomic producer, the signature of a store still being written. They
+// are wal's errors under the names this package's callers match.
+var (
+	ErrBadFormat = wal.ErrBadFormat
+	ErrTruncated = wal.ErrTruncated
+)
 
 // IsRetryable reports whether a load failure may resolve on its own: the
 // store ends early (a producer may still be writing it) or does not exist
@@ -93,9 +83,8 @@ func badf(format string, args ...any) error {
 	return fmt.Errorf("resultstore: "+format+": %w", append(args, ErrBadFormat)...)
 }
 
-// Section tags.
+// Section tags (0 is wal's footer).
 const (
-	secFooter     = 0
 	secMeta       = 1
 	secHourly     = 2
 	secDevices    = 3
@@ -132,7 +121,7 @@ func WriteResult(path string, res *correlate.Result) error {
 	if res == nil {
 		return errors.New("resultstore: nil result")
 	}
-	return writeAtomic(osFS{}, path, encode(KindResult, res.Export(), nil))
+	return wal.WriteAtomic(nil, path, encode(KindResult, res.Export(), nil))
 }
 
 // ReadResult decodes a KindResult store and rebuilds the live Result.
@@ -162,7 +151,7 @@ func WriteCheckpoint(path string, cp *correlate.CheckpointExport) error {
 	if cp == nil || cp.Result == nil {
 		return errors.New("resultstore: nil checkpoint")
 	}
-	return writeAtomic(osFS{}, path, encode(KindCheckpoint, cp.Result, cp))
+	return wal.WriteAtomic(nil, path, encode(KindCheckpoint, cp.Result, cp))
 }
 
 // ReadCheckpoint decodes a KindCheckpoint store: the base, with the delta
@@ -210,40 +199,32 @@ func Verify(path string) (Info, error) {
 
 // ---- encoding ----
 
-type enc struct{ b []byte }
+// The put/get pairs below are this package's domain rows on wal's cursors.
 
-func (e *enc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *enc) u16(v uint16) { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
-func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *enc) raw(p []byte) { e.b = append(e.b, p...) }
-func (e *enc) str(s string) { e.u32(uint32(len(s))); e.b = append(e.b, s...) }
-func (e *enc) uv(v uint64)  { e.b = binary.AppendUvarint(e.b, v) }
-
-func (e *enc) hourStats(h *correlate.HourStats) {
-	e.u32(uint32(h.Hour))
-	e.u64(h.RecordsIoT)
+func putHourStats(e *wal.Enc, h *correlate.HourStats) {
+	e.U32(uint32(h.Hour))
+	e.U64(h.RecordsIoT)
 	for ci := range h.PerCat {
 		c := &h.PerCat[ci]
 		for _, v := range c.Packets {
-			e.u64(v)
+			e.U64(v)
 		}
-		e.u32(uint32(c.ActiveDevices))
-		e.u64(c.UDPDstIPs)
-		e.u64(c.UDPDstPorts)
-		e.u32(uint32(c.UDPDevices))
-		e.u64(c.ScanDstIPs)
-		e.u64(c.ScanDstPorts)
-		e.u32(uint32(c.ScanDevices))
+		e.U32(uint32(c.ActiveDevices))
+		e.U64(c.UDPDstIPs)
+		e.U64(c.UDPDstPorts)
+		e.U32(uint32(c.UDPDevices))
+		e.U64(c.ScanDstIPs)
+		e.U64(c.ScanDstPorts)
+		e.U32(uint32(c.ScanDevices))
 	}
 }
 
-func (e *enc) faults(faults []correlate.FaultExport) {
-	e.u32(uint32(len(faults)))
+func putFaults(e *wal.Enc, faults []correlate.FaultExport) {
+	e.U32(uint32(len(faults)))
 	for i := range faults {
 		f := &faults[i]
-		e.u32(uint32(f.Hour))
-		e.u32(uint32(f.Attempts))
+		e.U32(uint32(f.Hour))
+		e.U32(uint32(f.Attempts))
 		var flags uint8
 		if f.Retryable {
 			flags |= 1
@@ -257,260 +238,156 @@ func (e *enc) faults(faults []correlate.FaultExport) {
 		if f.NotExist {
 			flags |= 8
 		}
-		e.u8(flags)
-		e.str(f.Message)
+		e.U8(flags)
+		e.Str(f.Message)
 	}
 }
 
-func (e *enc) hourList(hours []int32) {
-	e.u32(uint32(len(hours)))
+func putHourList(e *wal.Enc, hours []int32) {
+	e.U32(uint32(len(hours)))
 	for _, h := range hours {
-		e.u32(uint32(h))
+		e.U32(uint32(h))
 	}
 }
 
 func encode(kind Kind, re *correlate.ResultExport, cp *correlate.CheckpointExport) []byte {
-	var out enc
-	out.raw([]byte(magic))
+	var out wal.Enc
+	out.Raw([]byte(magic))
 	if kind == KindCheckpoint {
-		out.u8(CheckpointVersion)
+		out.U8(CheckpointVersion)
 	} else {
-		out.u8(Version)
+		out.U8(Version)
 	}
-	out.u8(uint8(kind))
-	out.u16(0)
-	out.u32(uint32(re.Hours))
-	out.u32(0)
+	out.U8(uint8(kind))
+	out.U16(0)
+	out.U32(uint32(re.Hours))
+	out.U32(0)
 
-	var crcs []byte
-	sections := 0
-	section := func(tag uint8, fill func(p *enc)) {
-		var p enc
+	section := func(tag uint8, fill func(p *wal.Enc)) {
+		var p wal.Enc
 		fill(&p)
-		sum := crc32.ChecksumIEEE(p.b)
-		out.u8(tag)
-		out.u32(uint32(len(p.b)))
-		out.u32(sum)
-		out.raw(p.b)
-		crcs = binary.LittleEndian.AppendUint32(crcs, sum)
-		sections++
+		out.B = wal.AppendFrame(out.B, tag, p.B)
 	}
 
-	section(secMeta, func(p *enc) {
-		p.u32(uint32(re.Hours))
-		p.u8(uint8(classify.NumClasses))
-		p.u64(re.Background.Records)
-		p.u64(re.Background.Packets)
-		p.u64(re.Background.Sources)
-		p.u32(uint32(re.IngestOK))
-		p.u32(uint32(re.IngestRetried))
-		p.u32(uint32(re.IngestQuarantined))
+	section(secMeta, func(p *wal.Enc) {
+		p.U32(uint32(re.Hours))
+		p.U8(uint8(classify.NumClasses))
+		p.U64(re.Background.Records)
+		p.U64(re.Background.Packets)
+		p.U64(re.Background.Sources)
+		p.U32(uint32(re.IngestOK))
+		p.U32(uint32(re.IngestRetried))
+		p.U32(uint32(re.IngestQuarantined))
 	})
-	section(secHourly, func(p *enc) {
-		p.u32(uint32(len(re.Hourly)))
+	section(secHourly, func(p *wal.Enc) {
+		p.U32(uint32(len(re.Hourly)))
 		for i := range re.Hourly {
-			p.hourStats(&re.Hourly[i])
+			putHourStats(p, &re.Hourly[i])
 		}
 	})
-	section(secDevices, func(p *enc) {
-		p.u32(uint32(len(re.Devices)))
+	section(secDevices, func(p *wal.Enc) {
+		p.U32(uint32(len(re.Devices)))
 		for i := range re.Devices {
 			d := &re.Devices[i]
-			p.u32(uint32(d.ID))
-			p.u32(uint32(d.FirstSeen))
-			p.u64(d.Records)
+			p.U32(uint32(d.ID))
+			p.U32(uint32(d.FirstSeen))
+			p.U64(d.Records)
 			for _, v := range d.Packets {
-				p.u64(v)
+				p.U64(v)
 			}
-			p.u64(d.DayMask)
-			p.u32(uint32(d.MaxScanPorts))
-			p.u32(uint32(d.MaxScanPortsHour))
-			p.u32(uint32(d.MaxScanDests))
-			p.u32(uint32(len(d.Backscatter)))
+			p.U64(d.DayMask)
+			p.U32(uint32(d.MaxScanPorts))
+			p.U32(uint32(d.MaxScanPortsHour))
+			p.U32(uint32(d.MaxScanDests))
+			p.U32(uint32(len(d.Backscatter)))
 			for _, hc := range d.Backscatter {
-				p.u32(uint32(hc.Hour))
-				p.u64(hc.Count)
+				p.U32(uint32(hc.Hour))
+				p.U64(hc.Count)
 			}
 		}
 	})
-	section(secUDP, func(p *enc) {
-		p.u32(uint32(len(re.UDPPorts)))
+	section(secUDP, func(p *wal.Enc) {
+		p.U32(uint32(len(re.UDPPorts)))
 		for i := range re.UDPPorts {
 			a := &re.UDPPorts[i]
-			p.u16(a.Port)
-			p.u64(a.Packets)
-			p.u32(uint32(len(a.Devices)))
+			p.U16(a.Port)
+			p.U64(a.Packets)
+			p.U32(uint32(len(a.Devices)))
 			for _, id := range a.Devices {
-				p.u32(uint32(id))
+				p.U32(uint32(id))
 			}
 		}
 	})
-	section(secTCP, func(p *enc) {
-		p.u32(uint32(len(re.TCPScanPorts)))
+	section(secTCP, func(p *wal.Enc) {
+		p.U32(uint32(len(re.TCPScanPorts)))
 		for i := range re.TCPScanPorts {
 			a := &re.TCPScanPorts[i]
-			p.u16(a.Port)
-			p.u64(a.Packets)
-			p.u64(a.PacketsConsumer)
-			p.u32(uint32(len(a.DevicesConsumer)))
+			p.U16(a.Port)
+			p.U64(a.Packets)
+			p.U64(a.PacketsConsumer)
+			p.U32(uint32(len(a.DevicesConsumer)))
 			for _, id := range a.DevicesConsumer {
-				p.u32(uint32(id))
+				p.U32(uint32(id))
 			}
-			p.u32(uint32(len(a.DevicesCPS)))
+			p.U32(uint32(len(a.DevicesCPS)))
 			for _, id := range a.DevicesCPS {
-				p.u32(uint32(id))
+				p.U32(uint32(id))
 			}
 		}
 	})
-	section(secPortHour, func(p *enc) {
-		p.u32(uint32(len(re.TCPPortHour)))
+	section(secPortHour, func(p *wal.Enc) {
+		p.U32(uint32(len(re.TCPPortHour)))
 		for _, ph := range re.TCPPortHour {
-			p.u16(ph.Port)
-			p.u16(ph.Hour)
-			p.u64(ph.Packets)
+			p.U16(ph.Port)
+			p.U16(ph.Hour)
+			p.U64(ph.Packets)
 		}
 	})
-	section(secFaults, func(p *enc) { p.faults(re.Faults) })
+	section(secFaults, func(p *wal.Enc) { putFaults(p, re.Faults) })
 	if kind == KindCheckpoint {
-		section(secCheckpoint, func(p *enc) {
-			p.u32(uint32(cp.MaxHours))
-			p.hourList(cp.IngestedHours)
-			p.hourList(cp.QuarantinedHours)
-			p.u8(cp.BGPrecision)
-			p.u32(uint32(len(cp.BGRegisters)))
-			p.raw(cp.BGRegisters)
+		section(secCheckpoint, func(p *wal.Enc) {
+			p.U32(uint32(cp.MaxHours))
+			putHourList(p, cp.IngestedHours)
+			putHourList(p, cp.QuarantinedHours)
+			p.U8(cp.BGPrecision)
+			p.U32(uint32(len(cp.BGRegisters)))
+			p.Raw(cp.BGRegisters)
 		})
 	}
 
-	out.u8(secFooter)
-	out.u32(uint32(sections))
-	out.u32(crc32.ChecksumIEEE(crcs))
-	return out.b
+	return wal.Seal(out.B, headerLen)
 }
 
 // ---- decoding ----
 
-// errShort marks an out-of-data read inside a CRC-validated section; since
-// the payload arrived whole, underflow there is structural, not truncation.
-var errShort = errors.New("short section")
-
-type dec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *dec) need(n int) bool {
-	if d.err != nil {
-		return false
-	}
-	if len(d.b)-d.off < n {
-		d.err = errShort
-		return false
-	}
-	return true
-}
-
-func (d *dec) u8() uint8 {
-	if !d.need(1) {
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *dec) u16() uint16 {
-	if !d.need(2) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(d.b[d.off:])
-	d.off += 2
-	return v
-}
-
-func (d *dec) u32() uint32 {
-	if !d.need(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *dec) u64() uint64 {
-	if !d.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *dec) bytes(n int) []byte {
-	if !d.need(n) {
-		return nil
-	}
-	v := d.b[d.off : d.off+n]
-	d.off += n
-	return v
-}
-
-func (d *dec) uv() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.err = errShort
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// count reads a uvarint element count and bounds it by the bytes left —
-// every element takes at least one — so a hostile count cannot size an
-// allocation.
-func (d *dec) count() int {
-	n := d.uv()
-	if d.err == nil && n > uint64(len(d.b)-d.off) {
-		d.err = errShort
-	}
-	if d.err != nil {
-		return 0
-	}
-	return int(n)
-}
-
-func (d *dec) hourStats() correlate.HourStats {
+func getHourStats(d *wal.Dec) correlate.HourStats {
 	var h correlate.HourStats
-	h.Hour = int(d.u32())
-	h.RecordsIoT = d.u64()
+	h.Hour = int(d.U32())
+	h.RecordsIoT = d.U64()
 	for ci := range h.PerCat {
 		c := &h.PerCat[ci]
 		for k := range c.Packets {
-			c.Packets[k] = d.u64()
+			c.Packets[k] = d.U64()
 		}
-		c.ActiveDevices = int(d.u32())
-		c.UDPDstIPs = d.u64()
-		c.UDPDstPorts = d.u64()
-		c.UDPDevices = int(d.u32())
-		c.ScanDstIPs = d.u64()
-		c.ScanDstPorts = d.u64()
-		c.ScanDevices = int(d.u32())
+		c.ActiveDevices = int(d.U32())
+		c.UDPDstIPs = d.U64()
+		c.UDPDstPorts = d.U64()
+		c.UDPDevices = int(d.U32())
+		c.ScanDstIPs = d.U64()
+		c.ScanDstPorts = d.U64()
+		c.ScanDevices = int(d.U32())
 	}
 	return h
 }
 
-func (d *dec) faults() ([]correlate.FaultExport, error) {
+func getFaults(d *wal.Dec) ([]correlate.FaultExport, error) {
 	var out []correlate.FaultExport
-	n := int(d.u32())
-	for i := 0; i < n && d.err == nil; i++ {
+	n := int(d.U32())
+	for i := 0; i < n && d.Err == nil; i++ {
 		var fe correlate.FaultExport
-		fe.Hour = int32(d.u32())
-		fe.Attempts = int32(d.u32())
-		flags := d.u8()
+		fe.Hour = int32(d.U32())
+		fe.Attempts = int32(d.U32())
+		flags := d.U8()
 		fe.Retryable = flags&1 != 0
 		fe.Truncated = flags&2 != 0
 		fe.BadFormat = flags&4 != 0
@@ -518,22 +395,10 @@ func (d *dec) faults() ([]correlate.FaultExport, error) {
 		if flags&^uint8(15) != 0 {
 			return nil, badf("fault %d has unknown flag bits %#x", i, flags)
 		}
-		ml := int(d.u32())
-		fe.Message = string(d.bytes(ml))
+		fe.Message = d.Str()
 		out = append(out, fe)
 	}
 	return out, nil
-}
-
-// finish validates that the section was consumed exactly.
-func (d *dec) finish(what string) error {
-	if d.err != nil {
-		return badf("%s section underflows", what)
-	}
-	if d.off != len(d.b) {
-		return badf("%s section has %d leftover bytes", what, len(d.b)-d.off)
-	}
-	return nil
 }
 
 // decode parses and fully validates a store image. wantKind 0 accepts any
@@ -544,13 +409,13 @@ func decode(data []byte, wantKind Kind) (*correlate.ResultExport, *correlate.Che
 	var info Info
 	info.Size = int64(len(data))
 	if len(data) < len(magic) {
-		return nil, nil, info, fmt.Errorf("%w: short header", ErrTruncated)
+		return nil, nil, info, fmt.Errorf("resultstore: %w: short header", ErrTruncated)
 	}
 	if string(data[:len(magic)]) != magic {
 		return nil, nil, info, badf("bad magic %q", data[:len(magic)])
 	}
 	if len(data) < headerLen {
-		return nil, nil, info, fmt.Errorf("%w: short header", ErrTruncated)
+		return nil, nil, info, fmt.Errorf("resultstore: %w: short header", ErrTruncated)
 	}
 	version := data[4]
 	kind := Kind(data[5])
@@ -578,70 +443,30 @@ func decode(data []byte, wantKind Kind) (*correlate.ResultExport, *correlate.Che
 		return nil, nil, info, badf("store is a %s, want %s", kind, wantKind)
 	}
 
-	// Walk the frames.
-	payloads := map[uint8][]byte{}
-	var crcs []byte
-	off := headerLen
-	sawFooter := false
-	for !sawFooter {
-		if off >= len(data) {
-			return nil, nil, info, fmt.Errorf("%w: missing footer", ErrTruncated)
+	maxTag := uint8(secFaults)
+	if kind == KindCheckpoint {
+		maxTag = secCheckpoint
+	}
+	frames, rest, err := wal.Unseal(data, headerLen, maxTag)
+	if err != nil {
+		return nil, nil, info, fmt.Errorf("resultstore: %w", err)
+	}
+	payloads := make(map[uint8][]byte, len(frames))
+	for _, f := range frames {
+		if _, dup := payloads[f.Tag]; dup {
+			return nil, nil, info, badf("duplicate section tag %d", f.Tag)
 		}
-		tag := data[off]
-		off++
-		if tag == secFooter {
-			if len(data)-off < 8 {
-				return nil, nil, info, fmt.Errorf("%w: short footer", ErrTruncated)
-			}
-			count := binary.LittleEndian.Uint32(data[off:])
-			digest := binary.LittleEndian.Uint32(data[off+4:])
-			off += 8
-			if int(count) != len(payloads) {
-				return nil, nil, info, badf("footer counts %d sections, read %d", count, len(payloads))
-			}
-			if digest != crc32.ChecksumIEEE(crcs) {
-				return nil, nil, info, badf("footer digest mismatch")
-			}
-			sawFooter = true
-			continue
-		}
-		maxTag := uint8(secFaults)
-		if kind == KindCheckpoint {
-			maxTag = secCheckpoint
-		}
-		if tag > maxTag {
-			return nil, nil, info, badf("unknown section tag %d", tag)
-		}
-		if _, dup := payloads[tag]; dup {
-			return nil, nil, info, badf("duplicate section tag %d", tag)
-		}
-		if len(data)-off < 8 {
-			return nil, nil, info, fmt.Errorf("%w: short section header", ErrTruncated)
-		}
-		plen := binary.LittleEndian.Uint32(data[off:])
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		off += 8
-		if len(data)-off < int(plen) {
-			return nil, nil, info, fmt.Errorf("%w: section %d body cut short", ErrTruncated, tag)
-		}
-		payload := data[off : off+int(plen)]
-		off += int(plen)
-		if crc32.ChecksumIEEE(payload) != sum {
-			return nil, nil, info, badf("section %d checksum mismatch", tag)
-		}
-		payloads[tag] = payload
-		crcs = binary.LittleEndian.AppendUint32(crcs, sum)
+		payloads[f.Tag] = f.Payload
 	}
 	info.Sections = len(payloads)
-	info.BaseSize = int64(off)
+	info.BaseSize = int64(len(data) - len(rest))
 	var deltas []*correlate.CheckpointDelta
 	if kind == KindCheckpoint && version >= 2 {
-		var err error
-		if deltas, err = decodeFrames(data[off:], &info); err != nil {
+		if deltas, err = decodeFrames(rest, &info); err != nil {
 			return nil, nil, info, err
 		}
-	} else if off != len(data) {
-		return nil, nil, info, badf("%d trailing bytes after footer", len(data)-off)
+	} else if len(rest) != 0 {
+		return nil, nil, info, badf("%d trailing bytes after footer", len(rest))
 	}
 
 	required := []uint8{secMeta, secHourly, secDevices, secUDP, secTCP, secPortHour, secFaults}
@@ -673,20 +498,20 @@ func decode(data []byte, wantKind Kind) (*correlate.ResultExport, *correlate.Che
 func parseResultSections(payloads map[uint8][]byte, hours int) (*correlate.ResultExport, error) {
 	re := &correlate.ResultExport{Hours: hours}
 
-	d := &dec{b: payloads[secMeta]}
-	if int(d.u32()) != hours {
-		if d.err == nil {
+	d := &wal.Dec{B: payloads[secMeta]}
+	if int(d.U32()) != hours {
+		if d.Err == nil {
 			return nil, badf("meta hours disagree with header")
 		}
 	}
-	numClasses := int(d.u8())
-	re.Background.Records = d.u64()
-	re.Background.Packets = d.u64()
-	re.Background.Sources = d.u64()
-	re.IngestOK = int(d.u32())
-	re.IngestRetried = int(d.u32())
-	re.IngestQuarantined = int(d.u32())
-	if err := d.finish("meta"); err != nil {
+	numClasses := int(d.U8())
+	re.Background.Records = d.U64()
+	re.Background.Packets = d.U64()
+	re.Background.Sources = d.U64()
+	re.IngestOK = int(d.U32())
+	re.IngestRetried = int(d.U32())
+	re.IngestQuarantined = int(d.U32())
+	if err := d.Finish("meta section"); err != nil {
 		return nil, err
 	}
 	if numClasses != classify.NumClasses {
@@ -694,128 +519,128 @@ func parseResultSections(payloads map[uint8][]byte, hours int) (*correlate.Resul
 			numClasses, classify.NumClasses)
 	}
 
-	d = &dec{b: payloads[secHourly]}
-	n := int(d.u32())
+	d = &wal.Dec{B: payloads[secHourly]}
+	n := int(d.U32())
 	if n != hours {
 		return nil, badf("hourly section counts %d rows, header says %d", n, hours)
 	}
 	re.Hourly = make([]correlate.HourStats, 0, min(n, 1<<16))
-	for i := 0; i < n && d.err == nil; i++ {
-		re.Hourly = append(re.Hourly, d.hourStats())
+	for i := 0; i < n && d.Err == nil; i++ {
+		re.Hourly = append(re.Hourly, getHourStats(d))
 	}
-	if err := d.finish("hourly"); err != nil {
+	if err := d.Finish("hourly section"); err != nil {
 		return nil, err
 	}
 
-	d = &dec{b: payloads[secDevices]}
-	n = int(d.u32())
+	d = &wal.Dec{B: payloads[secDevices]}
+	n = int(d.U32())
 	re.Devices = make([]correlate.DeviceExport, 0, min(n, 1<<16))
-	for i := 0; i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.Err == nil; i++ {
 		var de correlate.DeviceExport
-		de.ID = int32(d.u32())
-		de.FirstSeen = int32(d.u32())
-		de.Records = d.u64()
+		de.ID = int32(d.U32())
+		de.FirstSeen = int32(d.U32())
+		de.Records = d.U64()
 		for k := range de.Packets {
-			de.Packets[k] = d.u64()
+			de.Packets[k] = d.U64()
 		}
-		de.DayMask = d.u64()
-		de.MaxScanPorts = int32(d.u32())
-		de.MaxScanPortsHour = int32(d.u32())
-		de.MaxScanDests = int32(d.u32())
-		bn := int(d.u32())
-		for j := 0; j < bn && d.err == nil; j++ {
+		de.DayMask = d.U64()
+		de.MaxScanPorts = int32(d.U32())
+		de.MaxScanPortsHour = int32(d.U32())
+		de.MaxScanDests = int32(d.U32())
+		bn := int(d.U32())
+		for j := 0; j < bn && d.Err == nil; j++ {
 			de.Backscatter = append(de.Backscatter, correlate.HourCount{
-				Hour:  int32(d.u32()),
-				Count: d.u64(),
+				Hour:  int32(d.U32()),
+				Count: d.U64(),
 			})
 		}
 		re.Devices = append(re.Devices, de)
 	}
-	if err := d.finish("devices"); err != nil {
+	if err := d.Finish("devices section"); err != nil {
 		return nil, err
 	}
 
-	d = &dec{b: payloads[secUDP]}
-	n = int(d.u32())
+	d = &wal.Dec{B: payloads[secUDP]}
+	n = int(d.U32())
 	re.UDPPorts = make([]correlate.PortExport, 0, min(n, 1<<16))
-	for i := 0; i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.Err == nil; i++ {
 		var pe correlate.PortExport
-		pe.Port = d.u16()
-		pe.Packets = d.u64()
-		pe.Devices = d.int32List()
+		pe.Port = d.U16()
+		pe.Packets = d.U64()
+		pe.Devices = getInt32List(d)
 		re.UDPPorts = append(re.UDPPorts, pe)
 	}
-	if err := d.finish("udp"); err != nil {
+	if err := d.Finish("udp section"); err != nil {
 		return nil, err
 	}
 
-	d = &dec{b: payloads[secTCP]}
-	n = int(d.u32())
+	d = &wal.Dec{B: payloads[secTCP]}
+	n = int(d.U32())
 	re.TCPScanPorts = make([]correlate.TCPPortExport, 0, min(n, 1<<16))
-	for i := 0; i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.Err == nil; i++ {
 		var pe correlate.TCPPortExport
-		pe.Port = d.u16()
-		pe.Packets = d.u64()
-		pe.PacketsConsumer = d.u64()
-		pe.DevicesConsumer = d.int32List()
-		pe.DevicesCPS = d.int32List()
+		pe.Port = d.U16()
+		pe.Packets = d.U64()
+		pe.PacketsConsumer = d.U64()
+		pe.DevicesConsumer = getInt32List(d)
+		pe.DevicesCPS = getInt32List(d)
 		re.TCPScanPorts = append(re.TCPScanPorts, pe)
 	}
-	if err := d.finish("tcp"); err != nil {
+	if err := d.Finish("tcp section"); err != nil {
 		return nil, err
 	}
 
-	d = &dec{b: payloads[secPortHour]}
-	n = int(d.u32())
+	d = &wal.Dec{B: payloads[secPortHour]}
+	n = int(d.U32())
 	re.TCPPortHour = make([]correlate.PortHourExport, 0, min(n, 1<<16))
-	for i := 0; i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.Err == nil; i++ {
 		re.TCPPortHour = append(re.TCPPortHour, correlate.PortHourExport{
-			Port:    d.u16(),
-			Hour:    d.u16(),
-			Packets: d.u64(),
+			Port:    d.U16(),
+			Hour:    d.U16(),
+			Packets: d.U64(),
 		})
 	}
-	if err := d.finish("port-hour"); err != nil {
+	if err := d.Finish("port-hour section"); err != nil {
 		return nil, err
 	}
 
-	d = &dec{b: payloads[secFaults]}
+	d = &wal.Dec{B: payloads[secFaults]}
 	var err error
-	if re.Faults, err = d.faults(); err != nil {
+	if re.Faults, err = getFaults(d); err != nil {
 		return nil, err
 	}
-	if err := d.finish("faults"); err != nil {
+	if err := d.Finish("faults section"); err != nil {
 		return nil, err
 	}
 	return re, nil
 }
 
 // int32List reads a u32 count and that many u32 values (device or hour
-// lists), nil when empty — the decode half of enc.hourList.
-func (d *dec) int32List() []int32 {
-	n := int(d.u32())
-	if n == 0 || !d.need(n*4) {
+// lists), nil when empty — the decode half of putHourList.
+func getInt32List(d *wal.Dec) []int32 {
+	n := int(d.U32())
+	if n == 0 || !d.Need(n*4) {
 		return nil
 	}
 	out := make([]int32, n)
 	for i := range out {
-		out[i] = int32(d.u32())
+		out[i] = int32(d.U32())
 	}
 	return out
 }
 
 func parseCheckpoint(payload []byte, hours int) (*correlate.CheckpointExport, error) {
-	d := &dec{b: payload}
-	cp := &correlate.CheckpointExport{MaxHours: int(d.u32())}
-	if d.err == nil && cp.MaxHours != hours {
+	d := &wal.Dec{B: payload}
+	cp := &correlate.CheckpointExport{MaxHours: int(d.U32())}
+	if d.Err == nil && cp.MaxHours != hours {
 		return nil, badf("checkpoint spans %d hours, header says %d", cp.MaxHours, hours)
 	}
-	cp.IngestedHours = d.int32List()
-	cp.QuarantinedHours = d.int32List()
-	cp.BGPrecision = d.u8()
-	rn := int(d.u32())
-	cp.BGRegisters = append([]uint8(nil), d.bytes(rn)...)
-	if err := d.finish("checkpoint"); err != nil {
+	cp.IngestedHours = getInt32List(d)
+	cp.QuarantinedHours = getInt32List(d)
+	cp.BGPrecision = d.U8()
+	rn := int(d.U32())
+	cp.BGRegisters = append([]uint8(nil), d.Bytes(rn)...)
+	if err := d.Finish("checkpoint section"); err != nil {
 		return nil, err
 	}
 	if cp.BGPrecision < 4 || cp.BGPrecision > 18 || rn != 1<<cp.BGPrecision {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"iotscope/internal/wal"
 	"iotscope/internal/wgen"
 )
 
@@ -66,21 +67,21 @@ func (r *Resolved) Manifest() *RunManifest {
 
 // WriteRunFiles stamps dir with the resolved scenario's provenance: the
 // canonical config, then the manifest. Both are written atomically
-// (tmp + rename), manifest last, so a crash mid-write never leaves a
+// (wal.WriteAtomic), manifest last, so a crash mid-write never leaves a
 // dataset that claims provenance it does not have.
 func WriteRunFiles(dir string, r *Resolved) error {
 	canon, err := r.Config.CanonicalJSON()
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(filepath.Join(dir, ConfigFile), canon); err != nil {
+	if err := wal.WriteAtomic(nil, filepath.Join(dir, ConfigFile), canon); err != nil {
 		return err
 	}
 	mdata, err := json.MarshalIndent(r.Manifest(), "", "  ")
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(filepath.Join(dir, ManifestFile), append(mdata, '\n'))
+	return wal.WriteAtomic(nil, filepath.Join(dir, ManifestFile), append(mdata, '\n'))
 }
 
 // ReadManifest reads a dataset's run manifest. A dataset predating the
@@ -134,34 +135,4 @@ func VerifyDir(dir string) (*RunManifest, error) {
 		return nil, fmt.Errorf("%w: implausible run inputs scale=%v hours=%d", ErrManifestMismatch, m.Scale, m.Hours)
 	}
 	return m, nil
-}
-
-// writeFileAtomic publishes data at path via a same-directory temp file,
-// fsync, and rename, so readers never observe a partial file.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return nil
 }

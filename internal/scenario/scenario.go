@@ -23,7 +23,7 @@ import (
 // paper calibration, byte-identical to wgen.Default().
 const DefaultName = "paper-default"
 
-//go:embed scenarios/*.json scenarios/*.toml
+//go:embed scenarios/*.json
 var bundled embed.FS
 
 // Meta describes one bundled scenario.
@@ -139,8 +139,8 @@ func splitRef(ref string) (name string, version int, err error) {
 	return name, version, nil
 }
 
-// LoadFile decodes and validates a scenario config from an external file
-// (JSON or TOML, sniffed by content).
+// LoadFile decodes and validates a scenario config from an external JSON
+// file.
 func LoadFile(path string) (*wgen.Config, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -181,8 +181,8 @@ type Resolved struct {
 
 // Resolve turns a scenario reference into a Resolved scenario. The
 // reference is a bundled name ("paper-default", "mirai-wave@1") unless it
-// looks like a path (contains a separator or a .json/.toml suffix), in
-// which case the file is loaded.
+// looks like a path (contains a separator or a .json suffix), in which case
+// the file is loaded.
 func Resolve(ref string, opts Options) (*Resolved, error) {
 	var (
 		cfg    *wgen.Config
@@ -239,5 +239,5 @@ func Default(scale float64, seed uint64) (*Resolved, error) {
 
 func isFileRef(ref string) bool {
 	return strings.ContainsRune(ref, os.PathSeparator) || strings.ContainsRune(ref, '/') ||
-		strings.HasSuffix(ref, ".json") || strings.HasSuffix(ref, ".toml")
+		strings.HasSuffix(ref, ".json")
 }

@@ -143,8 +143,9 @@ func TestLoadRefForms(t *testing.T) {
 	}
 }
 
-// A scenario file outside the bundle resolves with a file: source, and both
-// codecs are accepted.
+// A scenario file outside the bundle resolves with a file: source and the
+// bundled copy's hash — which for stealth-scan is the hash its hand-written
+// TOML form had before the bundle became JSON-only.
 func TestResolveFileRef(t *testing.T) {
 	cfg, err := Load("stealth-scan")
 	if err != nil {
@@ -172,6 +173,9 @@ func TestResolveFileRef(t *testing.T) {
 	}
 	if rs.ConfigHash != bundledRS.ConfigHash {
 		t.Fatal("same config hashes differently from file vs bundle")
+	}
+	if want := "sha256:3e78578a8f041a4755263af4b9707c53039443436c197287205d9fd25b4f0a7e"; rs.ConfigHash != want {
+		t.Fatalf("stealth-scan@1 hashes to %s, want %s", rs.ConfigHash, want)
 	}
 	if _, err := Resolve(filepath.Join(dir, "absent.json"), Options{Scale: 0.001, Seed: 1}); err == nil {
 		t.Fatal("missing file accepted")

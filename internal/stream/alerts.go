@@ -5,10 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
 	"strconv"
 	"sync"
 	"time"
+
+	"iotscope/internal/wal"
 )
 
 // Alert kinds emitted by the streaming collector.
@@ -44,16 +45,17 @@ type Alert struct {
 }
 
 // AlertLog is the durable, deduplicating alert journal: a JSONL
-// write-ahead log fsynced per append. Replay on open rebuilds the key set
-// and the backlog; a partial trailing line (crash mid-append) is
-// truncated away, which keeps the exactly-once contract — an alert whose
-// append never became durable is re-derived and re-appended when the
-// resumed collector re-seals its window, and a key that did become
-// durable suppresses the re-derived copy. With an empty path the log is
-// memory-only (no durability, same dedup).
+// write-ahead log fsynced per append (a wal.Appender). Replay on open
+// rebuilds the key set and the backlog; a partial trailing line (crash
+// mid-append, or a failed append the process survived) is truncated away,
+// which keeps the exactly-once contract — an alert whose append never
+// became durable is re-derived and re-appended when the resumed collector
+// re-seals its window, and a key that did become durable suppresses the
+// re-derived copy. With an empty path the log is memory-only (no
+// durability, same dedup).
 type AlertLog struct {
 	mu         sync.Mutex
-	f          *os.File
+	f          *wal.Appender // nil for a memory-only log
 	keys       map[string]struct{}
 	alerts     []Alert
 	nextID     uint64
@@ -61,31 +63,35 @@ type AlertLog struct {
 }
 
 // OpenAlertLog opens (or creates) the journal at path, replaying its
-// contents. path "" yields a memory-only log.
-func OpenAlertLog(path string) (*AlertLog, error) {
+// contents. path "" yields a memory-only log. A line that does not parse
+// before the last newline is damage to journaled alerts: wal.ErrBadFormat.
+func OpenAlertLog(path string) (*AlertLog, error) { return openAlertLog(nil, path) }
+
+// openAlertLog is OpenAlertLog over an injectable file system (crash tests).
+func openAlertLog(fsys wal.FS, path string) (*AlertLog, error) {
 	l := &AlertLog{keys: make(map[string]struct{}), nextID: 1}
 	if path == "" {
 		return l, nil
 	}
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, err
+	var err error
+	if l.f, err = wal.OpenAppend(fsys, path, l.replay); err != nil {
+		return nil, fmt.Errorf("stream: alert log %s: %w", path, err)
 	}
-	// A crash mid-append leaves a partial last line; everything before
-	// the final newline is intact (appends are single writes + fsync).
-	keep := len(data)
-	if i := bytes.LastIndexByte(data, '\n'); i < 0 {
-		keep = 0
-	} else {
-		keep = i + 1
-	}
+	return l, nil
+}
+
+// replay loads every complete line. Appends are single writes + fsync, so
+// everything before the final newline is intact and whatever follows it is
+// a torn append.
+func (l *AlertLog) replay(data []byte) (int, error) {
+	keep := bytes.LastIndexByte(data, '\n') + 1
 	for _, line := range bytes.Split(data[:keep], []byte{'\n'}) {
 		if len(line) == 0 {
 			continue
 		}
 		var a Alert
 		if err := json.Unmarshal(line, &a); err != nil {
-			return nil, fmt.Errorf("stream: alert log %s corrupt: %v", path, err)
+			return 0, fmt.Errorf("corrupt: %v: %w", err, wal.ErrBadFormat)
 		}
 		if _, dup := l.keys[a.Key]; dup {
 			continue
@@ -96,22 +102,7 @@ func OpenAlertLog(path string) (*AlertLog, error) {
 			l.nextID = a.ID + 1
 		}
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if keep < len(data) {
-		if err := f.Truncate(int64(keep)); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	if _, err := f.Seek(int64(keep), 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	l.f = f
-	return l, nil
+	return keep, nil
 }
 
 // Append journals the alert unless its key was already emitted. The
@@ -131,10 +122,7 @@ func (l *AlertLog) Append(a Alert) (Alert, bool, error) {
 		if err != nil {
 			return a, false, err
 		}
-		if _, err := l.f.Write(append(line, '\n')); err != nil {
-			return a, false, err
-		}
-		if err := l.f.Sync(); err != nil {
+		if err := l.f.Append(append(line, '\n')); err != nil {
 			return a, false, err
 		}
 	}

@@ -3,6 +3,8 @@ package stream
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -10,6 +12,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"iotscope/internal/faultfs"
+	"iotscope/internal/wal"
 )
 
 func TestAlertLogReplayAndDedup(t *testing.T) {
@@ -68,6 +73,95 @@ func TestAlertLogReplayAndDedup(t *testing.T) {
 	}
 	if lines := strings.Count(string(data), "\n"); lines != 3 {
 		t.Fatalf("journal has %d complete lines, want 3", lines)
+	}
+}
+
+// A journal append that fails while the process survives (ENOSPC, EIO) is
+// retried in-process: the collector's supervisor restarts the ingest loop on
+// the same Hub and re-derives the alert. Whatever the failed append left in
+// the file — half a line from a torn write, a whole unsynced line from a
+// refused fsync — must be gone before the retry lands, or the two glue into
+// one line no later process start can parse. For every write and fsync of a
+// short run: fail it, retry, close, reopen.
+func TestAlertLogFailedAppendRetried(t *testing.T) {
+	const n = 5
+	run := func(in *faultfs.Injector) {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "alerts.jsonl")
+		log, err := openAlertLog(in, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= n; i++ {
+			a := Alert{Kind: KindNewDevice, Key: fmt.Sprintf("device/%d", i), Hour: i, Device: i}
+			_, ok, err := log.Append(a)
+			if err != nil {
+				if !errors.Is(err, faultfs.ErrInjected) {
+					t.Fatal(err)
+				}
+				_, ok, err = log.Append(a) // the supervisor's re-derivation
+			}
+			if err != nil || !ok {
+				t.Fatalf("%s #%d: alert %d: emitted %v, %v", in.Op, in.K, i, ok, err)
+			}
+		}
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		replayed, err := OpenAlertLog(path)
+		if err != nil {
+			t.Fatalf("%s #%d: journal does not reopen: %v", in.Op, in.K, err)
+		}
+		defer replayed.Close()
+		got := replayed.Since(0)
+		if len(got) != n {
+			t.Fatalf("%s #%d: journal holds %d alerts, want %d", in.Op, in.K, len(got), n)
+		}
+		for i, a := range got {
+			if a.ID != uint64(i+1) || a.Key != fmt.Sprintf("device/%d", i+1) {
+				t.Fatalf("%s #%d: entry %d is %+v", in.Op, in.K, i, a)
+			}
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lines := strings.Count(string(data), "\n"); lines != n {
+			t.Fatalf("%s #%d: journal has %d lines, want %d", in.Op, in.K, lines, n)
+		}
+	}
+	clean := &faultfs.Injector{}
+	run(clean)
+	for _, op := range []string{"write", "sync"} {
+		if clean.Count(op) != n {
+			t.Fatalf("clean run made %d %ss, want one per append", clean.Count(op), op)
+		}
+		for k := 1; k <= n; k++ {
+			in := &faultfs.Injector{Op: op, K: k}
+			run(in)
+			if !in.Tripped() {
+				t.Fatalf("%s #%d never fired", op, k)
+			}
+		}
+	}
+}
+
+// Damage before the journal's last newline is not a torn append: the open
+// fails, permanently, in the wal taxonomy.
+func TestAlertLogInteriorCorruption(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "alerts.jsonl")
+	journal := `{"id":1,"kind":"new-device","key":"device/1","hour":0}` + "\n" +
+		`{"id":2,"kind":"new-de` + "\n" +
+		`{"id":3,"kind":"new-device","key":"device/3","hour":0}` + "\n"
+	if err := os.WriteFile(path, []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenAlertLog(path)
+	if !errors.Is(err, wal.ErrBadFormat) || errors.Is(err, wal.ErrTruncated) {
+		t.Fatalf("interior corruption: %v; want permanent wal.ErrBadFormat", err)
+	}
+	if data, _ := os.ReadFile(path); string(data) != journal {
+		t.Fatal("a journal that failed to open was modified")
 	}
 }
 

@@ -41,6 +41,7 @@ import (
 	"iotscope/internal/flowtuple"
 	"iotscope/internal/pipeline"
 	"iotscope/internal/resultstore"
+	"iotscope/internal/wal"
 )
 
 // ErrLateArrival marks an hour that first appeared behind the watermark:
@@ -190,7 +191,7 @@ type Collector struct {
 	failpoint func(point string, hour int) error
 	// ckptFS, when set by a test before Run, replaces the file system under
 	// checkpoint commits (internal/faultfs fails its k-th operation).
-	ckptFS resultstore.FS
+	ckptFS wal.FS
 }
 
 // New validates the configuration and builds a Collector. hub may be nil

@@ -293,18 +293,23 @@ func TestChaosKillRestartExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestChaosCheckpointCrashPoints enumerates the crash points of the
-// checkpoint commit instead of sampling them: for every write, fsync and
-// rename a clean 12-hour drain performs, a run in which the process dies at
-// exactly that operation (the write torn half way, everything after it
-// failing until the supervisor's restart) must still reach the golden
-// state with every alert key journaled once. The commit that died is the
-// only one lost: its hour is re-tailed and sealed again after the restart —
-// unless the frame had reached the file whole and only its fsync died, in
-// which case the restart finds the hour already committed.
+// TestChaosCheckpointCrashPoints enumerates the crash points of a followed
+// drain's two durable writers — the checkpoint commit and the alert journal,
+// both on the one injected file system — instead of sampling them: for every
+// write, fsync and rename a clean 12-hour drain performs, a run in which the
+// process dies at exactly that operation (the write torn half way,
+// everything after it failing until the supervisor's restart) must still
+// reach the golden state with every alert key journaled once.
+// A commit that died is the only one lost: its hour is re-tailed and sealed
+// again after the restart — unless the frame had reached the file whole and
+// only its fsync died, in which case the restart finds the hour already
+// committed. A journal append that died kills the seal it belonged to before
+// any commit: the restart re-seals that hour on the same Hub, the journal
+// first dropping the torn line, and the keys that did become durable
+// suppress their re-derived copies.
 // One mid-run failure per kind that does not kill the process checks the
-// other branch: the commit falls back to a rewrite or is retried by the
-// next seal, with no restart.
+// other branch: a commit falls back to a rewrite or is retried by the next
+// seal, with no restart; a journal append costs one supervised restart.
 func TestChaosCheckpointCrashPoints(t *testing.T) {
 	const hours = 12
 	dir, ds, cfg := genDataset(t, 28, hours)
@@ -313,11 +318,11 @@ func TestChaosCheckpointCrashPoints(t *testing.T) {
 		t.Helper()
 		stateDir := t.TempDir()
 		ckpt := filepath.Join(stateDir, "checkpoint.irs")
-		log, err := OpenAlertLog(filepath.Join(stateDir, "alerts.jsonl"))
+		alog := filepath.Join(stateDir, "alerts.jsonl")
+		log, err := openAlertLog(in, alog)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer log.Close()
 		restore := checkpointOpener(ds, cfg, ckpt)
 		c, err := New(Config{
 			Dir: dir, CheckpointPath: ckpt, Poll: time.Millisecond, Drain: true,
@@ -344,7 +349,24 @@ func TestChaosCheckpointCrashPoints(t *testing.T) {
 		if err := c.Run(context.Background()); err != nil {
 			t.Fatalf("%s #%d: %v", in.Op, in.K, err)
 		}
-		return c.Stats(), canonicalCheckpoint(t, ds, cfg, ckpt), alertKeys(log)
+		// The journal a later process start would replay is the live one.
+		keys := alertKeys(log)
+		log.Close()
+		replayed, err := OpenAlertLog(alog)
+		if err != nil {
+			t.Fatalf("%s #%d: journal does not reopen: %v", in.Op, in.K, err)
+		}
+		defer replayed.Close()
+		if !maps.Equal(alertKeys(replayed), keys) {
+			t.Fatalf("%s #%d: journal replay diverged from the live log", in.Op, in.K)
+		}
+		return c.Stats(), canonicalCheckpoint(t, ds, cfg, ckpt), keys
+	}
+	// journalHit tells which writer the injected failure landed on: a failed
+	// journal append kills the seal before its commit is attempted, so no
+	// commit fails and the sealed hour is short one commit.
+	journalHit := func(st Stats) bool {
+		return st.CheckpointFailures+st.CheckpointAppendFailures == 0
 	}
 	check := func(in *faultfs.Injector, st Stats, state []byte, keys, wantKeys map[string]int, wantState []byte) {
 		t.Helper()
@@ -362,7 +384,11 @@ func TestChaosCheckpointCrashPoints(t *testing.T) {
 		if !maps.Equal(keys, wantKeys) {
 			t.Fatalf("%s #%d: %d alert keys, clean run has %d", in.Op, in.K, len(keys), len(wantKeys))
 		}
-		if st.CheckpointWrites+st.CheckpointFailures != uint64(st.WindowsSealed) {
+		commits := st.CheckpointWrites + st.CheckpointFailures
+		if journalHit(st) {
+			commits++
+		}
+		if commits != uint64(st.WindowsSealed) {
 			t.Fatalf("%s #%d: commit accounting %+v", in.Op, in.K, st)
 		}
 	}
@@ -372,6 +398,7 @@ func TestChaosCheckpointCrashPoints(t *testing.T) {
 	if st.WindowsSealed != hours || st.CheckpointWrites != hours || st.CheckpointFailures != 0 || st.Restarts != 0 {
 		t.Fatalf("clean run: %+v", st)
 	}
+	journalCrashes := 0
 	for _, op := range []string{"write", "sync", "rename"} {
 		n := clean.Count(op)
 		if n == 0 {
@@ -381,7 +408,12 @@ func TestChaosCheckpointCrashPoints(t *testing.T) {
 			in := &faultfs.Injector{Op: op, K: k, Crash: true}
 			st, state, keys := run(in)
 			check(in, st, state, keys, wantKeys, wantState)
-			if st.Restarts != 1 || st.CheckpointFailures != 1 ||
+			if journalHit(st) {
+				journalCrashes++
+				if st.Restarts != 1 || st.WindowsSealed != hours+1 {
+					t.Fatalf("%s #%d: a journal crash must cost one restart and one re-sealed hour: %+v", op, k, st)
+				}
+			} else if st.Restarts != 1 || st.CheckpointFailures != 1 ||
 				(st.WindowsSealed != hours+1 && !(op == "sync" && st.WindowsSealed == hours)) {
 				t.Fatalf("%s #%d: one crash must cost one commit and at most one re-sealed hour: %+v", op, k, st)
 			}
@@ -390,9 +422,16 @@ func TestChaosCheckpointCrashPoints(t *testing.T) {
 		in := &faultfs.Injector{Op: op, K: (n + 1) / 2}
 		st, state, keys := run(in)
 		check(in, st, state, keys, wantKeys, wantState)
-		if st.Restarts != 0 || st.WindowsSealed != hours || st.CheckpointFailures+st.CheckpointAppendFailures != 1 {
+		if journalHit(st) {
+			if st.Restarts != 1 || st.WindowsSealed != hours+1 {
+				t.Fatalf("%s #%d survived by the journal: %+v", op, in.K, st)
+			}
+		} else if st.Restarts != 0 || st.WindowsSealed != hours || st.CheckpointFailures+st.CheckpointAppendFailures != 1 {
 			t.Fatalf("%s #%d survived: %+v", op, in.K, st)
 		}
+	}
+	if journalCrashes == 0 || journalCrashes == clean.Count("write")+clean.Count("sync") {
+		t.Fatalf("%d of the crash points landed on the journal; want some on each writer", journalCrashes)
 	}
 }
 

@@ -118,19 +118,9 @@ func (b *ActorBlock) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// DecodeConfig parses a scenario file, sniffing the format: JSON when the
-// first non-space byte is '{', TOML otherwise. The returned config is
-// validated; any failure wraps ErrBadScenario.
+// DecodeConfig parses and validates a JSON scenario config; any failure
+// wraps ErrBadScenario.
 func DecodeConfig(data []byte) (*Config, error) {
-	trimmed := bytes.TrimLeft(data, " \t\r\n")
-	if len(trimmed) > 0 && trimmed[0] == '{' {
-		return DecodeConfigJSON(data)
-	}
-	return DecodeConfigTOML(data)
-}
-
-// DecodeConfigJSON parses and validates a JSON scenario config.
-func DecodeConfigJSON(data []byte) (*Config, error) {
 	// Probe the format version first: a future-format file must fail with
 	// "unsupported format", not an unknown-field complaint about a field
 	// this build has never heard of.
@@ -158,26 +148,10 @@ func DecodeConfigJSON(data []byte) (*Config, error) {
 	return &c, nil
 }
 
-// DecodeConfigTOML parses and validates a TOML scenario config (the subset
-// documented in docs/SCENARIOS.md). The TOML tree is normalized to JSON and
-// decoded through the same strict typed path, so both formats share one
-// schema and produce the same canonical hash for the same content.
-func DecodeConfigTOML(data []byte) (*Config, error) {
-	tree, err := parseTOML(data)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadScenario, err)
-	}
-	js, err := json.Marshal(tree)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadScenario, err)
-	}
-	return DecodeConfigJSON(js)
-}
-
 // CanonicalJSON renders the config in its canonical on-disk form: indented
 // JSON with the struct's fixed key order and a trailing newline. Decoding a
-// config and re-encoding it canonically is a normalization: key order,
-// whitespace, and the source format (JSON vs TOML) all wash out.
+// config and re-encoding it canonically is a normalization: key order and
+// whitespace wash out.
 func (c *Config) CanonicalJSON() ([]byte, error) {
 	out, err := json.MarshalIndent(c, "", "  ")
 	if err != nil {
@@ -192,8 +166,8 @@ const configHashDomain = "iotscope-scenario-config/v1\n"
 
 // Hash returns the canonical config hash ("sha256:<hex>"): SHA-256 over a
 // domain prefix plus the compact canonical encoding. Two files with the
-// same semantic content hash identically regardless of key order, layout,
-// or source format; any semantic field change produces a new hash.
+// same semantic content hash identically regardless of key order and
+// layout; any semantic field change produces a new hash.
 func (c *Config) Hash() (string, error) {
 	compact, err := json.Marshal(c)
 	if err != nil {

@@ -4,9 +4,6 @@
 // stable indentation, trailing newline). Run it via `make scenarios` after
 // changing a definition; TestBundledFilesAreCanonical fails the build if
 // the committed files drift from what this tool writes.
-//
-// The stealth-scan scenario is deliberately NOT generated: it is
-// hand-written TOML, exercising the second codec end to end.
 package main
 
 import (
@@ -48,6 +45,7 @@ func Bundled() []*wgen.Config {
 		paperDefault(),
 		miraiWave(),
 		udpAmplification(),
+		stealthScan(),
 		cpsCampaign(),
 		smartHomeDiurnal(),
 		telescope16(),
@@ -142,6 +140,28 @@ func udpAmplification() *wgen.Config {
 				},
 				MinLen: 200,
 				MaxLen: 480,
+			}},
+		},
+	}
+}
+
+func stealthScan() *wgen.Config {
+	pop, tel := basePopulation()
+	return &wgen.Config{
+		Format:      wgen.ConfigFormat,
+		Name:        "stealth-scan",
+		Version:     1,
+		Description: "Slow sub-threshold stealth scan of Winbox 8291: a cohort probing a few packets per hour that detection must see but notification must not page on.",
+		Hours:       48,
+		Telescope:   tel,
+		Population:  pop,
+		Actors: []wgen.ActorBlock{
+			{Kind: wgen.KindTCPScan, Params: baselineTCPScan()},
+			{Kind: wgen.KindBackground, Params: defaultBackground()},
+			{Kind: wgen.KindStealthScan, Params: &wgen.StealthScanConfig{
+				Scanners:       2000,
+				Port:           8291,
+				PacketsPerHour: 3,
 			}},
 		},
 	}
