@@ -40,8 +40,8 @@ race:
 # Bounded local fuzz budget for the binary decoders and the resolution
 # chain: the flowtuple reader, the result store codec, the outbound-queue
 # segment codec, the contact-resolver fault matrix, the registry's
-# prefix-lookup boundaries, the scenario config codec, and the wal frame
-# walker (sealed container and open tail).
+# prefix-lookup boundaries, the scenario config codec, the wal frame
+# walker (sealed container and open tail), and the malware report index.
 fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=30s ./internal/flowtuple
 	$(GO) test -fuzz=FuzzResultStore -fuzztime=30s ./internal/resultstore
@@ -50,6 +50,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzLookup -fuzztime=15s ./internal/geo
 	$(GO) test -fuzz=FuzzScenarioDecode -fuzztime=30s ./internal/wgen
 	$(GO) test -fuzz=FuzzFrames -fuzztime=30s ./internal/wal
+	$(GO) test -fuzz=FuzzMalwareIndex -fuzztime=30s ./internal/malwaredb
 
 # Regenerate the bundled scenario files from their programmatic
 # definitions (TestBundledFilesAreCanonical pins the output).
@@ -74,7 +75,7 @@ chaos:
 BENCH_DATE ?= $(shell date +%F)
 BENCH_TAG ?= dev
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkPipelineCorrelate$$|BenchmarkPipelineCorrelateSharded$$|BenchmarkPipelineStaged$$|BenchmarkIncrementalIngest$$|BenchmarkStreamIngest$$|BenchmarkStreamIngestDurable$$|BenchmarkSnapshotSave$$|BenchmarkSnapshotLoad$$|BenchmarkSnapshotAnalyze$$|BenchmarkServeSummary$$|BenchmarkServeDevicesFilter$$|BenchmarkServeHTTPLoad$$|BenchmarkGenerate$$' \
+	$(GO) test -run '^$$' -bench 'BenchmarkPipelineCorrelate$$|BenchmarkPipelineCorrelateSharded$$|BenchmarkPipelineStaged$$|BenchmarkIncrementalIngest$$|BenchmarkStreamIngest$$|BenchmarkStreamIngestDurable$$|BenchmarkSnapshotSave$$|BenchmarkSnapshotLoad$$|BenchmarkSnapshotAnalyze$$|BenchmarkOpen$$|BenchmarkServeSummary$$|BenchmarkServeDevicesFilter$$|BenchmarkServeHTTPLoad$$|BenchmarkGenerate$$' \
 		-benchmem -benchtime 2s -count 3 . ./internal/apiserve \
 		| $(GO) run ./tools/bench2json -date $(BENCH_DATE) -tag $(BENCH_TAG) > BENCH_$(BENCH_DATE)-$(BENCH_TAG).json
 	$(GO) run ./tools/bench2json -extract BENCH_$(BENCH_DATE)-$(BENCH_TAG).json

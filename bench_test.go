@@ -784,6 +784,39 @@ func BenchmarkSnapshotAnalyze(b *testing.B) {
 	}
 }
 
+// BenchmarkOpen measures core.Open on a batch-paper-sized dataset (every
+// analysis, cold start and reload begins with one): index with the malware
+// report index beside the XML feed, xml with it removed before each open, so
+// the feed is parsed and the index rewritten (docs/PERFORMANCE.md §opening a
+// dataset). The acceptance gate is index ≤ 0.40× xml.
+func BenchmarkOpen(b *testing.B) {
+	cfg := core.DefaultConfig(0.008, 1)
+	cfg.Hours = 2
+	ds, err := core.Generate(cfg, b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range []string{"index", "xml"} {
+		b.Run(mode, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if mode == "xml" {
+					if err := os.Remove(filepath.Join(ds.Dir, core.MalwareIndexFile)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				opened, err := core.Open(ds.Dir)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if (opened.MalwareSource == "index") != (mode == "index") {
+					b.Fatalf("malware database arrived by %s", opened.MalwareSource)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkGenerateScale sweeps dataset synthesis throughput across scales
 // (records generated per rendered hour grow linearly with scale).
 func BenchmarkGenerateScale(b *testing.B) {

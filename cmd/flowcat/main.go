@@ -2,7 +2,9 @@
 // hour, summarize a whole dataset, or integrity-check hour files — and
 // result-store artifacts (*.irs), for which the verdict reports the
 // snapshot or checkpoint's shape, including how far a live checkpoint is
-// from its next compaction.
+// from its next compaction, and a dataset's malware report index (*.idx),
+// for which it reports the XML feed the index is bound to and whether the
+// feed beside it still is that one.
 //
 // Usage:
 //
@@ -12,6 +14,7 @@
 //	flowcat -verify -file hour-000.ft.gz     # one-file verdict
 //	flowcat -verify -file checkpoint.irs     # result-store verdict
 //	flowcat -verify -file checkpoint.irs -data DIR   # ... plus its state digest
+//	flowcat -verify -file malware-reports.idx        # report index verdict
 //
 // -verify exits nonzero if any file is corrupt or truncated. Given the
 // dataset a checkpoint was taken over, the verdict also restores it — base,
@@ -32,8 +35,10 @@ import (
 	"iotscope/internal/classify"
 	"iotscope/internal/core"
 	"iotscope/internal/flowtuple"
+	"iotscope/internal/malwaredb"
 	"iotscope/internal/profiling"
 	"iotscope/internal/resultstore"
+	"iotscope/internal/wal"
 )
 
 func main() {
@@ -116,6 +121,12 @@ func verifyFiles(paths []string, dataset string) error {
 					}
 				}
 			}
+		} else if strings.HasSuffix(path, ".idx") {
+			truncated = wal.ErrTruncated
+			var info malwaredb.IndexInfo
+			if info, err = malwaredb.VerifyIndex(path); err == nil {
+				ok = describeIndex(info)
+			}
 		} else {
 			var hdr flowtuple.Header
 			if hdr, err = flowtuple.Verify(path); err == nil {
@@ -153,6 +164,17 @@ func describeStore(info resultstore.Info) string {
 		}
 	}
 	return s
+}
+
+// describeIndex renders a verified malware report index's summary. A stale
+// index is not damage: the next open parses the feed and rewrites it.
+func describeIndex(info malwaredb.IndexInfo) string {
+	state := "stale"
+	if info.Fresh {
+		state = "fresh"
+	}
+	return fmt.Sprintf("malware index v%d, %d reports, bound to %d XML bytes crc %08x, %s",
+		info.Version, info.Reports, info.XMLLen, info.XMLCRC, state)
 }
 
 // checkpointState restores the checkpoint over its dataset the way iotwatch

@@ -9,6 +9,7 @@ import (
 	"iotscope/internal/core"
 	"iotscope/internal/faultfs"
 	"iotscope/internal/flowtuple"
+	"iotscope/internal/malwaredb"
 	"iotscope/internal/resultstore"
 )
 
@@ -152,5 +153,44 @@ func TestVerifyResultStore(t *testing.T) {
 	}
 	if err := run([]string{"-verify", "-file", path}); err == nil {
 		t.Fatal("checkpoint cut inside its base verified clean")
+	}
+}
+
+// TestVerifyMalwareIndex: the index beside a dataset's XML feed verifies
+// fresh, goes stale — not bad — when the feed changes, and a torn or
+// flipped one fails like any other damaged file.
+func TestVerifyMalwareIndex(t *testing.T) {
+	dir := testDataset(t)
+	idx := filepath.Join(dir, core.MalwareIndexFile)
+	info, err := malwaredb.VerifyIndex(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := describeIndex(info); !strings.Contains(got, "3000 reports") || !strings.HasSuffix(got, ", fresh") {
+		t.Fatalf("description %q", got)
+	}
+	if err := run([]string{"-verify", "-file", idx}); err != nil {
+		t.Fatal(err)
+	}
+	if err := faultfs.AppendTail(filepath.Join(dir, core.MalwareReportsFile), []byte("\n")); err != nil {
+		t.Fatal(err)
+	}
+	if info, err = malwaredb.VerifyIndex(idx); err != nil || !strings.HasSuffix(describeIndex(info), ", stale") {
+		t.Fatalf("beside a changed feed: %q, %v", describeIndex(info), err)
+	}
+	if err := run([]string{"-verify", "-file", idx}); err != nil {
+		t.Fatalf("stale index reported as damage: %v", err)
+	}
+	if err := faultfs.BitFlip(idx, 200, 0x08); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-verify", "-file", idx}); err == nil {
+		t.Fatal("flipped index verified clean")
+	}
+	if err := faultfs.TruncateTail(idx, 9); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-verify", "-file", idx}); err == nil {
+		t.Fatal("torn index verified clean")
 	}
 }

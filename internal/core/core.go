@@ -15,6 +15,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -35,6 +36,7 @@ import (
 	"iotscope/internal/rng"
 	"iotscope/internal/scenario"
 	"iotscope/internal/threatintel"
+	"iotscope/internal/wal"
 	"iotscope/internal/wgen"
 )
 
@@ -44,6 +46,9 @@ const (
 	InventoryFile      = "inventory.jsonl"
 	ThreatFile         = "threat-events.jsonl"
 	MalwareReportsFile = "malware-reports.xml"
+	// MalwareIndexFile is the parsed corpus kept beside the XML feed; see
+	// malwaredb.LoadReportsFile. Deleting it costs the next Open one parse.
+	MalwareIndexFile   = "malware-reports.idx"
 	MalwareCatalogFile = "malware-catalog.jsonl"
 	TruthFile          = "truth.json"
 )
@@ -95,6 +100,11 @@ type Dataset struct {
 	Threat    *threatintel.Repository
 	Malware   *malwaredb.DB
 	Catalog   *malwaredb.Catalog
+
+	// MalwareSource says how Open came by Malware: "index", or "xml (...)"
+	// with what was wrong with the index and whether it was rewritten
+	// (empty when Generated). The database is the same either way.
+	MalwareSource string
 
 	// Truth is the planted ground truth; the analysis never reads it, it
 	// exists for validation tooling and the examples.
@@ -165,7 +175,7 @@ func GenerateScenario(cfg Config, rs *scenario.Resolved, dir string) (*Dataset, 
 	}
 	_ = hashes
 
-	if err := ds.persist(); err != nil {
+	if err := ds.persist(nil); err != nil {
 		return nil, err
 	}
 	// Provenance goes last: run.json is the commit record, so a dataset
@@ -192,9 +202,12 @@ func noisePool(reg *geo.Registry, inv *devicedb.Inventory, seed uint64, n int) [
 	return pool
 }
 
-func (ds *Dataset) persist() error {
+// persist writes the dataset's files other than the hour files. The two
+// JSON documents and the malware corpus with its index are each an atomic
+// replace through fsys (nil: the os package).
+func (ds *Dataset) persist(fsys wal.FS) error {
 	scPath := filepath.Join(ds.Dir, ScenarioFile)
-	if err := writeJSON(scPath, ds.Scenario); err != nil {
+	if err := writeJSON(fsys, scPath, ds.Scenario); err != nil {
 		return err
 	}
 	if err := ds.Inventory.SaveFile(filepath.Join(ds.Dir, InventoryFile)); err != nil {
@@ -203,27 +216,23 @@ func (ds *Dataset) persist() error {
 	if err := ds.Threat.SaveFile(filepath.Join(ds.Dir, ThreatFile)); err != nil {
 		return err
 	}
-	if err := ds.Malware.SaveReportsFile(filepath.Join(ds.Dir, MalwareReportsFile)); err != nil {
+	if err := ds.Malware.SaveReportsFile(fsys, filepath.Join(ds.Dir, MalwareReportsFile)); err != nil {
 		return err
 	}
 	if err := ds.Catalog.SaveFile(filepath.Join(ds.Dir, MalwareCatalogFile)); err != nil {
 		return err
 	}
-	return writeJSON(filepath.Join(ds.Dir, TruthFile), ds.Truth)
+	return writeJSON(fsys, filepath.Join(ds.Dir, TruthFile), ds.Truth)
 }
 
-func writeJSON(path string, v any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
+func writeJSON(fsys wal.FS, path string, v any) error {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
-		f.Close()
 		return err
 	}
-	return f.Close()
+	return wal.WriteAtomic(fsys, path, buf.Bytes())
 }
 
 func readJSON(path string, v any) error {
@@ -254,7 +263,7 @@ func Open(dir string) (*Dataset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: load threat repo: %w", err)
 	}
-	ds.Malware, err = malwaredb.LoadReportsFile(filepath.Join(dir, MalwareReportsFile))
+	ds.Malware, ds.MalwareSource, err = malwaredb.LoadReportsFile(filepath.Join(dir, MalwareReportsFile))
 	if err != nil {
 		return nil, fmt.Errorf("core: load malware reports: %w", err)
 	}

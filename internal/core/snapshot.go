@@ -137,8 +137,11 @@ func LoadSnapshotOpts(ctx context.Context, dir string, opts LoadOptions) (*Datas
 	rep, err := pipeline.New("load-snapshot",
 		pipeline.Func(StageOpen, func(ctx context.Context, st *pipeline.State) error {
 			var err error
-			ds, err = Open(dir)
-			return err
+			if ds, err = Open(dir); err != nil {
+				return err
+			}
+			pipeline.Meter(ctx).Note = "malware: " + ds.MalwareSource
+			return nil
 		}),
 		pipeline.Func(StageLoadStore, func(ctx context.Context, st *pipeline.State) error {
 			m := pipeline.Meter(ctx)
