@@ -3,9 +3,9 @@ GO ?= go
 # Packages whose concurrency is exercised under the race detector: the
 # worker-pool correlator, the incremental watcher, the HTTP server (and
 # its admission-control layer), the serving lifecycle binary, the staged
-# pipeline engine with its parallel composite, the cmd wiring that drives
-# it, the atomic file writer raced against readers, the result store
-# codec behind checkpoint/resume and the durable-write primitive under it,
+# pipeline engine, the cmd wiring that drives it, the atomic file writer
+# raced against readers, the result store codec behind checkpoint/resume
+# and the durable-write primitive under it,
 # the notification pipeline (outbound queue drain, contact resolver shared
 # across stages), and the streaming collector (tailer goroutine, bounded
 # event channel, alert hub fan-out).

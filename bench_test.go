@@ -671,7 +671,7 @@ var benchInc *correlate.Incremental
 // per-window campaign pass), and the in-memory alert journal.
 func BenchmarkStreamIngest(b *testing.B) { benchStreamDrain(b, false) }
 
-// BenchmarkStreamIngestDurable is the same drain as iotwatch -follow
+// BenchmarkStreamIngestDurable is the same drain as iotwatch
 // -checkpoint-dir runs it: every sealed window also commits the checkpoint
 // (one fsynced delta frame, or a compaction) and journals its alerts to an
 // fsynced on-disk log. The gap to BenchmarkStreamIngest is what durability

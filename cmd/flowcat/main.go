@@ -14,13 +14,15 @@
 //	flowcat -verify -file hour-000.ft.gz     # one-file verdict
 //	flowcat -verify -file checkpoint.irs     # result-store verdict
 //	flowcat -verify -file checkpoint.irs -data DIR   # ... plus its state digest
+//	flowcat -verify -file snapshot.irs -data DIR     # ... the same digest, of a saved result
 //	flowcat -verify -file malware-reports.idx        # report index verdict
 //
 // -verify exits nonzero if any file is corrupt or truncated. Given the
 // dataset a checkpoint was taken over, the verdict also restores it — base,
 // then frames replayed — and prints the content digest of the state it
 // holds: two checkpoints of the same hours agree on it however their files
-// were appended to and compacted.
+// were appended to and compacted, and so does a result saved by a batch run
+// over those hours (iotinfer -save), whose verdict prints the same digest.
 package main
 
 import (
@@ -34,6 +36,7 @@ import (
 
 	"iotscope/internal/classify"
 	"iotscope/internal/core"
+	"iotscope/internal/correlate"
 	"iotscope/internal/flowtuple"
 	"iotscope/internal/malwaredb"
 	"iotscope/internal/profiling"
@@ -114,9 +117,9 @@ func verifyFiles(paths []string, dataset string) error {
 			var info resultstore.Info
 			if info, err = resultstore.Verify(path); err == nil {
 				ok = describeStore(info)
-				if dataset != "" && info.Kind == resultstore.KindCheckpoint {
+				if dataset != "" {
 					var state string
-					if state, err = checkpointState(path, dataset); err == nil {
+					if state, err = storeState(path, dataset, info.Kind); err == nil {
 						ok += "; " + state
 					}
 				}
@@ -177,29 +180,40 @@ func describeIndex(info malwaredb.IndexInfo) string {
 		info.Version, info.Reports, info.XMLLen, info.XMLCRC, state)
 }
 
-// checkpointState restores the checkpoint over its dataset the way iotwatch
-// resumes from it and digests the state it holds.
-func checkpointState(path, dataset string) (string, error) {
-	ds, err := core.Open(dataset)
-	if err != nil {
-		return "", err
+// storeState digests the state a store holds, so a followed checkpoint and
+// a batch run's saved result compare by one token. A checkpoint is restored
+// over its dataset the way iotwatch resumes from it; a result is loaded as
+// iotserve loads it.
+func storeState(path, dataset string, kind resultstore.Kind) (string, error) {
+	var res *correlate.Result
+	if kind == resultstore.KindCheckpoint {
+		ds, err := core.Open(dataset)
+		if err != nil {
+			return "", err
+		}
+		cp, err := resultstore.ReadCheckpoint(path)
+		if err != nil {
+			return "", err
+		}
+		cfg := core.DefaultConfig(ds.Scenario.Scale, ds.Scenario.Seed)
+		cfg.Lenient = true
+		inc, err := ds.RestoreIncremental(cfg, cp)
+		if err != nil {
+			return "", err
+		}
+		res = inc.Result()
+	} else {
+		var err error
+		if res, err = resultstore.ReadResult(path); err != nil {
+			return "", err
+		}
 	}
-	cp, err := resultstore.ReadCheckpoint(path)
-	if err != nil {
-		return "", err
-	}
-	cfg := core.DefaultConfig(ds.Scenario.Scale, ds.Scenario.Seed)
-	cfg.Lenient = true
-	inc, err := ds.RestoreIncremental(cfg, cp)
-	if err != nil {
-		return "", err
-	}
-	digest, err := resultstore.DigestResult(inc.Result())
+	digest, err := resultstore.DigestResult(res)
 	if err != nil {
 		return "", err
 	}
 	return fmt.Sprintf("state %08x over %d hours ingested, %d quarantined",
-		digest, inc.HoursIngested(), len(inc.QuarantinedHours())), nil
+		digest, res.Ingest.HoursOK, res.Ingest.HoursQuarantined), nil
 }
 
 func dumpFile(path string, n int) error {

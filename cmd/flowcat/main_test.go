@@ -128,7 +128,7 @@ func TestVerifyResultStore(t *testing.T) {
 	}
 	// Over its dataset the verdict carries the state digest, which a
 	// frameless rewrite of the same state shares.
-	state, err := checkpointState(path, dir)
+	state, err := storeState(path, dir, resultstore.KindCheckpoint)
 	if err != nil || !strings.Contains(state, "over 3 hours ingested") {
 		t.Fatalf("state %q, %v", state, err)
 	}
@@ -136,8 +136,20 @@ func TestVerifyResultStore(t *testing.T) {
 	if err := resultstore.WriteCheckpoint(compact, inc.Export()); err != nil {
 		t.Fatal(err)
 	}
-	if again, err := checkpointState(compact, dir); err != nil || again != state {
+	if again, err := storeState(compact, dir, resultstore.KindCheckpoint); err != nil || again != state {
 		t.Fatalf("compacted state %q, %v; framed %q", again, err, state)
+	}
+	// ... and so does the same state saved as a result, the way a batch run
+	// saves it.
+	saved := filepath.Join(t.TempDir(), "result.irs")
+	if err := resultstore.WriteResult(saved, inc.Result()); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := storeState(saved, dir, resultstore.KindResult); err != nil || again != state {
+		t.Fatalf("saved result state %q, %v; checkpoint %q", again, err, state)
+	}
+	if err := run([]string{"-verify", "-file", saved, "-data", dir}); err != nil {
+		t.Fatal(err)
 	}
 	if err := run([]string{"-verify", "-file", path, "-data", dir}); err != nil {
 		t.Fatal(err)

@@ -1,59 +1,96 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"reflect"
-	"sync"
+	"strings"
 	"testing"
-	"time"
 
 	"iotscope/internal/core"
 	"iotscope/internal/correlate"
-	"iotscope/internal/devicedb"
 	"iotscope/internal/faultfs"
 	"iotscope/internal/flowtuple"
-	"iotscope/internal/netx"
-	"iotscope/internal/notify"
-	"iotscope/internal/pipeline"
 	"iotscope/internal/resultstore"
+	"iotscope/internal/stream"
 )
 
+func generate(t *testing.T, seed uint64, hours int) string {
+	t.Helper()
+	dir := t.TempDir()
+	cfg := core.DefaultConfig(0.002, seed)
+	cfg.Hours = hours
+	if _, err := core.Generate(cfg, dir); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// Zero-valued flags are rejected or honoured, never accepted and then read
+// as "unset" by the collector's defaults.
 func TestRunValidation(t *testing.T) {
-	if err := run(nil); err == nil {
+	if err := run(nil, io.Discard); err == nil {
 		t.Fatal("missing -data accepted")
 	}
-	if err := run([]string{"-data", t.TempDir(), "-once"}); err == nil {
+	if err := run([]string{"-data", t.TempDir(), "-once"}, io.Discard); err == nil {
 		t.Fatal("empty dataset accepted")
 	}
-	if err := run([]string{"-data", t.TempDir(), "-retries", "-1"}); err == nil {
-		t.Fatal("negative retries accepted")
+	for _, bad := range [][]string{
+		{"-retries", "-1"}, {"-backoff", "0"}, {"-lateness", "0"}, {"-lateness", "-1"},
+	} {
+		err := run(append([]string{"-data", t.TempDir()}, bad...), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), bad[0]) {
+			t.Fatalf("%v: %v, want an error naming the flag", bad, err)
+		}
+	}
+}
+
+// There is one watcher: the flag that used to pick the collector is gone,
+// not kept as a no-op.
+func TestFollowValidation(t *testing.T) {
+	err := run([]string{"-data", t.TempDir(), "-follow"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "not defined: -follow") {
+		t.Fatalf("-follow: %v, want an unknown-flag error", err)
 	}
 }
 
 func TestRunOnce(t *testing.T) {
-	dir := t.TempDir()
-	cfg := core.DefaultConfig(0.002, 3)
-	cfg.Hours = 5
-	if _, err := core.Generate(cfg, dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-data", dir, "-once"}); err != nil {
+	if err := run([]string{"-data", generate(t, 3, 5), "-once", "-poll", "2ms"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Damaged datasets must not abort a -once run either: bad hours are
-// quarantined (after the retry budget) and the run still exits cleanly.
-func TestRunOnceDamagedDataset(t *testing.T) {
-	dir := t.TempDir()
-	cfg := core.DefaultConfig(0.002, 4)
-	cfg.Hours = 5
-	if _, err := core.Generate(cfg, dir); err != nil {
+// restore loads the checkpoint a run left in ckptDir over its dataset.
+func restore(t *testing.T, dir, ckptDir string) (*core.Dataset, core.Config, *correlate.Incremental) {
+	t.Helper()
+	ds, err := core.Open(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := core.DefaultConfig(ds.Scenario.Scale, ds.Scenario.Seed)
+	cfg.Lenient = true
+	cp, err := resultstore.ReadCheckpoint(filepath.Join(ckptDir, checkpointFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, err := ds.RestoreIncremental(cfg, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds, cfg, inc
+}
+
+// A damaged dataset must not abort a drain: the bit-flipped hour is
+// quarantined and named with its reason in the summary, the hour that ends
+// early is sealed partial from its readable prefix, every other hour is
+// ingested, and the run exits cleanly.
+func TestRunOnceDamagedDataset(t *testing.T) {
+	dir := generate(t, 4, 5)
 	if err := faultfs.BitFlip(flowtuple.HourPath(dir, 1), 1, 0x08); err != nil {
 		t.Fatal(err)
 	}
@@ -64,276 +101,107 @@ func TestRunOnceDamagedDataset(t *testing.T) {
 	if err := faultfs.RecompressPrefix(flowtuple.HourPath(dir, 3), n/2); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-data", dir, "-once", "-retries", "2", "-backoff", "1ms"}); err != nil {
+	var out bytes.Buffer
+	ckpt := t.TempDir()
+	if err := run([]string{"-data", dir, "-once", "-poll", "2ms", "-checkpoint-dir", ckpt}, &out); err != nil {
 		t.Fatalf("damaged dataset aborted the watch: %v", err)
 	}
-}
-
-// testInventory returns a one-device inventory and that device's IP.
-func testInventory(t *testing.T) (*devicedb.Inventory, netx.Addr) {
-	t.Helper()
-	ip := netx.MustParseAddr("1.2.3.4")
-	inv, err := devicedb.NewInventory([]devicedb.Device{
-		{ID: 0, IP: ip, Category: devicedb.Consumer, Type: devicedb.TypeRouter, Country: "RU"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return inv, ip
-}
-
-func scanRecord(src netx.Addr, n int) flowtuple.Record {
-	return flowtuple.Record{
-		SrcIP: uint32(src), DstIP: 0x2C000000 + uint32(n),
-		SrcPort: 4000, DstPort: 23,
-		Protocol: flowtuple.ProtoTCP, TCPFlags: flowtuple.FlagSYN, Packets: 1,
-	}
-}
-
-func writeHour(t *testing.T, dir string, hour int, src netx.Addr, recs int) {
-	t.Helper()
-	w, err := flowtuple.Create(flowtuple.HourPath(dir, hour), uint32(hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < recs; i++ {
-		if err := w.Write(scanRecord(src, i)); err != nil {
-			t.Fatal(err)
+	for _, want := range []string{"4 windows sealed (1 partial)", "1 quarantined", "    quarantined hour 1: "} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("summary lacks %q:\n%s", want, out.String())
 		}
 	}
-	if err := w.Close(); err != nil {
+	_, _, inc := restore(t, dir, ckpt)
+	if !inc.Quarantined(1) || inc.HoursIngested() != 4 {
+		t.Fatalf("checkpoint holds %d hours, quarantined %v", inc.HoursIngested(), inc.QuarantinedHours())
+	}
+	// A resumed run re-reads nothing, and still names the hour given up on.
+	out.Reset()
+	if err := run([]string{"-data", dir, "-once", "-poll", "2ms", "-checkpoint-dir", ckpt}, &out); err != nil {
 		t.Fatal(err)
+	}
+	for _, want := range []string{"0 windows sealed", "    quarantined hour 1: "} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("resumed summary lacks %q:\n%s", want, out.String())
+		}
 	}
 }
 
-func newTestWatcher(t *testing.T, dir string, inv *devicedb.Inventory, retries int) *watcher {
-	t.Helper()
-	ds := &core.Dataset{Inventory: inv}
-	ds.Scenario.Hours = 24
-	inc, err := ds.NewIncremental(core.Config{Lenient: true})
+// -retries 0 means never restart: the first ingest-loop error (here an hour
+// file beyond the scenario's range, which no restart can fix) is returned
+// as it is, where the default budget would restart three times.
+func TestRetriesZeroNeverRestarts(t *testing.T) {
+	dir := generate(t, 5, 2)
+	data, err := os.ReadFile(flowtuple.HourPath(dir, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &watcher{
-		dir: dir, inv: inv, inc: inc,
-		policy: pipeline.RetryPolicy{
-			MaxRetries:  retries,
-			BaseBackoff: time.Millisecond,
-			Retryable:   correlate.IsRetryable,
-		},
-		ingested: make(map[int]bool),
-		attempts: make(map[int]int),
-		nextTry:  make(map[int]time.Time),
+	if err := os.WriteFile(flowtuple.HourPath(dir, 7), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err = run([]string{"-data", dir, "-once", "-poll", "2ms", "-retries", "0"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "hour 7 outside") {
+		t.Fatalf("run = %v, want the ingest loop's own error", err)
+	}
+	if !strings.Contains(out.String(), "restarts: 0\n") {
+		t.Fatalf("restarted anyway:\n%s", out.String())
 	}
 }
 
-func TestSweepQuarantinesAndContinues(t *testing.T) {
-	dir := t.TempDir()
-	inv, ip := testInventory(t)
-	writeHour(t, dir, 0, ip, 3)
-	writeHour(t, dir, 1, ip, 2)
-	writeHour(t, dir, 2, ip, 4)
-	writeHour(t, dir, 3, ip, 4)
-	// Hour 2: permanent corruption. Hour 3: in-progress truncation.
-	if err := faultfs.BitFlip(flowtuple.HourPath(dir, 2), 1, 0x20); err != nil {
-		t.Fatal(err)
-	}
-	if err := faultfs.RecompressPrefix(flowtuple.HourPath(dir, 3), 16+22); err != nil {
-		t.Fatal(err)
-	}
-
-	w := newTestWatcher(t, dir, inv, 2)
-	n, err := w.sweep(context.Background())
-	if err != nil {
-		t.Fatalf("sweep over damaged dir errored: %v", err)
-	}
-	if n != 2 {
-		t.Fatalf("processed %d hours, want 2 healthy", n)
-	}
-	if !w.inc.Quarantined(2) {
-		t.Fatal("corrupt hour not quarantined on first sight")
-	}
-	if w.inc.Quarantined(3) {
-		t.Fatal("truncated hour quarantined before retry budget spent")
-	}
-	// Burn the retry budget; the truncated file never completes.
-	for i := 0; i < 3; i++ {
-		time.Sleep(5 * time.Millisecond)
-		if _, err := w.sweep(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !w.inc.Quarantined(3) {
-		t.Fatal("truncated hour not quarantined after retries exhausted")
-	}
-	st := w.inc.Stats()
-	if st.HoursOK != 2 || st.HoursQuarantined != 2 {
-		t.Fatalf("stats %+v", st)
-	}
-	if st.Faults[1].Attempts != 3 { // 1 initial + 2 retries
-		t.Fatalf("hour 3 attempts %d", st.Faults[1].Attempts)
-	}
+// gatedWriter holds every write until the gate opens: a stalled terminal.
+type gatedWriter struct {
+	gate chan struct{}
+	bytes.Buffer
 }
 
-func TestSweepRetryResolves(t *testing.T) {
-	dir := t.TempDir()
-	inv, ip := testInventory(t)
-	writeHour(t, dir, 0, ip, 5)
-	path := flowtuple.HourPath(dir, 0)
-	complete, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := faultfs.RecompressPrefix(path, 16+2*22); err != nil {
-		t.Fatal(err)
-	}
-
-	w := newTestWatcher(t, dir, inv, 3)
-	if n, err := w.sweep(context.Background()); err != nil || n != 0 {
-		t.Fatalf("sweep = %d, %v", n, err)
-	}
-	// The producer finishes the hour; the retry picks it up.
-	if err := os.WriteFile(path, complete, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !w.ingested[0] {
-		if time.Now().After(deadline) {
-			t.Fatal("retry never resolved")
-		}
-		time.Sleep(2 * time.Millisecond)
-		if _, err := w.sweep(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := w.inc.Stats()
-	if st.HoursOK != 1 || st.HoursRetried != 1 || st.HoursQuarantined != 0 {
-		t.Fatalf("stats %+v", st)
-	}
-	if got := w.inc.Result().Devices[0].Records; got != 5 {
-		t.Fatalf("records after retry %d", got)
-	}
+func (w *gatedWriter) Write(p []byte) (int, error) {
+	<-w.gate
+	return w.Buffer.Write(p)
 }
 
-// A watcher polling a directory while the atomic writer publishes hours
-// concurrently must never observe a partial file: no retries, no
-// quarantines, every hour ingested exactly once.
-func TestSweepAgainstConcurrentAtomicWriter(t *testing.T) {
-	dir := t.TempDir()
-	inv, ip := testInventory(t)
-	const hours, recsPerHour = 5, 50
-
-	var wg sync.WaitGroup
-	wg.Add(1)
+// A burst larger than the printer's subscription buffer makes the hub cut
+// it loose; it must resubscribe and replay the gap, so stdout carries every
+// emitted alert once, in ID order.
+func TestPrintAlertsSurvivesOverflow(t *testing.T) {
+	hub := stream.NewHub(nil)
+	out := gatedWriter{gate: make(chan struct{})}
+	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
-		defer wg.Done()
-		for h := 0; h < hours; h++ {
-			w, err := flowtuple.Create(flowtuple.HourPath(dir, h), uint32(h))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			for i := 0; i < recsPerHour; i++ {
-				if err := w.Write(scanRecord(ip, i)); err != nil {
-					t.Error(err)
-					return
-				}
-				if i%10 == 0 {
-					time.Sleep(time.Millisecond) // keep the file in flight
-				}
-			}
-			if err := w.Close(); err != nil {
-				t.Error(err)
-				return
-			}
-		}
+		defer close(done)
+		printAlerts(&out, hub, nil, 0, stop)
 	}()
-
-	w := newTestWatcher(t, dir, inv, 3)
-	deadline := time.Now().Add(15 * time.Second)
-	for len(w.ingested) < hours {
-		if time.Now().After(deadline) {
-			t.Fatalf("ingested only %d/%d hours", len(w.ingested), hours)
+	const burst = 8 * printBuffer
+	for i := 0; i < burst; i++ {
+		if _, _, err := hub.Emit(stream.Alert{Kind: "test", Key: fmt.Sprint("k", i), Hour: i}); err != nil {
+			t.Fatal(err)
 		}
-		if _, err := w.sweep(context.Background()); err != nil {
-			t.Fatalf("sweep errored mid-write: %v", err)
+	}
+	close(out.gate)
+	close(stop)
+	<-done
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	if len(lines) != burst {
+		t.Fatalf("printed %d of %d alerts", len(lines), burst)
+	}
+	for i, line := range lines {
+		if want := fmt.Sprintf("[hour %3d] ALERT test: k%d", i, i); line != want {
+			t.Fatalf("line %d = %q, want %q", i, line, want)
 		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	wg.Wait()
-	st := w.inc.Stats()
-	if st.HoursOK != hours || st.HoursRetried != 0 || st.HoursQuarantined != 0 || len(st.Faults) != 0 {
-		t.Fatalf("atomic writer leaked partial state to the watcher: %+v", st)
-	}
-	if got := w.inc.Result().Devices[0].Records; got != hours*recsPerHour {
-		t.Fatalf("records %d, want %d", got, hours*recsPerHour)
 	}
 }
 
-func TestMedian(t *testing.T) {
-	if median(nil) != 0 {
-		t.Error("empty median")
-	}
-	if got := median([]float64{3, 1, 2}); got != 2 {
-		t.Errorf("median %v", got)
-	}
-}
-
-func TestDominantVictim(t *testing.T) {
-	mk := func(bs map[int]uint64) *correlate.Result {
-		res := &correlate.Result{Devices: make(map[int]*correlate.DeviceStats)}
-		for id, v := range bs {
-			ds := &correlate.DeviceStats{ID: id}
-			if v > 0 {
-				ds.BackscatterHourly = map[int]uint64{7: v}
-			}
-			res.Devices[id] = ds
-		}
-		return res
-	}
-	cases := []struct {
-		name      string
-		bs        map[int]uint64
-		wantID    int
-		wantShare float64
-	}{
-		{"no backscatter", map[int]uint64{0: 0, 3: 0}, -1, 0},
-		{"empty", nil, -1, 0},
-		{"tie breaks to lowest id", map[int]uint64{5: 10, 3: 10}, 3, 0.5},
-		// Device 0 present with zero packets must never shadow the real
-		// victim, whatever the map iteration order.
-		{"zero-packet device 0", map[int]uint64{0: 0, 2: 7}, 2, 1.0},
-		{"device 0 as true victim", map[int]uint64{0: 9, 4: 1}, 0, 0.9},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			for i := 0; i < 20; i++ { // map order shuffles across runs
-				id, share := dominantVictim(mk(tc.bs), 7)
-				if id != tc.wantID || share != tc.wantShare {
-					t.Fatalf("dominantVictim = (%d, %v), want (%d, %v)",
-						id, share, tc.wantID, tc.wantShare)
-				}
-			}
-		})
-	}
-}
-
-// The restart-safety contract end to end: a watcher checkpointing per hour
-// is killed mid-dataset (no shutdown path of any kind runs — the per-hour
-// checkpoint is the only state that survives), two held-back hours land
-// while it is down, and a restarted watcher resumes from the checkpoint,
-// ingests the late hours out of order, and converges on state
-// byte-identical to a cold batch run over the complete dataset — down to
-// the abuse notification bundles derived from it.
-func TestCheckpointKillRestartResume(t *testing.T) {
-	dir := t.TempDir()
-	gcfg := core.DefaultConfig(0.002, 77)
-	gcfg.Hours = 6
-	if _, err := core.Generate(gcfg, dir); err != nil {
-		t.Fatal(err)
-	}
-	// Hold back hours 3 and 4: they arrive only after the restart, so the
-	// resumed watcher must accept out-of-order hours (5 is already in).
+// The restart contract through the real CLI path: a drain over a partial
+// dataset checkpoints and journals its alerts, two interior hours land
+// while the watcher is down (a backfill, admitted by -lateness), and a
+// second run resumes from the checkpoint, ingests only those hours, and
+// converges on the state of a cold batch run — byte-identical in its
+// canonical re-encoding; the raw file depends on compaction timing — with
+// every alert journaled exactly once across both runs and printed by the
+// run that emitted it.
+func TestFollowDrainResumeExactlyOnce(t *testing.T) {
+	const hours = 6
+	dir := generate(t, 91, hours)
 	held := map[int][]byte{}
 	for _, h := range []int{3, 4} {
 		p := flowtuple.HourPath(dir, h)
@@ -347,93 +215,93 @@ func TestCheckpointKillRestartResume(t *testing.T) {
 		}
 	}
 
-	ds, err := core.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wcfg := core.DefaultConfig(ds.Scenario.Scale, ds.Scenario.Seed)
-	wcfg.Lenient = true
 	ckpt := t.TempDir()
+	args := []string{"-data", dir, "-once", "-lateness", "6",
+		"-checkpoint-dir", ckpt, "-poll", "2ms", "-backoff", "1ms"}
+	if err := run(args, io.Discard); err != nil {
+		t.Fatalf("first run: %v", err)
+	}
+	journal := filepath.Join(ckpt, alertLogFile)
+	first := len(readAlertJournal(t, journal))
+	if first == 0 {
+		t.Fatal("first run journaled no alerts")
+	}
 
-	// Phase 1: ingest what is present, checkpointing after every hour.
-	inc1, path, err := openIncremental(ds, wcfg, ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w1 := newTestWatcher(t, dir, ds.Inventory, 1)
-	w1.inc, w1.ckpt = inc1, resultstore.NewCheckpointLog(path, nil)
-	if _, err := w1.sweep(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := inc1.HoursIngested(); got != 4 {
-		t.Fatalf("phase 1 ingested %d hours, want 4", got)
-	}
-	// The file the kill leaves behind is a base plus appended frames, so
-	// the restart below resumes by replaying frames, not just a base.
-	if info, err := resultstore.Verify(path); err != nil || info.Frames == 0 {
-		t.Fatalf("phase 1 checkpoint: %+v, %v (want appended frames)", info, err)
-	}
-	// SIGKILL: w1 is abandoned here. No summary, no final write.
-
-	// The held-back hours land while the watcher is down.
 	for h, b := range held {
 		if err := os.WriteFile(flowtuple.HourPath(dir, h), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	// Phase 2: restart through the real CLI path, resuming from the
-	// checkpoint directory.
-	if err := run([]string{"-data", dir, "-once", "-checkpoint-dir", ckpt}); err != nil {
-		t.Fatal(err)
+	var out bytes.Buffer
+	if err := run(args, &out); err != nil {
+		t.Fatalf("resumed run: %v", err)
 	}
 
-	// The final checkpoint holds the resumed watcher's entire state.
-	cp, err := resultstore.ReadCheckpoint(path)
+	// Exactly-once: every journal key appears once, and the new-device
+	// alerts match the full dataset's inferred device set.
+	alerts := readAlertJournal(t, journal)
+	keys := map[string]int{}
+	devices := 0
+	for _, a := range alerts {
+		keys[a.Key]++
+		if a.Kind == stream.KindNewDevice {
+			devices++
+		}
+	}
+	for k, n := range keys {
+		if n != 1 {
+			t.Errorf("alert key %q journaled %d times", k, n)
+		}
+	}
+	if got := strings.Count(out.String(), "] ALERT "); got != len(alerts)-first {
+		t.Errorf("resumed run printed %d alerts, journaled %d new ones", got, len(alerts)-first)
+	}
+
+	ds, cfg, followed := restore(t, dir, ckpt)
+	inc, err := ds.NewIncremental(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc2, err := ds.RestoreIncremental(wcfg, cp)
-	if err != nil {
-		t.Fatal(err)
+	for h := 0; h < hours; h++ {
+		if _, err := inc.Ingest(context.Background(), dir, h); err != nil {
+			t.Fatal(err)
+		}
 	}
-	resumed := inc2.Result()
-	if got := inc2.HoursIngested(); got != 6 {
-		t.Fatalf("resumed watcher ingested %d hours, want 6", got)
-	}
-
-	// Cold batch run over the complete dataset: the oracle.
-	cold, err := ds.Analyze(wcfg)
-	if err != nil {
-		t.Fatal(err)
+	if devices != len(inc.Result().Devices) {
+		t.Fatalf("%d new-device alerts, want %d", devices, len(inc.Result().Devices))
 	}
 
-	// Byte-identical through the codec: same state, same artifact.
-	resumedPath := filepath.Join(t.TempDir(), "resumed.irs")
-	coldPath := filepath.Join(t.TempDir(), "cold.irs")
-	if err := resultstore.WriteResult(resumedPath, resumed); err != nil {
-		t.Fatal(err)
+	canonical := func(inc *correlate.Incremental) []byte {
+		path := filepath.Join(t.TempDir(), "canonical.irs")
+		if err := resultstore.WriteCheckpoint(path, inc.Export()); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
-	if err := resultstore.WriteResult(coldPath, cold.Correlate); err != nil {
-		t.Fatal(err)
+	if got, want := canonical(followed), canonical(inc); !bytes.Equal(got, want) {
+		t.Fatalf("followed checkpoint diverged from batch oracle (%d vs %d bytes)", len(got), len(want))
 	}
-	a, err := os.ReadFile(resumedPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(coldPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("resumed state is not byte-identical to the cold batch run")
-	}
+}
 
-	// And the notifications derived from the resumed state match too.
-	ncfg := notify.Config{MinDevices: 1, MinPackets: 1}
-	want := notify.Build(cold.Correlate, ds.Inventory, ds.Registry, ds.Threat, ncfg)
-	got := notify.Build(resumed, ds.Inventory, ds.Registry, ds.Threat, ncfg)
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("notification bundles diverged after kill-and-restart")
+func readAlertJournal(t *testing.T, path string) []stream.Alert {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer f.Close()
+	var alerts []stream.Alert
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		var a stream.Alert
+		if err := json.Unmarshal(sc.Bytes(), &a); err != nil {
+			t.Fatalf("journal line %q: %v", sc.Text(), err)
+		}
+		alerts = append(alerts, a)
+	}
+	return alerts
 }

@@ -6,8 +6,8 @@
 // records in/out, retries, quarantined hours, error class) into a
 // JSON-serializable Report.
 //
-// The engine is deliberately small: composition (Sequence, Parallel,
-// Retry) covers the shapes the tools need, cancellation is first-class
+// The engine is deliberately small: composition (Sequence) covers the
+// shapes the tools need, cancellation is first-class
 // (a stage that honors its ctx makes the whole pipeline cancellable), and
 // observability is free — every cmd that drives an Engine can dump the
 // Report with -stage-report.
@@ -39,7 +39,7 @@ type Stage interface {
 // State is the keyed blackboard stages communicate through. Most stages
 // close over typed values instead; State exists for loosely coupled
 // composition (a cmd appending a custom stage after library stages) and is
-// safe for concurrent use by Parallel branches.
+// safe for concurrent use.
 type State struct {
 	mu   sync.RWMutex
 	vals map[string]any
@@ -103,8 +103,8 @@ type StageMetrics struct {
 	// bundles); zero values are omitted.
 	RecordsIn  uint64 `json:"recordsIn,omitempty"`
 	RecordsOut uint64 `json:"recordsOut,omitempty"`
-	// Retries counts retried attempts (the Retry combinator and the watch
-	// loop's per-hour backoff both record here).
+	// Retries counts retried attempts (iotwatch records its collector's
+	// ingest-loop restarts here).
 	Retries int `json:"retries,omitempty"`
 	// QuarantinedHours counts hour files abandoned under a lenient fault
 	// policy while this stage ran.
@@ -121,8 +121,8 @@ type StageMetrics struct {
 }
 
 // Report is the JSON-serializable run record of one Engine.Run: one
-// StageMetrics per stage (including nested Sequence/Parallel children), in
-// start order.
+// StageMetrics per stage (including nested Sequence children), in start
+// order.
 type Report struct {
 	Pipeline  string          `json:"pipeline"`
 	StartedAt time.Time       `json:"startedAt"`
@@ -245,9 +245,11 @@ func ErrorClass(err error) string {
 	return "internal"
 }
 
-// runStage executes one stage against a pre-registered metrics record,
-// filling timing, status, and error fields.
-func runStage(ctx context.Context, st *State, stage Stage, m *StageMetrics) error {
+// instrument registers a metrics record for the stage in the run's report
+// and executes it, filling timing, status, and error fields.
+func instrument(ctx context.Context, st *State, stage Stage) error {
+	m := &StageMetrics{Name: stage.Name()}
+	reportFrom(ctx).add(m)
 	ctx = context.WithValue(ctx, meterKey, m)
 	start := time.Now()
 	err := stage.Run(ctx, st)
@@ -266,14 +268,6 @@ func runStage(ctx context.Context, st *State, stage Stage, m *StageMetrics) erro
 	}
 	m.Status = StatusOK
 	return nil
-}
-
-// instrument registers a metrics record for the stage in the run's report
-// and executes it.
-func instrument(ctx context.Context, st *State, stage Stage) error {
-	m := &StageMetrics{Name: stage.Name()}
-	reportFrom(ctx).add(m)
-	return runStage(ctx, st, stage, m)
 }
 
 // skip records a stage as skipped (a prior stage failed or the run was
@@ -350,55 +344,9 @@ func (s *seqStage) Run(ctx context.Context, st *State) error {
 	return runSequence(ctx, st, s.stages)
 }
 
-type parStage struct {
-	name   string
-	stages []Stage
-}
-
-// Parallel groups stages into one composite stage that runs its children
-// concurrently. The first failure cancels the siblings' context; every
-// child still gets its own metrics record, registered in declaration
-// order.
-func Parallel(name string, stages ...Stage) Stage {
-	return &parStage{name: name, stages: stages}
-}
-
-func (p *parStage) Name() string { return p.name }
-func (p *parStage) Run(ctx context.Context, st *State) error {
-	rep := reportFrom(ctx)
-	metrics := make([]*StageMetrics, len(p.stages))
-	for i, stage := range p.stages {
-		metrics[i] = &StageMetrics{Name: stage.Name()}
-		rep.add(metrics[i])
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for i, stage := range p.stages {
-		wg.Add(1)
-		go func(stage Stage, m *StageMetrics) {
-			defer wg.Done()
-			if err := runStage(ctx, st, stage, m); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				cancel()
-			}
-		}(stage, metrics[i])
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// RetryPolicy bounds retry-with-backoff behavior for retryable stage
-// failures — the policy iotwatch applies per hour file and the Retry
-// combinator applies per stage.
+// RetryPolicy bounds retry-with-backoff behavior for retryable failures:
+// the streaming collector's supervisor restarts a crashed ingest loop under
+// it, and the outbound queue's drain retries a failed delivery.
 type RetryPolicy struct {
 	// MaxRetries is the retry budget after the initial attempt.
 	MaxRetries int
@@ -467,33 +415,5 @@ func Sleep(ctx context.Context, d time.Duration) error {
 		return ctx.Err()
 	case <-t.C:
 		return nil
-	}
-}
-
-type retryStage struct {
-	inner  Stage
-	policy RetryPolicy
-}
-
-// Retry wraps a stage with the policy: retryable failures re-run the stage
-// after an exponential backoff, each retry recorded in the stage's
-// metrics; permanent failures and context cancellation surface
-// immediately.
-func Retry(inner Stage, policy RetryPolicy) Stage {
-	return &retryStage{inner: inner, policy: policy}
-}
-
-func (r *retryStage) Name() string { return r.inner.Name() }
-func (r *retryStage) Run(ctx context.Context, st *State) error {
-	m := Meter(ctx)
-	for retries := 0; ; retries++ {
-		err := r.inner.Run(ctx, st)
-		if err == nil || !r.policy.ShouldRetry(err, retries) {
-			return err
-		}
-		m.Retries++
-		if serr := Sleep(ctx, r.policy.JitteredDelay(retries+1)); serr != nil {
-			return serr
-		}
 	}
 }

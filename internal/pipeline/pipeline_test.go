@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -186,41 +185,6 @@ func TestSequenceCompositeRegistersChildren(t *testing.T) {
 	}
 }
 
-func TestParallelRunsAllAndCancelsOnFailure(t *testing.T) {
-	boom := errors.New("boom")
-	var sawCancel atomic.Bool
-	eng := New("test", Parallel("par",
-		Func("fails", func(ctx context.Context, st *State) error { return boom }),
-		Func("waits", func(ctx context.Context, st *State) error {
-			select {
-			case <-ctx.Done():
-				sawCancel.Store(true)
-				return ctx.Err()
-			case <-time.After(5 * time.Second):
-				return errors.New("sibling cancellation never arrived")
-			}
-		}),
-	))
-	rep, err := eng.Run(context.Background(), nil)
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if !sawCancel.Load() {
-		t.Fatal("sibling did not observe cancellation")
-	}
-	// Child rows are pre-registered in declaration order.
-	var names []string
-	for _, m := range rep.Stages {
-		names = append(names, m.Name)
-	}
-	if got := strings.Join(names, ","); got != "par,fails,waits" {
-		t.Fatalf("stages = %q, want par,fails,waits", got)
-	}
-	if rep.Stage("waits").ErrorClass != "canceled" {
-		t.Errorf("waits class = %q, want canceled", rep.Stage("waits").ErrorClass)
-	}
-}
-
 type classedErr struct{}
 
 func (classedErr) Error() string      { return "bad frame" }
@@ -281,42 +245,6 @@ func TestRetryPolicy(t *testing.T) {
 	}
 	if !p.Exhausted(3) || p.Exhausted(2) {
 		t.Error("Exhausted wrong")
-	}
-}
-
-func TestRetryStageRetriesAndRecords(t *testing.T) {
-	again := errors.New("again")
-	attempts := 0
-	stage := Retry(Func("flaky", func(ctx context.Context, st *State) error {
-		attempts++
-		if attempts < 3 {
-			return again
-		}
-		return nil
-	}), RetryPolicy{MaxRetries: 5, BaseBackoff: time.Microsecond, Retryable: func(err error) bool { return errors.Is(err, again) }})
-	rep, err := New("test", stage).Run(context.Background(), nil)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if attempts != 3 {
-		t.Fatalf("attempts = %d, want 3", attempts)
-	}
-	m := rep.Stage("flaky")
-	if m.Retries != 2 || m.Status != StatusOK {
-		t.Fatalf("metrics = %+v, want 2 retries ok", m)
-	}
-}
-
-func TestRetryStageGivesUpOnPermanent(t *testing.T) {
-	boom := errors.New("permanent")
-	attempts := 0
-	stage := Retry(Func("flaky", func(ctx context.Context, st *State) error {
-		attempts++
-		return boom
-	}), RetryPolicy{MaxRetries: 5, BaseBackoff: time.Microsecond, Retryable: func(err error) bool { return false }})
-	_, err := New("test", stage).Run(context.Background(), nil)
-	if !errors.Is(err, boom) || attempts != 1 {
-		t.Fatalf("err=%v attempts=%d", err, attempts)
 	}
 }
 

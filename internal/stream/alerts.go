@@ -19,7 +19,7 @@ const (
 	KindNewDevice = "new-device"
 	// KindDoSSpike fires when a sealed window's backscatter exceeds the
 	// alarm multiple of the running median (a DoS victim inside the
-	// telescope's view).
+	// telescope's view); Device is the hour's dominant victim.
 	KindDoSSpike = "dos-spike"
 	// KindNewCampaign fires when a coordinated-scan campaign fingerprint
 	// is seen for the first time.

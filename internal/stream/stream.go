@@ -170,6 +170,10 @@ type Stats struct {
 	MaxHour                  int
 	Watermark                int
 	OpenWindows              int
+	// Faults is the incremental engine's own fault list — every hour given
+	// up on, with its cause, including those a resumed checkpoint carried —
+	// as of the last ingest-loop start or quarantine. Read-only.
+	Faults []correlate.HourFault
 }
 
 // Collector is the streaming ingestion engine: one tailer goroutine
@@ -311,6 +315,7 @@ func (c *Collector) runOnce(ctx context.Context) (err error) {
 	c.stats.MaxHour = st.maxHour
 	c.stats.Watermark = st.watermark(c.cfg.Lateness)
 	c.stats.OpenWindows = 0
+	c.stats.Faults = inc.Stats().Faults
 	c.mu.Unlock()
 
 	tctx, cancel := context.WithCancel(ctx)
@@ -504,6 +509,7 @@ func (c *Collector) quarantine(st *ingest, h int, cause error) error {
 	if st.inc.Quarantined(h) {
 		c.stats.HoursQuarantined++
 	}
+	c.stats.Faults = st.inc.Stats().Faults
 	c.mu.Unlock()
 	c.checkpoint(st)
 	return c.fail("quarantined", h)
@@ -555,7 +561,8 @@ func (c *Collector) emitAlerts(st *ingest, ws correlate.WindowStats) error {
 			if err := c.emit(Alert{
 				Kind: KindDoSSpike, Key: fmt.Sprintf("dos/h%d", ws.Hour),
 				Hour: ws.Hour, Packets: ws.Backscatter,
-				Ratio: float64(ws.Backscatter) / med,
+				Ratio:  float64(ws.Backscatter) / med,
+				Device: dominantVictim(st.inc.Result(), ws.Hour),
 			}); err != nil {
 				return err
 			}
@@ -678,6 +685,22 @@ func median(xs []float64) float64 {
 	} else {
 		return (dup[n/2-1] + dup[n/2]) / 2
 	}
+}
+
+// dominantVictim finds the device with the most backscatter in the hour.
+// Ties break to the lowest device ID, and the sentinel -1 (never a valid
+// ID) is returned when no device has backscatter, so a device that merely
+// sorts first can never be misreported as the victim.
+func dominantVictim(res *correlate.Result, hour int) int {
+	bestID := -1
+	var bestPkts uint64
+	for id, ds := range res.Devices {
+		v := ds.BackscatterHourly[hour]
+		if v > bestPkts || (v == bestPkts && v > 0 && id < bestID) {
+			bestID, bestPkts = id, v
+		}
+	}
+	return bestID
 }
 
 func campaignKey(ports []uint16) string {

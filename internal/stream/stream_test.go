@@ -476,6 +476,9 @@ func TestLateArrivalQuarantinedNotDropped(t *testing.T) {
 	}
 
 	s := c.Stats()
+	if len(s.Faults) != 1 || s.Faults[0].Hour != 1 || !errors.Is(s.Faults[0].Err, ErrLateArrival) {
+		t.Fatalf("late hour not named in the fault list: %+v", s.Faults)
+	}
 	if int(s.LateDropped)+s.LateBuffered != n {
 		t.Fatalf("late records leak: dropped %d + buffered %d != %d", s.LateDropped, s.LateBuffered, n)
 	}
@@ -573,8 +576,20 @@ func TestCorruptHourQuarantined(t *testing.T) {
 	if err := c.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.HoursQuarantined != 1 {
+	if st := c.Stats(); st.HoursQuarantined != 1 || len(st.Faults) != 1 || st.Faults[0].Hour != 2 ||
+		!errors.Is(st.Faults[0].Err, flowtuple.ErrBadFormat) {
 		t.Fatalf("quarantine stats: %+v", st)
+	}
+	// A resumed collector names the hour its checkpoint had given up on.
+	c, err = New(Config{Dir: dir, Poll: time.Millisecond, Drain: true}, checkpointOpener(ds, cfg, ckpt), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.WindowsSealed != 0 || len(st.Faults) != 1 || st.Faults[0].Hour != 2 {
+		t.Fatalf("resumed stats: %+v", st)
 	}
 	cp, err := resultstore.ReadCheckpoint(ckpt)
 	if err != nil {
@@ -683,5 +698,169 @@ func TestLateGrowthCounted(t *testing.T) {
 	}
 	if got := canonicalCheckpoint(t, ds, cfg, ckpt); !bytes.Equal(got, want) {
 		t.Fatal("late growth leaked into the checkpoint")
+	}
+}
+
+// TestConcurrentAtomicWriter: a collector following a directory while
+// flowtuple.Create publishes hours into it must never observe a partial
+// file — the writer renames a finished file into place — so every hour
+// seals complete, none is quarantined, and the record count is exact.
+func TestConcurrentAtomicWriter(t *testing.T) {
+	const hours = 5
+	dir, ds, cfg := genDataset(t, 29, hours)
+	staged := t.TempDir()
+	total := 0
+	for h := 0; h < hours; h++ {
+		total += countRecords(t, flowtuple.HourPath(dir, h))
+		if err := os.Rename(flowtuple.HourPath(dir, h), flowtuple.HourPath(staged, h)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := New(Config{Dir: dir, Poll: time.Millisecond}, checkpointOpener(ds, cfg, ""), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- c.Run(ctx) }()
+	if err := republish(staged, dir, hours); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "every hour to seal", func() bool { return c.Stats().WindowsSealed == hours })
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if st.WindowsPartial != 0 || st.HoursQuarantined != 0 || len(st.Faults) != 0 || st.LateHours != 0 {
+		t.Fatalf("atomic writer leaked partial state to the collector: %+v", st)
+	}
+	if st.RecordsIngested != uint64(total) {
+		t.Fatalf("ingested %d records, wrote %d", st.RecordsIngested, total)
+	}
+}
+
+// republish rewrites each staged hour into dir through the atomic writer,
+// pausing between batches to keep the file in flight across many polls.
+func republish(staged, dir string, hours int) error {
+	buf := make([]flowtuple.Record, 64)
+	for h := 0; h < hours; h++ {
+		rd, err := flowtuple.Open(flowtuple.HourPath(staged, h))
+		if err != nil {
+			return err
+		}
+		w, err := flowtuple.Create(flowtuple.HourPath(dir, h), uint32(h))
+		if err != nil {
+			rd.Close()
+			return err
+		}
+		for {
+			n, err := rd.NextBatch(buf)
+			for _, rec := range buf[:n] {
+				if werr := w.Write(rec); werr != nil {
+					rd.Close()
+					return werr
+				}
+			}
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				rd.Close()
+				return err
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		rd.Close()
+		if err := w.Close(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestDoSSpikeNamesDominantVictim: a dos-spike alert carries the hour's
+// dominant victim, as the sealed state holds it.
+func TestDoSSpikeNamesDominantVictim(t *testing.T) {
+	dir, ds, cfg := genDataset(t, 21, 8)
+	ckpt := filepath.Join(t.TempDir(), "checkpoint.irs")
+	c, err := New(Config{
+		Dir: dir, CheckpointPath: ckpt, Poll: time.Millisecond, Drain: true,
+	}, checkpointOpener(ds, cfg, ckpt), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := resultstore.ReadCheckpoint(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, err := ds.RestoreIncremental(cfg, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spikes := 0
+	for _, a := range c.Hub().Since(0) {
+		if a.Kind != KindDoSSpike {
+			continue
+		}
+		spikes++
+		if want := dominantVictim(inc.Result(), a.Hour); want < 0 || a.Device != want {
+			t.Errorf("hour %d spike names device %d, dominant victim is %d", a.Hour, a.Device, want)
+		}
+	}
+	if spikes == 0 {
+		t.Fatal("fixture raised no dos-spike")
+	}
+}
+
+// The DoS alarm's one median is the true one: an even count averages the
+// middle pair (the deleted poll loop took the upper of the two).
+func TestMedian(t *testing.T) {
+	for _, tc := range []struct {
+		xs   []float64
+		want float64
+	}{{nil, 0}, {[]float64{3, 1, 2}, 2}, {[]float64{4, 1, 3, 2}, 2.5}} {
+		if got := median(tc.xs); got != tc.want {
+			t.Errorf("median(%v) = %v, want %v", tc.xs, got, tc.want)
+		}
+	}
+}
+
+func TestDominantVictim(t *testing.T) {
+	mk := func(bs map[int]uint64) *correlate.Result {
+		res := &correlate.Result{Devices: make(map[int]*correlate.DeviceStats)}
+		for id, v := range bs {
+			ds := &correlate.DeviceStats{ID: id}
+			if v > 0 {
+				ds.BackscatterHourly = map[int]uint64{7: v}
+			}
+			res.Devices[id] = ds
+		}
+		return res
+	}
+	cases := []struct {
+		name string
+		bs   map[int]uint64
+		want int
+	}{
+		{"no backscatter", map[int]uint64{0: 0, 3: 0}, -1},
+		{"empty", nil, -1},
+		{"tie breaks to lowest id", map[int]uint64{5: 10, 3: 10}, 3},
+		// Device 0 present with zero packets must never shadow the real
+		// victim, whatever the map iteration order.
+		{"zero-packet device 0", map[int]uint64{0: 0, 2: 7}, 2},
+		{"device 0 as true victim", map[int]uint64{0: 9, 4: 1}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for i := 0; i < 20; i++ { // map order shuffles across runs
+				if got := dominantVictim(mk(tc.bs), 7); got != tc.want {
+					t.Fatalf("dominantVictim = %d, want %d", got, tc.want)
+				}
+			}
+		})
 	}
 }
