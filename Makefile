@@ -16,7 +16,7 @@ RACE_PKGS = ./internal/correlate ./internal/flowtuple ./internal/apiserve \
 	./cmd/iotwatch ./cmd/iotserve ./cmd/iotinfer ./cmd/iotreport \
 	./cmd/iotnotify
 
-.PHONY: check build test vet race fuzz scenarios bench benchall benchdiff chaos perf loc
+.PHONY: check build test vet race fuzz bench benchall benchdiff chaos perf loc
 
 # The full gate: tier-1 build/test plus vet and the race suite.
 check: vet build test race
@@ -51,11 +51,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzScenarioDecode -fuzztime=30s ./internal/wgen
 	$(GO) test -fuzz=FuzzFrames -fuzztime=30s ./internal/wal
 	$(GO) test -fuzz=FuzzMalwareIndex -fuzztime=30s ./internal/malwaredb
-
-# Regenerate the bundled scenario files from their programmatic
-# definitions (TestBundledFilesAreCanonical pins the output).
-scenarios:
-	$(GO) run ./tools/scenariogen
 
 # Serving chaos suite: signal-driven lifecycle (SIGHUP reload under load,
 # corrupt-dataset reload, SIGTERM drain) plus HTTP admission-control and

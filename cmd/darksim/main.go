@@ -23,13 +23,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "darksim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, stdout io.Writer) error {
+func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("darksim", flag.ContinueOnError)
 	var (
 		out     = fs.String("out", "", "output dataset directory (required)")
@@ -38,16 +38,19 @@ func run(args []string, stdout io.Writer) error {
 		seed    = fs.Uint64("seed", 1, "master seed")
 		hours   = fs.Int("hours", 0, "override the scenario's hour window (0 keeps it)")
 		list    = fs.Bool("list-scenarios", false, "list the bundled scenario library and exit")
-		printCf = fs.String("print-config", "", "print a scenario's canonical config and hash, then exit")
+		printCf = fs.String("print-config", "", "print the canonical config of a bundled scenario name[@version] or a .json file (a usable scenario file) to stdout and its hash to stderr, then exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q (every input is a flag)", fs.Arg(0))
 	}
 	if *list {
 		return listScenarios(stdout)
 	}
 	if *printCf != "" {
-		return printConfig(stdout, *printCf)
+		return printConfig(stdout, stderr, *printCf)
 	}
 	if *out == "" {
 		return fmt.Errorf("-out is required")
@@ -95,8 +98,9 @@ func listScenarios(w io.Writer) error {
 }
 
 // printConfig resolves a scenario reference the same way -scenario does and
-// prints its canonical JSON followed by the config hash.
-func printConfig(w io.Writer, ref string) error {
+// writes exactly its canonical JSON to stdout — redirected to a file, that is
+// a scenario file -scenario accepts — and the config hash to stderr.
+func printConfig(stdout, stderr io.Writer, ref string) error {
 	rs, err := scenario.Resolve(ref, scenario.Options{Scale: 1, Seed: 0})
 	if err != nil {
 		return err
@@ -105,9 +109,9 @@ func printConfig(w io.Writer, ref string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := w.Write(canon); err != nil {
+	if _, err := stdout.Write(canon); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "# config hash: %s\n", rs.ConfigHash)
+	fmt.Fprintf(stderr, "config hash: %s\n", rs.ConfigHash)
 	return nil
 }

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"iotscope/internal/scenario"
 )
 
 func TestRunValidation(t *testing.T) {
@@ -23,10 +25,12 @@ func TestRunValidation(t *testing.T) {
 		{"unknown scenario", []string{"-out", "x", "-scenario", "no-such-scenario"}},
 		{"unknown scenario version", []string{"-out", "x", "-scenario", "paper-default@99"}},
 		{"missing scenario file", []string{"-out", "x", "-scenario", "no/such/file.json"}},
+		{"stray argument", []string{"-out", "x", "extra"}},
+		{"print-config swallowing a flag", []string{"-print-config", "-scenario", "mirai-wave"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := run(tc.args, io.Discard); err == nil {
+			if err := run(tc.args, io.Discard, io.Discard); err == nil {
 				t.Fatalf("args %v accepted", tc.args)
 			}
 		})
@@ -35,7 +39,7 @@ func TestRunValidation(t *testing.T) {
 
 func TestRunGeneratesDataset(t *testing.T) {
 	dir := t.TempDir()
-	err := run([]string{"-out", dir, "-scale", "0.002", "-seed", "3", "-hours", "4"}, io.Discard)
+	err := run([]string{"-out", dir, "-scale", "0.002", "-seed", "3", "-hours", "4"}, io.Discard, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +59,7 @@ func TestRunScenarioByName(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
 	err := run([]string{"-out", dir, "-scenario", "stealth-scan@1",
-		"-scale", "0.002", "-seed", "3", "-hours", "2"}, &out)
+		"-scale", "0.002", "-seed", "3", "-hours", "2"}, &out, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +73,7 @@ func TestRunScenarioByName(t *testing.T) {
 
 func TestListScenarios(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-list-scenarios"}, &out); err != nil {
+	if err := run([]string{"-list-scenarios"}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
@@ -92,16 +96,40 @@ func TestListScenarios(t *testing.T) {
 	}
 }
 
+// -print-config writes a usable scenario file: for every bundled ref, stdout
+// is exactly the canonical JSON (the hash goes to stderr), and that file
+// resolves to the bundled ref's config hash.
 func TestPrintConfig(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-print-config", "paper-default"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	if !strings.Contains(s, `"Name": "paper-default"`) {
-		t.Errorf("canonical config missing name:\n%.400s", s)
-	}
-	if !strings.Contains(s, "# config hash: sha256:") {
-		t.Error("hash trailer missing")
+	for _, m := range scenario.List() {
+		var stdout, stderr bytes.Buffer
+		if err := run([]string{"-print-config", m.Ref()}, &stdout, &stderr); err != nil {
+			t.Fatal(err)
+		}
+		want, err := scenario.Resolve(m.Ref(), scenario.Options{Scale: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := stderr.String(); got != "config hash: "+want.ConfigHash+"\n" {
+			t.Errorf("%s: stderr %q does not report hash %s", m.Ref(), got, want.ConfigHash)
+		}
+		path := filepath.Join(t.TempDir(), m.Name+".json")
+		if err := os.WriteFile(path, stdout.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fromFile, err := scenario.Resolve(path, scenario.Options{Scale: 1})
+		if err != nil {
+			t.Fatalf("%s: printed config is not a scenario file: %v", m.Ref(), err)
+		}
+		if fromFile.ConfigHash != want.ConfigHash {
+			t.Errorf("%s: printed file hashes to %s, bundled %s", m.Ref(), fromFile.ConfigHash, want.ConfigHash)
+		}
+		// Printing the file prints the same bytes.
+		var again bytes.Buffer
+		if err := run([]string{"-print-config", path}, &again, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), stdout.Bytes()) {
+			t.Errorf("%s: printing the printed file changes it", m.Ref())
+		}
 	}
 }

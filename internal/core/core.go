@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -202,34 +203,40 @@ func noisePool(reg *geo.Registry, inv *devicedb.Inventory, seed uint64, n int) [
 	return pool
 }
 
-// persist writes the dataset's files other than the hour files. The two
-// JSON documents and the malware corpus with its index are each an atomic
-// replace through fsys (nil: the os package).
+// persist writes the dataset's files other than the hour files, each an
+// atomic replace through fsys (nil: the os package): a crash leaves a file
+// as it was or complete, never torn under a run.json that vouches for it.
 func (ds *Dataset) persist(fsys wal.FS) error {
-	scPath := filepath.Join(ds.Dir, ScenarioFile)
-	if err := writeJSON(fsys, scPath, ds.Scenario); err != nil {
+	if err := writeJSON(fsys, filepath.Join(ds.Dir, ScenarioFile), ds.Scenario); err != nil {
 		return err
 	}
-	if err := ds.Inventory.SaveFile(filepath.Join(ds.Dir, InventoryFile)); err != nil {
+	if err := writeSaved(fsys, filepath.Join(ds.Dir, InventoryFile), ds.Inventory.Save); err != nil {
 		return err
 	}
-	if err := ds.Threat.SaveFile(filepath.Join(ds.Dir, ThreatFile)); err != nil {
+	if err := writeSaved(fsys, filepath.Join(ds.Dir, ThreatFile), ds.Threat.Save); err != nil {
 		return err
 	}
 	if err := ds.Malware.SaveReportsFile(fsys, filepath.Join(ds.Dir, MalwareReportsFile)); err != nil {
 		return err
 	}
-	if err := ds.Catalog.SaveFile(filepath.Join(ds.Dir, MalwareCatalogFile)); err != nil {
+	if err := writeSaved(fsys, filepath.Join(ds.Dir, MalwareCatalogFile), ds.Catalog.Save); err != nil {
 		return err
 	}
 	return writeJSON(fsys, filepath.Join(ds.Dir, TruthFile), ds.Truth)
 }
 
 func writeJSON(fsys wal.FS, path string, v any) error {
+	return writeSaved(fsys, path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	})
+}
+
+// writeSaved renders a document into memory and replaces path with it.
+func writeSaved(fsys wal.FS, path string, save func(io.Writer) error) error {
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := save(&buf); err != nil {
 		return err
 	}
 	return wal.WriteAtomic(fsys, path, buf.Bytes())

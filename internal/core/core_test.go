@@ -182,6 +182,41 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// testdata/scenario-pr18.json was written by the build before Scenario
+// embedded Population (darksim -scale 0.002 -seed 5 -hours 6). An embedded
+// struct flattens, so the file keeps its keys and their order: this build
+// writes the same bytes, and a dataset carrying the old file opens to the
+// same Scenario.
+func TestScenarioJSONKeysUnchanged(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "scenario-pr18.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(0.002, 5)
+	cfg.Hours = 6
+	ds, err := Generate(cfg, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(ds.Dir, ScenarioFile)
+	if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, old) {
+		t.Errorf("scenario.json differs from the one the previous build wrote (%v)", err)
+	}
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(ds.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(reopened.Scenario, ds.Scenario) {
+		t.Fatal("a previous build's scenario.json opens to a different Scenario")
+	}
+	if reopened.Scenario.CompromisedTotal != 26881 || len(reopened.Scenario.ConsumerCountryShares) != 20 {
+		t.Fatal("population fields did not decode through the embedded struct")
+	}
+}
+
 func TestResultsBufferRenderable(t *testing.T) {
 	// Smoke: Results feed the report package without panics (full render
 	// tested in internal/report).

@@ -75,22 +75,11 @@ func TestScenarioDatasetByteIdentical(t *testing.T) {
 
 // A dataset generated from an external scenario file is byte-identical to
 // one generated from the equivalent bundled scenario, except for the
-// manifest's Source line — and the manifest records exactly that.
+// manifest's Source line — and the manifest records exactly that. Run for a
+// planted-actor scenario and for the one definition that overrides the
+// telescope.
 func TestScenarioFileMatchesBundled(t *testing.T) {
-	cfg0, err := scenario.Load("stealth-scan@1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	canon, err := cfg0.CanonicalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext := filepath.Join(t.TempDir(), "stealth-scan.json")
-	if err := os.WriteFile(ext, canon, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	render := func(ref string) (string, [32]byte) {
+	render := func(ref string) [32]byte {
 		rs, err := scenario.Resolve(ref, scenario.Options{Scale: 0.002, Seed: 3, Hours: 4})
 		if err != nil {
 			t.Fatal(err)
@@ -106,11 +95,24 @@ func TestScenarioFileMatchesBundled(t *testing.T) {
 		if err := os.Remove(filepath.Join(dir, scenario.ManifestFile)); err != nil {
 			t.Fatal(err)
 		}
-		return dir, hashDatasetDir(t, dir)
+		return hashDatasetDir(t, dir)
 	}
-	_, fromBundle := render("stealth-scan@1")
-	_, fromFile := render(ext)
-	if !bytes.Equal(fromBundle[:], fromFile[:]) {
-		t.Fatal("external scenario file renders different bytes than the bundled scenario")
+	for _, ref := range []string{"stealth-scan@1", "telescope-24@1"} {
+		cfg0, err := scenario.Load(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		canon, err := cfg0.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ext := filepath.Join(t.TempDir(), cfg0.Name+".json")
+		if err := os.WriteFile(ext, canon, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fromBundle, fromFile := render(ref), render(ext)
+		if !bytes.Equal(fromBundle[:], fromFile[:]) {
+			t.Fatalf("%s: external scenario file renders different bytes than the bundled scenario", ref)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package devicedb
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -271,7 +272,11 @@ func TestSaveLoadFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := t.TempDir() + "/inv.jsonl"
-	if err := inv.SaveFile(path); err != nil {
+	var buf bytes.Buffer
+	if err := inv.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	back, err := LoadFile(path)

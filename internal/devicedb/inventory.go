@@ -89,19 +89,6 @@ func (inv *Inventory) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// SaveFile writes the inventory to path.
-func (inv *Inventory) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := inv.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // Load reads a JSONL inventory.
 func Load(r io.Reader) (*Inventory, error) {
 	dec := json.NewDecoder(bufio.NewReaderSize(r, 1<<16))

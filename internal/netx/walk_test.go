@@ -73,30 +73,3 @@ func TestTrieDeleteFallbackProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: FrozenSet matches map-set membership on arbitrary inputs.
-func TestFrozenSetMembershipProperty(t *testing.T) {
-	f := func(seed uint64, n uint8) bool {
-		r := rng.New(seed)
-		var addrs []Addr
-		truth := make(map[Addr]bool)
-		for i := 0; i < int(n); i++ {
-			a := Addr(r.Uint32() % 500)
-			addrs = append(addrs, a)
-			truth[a] = true
-		}
-		fs := NewFrozenSet(addrs)
-		if fs.Len() != len(truth) {
-			return false
-		}
-		for probe := Addr(0); probe < 500; probe += 7 {
-			if fs.Contains(probe) != truth[probe] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -2,9 +2,9 @@
 // telescope-scale analytics. The CAIDA telescope the paper draws from sees
 // over a billion packets per hour; counting unique destination addresses and
 // ports exactly per hour is feasible at our simulation scale but not at the
-// paper's, so the analysis layer can swap the exact netx.Set counters for a
-// HyperLogLog, and frequency tables for a Count-Min sketch. An ablation
-// bench (BenchmarkAblationSketch) quantifies the trade.
+// paper's, so the correlator can swap its exact per-hour destination sets
+// for a HyperLogLog. An ablation bench (BenchmarkAblationSketch) quantifies
+// the trade.
 package sketch
 
 import (

@@ -45,41 +45,6 @@ func TestHLLMergeAllocationFree(t *testing.T) {
 	}
 }
 
-func TestCountMinMergeAllocationFree(t *testing.T) {
-	a, err := NewCountMin(4, 2048)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewCountMin(4, 2048)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 1000; i++ {
-		a.Add(i, 3)
-		b.Add(i*11, 5)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := a.Merge(b); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("CountMin.Merge allocated %.1f objects per run, want 0", allocs)
-	}
-	c, err := NewCountMin(4, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	allocs = testing.AllocsPerRun(100, func() {
-		if err := a.Merge(c); err != ErrShapeMismatch {
-			t.Fatalf("got %v, want ErrShapeMismatch", err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("CountMin.Merge (mismatch path) allocated %.1f objects per run, want 0", allocs)
-	}
-}
-
 func BenchmarkHLLMerge(b *testing.B) {
 	x, err := NewHLL(14)
 	if err != nil {
@@ -92,28 +57,6 @@ func BenchmarkHLLMerge(b *testing.B) {
 	for i := uint32(0); i < 1<<16; i++ {
 		x.AddAddr(i)
 		y.AddAddr(i * 2654435761)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := x.Merge(y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCountMinMerge(b *testing.B) {
-	x, err := NewCountMin(4, 1<<14)
-	if err != nil {
-		b.Fatal(err)
-	}
-	y, err := NewCountMin(4, 1<<14)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := uint64(0); i < 1<<14; i++ {
-		x.Add(i, 1)
-		y.Add(i*31, 2)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

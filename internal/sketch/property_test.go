@@ -54,25 +54,3 @@ func TestHLLMergeIdempotentProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: CountMin counts are monotone under additional insertions.
-func TestCountMinMonotoneProperty(t *testing.T) {
-	f := func(seed uint64, n uint16) bool {
-		c, _ := NewCountMin(3, 256)
-		r := rng.New(seed)
-		key := uint64(42)
-		prev := uint64(0)
-		for i := 0; i < int(n)%500+1; i++ {
-			c.Add(uint64(r.Intn(64)), 1)
-			cur := c.Count(key)
-			if cur < prev {
-				return false
-			}
-			prev = cur
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}

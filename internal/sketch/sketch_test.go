@@ -143,78 +143,6 @@ func TestHLLReset(t *testing.T) {
 	}
 }
 
-func TestCountMinValidation(t *testing.T) {
-	if _, err := NewCountMin(0, 10); err == nil {
-		t.Error("depth 0 accepted")
-	}
-	if _, err := NewCountMin(3, 0); err == nil {
-		t.Error("width 0 accepted")
-	}
-}
-
-func TestCountMinNeverUnderestimates(t *testing.T) {
-	r := rng.New(13)
-	c, _ := NewCountMin(4, 1024)
-	truth := make(map[uint64]uint64)
-	for i := 0; i < 20000; i++ {
-		k := uint64(r.Intn(500))
-		c.Add(k, 1)
-		truth[k]++
-	}
-	for k, want := range truth {
-		if got := c.Count(k); got < want {
-			t.Fatalf("key %d: count %d < truth %d", k, got, want)
-		}
-	}
-}
-
-func TestCountMinAccuracyOnHeavyHitters(t *testing.T) {
-	r := rng.New(17)
-	c, _ := NewCountMin(4, 4096)
-	z := rng.NewZipf(1000, 1.2)
-	truth := make(map[uint64]uint64)
-	const draws = 100000
-	for i := 0; i < draws; i++ {
-		k := uint64(z.Sample(r))
-		c.Add(k, 1)
-		truth[k]++
-	}
-	// Heavy hitters must be within the sketch's additive error bound.
-	bound := uint64(2*draws/4096) + 1
-	for k := uint64(1); k <= 10; k++ {
-		got, want := c.Count(k), truth[k]
-		if got-want > bound {
-			t.Errorf("key %d: overestimate %d beyond bound %d", k, got-want, bound)
-		}
-	}
-}
-
-func TestCountMinMerge(t *testing.T) {
-	a, _ := NewCountMin(3, 512)
-	b, _ := NewCountMin(3, 512)
-	a.Add(42, 5)
-	b.Add(42, 7)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Count(42); got < 12 {
-		t.Fatalf("merged count %d < 12", got)
-	}
-	other, _ := NewCountMin(3, 256)
-	if err := a.Merge(other); err == nil {
-		t.Fatal("shape mismatch accepted")
-	}
-}
-
-func TestCountMinReset(t *testing.T) {
-	c, _ := NewCountMin(3, 128)
-	c.Add(1, 100)
-	c.Reset()
-	if got := c.Count(1); got != 0 {
-		t.Fatalf("count after reset = %d", got)
-	}
-}
-
 func TestHash64Distinct(t *testing.T) {
 	seen := make(map[uint64]bool, 10000)
 	for i := uint64(0); i < 10000; i++ {
@@ -230,12 +158,5 @@ func BenchmarkHLLAdd(b *testing.B) {
 	h, _ := NewHLL(14)
 	for i := 0; i < b.N; i++ {
 		h.AddAddr(uint32(i))
-	}
-}
-
-func BenchmarkCountMinAdd(b *testing.B) {
-	c, _ := NewCountMin(4, 8192)
-	for i := 0; i < b.N; i++ {
-		c.Add(uint64(i&4095), 1)
 	}
 }

@@ -1,7 +1,8 @@
 // Package stats implements the statistical machinery the paper's evaluation
-// relies on: descriptive summaries, empirical CDFs (Figs. 6 and 11), Pearson
-// correlation with significance (Sec. IV-A/IV-C), and the Mann-Whitney U
-// test used to compare CPS and consumer traffic volumes (Sec. IV and IV-B).
+// relies on: descriptive summaries, the log-binned histograms behind the CDF
+// figures (Figs. 6 and 11), Pearson correlation with significance
+// (Sec. IV-A/IV-C), and the Mann-Whitney U test used to compare CPS and
+// consumer traffic volumes (Sec. IV and IV-B).
 package stats
 
 import (
@@ -80,39 +81,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 		return sorted[lo]
 	}
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// ECDF is an empirical cumulative distribution function.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds the ECDF of xs. It returns an error for an empty sample.
-func NewECDF(xs []float64) (*ECDF, error) {
-	if len(xs) == 0 {
-		return nil, ErrInsufficientData
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return &ECDF{sorted: sorted}, nil
-}
-
-// At returns P(X <= x).
-func (e *ECDF) At(x float64) float64 {
-	i := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(e.sorted))
-}
-
-// N returns the sample size.
-func (e *ECDF) N() int { return len(e.sorted) }
-
-// Points returns (x, P(X<=x)) pairs evaluated at the given xs, for plotting.
-func (e *ECDF) Points(xs []float64) [][2]float64 {
-	out := make([][2]float64, len(xs))
-	for i, x := range xs {
-		out[i] = [2]float64{x, e.At(x)}
-	}
-	return out
 }
 
 // PearsonResult is a correlation estimate with its significance.

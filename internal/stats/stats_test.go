@@ -55,52 +55,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestECDF(t *testing.T) {
-	e, err := NewECDF([]float64{1, 2, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tests := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {2, 0.75}, {2.5, 0.75}, {3, 1}, {99, 1},
-	}
-	for _, tc := range tests {
-		if got := e.At(tc.x); !almostEqual(got, tc.want, 1e-12) {
-			t.Errorf("At(%v) = %v want %v", tc.x, got, tc.want)
-		}
-	}
-	if e.N() != 4 {
-		t.Errorf("N = %d", e.N())
-	}
-	pts := e.Points([]float64{1, 3})
-	if pts[0][1] != 0.25 || pts[1][1] != 1 {
-		t.Errorf("Points = %v", pts)
-	}
-}
-
-func TestECDFEmpty(t *testing.T) {
-	if _, err := NewECDF(nil); err == nil {
-		t.Fatal("empty ECDF accepted")
-	}
-}
-
-// Property: ECDF is monotone nondecreasing and within [0, 1].
-func TestECDFMonotoneProperty(t *testing.T) {
-	r := rng.New(5)
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = r.Float64() * 100
-	}
-	e, _ := NewECDF(xs)
-	prev := 0.0
-	for x := -10.0; x < 120; x += 0.7 {
-		v := e.At(x)
-		if v < prev || v < 0 || v > 1 {
-			t.Fatalf("ECDF not monotone at %v: %v < %v", x, v, prev)
-		}
-		prev = v
-	}
-}
-
 func TestPearsonPerfect(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	ys := []float64{2, 4, 6, 8, 10}

@@ -183,19 +183,6 @@ func (r *Repository) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// SaveFile writes the repository to path.
-func (r *Repository) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := r.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // Load reads a JSONL repository.
 func Load(rd io.Reader) (*Repository, error) {
 	repo := NewRepository()

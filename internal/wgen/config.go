@@ -38,17 +38,21 @@ func (e *FieldError) Unwrap() error { return ErrBadScenario }
 // population shape (Sec. III-B): who exists, who is compromised, and the
 // activity envelope every actor draws from.
 type Population struct {
-	InventorySize            int
-	CompromisedTotal         int
-	ConsumerCompromisedShare float64
-	ConsumerCountryShares    []Share
-	CPSCountryShares         []Share
+	InventorySize            int     // full scale: 331,000
+	CompromisedTotal         int     // full scale: 26,881
+	ConsumerCompromisedShare float64 // 0.57
+	ConsumerCountryShares    []Share // Sec. III-B1
+	CPSCountryShares         []Share // Sec. III-B2
 	ConsumerTypeShares       []devicedb.TypeWeight
-	Day1Fraction             float64
-	DayActiveProb            float64
-	HourDutyMin              float64
-	HourDutyMax              float64
-	RateSpreadSigma          float64
+	// Day1Fraction of devices first appear during day one (Fig. 2).
+	Day1Fraction float64
+	// DayActiveProb and mean hourly duty drive the ~10.9 K daily actives.
+	DayActiveProb float64
+	HourDutyMin   float64
+	HourDutyMax   float64
+	// RateSpreadSigma is the per-device log-normal rate multiplier spread
+	// producing the Figs. 6/11 heavy-tailed per-device totals.
+	RateSpreadSigma float64
 }
 
 // Config is one declarative, versioned scenario: a population plus a list
@@ -324,23 +328,11 @@ func (c *Config) Scenario(scale float64, seed uint64) (Scenario, error) {
 		return Scenario{}, err
 	}
 	sc := Scenario{
-		Seed:  seed,
-		Hours: c.Hours,
-		Scale: scale,
-
-		Geo:           geo.DefaultConfig(),
-		InventorySize: c.Population.InventorySize,
-
-		CompromisedTotal:         c.Population.CompromisedTotal,
-		ConsumerCompromisedShare: c.Population.ConsumerCompromisedShare,
-		ConsumerCountryShares:    c.Population.ConsumerCountryShares,
-		CPSCountryShares:         c.Population.CPSCountryShares,
-		ConsumerTypeShares:       c.Population.ConsumerTypeShares,
-		Day1Fraction:             c.Population.Day1Fraction,
-		DayActiveProb:            c.Population.DayActiveProb,
-		HourDutyMin:              c.Population.HourDutyMin,
-		HourDutyMax:              c.Population.HourDutyMax,
-		RateSpreadSigma:          c.Population.RateSpreadSigma,
+		Seed:       seed,
+		Hours:      c.Hours,
+		Scale:      scale,
+		Geo:        geo.DefaultConfig(),
+		Population: c.Population,
 	}
 	if c.Telescope != nil {
 		sc.Geo = *c.Telescope
@@ -349,64 +341,4 @@ func (c *Config) Scenario(scale float64, seed uint64) (Scenario, error) {
 		a.Params.apply(&sc)
 	}
 	return sc, nil
-}
-
-// ConfigFromScenario lifts a programmatic Scenario into its declarative
-// form. It is the exact inverse of Config.Scenario: resolving the returned
-// config at (sc.Scale, sc.Seed) reproduces sc field for field, which is how
-// the bundled paper-default file is pinned byte-identical to
-// wgen.Default().
-func ConfigFromScenario(sc Scenario, name string, version int, description string) *Config {
-	g := sc.Geo
-	c := &Config{
-		Format:      ConfigFormat,
-		Name:        name,
-		Version:     version,
-		Description: description,
-		Hours:       sc.Hours,
-		Telescope:   &g,
-		Population: Population{
-			InventorySize:            sc.InventorySize,
-			CompromisedTotal:         sc.CompromisedTotal,
-			ConsumerCompromisedShare: sc.ConsumerCompromisedShare,
-			ConsumerCountryShares:    sc.ConsumerCountryShares,
-			CPSCountryShares:         sc.CPSCountryShares,
-			ConsumerTypeShares:       sc.ConsumerTypeShares,
-			Day1Fraction:             sc.Day1Fraction,
-			DayActiveProb:            sc.DayActiveProb,
-			HourDutyMin:              sc.HourDutyMin,
-			HourDutyMax:              sc.HourDutyMax,
-			RateSpreadSigma:          sc.RateSpreadSigma,
-		},
-	}
-	tcp, udp, icmp, bsc, other, bg := sc.TCPScan, sc.UDPProbe, sc.ICMPScan, sc.Backscatter, sc.Other, sc.Background
-	c.Actors = []ActorBlock{
-		{Kind: KindTCPScan, Params: &tcp},
-		{Kind: KindUDPProbe, Params: &udp},
-		{Kind: KindICMP, Params: &icmp},
-		{Kind: KindBackscatter, Params: &bsc},
-		{Kind: KindOther, Params: &other},
-		{Kind: KindBackground, Params: &bg},
-	}
-	if sc.MiraiWave != nil {
-		v := *sc.MiraiWave
-		c.Actors = append(c.Actors, ActorBlock{Kind: KindMiraiWave, Params: &v})
-	}
-	if sc.UDPAmplification != nil {
-		v := *sc.UDPAmplification
-		c.Actors = append(c.Actors, ActorBlock{Kind: KindUDPAmplification, Params: &v})
-	}
-	if sc.StealthScan != nil {
-		v := *sc.StealthScan
-		c.Actors = append(c.Actors, ActorBlock{Kind: KindStealthScan, Params: &v})
-	}
-	if sc.CPSCampaign != nil {
-		v := *sc.CPSCampaign
-		c.Actors = append(c.Actors, ActorBlock{Kind: KindCPSCampaign, Params: &v})
-	}
-	if sc.DiurnalBackground != nil {
-		v := *sc.DiurnalBackground
-		c.Actors = append(c.Actors, ActorBlock{Kind: KindDiurnalBackground, Params: &v})
-	}
-	return c
 }

@@ -11,8 +11,8 @@ import (
 // testConfig returns a small valid config exercising both a core and an
 // extension block.
 func testConfig() *Config {
-	cfg := ConfigFromScenario(Default(1, 0), "test-config", 3, "hash fixture")
-	cfg.Hours = 12
+	cfg := PaperDefault()
+	cfg.Name, cfg.Version, cfg.Description, cfg.Hours = "test-config", 3, "hash fixture", 12
 	cfg.Actors = append(cfg.Actors, ActorBlock{
 		Kind: KindStealthScan,
 		Params: &StealthScanConfig{
@@ -24,23 +24,29 @@ func testConfig() *Config {
 	return cfg
 }
 
-// The config model is the exact declarative form of the hand-built default:
-// exporting the scenario and resolving the export reproduces it field for
-// field. This is the structural half of the paper-default byte-identity
-// pin (the rendered half lives in internal/scenario).
-func TestConfigRoundTripsDefaultScenario(t *testing.T) {
-	want := Default(0.37, 99)
-	cfg := ConfigFromScenario(want, "round-trip", 1, "x")
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("exported default does not validate: %v", err)
-	}
-	got, err := cfg.Scenario(0.37, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("config round trip does not reproduce Default()")
-	}
+// allKindsConfig is testConfig plus a block of each remaining extension
+// kind: one valid config that carries every registered kind.
+func allKindsConfig() *Config {
+	cfg := testConfig()
+	cfg.Actors = append(cfg.Actors,
+		ActorBlock{Kind: KindMiraiWave, Params: &MiraiWaveConfig{
+			Devices: 50, StartHour: 1, RampHours: 6, LifetimeMinHours: 2, LifetimeMaxHours: 4,
+			PacketsPerHour: 20, Ports: []uint16{23, 2323},
+		}},
+		ActorBlock{Kind: KindUDPAmplification, Params: &UDPAmplificationConfig{
+			Reflectors: 30, HourlyPackets: 900,
+			Services: []AmplificationService{{Name: "NTP", Port: 123, Share: 60}, {Name: "DNS", Port: 53, Share: 40}},
+			MinLen:   200, MaxLen: 480,
+		}},
+		ActorBlock{Kind: KindCPSCampaign, Params: &CPSCampaignConfig{
+			Devices: 12, StartHour: 3, DurationHours: 4, HourlyPackets: 2500,
+			Services: []CPSCampaignService{{Name: "Modbus TCP", Port: 502, Share: 100}},
+		}},
+		ActorBlock{Kind: KindDiurnalBackground, Params: &DiurnalBackgroundConfig{
+			HourlyPackets: 4000, Sources: 500, PeakHour: 20, MinFactor: 0.15, Ports: []uint16{5353, 1900},
+		}},
+	)
+	return cfg
 }
 
 // Canonical-JSON round trip: decode(encode(cfg)) is cfg.
@@ -255,9 +261,20 @@ func TestKindRegistry(t *testing.T) {
 // FuzzScenarioDecode: no input may panic the decoder, and any input that
 // decodes must re-encode canonically to an equal config with a stable hash.
 func FuzzScenarioDecode(f *testing.F) {
-	if seed, err := testConfig().CanonicalJSON(); err == nil {
-		f.Add(seed)
+	// Seed with a block of every registered kind, so the mutator starts from
+	// each parameter type's field names and not only the paper kinds'.
+	all := allKindsConfig()
+	if err := all.Validate(); err != nil {
+		f.Fatal(err)
 	}
+	if have := GeneratorVersions(all); len(have) != len(Kinds()) {
+		f.Fatalf("seed config carries %d of %d registered kinds", len(have), len(Kinds()))
+	}
+	seed, err := all.CanonicalJSON()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
 	f.Add([]byte(`{"Format":1}`))
 	f.Add([]byte(`{"Format":1,"Name":"a","Version":1,"Hours":1}`))
 	f.Add([]byte("not a config at all"))
