@@ -1,5 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation,
-// plus ablations for the design choices called out in DESIGN.md. Each
+// plus the hot paths as plain go test -bench targets for a profile-in-seconds
+// dev loop (the repository benchmark is tools/perfledger, not these). Each
 // BenchmarkFigN / BenchmarkTableN measures recomputing that artifact from a
 // shared correlated dataset (generated once per process at scale 0.01).
 package iotscope_test
@@ -7,12 +8,10 @@ package iotscope_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -29,7 +28,6 @@ import (
 	"iotscope/internal/report"
 	"iotscope/internal/rng"
 	"iotscope/internal/sketch"
-	"iotscope/internal/stats"
 	"iotscope/internal/stream"
 	"iotscope/internal/threatintel"
 	"iotscope/internal/wgen"
@@ -282,182 +280,7 @@ func BenchmarkPipelineFullReport(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md Sec. 5).
-
-// BenchmarkAblationCorrelateStreaming compares the hour-streaming correlator
-// (constant memory) against batch-loading every record before processing.
-func BenchmarkAblationCorrelateStreaming(b *testing.B) {
-	ds, _ := benchFixture(b)
-	b.Run("streaming", func(b *testing.B) {
-		c := correlate.New(ds.Inventory, correlate.Options{Workers: 1})
-		for i := 0; i < b.N; i++ {
-			if _, err := c.ProcessDataset(context.Background(), ds.Dir); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("batch-load", func(b *testing.B) {
-		hours, err := flowtuple.DatasetHours(ds.Dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			// Load everything first (the non-streaming design), then scan.
-			var all []flowtuple.Record
-			for _, h := range hours {
-				err := flowtuple.WalkHour(ds.Dir, h, func(rec flowtuple.Record) error {
-					all = append(all, rec)
-					return nil
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			var iot uint64
-			for _, rec := range all {
-				if _, ok := ds.Inventory.LookupIP(netx.Addr(rec.SrcIP)); ok {
-					iot += uint64(rec.Packets)
-				}
-			}
-			if iot == 0 {
-				b.Fatal("no packets")
-			}
-		}
-	})
-}
-
-// BenchmarkAblationLPM compares the radix-trie registry lookup against a
-// linear prefix scan.
-func BenchmarkAblationLPM(b *testing.B) {
-	ds, _ := benchFixture(b)
-	reg := ds.Registry
-	type entry struct {
-		p netx.Prefix
-		c string
-	}
-	var entries []entry
-	for i := range reg.ISPs {
-		for _, p := range reg.Prefixes(i) {
-			entries = append(entries, entry{p, reg.ISPs[i].Country})
-		}
-	}
-	r := rng.New(1)
-	addrs := make([]netx.Addr, 4096)
-	for i := range addrs {
-		addrs[i] = reg.RandomAddr(r, r.Intn(len(reg.ISPs)))
-	}
-	b.Run("trie", func(b *testing.B) {
-		hits := 0
-		for i := 0; i < b.N; i++ {
-			if _, ok := reg.Lookup(addrs[i&4095]); ok {
-				hits++
-			}
-		}
-		if hits == 0 {
-			b.Fatal("no hits")
-		}
-	})
-	b.Run("linear", func(b *testing.B) {
-		hits := 0
-		for i := 0; i < b.N; i++ {
-			a := addrs[i&4095]
-			for _, e := range entries {
-				if e.p.Contains(a) {
-					hits++
-					break
-				}
-			}
-		}
-		if hits == 0 {
-			b.Fatal("no hits")
-		}
-	})
-}
-
-// BenchmarkAblationCodec compares the fixed binary flowtuple codec against
-// JSON encoding.
-func BenchmarkAblationCodec(b *testing.B) {
-	rec := flowtuple.Record{
-		SrcIP: 0x01020304, DstIP: 0x2c010203, SrcPort: 40000, DstPort: 23,
-		Protocol: flowtuple.ProtoTCP, TCPFlags: flowtuple.FlagSYN,
-		TTL: 64, IPLen: 40, Packets: 3,
-	}
-	b.Run("binary", func(b *testing.B) {
-		buf := make([]byte, 0, flowtuple.RecordSize)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf = flowtuple.AppendRecord(buf[:0], rec)
-			back, err := flowtuple.DecodeRecord(buf)
-			if err != nil || back != rec {
-				b.Fatal("round trip failed")
-			}
-		}
-	})
-	b.Run("json", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			data, err := json.Marshal(rec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var back flowtuple.Record
-			if err := json.Unmarshal(data, &back); err != nil || back != rec {
-				b.Fatal("round trip failed")
-			}
-		}
-	})
-}
-
-// BenchmarkAblationTopK compares the bounded min-heap port ranking against
-// sorting the full port table.
-func BenchmarkAblationTopK(b *testing.B) {
-	ds, res := benchFixture(b)
-	_ = ds
-	ports := res.Correlate.TCPScanPorts
-	b.Run("heap", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tk := stats.NewTopK(14)
-			for port, agg := range ports {
-				tk.Offer(portKey(port), float64(agg.Packets))
-			}
-			if len(tk.Items()) == 0 {
-				b.Fatal("empty")
-			}
-		}
-	})
-	b.Run("sort", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			type row struct {
-				key  string
-				pkts uint64
-			}
-			rows := make([]row, 0, len(ports))
-			for port, agg := range ports {
-				rows = append(rows, row{portKey(port), agg.Packets})
-			}
-			sort.Slice(rows, func(i, j int) bool { return rows[i].pkts > rows[j].pkts })
-			if len(rows) == 0 {
-				b.Fatal("empty")
-			}
-		}
-	})
-}
-
-func portKey(p uint16) string {
-	var buf [5]byte
-	n := 0
-	if p == 0 {
-		return "0"
-	}
-	for v := p; v > 0; v /= 10 {
-		buf[n] = byte('0' + v%10)
-		n++
-	}
-	for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
-		buf[i], buf[j] = buf[j], buf[i]
-	}
-	return string(buf[:n])
-}
+// --- Ablation of a shipped option (iotinfer -sketch; DESIGN.md Sec. 5).
 
 // BenchmarkAblationSketch compares exact unique-destination counting
 // against HyperLogLog during correlation.

@@ -12,10 +12,7 @@ import (
 )
 
 // The serve benchmarks drive full requests (auth, admission, handler,
-// encoding) through ServeHTTP against the shared fixture. The *Legacy
-// variants run the same requests against the pre-materialization handlers
-// from legacy_test.go — the before/after pair the BENCH artifact and
-// tools/benchdiff gate on.
+// encoding) through ServeHTTP against the shared fixture.
 
 func benchPaths(b *testing.B) (summary, devicesFilter string) {
 	b.Helper()
@@ -27,12 +24,10 @@ func benchPaths(b *testing.B) (summary, devicesFilter string) {
 	return "/v1/summary", fmt.Sprintf("/v1/devices?country=%s&limit=100", page[0].Country)
 }
 
-func benchServe(b *testing.B, h http.Handler, path string, auth bool) {
+func benchServe(b *testing.B, h http.Handler, path string) {
 	b.Helper()
 	req := httptest.NewRequest(http.MethodGet, path, nil)
-	if auth {
-		req.Header.Set("Authorization", "Bearer "+testToken)
-	}
+	req.Header.Set("Authorization", "Bearer "+testToken)
 	// One warm-up request to validate status before timing.
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
@@ -43,9 +38,7 @@ func benchServe(b *testing.B, h http.Handler, path string, auth bool) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		r := httptest.NewRequest(http.MethodGet, path, nil)
-		if auth {
-			r.Header.Set("Authorization", "Bearer "+testToken)
-		}
+		r.Header.Set("Authorization", "Bearer "+testToken)
 		for pb.Next() {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, r)
@@ -58,22 +51,12 @@ func benchServe(b *testing.B, h http.Handler, path string, auth bool) {
 
 func BenchmarkServeSummary(b *testing.B) {
 	summary, _ := benchPaths(b)
-	benchServe(b, loadServer(b), summary, true)
+	benchServe(b, loadServer(b), summary)
 }
 
 func BenchmarkServeDevicesFilter(b *testing.B) {
 	_, devices := benchPaths(b)
-	benchServe(b, loadServer(b), devices, true)
-}
-
-func BenchmarkServeSummaryLegacy(b *testing.B) {
-	summary, _ := benchPaths(b)
-	benchServe(b, legacyMux(srvDS, srvRes), summary, false)
-}
-
-func BenchmarkServeDevicesFilterLegacy(b *testing.B) {
-	_, devices := benchPaths(b)
-	benchServe(b, legacyMux(srvDS, srvRes), devices, false)
+	benchServe(b, loadServer(b), devices)
 }
 
 // BenchmarkServeHTTPLoad is the end-to-end load benchmark: concurrent

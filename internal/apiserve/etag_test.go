@@ -1,10 +1,12 @@
 package apiserve
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -62,6 +64,33 @@ func TestETagAndConditionalRequests(t *testing.T) {
 	rec := doGet(s, "/v1/devices?limit=0", "")
 	if rec.Code != http.StatusBadRequest || rec.Header().Get("ETag") != etag {
 		t.Errorf("400 response: status %d etag %q", rec.Code, rec.Header().Get("ETag"))
+	}
+}
+
+// If-None-Match is as large as the client cares to make it (iotserve keeps
+// Go's 1 MB header ceiling): a full-size list of tags that do not match
+// costs etagMatch no allocation, and the request is answered like any miss.
+func TestOversizedIfNoneMatchList(t *testing.T) {
+	s := loadServer(t)
+	etag := s.Current().ETag()
+	inm := strings.Repeat(`"g999-deadbeef", `, 1<<20/17) + `W/"other"`
+	if len(inm) < 1<<20-17 {
+		t.Fatalf("list is only %d bytes", len(inm))
+	}
+	if n := testing.AllocsPerRun(5, func() {
+		if etagMatch(inm, etag) {
+			t.Fatal("non-matching list matched")
+		}
+	}); n != 0 {
+		t.Errorf("etagMatch allocated %v times on a %d-byte list", n, len(inm))
+	}
+	if !etagMatch(inm+", "+etag, etag) {
+		t.Error("a match after 1 MB of misses was not found")
+	}
+
+	rec, want := doGet(s, "/v1/summary", inm), doGet(s, "/v1/summary", "")
+	if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want.Body.Bytes()) || want.Body.Len() == 0 {
+		t.Errorf("status %d with %d of %d body bytes, want 200 and the full body", rec.Code, rec.Body.Len(), want.Body.Len())
 	}
 }
 

@@ -255,15 +255,18 @@ func (s *Server) view(h func(*Snapshot, http.ResponseWriter, *http.Request)) htt
 // etagMatch implements If-None-Match for a strong validator: "*" matches
 // anything, otherwise the comma-separated candidate list is compared
 // exactly (a weak W/ prefix is tolerated and stripped — the weak form of
-// a strong tag still identifies the same snapshot).
+// a strong tag still identifies the same snapshot). The list is walked in
+// place and the walk stops at the first match: the header is client-sized
+// (up to the server's header ceiling), so nothing here may allocate in
+// proportion to it.
 func etagMatch(inm, etag string) bool {
 	if strings.TrimSpace(inm) == "*" {
 		return true
 	}
-	for _, cand := range strings.Split(inm, ",") {
-		cand = strings.TrimSpace(cand)
-		cand = strings.TrimPrefix(cand, "W/")
-		if cand == etag {
+	for more := true; more; {
+		var cand string
+		cand, inm, more = strings.Cut(inm, ",")
+		if strings.TrimPrefix(strings.TrimSpace(cand), "W/") == etag {
 			return true
 		}
 	}

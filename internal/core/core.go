@@ -327,7 +327,7 @@ const (
 	StageMaterialize  = "materialize"
 )
 
-// Stage names of the snapshot-load pipeline (see LoadSnapshot), plus the
+// Stage names of the snapshot-load pipeline (see LoadSnapshotOpts), plus the
 // store stages iotinfer -save and -snapshot loading add around it.
 const (
 	StageOpen      = "open"
@@ -377,7 +377,7 @@ func classifyIngestErr(m *pipeline.StageMetrics, err error) {
 
 // AnalysisStages returns the paper's pipeline as named stages — correlate
 // → characterize → stat-tests → threat-intel → malware — writing into out
-// as they run. Every cmd and LoadSnapshot composes these same stages, so
+// as they run. Every cmd and LoadSnapshotOpts composes these same stages, so
 // there is exactly one wiring of the analysis path.
 func (ds *Dataset) AnalysisStages(cfg Config, out *Results) []pipeline.Stage {
 	return append([]pipeline.Stage{ds.correlateStage(cfg, out)}, ds.DownstreamStages(cfg, out)...)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"iotscope/internal/flowtuple"
-	"iotscope/internal/pipeline"
 )
 
 // VerifyHours replays every hour file of the dataset end to end with
@@ -24,18 +23,4 @@ func (ds *Dataset) VerifyHours(ctx context.Context) error {
 		}
 	}
 	return nil
-}
-
-// LoadSnapshot opens the dataset at dir, verifies every hour file, and
-// runs the full analysis with the dataset's own scale/seed configuration —
-// all as stages of a "load-snapshot" pipeline. It is the no-store
-// convenience form of LoadSnapshotOpts: nothing is returned unless the
-// whole dataset read cleanly and analyzed, so a caller can atomically swap
-// the pair in without ever serving a half-loaded world; iotserve runs this
-// under its reload deadline, and a deadline hit surfaces as ctx.Err(). The
-// report is returned even on failure and records which stage stopped the
-// load.
-func LoadSnapshot(ctx context.Context, dir string) (*Dataset, *Results, *pipeline.Report, error) {
-	ds, res, _, rep, err := LoadSnapshotOpts(ctx, dir, LoadOptions{})
-	return ds, res, rep, err
 }

@@ -34,7 +34,7 @@ func copyDataset(t *testing.T, src string) string {
 
 func TestLoadSnapshotCleanDataset(t *testing.T) {
 	ds, res := loadE2E(t)
-	ds2, res2, rep, err := LoadSnapshot(context.Background(), ds.Dir)
+	ds2, res2, _, rep, err := LoadSnapshotOpts(context.Background(), ds.Dir, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestLoadSnapshotRejectsCorruptHour(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := LoadSnapshot(context.Background(), dir); err == nil {
+	if _, _, _, _, err := LoadSnapshotOpts(context.Background(), dir, LoadOptions{}); err == nil {
 		t.Fatal("corrupt hour accepted")
 	} else if !errors.Is(err, flowtuple.ErrBadFormat) {
 		t.Fatalf("corrupt hour error %v does not wrap ErrBadFormat", err)
@@ -85,7 +85,7 @@ func TestLoadSnapshotRejectsCorruptHour(t *testing.T) {
 	if err := os.Remove(flowtuple.HourPath(dir2, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := LoadSnapshot(context.Background(), dir2); err == nil {
+	if _, _, _, _, err := LoadSnapshotOpts(context.Background(), dir2, LoadOptions{}); err == nil {
 		t.Fatal("missing hour accepted")
 	}
 }

@@ -206,9 +206,6 @@ func encodeBody(v any) ([]byte, error) {
 // identical analyzed state.
 func (v *Views) Digest() uint32 { return v.digest }
 
-// BuildDuration reports how long materialization took.
-func (v *Views) BuildDuration() time.Duration { return v.buildDur }
-
 // SummaryBody is the pre-encoded /v1/summary response.
 func (v *Views) SummaryBody() []byte { return v.summaryBody }
 

@@ -53,93 +53,3 @@ func (h *LogHistogram) CumFraction() []float64 {
 	}
 	return out
 }
-
-// TopK maintains the k largest items by weight using a min-heap — the
-// structure behind every "Top N ports/ISPs/countries" table. Ties are broken
-// by key order so results are deterministic.
-type TopK struct {
-	k     int
-	items []WeightedItem
-}
-
-// WeightedItem is a keyed weight for TopK and tables.
-type WeightedItem struct {
-	Key    string
-	Weight float64
-}
-
-// NewTopK returns a collector for the k heaviest items.
-func NewTopK(k int) *TopK {
-	if k < 1 {
-		k = 1
-	}
-	return &TopK{k: k, items: make([]WeightedItem, 0, k)}
-}
-
-func (t *TopK) less(i, j int) bool {
-	if t.items[i].Weight != t.items[j].Weight {
-		return t.items[i].Weight < t.items[j].Weight
-	}
-	// Inverted key order so the lexically larger key is "smaller" and gets
-	// evicted first, keeping the lexically smallest among equal weights.
-	return t.items[i].Key > t.items[j].Key
-}
-
-// Offer considers an item for inclusion.
-func (t *TopK) Offer(key string, weight float64) {
-	if len(t.items) < t.k {
-		t.items = append(t.items, WeightedItem{key, weight})
-		t.up(len(t.items) - 1)
-		return
-	}
-	root := WeightedItem{key, weight}
-	if t.items[0].Weight > weight ||
-		(t.items[0].Weight == weight && t.items[0].Key < key) {
-		return
-	}
-	t.items[0] = root
-	t.down(0)
-}
-
-func (t *TopK) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !t.less(i, parent) {
-			return
-		}
-		t.items[i], t.items[parent] = t.items[parent], t.items[i]
-		i = parent
-	}
-}
-
-func (t *TopK) down(i int) {
-	n := len(t.items)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && t.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && t.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		t.items[i], t.items[smallest] = t.items[smallest], t.items[i]
-		i = smallest
-	}
-}
-
-// Items returns the collected items sorted by descending weight (ties by
-// ascending key). The collector remains usable afterwards.
-func (t *TopK) Items() []WeightedItem {
-	out := append([]WeightedItem(nil), t.items...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Weight != out[j].Weight {
-			return out[i].Weight > out[j].Weight
-		}
-		return out[i].Key < out[j].Key
-	})
-	return out
-}

@@ -1,11 +1,6 @@
 package stats
 
-import (
-	"sort"
-	"testing"
-
-	"iotscope/internal/rng"
-)
+import "testing"
 
 func TestLogHistogramBuckets(t *testing.T) {
 	h := NewLogHistogram(0, 3) // edges 1, 10, 100, 1000
@@ -62,103 +57,5 @@ func TestLogHistogramEmptyCumFraction(t *testing.T) {
 		if v != 0 {
 			t.Fatal("empty histogram fraction non-zero")
 		}
-	}
-}
-
-func TestTopKBasic(t *testing.T) {
-	tk := NewTopK(3)
-	tk.Offer("a", 1)
-	tk.Offer("b", 5)
-	tk.Offer("c", 3)
-	tk.Offer("d", 4)
-	tk.Offer("e", 2)
-	items := tk.Items()
-	if len(items) != 3 {
-		t.Fatalf("got %d items", len(items))
-	}
-	wantKeys := []string{"b", "d", "c"}
-	for i, w := range wantKeys {
-		if items[i].Key != w {
-			t.Errorf("rank %d = %q want %q (items %v)", i, items[i].Key, w, items)
-		}
-	}
-}
-
-func TestTopKFewerThanK(t *testing.T) {
-	tk := NewTopK(10)
-	tk.Offer("x", 1)
-	tk.Offer("y", 2)
-	items := tk.Items()
-	if len(items) != 2 || items[0].Key != "y" {
-		t.Fatalf("items %v", items)
-	}
-}
-
-func TestTopKTiesDeterministic(t *testing.T) {
-	tk := NewTopK(2)
-	tk.Offer("zeta", 5)
-	tk.Offer("alpha", 5)
-	tk.Offer("mid", 5)
-	items := tk.Items()
-	if items[0].Key != "alpha" || items[1].Key != "mid" {
-		t.Fatalf("tie break wrong: %v", items)
-	}
-}
-
-func TestTopKMinimumOne(t *testing.T) {
-	tk := NewTopK(0)
-	tk.Offer("only", 1)
-	if len(tk.Items()) != 1 {
-		t.Fatal("k<1 not clamped to 1")
-	}
-}
-
-// Property: TopK matches sort-then-truncate on random input.
-func TestTopKMatchesSort(t *testing.T) {
-	r := rng.New(41)
-	for trial := 0; trial < 30; trial++ {
-		n := 1 + r.Intn(300)
-		k := 1 + r.Intn(20)
-		tk := NewTopK(k)
-		items := make([]WeightedItem, n)
-		for i := range items {
-			items[i] = WeightedItem{
-				Key:    string(rune('a'+i%26)) + string(rune('0'+i/26%10)) + string(rune('0'+i/260)),
-				Weight: float64(r.Intn(50)),
-			}
-			tk.Offer(items[i].Key, items[i].Weight)
-		}
-		sort.Slice(items, func(i, j int) bool {
-			if items[i].Weight != items[j].Weight {
-				return items[i].Weight > items[j].Weight
-			}
-			return items[i].Key < items[j].Key
-		})
-		want := items
-		if len(want) > k {
-			want = want[:k]
-		}
-		got := tk.Items()
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: len %d want %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d rank %d: %v want %v", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func BenchmarkTopKOffer(b *testing.B) {
-	r := rng.New(1)
-	tk := NewTopK(15)
-	keys := make([]string, 1024)
-	for i := range keys {
-		keys[i] = "key" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tk.Offer(keys[i&1023], float64(r.Intn(1000)))
 	}
 }

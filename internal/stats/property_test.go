@@ -93,39 +93,3 @@ func TestPearsonAffineInvarianceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: the TopK invariant holds under any offer sequence — every kept
-// item is >= every dropped item.
-func TestTopKDominanceProperty(t *testing.T) {
-	f := func(seed uint64, n uint8, kRaw uint8) bool {
-		r := rng.New(seed)
-		k := int(kRaw)%10 + 1
-		tk := NewTopK(k)
-		var all []float64
-		for i := 0; i < int(n)%100+1; i++ {
-			w := float64(r.Intn(50))
-			all = append(all, w)
-			tk.Offer(string(rune('a'+i%26))+string(rune('0'+i/26)), w)
-		}
-		kept := tk.Items()
-		if len(kept) > k {
-			return false
-		}
-		minKept := math.Inf(1)
-		for _, it := range kept {
-			minKept = math.Min(minKept, it.Weight)
-		}
-		// Count how many offers strictly exceed the smallest kept weight;
-		// there can be at most k-1 of them among the kept themselves.
-		above := 0
-		for _, w := range all {
-			if w > minKept {
-				above++
-			}
-		}
-		return above <= k-1 || len(kept) < k
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -1,5 +1,5 @@
 // Package stats implements the statistical machinery the paper's evaluation
-// relies on: descriptive summaries, the log-binned histograms behind the CDF
+// relies on: quantiles, the log-binned histograms behind the CDF
 // figures (Figs. 6 and 11), Pearson correlation with significance
 // (Sec. IV-A/IV-C), and the Mann-Whitney U test used to compare CPS and
 // consumer traffic volumes (Sec. IV and IV-B).
@@ -13,48 +13,6 @@ import (
 
 // ErrInsufficientData is returned when a test needs more observations.
 var ErrInsufficientData = errors.New("stats: insufficient data")
-
-// Summary holds descriptive statistics for one sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Std    float64 // sample standard deviation (n-1)
-	Min    float64
-	Max    float64
-	Median float64
-	Sum    float64
-}
-
-// Summarize computes descriptive statistics. It returns a zero Summary for
-// an empty sample.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	for _, x := range xs {
-		s.Sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = s.Sum / float64(s.N)
-	if s.N > 1 {
-		ss := 0.0
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.Std = math.Sqrt(ss / float64(s.N-1))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.Median = quantileSorted(sorted, 0.5)
-	return s
-}
 
 // Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
 // interpolation. It returns NaN for an empty sample.

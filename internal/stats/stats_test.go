@@ -10,36 +10,6 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.N != 8 || s.Sum != 40 {
-		t.Fatalf("N=%d Sum=%v", s.N, s.Sum)
-	}
-	if !almostEqual(s.Mean, 5, 1e-12) {
-		t.Errorf("Mean = %v", s.Mean)
-	}
-	// Sample std of this classic set is sqrt(32/7).
-	if !almostEqual(s.Std, math.Sqrt(32.0/7), 1e-12) {
-		t.Errorf("Std = %v", s.Std)
-	}
-	if s.Min != 2 || s.Max != 9 {
-		t.Errorf("Min/Max = %v/%v", s.Min, s.Max)
-	}
-	if !almostEqual(s.Median, 4.5, 1e-12) {
-		t.Errorf("Median = %v", s.Median)
-	}
-}
-
-func TestSummarizeEmptyAndSingle(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 || s.Mean != 0 {
-		t.Error("empty summary not zero")
-	}
-	s := Summarize([]float64{3})
-	if s.N != 1 || s.Mean != 3 || s.Std != 0 || s.Median != 3 {
-		t.Errorf("single summary %+v", s)
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	tests := []struct{ q, want float64 }{

@@ -1,209 +1,207 @@
-// Command benchdiff gates performance regressions against the committed
-// bench2json artifacts. It compares the median ns/op of selected benchmarks
-// in a fresh bench2json document against the latest committed
-// BENCH_<date>-<tag>.json baseline and exits non-zero when a benchmark
-// regressed beyond the threshold — the CI bench-smoke step runs it after
-// every push.
+// Command benchdiff judges a change against its parent commit by the
+// repository benchmark. Each input file holds one perfledger result object
+// per line — the last stdout line of a tools/perfledger/run.sh run — in pair
+// order: line i of both files is pair i, same workload and seed (make
+// perfdiff writes them). The metrics, their directions and their bounds are
+// BENCHMARK.json's end_to_end list; benchdiff has no threshold of its own.
 //
-// Benchmark names are matched tolerant of the GOMAXPROCS "-N" suffix, so a
-// baseline recorded on an 8-way runner still gates a single-core run.
-// Cross-machine numbers are noise, not signal: when the baseline's cpu
-// string differs from the new document's, benchdiff warns and exits 0
-// unless -force insists on the comparison.
+// One row per metric: the two medians, the parent's own spread (the
+// distance between its quartiles), wins and losses over the pairs (ties
+// count for neither), how much better the change's median is in the
+// metric's own direction, the bound, and one verdict:
+//
+//	regressed   the change's median is worse than the parent's by more than the bound
+//	unresolved  the parent's spread exceeds the bound, so the pairs cannot tell —
+//	            unless every change run beats every parent run
+//	gain        at least 10 pairs, wins in at least 9/10 of them, and the
+//	            medians apart by more than the parent's spread
+//	unchanged   anything else
+//
+// Exit 1: a metric regressed, a run was incorrect, or the change failed a
+// larger share of its operations than the parent. Exit 2: the inputs cannot
+// be judged (unequal line counts, a metric missing, fewer than 4 pairs).
 //
 // Usage:
 //
-//	go run ./tools/benchdiff -new fresh.json [-baseline BENCH_x.json]
-//	    [-dir .] [-bench PipelineCorrelate] [-threshold 25] [-force]
+//	go run ./tools/benchdiff -parent parent.jsonl -change change.jsonl [-benchmark BENCHMARK.json]
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
 	"strings"
+
+	"iotscope/internal/stats"
 )
 
-// Bench mirrors the bench2json document fields benchdiff reads.
-type Bench struct {
-	MedianNs float64 `json:"median_ns"`
+// The guides' rule (choosing-metrics §8): ten pairs and nine tenths of them
+// before a gain is claimed. Below minPairs there are no quartiles to speak of.
+const (
+	gainPairs = 10
+	minPairs  = 4
+)
+
+// metric is one end_to_end entry of BENCHMARK.json.
+type metric struct {
+	Name   string  `json:"name"`
+	Unit   string  `json:"unit"`
+	Better string  `json:"better"` // "lower" or "higher"
+	Bound  float64 `json:"bound"`
 }
 
-// Report mirrors the bench2json document header benchdiff reads.
-type Report struct {
-	Date       string            `json:"date"`
-	Tag        string            `json:"tag"`
-	CPU        string            `json:"cpu"`
-	GoMaxProcs int               `json:"gomaxprocs"`
-	Benchmarks map[string]*Bench `json:"benchmarks"`
-}
-
-func main() {
-	var (
-		newPath   = flag.String("new", "", "fresh bench2json document (required)")
-		baseline  = flag.String("baseline", "", "baseline document (default: latest committed BENCH_*.json in -dir)")
-		dir       = flag.String("dir", ".", "directory searched for committed BENCH_*.json baselines")
-		benchList = flag.String("bench", "PipelineCorrelate", "comma-separated benchmark base names to gate")
-		threshold = flag.Float64("threshold", 25, "maximum allowed median ns/op regression, percent")
-		force     = flag.Bool("force", false, "compare even when the baseline was recorded on a different CPU")
-	)
-	flag.Parse()
-	if err := run(*newPath, *baseline, *dir, *benchList, *threshold, *force); err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(1)
+// better reports whether a reads better than b.
+func (m metric) better(a, b float64) bool {
+	if m.Better == "higher" {
+		return a > b
 	}
+	return a < b
 }
 
-func run(newPath, baselinePath, dir, benchList string, threshold float64, force bool) error {
-	if newPath == "" {
-		return fmt.Errorf("-new is required")
+// side is one commit's runs: a value per metric per pair, and the checks'
+// tallies summed over the runs.
+type side struct {
+	values                       map[string][]float64
+	runs, incorrect, tried, fail int
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	parent := fs.String("parent", "", "the parent commit's perfledger result lines, one per pair (required)")
+	change := fs.String("change", "", "the change's result lines, in the same pair order (required)")
+	bench := fs.String("benchmark", "BENCHMARK.json", "the file naming the end-to-end metrics, their directions and bounds")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	fresh, err := load(newPath)
+	failures, err := diff(*parent, *change, *bench, stdout)
 	if err != nil {
-		return err
+		fmt.Fprintln(stderr, "benchdiff:", err)
+		return 2
 	}
-	if baselinePath == "" {
-		baselinePath, err = latestBaseline(dir, newPath)
-		if err != nil {
-			return err
-		}
-		if baselinePath == "" {
-			fmt.Fprintf(os.Stderr, "benchdiff: no committed BENCH_*.json baseline in %s; nothing to gate\n", dir)
-			return nil
-		}
+	if len(failures) > 0 {
+		fmt.Fprintln(stderr, "benchdiff:", strings.Join(failures, "; "))
+		return 1
 	}
-	base, err := load(baselinePath)
+	return 0
+}
+
+// diff prints the table and returns what fails the change; an error means
+// the inputs could not be judged at all.
+func diff(parentPath, changePath, benchPath string, w io.Writer) ([]string, error) {
+	data, err := os.ReadFile(benchPath)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if base.CPU != fresh.CPU && base.CPU != "" && fresh.CPU != "" && !force {
-		fmt.Fprintf(os.Stderr,
-			"benchdiff: baseline %s was recorded on %q, this run on %q — cross-machine medians are noise, skipping (use -force to compare anyway)\n",
-			filepath.Base(baselinePath), base.CPU, fresh.CPU)
-		return nil
+	var spec struct {
+		EndToEnd []metric `json:"end_to_end"`
+	}
+	if err := json.Unmarshal(data, &spec); err != nil {
+		return nil, fmt.Errorf("%s: %w", benchPath, err)
+	}
+	if len(spec.EndToEnd) == 0 {
+		return nil, fmt.Errorf("%s names no end_to_end metric", benchPath)
+	}
+	p, err := load(parentPath, spec.EndToEnd)
+	if err != nil {
+		return nil, err
+	}
+	c, err := load(changePath, spec.EndToEnd)
+	if err != nil {
+		return nil, err
+	}
+	if p.runs != c.runs {
+		return nil, fmt.Errorf("%s has %d result lines, %s has %d: not pairs", parentPath, p.runs, changePath, c.runs)
+	}
+	if p.runs < minPairs {
+		return nil, fmt.Errorf("%d pairs; at least %d are needed", p.runs, minPairs)
 	}
 
 	var failures []string
-	for _, name := range strings.Split(benchList, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
+	fmt.Fprintf(w, "%d pairs\n%-16s %-6s %12s %12s %12s %5s %6s %10s %6s  %s\n", p.runs,
+		"metric", "unit", "parent", "change", "parent IQR", "wins", "losses", "better by", "bound", "verdict")
+	for _, m := range spec.EndToEnd {
+		ps, cs := p.values[m.Name], c.values[m.Name]
+		pm, cm := stats.Quantile(ps, 0.5), stats.Quantile(cs, 0.5)
+		iqr := stats.Quantile(ps, 0.75) - stats.Quantile(ps, 0.25)
+		gap := (pm - cm) / pm
+		if m.Better == "higher" {
+			gap = -gap
 		}
-		oldNs, oldKey, ok := lookup(base.Benchmarks, name)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchdiff: %s absent from baseline %s, skipping\n", name, filepath.Base(baselinePath))
-			continue
+		wins, losses, sweep := 0, 0, true
+		for i := range cs {
+			if m.better(cs[i], ps[i]) {
+				wins++
+			} else if m.better(ps[i], cs[i]) {
+				losses++
+			}
+			for _, pv := range ps {
+				sweep = sweep && m.better(cs[i], pv)
+			}
 		}
-		newNs, newKey, ok := lookup(fresh.Benchmarks, name)
-		if !ok {
-			return fmt.Errorf("%s absent from %s", name, newPath)
+		verdict := "unchanged"
+		switch {
+		case -gap > m.Bound:
+			verdict = "regressed"
+			failures = append(failures, fmt.Sprintf("%s regressed %.1f%% (bound %.0f%%)", m.Name, -100*gap, 100*m.Bound))
+		case iqr/pm > m.Bound && !sweep:
+			verdict = "unresolved"
+		case p.runs >= gainPairs && 10*wins >= 9*p.runs && gap*pm > iqr:
+			verdict = "gain"
 		}
-		if oldNs <= 0 {
-			return fmt.Errorf("baseline %s has non-positive median for %s", baselinePath, oldKey)
-		}
-		deltaPct := (newNs - oldNs) / oldNs * 100
-		fmt.Printf("benchdiff: %-40s %14.0f ns -> %14.0f ns  (%+.1f%%, limit +%.0f%%) vs %s\n",
-			newKey, oldNs, newNs, deltaPct, threshold, filepath.Base(baselinePath))
-		if deltaPct > threshold {
-			failures = append(failures, fmt.Sprintf("%s regressed %+.1f%% (limit +%.0f%%)", newKey, deltaPct, threshold))
-		}
+		fmt.Fprintf(w, "%-16s %-6s %12.5g %12.5g %12.5g %5d %6d %+9.1f%% %5.0f%%  %s\n",
+			m.Name, m.Unit, pm, cm, iqr, wins, losses, 100*gap, 100*m.Bound, verdict)
 	}
-	if len(failures) > 0 {
-		return fmt.Errorf("%s", strings.Join(failures, "; "))
+	if n := p.incorrect + c.incorrect; n > 0 {
+		failures = append(failures, fmt.Sprintf("%d run(s) not correct (parent %d, change %d)", n, p.incorrect, c.incorrect))
 	}
-	return nil
+	if c.fail*p.tried > p.fail*c.tried {
+		failures = append(failures, fmt.Sprintf("failed operations: change %d of %d, parent %d of %d", c.fail, c.tried, p.fail, p.tried))
+	}
+	return failures, nil
 }
 
-func load(path string) (*Report, error) {
+// load reads one side's result lines. Every line must carry every metric:
+// a run that did not report one is not a run of this benchmark.
+func load(path string, metrics []metric) (*side, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var rep Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(rep.Benchmarks) == 0 {
-		return nil, fmt.Errorf("%s: no benchmarks", path)
-	}
-	return &rep, nil
-}
-
-// lookup finds a benchmark by base name ("PipelineCorrelate"), tolerating
-// the "Benchmark" prefix and the GOMAXPROCS "-N" suffix in the stored key.
-func lookup(benches map[string]*Bench, name string) (float64, string, bool) {
-	want := name
-	if !strings.HasPrefix(want, "Benchmark") {
-		want = "Benchmark" + want
-	}
-	keys := make([]string, 0, len(benches))
-	for k := range benches {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if k == want || strippedProcs(k) == want {
-			return benches[k].MedianNs, k, true
-		}
-	}
-	return 0, "", false
-}
-
-// strippedProcs removes a trailing "-<digits>" GOMAXPROCS marker from a
-// top-level benchmark name; sub-benchmarks (containing '/') are returned
-// unchanged because their trailing number may be a parameter.
-func strippedProcs(name string) string {
-	if strings.ContainsRune(name, '/') {
-		return name
-	}
-	i := strings.LastIndexByte(name, '-')
-	if i < 0 {
-		return name
-	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
-	}
-	return name[:i]
-}
-
-// latestBaseline picks the newest committed BENCH_*.json in dir, ordered by
-// the document's date field with the file name as tie-break (tags sort the
-// same day's artifacts deterministically). The fresh document is excluded
-// so a run in the repo root never gates against itself.
-func latestBaseline(dir, exclude string) (string, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil {
-		return "", err
-	}
-	excludeAbs, _ := filepath.Abs(exclude)
-	type cand struct {
-		path string
-		date string
-	}
-	var cands []cand
-	for _, p := range paths {
-		if abs, _ := filepath.Abs(p); abs == excludeAbs {
+	s := &side{values: make(map[string][]float64, len(metrics))}
+	for _, line := range bytes.Split(data, []byte("\n")) {
+		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		rep, err := load(p)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchdiff: skipping unreadable baseline %s: %v\n", p, err)
-			continue
+		s.runs++
+		var res struct {
+			Correct   bool `json:"correct"`
+			Attempted int  `json:"attempted"`
+			Failed    int  `json:"failed"`
+			Metrics   map[string]struct {
+				Value float64 `json:"value"`
+			} `json:"metrics"`
 		}
-		cands = append(cands, cand{path: p, date: rep.Date})
-	}
-	if len(cands) == 0 {
-		return "", nil
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].date != cands[j].date {
-			return cands[i].date < cands[j].date
+		if err := json.Unmarshal(line, &res); err != nil {
+			return nil, fmt.Errorf("%s: line %d is not a perfledger result: %w", path, s.runs, err)
 		}
-		return cands[i].path < cands[j].path
-	})
-	return cands[len(cands)-1].path, nil
+		for _, m := range metrics {
+			v, ok := res.Metrics[m.Name]
+			if !ok {
+				return nil, fmt.Errorf("%s: line %d has no %s", path, s.runs, m.Name)
+			}
+			s.values[m.Name] = append(s.values[m.Name], v.Value)
+		}
+		if !res.Correct {
+			s.incorrect++
+		}
+		s.tried += res.Attempted
+		s.fail += res.Failed
+	}
+	return s, nil
 }
