@@ -41,7 +41,9 @@ race:
 # chain: the flowtuple reader, the result store codec, the outbound-queue
 # segment codec, the contact-resolver fault matrix, the registry's
 # prefix-lookup boundaries, the scenario config codec, the wal frame
-# walker (sealed container and open tail), and the malware report index.
+# walker (sealed container and open tail), and the malware report index;
+# plus one equivalence fuzzer, the campaign tracker fed random hour deltas
+# against a fresh Detect.
 fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=30s ./internal/flowtuple
 	$(GO) test -fuzz=FuzzResultStore -fuzztime=30s ./internal/resultstore
@@ -51,6 +53,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzScenarioDecode -fuzztime=30s ./internal/wgen
 	$(GO) test -fuzz=FuzzFrames -fuzztime=30s ./internal/wal
 	$(GO) test -fuzz=FuzzMalwareIndex -fuzztime=30s ./internal/malwaredb
+	$(GO) test -fuzz=FuzzTrackerMatchesDetect -fuzztime=30s ./internal/campaign
 
 # Serving chaos suite: signal-driven lifecycle (SIGHUP reload under load,
 # corrupt-dataset reload, SIGTERM drain) plus HTTP admission-control and

@@ -10,6 +10,9 @@
 // ring on 22, a CWMP sweep on 7547. Clustering is single-linkage over the
 // similarity graph via union-find, which matches the transitive nature of
 // botnet membership evidence.
+//
+// A Tracker holds the profiles and keeps them current as hours are sealed;
+// Detect is a tracker loaded from a finished result and asked once.
 package campaign
 
 import (
@@ -80,24 +83,28 @@ type portWeight struct {
 }
 
 // deviceProfile is a device's significant-port scan profile, ascending by
-// port: every float sum over a profile runs in that one order, so Detect is
-// a pure function of the result.
+// port: every float sum over a profile runs in that one order, so detection
+// is a pure function of the result.
 type deviceProfile struct {
 	id    int
 	ports []portWeight
 	total uint64
 }
 
-// Detect clusters the scanners in a correlation result.
+// Detect clusters the scanners in a correlation result: the one-shot form of
+// a Tracker, bulk-loaded from res and asked once.
 func Detect(res *correlate.Result, cfg Config) ([]Campaign, error) {
-	cfg = cfg.withDefaults()
 	if res == nil {
 		return nil, fmt.Errorf("campaign: nil result")
 	}
+	return NewTracker(res, cfg).Campaigns(), nil
+}
 
-	profiles := buildProfiles(res, cfg)
+// cluster groups profiles into campaigns by single linkage over the
+// similarity graph.
+func cluster(profiles []*deviceProfile, cfg Config) []Campaign {
 	if len(profiles) == 0 {
-		return nil, nil
+		return nil
 	}
 
 	// Invert to port -> profile indices so similarity candidates are only
@@ -119,7 +126,7 @@ func Detect(res *correlate.Result, cfg Config) ([]Campaign, error) {
 		for i, a := range members {
 			for _, b := range members[i+1:] {
 				if uf.find(int(a)) != uf.find(int(b)) &&
-					weightedJaccard(profiles[a], profiles[b]) >= cfg.Similarity {
+					weightedJaccard(*profiles[a], *profiles[b]) >= cfg.Similarity {
 					uf.union(int(a), int(b))
 				}
 			}
@@ -161,92 +168,7 @@ func Detect(res *correlate.Result, cfg Config) ([]Campaign, error) {
 		}
 		return out[i].Devices[0] < out[j].Devices[0]
 	})
-	return out, nil
-}
-
-// buildProfiles extracts per-device significant-port profiles from the
-// correlation result's TCP scan port index. Ports are visited ascending
-// through a dense table and each device's cells land in one shared slab by
-// counting sort, so profiles come out port-sorted with a handful of
-// allocations however many devices scan.
-func buildProfiles(res *correlate.Result, cfg Config) []deviceProfile {
-	// end[id] first counts device id's cells, then becomes the fill cursor
-	// running from start[id] to one past its last cell in the slab.
-	byPort := make([]*correlate.TCPPortAgg, 1<<16)
-	var end []int32
-	total := 0
-	for port, agg := range res.TCPScanPorts {
-		byPort[port] = agg
-		for _, list := range [][]int32{agg.DevicesConsumer, agg.DevicesCPS} {
-			for _, id := range list {
-				if int(id) >= len(end) {
-					end = append(end, make([]int32, int(id)+1-len(end))...)
-				}
-				end[id]++
-			}
-			total += len(list)
-		}
-	}
-	if total == 0 {
-		return nil
-	}
-	start := make([]int32, len(end)+1)
-	for id, n := range end {
-		start[id+1] = start[id] + n
-		end[id] = start[id]
-	}
-	cells := make([]portWeight, total)
-	for port, agg := range byPort {
-		if agg == nil || len(agg.DevicesConsumer)+len(agg.DevicesCPS) == 0 {
-			continue
-		}
-		// The per-port aggregate does not retain per-device packet splits;
-		// attribute the port's packets evenly across its scanners. For
-		// campaign detection only the *membership* structure matters, and
-		// even-split weights preserve it.
-		share := agg.Packets / uint64(len(agg.DevicesConsumer)+len(agg.DevicesCPS))
-		if share == 0 {
-			share = 1
-		}
-		for _, list := range [][]int32{agg.DevicesConsumer, agg.DevicesCPS} {
-			for _, id := range list {
-				// A device listed twice under one port (both realms) is
-				// one cell.
-				if n := end[id]; n > start[id] && cells[n-1].port == uint16(port) {
-					cells[n-1].w += share
-					continue
-				}
-				cells[end[id]] = portWeight{uint16(port), share}
-				end[id]++
-			}
-		}
-	}
-
-	var profiles []deviceProfile
-	for id := range end {
-		all := cells[start[id]:end[id]]
-		if len(all) == 0 {
-			continue
-		}
-		var total uint64
-		for _, pw := range all {
-			total += pw.w
-		}
-		// Keep the significant ports, compacting the device's cells in place.
-		sig := all[:0]
-		var sigTotal uint64
-		for _, pw := range all {
-			if float64(pw.w) >= cfg.MinPortShare*float64(total) {
-				sig = append(sig, pw)
-				sigTotal += pw.w
-			}
-		}
-		if len(sig) == 0 || len(sig) > cfg.MaxProfilePorts {
-			continue
-		}
-		profiles = append(profiles, deviceProfile{id: id, ports: sig, total: sigTotal})
-	}
-	return profiles
+	return out
 }
 
 // weightedJaccard computes sum(min)/sum(max) over normalized port weights,

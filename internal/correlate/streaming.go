@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"iotscope/internal/classify"
@@ -38,7 +39,9 @@ type Window struct {
 
 // WindowStats summarizes one sealed window, cheap enough to compute per
 // seal (no Result finalization): the alerting layer reads backscatter and
-// fresh devices straight from here.
+// fresh devices straight from here, and the campaign tracker learns from
+// TCPPorts and TCPGained which of its profiles the hour made stale. Every
+// slice is the caller's own.
 type WindowStats struct {
 	Hour        int
 	Records     uint64 // records fed, including non-IoT background
@@ -46,6 +49,13 @@ type WindowStats struct {
 	IoTPackets  uint64 // all traffic classes, both device categories
 	Backscatter uint64 // backscatter-class packets (the DoS signal)
 	Fresh       []int  // device IDs seen for the first time, ascending
+	// TCPPorts are the TCP scan ports the hour touched — the only entries of
+	// Result.TCPScanPorts whose packets or device lists the seal changed —
+	// in first-touch order.
+	TCPPorts []uint16
+	// TCPGained are the port<<32|device keys the seal added to those ports'
+	// device lists, consumer realm then CPS: one key per list entry gained.
+	TCPGained []uint64
 }
 
 // OpenWindow starts accumulating the given event-time hour, which must be
@@ -173,10 +183,14 @@ func (w *Window) Seal() (WindowStats, error) {
 		}
 	}
 	sort.Ints(st.Fresh)
+	st.TCPPorts = slices.Clone(s.tcpTouched) // merge recycles the scratch
 
+	ms := w.inc.st
+	nc, np := len(ms.conGained), len(ms.cpsGained)
 	if err := w.inc.merge(s); err != nil {
 		return WindowStats{}, err
 	}
+	st.TCPGained = slices.Concat(ms.conGained[nc:], ms.cpsGained[np:])
 	return st, nil
 }
 

@@ -30,6 +30,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -79,8 +80,8 @@ type Config struct {
 	// DoSAlarm is the dos-spike alert threshold as a multiple of the
 	// running median backscatter hour (default 8; negative disables).
 	DoSAlarm float64
-	// Campaigns enables new-campaign alerts (a campaign.Detect pass per
-	// sealed window).
+	// Campaigns enables new-campaign alerts: a campaign.Tracker follows the
+	// seals, re-profiling per window only the scanners the hour touched.
 	Campaigns bool
 	// Drain makes the collector exit cleanly once a full sweep finds
 	// nothing new, force-sealing any still-open windows first.
@@ -265,6 +266,7 @@ func (c *Collector) Run(ctx context.Context) error {
 // ingest is the per-run (per-restart) state of the ingest loop.
 type ingest struct {
 	inc      *correlate.Incremental
+	tracker  *campaign.Tracker          // nil without Config.Campaigns
 	ckpt     *resultstore.CheckpointLog // nil without a CheckpointPath
 	windows  map[int]*correlate.Window
 	sealed   map[int]bool // ingested, quarantined, or window sealed
@@ -290,6 +292,11 @@ func (c *Collector) runOnce(ctx context.Context) (err error) {
 		windows: make(map[int]*correlate.Window),
 		sealed:  make(map[int]bool),
 		maxHour: -1,
+	}
+	if c.cfg.Campaigns {
+		// Bulk-loaded from whatever the checkpoint restored, so a resumed
+		// loop's tracker is the one an uninterrupted loop would hold.
+		st.tracker = campaign.NewTracker(inc.Result(), campaign.DefaultConfig())
 	}
 	if c.cfg.CheckpointPath != "" {
 		st.ckpt = resultstore.NewCheckpointLog(c.cfg.CheckpointPath, c.ckptFS)
@@ -569,19 +576,23 @@ func (c *Collector) emitAlerts(st *ingest, ws correlate.WindowStats) error {
 		}
 		st.bsHours = append(st.bsHours, float64(ws.Backscatter))
 	}
-	if c.cfg.Campaigns {
-		camps, err := campaign.Detect(st.inc.Result(), campaign.DefaultConfig())
-		if err != nil {
+	if st.tracker != nil {
+		st.tracker.Observe(st.inc.Result(), ws.TCPPorts, ws.TCPGained)
+		return c.emitCampaigns(st.tracker.Campaigns(), ws.Hour)
+	}
+	return nil
+}
+
+// emitCampaigns journals one new-campaign alert per campaign; the journal's
+// key dedup keeps the ones whose port set has not alerted before.
+func (c *Collector) emitCampaigns(camps []campaign.Campaign, hour int) error {
+	for _, cp := range camps {
+		if err := c.emit(Alert{
+			Kind: KindNewCampaign, Key: campaignKey(cp.Ports),
+			Hour: hour, Devices: cp.Devices, Ports: cp.Ports,
+			Packets: cp.Packets,
+		}); err != nil {
 			return err
-		}
-		for _, cp := range camps {
-			if err := c.emit(Alert{
-				Kind: KindNewCampaign, Key: campaignKey(cp.Ports),
-				Hour: ws.Hour, Devices: cp.Devices, Ports: cp.Ports,
-				Packets: cp.Packets,
-			}); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -703,9 +714,14 @@ func dominantVictim(res *correlate.Result, hour int) int {
 	return bestID
 }
 
+// campaignKey names a campaign by its port set, ascending. Campaign.Ports
+// is ordered by weight, and a cohort whose ports swap rank between two
+// windows is still the same cohort: it must not alert twice.
 func campaignKey(ports []uint16) string {
-	parts := make([]string, len(ports))
-	for i, p := range ports {
+	sorted := slices.Clone(ports)
+	slices.Sort(sorted)
+	parts := make([]string, len(sorted))
+	for i, p := range sorted {
 		parts[i] = fmt.Sprint(p)
 	}
 	return "campaign/p" + strings.Join(parts, "-")

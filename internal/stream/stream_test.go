@@ -10,9 +10,12 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"iotscope/internal/campaign"
 	"iotscope/internal/core"
 	"iotscope/internal/correlate"
 	"iotscope/internal/faultfs"
@@ -214,6 +217,19 @@ func alertKeys(l *AlertLog) map[string]int {
 	return m
 }
 
+// campaignKeys is the new-campaign part of a journal's key set. A resumed
+// ingest loop rebuilds its campaign tracker from the checkpoint, so this set
+// is where a tracker that resumed differently from how it left off shows.
+func campaignKeys(keys map[string]int) map[string]int {
+	out := map[string]int{}
+	for k, n := range keys {
+		if strings.HasPrefix(k, "campaign/") {
+			out[k] = n
+		}
+	}
+	return out
+}
+
 // TestChaosKillRestartExactlyOnce is the headline chaos proof: the ingest
 // loop is crashed twice at the nastiest points of the seal sequence —
 // once after alerts became durable but before the checkpoint, once after
@@ -278,6 +294,9 @@ func TestChaosKillRestartExactlyOnce(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("alert %q emitted %d times", k, n)
 		}
+	}
+	if gotC, wantC := campaignKeys(got), campaignKeys(want); len(wantC) == 0 || !maps.Equal(gotC, wantC) {
+		t.Fatalf("the killed-and-resumed drain alerted campaigns %v, the uninterrupted one %v", gotC, wantC)
 	}
 	if !maps.Equal(got, want) {
 		t.Fatalf("alert key sets diverged: %d chaos vs %d clean", len(got), len(want))
@@ -381,6 +400,9 @@ func TestChaosCheckpointCrashPoints(t *testing.T) {
 				t.Fatalf("%s #%d: alert %q journaled %d times", in.Op, in.K, k, n)
 			}
 		}
+		if got, want := campaignKeys(keys), campaignKeys(wantKeys); !maps.Equal(got, want) {
+			t.Fatalf("%s #%d: resumed drain alerted campaigns %v, the clean run %v", in.Op, in.K, got, want)
+		}
 		if !maps.Equal(keys, wantKeys) {
 			t.Fatalf("%s #%d: %d alert keys, clean run has %d", in.Op, in.K, len(keys), len(wantKeys))
 		}
@@ -397,6 +419,9 @@ func TestChaosCheckpointCrashPoints(t *testing.T) {
 	st, wantState, wantKeys := run(clean)
 	if st.WindowsSealed != hours || st.CheckpointWrites != hours || st.CheckpointFailures != 0 || st.Restarts != 0 {
 		t.Fatalf("clean run: %+v", st)
+	}
+	if len(campaignKeys(wantKeys)) == 0 {
+		t.Fatal("clean run alerted no campaign: the resumed trackers go unchecked")
 	}
 	journalCrashes := 0
 	for _, op := range []string{"write", "sync", "rename"} {
@@ -862,5 +887,40 @@ func TestDominantVictim(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A cohort's ports swapping rank between two windows is the same cohort: the
+// new-campaign key is its port set, so the second window's alert is
+// suppressed, while each alert still lists the ports by weight.
+func TestCampaignRankFlipAlertsOnce(t *testing.T) {
+	res := &correlate.Result{TCPScanPorts: map[uint16]*correlate.TCPPortAgg{
+		23:   {Packets: 900, DevicesConsumer: []int32{1, 2, 3}},
+		2323: {Packets: 600, DevicesConsumer: []int32{1, 2, 3}},
+	}}
+	tracker := campaign.NewTracker(res, campaign.DefaultConfig())
+	c, err := New(Config{Dir: t.TempDir(), Campaigns: true}, func() (*correlate.Incremental, error) {
+		return nil, errors.New("unused")
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.emitCampaigns(tracker.Campaigns(), 0); err != nil {
+		t.Fatal(err)
+	}
+	res.TCPScanPorts[2323].Packets = 1800 // the next hour leans on 2323
+	tracker.Observe(res, []uint16{2323}, nil)
+	if err := c.emitCampaigns(tracker.Campaigns(), 1); err != nil {
+		t.Fatal(err)
+	}
+	alerts := c.Hub().Since(0)
+	if len(alerts) != 1 || alerts[0].Key != "campaign/p23-2323" || !slices.Equal(alerts[0].Ports, []uint16{23, 2323}) {
+		t.Fatalf("journaled %+v, want one campaign/p23-2323 alert leading with port 23", alerts)
+	}
+	if got := tracker.Campaigns(); len(got) != 1 || !slices.Equal(got[0].Ports, []uint16{2323, 23}) {
+		t.Fatalf("fixture did not flip rank: %+v", got)
+	}
+	if st := c.Stats(); st.AlertsEmitted != 1 || st.AlertsSuppressed != 1 {
+		t.Fatalf("emitted %d, suppressed %d; want 1 and 1", st.AlertsEmitted, st.AlertsSuppressed)
 	}
 }
