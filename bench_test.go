@@ -23,9 +23,12 @@ import (
 	"iotscope/internal/devicedb"
 	"iotscope/internal/fingerprint"
 	"iotscope/internal/flowtuple"
+	"iotscope/internal/matview"
 	"iotscope/internal/netx"
+	"iotscope/internal/notify"
 	"iotscope/internal/pipeline"
 	"iotscope/internal/report"
+	"iotscope/internal/resultstore"
 	"iotscope/internal/rng"
 	"iotscope/internal/sketch"
 	"iotscope/internal/stream"
@@ -604,6 +607,50 @@ func BenchmarkSnapshotAnalyze(b *testing.B) {
 		if _, err := c.ProcessDataset(context.Background(), ds.Dir); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkMatviewBuild measures the materialize stage every analysis, cold
+// start and reload ends with, whole and by its port-table-sized parts, so
+// the next profile of the layer is one command (docs/PERFORMANCE.md §Build
+// cost model): the content digest (Result.Export plus the store encoding),
+// the per-ISP bundles (the port → device transpose), the UDP table (the one
+// sort by packets) and campaign detection.
+func BenchmarkMatviewBuild(b *testing.B) {
+	ds, res := benchFixture(b)
+	src := matview.Sources{
+		Result: res.Correlate, Analyzer: res.Analyzer, Summary: res.Summary,
+		StatTests: res.StatTests, Malware: res.Malware,
+		Inventory: ds.Inventory, Registry: ds.Registry, Threat: ds.Threat,
+	}
+	for _, part := range []struct {
+		name string
+		run  func() error
+	}{
+		{"build", func() error { _, err := matview.Build(src); return err }},
+		{"digest", func() error { _, err := resultstore.DigestResult(res.Correlate); return err }},
+		{"bundles", func() error {
+			if len(notify.Build(res.Correlate, ds.Inventory, ds.Registry, ds.Threat, notify.DefaultConfig())) == 0 {
+				return fmt.Errorf("no bundles")
+			}
+			return nil
+		}},
+		{"udp", func() error {
+			if len(res.Analyzer.TopUDPPorts(0)) != len(res.Correlate.UDPPorts) {
+				return fmt.Errorf("short UDP table")
+			}
+			return nil
+		}},
+		{"campaigns", func() error { _, err := campaign.Detect(res.Correlate, campaign.DefaultConfig()); return err }},
+	} {
+		b.Run(part.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := part.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

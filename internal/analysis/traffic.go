@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sort"
 
 	"iotscope/internal/classify"
@@ -80,11 +82,11 @@ func (a *Analyzer) TopUDPPorts(n int) []UDPPortRow {
 			Port: port, Packets: pa.Packets, Pct: pct, Devices: len(pa.Devices),
 		})
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Packets != rows[j].Packets {
-			return rows[i].Packets > rows[j].Packets
+	slices.SortFunc(rows, func(x, y UDPPortRow) int {
+		if x.Packets != y.Packets {
+			return cmp.Compare(y.Packets, x.Packets)
 		}
-		return rows[i].Port < rows[j].Port
+		return cmp.Compare(x.Port, y.Port)
 	})
 	if n > 0 && len(rows) > n {
 		rows = rows[:n]

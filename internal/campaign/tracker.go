@@ -3,7 +3,6 @@ package campaign
 import (
 	"cmp"
 	"slices"
-	"sync"
 
 	"iotscope/internal/correlate"
 )
@@ -24,7 +23,7 @@ import (
 type Tracker struct {
 	cfg Config
 	// share is each scanned port's packets split evenly over its scanners,
-	// at least 1, in first-seen order behind a zero entry that stands for
+	// at least 1, in the order the tracker met them behind a zero entry for
 	// every port nobody scans; portAt is the dense port → share index. The
 	// per-port aggregate does not retain per-device packet splits, and for
 	// campaign detection only the *membership* structure matters, which
@@ -38,11 +37,6 @@ type Tracker struct {
 	dirty    []int32  // indices into devs awaiting reprofile
 	keys     []uint64 // Observe's scratch: gained keys as device<<16|port
 }
-
-// portTables recycles NewTracker's port → aggregate table: half a megabyte
-// needed only while the cells are laid out in port order, which would
-// otherwise double what a one-shot Detect allocates.
-var portTables = sync.Pool{New: func() any { return new([1 << 16]*correlate.TCPPortAgg) }}
 
 // cell is one port of a device's scan list. n counts the port's device
 // lists that name the device: a device in both realms of one port is one
@@ -71,15 +65,15 @@ func NewTracker(res *correlate.Result, cfg Config) *Tracker {
 		share:  make([]uint64, 1, 1+len(res.TCPScanPorts)),
 	}
 
-	// count[id] is device id's cells, counting one per list entry.
-	aggs := portTables.Get().(*[1 << 16]*correlate.TCPPortAgg)
-	defer portTables.Put(aggs) // emptied again by the ascending pass below
+	// count[id] is device id's cells, counting one per list entry. Counting
+	// needs no order, but the ascending walk reads the aggregates closer to
+	// the order they were allocated in than map order does, which wins back
+	// what laying the table out twice costs (BenchmarkCampaignDetect).
 	var count []int32
 	total, scanners := 0, 0
-	for port, agg := range res.TCPScanPorts {
+	correlate.WalkTCPPorts(res.TCPScanPorts, func(port uint16, agg *correlate.TCPPortAgg) {
 		t.portAt[port] = uint32(len(t.share))
 		t.share = append(t.share, portShare(agg))
-		aggs[port] = agg
 		for _, list := range [][]int32{agg.DevicesConsumer, agg.DevicesCPS} {
 			for _, id := range list {
 				if int(id) >= len(count) {
@@ -92,7 +86,7 @@ func NewTracker(res *correlate.Result, cfg Config) *Tracker {
 			}
 			total += len(list)
 		}
-	}
+	})
 	// Carve the slab, a device's cells in the order its ID sorts, and size
 	// one more for the profiles: no device keeps more significant ports
 	// than it has cells or than MaxProfilePorts. Each count gives way to
@@ -112,23 +106,18 @@ func NewTracker(res *correlate.Result, cfg Config) *Tracker {
 	}
 	// Ports ascending, so every device's cells land sorted and the second
 	// realm's entry for a port finds the first's at the tail.
-	for port, at := range t.portAt {
-		if at == 0 {
-			continue
-		}
-		agg := aggs[port]
-		aggs[port] = nil // a pooled table must not pin the result
+	correlate.WalkTCPPorts(res.TCPScanPorts, func(port uint16, agg *correlate.TCPPortAgg) {
 		for _, list := range [][]int32{agg.DevicesConsumer, agg.DevicesCPS} {
 			for _, id := range list {
 				d := &t.devs[t.slot[id]-1]
-				if n := len(d.cells); n > 0 && d.cells[n-1].port == uint16(port) {
+				if n := len(d.cells); n > 0 && d.cells[n-1].port == port {
 					d.cells[n-1].n++
 					continue
 				}
-				d.cells = append(d.cells, cell{uint16(port), 1})
+				d.cells = append(d.cells, cell{port, 1})
 			}
 		}
-	}
+	})
 	profiles := make([]portWeight, nprof)
 	for i := range t.devs {
 		d := &t.devs[i]

@@ -9,6 +9,7 @@ import (
 
 	"iotscope/internal/correlate"
 	"iotscope/internal/flowtuple"
+	"iotscope/internal/profiling"
 	"iotscope/internal/scenario"
 	"iotscope/internal/wgen"
 )
@@ -213,6 +214,20 @@ func TestObserveCostFollowsTheWindow(t *testing.T) {
 	got := checkAgainstDetect(t, "stripped view", tr, w.res)
 	if len(got) != 2 || len(got[0].Devices) != 5 || !slices.Equal(got[1].Devices, []int{8, 9}) {
 		t.Fatalf("campaigns %+v", got)
+	}
+}
+
+// A bulk load lays the ports out on correlate's pooled walk: beyond the dense
+// port index the tracker keeps (65 536 four-byte slots), loading three ports
+// allocates no port-sized table of its own.
+func TestNewTrackerAllocatesNoPortSizedScratch(t *testing.T) {
+	if profiling.RaceEnabled {
+		t.Skip("sync.Pool drops entries under the race detector")
+	}
+	res := synthetic(map[int][]uint16{1: {23, 2323}, 2: {23, 2323}, 3: {22}}, 100)
+	const portIndex = 4 << 16
+	if got := profiling.AllocBytes(20, func() { NewTracker(res, DefaultConfig()) }); got >= portIndex+1<<15 {
+		t.Fatalf("NewTracker on three ports allocates %d bytes beyond its %d-byte port index", got-portIndex, portIndex)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"iotscope/internal/faultfs"
 	"iotscope/internal/flowtuple"
+	"iotscope/internal/profiling"
 	"iotscope/internal/wgen"
 )
 
@@ -82,7 +83,7 @@ func windowAbortRecycles(t *testing.T, c *Correlator, batch []flowtuple.Record) 
 	// Under the race detector sync.Pool.Put drops a random fraction of
 	// entries by design, so the zero-growth assertion only holds without
 	// it; the goroutine and reuse checks below still apply either way.
-	if grew := c.scratchAllocs.Load() - allocs; grew != 0 && !raceEnabled {
+	if grew := c.scratchAllocs.Load() - allocs; grew != 0 && !profiling.RaceEnabled {
 		t.Fatalf("1000 open/abort cycles constructed %d fresh scratches; Abort is leaking the pool", grew)
 	}
 	if now := runtime.NumGoroutine(); now > goroutines {
@@ -156,7 +157,7 @@ func TestFailedHoursRecycleScratch(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				hour(i)
 			}
-			if grew := c.scratchAllocs.Load() - allocs; grew != 0 && !raceEnabled {
+			if grew := c.scratchAllocs.Load() - allocs; grew != 0 && !profiling.RaceEnabled {
 				t.Errorf("%s shards=%d: 200 failed hours constructed %d fresh scratches", name, shards, grew)
 			}
 		}

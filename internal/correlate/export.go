@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io/fs"
 	"slices"
+	"sync"
 
 	"iotscope/internal/classify"
 	"iotscope/internal/flowtuple"
@@ -147,14 +148,13 @@ func (r *Result) Export() *ResultExport {
 	}
 	slices.SortFunc(e.Devices, func(a, b DeviceExport) int { return cmp.Compare(a.ID, b.ID) })
 
+	// The port tables come off the ascending walk already in order.
 	e.UDPPorts = make([]PortExport, 0, len(r.UDPPorts))
-	for p, a := range r.UDPPorts {
+	WalkUDPPorts(r.UDPPorts, func(p uint16, a *PortAgg) {
 		e.UDPPorts = append(e.UDPPorts, PortExport{Port: p, Packets: a.Packets, Devices: a.Devices})
-	}
-	slices.SortFunc(e.UDPPorts, func(a, b PortExport) int { return cmp.Compare(a.Port, b.Port) })
-
+	})
 	e.TCPScanPorts = make([]TCPPortExport, 0, len(r.TCPScanPorts))
-	for p, a := range r.TCPScanPorts {
+	WalkTCPPorts(r.TCPScanPorts, func(p uint16, a *TCPPortAgg) {
 		e.TCPScanPorts = append(e.TCPScanPorts, TCPPortExport{
 			Port:            p,
 			Packets:         a.Packets,
@@ -162,21 +162,47 @@ func (r *Result) Export() *ResultExport {
 			DevicesConsumer: a.DevicesConsumer,
 			DevicesCPS:      a.DevicesCPS,
 		})
-	}
-	slices.SortFunc(e.TCPScanPorts, func(a, b TCPPortExport) int { return cmp.Compare(a.Port, b.Port) })
-
-	e.TCPPortHour = make([]PortHourExport, 0, len(r.TCPPortHour))
-	for k, pkts := range r.TCPPortHour {
-		e.TCPPortHour = append(e.TCPPortHour, PortHourExport{Port: k.Port, Hour: k.Hour, Packets: pkts})
-	}
-	// Port-major, hour-minor: one packed key per cell keeps the largest
-	// sort of the export a plain integer comparison.
-	slices.SortFunc(e.TCPPortHour, func(a, b PortHourExport) int {
-		return cmp.Compare(uint32(a.Port)<<16|uint32(a.Hour), uint32(b.Port)<<16|uint32(b.Hour))
 	})
+	e.TCPPortHour = exportPortHour(r.TCPPortHour)
 
 	e.Faults = exportFaults(r.Ingest.Faults)
 	return e
+}
+
+// portSlots recycles exportPortHour's port → slot table. A table in the pool
+// is all zero.
+var portSlots = sync.Pool{New: func() any { return new([1 << 16]uint32) }}
+
+// exportPortHour lays the (port, hour) cells out port-major, hour-minor by a
+// counting pass over the 16-bit port: each port's cells land in its run of
+// the output, and a run — at most one cell per hour, a handful on a real
+// capture — is put in hour order on its own.
+func exportPortHour(cells map[PortHour]uint64) []PortHourExport {
+	out := make([]PortHourExport, len(cells))
+	slot := portSlots.Get().(*[1 << 16]uint32)
+	for k := range cells {
+		slot[k.Port]++
+	}
+	next := uint32(0)
+	for p, n := range slot {
+		slot[p] = next
+		next += n
+	}
+	for k, pkts := range cells {
+		out[slot[k.Port]] = PortHourExport{Port: k.Port, Hour: k.Hour, Packets: pkts}
+		slot[k.Port]++
+	}
+	// Each slot has advanced to the end of its port's run.
+	lo := uint32(0)
+	for p, hi := range slot {
+		slot[p] = 0
+		if hi-lo > 1 {
+			slices.SortFunc(out[lo:hi], func(a, b PortHourExport) int { return cmp.Compare(a.Hour, b.Hour) })
+		}
+		lo = hi
+	}
+	portSlots.Put(slot)
+	return out
 }
 
 // exportFaults flattens ingest faults to their serializable form (nil when

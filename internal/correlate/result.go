@@ -12,6 +12,8 @@ package correlate
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"iotscope/internal/classify"
 	"iotscope/internal/devicedb"
@@ -104,10 +106,21 @@ func (ph PortHour) MarshalText() ([]byte, error) {
 	return fmt.Appendf(nil, "%d/%d", ph.Port, ph.Hour), nil
 }
 
-// UnmarshalText parses the "port/hour" form produced by MarshalText.
+// UnmarshalText parses the "port/hour" form and accepts nothing but what
+// MarshalText writes: two decimal 16-bit numbers, no sign, space or leading
+// zero, nothing before, between or after them. Two distinct JSON keys
+// therefore never decode to one PortHour, where the later would silently
+// overwrite the earlier.
 func (ph *PortHour) UnmarshalText(text []byte) error {
-	_, err := fmt.Sscanf(string(text), "%d/%d", &ph.Port, &ph.Hour)
-	return err
+	port, hour, _ := strings.Cut(string(text), "/")
+	p, perr := strconv.ParseUint(port, 10, 16)
+	h, herr := strconv.ParseUint(hour, 10, 16)
+	got := PortHour{Port: uint16(p), Hour: uint16(h)}
+	if canon, _ := got.MarshalText(); perr != nil || herr != nil || string(canon) != string(text) {
+		return fmt.Errorf("correlate: %q is not a port/hour key", text)
+	}
+	*ph = got
+	return nil
 }
 
 // BackgroundStats counts traffic from sources outside the inventory, which

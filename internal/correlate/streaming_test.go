@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"iotscope/internal/flowtuple"
+	"iotscope/internal/profiling"
 	"iotscope/internal/wgen"
 )
 
@@ -227,7 +228,7 @@ func TestSealRefusesSettledHour(t *testing.T) {
 		}
 		defer w.Abort()
 	}
-	if grew := c.scratchAllocs.Load() - allocs; grew != 0 && !raceEnabled {
+	if grew := c.scratchAllocs.Load() - allocs; grew != 0 && !profiling.RaceEnabled {
 		t.Errorf("refused seals leaked %d scratch(es) from the pool", grew)
 	}
 	if !reflect.DeepEqual(want, inc.Export()) {

@@ -151,7 +151,7 @@ func Build(src Sources) (*Views, error) {
 			Realm: realm,
 		})
 	}
-	for _, row := range src.Analyzer.TopUDPPorts(10) {
+	for _, row := range v.TopUDP(10) {
 		sigs = append(sigs, Signature{
 			Name:     fmt.Sprintf("udp-%d", row.Port),
 			Protocol: "udp", Ports: []uint16{row.Port},

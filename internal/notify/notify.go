@@ -125,7 +125,7 @@ func BuildBundles(src Sources, cfg Config) []Bundle {
 	byISP := make(map[int][]DeviceEntry)
 	pktsByISP := make(map[int]uint64)
 	recsByISP := make(map[int]uint64)
-	for _, id := range kept {
+	for i, id := range kept {
 		ds := res.Devices[id]
 		d := src.Inventory.At(id)
 		entry := DeviceEntry{
@@ -139,8 +139,8 @@ func BuildBundles(src Sources, cfg Config) []Bundle {
 			Records:    ds.Records,
 			ActiveDays: bits.OnesCount64(ds.DayMask),
 			Behaviours: behaviours(ds),
-			UDPPorts:   udpPorts[id],
-			TCPPorts:   tcpPorts[id],
+			UDPPorts:   udpPorts[i],
+			TCPPorts:   tcpPorts[i],
 		}
 		if src.Threat != nil {
 			for _, c := range src.Threat.CategoriesOf(d.IP) {
@@ -184,43 +184,48 @@ func BuildBundles(src Sources, cfg Config) []Bundle {
 }
 
 // invertPortIndexes turns the result's per-port device lists into per-device
-// port lists (ascending, capped at MaxPortsPerDevice) for the devices in
-// keep. The correlation aggregates by port because the paper's tables do;
-// a complaint needs the transpose.
-func invertPortIndexes(res *correlate.Result, keep []int) (udp, tcp map[int][]uint16) {
-	keepSet := make(map[int]bool, len(keep))
-	for _, id := range keep {
-		keepSet[id] = true
+// port lists for the devices in keep (ascending IDs): udp[i] and tcp[i] are
+// keep[i]'s ports, ascending, capped at MaxPortsPerDevice, nil when it has
+// none. The correlation aggregates by port because the paper's tables do; a
+// complaint needs the transpose. Ports are visited ascending, so a list is
+// born sorted and stops growing at the cap: the work per cell is one dense
+// lookup, and what is allocated follows the kept devices, not the cells. A
+// device named by both realm lists of one port gets the port twice.
+func invertPortIndexes(res *correlate.Result, keep []int) (udp, tcp [][]uint16) {
+	if len(keep) == 0 {
+		return nil, nil
 	}
-	udp = make(map[int][]uint16)
-	tcp = make(map[int][]uint16)
-	add := func(m map[int][]uint16, id int, port uint16) {
-		if keepSet[id] {
-			m[id] = append(m[id], port)
-		}
+	// slot[id] is 1 + the device's index in keep, 0 for a device not kept.
+	slot := make([]int32, keep[len(keep)-1]+1)
+	for i, id := range keep {
+		slot[id] = int32(i + 1)
 	}
-	for port, agg := range res.UDPPorts {
-		for _, id := range agg.Devices {
-			add(udp, int(id), port)
-		}
-	}
-	for port, agg := range res.TCPScanPorts {
-		for _, id := range agg.DevicesConsumer {
-			add(tcp, int(id), port)
-		}
-		for _, id := range agg.DevicesCPS {
-			add(tcp, int(id), port)
-		}
-	}
-	for _, m := range []map[int][]uint16{udp, tcp} {
-		for id, ports := range m {
-			sort.Slice(ports, func(i, j int) bool { return ports[i] < ports[j] })
-			if len(ports) > MaxPortsPerDevice {
-				ports = ports[:MaxPortsPerDevice]
+	// A list is carved from one slab, at full cap, when its device's first
+	// port arrives: appending never reallocates, no list can grow into its
+	// neighbour's slots, and a device with no ports keeps a nil list.
+	slab := make([]uint16, 2*len(keep)*MaxPortsPerDevice)
+	udp, tcp = make([][]uint16, len(keep)), make([][]uint16, len(keep))
+	add := func(lists [][]uint16, devices []int32, port uint16) {
+		for _, id := range devices {
+			if uint(id) >= uint(len(slot)) || slot[id] == 0 {
+				continue
 			}
-			m[id] = ports
+			l := &lists[slot[id]-1]
+			if *l == nil {
+				*l, slab = slab[:0:MaxPortsPerDevice], slab[MaxPortsPerDevice:]
+			}
+			if len(*l) < MaxPortsPerDevice {
+				*l = append(*l, port)
+			}
 		}
 	}
+	correlate.WalkUDPPorts(res.UDPPorts, func(port uint16, agg *correlate.PortAgg) {
+		add(udp, agg.Devices, port)
+	})
+	correlate.WalkTCPPorts(res.TCPScanPorts, func(port uint16, agg *correlate.TCPPortAgg) {
+		add(tcp, agg.DevicesConsumer, port)
+		add(tcp, agg.DevicesCPS, port)
+	})
 	return udp, tcp
 }
 

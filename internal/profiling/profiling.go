@@ -55,3 +55,21 @@ func Start(cpuPath, memPath string) (stop func() error, err error) {
 		return firstErr
 	}, nil
 }
+
+// AllocBytes reports the heap bytes one call of f allocates: the mean over
+// runs calls, after one warm-up call that fills pools and finishes lazy
+// set-up. It is testing.AllocsPerRun for bytes and works as that does: on one
+// P (a sync.Pool is per-P, so a migration would read as an allocation), and
+// counting the whole process, so a test calling it must not run in parallel
+// with others.
+func AllocBytes(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}

@@ -54,3 +54,14 @@ func TestStartBadPath(t *testing.T) {
 		t.Fatal("unwritable cpu profile path accepted")
 	}
 }
+
+var allocSink []byte
+
+func TestAllocBytes(t *testing.T) {
+	if got := AllocBytes(5, func() { allocSink = make([]byte, 1<<20) }); got < 1<<20 || got > 1<<20+4096 {
+		t.Fatalf("a 1 MiB allocation a call measured as %d bytes", got)
+	}
+	if got := AllocBytes(5, func() {}); got > 64 {
+		t.Fatalf("no allocation measured as %d bytes", got)
+	}
+}

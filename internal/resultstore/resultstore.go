@@ -250,8 +250,49 @@ func putHourList(e *wal.Enc, hours []int32) {
 	}
 }
 
+// Row sizes of the fixed-width part of each section's rows, for imageSize.
+const (
+	metaLen     = 4 + 1 + 3*8 + 3*4
+	catHourLen  = 8*classify.NumClasses + 4 + 8 + 8 + 4 + 8 + 8 + 4
+	hourRowLen  = 4 + 8 + 2*catHourLen
+	deviceLen   = 4 + 4 + 8 + 8*classify.NumClasses + 8 + 3*4 + 4
+	hourCellLen = 4 + 8
+	udpPortLen  = 2 + 8 + 4
+	tcpPortLen  = 2 + 8 + 8 + 4 + 4
+	portHourLen = 2 + 2 + 8
+	faultLen    = 4 + 4 + 1 + 4
+)
+
+// imageSize is the exact length of encode's output, so the image is built in
+// one buffer that never grows (TestImageSizeIsExact holds the two together).
+func imageSize(kind Kind, re *correlate.ResultExport, cp *correlate.CheckpointExport) int {
+	n := headerLen + 8*frameHeaderLen + metaLen + // seven sections and wal's footer
+		4 + hourRowLen*len(re.Hourly) +
+		4 + deviceLen*len(re.Devices) +
+		4 + udpPortLen*len(re.UDPPorts) +
+		4 + tcpPortLen*len(re.TCPScanPorts) +
+		4 + portHourLen*len(re.TCPPortHour) +
+		4 + faultLen*len(re.Faults)
+	for i := range re.Devices {
+		n += hourCellLen * len(re.Devices[i].Backscatter)
+	}
+	for i := range re.UDPPorts {
+		n += 4 * len(re.UDPPorts[i].Devices)
+	}
+	for i := range re.TCPScanPorts {
+		n += 4 * (len(re.TCPScanPorts[i].DevicesConsumer) + len(re.TCPScanPorts[i].DevicesCPS))
+	}
+	for i := range re.Faults {
+		n += len(re.Faults[i].Message)
+	}
+	if kind == KindCheckpoint {
+		n += frameHeaderLen + 4 + 4 + 4*len(cp.IngestedHours) + 4 + 4*len(cp.QuarantinedHours) + 1 + 4 + len(cp.BGRegisters)
+	}
+	return n
+}
+
 func encode(kind Kind, re *correlate.ResultExport, cp *correlate.CheckpointExport) []byte {
-	var out wal.Enc
+	out := wal.Enc{B: make([]byte, 0, imageSize(kind, re, cp))}
 	out.Raw([]byte(magic))
 	if kind == KindCheckpoint {
 		out.U8(CheckpointVersion)
@@ -263,10 +304,13 @@ func encode(kind Kind, re *correlate.ResultExport, cp *correlate.CheckpointExpor
 	out.U32(uint32(re.Hours))
 	out.U32(0)
 
+	// Each section is written in place, behind a frame header completed
+	// once the section's length and checksum are known.
 	section := func(tag uint8, fill func(p *wal.Enc)) {
-		var p wal.Enc
-		fill(&p)
-		out.B = wal.AppendFrame(out.B, tag, p.B)
+		at := len(out.B)
+		out.B = wal.BeginFrame(out.B, tag)
+		fill(&out)
+		wal.EndFrame(out.B, at)
 	}
 
 	section(secMeta, func(p *wal.Enc) {

@@ -34,10 +34,25 @@ func badf(format string, args ...any) error {
 
 // AppendFrame appends one frame to dst.
 func AppendFrame(dst []byte, tag uint8, payload []byte) []byte {
-	dst = append(dst, tag)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...)
+	at := len(dst)
+	dst = append(BeginFrame(dst, tag), payload...)
+	EndFrame(dst, at)
+	return dst
+}
+
+// BeginFrame appends the header of a frame whose payload the caller appends
+// to dst next, length and checksum still blank. EndFrame, given the length
+// dst had before BeginFrame, fills them in from what was appended since: a
+// frame built in place, its payload never staged in a buffer of its own.
+func BeginFrame(dst []byte, tag uint8) []byte {
+	return append(dst, tag, 0, 0, 0, 0, 0, 0, 0, 0)
+}
+
+// EndFrame completes the frame begun at offset at of dst, which ends dst.
+func EndFrame(dst []byte, at int) {
+	payload := dst[at+frameHeaderLen:]
+	binary.LittleEndian.PutUint32(dst[at+1:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[at+5:], crc32.ChecksumIEEE(payload))
 }
 
 // Seal closes a container under construction — a header of headerLen bytes
