@@ -29,10 +29,13 @@ test:
 
 # go vet plus the repo's own context-hygiene check: every exported
 # function below the serving layer that spawns goroutines must accept a
-# context.Context (see tools/ctxvet).
+# context.Context (see tools/ctxvet); and gofmt over the tracked Go files,
+# failing when it lists any.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./tools/ctxvet ./internal/... ./cmd/...
+	@unformatted=$$(git ls-files '*.go' | xargs gofmt -l); \
+	test -z "$$unformatted" || { echo "gofmt -l lists:" >&2; echo "$$unformatted" >&2; exit 1; }
 
 race:
 	$(GO) test -race $(RACE_PKGS)

@@ -614,8 +614,9 @@ func BenchmarkSnapshotAnalyze(b *testing.B) {
 // start and reload ends with, whole and by its port-table-sized parts, so
 // the next profile of the layer is one command (docs/PERFORMANCE.md §Build
 // cost model): the content digest (Result.Export plus the store encoding),
-// the per-ISP bundles (the port → device transpose), the UDP table (the one
-// sort by packets) and campaign detection.
+// the per-ISP bundles (the port → device transpose), their rendering into
+// the /v1/reports body, the UDP table (the one sort by packets) and campaign
+// detection.
 func BenchmarkMatviewBuild(b *testing.B) {
 	ds, res := benchFixture(b)
 	src := matview.Sources{
@@ -623,6 +624,7 @@ func BenchmarkMatviewBuild(b *testing.B) {
 		StatTests: res.StatTests, Malware: res.Malware,
 		Inventory: ds.Inventory, Registry: ds.Registry, Threat: ds.Threat,
 	}
+	bundles := notify.Build(res.Correlate, ds.Inventory, ds.Registry, ds.Threat, notify.DefaultConfig())
 	for _, part := range []struct {
 		name string
 		run  func() error
@@ -635,6 +637,7 @@ func BenchmarkMatviewBuild(b *testing.B) {
 			}
 			return nil
 		}},
+		{"reports", func() error { _, err := matview.RenderReports(bundles); return err }},
 		{"udp", func() error {
 			if len(res.Analyzer.TopUDPPorts(0)) != len(res.Correlate.UDPPorts) {
 				return fmt.Errorf("short UDP table")

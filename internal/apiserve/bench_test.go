@@ -59,6 +59,12 @@ func BenchmarkServeDevicesFilter(b *testing.B) {
 	benchServe(b, loadServer(b), devices)
 }
 
+// BenchmarkServeReports is the largest body the API serves, written from
+// the snapshot's rendered bytes (docs/PERFORMANCE.md §Read path).
+func BenchmarkServeReports(b *testing.B) {
+	benchServe(b, loadServer(b), "/v1/reports")
+}
+
 // BenchmarkServeHTTPLoad is the end-to-end load benchmark: concurrent
 // clients over real TCP against an httptest server wrapping the full
 // middleware stack, reporting request throughput and p50/p99 latency.

@@ -2,13 +2,16 @@ package apiserve
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"sort"
 	"testing"
 
+	"iotscope/internal/analysis"
 	"iotscope/internal/core"
+	"iotscope/internal/notify"
 )
 
 // The equivalence suite: every /v1/* read endpoint must produce
@@ -135,6 +138,7 @@ func equivalenceGrid(t *testing.T, ds *core.Dataset, res *core.Results) []string
 		"/v1/threats/not-an-ip",       // 400
 		"/v1/threats/203.0.113.7",     // almost surely no events
 	}
+	grid = append(grid, reportFloorPaths(ds, res)...)
 	for _, c := range countries {
 		grid = append(grid, "/v1/devices?country="+c)
 		grid = append(grid, "/v1/devices?country="+c+"&limit=3&offset=2")
@@ -155,6 +159,60 @@ func equivalenceGrid(t *testing.T, ds *core.Dataset, res *core.Results) []string
 		grid = append(grid, fmt.Sprintf("/v1/devices/%d", missing))
 	}
 	return grid
+}
+
+// reportFloorPaths asks /v1/reports at every boundary the data has: for
+// each distinct bundle device count c, minDevices=c (the last floor that
+// keeps those bundles) and c+1 (the first that drops them), plus 1, one
+// past the largest bundle, and MaxInt. Floors the fixed rows above already
+// ask are skipped.
+func reportFloorPaths(ds *core.Dataset, res *core.Results) []string {
+	bundles := notify.Build(res.Correlate, ds.Inventory, ds.Registry, ds.Threat, notify.DefaultConfig())
+	seen := map[int]bool{2: true, 3: true, 1000000: true}
+	var paths []string
+	add := func(floor int) {
+		if !seen[floor] {
+			seen[floor] = true
+			paths = append(paths, fmt.Sprintf("/v1/reports?minDevices=%d", floor))
+		}
+	}
+	add(1)
+	for _, b := range bundles { // descending device count: max+1 comes first
+		add(len(b.Devices) + 1)
+		add(len(b.Devices))
+	}
+	add(math.MaxInt)
+	return paths
+}
+
+// With nothing inferred the reports array is empty, not null, at every
+// floor — the constant body, held to the legacy handler like the rest.
+func TestReportsEquivalenceNoDevices(t *testing.T) {
+	loadServer(t) // for the shared dataset
+	inc, err := srvDS.NewIncremental(core.DefaultConfig(0.004, 303))
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := inc.Result()
+	if len(empty.Devices) != 0 {
+		t.Fatalf("a correlator that ingested nothing inferred %d devices", len(empty.Devices))
+	}
+	res := &core.Results{Correlate: empty, Analyzer: analysis.New(empty, srvDS.Inventory, srvDS.Registry)}
+	s, err := New(srvDS, res, []string{testToken})
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := legacyMux(srvDS, res)
+	for _, path := range []string{"/v1/reports", "/v1/reports?minDevices=1", "/v1/reports?minDevices=2"} {
+		code, body := rawGet(t, s, path)
+		legCode, legBody := rawGetMux(t, legacy, path)
+		if code != http.StatusOK || legCode != http.StatusOK || body != legBody {
+			t.Fatalf("%s: views %d %q, legacy %d %q", path, code, body, legCode, legBody)
+		}
+		if body != "{\n  \"reports\": []\n}\n" {
+			t.Fatalf("%s: body %q, want an empty reports array", path, body)
+		}
+	}
 }
 
 func sortedKeys(m map[string]bool) []string {

@@ -502,8 +502,8 @@ func (ds *Dataset) DownstreamStages(cfg Config, out *Results) []pipeline.Stage {
 			m := pipeline.Meter(ctx)
 			m.RecordsIn = uint64(len(out.Correlate.Devices))
 			m.RecordsOut = uint64(v.NumDevices())
-			m.Note = fmt.Sprintf("digest=%s static=%dB build=%.1fms",
-				vs.Digest, vs.StaticBytes, vs.BuildMillis)
+			m.Note = fmt.Sprintf("digest=%s static=%dB reports=%dB build=%.1fms",
+				vs.Digest, vs.StaticBytes, vs.ReportsBytes, vs.BuildMillis)
 			return nil
 		}),
 	}

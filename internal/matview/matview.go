@@ -4,10 +4,11 @@
 // pre-encoded response bodies for the parameterless endpoints (summary,
 // TCP port table, signatures, campaigns, malware indicators), a sorted
 // device index with secondary indexes for every country/category filter
-// combination, the full sorted UDP port table (top-K = prefix), per-ISP
-// notification bundles, and an inverted per-hour victim index that turns
-// DoS-spike attribution from an O(devices × hours) walk into an
-// O(episode) lookup.
+// combination, the full sorted UDP port table (top-K = prefix), the
+// rendered /v1/reports body with an offsets table (the answer for any
+// minDevices is a prefix of its bytes), and an inverted per-hour victim
+// index that turns DoS-spike attribution from an O(devices × hours) walk
+// into an O(episode) lookup.
 //
 // The resulting Views value is immutable: handlers read it concurrently
 // with no locking, and a snapshot swap replaces the whole Views pointer.
@@ -78,7 +79,7 @@ type Views struct {
 
 	udpRows []analysis.UDPPortRow // full table, descending packets
 
-	bundles []notify.Bundle // per-ISP reports at MinDevices=1
+	reports ReportsTable // per-ISP reports at MinDevices=1, rendered
 
 	spikes spikeIndex
 
@@ -127,8 +128,11 @@ func Build(src Sources) (*Views, error) {
 	}
 	v.buildSpikeIndex(src.Result)
 	v.udpRows = src.Analyzer.TopUDPPorts(0)
-	v.bundles = notify.Build(src.Result, src.Inventory, src.Registry, src.Threat,
-		notify.Config{MinDevices: 1, MinPackets: 1})
+	v.reports, err = RenderReports(notify.Build(src.Result, src.Inventory, src.Registry, src.Threat,
+		notify.Config{MinDevices: 1, MinPackets: 1}))
+	if err != nil {
+		return nil, err
+	}
 
 	campaigns, err := campaign.Detect(src.Result, campaign.DefaultConfig())
 	if err != nil {
@@ -231,21 +235,11 @@ func (v *Views) TopUDP(n int) []analysis.UDPPortRow {
 	return v.udpRows[:n]
 }
 
-// Reports returns the per-ISP notification bundles with at least
-// minDevices devices. The full table is materialized at MinDevices=1;
-// because bundle ordering depends only on bundle contents, filtering the
-// sorted table equals building with the larger floor.
-func (v *Views) Reports(minDevices int) []notify.Bundle {
-	if minDevices <= 1 {
-		return v.bundles
-	}
-	out := make([]notify.Bundle, 0, len(v.bundles))
-	for _, b := range v.bundles {
-		if len(b.Devices) >= minDevices {
-			out = append(out, b)
-		}
-	}
-	return out
+// ReportsBody is the /v1/reports response for the per-ISP notification
+// bundles with at least minDevices devices, as a head and a tail to be
+// written back to back (see ReportsTable.Body).
+func (v *Views) ReportsBody(minDevices int) (head, tail []byte) {
+	return v.reports.Body(minDevices)
 }
 
 // ThreatEvents returns the wire-shaped intel events for ip. Never nil.
@@ -271,7 +265,8 @@ type Stats struct {
 	Bundles       int     `json:"bundles"`
 	Hours         int     `json:"hours"`
 	VictimEntries int     `json:"victimEntries"`
-	StaticBytes   int     `json:"staticBytes"`
+	StaticBytes   int     `json:"staticBytes"`  // the five parameterless bodies
+	ReportsBytes  int     `json:"reportsBytes"` // the rendered /v1/reports body
 	BuildMillis   float64 `json:"buildMillis"`
 	Digest        string  `json:"digest"`
 }
@@ -282,12 +277,13 @@ func (v *Views) Stats() Stats {
 		Devices:     len(v.rows),
 		FilterLists: len(v.filters),
 		UDPPorts:    len(v.udpRows),
-		Bundles:     len(v.bundles),
+		Bundles:     len(v.reports.end),
 		Hours:       len(v.spikes.series),
 		StaticBytes: len(v.summaryBody) + len(v.tcpPortsBody) + len(v.signaturesBody) +
 			len(v.campaignsBody) + len(v.malwareBody),
-		BuildMillis: float64(v.buildDur.Microseconds()) / 1000,
-		Digest:      fmt.Sprintf("%08x", v.digest),
+		ReportsBytes: len(v.reports.body),
+		BuildMillis:  float64(v.buildDur.Microseconds()) / 1000,
+		Digest:       fmt.Sprintf("%08x", v.digest),
 	}
 	for _, ids := range v.filters {
 		s.FilterEntries += len(ids)

@@ -4,6 +4,7 @@ package matview_test
 // internal/core (which itself imports matview for the materialize stage).
 
 import (
+	"math"
 	"os"
 	"reflect"
 	"sync"
@@ -183,17 +184,86 @@ func TestTopUDPPrefix(t *testing.T) {
 	}
 }
 
-// Filtering the MinDevices=1 table must equal building with the larger
-// floor — the property the /v1/reports materialization depends on.
+// encodeReports is the oracle the rendered reports body is held to: the
+// serving layer's encoder over the bundles themselves.
+func encodeReports(t *testing.T, bundles []notify.Bundle) string {
+	t.Helper()
+	b, err := matview.EncodeBody(map[string]any{"reports": bundles})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// reportFloors is every minDevices worth asking of bundles (in builder
+// order): each distinct device count and one past it (the prefix
+// boundaries), 1, and MaxInt.
+func reportFloors(bundles []notify.Bundle) []int {
+	floors := []int{1, math.MaxInt}
+	for i, b := range bundles {
+		if i == 0 || len(b.Devices) != len(bundles[i-1].Devices) {
+			floors = append(floors, len(b.Devices), len(b.Devices)+1)
+		}
+	}
+	return floors
+}
+
+// The prefix of the rendered MinDevices=1 body must be, byte for byte, what
+// the encoder writes for the bundles built with the larger floor — the
+// property the /v1/reports materialization depends on.
 func TestReportsMatchesNotifyBuild(t *testing.T) {
 	ds, res, v := fixture(t)
-	for _, min := range []int{1, 2, 3, 10} {
-		want := notify.Build(res.Correlate, ds.Inventory, ds.Registry, ds.Threat,
+	build := func(min int) []notify.Bundle {
+		return notify.Build(res.Correlate, ds.Inventory, ds.Registry, ds.Threat,
 			notify.Config{MinDevices: min, MinPackets: 1})
-		got := v.Reports(min)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("minDevices=%d: materialized reports diverge (%d vs %d bundles)",
-				min, len(got), len(want))
+	}
+	all := build(1)
+	if len(all) < 2 || len(all[0].Devices) == len(all[len(all)-1].Devices) {
+		t.Fatalf("fixture has %d bundles of one size; no interior prefix to check", len(all))
+	}
+	if st := v.Stats(); st.Bundles != len(all) || st.ReportsBytes != len(encodeReports(t, all)) {
+		t.Fatalf("stats report %d bundles in %d bytes, want %d", st.Bundles, st.ReportsBytes, len(all))
+	}
+	for _, min := range reportFloors(all) {
+		head, tail := v.ReportsBody(min)
+		want := encodeReports(t, build(min))
+		if got := string(head) + string(tail); got != want {
+			t.Fatalf("minDevices=%d: rendered reports diverge (%d bytes vs %d)", min, len(got), len(want))
+		}
+	}
+}
+
+// The table on its own, over hand-made bundles: ties in device count, a
+// name the encoder HTML-escapes, and no bundles at all ("[]", not "null").
+func TestRenderReportsEveryFloor(t *testing.T) {
+	bundle := func(isp string, devices int) notify.Bundle {
+		b := notify.Bundle{ISP: isp, Devices: make([]notify.DeviceEntry, devices)}
+		for i := range b.Devices {
+			b.Devices[i] = notify.DeviceEntry{Device: i, Behaviours: []string{"scan"}, UDPPorts: []uint16{53}}
+		}
+		return b
+	}
+	for _, bundles := range [][]notify.Bundle{
+		{},
+		{bundle("solo", 2)},
+		{bundle("AT&T <b>", 5), bundle("tie-a", 3), bundle("tie-b", 3), bundle("one", 1)},
+	} {
+		table, err := matview.RenderReports(bundles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, min := range reportFloors(bundles) {
+			kept := []notify.Bundle{}
+			for _, b := range bundles {
+				if len(b.Devices) >= min {
+					kept = append(kept, b)
+				}
+			}
+			head, tail := table.Body(min)
+			want := encodeReports(t, kept)
+			if got := string(head) + string(tail); got != want {
+				t.Fatalf("%d bundles, minDevices=%d:\ngot  %q\nwant %q", len(bundles), min, got, want)
+			}
 		}
 	}
 }

@@ -127,7 +127,7 @@ func init() {
 // is self-contained: what is not in the file is not in the run.
 
 // Kind returns "tcp-scan".
-func (c *TCPScanConfig) Kind() string     { return KindTCPScan }
+func (c *TCPScanConfig) Kind() string       { return KindTCPScan }
 func (c *TCPScanConfig) apply(sc *Scenario) { sc.TCPScan = *c }
 func (c *TCPScanConfig) validate(path string, bad *badConfig) {
 	if c.TotalScanners < 0 {
@@ -170,7 +170,7 @@ func (c *TCPScanConfig) validate(path string, bad *badConfig) {
 }
 
 // Kind returns "udp-probe".
-func (c *UDPProbeConfig) Kind() string     { return KindUDPProbe }
+func (c *UDPProbeConfig) Kind() string       { return KindUDPProbe }
 func (c *UDPProbeConfig) apply(sc *Scenario) { sc.UDPProbe = *c }
 func (c *UDPProbeConfig) validate(path string, bad *badConfig) {
 	if c.TotalProbers < 0 {
@@ -205,7 +205,7 @@ func (c *UDPProbeConfig) validate(path string, bad *badConfig) {
 }
 
 // Kind returns "icmp".
-func (c *ICMPScanConfig) Kind() string     { return KindICMP }
+func (c *ICMPScanConfig) Kind() string       { return KindICMP }
 func (c *ICMPScanConfig) apply(sc *Scenario) { sc.ICMPScan = *c }
 func (c *ICMPScanConfig) validate(path string, bad *badConfig) {
 	if c.TotalScanners < 0 {
@@ -220,7 +220,7 @@ func (c *ICMPScanConfig) validate(path string, bad *badConfig) {
 }
 
 // Kind returns "backscatter".
-func (c *BackscatterConfig) Kind() string     { return KindBackscatter }
+func (c *BackscatterConfig) Kind() string       { return KindBackscatter }
 func (c *BackscatterConfig) apply(sc *Scenario) { sc.Backscatter = *c }
 func (c *BackscatterConfig) validate(path string, bad *badConfig) {
 	if c.TotalVictims < 0 {
@@ -264,7 +264,7 @@ func (c *BackscatterConfig) validate(path string, bad *badConfig) {
 }
 
 // Kind returns "other".
-func (c *OtherTrafficConfig) Kind() string     { return KindOther }
+func (c *OtherTrafficConfig) Kind() string       { return KindOther }
 func (c *OtherTrafficConfig) apply(sc *Scenario) { sc.Other = *c }
 func (c *OtherTrafficConfig) validate(path string, bad *badConfig) {
 	if c.HourlyPackets < 0 {
@@ -279,7 +279,7 @@ func (c *OtherTrafficConfig) validate(path string, bad *badConfig) {
 }
 
 // Kind returns "background".
-func (c *BackgroundConfig) Kind() string     { return KindBackground }
+func (c *BackgroundConfig) Kind() string       { return KindBackground }
 func (c *BackgroundConfig) apply(sc *Scenario) { sc.Background = *c }
 func (c *BackgroundConfig) validate(path string, bad *badConfig) {
 	if c.HourlyPackets < 0 {
