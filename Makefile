@@ -7,14 +7,16 @@ GO ?= go
 # raced against readers, the result store codec behind checkpoint/resume
 # and the durable-write primitive under it,
 # the notification pipeline (outbound queue drain, contact resolver shared
-# across stages), and the streaming collector (tailer goroutine, bounded
-# event channel, alert hub fan-out).
+# across stages), the streaming collector (tailer goroutine, bounded
+# event channel, alert hub fan-out), and the generator, which renders hours
+# on worker goroutines that each own a telescope collector and share the
+# flowtuple writer pools.
 RACE_PKGS = ./internal/correlate ./internal/flowtuple ./internal/apiserve \
 	./internal/resilience ./internal/pipeline ./internal/core \
 	./internal/resultstore ./internal/wal ./internal/faultfs \
 	./internal/outqueue ./internal/abusecontact ./internal/stream \
 	./cmd/iotwatch ./cmd/iotserve ./cmd/iotinfer ./cmd/iotreport \
-	./cmd/iotnotify
+	./cmd/iotnotify ./internal/wgen ./internal/telescope
 
 .PHONY: check build test vet race fuzz bench chaos perf perfdiff loc
 

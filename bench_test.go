@@ -712,20 +712,26 @@ func BenchmarkGenerateScale(b *testing.B) {
 
 // BenchmarkGenerate is the scenario-registry acceptance path: resolve the
 // bundled paper-default scenario, render a short window, and stamp the
-// dataset with its provenance files.
+// dataset with its provenance files. records/s is the generator's
+// throughput over the whole of that, at this run's GOMAXPROCS (hours render
+// on that many workers; compare -cpu 1 with the default).
 func BenchmarkGenerate(b *testing.B) {
 	root := b.TempDir()
 	cfg := core.DefaultConfig(0.002, 1)
 	cfg.Hours = 4
+	var records uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dir := filepath.Join(root, fmt.Sprintf("run-%d", i))
-		if _, err := core.Generate(cfg, dir); err != nil {
+		ds, err := core.Generate(cfg, dir)
+		if err != nil {
 			b.Fatal(err)
 		}
+		records += ds.GenStats.Collector.RecordsWritten
 		if err := os.RemoveAll(dir); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(records)/b.Elapsed().Seconds(), "records/s")
 }

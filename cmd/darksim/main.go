@@ -17,9 +17,11 @@ import (
 	"io"
 	"os"
 	"strings"
+	"time"
 
 	"iotscope/internal/core"
 	"iotscope/internal/scenario"
+	"iotscope/internal/wgen"
 )
 
 func main() {
@@ -71,10 +73,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	fmt.Fprintf(stdout, "generating dataset: scenario=%s@%d scale=%v seed=%d hours=%d -> %s\n",
 		rs.Config.Name, rs.Config.Version, *scale, *seed, rs.Scenario.Hours, *out)
+	start := time.Now()
 	ds, err := core.GenerateScenario(cfg, rs, *out)
 	if err != nil {
 		return err
 	}
+	elapsed := time.Since(start)
 	st := ds.GenStats
 	fmt.Fprintf(stdout, "hours written:        %d\n", st.Collector.HoursWritten)
 	fmt.Fprintf(stdout, "packets captured:     %d\n", st.Collector.PacketsObserved)
@@ -84,6 +88,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "threat events:        %d over %d IPs\n", ds.Threat.Len(), ds.Threat.NumIPs())
 	fmt.Fprintf(stdout, "malware reports:      %d\n", ds.Malware.Len())
 	fmt.Fprintf(stdout, "config hash:          %s\n", ds.Manifest.ConfigHash)
+	fmt.Fprintf(stdout, "generated in %v (%.0f flowtuples/s, %d workers)\n",
+		elapsed.Round(time.Millisecond), float64(st.Collector.RecordsWritten)/elapsed.Seconds(),
+		wgen.RenderWorkers(st.Hours))
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -68,6 +69,11 @@ func TestRunScenarioByName(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "config hash:          sha256:") {
 		t.Errorf("output does not report the config hash:\n%s", out.String())
+	}
+	// The last line is the throughput summary; -hours 2 caps the workers.
+	last := regexp.MustCompile(`\ngenerated in \S+ \(\d+ flowtuples/s, [12] workers\)\n$`)
+	if !last.MatchString(out.String()) {
+		t.Errorf("output does not end with the generation rate:\n%s", out.String())
 	}
 }
 

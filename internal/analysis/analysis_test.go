@@ -35,7 +35,7 @@ func loadFixture(t *testing.T) (*Analyzer, *wgen.Generator) {
 			fixtureErr = err
 			return
 		}
-		if _, err := g.Run(dir); err != nil {
+		if _, err := g.Run(context.Background(), dir); err != nil {
 			fixtureErr = err
 			return
 		}

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"io"
 	"reflect"
 	"runtime"
@@ -88,7 +89,7 @@ func TestTrackerMatchesDetectEveryWindow(t *testing.T) {
 				t.Fatal(err)
 			}
 			dir := t.TempDir()
-			if _, err := g.Run(dir); err != nil {
+			if _, err := g.Run(context.Background(), dir); err != nil {
 				t.Fatal(err)
 			}
 			inc, err := correlate.New(g.Inventory(), correlate.Options{}).NewIncremental(rs.Scenario.Hours)

@@ -146,7 +146,10 @@ func GenerateScenario(cfg Config, rs *scenario.Resolved, dir string) (*Dataset, 
 	if err != nil {
 		return nil, err
 	}
-	stats, err := gen.Run(dir)
+	// Run takes a context because it renders hours on worker goroutines.
+	// This signature has none to give it: tools/perfledger, which no PR but
+	// a benchmark one may edit, calls GenerateScenario as it is.
+	stats, err := gen.Run(context.Background(), dir)
 	if err != nil {
 		return nil, fmt.Errorf("core: render traffic: %w", err)
 	}
@@ -168,13 +171,11 @@ func GenerateScenario(cfg Config, rs *scenario.Resolved, dir string) (*Dataset, 
 	if err != nil {
 		return nil, err
 	}
-	var hashes []string
-	ds.Malware, ds.Catalog, hashes, err = malwaredb.Generate(
+	ds.Malware, ds.Catalog, _, err = malwaredb.Generate(
 		malwaredb.DefaultGenConfig(), gen.Truth(), gen.Inventory(), noise, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	_ = hashes
 
 	if err := ds.persist(nil); err != nil {
 		return nil, err

@@ -2,14 +2,20 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
+	"iotscope/internal/flowtuple"
 	"iotscope/internal/scenario"
+	"iotscope/internal/wgen"
 )
 
 // hashDatasetDir hashes every file of a dataset directory, in name order —
@@ -40,36 +46,102 @@ func hashDatasetDir(t *testing.T, dir string) [32]byte {
 	return out
 }
 
-// The provenance contract behind run.json: the same scenario file at the
-// same seed yields a byte-identical dataset — across repeated runs and
-// across GOMAXPROCS settings, manifest and config files included.
-func TestScenarioDatasetByteIdentical(t *testing.T) {
-	render := func(procs int) [32]byte {
-		if procs > 0 {
-			old := runtime.GOMAXPROCS(procs)
-			defer runtime.GOMAXPROCS(old)
-		}
-		rs, err := scenario.Resolve("stealth-scan@1", scenario.Options{Scale: 0.002, Seed: 77, Hours: 6})
+// decodedDigest hashes what a dataset's hour files say rather than how
+// they are compressed: per hour in ascending order, the header's hour, every
+// record in file order in its 21-byte wire encoding, then the footer count.
+// compress/flate may emit different bytes under another Go release; the
+// records may not differ under any.
+func decodedDigest(t *testing.T, dir string) string {
+	t.Helper()
+	hours, err := flowtuple.DatasetHours(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var buf []byte
+	for _, hour := range hours {
+		r, err := flowtuple.Open(flowtuple.HourPath(dir, hour))
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := DefaultConfig(0.002, 77)
-		cfg.Hours = 6
-		dir := t.TempDir()
-		if _, err := GenerateScenario(cfg, rs, dir); err != nil {
-			t.Fatal(err)
+		buf = binary.LittleEndian.AppendUint32(buf[:0], r.Header().Hour)
+		for {
+			rec, err := r.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf = flowtuple.AppendRecord(buf, rec)
+			if len(buf) >= 1<<16 {
+				h.Write(buf)
+				buf = buf[:0]
+			}
 		}
-		return hashDatasetDir(t, dir)
+		h.Write(binary.LittleEndian.AppendUint32(buf, r.Header().Count))
+		r.Close()
 	}
-	base := render(0)
-	if again := render(0); !bytes.Equal(base[:], again[:]) {
-		t.Fatal("repeated runs differ")
-	}
-	if one := render(1); !bytes.Equal(base[:], one[:]) {
-		t.Fatal("GOMAXPROCS=1 produces different bytes")
-	}
-	if eight := render(8); !bytes.Equal(base[:], eight[:]) {
-		t.Fatal("GOMAXPROCS=8 produces different bytes")
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// bundledDecoded pins decodedDigest of every bundled scenario at scale
+// 0.001, seed 77, over the scenario's own window. The values were computed
+// at commit ad93ace, whose generator was one serial loop, so a match means
+// "hours on workers yield the serial render's records", not merely that
+// the parallel render agrees with itself. Regenerate only with a bumped
+// scenario version.
+var bundledDecoded = map[string]string{
+	"cps-campaign":       "bcbef26621195d453db01a5e2dd3bf45213b39a5919c81d754485e7d8e2f44eb",
+	"mirai-wave":         "756abba0d2608897280c99fe465f3ad11d4f74f7912e60924cf59b15700a4651",
+	"paper-default":      "6ff0914f3c140f3ad2d83e7928f7d7731f4e2e1b04a20e8c0bed9bb9003e8874",
+	"smart-home-diurnal": "380fe2c90b821295c2af95e3a508de7b0d8eca596ba7b0969ce98d3279fc3526",
+	"stealth-scan":       "ca057f476f73dc69544917faa6d219ad83fe0efddecacba06dcd315776d0270f",
+	"telescope-16":       "399e8a0b9528cc9e2cb860b2a58aeb9d8fd00bedafc6c9b1ea1d7d3c0c67987f",
+	"telescope-24":       "af806b5b6aa16420d11b7b596a482bf4efa065f6b0084e44c400181d9ae333ec",
+	"udp-amplification":  "250ecc2ea884f108152595e4c7be9495b7fdfd05ff7a3c2f24566c2994dd1f58",
+}
+
+// The provenance contract behind run.json: the same scenario at the same
+// seed yields a byte-identical dataset at any core count — hour files,
+// inventory, intel, manifest and config alike — and the same RunStats.
+// Hours are rendered on min(GOMAXPROCS, Hours) workers, so 1 is the serial
+// loop, 2 is what CI has, and 8 oversubscribes it; each scenario keeps its
+// own window, where the planted onsets sit tens of hours deep.
+func TestScenarioDatasetByteIdentical(t *testing.T) {
+	const scale, seed = 0.001, 77
+	for _, m := range scenario.List() {
+		t.Run(m.Name, func(t *testing.T) {
+			rs, err := scenario.Resolve(m.Ref(), scenario.Options{Scale: scale, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			render := func(procs int) (string, [32]byte, wgen.RunStats) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				dir := t.TempDir()
+				ds, err := GenerateScenario(DefaultConfig(scale, seed), rs, dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return dir, hashDatasetDir(t, dir), ds.GenStats
+			}
+			dir, base, baseStats := render(1)
+			if got := decodedDigest(t, dir); got != bundledDecoded[m.Name] {
+				t.Errorf("decoded records %s, the serial generator's were %s", got, bundledDecoded[m.Name])
+			}
+			if baseStats.Collector.HoursWritten != rs.Scenario.Hours {
+				t.Errorf("%d hours written of %d", baseStats.Collector.HoursWritten, rs.Scenario.Hours)
+			}
+			for _, procs := range []int{2, 8} {
+				_, sum, stats := render(procs)
+				if sum != base {
+					t.Errorf("GOMAXPROCS=%d produces different bytes than GOMAXPROCS=1", procs)
+				}
+				if stats != baseStats {
+					t.Errorf("GOMAXPROCS=%d: stats %+v, want %+v", procs, stats, baseStats)
+				}
+			}
+		})
 	}
 }
 
@@ -114,5 +186,56 @@ func TestScenarioFileMatchesBundled(t *testing.T) {
 		if !bytes.Equal(fromBundle[:], fromFile[:]) {
 			t.Fatalf("%s: external scenario file renders different bytes than the bundled scenario", ref)
 		}
+	}
+}
+
+// The generator lands hours on several workers, so within a render hour
+// k+2 can reach the directory before hour k. No reader can see that: the
+// inventory, the config and run.json are written only after wgen.Run has
+// returned with every hour published, so Open refuses a directory that is
+// still being generated (all hour files present, nothing else), and a
+// render that failed leaves no run.json vouching for it.
+func TestHalfGeneratedDatasetDoesNotOpen(t *testing.T) {
+	rs, err := scenario.Resolve("stealth-scan@1", scenario.Options{Scale: 0.002, Seed: 9, Hours: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(0.002, 9)
+	cfg.Hours = 6
+
+	hoursOnly := t.TempDir()
+	gen, err := wgen.New(rs.Scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gen.Run(context.Background(), hoursOnly); err != nil {
+		t.Fatal(err)
+	}
+	if hours, _ := flowtuple.DatasetHours(hoursOnly); len(hours) != 6 {
+		t.Fatalf("rendered hours %v", hours)
+	}
+	if _, err := Open(hoursOnly); err == nil {
+		t.Fatal("opened a directory holding hour files only")
+	}
+
+	failed := t.TempDir()
+	if err := os.Mkdir(flowtuple.HourPath(failed, 3)+flowtuple.TmpSuffix, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := GenerateScenario(cfg, rs, failed); err == nil || !strings.Contains(err.Error(), "hour-003") {
+		t.Fatalf("unwritable hour 3: %v", err)
+	}
+	entries, err := os.ReadDir(failed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if !e.IsDir() && (!strings.HasPrefix(name, "hour-") || strings.HasSuffix(name, flowtuple.TmpSuffix)) {
+			t.Errorf("failed render left %s", name)
+		}
+	}
+	if _, err := Open(failed); err == nil {
+		t.Fatal("opened a dataset whose render failed")
 	}
 }

@@ -241,7 +241,7 @@ func TestRecoverGroundTruth(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, err := g.Run(dir); err != nil {
+	if _, err := g.Run(context.Background(), dir); err != nil {
 		t.Fatal(err)
 	}
 	res, err := New(g.Inventory(), Options{Workers: 2}).ProcessDataset(context.Background(), dir)
@@ -298,7 +298,7 @@ func BenchmarkProcessDataset(b *testing.B) {
 		b.Fatal(err)
 	}
 	dir := b.TempDir()
-	if _, err := g.Run(dir); err != nil {
+	if _, err := g.Run(context.Background(), dir); err != nil {
 		b.Fatal(err)
 	}
 	c := New(g.Inventory(), Options{})

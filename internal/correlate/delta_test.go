@@ -37,7 +37,7 @@ func deltaFixture(t *testing.T, hours int) (string, *Correlator) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, err := g.Run(dir); err != nil {
+	if _, err := g.Run(context.Background(), dir); err != nil {
 		t.Fatal(err)
 	}
 	return dir, New(g.Inventory(), Options{Workers: 1, FaultPolicy: Lenient})

@@ -23,7 +23,7 @@ func cleanDataset(t *testing.T, seed uint64, hours int) (string, *wgen.Generator
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, err := g.Run(dir); err != nil {
+	if _, err := g.Run(context.Background(), dir); err != nil {
 		t.Fatal(err)
 	}
 	return dir, g

@@ -25,7 +25,7 @@ func damagedDataset(t *testing.T) (dir string, g *wgen.Generator) {
 		t.Fatal(err)
 	}
 	dir = t.TempDir()
-	if _, err := g.Run(dir); err != nil {
+	if _, err := g.Run(context.Background(), dir); err != nil {
 		t.Fatal(err)
 	}
 	// Hour 2: flip a bit inside the gzip stream — permanent corruption.
@@ -211,7 +211,7 @@ func TestIncrementalRetrySucceeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, err := g.Run(dir); err != nil {
+	if _, err := g.Run(context.Background(), dir); err != nil {
 		t.Fatal(err)
 	}
 	// Stash the complete hour 1, then publish an in-progress cut of it.

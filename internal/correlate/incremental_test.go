@@ -17,7 +17,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, err := g.Run(dir); err != nil {
+	if _, err := g.Run(context.Background(), dir); err != nil {
 		t.Fatal(err)
 	}
 	c := New(g.Inventory(), Options{})
@@ -83,7 +83,7 @@ func TestIncrementalOutOfOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, err := g.Run(dir); err != nil {
+	if _, err := g.Run(context.Background(), dir); err != nil {
 		t.Fatal(err)
 	}
 	c := New(g.Inventory(), Options{})

@@ -67,7 +67,7 @@ func TestWindowMatchesIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, err := g.Run(dir); err != nil {
+	if _, err := g.Run(context.Background(), dir); err != nil {
 		t.Fatal(err)
 	}
 	c1 := New(g.Inventory(), Options{FaultPolicy: Lenient})

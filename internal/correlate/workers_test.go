@@ -20,7 +20,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, err := g.Run(dir); err != nil {
+	if _, err := g.Run(context.Background(), dir); err != nil {
 		t.Fatal(err)
 	}
 
@@ -87,7 +87,7 @@ func TestMissingHourTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, err := g.Run(dir); err != nil {
+	if _, err := g.Run(context.Background(), dir); err != nil {
 		t.Fatal(err)
 	}
 	// Remove hour 3.
@@ -124,7 +124,7 @@ func TestSketchAccuracyAtScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, err := g.Run(dir); err != nil {
+	if _, err := g.Run(context.Background(), dir); err != nil {
 		t.Fatal(err)
 	}
 	exact, err := New(g.Inventory(), Options{}).ProcessDataset(context.Background(), dir)

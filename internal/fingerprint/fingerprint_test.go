@@ -1,6 +1,7 @@
 package fingerprint
 
 import (
+	"context"
 	"math"
 	"os"
 	"sync"
@@ -210,7 +211,7 @@ func loadE2E(t *testing.T) (*wgen.Generator, map[netx.Addr]*Profile) {
 		if e2eErr != nil {
 			return
 		}
-		if _, e2eErr = e2eGen.Run(dir); e2eErr != nil {
+		if _, e2eErr = e2eGen.Run(context.Background(), dir); e2eErr != nil {
 			return
 		}
 		ex := NewExtractor(20)
@@ -298,7 +299,7 @@ func BenchmarkExtract(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := g.Run(dir); err != nil {
+	if _, err := g.Run(context.Background(), dir); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()

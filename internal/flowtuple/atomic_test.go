@@ -1,8 +1,13 @@
 package flowtuple
 
 import (
+	"bytes"
+	"compress/gzip"
+	"encoding/binary"
 	"errors"
+	"math/rand"
 	"os"
+	"sync"
 	"testing"
 )
 
@@ -106,4 +111,75 @@ func TestVerifyRejectsDamage(t *testing.T) {
 	if _, err := Verify(path); !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("verify damaged file: %v", err)
 	}
+}
+
+// hourFileBytes is the writer's output built without the writer: a fresh
+// gzip.Writer over header, tagged records and footer.
+func hourFileBytes(hour uint32, recs []Record) []byte {
+	var raw []byte
+	raw = append(raw, fileMagic[:]...)
+	raw = append(raw, fileVersion, 0, 0, 0)
+	raw = binary.LittleEndian.AppendUint32(raw, hour)
+	raw = append(raw, 0, 0, 0, 0)
+	for _, r := range recs {
+		raw = AppendRecord(append(raw, tagRecord), r)
+	}
+	raw = binary.LittleEndian.AppendUint32(append(raw, tagFooter), uint32(len(recs)))
+	var out bytes.Buffer
+	gz := gzip.NewWriter(&out) // into a bytes.Buffer: no error to check
+	gz.Write(raw)
+	gz.Close()
+	return out.Bytes()
+}
+
+// The writer's gzip and bufio layers are recycled between files. What a
+// previous file left in them — a finished stream's tables, or the buffered
+// and half-deflated records of an aborted one — must not reach the next:
+// every file is the bytes a fresh gzip.Writer produces, from several
+// goroutines at once.
+func TestWriterRecyclesCleanState(t *testing.T) {
+	dir := t.TempDir()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rnd := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 6; i++ {
+				hour := g*100 + i
+				recs := make([]Record, 2000+rnd.Intn(6000))
+				for j := range recs {
+					recs[j] = Record{SrcIP: rnd.Uint32() >> 12, DstIP: rnd.Uint32(), DstPort: uint16(rnd.Intn(64)), Packets: 1}
+				}
+				w, err := Create(HourPath(dir, hour), uint32(hour))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, r := range recs {
+					if err := w.Write(r); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if i%2 == 1 { // enough records that bufio has flushed some into gzip
+					w.Abort()
+					continue
+				}
+				if err := w.Close(); err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := os.ReadFile(HourPath(dir, hour))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if want := hourFileBytes(uint32(hour), recs); !bytes.Equal(got, want) {
+					t.Errorf("hour %d: %d bytes, a fresh gzip.Writer gives %d", hour, len(got), len(want))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -83,6 +83,19 @@ type Writer struct {
 	err   error  // first fatal error; the temp file has been removed
 }
 
+// Writer pools, the mirror of the reader's below. A gzip.Writer is about
+// 1 MB of deflate hash tables that NewWriter zeroes and the collector would
+// otherwise discard once per hour file; Reset re-initialises them in place
+// and yields the same bytes a fresh writer does. Both layers are Reset when
+// taken, never trusted as found, so what an aborted or failed file left
+// buffered in them cannot reach the next one.
+var (
+	// gzwPool holds *gzip.Writer values; empty until the first Close.
+	gzwPool sync.Pool
+	// bwPool holds the record-side buffers in front of gzip.
+	bwPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 1<<16) }}
+)
+
 // Create opens path for writing an hourly file. Data goes to a temporary
 // sibling; the file appears at path only after a successful Close.
 func Create(path string, hour uint32) (*Writer, error) {
@@ -92,13 +105,19 @@ func Create(path string, hour uint32) (*Writer, error) {
 		return nil, fmt.Errorf("flowtuple: create %s: %w", tmp, err)
 	}
 	w := &Writer{f: f, path: path, tmp: tmp}
-	w.gz = gzip.NewWriter(f)
-	w.bw = bufio.NewWriterSize(w.gz, 1<<16)
-	hdr := make([]byte, fileHeaderLen)
-	copy(hdr, fileMagic[:])
+	if v := gzwPool.Get(); v != nil {
+		w.gz = v.(*gzip.Writer)
+		w.gz.Reset(f)
+	} else {
+		w.gz = gzip.NewWriter(f)
+	}
+	w.bw = bwPool.Get().(*bufio.Writer)
+	w.bw.Reset(w.gz)
+	var hdr [fileHeaderLen]byte
+	copy(hdr[:], fileMagic[:])
 	hdr[4] = fileVersion
 	binary.LittleEndian.PutUint32(hdr[8:], hour)
-	if _, err := w.bw.Write(hdr); err != nil {
+	if _, err := w.bw.Write(hdr[:]); err != nil {
 		return nil, w.fail(err)
 	}
 	return w, nil
@@ -114,8 +133,19 @@ func (w *Writer) fail(err error) error {
 		w.f.Close()
 		os.Remove(w.tmp)
 		w.f = nil
+		w.recycle()
 	}
 	return w.err
+}
+
+// recycle returns the compression layers to their pools once the file they
+// wrote to is closed. The gzip.Writer keeps pointing at that closed file
+// until its next Reset; re-pointing it now would zero its tables twice.
+func (w *Writer) recycle() {
+	w.bw.Reset(nil)
+	bwPool.Put(w.bw)
+	gzwPool.Put(w.gz)
+	w.bw, w.gz = nil, nil
 }
 
 // Write appends one record.
@@ -167,6 +197,7 @@ func (w *Writer) Close() error {
 	}
 	f := w.f
 	w.f = nil
+	w.recycle()
 	if err := f.Close(); err != nil {
 		os.Remove(w.tmp)
 		w.err = err

@@ -26,7 +26,7 @@ func buildWorld(t *testing.T) (*wgen.Generator, *correlate.Result, *threatintel.
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Run(dir); err != nil {
+	if _, err := g.Run(context.Background(), dir); err != nil {
 		t.Fatal(err)
 	}
 	res, err := correlate.New(g.Inventory(), correlate.Options{}).ProcessDataset(context.Background(), dir)

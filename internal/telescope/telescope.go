@@ -46,19 +46,33 @@ type CollectorStats struct {
 	HoursWritten    int
 }
 
+// Add folds another collector's statistics into s: the capture run of
+// several collectors, each writing its own hours of one directory.
+func (s *CollectorStats) Add(o CollectorStats) {
+	s.PacketsObserved += o.PacketsObserved
+	s.RecordsWritten += o.RecordsWritten
+	s.PacketsDropped += o.PacketsDropped
+	s.HoursWritten += o.HoursWritten
+}
+
 // Collector aggregates inbound packets into per-hour flowtuple files.
 // Usage is hour-synchronous: BeginHour, any number of Observe calls, then
-// EndHour, repeated; Close after the final hour.
+// EndHour, repeated; EndHour publishes the hour's file, so there is nothing
+// to close after the final one. A collector is not safe for concurrent use;
+// hours rendered concurrently take one collector each (any number may share
+// a directory, since an hour is one file).
 type Collector struct {
 	telescope *Telescope
 	dir       string
 	stats     CollectorStats
 
-	hour   int
-	open   bool
-	agg    map[tupleKey]aggVal
-	keys   []tupleKey // insertion order for deterministic output
-	writer *flowtuple.Writer
+	hour int
+	open bool
+	// agg and keys are cleared, not dropped, when an hour ends: the next
+	// hour is about as large, and re-growing a map that size is most of
+	// what aggregating an hour allocates.
+	agg  map[tupleKey]aggVal
+	keys []tupleKey // insertion order for deterministic output
 }
 
 type tupleKey struct {
@@ -75,7 +89,7 @@ type aggVal struct {
 
 // NewCollector returns a collector writing hourly files into dir.
 func NewCollector(t *Telescope, dir string) *Collector {
-	return &Collector{telescope: t, dir: dir}
+	return &Collector{telescope: t, dir: dir, agg: make(map[tupleKey]aggVal, 1<<12)}
 }
 
 // BeginHour starts aggregation for the given hour index.
@@ -88,8 +102,6 @@ func (c *Collector) BeginHour(hour int) error {
 	}
 	c.hour = hour
 	c.open = true
-	c.agg = make(map[tupleKey]aggVal, 1<<12)
-	c.keys = c.keys[:0]
 	return nil
 }
 
@@ -122,11 +134,19 @@ func (c *Collector) Observe(rec flowtuple.Record) error {
 	return nil
 }
 
-// EndHour flushes the hour's aggregates to its flowtuple file.
+// EndHour flushes the hour's aggregates to its flowtuple file. Whether or
+// not that succeeds the hour is over: its aggregates are dropped and the
+// collector accepts the next BeginHour, so one unwritable hour costs that
+// hour and never leaks its flows into another.
 func (c *Collector) EndHour() error {
 	if !c.open {
 		return fmt.Errorf("telescope: EndHour without BeginHour")
 	}
+	defer func() {
+		c.open = false
+		clear(c.agg)
+		c.keys = c.keys[:0]
+	}()
 	w, err := flowtuple.Create(flowtuple.HourPath(c.dir, c.hour), uint32(c.hour))
 	if err != nil {
 		return err
@@ -158,8 +178,6 @@ func (c *Collector) EndHour() error {
 		return err
 	}
 	c.stats.HoursWritten++
-	c.open = false
-	c.agg = nil
 	return nil
 }
 

@@ -1,7 +1,11 @@
 package telescope
 
 import (
+	"bytes"
+	"errors"
 	"io"
+	"io/fs"
+	"os"
 	"testing"
 
 	"iotscope/internal/flowtuple"
@@ -283,5 +287,74 @@ func TestHourFileReadableViaReader(t *testing.T) {
 	}
 	if _, err := rd.Next(); err != io.EOF {
 		t.Fatalf("expected EOF, got %v", err)
+	}
+}
+
+// A collector outlives an hour it could not write: a directory squatting on
+// hour 3's ".tmp" fails that EndHour, and hour 4 then renders with only its
+// own flows — byte for byte what a fresh collector writes for it.
+func TestCollectorSurvivesFailedHour(t *testing.T) {
+	tel := newTestTelescope()
+	observe := func(c *Collector, hour, flows int) {
+		t.Helper()
+		if err := c.BeginHour(hour); err != nil {
+			t.Fatal(err)
+		}
+		r := rng.New(uint64(hour))
+		for i := 0; i < flows; i++ {
+			if err := c.Observe(flowtuple.Record{
+				SrcIP:    r.Uint32(),
+				DstIP:    uint32(tel.RandomAddr(r)),
+				DstPort:  uint16(r.Intn(1024)),
+				Protocol: flowtuple.ProtoUDP,
+				Packets:  1 + uint32(r.Intn(9)),
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	dir := t.TempDir()
+	if err := os.Mkdir(flowtuple.HourPath(dir, 3)+flowtuple.TmpSuffix, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	c := NewCollector(tel, dir)
+	observe(c, 3, 5000)
+	if err := c.EndHour(); err == nil {
+		t.Fatal("EndHour wrote through a directory squatting on its temp file")
+	}
+	if _, err := os.Stat(flowtuple.HourPath(dir, 3)); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("failed hour left a file: %v", err)
+	}
+	observe(c, 4, 300)
+	if err := c.EndHour(); err != nil {
+		t.Fatalf("hour after a failed one: %v", err)
+	}
+	if st := c.Stats(); st.HoursWritten != 1 {
+		t.Fatalf("stats %+v, want one hour written", st)
+	}
+
+	fresh := NewCollector(tel, t.TempDir())
+	observe(fresh, 4, 300)
+	if err := fresh.EndHour(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(flowtuple.HourPath(dir, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(flowtuple.HourPath(fresh.dir, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("hour 4 after a failed hour 3: %d bytes, a fresh collector writes %d", len(got), len(want))
+	}
+}
+
+func TestCollectorStatsAdd(t *testing.T) {
+	a := CollectorStats{PacketsObserved: 1, RecordsWritten: 2, PacketsDropped: 3, HoursWritten: 4}
+	a.Add(CollectorStats{PacketsObserved: 10, RecordsWritten: 20, PacketsDropped: 30, HoursWritten: 40})
+	if want := (CollectorStats{PacketsObserved: 11, RecordsWritten: 22, PacketsDropped: 33, HoursWritten: 44}); a != want {
+		t.Fatalf("sum %+v, want %+v", a, want)
 	}
 }

@@ -112,7 +112,7 @@ func loadWorld(t *testing.T) (*wgen.Generator, *correlate.Result) {
 			worldErr = err
 			return
 		}
-		if _, err := worldGen.Run(dir); err != nil {
+		if _, err := worldGen.Run(context.Background(), dir); err != nil {
 			worldErr = err
 			return
 		}

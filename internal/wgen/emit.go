@@ -1,8 +1,12 @@
 package wgen
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"iotscope/internal/devicedb"
 	"iotscope/internal/flowtuple"
@@ -516,29 +520,89 @@ type RunStats struct {
 	Hours     int
 }
 
+// RenderWorkers is how many hours Run renders at once: one per processor
+// the Go scheduler may use, never more than there are hours. It is what the
+// machine gives, not a setting.
+func RenderWorkers(hours int) int { return min(runtime.GOMAXPROCS(0), hours) }
+
 // Run renders the full scenario window into dir as hourly flowtuple files.
-func (g *Generator) Run(dir string) (RunStats, error) {
+//
+// Hours are independent — every RNG stream is derived from (actor, hour),
+// EmitHour only reads the generator, and an hour is one file — so they are
+// rendered on RenderWorkers(Hours) workers, each owning one collector and
+// claiming the next hour in ascending order. With one worker that is the
+// serial loop; there is no other path. The files and the returned stats
+// are the same at any worker count. Only the order in which hours land is
+// not: with w workers, hour k+w-1 can reach dir before hour k does
+// (docs/STREAMING.md §Tailing says why no reader can tell). Peak memory is
+// w × one hour's aggregate.
+//
+// The first failed hour or a cancelled ctx stops the claiming of further
+// hours; hours already claimed run to their end, which is an atomic publish
+// or a removed ".tmp", so no partial file outlives Run. Because every hour
+// below a claimed one was itself claimed and finished, the lowest failing
+// hour is the same one a serial render would have stopped at, and its error
+// is the one returned. A cancellation that left hours unrendered returns
+// ctx.Err().
+func (g *Generator) Run(ctx context.Context, dir string) (RunStats, error) {
+	hours := g.sc.Hours
 	tel := telescope.New(g.sc.DarkPrefix())
-	col := telescope.NewCollector(tel, dir)
-	var emitErr error
-	emit := func(rec flowtuple.Record) {
-		if emitErr == nil {
-			emitErr = col.Observe(rec)
+	var (
+		next atomic.Int64 // the next unclaimed hour
+		stop atomic.Bool  // an hour failed: claim no more
+		wg   sync.WaitGroup
+	)
+	errs := make([]error, hours) // by hour; each written by the worker that claimed it
+	stats := make([]telescope.CollectorStats, RenderWorkers(hours))
+	for w := range stats {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			col := telescope.NewCollector(tel, dir)
+			for !stop.Load() && ctx.Err() == nil {
+				h := int(next.Add(1)) - 1
+				if h >= hours {
+					break
+				}
+				if errs[h] = g.renderHour(col, h); errs[h] != nil {
+					stop.Store(true)
+					break
+				}
+			}
+			stats[w] = col.Stats()
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return RunStats{}, err
 		}
 	}
-	for h := 0; h < g.sc.Hours; h++ {
-		if err := col.BeginHour(h); err != nil {
-			return RunStats{}, err
-		}
-		if err := g.EmitHour(h, emit); err != nil {
-			return RunStats{}, err
-		}
-		if emitErr != nil {
-			return RunStats{}, emitErr
-		}
-		if err := col.EndHour(); err != nil {
-			return RunStats{}, err
-		}
+	var total telescope.CollectorStats
+	for _, st := range stats {
+		total.Add(st)
 	}
-	return RunStats{Collector: col.Stats(), Hours: g.sc.Hours}, nil
+	if total.HoursWritten < hours {
+		return RunStats{}, ctx.Err()
+	}
+	return RunStats{Collector: total, Hours: hours}, nil
+}
+
+// renderHour aggregates one hour's emissions in col and publishes its file.
+func (g *Generator) renderHour(col *telescope.Collector, hour int) error {
+	if err := col.BeginHour(hour); err != nil {
+		return err
+	}
+	var obsErr error
+	if err := g.EmitHour(hour, func(rec flowtuple.Record) {
+		if obsErr == nil {
+			obsErr = col.Observe(rec)
+		}
+	}); err != nil {
+		return err
+	}
+	if obsErr != nil {
+		return obsErr
+	}
+	return col.EndHour()
 }

@@ -1,6 +1,7 @@
 package wgen
 
 import (
+	"context"
 	"testing"
 
 	"iotscope/internal/classify"
@@ -328,7 +329,7 @@ func TestRunWritesDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	stats, err := g.Run(dir)
+	stats, err := g.Run(context.Background(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
