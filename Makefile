@@ -43,7 +43,8 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 
 # Bounded local fuzz budget for the binary decoders and the resolution
-# chain: the flowtuple reader, the result store codec, the outbound-queue
+# chain: the flowtuple reader and, differentially against compress/gzip,
+# the inflater under it, the result store codec, the outbound-queue
 # segment codec, the contact-resolver fault matrix, the registry's
 # prefix-lookup boundaries, the scenario config codec, the wal frame
 # walker (sealed container and open tail), and the malware report index;
@@ -51,6 +52,7 @@ race:
 # against a fresh Detect.
 fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=30s ./internal/flowtuple
+	$(GO) test -fuzz=FuzzInflate -fuzztime=30s ./internal/flowtuple
 	$(GO) test -fuzz=FuzzResultStore -fuzztime=30s ./internal/resultstore
 	$(GO) test -fuzz=FuzzOutQueue -fuzztime=30s ./internal/outqueue
 	$(GO) test -fuzz=FuzzResolve -fuzztime=15s ./internal/abusecontact

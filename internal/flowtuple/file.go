@@ -83,12 +83,12 @@ type Writer struct {
 	err   error  // first fatal error; the temp file has been removed
 }
 
-// Writer pools, the mirror of the reader's below. A gzip.Writer is about
-// 1 MB of deflate hash tables that NewWriter zeroes and the collector would
-// otherwise discard once per hour file; Reset re-initialises them in place
-// and yields the same bytes a fresh writer does. Both layers are Reset when
-// taken, never trusted as found, so what an aborted or failed file left
-// buffered in them cannot reach the next one.
+// Writer pools. A gzip.Writer is about 1 MB of deflate hash tables that
+// NewWriter zeroes and the collector would otherwise discard once per hour
+// file; Reset re-initialises them in place and yields the same bytes a fresh
+// writer does. Both layers are Reset when taken, never trusted as found, so
+// what an aborted or failed file left buffered in them cannot reach the
+// next one.
 var (
 	// gzwPool holds *gzip.Writer values; empty until the first Close.
 	gzwPool sync.Pool
@@ -229,8 +229,10 @@ func Verify(path string) (Header, error) {
 		return Header{}, err
 	}
 	defer r.Close()
+	batch := batchPool.Get().(*[]Record)
+	defer batchPool.Put(batch)
 	for {
-		if _, err := r.Next(); err != nil {
+		if _, err := r.NextBatch(*batch); err != nil {
 			if err == io.EOF {
 				return r.Header(), nil
 			}
@@ -239,29 +241,15 @@ func Verify(path string) (Header, error) {
 	}
 }
 
-// Reader pools. Hour files are opened once per hour per worker, and the
-// gzip state (sliding window, huffman tables) plus the two bufio layers
-// dominate that cost; recycling them makes steady-state ingestion allocate
-// almost nothing per file.
-var (
-	// inPool holds the compressed-side buffers between the file and gzip;
-	// a large buffer keeps read syscalls rare.
-	inPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<18) }}
-	// outPool holds the decoded-side buffers NextBatch peeks frames out of.
-	outPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<16) }}
-	// gzPool holds *gzip.Reader values; empty until the first Close.
-	gzPool sync.Pool
-)
-
-// Reader iterates the records of one hourly file.
+// Reader iterates the records of one hourly file. It sits directly on the
+// inflater (inflate.go) and decodes frames straight out of its window, so an
+// open file costs one pooled object and steady-state reading allocates
+// nothing.
 type Reader struct {
 	f      *os.File
-	in     *bufio.Reader
-	gz     *gzip.Reader
-	br     *bufio.Reader
+	z      *inflater
 	header Header
 	read   uint32
-	buf    [RecordSize]byte
 	path   string
 }
 
@@ -271,37 +259,36 @@ func Open(path string) (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("flowtuple: open %s: %w", path, err)
 	}
-	in := inPool.Get().(*bufio.Reader)
-	in.Reset(f)
-	var gz *gzip.Reader
-	if v := gzPool.Get(); v != nil {
-		gz = v.(*gzip.Reader)
-		err = gz.Reset(in)
-	} else {
-		gz, err = gzip.NewReader(in)
-	}
+	r, err := newReader(f, path)
 	if err != nil {
-		if gz != nil {
-			gzPool.Put(gz)
-		}
-		in.Reset(nil)
-		inPool.Put(in)
 		f.Close()
+		return nil, err
+	}
+	r.f = f
+	return r, nil
+}
+
+// newReader starts reading an hour file's bytes from src; path only names
+// it in errors.
+func newReader(src io.Reader, path string) (*Reader, error) {
+	z := inflaters.Get().(*inflater)
+	z.reset(src)
+	r := &Reader{z: z, path: path}
+	if err := z.nextMember(); err != nil {
+		r.Close()
 		return nil, readErr(path, "gzip open", err)
 	}
-	br := outPool.Get().(*bufio.Reader)
-	br.Reset(gz)
-	r := &Reader{f: f, in: in, gz: gz, br: br, path: path}
-	hdr := make([]byte, fileHeaderLen)
-	if _, err := io.ReadFull(r.br, hdr); err != nil {
+	if err := z.ensure(fileHeaderLen); err != nil {
 		r.Close()
 		return nil, readErr(path, "short header", err)
 	}
+	hdr := z.win[z.rpos : z.rpos+fileHeaderLen]
 	if [4]byte(hdr[:4]) != fileMagic || hdr[4] != fileVersion {
 		r.Close()
 		return nil, fmt.Errorf("flowtuple: %s bad magic or version: %w", path, ErrBadFormat)
 	}
 	r.header.Hour = binary.LittleEndian.Uint32(hdr[8:])
+	z.rpos += fileHeaderLen
 	return r, nil
 }
 
@@ -322,36 +309,40 @@ func (r *Reader) Next() (Record, error) {
 
 // next1 reads one frame the framed way: tag byte, then the record or
 // footer. It is the slow path shared by Next and NextBatch, and the sole
-// origin of the reader's error taxonomy.
+// origin of the reader's error taxonomy. A frame is consumed only once it
+// is whole, so an error — and the footer's io.EOF — repeats on every later
+// call.
 func (r *Reader) next1() (Record, error) {
-	tag, err := r.br.ReadByte()
-	if err != nil {
+	z := r.z
+	if err := z.ensure(1); err != nil {
 		return Record{}, readErr(r.path, "ends before footer", err)
 	}
-	switch tag {
+	switch tag := z.win[z.rpos]; tag {
 	case tagFooter:
-		var cnt [4]byte
-		if _, err := io.ReadFull(r.br, cnt[:]); err != nil {
+		if err := z.ensure(5); err != nil {
 			return Record{}, readErr(r.path, "truncated footer", err)
 		}
-		count := binary.LittleEndian.Uint32(cnt[:])
+		count := binary.LittleEndian.Uint32(z.win[z.rpos+1:])
 		if count != r.read {
 			return Record{}, fmt.Errorf("flowtuple: %s footer count %d, read %d: %w",
 				r.path, count, r.read, ErrBadFormat)
 		}
-		if _, err := r.br.ReadByte(); err != io.EOF {
+		// Only a stream that ends here, checksums verified, is clean.
+		switch err := z.ensure(6); {
+		case err == nil:
 			return Record{}, fmt.Errorf("flowtuple: %s trailing data: %w", r.path, ErrBadFormat)
+		case err != io.EOF:
+			return Record{}, fmt.Errorf("flowtuple: %s damaged after footer (%v): %w", r.path, err, ErrBadFormat)
 		}
 		r.header.Count = count
 		return Record{}, io.EOF
 	case tagRecord:
-		if _, err := io.ReadFull(r.br, r.buf[:]); err != nil {
+		if err := z.ensure(frameSize); err != nil {
 			return Record{}, readErr(r.path, "truncated record", err)
 		}
-		rec, err := DecodeRecord(r.buf[:])
-		if err != nil {
-			return Record{}, err
-		}
+		var rec Record
+		decodeInto(&rec, z.win[z.rpos+1:z.rpos+frameSize])
+		z.rpos += frameSize
 		r.read++
 		return rec, nil
 	default:
@@ -360,35 +351,18 @@ func (r *Reader) next1() (Record, error) {
 	}
 }
 
-// Close releases the underlying file and returns the pooled buffers,
-// propagating the gzip close error (e.g. a checksum failure noticed only at
-// stream end) over the file one.
+// Close releases the underlying file and returns the decoder to its pool.
 func (r *Reader) Close() error {
-	var gzErr error
-	if r.gz != nil {
-		gzErr = r.gz.Close()
-		gzPool.Put(r.gz)
-		r.gz = nil
+	if r.z == nil {
+		return nil
 	}
-	if r.br != nil {
-		r.br.Reset(nil)
-		outPool.Put(r.br)
-		r.br = nil
+	r.z.src = nil
+	inflaters.Put(r.z)
+	r.z = nil
+	if r.f == nil {
+		return nil
 	}
-	if r.in != nil {
-		r.in.Reset(nil)
-		inPool.Put(r.in)
-		r.in = nil
-	}
-	var fErr error
-	if r.f != nil {
-		fErr = r.f.Close()
-		r.f = nil
-	}
-	if gzErr != nil {
-		return gzErr
-	}
-	return fErr
+	return r.f.Close()
 }
 
 // HourPath returns the canonical file name for an hour within dir.

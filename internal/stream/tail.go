@@ -52,12 +52,12 @@ type event struct {
 // same records are re-offered next poll: backpressure sheds work, never
 // data.
 type tailer struct {
-	dir      string
-	batchLen int
-	poll     time.Duration
-	shed     bool
-	out      chan<- event
-	onShed   func(batches, records int)
+	dir    string
+	batch  []flowtuple.Record // decode buffer, reused by every poll
+	poll   time.Duration
+	shed   bool
+	out    chan<- event
+	onShed func(batches, records int)
 
 	skip         map[int]bool   // settled before this run; never read
 	cursor       map[int]uint64 // records already delivered per hour
@@ -73,7 +73,7 @@ func newTailer(dir string, batchLen int, poll time.Duration, shed bool, skip map
 	}
 	return &tailer{
 		dir:          dir,
-		batchLen:     batchLen,
+		batch:        make([]flowtuple.Record, batchLen),
 		poll:         poll,
 		shed:         shed,
 		out:          out,
@@ -173,7 +173,7 @@ func (t *tailer) readHour(ctx context.Context, h int, path string) (bool, error)
 		}
 	}
 	defer r.Close()
-	batch := make([]flowtuple.Record, t.batchLen)
+	batch := t.batch
 	// Skip the cursor: records delivered on earlier polls of this file.
 	for skipped := uint64(0); skipped < t.cursor[h]; {
 		want := t.cursor[h] - skipped
