@@ -44,16 +44,18 @@ race:
 
 # Bounded local fuzz budget for the binary decoders and the resolution
 # chain: the flowtuple reader and, differentially against compress/gzip,
-# the inflater under it, the result store codec, the outbound-queue
-# segment codec, the contact-resolver fault matrix, the registry's
-# prefix-lookup boundaries, the scenario config codec, the wal frame
-# walker (sealed container and open tail), and the malware report index;
+# the inflater under it, the result store codec (as found, and with its
+# checksums repaired so mutations reach the parsers: one image per state),
+# the outbound-queue segment codec, the contact-resolver fault matrix, the
+# registry's prefix-lookup boundaries, the scenario config codec, the wal
+# frame walker (sealed container and open tail), and the malware report index;
 # plus one equivalence fuzzer, the campaign tracker fed random hour deltas
 # against a fresh Detect.
 fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=30s ./internal/flowtuple
 	$(GO) test -fuzz=FuzzInflate -fuzztime=30s ./internal/flowtuple
 	$(GO) test -fuzz=FuzzResultStore -fuzztime=30s ./internal/resultstore
+	$(GO) test -fuzz=FuzzResultCanonical -fuzztime=30s ./internal/resultstore
 	$(GO) test -fuzz=FuzzOutQueue -fuzztime=30s ./internal/outqueue
 	$(GO) test -fuzz=FuzzResolve -fuzztime=15s ./internal/abusecontact
 	$(GO) test -fuzz=FuzzLookup -fuzztime=15s ./internal/geo

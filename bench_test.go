@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"iotscope/internal/analysis"
+	"iotscope/internal/apiserve"
 	"iotscope/internal/campaign"
 	"iotscope/internal/core"
 	"iotscope/internal/correlate"
@@ -587,6 +588,32 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 		}
 		if len(loaded.Devices) != len(res.Correlate.Devices) {
 			b.Fatal("short load")
+		}
+	}
+}
+
+// BenchmarkColdStart measures what iotserve -snapshot pays before it can
+// answer: core.LoadSnapshotOpts over the reference fixture and its saved
+// store, then apiserve.New. The store is read while the dataset opens, so
+// run it with -cpu 1,2 (docs/PERFORMANCE.md §Snapshot load vs re-analysis).
+func BenchmarkColdStart(b *testing.B) {
+	ds, res := benchFixture(b)
+	path := filepath.Join(b.TempDir(), "snapshot.irs")
+	if err := core.SaveSnapshot(path, res); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ds2, loaded, prov, _, err := core.LoadSnapshotOpts(context.Background(), ds.Dir, core.LoadOptions{Store: path, RequireStore: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := apiserve.New(ds2, loaded, []string{"bench"}); err != nil {
+			b.Fatal(err)
+		}
+		if prov.Source != "store" || loaded.Views.Digest() != res.Views.Digest() {
+			b.Fatalf("loaded from %q with digest %08x, want the store and %08x", prov.Source, loaded.Views.Digest(), res.Views.Digest())
 		}
 	}
 }

@@ -182,10 +182,11 @@ func describeIndex(info malwaredb.IndexInfo) string {
 
 // storeState digests the state a store holds, so a followed checkpoint and
 // a batch run's saved result compare by one token. A checkpoint is restored
-// over its dataset the way iotwatch resumes from it; a result is loaded as
-// iotserve loads it.
+// over its dataset the way iotwatch resumes from it and its state re-encoded;
+// a result is loaded as iotserve loads it, its digest read off the file.
 func storeState(path, dataset string, kind resultstore.Kind) (string, error) {
 	var res *correlate.Result
+	var digest uint32
 	if kind == resultstore.KindCheckpoint {
 		ds, err := core.Open(dataset)
 		if err != nil {
@@ -202,15 +203,16 @@ func storeState(path, dataset string, kind resultstore.Kind) (string, error) {
 			return "", err
 		}
 		res = inc.Result()
-	} else {
-		var err error
-		if res, err = resultstore.ReadResult(path); err != nil {
+		if digest, err = resultstore.DigestResult(res); err != nil {
 			return "", err
 		}
-	}
-	digest, err := resultstore.DigestResult(res)
-	if err != nil {
-		return "", err
+	} else {
+		var info resultstore.Info
+		var err error
+		if res, info, err = resultstore.LoadResult(path); err != nil {
+			return "", err
+		}
+		digest = info.Digest
 	}
 	return fmt.Sprintf("state %08x over %d hours ingested, %d quarantined",
 		digest, res.Ingest.HoursOK, res.Ingest.HoursQuarantined), nil

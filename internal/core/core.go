@@ -315,6 +315,11 @@ type Results struct {
 	// analysis. Excluded from JSON because it is derived state — two
 	// Results are equivalent iff the fields above are.
 	Views *matview.Views `json:"-"`
+
+	// storeDigest is resultstore.DigestResult(Correlate) when Correlate came
+	// off a result store, whose loader reads it from the file's bytes; zero
+	// (the analyze path) leaves it to matview.Build.
+	storeDigest uint32
 }
 
 // Stage names of the analysis pipeline, in run order. Every tool that
@@ -494,6 +499,7 @@ func (ds *Dataset) DownstreamStages(cfg Config, out *Results) []pipeline.Stage {
 				Inventory: ds.Inventory,
 				Registry:  ds.Registry,
 				Threat:    ds.Threat,
+				Digest:    out.storeDigest,
 			})
 			if err != nil {
 				return fmt.Errorf("core: materialize: %w", err)
@@ -503,8 +509,12 @@ func (ds *Dataset) DownstreamStages(cfg Config, out *Results) []pipeline.Stage {
 			m := pipeline.Meter(ctx)
 			m.RecordsIn = uint64(len(out.Correlate.Devices))
 			m.RecordsOut = uint64(v.NumDevices())
-			m.Note = fmt.Sprintf("digest=%s static=%dB reports=%dB build=%.1fms",
-				vs.Digest, vs.StaticBytes, vs.ReportsBytes, vs.BuildMillis)
+			from := "computed"
+			if out.storeDigest != 0 {
+				from = "store"
+			}
+			m.Note = fmt.Sprintf("digest=%s (%s) static=%dB reports=%dB build=%.1fms",
+				vs.Digest, from, vs.StaticBytes, vs.ReportsBytes, vs.BuildMillis)
 			return nil
 		}),
 	}

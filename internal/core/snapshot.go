@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"iotscope/internal/correlate"
 	"iotscope/internal/pipeline"
@@ -67,17 +68,25 @@ func (ds *Dataset) OpenSnapshot(path string) (*correlate.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := ds.checkSnapshot(res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// checkSnapshot is the half of OpenSnapshot that needs the dataset.
+func (ds *Dataset) checkSnapshot(res *correlate.Result) error {
 	if res.Hours != ds.Scenario.Hours {
-		return nil, fmt.Errorf("%w: store spans %d hours, dataset %d",
+		return fmt.Errorf("%w: store spans %d hours, dataset %d",
 			ErrSnapshotMismatch, res.Hours, ds.Scenario.Hours)
 	}
 	for id := range res.Devices {
 		if id < 0 || id >= ds.Inventory.Len() {
-			return nil, fmt.Errorf("%w: store device %d outside inventory of %d",
+			return fmt.Errorf("%w: store device %d outside inventory of %d",
 				ErrSnapshotMismatch, id, ds.Inventory.Len())
 		}
 	}
-	return res, nil
+	return nil
 }
 
 // RestoreIncremental rebuilds a checkpointed incremental correlator
@@ -121,11 +130,15 @@ func storeErrClass(err error) string {
 //
 //	open → load-store → verify → analyze
 //
-// With a store configured and valid, load-store installs its correlation
-// result, verify is skipped (the codec already replayed every checksum),
-// and analyze runs only the downstream stages. Without a store — or when
-// the configured one is corrupt, truncated, or stale and RequireStore is
-// false — load-store skips with the reason in its stage note, raw hours
+// With a store configured, reading it (file, decode, live Result) needs only
+// its path, so it runs on its own goroutine from before open starts;
+// load-store joins it and then checks the result against the dataset as
+// OpenSnapshot does. A valid store installs its correlation result and the
+// digest the codec took off its bytes, verify is skipped (the codec already
+// replayed every checksum), and analyze runs only the downstream stages,
+// whose materialize stage has no digest left to compute. Without a store —
+// or when the configured one is corrupt, truncated, or stale and RequireStore
+// is false — load-store skips with the reason in its stage note, raw hours
 // are verified, and the full analysis runs. Either way the returned
 // Provenance says which path produced the state, so servers can surface
 // the fallback as degraded health. The report is returned even on failure
@@ -134,6 +147,22 @@ func LoadSnapshotOpts(ctx context.Context, dir string, opts LoadOptions) (*Datas
 	var ds *Dataset
 	res := &Results{}
 	prov := Provenance{Source: "analyze"}
+	type storeRead struct {
+		res  *correlate.Result
+		info resultstore.Info
+		err  error
+		took time.Duration
+	}
+	// Buffered: when open fails, load-store never runs and nobody receives;
+	// the read still finishes, sends, and exits.
+	read := make(chan storeRead, 1)
+	if opts.Store != "" {
+		go func() {
+			start := time.Now()
+			r, info, err := resultstore.LoadResult(opts.Store)
+			read <- storeRead{r, info, err, time.Since(start)}
+		}()
+	}
 	rep, err := pipeline.New("load-snapshot",
 		pipeline.Func(StageOpen, func(ctx context.Context, st *pipeline.State) error {
 			var err error
@@ -149,7 +178,11 @@ func LoadSnapshotOpts(ctx context.Context, dir string, opts LoadOptions) (*Datas
 				m.Note = "no store configured"
 				return pipeline.ErrSkipped
 			}
-			loaded, err := ds.OpenSnapshot(opts.Store)
+			r := <-read
+			loaded, err := r.res, r.err
+			if err == nil {
+				err = ds.checkSnapshot(loaded)
+			}
 			if err != nil {
 				m.ErrorClass = storeErrClass(err)
 				if opts.RequireStore {
@@ -159,10 +192,10 @@ func LoadSnapshotOpts(ctx context.Context, dir string, opts LoadOptions) (*Datas
 				m.Note = "store unusable, falling back to analysis: " + err.Error()
 				return pipeline.ErrSkipped
 			}
-			res.Correlate = loaded
+			res.Correlate, res.storeDigest = loaded, r.info.Digest
 			prov = Provenance{Source: "store", StorePath: opts.Store, CodecVersion: resultstore.Version}
 			m.RecordsOut = uint64(len(loaded.Devices))
-			m.Note = "loaded " + opts.Store
+			m.Note = fmt.Sprintf("loaded %s (read %.1fms, overlapping open)", opts.Store, float64(r.took.Microseconds())/1000)
 			return nil
 		}),
 		pipeline.Func(StageVerify, func(ctx context.Context, st *pipeline.State) error {

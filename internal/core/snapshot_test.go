@@ -3,13 +3,21 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
+	"iotscope/internal/correlate"
 	"iotscope/internal/faultfs"
 	"iotscope/internal/pipeline"
 	"iotscope/internal/resultstore"
+	"iotscope/internal/scenario"
 )
 
 // saveE2ESnapshot persists the shared fixture's correlation state and
@@ -138,4 +146,198 @@ func TestOpenSnapshotStale(t *testing.T) {
 	if got := storeErrClass(err); got != "stale" {
 		t.Fatalf("storeErrClass = %q, want stale", got)
 	}
+}
+
+// settle waits for the goroutine count to come back to base: a load whose
+// open failed leaves its store read running, and the read must end on its
+// own with nobody to receive it.
+func settle(t *testing.T, base int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, %d before the load", what, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestLoadSnapshotArms crosses what can be wrong with the store, whether the
+// store is required, and whether the dataset opens. The store is read on its
+// own goroutine while the dataset opens; what a caller sees — error class,
+// provenance, the stage report's names and statuses — is what the serial
+// load returned, and no arm leaves a goroutine behind.
+func TestLoadSnapshotArms(t *testing.T) {
+	cfg := DefaultConfig(0.002, 31)
+	cfg.Hours = 6
+	ds, err := Generate(cfg, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ds.Analyze(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := t.TempDir()
+	good := filepath.Join(tmp, "good.irs")
+	if err := SaveSnapshot(good, res); err != nil {
+		t.Fatal(err)
+	}
+	damaged := func(name string, damage func(path string) error) string {
+		raw, err := os.ReadFile(good)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(tmp, name)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := damage(path); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	// Two stores that decode cleanly and belong to another world: one hour
+	// longer, and naming a device past the end of the inventory.
+	foreign := func(name string, edit func(e *correlate.ResultExport)) string {
+		e := res.Correlate.Export()
+		edit(e)
+		other, err := e.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(tmp, name)
+		if err := resultstore.WriteResult(path, other); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+
+	type storeCase struct {
+		name, path string
+		// errIs and class are what the store's failure is classified as;
+		// errIs nil means the store loads.
+		errIs error
+		class string
+	}
+	stores := []storeCase{
+		{"good", good, nil, ""},
+		{"missing", filepath.Join(tmp, "absent.irs"), fs.ErrNotExist, "retryable"},
+		{"truncated", damaged("truncated.irs", func(p string) error { return faultfs.TruncateTail(p, 30) }), resultstore.ErrTruncated, "retryable"},
+		{"bit-flipped", damaged("flipped.irs", func(p string) error { return faultfs.BitFlip(p, 40, 0x20) }), resultstore.ErrBadFormat, "corrupt"},
+		{"stale hours", foreign("longer.irs", func(e *correlate.ResultExport) {
+			e.Hourly = append(e.Hourly, correlate.HourStats{Hour: e.Hours})
+			e.Hours++
+		}), ErrSnapshotMismatch, "stale"},
+		{"device outside inventory", foreign("stranger.irs", func(e *correlate.ResultExport) {
+			e.Devices = append(e.Devices, correlate.DeviceExport{ID: int32(ds.Inventory.Len() + 5), Records: 1})
+		}), ErrSnapshotMismatch, "stale"},
+	}
+
+	badInventory := copyDataset(t, ds.Dir)
+	if err := os.WriteFile(filepath.Join(badInventory, InventoryFile), []byte("{not an inventory\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	badManifest := copyDataset(t, ds.Dir)
+	manifest, err := os.ReadFile(filepath.Join(badManifest, scenario.ManifestFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(badManifest, scenario.ManifestFile),
+		[]byte(strings.Replace(string(manifest), `"Seed": 31`, `"Seed": 32`, 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	type dirCase struct {
+		name, dir string
+		errIs     error  // nil: the dataset opens
+		errHas    string // what the open error names
+	}
+	dirs := []dirCase{
+		{"dataset opens", ds.Dir, nil, ""},
+		{"unreadable inventory", badInventory, nil, "core: load inventory"},
+		{"tampered run.json", badManifest, scenario.ErrManifestMismatch, "core: verify provenance"},
+	}
+
+	base := runtime.NumGoroutine()
+	for _, dc := range dirs {
+		for _, sc := range stores {
+			for _, require := range []bool{false, true} {
+				name := fmt.Sprintf("%s/%s/require=%v", dc.name, sc.name, require)
+				t.Run(name, func(t *testing.T) {
+					gotDS, gotRes, prov, rep, err := LoadSnapshotOpts(context.Background(), dc.dir,
+						LoadOptions{Store: sc.path, RequireStore: require})
+					shape := func(want string) {
+						t.Helper()
+						var got []string
+						for _, stage := range []string{StageOpen, StageLoadStore, StageVerify, StageLoad} {
+							m := rep.Stage(stage)
+							if m == nil {
+								t.Fatalf("stage %q missing from the report", stage)
+							}
+							s := stage + "=" + m.Status
+							if m.ErrorClass != "" {
+								s += "/" + m.ErrorClass
+							}
+							got = append(got, s)
+						}
+						if g := strings.Join(got, " "); g != want {
+							t.Fatalf("stages %q, want %q", g, want)
+						}
+					}
+					switch {
+					case dc.errHas != "":
+						// The dataset does not open: nothing is returned, no
+						// store was consulted, and the read that was already
+						// under way is abandoned.
+						if err == nil || !strings.Contains(err.Error(), dc.errHas) || (dc.errIs != nil && !errors.Is(err, dc.errIs)) {
+							t.Fatalf("err = %v, want one naming %q", err, dc.errHas)
+						}
+						if gotDS != nil || gotRes != nil || prov != (Provenance{Source: "analyze"}) {
+							t.Fatalf("a failed open returned %v, %v, %+v", gotDS, gotRes, prov)
+						}
+						shape("open=failed/internal load-store=skipped verify=skipped analyze=skipped")
+					case sc.errIs == nil:
+						if err != nil {
+							t.Fatal(err)
+						}
+						want := Provenance{Source: "store", StorePath: sc.path, CodecVersion: resultstore.Version}
+						if prov != want {
+							t.Fatalf("provenance %+v, want %+v", prov, want)
+						}
+						shape("open=ok load-store=ok verify=skipped analyze=ok")
+						if rep.Stage(StageCorrelate) != nil {
+							t.Fatal("correlate ran although the store loaded")
+						}
+						if gotRes.Views.Digest() != res.Views.Digest() {
+							t.Fatalf("loaded digest %08x, analyzed %08x", gotRes.Views.Digest(), res.Views.Digest())
+						}
+					case require:
+						if !errors.Is(err, sc.errIs) || !strings.HasPrefix(err.Error(), "core: load store: ") {
+							t.Fatalf("err = %v, want core: load store: … wrapping %v", err, sc.errIs)
+						}
+						if gotDS != nil || gotRes != nil || prov != (Provenance{Source: "analyze"}) {
+							t.Fatalf("a refused store returned %v, %v, %+v", gotDS, gotRes, prov)
+						}
+						shape("open=ok load-store=failed/" + sc.class + " verify=skipped analyze=skipped")
+					default:
+						if err != nil {
+							t.Fatal(err)
+						}
+						if prov.Source != "analyze" || prov.StorePath != "" || prov.Fallback == "" {
+							t.Fatalf("provenance %+v, want analyze with the fallback's reason", prov)
+						}
+						shape("open=ok load-store=skipped/" + sc.class + " verify=ok analyze=ok")
+						if m := rep.Stage(StageCorrelate); m == nil || m.Status != "ok" {
+							t.Fatalf("correlate stage %+v, want ok", m)
+						}
+						if gotRes.Views.Digest() != res.Views.Digest() {
+							t.Fatalf("fallback digest %08x, analyzed %08x", gotRes.Views.Digest(), res.Views.Digest())
+						}
+					}
+					settle(t, base+1, name) // +1: this subtest's own goroutine
+				})
+			}
+		}
+	}
+	settle(t, base, "after every arm")
 }

@@ -43,7 +43,9 @@ import (
 
 // Sources collects the analysis outputs a Views is materialized from.
 // Result, Analyzer, Inventory, and Registry are required; Threat is
-// optional (nil yields empty threat lookups).
+// optional (nil yields empty threat lookups). Digest, when not zero, is
+// resultstore.DigestResult(Result) already known — a store's loader reads it
+// off the file — and spares Build the export and encode that compute it.
 type Sources struct {
 	Result    *correlate.Result
 	Analyzer  *analysis.Analyzer
@@ -53,6 +55,7 @@ type Sources struct {
 	Inventory *devicedb.Inventory
 	Registry  *geo.Registry
 	Threat    *threatintel.Repository
+	Digest    uint32
 }
 
 // Views is one snapshot's materialized read side. All fields are written
@@ -115,13 +118,14 @@ func Build(src Sources) (*Views, error) {
 		return nil, fmt.Errorf("matview: result, analyzer, inventory, and registry are required")
 	}
 	start := time.Now()
-	v := &Views{inv: src.Inventory, threat: src.Threat}
+	v := &Views{inv: src.Inventory, threat: src.Threat, digest: src.Digest}
 
-	digest, err := resultstore.DigestResult(src.Result)
-	if err != nil {
-		return nil, fmt.Errorf("matview: digest: %w", err)
+	var err error
+	if v.digest == 0 {
+		if v.digest, err = resultstore.DigestResult(src.Result); err != nil {
+			return nil, fmt.Errorf("matview: digest: %w", err)
+		}
 	}
-	v.digest = digest
 
 	if err := v.buildDeviceIndex(src); err != nil {
 		return nil, err

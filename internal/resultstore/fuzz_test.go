@@ -1,6 +1,7 @@
 package resultstore
 
 import (
+	"bytes"
 	"errors"
 	"io/fs"
 	"reflect"
@@ -104,7 +105,9 @@ func seedCheckpoint(re *correlate.ResultExport) *correlate.CheckpointExport {
 // contract under fuzzing: never panic, never allocate unboundedly, reject
 // everything invalid with an error inside the package taxonomy, and for
 // every accepted image, re-encoding the decoded state must round-trip to
-// equal state (the codec has one canonical interpretation per file). An
+// equal state (the codec has one canonical interpretation per file) — and,
+// for a result, to the input's own bytes (one file per state; see
+// FuzzResultCanonical, which repairs the checksums to get that far). An
 // accepted checkpoint is also restored — base, then its frames replayed
 // through the live merge — which may reject it but must not panic.
 func FuzzResultStore(f *testing.F) {
@@ -158,6 +161,8 @@ func FuzzResultStore(f *testing.F) {
 		reencoded := encode(kind, gotRE, gotCP)
 		if gotCP != nil {
 			reencoded = withFrames(reencoded, gotCP.Deltas)
+		} else if !bytes.Equal(reencoded, data) {
+			t.Fatal("an accepted result re-encodes to different bytes")
 		}
 		re2, cp2, _, err := decode(reencoded, kind)
 		if err != nil {

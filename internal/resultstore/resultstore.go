@@ -11,7 +11,11 @@
 // payloads (all integers little-endian):
 //
 //	header   "IRST" | version u8 | kind u8 | reserved u16=0 | hours u32 | reserved u32=0
-//	section  frame tags 1-8, each at most once; 9 is a delta frame
+//	section  frame tags 1-8, each exactly once, ascending; 9 is a delta frame
+//
+// A file decode accepts is the one encode writes for the state it holds:
+// Info.Digest, taken off the bytes, is then DigestResult of the loaded Result
+// (docs/SNAPSHOTS.md §Canonical image; FuzzResultCanonical holds it).
 //
 // The fault taxonomy is wal's: ErrTruncated (the file ends early — possibly
 // still being written, retryable) wraps ErrBadFormat (structural corruption,
@@ -102,12 +106,14 @@ const headerLen = 4 + 1 + 1 + 2 + 4 + 4
 // base's share of Size, Frames and FrameBytes count the intact delta frames
 // a restore replays on top of it, and TornBytes is an unfinished last frame
 // the reader dropped; the writer compacts once FrameBytes would exceed
-// BaseSize.
+// BaseSize. Digest is the CRC-32 of the sealed container: for a result, what
+// DigestResult computes from the state it holds; for a checkpoint, the base's.
 type Info struct {
 	Kind       Kind
 	Version    int
 	Hours      int
 	Sections   int
+	Digest     uint32
 	Size       int64
 	BaseSize   int64
 	Frames     int
@@ -129,19 +135,26 @@ func WriteResult(path string, res *correlate.Result) error {
 // classified by the package taxonomy (ErrTruncated retryable,
 // ErrBadFormat permanent, fs.ErrNotExist passed through).
 func ReadResult(path string) (*correlate.Result, error) {
+	res, _, err := LoadResult(path)
+	return res, err
+}
+
+// LoadResult is ReadResult that also returns the file's summary, whose Digest
+// is the loaded Result's DigestResult without the re-encode.
+func LoadResult(path string) (*correlate.Result, Info, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, Info{}, err
 	}
-	re, _, _, err := decode(data, KindResult)
+	re, _, info, err := decode(data, KindResult)
 	if err != nil {
-		return nil, err
+		return nil, info, err
 	}
 	res, err := re.Result()
 	if err != nil {
-		return nil, badf("invalid result payload: %v", err)
+		return nil, info, badf("invalid result payload: %v", err)
 	}
-	return res, nil
+	return res, info, nil
 }
 
 // WriteCheckpoint encodes an incremental checkpoint as a KindCheckpoint
@@ -495,15 +508,20 @@ func decode(data []byte, wantKind Kind) (*correlate.ResultExport, *correlate.Che
 	if err != nil {
 		return nil, nil, info, fmt.Errorf("resultstore: %w", err)
 	}
-	payloads := make(map[uint8][]byte, len(frames))
-	for _, f := range frames {
-		if _, dup := payloads[f.Tag]; dup {
-			return nil, nil, info, badf("duplicate section tag %d", f.Tag)
+	// Exactly the sections encode writes, in its order: one image per state.
+	if len(frames) != int(maxTag) {
+		return nil, nil, info, badf("%d sections, want %d", len(frames), maxTag)
+	}
+	var payloads [secCheckpoint + 1][]byte
+	for i, f := range frames {
+		if int(f.Tag) != i+1 {
+			return nil, nil, info, badf("section %d has tag %d: missing, repeated or out of order", i+1, f.Tag)
 		}
 		payloads[f.Tag] = f.Payload
 	}
-	info.Sections = len(payloads)
+	info.Sections = len(frames)
 	info.BaseSize = int64(len(data) - len(rest))
+	info.Digest = crc32.ChecksumIEEE(data[:info.BaseSize])
 	var deltas []*correlate.CheckpointDelta
 	if kind == KindCheckpoint && version >= 2 {
 		if deltas, err = decodeFrames(rest, &info); err != nil {
@@ -513,17 +531,7 @@ func decode(data []byte, wantKind Kind) (*correlate.ResultExport, *correlate.Che
 		return nil, nil, info, badf("%d trailing bytes after footer", len(rest))
 	}
 
-	required := []uint8{secMeta, secHourly, secDevices, secUDP, secTCP, secPortHour, secFaults}
-	if kind == KindCheckpoint {
-		required = append(required, secCheckpoint)
-	}
-	for _, tag := range required {
-		if _, ok := payloads[tag]; !ok {
-			return nil, nil, info, badf("missing section %d", tag)
-		}
-	}
-
-	re, err := parseResultSections(payloads, int(hours))
+	re, err := parseResultSections(payloads[:], int(hours))
 	if err != nil {
 		return nil, nil, info, err
 	}
@@ -539,7 +547,7 @@ func decode(data []byte, wantKind Kind) (*correlate.ResultExport, *correlate.Che
 	return re, cp, info, nil
 }
 
-func parseResultSections(payloads map[uint8][]byte, hours int) (*correlate.ResultExport, error) {
+func parseResultSections(payloads [][]byte, hours int) (*correlate.ResultExport, error) {
 	re := &correlate.ResultExport{Hours: hours}
 
 	d := &wal.Dec{B: payloads[secMeta]}
