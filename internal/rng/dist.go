@@ -84,9 +84,10 @@ func (r *Source) LogNormal(mu, sigma float64) float64 {
 
 // Poisson returns a Poisson(lambda) variate. Knuth's method is used for
 // small lambda and a normal approximation beyond, which is ample for
-// traffic-arrival counts.
+// traffic-arrival counts. A NaN lambda yields 0, like a non-positive one:
+// Knuth's loop never ends on it.
 func (r *Source) Poisson(lambda float64) int {
-	if lambda <= 0 {
+	if !(lambda > 0) {
 		return 0
 	}
 	if lambda > 64 {

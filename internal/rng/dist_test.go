@@ -3,6 +3,7 @@ package rng
 import (
 	"math"
 	"testing"
+	"time"
 )
 
 func TestCategoricalMatchesWeights(t *testing.T) {
@@ -135,6 +136,25 @@ func TestPoissonMean(t *testing.T) {
 	}
 	if r.Poisson(0) != 0 || r.Poisson(-1) != 0 {
 		t.Error("Poisson of non-positive lambda must be 0")
+	}
+}
+
+// A NaN mean (a budget divided by a zero burst discount) returns 0 and
+// draws nothing; Knuth's loop never ends on one.
+func TestPoissonNaN(t *testing.T) {
+	done := make(chan int, 1)
+	r := New(139)
+	go func() { done <- r.Poisson(math.NaN()) }()
+	select {
+	case n := <-done:
+		if n != 0 {
+			t.Fatalf("Poisson(NaN) = %d, want 0", n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Poisson(NaN) still running after 5s")
+	}
+	if got, want := r.Uint64(), New(139).Uint64(); got != want {
+		t.Fatal("Poisson(NaN) advanced the stream")
 	}
 }
 

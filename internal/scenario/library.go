@@ -74,7 +74,7 @@ func udpAmplification() *wgen.Config {
 		&wgen.UDPAmplificationConfig{
 			Reflectors:    3000,
 			HourlyPackets: 90000,
-			Services: []wgen.AmplificationService{
+			Services: []wgen.ServiceShare{
 				{Name: "NTP", Port: 123, Share: 50},
 				{Name: "DNS", Port: 53, Share: 30},
 				{Name: "SSDP", Port: 1900, Share: 20},
@@ -102,7 +102,7 @@ func cpsCampaign() *wgen.Config {
 			StartHour:     30,
 			DurationHours: 24,
 			HourlyPackets: 250000,
-			Services: []wgen.CPSCampaignService{
+			Services: []wgen.ServiceShare{
 				{Name: "Modbus TCP", Port: 502, Share: 60},
 				{Name: "BACnet/IP", Port: 47808, Share: 40},
 			},

@@ -1,12 +1,23 @@
 package wgen
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+
+	"iotscope/internal/devicedb"
+	"iotscope/internal/rng"
+)
 
 // The paper's workload is one fixed 143-hour trace; the blocks below open
 // workload shapes from related work so the pipeline can be tested against
 // behaviours the paper never exercised. All populations and aggregate
 // volumes are full-scale (multiplied by Scenario.Scale at resolve time);
 // per-device behaviour is scale-invariant, matching the rest of wgen.
+//
+// Each block enrols its own cohort once the paper population is built
+// (New's extension phase): free devices from one draw (Generator.enrol),
+// each carrying one event. A nil block — the kind is absent — enrols
+// nothing, so scenarios without it are bit-for-bit unaffected.
 
 // MiraiWaveConfig scripts a Mirai-style worm propagation wave (Choi et
 // al., PAPERS.md): infections follow a logistic ramp, each bot floods
@@ -37,38 +48,53 @@ func (c *MiraiWaveConfig) apply(sc *Scenario) {
 	sc.MiraiWave = &v
 }
 func (c *MiraiWaveConfig) validate(path string, bad *badConfig) {
-	if c.Devices <= 0 {
-		bad.addf(path+".Devices", "%d must be positive", c.Devices)
-	}
-	if c.StartHour < 0 {
-		bad.addf(path+".StartHour", "%d must be non-negative", c.StartHour)
-	}
-	if c.RampHours <= 0 {
-		bad.addf(path+".RampHours", "%d must be positive", c.RampHours)
-	}
+	positive(path+".Devices", c.Devices, bad)
+	nonNegative(path+".StartHour", c.StartHour, bad)
+	positive(path+".RampHours", c.RampHours, bad)
 	if c.LifetimeMinHours <= 0 || c.LifetimeMaxHours < c.LifetimeMinHours {
 		bad.addf(path+".LifetimeMinHours", "bad lifetime bounds [%d, %d]", c.LifetimeMinHours, c.LifetimeMaxHours)
 	}
-	if c.PacketsPerHour <= 0 {
-		bad.addf(path+".PacketsPerHour", "%v must be positive", c.PacketsPerHour)
-	}
-	if len(c.Ports) == 0 {
-		bad.addf(path+".Ports", "empty")
-	}
-	for i, p := range c.Ports {
-		if p == 0 {
-			bad.addf(fmt.Sprintf("%s.Ports[%d]", path, i), "port 0")
-		}
-	}
+	positive(path+".PacketsPerHour", c.PacketsPerHour, bad)
+	validatePorts(path+".Ports", c.Ports, bad)
 }
 
-// AmplificationService is one reflector protocol in a UDP amplification
-// attack: the source port identifies the abused service.
-type AmplificationService struct {
+// enrol infects consumer devices along a logistic ramp; each bot scans
+// for a bounded lifetime.
+func (c *MiraiWaveConfig) enrol(g *Generator) error {
+	if c == nil {
+		return nil
+	}
+	// Steepness 8/RampHours puts ~96 % of infections inside the ramp.
+	k := 8.0 / float64(c.RampHours)
+	mid := float64(c.StartHour) + float64(c.RampHours)/2
+	err := g.enrol(KindMiraiWave, devicedb.Consumer, c.Devices, func(r *rng.Source, i, n int) (event, bool) {
+		// Quantile of the logistic CDF, jittered so infection times do not
+		// land on a lattice.
+		u := (float64(i) + 0.5) / float64(n)
+		t := mid + math.Log(u/(1-u))/k + r.Float64() - 0.5
+		infect := max(int(math.Round(t)), c.StartHour)
+		if infect >= g.sc.Hours {
+			// Infected after the capture window closes: invisible, skip.
+			return event{}, false
+		}
+		life := c.LifetimeMinHours + r.Intn(c.LifetimeMaxHours-c.LifetimeMinHours+1)
+		return event{kind: evScan, from: infect, to: min(infect+life, g.sc.Hours),
+			rate: c.PacketsPerHour, ports: c.Ports}, true
+	})
+	if err == nil && len(g.truth.Cohorts[KindMiraiWave]) == 0 {
+		return fmt.Errorf("wgen: %s: every infection fell outside the %d-hour window", KindMiraiWave, g.sc.Hours)
+	}
+	return err
+}
+
+// ServiceShare is one service port carrying a share of a cohort's
+// packets: a reflector protocol in a UDP amplification attack (the source
+// port identifies the abused service: NTP 123, DNS 53, SSDP 1900), or an
+// industrial protocol in a CPS campaign.
+type ServiceShare struct {
 	Name string
-	// Port is the reflector's UDP source port (NTP 123, DNS 53, SSDP 1900).
 	Port uint16
-	// Share is the service's share of reflected packets (%).
+	// Share is the service's share of the cohort's packets (%).
 	Share float64
 }
 
@@ -82,7 +108,7 @@ type UDPAmplificationConfig struct {
 	Reflectors int
 	// HourlyPackets is the full-scale aggregate reflected volume per hour.
 	HourlyPackets float64
-	Services      []AmplificationService
+	Services      []ServiceShare
 	// MinLen/MaxLen bound the amplified payload sizes (bytes).
 	MinLen int
 	MaxLen int
@@ -95,35 +121,30 @@ func (c *UDPAmplificationConfig) apply(sc *Scenario) {
 	sc.UDPAmplification = &v
 }
 func (c *UDPAmplificationConfig) validate(path string, bad *badConfig) {
-	if c.Reflectors <= 0 {
-		bad.addf(path+".Reflectors", "%d must be positive", c.Reflectors)
-	}
-	if c.HourlyPackets <= 0 {
-		bad.addf(path+".HourlyPackets", "%v must be positive", c.HourlyPackets)
-	}
-	if len(c.Services) == 0 {
-		bad.addf(path+".Services", "empty")
-	}
-	total := 0.0
-	for i, s := range c.Services {
-		p := fmt.Sprintf("%s.Services[%d]", path, i)
-		if s.Name == "" {
-			bad.addf(p+".Name", "empty")
-		}
-		if s.Port == 0 {
-			bad.addf(p+".Port", "port 0")
-		}
-		if s.Share <= 0 {
-			bad.addf(p+".Share", "%v must be positive", s.Share)
-		}
-		total += s.Share
-	}
-	if len(c.Services) > 0 && (total < 99.999 || total > 100.001) {
-		bad.addf(path+".Services", "shares sum to %.4g%% (must be 100%%)", total)
-	}
+	positive(path+".Reflectors", c.Reflectors, bad)
+	positive(path+".HourlyPackets", c.HourlyPackets, bad)
+	validateServices(path+".Services", c.Services, bad)
 	if c.MinLen < 28 || c.MaxLen < c.MinLen {
 		bad.addf(path+".MinLen", "bad payload bounds [%d, %d]", c.MinLen, c.MaxLen)
 	}
+	// A record's IPLen is 16 bits; a longer payload would wrap.
+	if c.MaxLen > 65535 {
+		bad.addf(path+".MaxLen", "%d above 65535", c.MaxLen)
+	}
+}
+
+// enrol makes always-on consumer reflectors answering on well-known
+// service source ports.
+func (c *UDPAmplificationConfig) enrol(g *Generator) error {
+	if c == nil {
+		return nil
+	}
+	ports, cum := serviceTable(c.Services)
+	return g.enrol(KindUDPAmplification, devicedb.Consumer, c.Reflectors, func(r *rng.Source, _, n int) (event, bool) {
+		// Reflectors come under fire at staggered points of day one.
+		return event{kind: evReflect, from: r.Intn(min(24, g.sc.Hours)), to: g.sc.Hours,
+			rate: c.HourlyPackets * g.sc.Scale / float64(n), ports: ports, cum: cum}, true
+	})
 }
 
 // StealthScanConfig plants a slow, deliberately sub-threshold scan: a
@@ -147,23 +168,23 @@ func (c *StealthScanConfig) apply(sc *Scenario) {
 	sc.StealthScan = &v
 }
 func (c *StealthScanConfig) validate(path string, bad *badConfig) {
-	if c.Scanners <= 0 {
-		bad.addf(path+".Scanners", "%d must be positive", c.Scanners)
-	}
+	positive(path+".Scanners", c.Scanners, bad)
 	if c.Port == 0 {
 		bad.addf(path+".Port", "port 0")
 	}
-	if c.PacketsPerHour <= 0 {
-		bad.addf(path+".PacketsPerHour", "%v must be positive", c.PacketsPerHour)
-	}
+	positive(path+".PacketsPerHour", c.PacketsPerHour, bad)
 }
 
-// CPSCampaignService is one industrial protocol in a CPS campaign.
-type CPSCampaignService struct {
-	Name string
-	Port uint16
-	// Share is the service's share of campaign packets (%).
-	Share float64
+// enrol starts the slow scanners at staggered points of day one.
+func (c *StealthScanConfig) enrol(g *Generator) error {
+	if c == nil {
+		return nil
+	}
+	ports := []uint16{c.Port}
+	return g.enrol(KindStealthScan, devicedb.Consumer, c.Scanners, func(r *rng.Source, _, _ int) (event, bool) {
+		return event{kind: evScan, from: r.Intn(min(24, g.sc.Hours)), to: g.sc.Hours,
+			rate: c.PacketsPerHour, ports: ports}, true
+	})
 }
 
 // CPSCampaignConfig scripts a coordinated industrial-protocol scanning
@@ -179,7 +200,7 @@ type CPSCampaignConfig struct {
 	DurationHours int
 	// HourlyPackets is the full-scale aggregate campaign volume per hour.
 	HourlyPackets float64
-	Services      []CPSCampaignService
+	Services      []ServiceShare
 }
 
 // Kind returns "cps-campaign".
@@ -189,38 +210,30 @@ func (c *CPSCampaignConfig) apply(sc *Scenario) {
 	sc.CPSCampaign = &v
 }
 func (c *CPSCampaignConfig) validate(path string, bad *badConfig) {
-	if c.Devices <= 0 {
-		bad.addf(path+".Devices", "%d must be positive", c.Devices)
+	positive(path+".Devices", c.Devices, bad)
+	nonNegative(path+".StartHour", c.StartHour, bad)
+	nonNegative(path+".DurationHours", c.DurationHours, bad)
+	positive(path+".HourlyPackets", c.HourlyPackets, bad)
+	validateServices(path+".Services", c.Services, bad)
+}
+
+// enrol puts CPS devices into the windowed industrial campaign.
+func (c *CPSCampaignConfig) enrol(g *Generator) error {
+	if c == nil {
+		return nil
 	}
-	if c.StartHour < 0 {
-		bad.addf(path+".StartHour", "%d must be non-negative", c.StartHour)
+	if c.StartHour >= g.sc.Hours {
+		return fmt.Errorf("wgen: %s: StartHour %d outside the %d-hour window", KindCPSCampaign, c.StartHour, g.sc.Hours)
 	}
-	if c.DurationHours < 0 {
-		bad.addf(path+".DurationHours", "%d must be non-negative", c.DurationHours)
+	to := g.sc.Hours
+	if c.DurationHours > 0 && c.StartHour+c.DurationHours < to {
+		to = c.StartHour + c.DurationHours
 	}
-	if c.HourlyPackets <= 0 {
-		bad.addf(path+".HourlyPackets", "%v must be positive", c.HourlyPackets)
-	}
-	if len(c.Services) == 0 {
-		bad.addf(path+".Services", "empty")
-	}
-	total := 0.0
-	for i, s := range c.Services {
-		p := fmt.Sprintf("%s.Services[%d]", path, i)
-		if s.Name == "" {
-			bad.addf(p+".Name", "empty")
-		}
-		if s.Port == 0 {
-			bad.addf(p+".Port", "port 0")
-		}
-		if s.Share <= 0 {
-			bad.addf(p+".Share", "%v must be positive", s.Share)
-		}
-		total += s.Share
-	}
-	if len(c.Services) > 0 && (total < 99.999 || total > 100.001) {
-		bad.addf(path+".Services", "shares sum to %.4g%% (must be 100%%)", total)
-	}
+	ports, cum := serviceTable(c.Services)
+	return g.enrol(KindCPSCampaign, devicedb.CPS, c.Devices, func(_ *rng.Source, _, n int) (event, bool) {
+		return event{kind: evCampaign, from: c.StartHour, to: to,
+			rate: c.HourlyPackets * g.sc.Scale / float64(n), ports: ports, cum: cum}, true
+	})
 }
 
 // DiurnalBackgroundConfig adds smart-home background chatter (Mainuddin et
@@ -249,24 +262,29 @@ func (c *DiurnalBackgroundConfig) apply(sc *Scenario) {
 	sc.DiurnalBackground = &v
 }
 func (c *DiurnalBackgroundConfig) validate(path string, bad *badConfig) {
-	if c.HourlyPackets <= 0 {
-		bad.addf(path+".HourlyPackets", "%v must be positive", c.HourlyPackets)
-	}
-	if c.Sources <= 0 {
-		bad.addf(path+".Sources", "%d must be positive", c.Sources)
-	}
+	positive(path+".HourlyPackets", c.HourlyPackets, bad)
+	positive(path+".Sources", c.Sources, bad)
 	if c.PeakHour < 0 || c.PeakHour > 23 {
 		bad.addf(path+".PeakHour", "%d outside [0, 23]", c.PeakHour)
 	}
-	if c.MinFactor < 0 || c.MinFactor > 1 {
-		bad.addf(path+".MinFactor", "%v outside [0, 1]", c.MinFactor)
+	fraction(path+".MinFactor", c.MinFactor, bad)
+	validatePorts(path+".Ports", c.Ports, bad)
+}
+
+// enrol draws no devices: the chatter comes from a pre-drawn source pool
+// outside the inventory, like the flat background's, and is emitted with
+// a day/night cycle (emitDiurnal).
+func (c *DiurnalBackgroundConfig) enrol(g *Generator) error {
+	if c == nil {
+		return nil
 	}
-	if len(c.Ports) == 0 {
-		bad.addf(path+".Ports", "empty")
-	}
-	for i, p := range c.Ports {
-		if p == 0 {
-			bad.addf(fmt.Sprintf("%s.Ports[%d]", path, i), "port 0")
-		}
-	}
+	g.diurnalPool = g.sourcePool(g.root.Derive("ext", KindDiurnalBackground, "pool"), c.Sources)
+	return nil
+}
+
+// diurnalFactor is the day/night volume modulation: 1 at PeakHour, falling
+// on a cosine to MinFactor twelve hours away.
+func diurnalFactor(c *DiurnalBackgroundConfig, hour int) float64 {
+	phase := 2 * math.Pi * float64(hour%24-c.PeakHour) / 24
+	return c.MinFactor + (1-c.MinFactor)*(0.5*(1+math.Cos(phase)))
 }

@@ -105,11 +105,11 @@ func (b *ActorBlock) UnmarshalJSON(data []byte) error {
 	if err := dec.Decode(&wire); err != nil {
 		return err
 	}
-	spec, ok := LookupKind(wire.Kind)
-	if !ok {
+	row := kindRow(wire.Kind)
+	if row < 0 {
 		return &FieldError{Path: "Kind", Msg: fmt.Sprintf("unknown actor kind %q", wire.Kind)}
 	}
-	block := spec.New()
+	block := kinds[row].block()
 	if len(wire.Params) > 0 && !bytes.Equal(wire.Params, []byte("null")) {
 		pdec := json.NewDecoder(bytes.NewReader(wire.Params))
 		pdec.DisallowUnknownFields()
@@ -212,9 +212,7 @@ func (c *Config) Validate() error {
 	if c.Version < 1 {
 		bad.addf("Version", "%d must be >= 1", c.Version)
 	}
-	if c.Hours <= 0 {
-		bad.addf("Hours", "%d must be positive", c.Hours)
-	}
+	positive("Hours", c.Hours, &bad)
 	if t := c.Telescope; t != nil {
 		if t.DarkPrefix.Bits() < 1 || t.DarkPrefix.Bits() > 30 {
 			bad.addf("Telescope.DarkPrefix", "%s is not a usable telescope prefix", t.DarkPrefix)
@@ -225,12 +223,8 @@ func (c *Config) Validate() error {
 		if t.PrefixBits < 8 || t.PrefixBits > 24 {
 			bad.addf("Telescope.PrefixBits", "%d outside [8, 24]", t.PrefixBits)
 		}
-		if t.PrefixesPerISP < 1 {
-			bad.addf("Telescope.PrefixesPerISP", "%d must be positive", t.PrefixesPerISP)
-		}
-		if t.FillerCountries < 0 {
-			bad.addf("Telescope.FillerCountries", "%d must be non-negative", t.FillerCountries)
-		}
+		positive("Telescope.PrefixesPerISP", t.PrefixesPerISP, &bad)
+		nonNegative("Telescope.FillerCountries", t.FillerCountries, &bad)
 	}
 	c.Population.validate("Population", &bad)
 	seen := make(map[string]int, len(c.Actors))
@@ -253,30 +247,20 @@ func (c *Config) Validate() error {
 }
 
 func (p *Population) validate(path string, bad *badConfig) {
-	if p.InventorySize <= 0 {
-		bad.addf(path+".InventorySize", "%d must be positive", p.InventorySize)
-	}
-	if p.CompromisedTotal <= 0 {
-		bad.addf(path+".CompromisedTotal", "%d must be positive", p.CompromisedTotal)
-	}
-	if p.ConsumerCompromisedShare < 0 || p.ConsumerCompromisedShare > 1 {
-		bad.addf(path+".ConsumerCompromisedShare", "%v outside [0, 1]", p.ConsumerCompromisedShare)
-	}
+	positive(path+".InventorySize", p.InventorySize, bad)
+	positive(path+".CompromisedTotal", p.CompromisedTotal, bad)
+	fraction(path+".ConsumerCompromisedShare", p.ConsumerCompromisedShare, bad)
 	validateShares(path+".ConsumerCountryShares", p.ConsumerCountryShares, bad)
 	validateShares(path+".CPSCountryShares", p.CPSCountryShares, bad)
 	typeTotal := 0.0
 	for i, tw := range p.ConsumerTypeShares {
-		if tw.Weight < 0 {
-			bad.addf(fmt.Sprintf("%s.ConsumerTypeShares[%d].Weight", path, i), "%v must be non-negative", tw.Weight)
-		}
+		nonNegative(fmt.Sprintf("%s.ConsumerTypeShares[%d].Weight", path, i), tw.Weight, bad)
 		typeTotal += tw.Weight
 	}
 	if p.ConsumerCompromisedShare > 0 && typeTotal <= 0 {
 		bad.addf(path+".ConsumerTypeShares", "no positive type weights for a consumer population")
 	}
-	if p.Day1Fraction < 0 || p.Day1Fraction > 1 {
-		bad.addf(path+".Day1Fraction", "%v outside [0, 1]", p.Day1Fraction)
-	}
+	fraction(path+".Day1Fraction", p.Day1Fraction, bad)
 	if p.DayActiveProb <= 0 || p.DayActiveProb > 1 {
 		bad.addf(path+".DayActiveProb", "%v outside (0, 1]", p.DayActiveProb)
 	}
@@ -286,9 +270,7 @@ func (p *Population) validate(path string, bad *badConfig) {
 	if p.HourDutyMax < p.HourDutyMin || p.HourDutyMax > 1 {
 		bad.addf(path+".HourDutyMax", "%v outside [HourDutyMin, 1]", p.HourDutyMax)
 	}
-	if p.RateSpreadSigma < 0 {
-		bad.addf(path+".RateSpreadSigma", "%v must be non-negative", p.RateSpreadSigma)
-	}
+	nonNegative(path+".RateSpreadSigma", p.RateSpreadSigma, bad)
 }
 
 func validateShares(path string, shares []Share, bad *badConfig) {
@@ -297,13 +279,76 @@ func validateShares(path string, shares []Share, bad *badConfig) {
 		if s.Code == "" {
 			bad.addf(fmt.Sprintf("%s[%d].Code", path, i), "empty country code")
 		}
-		if s.Share < 0 {
-			bad.addf(fmt.Sprintf("%s[%d].Share", path, i), "%v must be non-negative", s.Share)
-		}
+		nonNegative(fmt.Sprintf("%s[%d].Share", path, i), s.Share, bad)
 		total += s.Share
 	}
 	if total > 100.0001 {
 		bad.addf(path, "shares sum to %.4g%% (> 100%%)", total)
+	}
+}
+
+// positive rejects v <= 0.
+func positive[T int | float64](path string, v T, bad *badConfig) {
+	if v <= 0 {
+		bad.addf(path, "%v must be positive", v)
+	}
+}
+
+// nonNegative rejects v < 0.
+func nonNegative[T int | float64](path string, v T, bad *badConfig) {
+	if v < 0 {
+		bad.addf(path, "%v must be non-negative", v)
+	}
+}
+
+// fraction rejects v outside [0, 1].
+func fraction(path string, v float64, bad *badConfig) {
+	if v < 0 || v > 1 {
+		bad.addf(path, "%v outside [0, 1]", v)
+	}
+}
+
+// validatePorts rejects an empty port list and port 0.
+func validatePorts(path string, ports []uint16, bad *badConfig) {
+	if len(ports) == 0 {
+		bad.addf(path, "empty")
+	}
+	for i, p := range ports {
+		if p == 0 {
+			bad.addf(fmt.Sprintf("%s[%d]", path, i), "port 0")
+		}
+	}
+}
+
+// validateHours rejects a negative event hour.
+func validateHours(path string, hours []int, bad *badConfig) {
+	for i, h := range hours {
+		if h < 0 {
+			bad.addf(fmt.Sprintf("%s[%d]", path, i), "negative hour %d", h)
+		}
+	}
+}
+
+// validateServices checks a share-weighted service list: named, nonzero
+// ports, positive shares summing to 100 %.
+func validateServices(path string, services []ServiceShare, bad *badConfig) {
+	if len(services) == 0 {
+		bad.addf(path, "empty")
+	}
+	total := 0.0
+	for i, s := range services {
+		p := fmt.Sprintf("%s[%d]", path, i)
+		if s.Name == "" {
+			bad.addf(p+".Name", "empty")
+		}
+		if s.Port == 0 {
+			bad.addf(p+".Port", "port 0")
+		}
+		positive(p+".Share", s.Share, bad)
+		total += s.Share
+	}
+	if len(services) > 0 && (total < 99.999 || total > 100.001) {
+		bad.addf(path, "shares sum to %.4g%% (must be 100%%)", total)
 	}
 }
 

@@ -6,6 +6,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"iotscope/internal/flowtuple"
+	"iotscope/internal/netx"
 )
 
 // testConfig returns a small valid config exercising both a core and an
@@ -35,12 +39,12 @@ func allKindsConfig() *Config {
 		}},
 		ActorBlock{Kind: KindUDPAmplification, Params: &UDPAmplificationConfig{
 			Reflectors: 30, HourlyPackets: 900,
-			Services: []AmplificationService{{Name: "NTP", Port: 123, Share: 60}, {Name: "DNS", Port: 53, Share: 40}},
+			Services: []ServiceShare{{Name: "NTP", Port: 123, Share: 60}, {Name: "DNS", Port: 53, Share: 40}},
 			MinLen:   200, MaxLen: 480,
 		}},
 		ActorBlock{Kind: KindCPSCampaign, Params: &CPSCampaignConfig{
 			Devices: 12, StartHour: 3, DurationHours: 4, HourlyPackets: 2500,
-			Services: []CPSCampaignService{{Name: "Modbus TCP", Port: 502, Share: 100}},
+			Services: []ServiceShare{{Name: "Modbus TCP", Port: 502, Share: 100}},
 		}},
 		ActorBlock{Kind: KindDiurnalBackground, Params: &DiurnalBackgroundConfig{
 			HourlyPackets: 4000, Sources: 500, PeakHour: 20, MinFactor: 0.15, Ports: []uint16{5353, 1900},
@@ -208,6 +212,26 @@ func TestValidateFieldPaths(t *testing.T) {
 			c.Actors[6].Params.(*StealthScanConfig).Port = 0
 		}, "Actors[6].Params.Port"},
 		{"bad telescope", func(c *Config) { c.Telescope.PrefixBits = 2 }, "Telescope.PrefixBits"},
+		// Inputs that used to validate and then crash, hang or mis-plant the
+		// render: a divide by zero, a negative makeslice, SampleK past
+		// 65535, onsets before the capture, an endless Poisson(NaN), IPLen
+		// wrapping past 16 bits.
+		{"sweep to no destination", func(c *Config) { tcpScan(c).PortSpikeDests = 0 }, "Actors[0].Params.PortSpikeDests"},
+		{"sweep to negative destinations", func(c *Config) { tcpScan(c).PortSpikeDests = -3 }, "Actors[0].Params.PortSpikeDests"},
+		{"sweep past the port space", func(c *Config) { tcpScan(c).PortSpikePorts = 70000 }, "Actors[0].Params.PortSpikePorts"},
+		{"negative backroom start", func(c *Config) { tcpScan(c).BackroomStartHour = -5 }, "Actors[0].Params.BackroomStartHour"},
+		{"negative sweep hour", func(c *Config) { tcpScan(c).PortSpikeHour = -1 }, "Actors[0].Params.PortSpikeHour"},
+		{"negative SSH spike hour", func(c *Config) { tcpScan(c).SSHSpike.Hours = []int{32, -2} }, "Actors[0].Params.SSHSpike.Hours[1]"},
+		{"bursts that zero the budget", func(c *Config) {
+			p := c.Actors[1].Params.(*UDPProbeConfig)
+			p.CPSBurstProb, p.CPSBurstFactor = 1, 0
+		}, "Actors[1].Params.CPSBurstFactor"},
+		{"payload past the IP length", func(c *Config) {
+			amp := allKindsConfig().Actors[8]
+			amp.Params.(*UDPAmplificationConfig).MinLen = 65530
+			amp.Params.(*UDPAmplificationConfig).MaxLen = 70000
+			c.Actors = append(c.Actors, amp)
+		}, "Actors[7].Params.MaxLen"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -227,26 +251,116 @@ func TestValidateFieldPaths(t *testing.T) {
 	}
 }
 
-// Every registered kind is constructible, self-describing, and versioned.
+// tcpScan is testConfig's tcp-scan block.
+func tcpScan(c *Config) *TCPScanConfig { return c.Actors[0].Params.(*TCPScanConfig) }
+
+// within runs f on its own goroutine and fails t if f panics or is still
+// running after d.
+func within(t *testing.T, d time.Duration, f func()) {
+	t.Helper()
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		f()
+	}()
+	select {
+	case p := <-done:
+		if p != nil {
+			t.Fatalf("panic: %v", p)
+		}
+	case <-time.After(d):
+		t.Fatalf("still running after %v", d)
+	}
+}
+
+// The boundary values the validation rules still accept render: the
+// hours each event names finish under a deadline without a panic, every
+// planted onset lies inside the window, and every record inside its
+// configured bounds (the telescope; an amplified payload's length).
+func TestValidatedConfigsRender(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+		hours  []int
+	}{
+		{"sweep of every port to one destination", func(c *Config) {
+			s := tcpScan(c)
+			s.PortSpikeHour, s.PortSpikePorts, s.PortSpikeDests = 3, 65535, 1
+		}, []int{3}},
+		{"bursts that do not inflate", func(c *Config) {
+			p := c.Actors[1].Params.(*UDPProbeConfig)
+			p.CPSBurstProb, p.CPSBurstFactor = 1, 1
+		}, []int{0, 1, 2, 3, 4, 5}},
+		{"payloads up to the IP length limit", func(c *Config) {
+			amp := allKindsConfig().Actors[8]
+			amp.Params.(*UDPAmplificationConfig).MinLen = 65500
+			amp.Params.(*UDPAmplificationConfig).MaxLen = 65535
+			c.Actors = append(c.Actors, amp)
+		}, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}},
+		{"every scripted hour at 0", func(c *Config) {
+			s := tcpScan(c)
+			s.SSHSpike.Hours = []int{0}
+			s.BackroomStartHour, s.PortSpikeHour = 0, 0
+			events := c.Actors[3].Params.(*BackscatterConfig).Events
+			for i := range events {
+				events[i].Hours = []int{0}
+			}
+		}, []int{0, 1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			tc.mutate(cfg)
+			sc, err := cfg.Scenario(0.002, 17)
+			if err != nil {
+				t.Fatal(err)
+			}
+			within(t, time.Minute, func() {
+				g, err := New(sc)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for id, h := range g.Truth().OnsetHour {
+					if h < 0 || h >= sc.Hours {
+						t.Errorf("device %d planted with onset %d outside [0, %d)", id, h, sc.Hours)
+					}
+				}
+				reflectors := make(map[uint32]bool)
+				for _, id := range g.Truth().Cohorts[KindUDPAmplification] {
+					reflectors[uint32(g.Inventory().At(id).IP)] = true
+				}
+				for _, h := range tc.hours {
+					err := g.EmitHour(h, func(rec flowtuple.Record) {
+						if !sc.DarkPrefix().Contains(netx.Addr(rec.DstIP)) {
+							t.Errorf("hour %d: record to %v outside the telescope", h, netx.Addr(rec.DstIP))
+						}
+						if amp := sc.UDPAmplification; reflectors[rec.SrcIP] && rec.Protocol == flowtuple.ProtoUDP &&
+							(int(rec.IPLen) < amp.MinLen || int(rec.IPLen) > amp.MaxLen) {
+							t.Errorf("hour %d: amplified IPLen %d outside [%d, %d]", h, rec.IPLen, amp.MinLen, amp.MaxLen)
+						}
+					})
+					if err != nil {
+						t.Error(err)
+					}
+				}
+			})
+		})
+	}
+}
+
+// Every kind in the table is constructible and versioned.
 func TestKindRegistry(t *testing.T) {
-	kinds := Kinds()
 	if len(kinds) != 11 {
-		t.Fatalf("expected 11 registered kinds, got %d: %v", len(kinds), kinds)
+		t.Fatalf("expected 11 kinds, got %d", len(kinds))
 	}
 	for _, spec := range kinds {
-		got, ok := LookupKind(spec.Kind)
-		if !ok {
-			t.Fatalf("Kinds() lists %q but LookupKind misses it", spec.Kind)
+		if spec.version < 1 {
+			t.Errorf("kind %q has no version", spec.kind)
 		}
-		if got.Version < 1 {
-			t.Errorf("kind %q has no version", spec.Kind)
-		}
-		if got.About == "" {
-			t.Errorf("kind %q has no description", spec.Kind)
-		}
-		blk := got.New()
-		if blk.Kind() != spec.Kind {
-			t.Errorf("kind %q constructs a block reporting kind %q", spec.Kind, blk.Kind())
+		blk := spec.block()
+		if blk.Kind() != spec.kind {
+			t.Errorf("kind %q constructs a block reporting kind %q", spec.kind, blk.Kind())
 		}
 	}
 	ver := GeneratorVersions(testConfig())
@@ -267,8 +381,8 @@ func FuzzScenarioDecode(f *testing.F) {
 	if err := all.Validate(); err != nil {
 		f.Fatal(err)
 	}
-	if have := GeneratorVersions(all); len(have) != len(Kinds()) {
-		f.Fatalf("seed config carries %d of %d registered kinds", len(have), len(Kinds()))
+	if have := GeneratorVersions(all); len(have) != len(kinds) {
+		f.Fatalf("seed config carries %d of %d registered kinds", len(have), len(kinds))
 	}
 	seed, err := all.CanonicalJSON()
 	if err != nil {

@@ -60,20 +60,10 @@ func (g *Generator) emitActorHour(a *actor, hour int, dark netx.Prefix, outerEmi
 		}()
 	}
 
-	// Scripted behaviour ignores duty cycles: the narrative events happen.
+	// Events ignore the duty cycle (event.go).
 	r := g.root.DeriveN("actor-hour", uint64(a.id)<<20|uint64(hour))
-	for _, ev := range a.scripted {
-		g.emitScripted(a, ev, hour, dark, r, emit)
-	}
-	if a.victim != nil {
-		if v := a.victim.schedule[hour]; v > 0 {
-			g.emitBackscatter(a, v, dark, r, emit)
-		}
-	}
-	// Extension behaviours (mirai-wave, stealth-scan, ...) carry their own
-	// active windows and, like scripted events, ignore the duty cycle.
-	if a.ext != nil {
-		g.emitExt(a, hour, dark, r, emit)
+	for i := range a.events {
+		g.emitEvent(a, &a.events[i], hour, dark, r, emit)
 	}
 
 	if hour < a.onset {
@@ -158,10 +148,7 @@ func (g *Generator) emitActorHour(a *actor, hour int, dark netx.Prefix, outerEmi
 	if a.otherRate > 0 {
 		n := r.Poisson(a.otherRate * a.rateMult)
 		for n > 0 {
-			chunk := uint32(1 + r.Intn(2))
-			if uint32(n) < chunk {
-				chunk = uint32(n)
-			}
+			chunk := chunkOf(r, n, 2)
 			flags := flowtuple.FlagACK
 			if r.Bool(0.3) {
 				flags = flowtuple.FlagFIN
@@ -206,11 +193,9 @@ func (g *Generator) emitSYNs(a *actor, n int, ports []uint16, ttl uint8,
 	}
 	for i := 0; i < n; i++ {
 		port := ports[0]
-		if len(ports) > 1 {
-			// First port dominates (Telnet 23 vs 2323/23231).
-			if r.Bool(0.25) {
-				port = ports[1+r.Intn(len(ports)-1)]
-			}
+		// First port dominates (Telnet 23 vs 2323/23231).
+		if len(ports) > 1 && r.Bool(0.25) {
+			port = ports[1+r.Intn(len(ports)-1)]
 		}
 		emit(flowtuple.Record{
 			SrcIP:    uint32(a.dev.IP),
@@ -354,100 +339,6 @@ func saltedTailPort(r *rng.Source, s float64, salt uint32) uint16 {
 	return uint16(1 + (uint32(rank)*2654435761+salt*2246822519)%65535)
 }
 
-// emitBackscatter renders one hour of a victim's reply spray: SYN-ACKs,
-// RSTs, and ICMP replies to spoofed (dark) clients, sourced from the
-// victim's service port.
-func (g *Generator) emitBackscatter(a *actor, pkts float64, dark netx.Prefix,
-	r *rng.Source, emit func(flowtuple.Record)) {
-
-	n := r.Poisson(pkts)
-	ttl := uint8(40 + r.Intn(80))
-	for n > 0 {
-		chunk := uint32(1 + r.Intn(4))
-		if uint32(n) < chunk {
-			chunk = uint32(n)
-		}
-		rec := flowtuple.Record{
-			SrcIP:   uint32(a.dev.IP),
-			DstIP:   uint32(randDark(dark, r)),
-			TTL:     ttl,
-			IPLen:   uint16(40 + r.Intn(24)),
-			Packets: chunk,
-		}
-		switch draw := r.Float64(); {
-		case draw < 0.70:
-			rec.Protocol = flowtuple.ProtoTCP
-			rec.TCPFlags = flowtuple.FlagSYN | flowtuple.FlagACK
-			rec.SrcPort = a.victim.srcPort
-			rec.DstPort = ephemeralPort(r)
-		case draw < 0.90:
-			rec.Protocol = flowtuple.ProtoTCP
-			rec.TCPFlags = flowtuple.FlagRST | flowtuple.FlagACK
-			rec.SrcPort = a.victim.srcPort
-			rec.DstPort = ephemeralPort(r)
-		default:
-			rec.Protocol = flowtuple.ProtoICMP
-			rec.SrcPort = uint16(backscatterICMP[r.Intn(len(backscatterICMP))])
-			rec.IPLen = 56
-		}
-		emit(rec)
-		n -= int(chunk)
-	}
-}
-
-var backscatterICMP = []uint8{
-	flowtuple.ICMPEchoReply,
-	flowtuple.ICMPDestUnreach,
-	flowtuple.ICMPSourceQuench,
-	flowtuple.ICMPRedirect,
-	flowtuple.ICMPTimeExceeded,
-	flowtuple.ICMPParamProblem,
-	flowtuple.ICMPTimestampReply,
-}
-
-// emitScripted renders the narrated scan events.
-func (g *Generator) emitScripted(a *actor, ev scriptedEvent, hour int,
-	dark netx.Prefix, r *rng.Source, emit func(flowtuple.Record)) {
-
-	switch ev.kind {
-	case scriptBackroom:
-		if hour < ev.fromHour {
-			return
-		}
-		n := r.Poisson(ev.packetsPerHr)
-		g.emitSYNs(a, n, []uint16{ev.port}, uint8(50+r.Intn(40)), dark, r, emit)
-	case scriptSSHSpike:
-		if !ev.hours[hour] {
-			return
-		}
-		n := r.Poisson(ev.packetsPerHr)
-		g.emitSYNs(a, n, []uint16{ev.port}, uint8(50+r.Intn(40)), dark, r, emit)
-	case scriptPortSpike:
-		if !ev.hours[hour] {
-			return
-		}
-		dests := make([]netx.Addr, ev.dests)
-		for i := range dests {
-			dests[i] = randDark(dark, r)
-		}
-		ports := r.SampleK(65535, ev.ports)
-		ttl := uint8(60 + r.Intn(30))
-		for i, p := range ports {
-			emit(flowtuple.Record{
-				SrcIP:    uint32(a.dev.IP),
-				DstIP:    uint32(dests[i%len(dests)]),
-				SrcPort:  ephemeralPort(r),
-				DstPort:  avoidScriptedPort(uint16(p + 1)),
-				Protocol: flowtuple.ProtoTCP,
-				TCPFlags: flowtuple.FlagSYN,
-				TTL:      ttl,
-				IPLen:    44,
-				Packets:  1,
-			})
-		}
-	}
-}
-
 // emitBackground renders non-IoT darknet noise the correlator must discard:
 // third-party scanners, DDoS victims outside the inventory, and junk.
 func (g *Generator) emitBackground(hour int, dark netx.Prefix, emit func(flowtuple.Record)) {
@@ -457,10 +348,7 @@ func (g *Generator) emitBackground(hour int, dark netx.Prefix, emit func(flowtup
 	r := g.root.DeriveN("bg", uint64(hour))
 	n := r.Poisson(g.sc.Background.HourlyPackets * g.sc.Scale)
 	for n > 0 {
-		chunk := uint32(1 + r.Intn(3))
-		if uint32(n) < chunk {
-			chunk = uint32(n)
-		}
+		chunk := chunkOf(r, n, 3)
 		rec := flowtuple.Record{
 			SrcIP:   g.bgPool[r.Intn(len(g.bgPool))],
 			DstIP:   uint32(randDark(dark, r)),
@@ -497,6 +385,31 @@ func (g *Generator) emitBackground(hour int, dark netx.Prefix, emit func(flowtup
 	}
 }
 
+// emitDiurnal renders one hour of smart-home discovery chatter: short UDP
+// datagrams to mDNS/SSDP-style ports from non-inventory sources. The
+// correlator must discard all of it, at every point of the cycle.
+func (g *Generator) emitDiurnal(hour int, dark netx.Prefix, emit func(flowtuple.Record)) {
+	c := g.sc.DiurnalBackground
+	if c == nil || len(g.diurnalPool) == 0 {
+		return
+	}
+	r := g.root.DeriveN("ext-diurnal-hour", uint64(hour))
+	mean := c.HourlyPackets * g.sc.Scale * diurnalFactor(c, hour)
+	n := r.Poisson(mean)
+	for i := 0; i < n; i++ {
+		emit(flowtuple.Record{
+			SrcIP:    g.diurnalPool[r.Intn(len(g.diurnalPool))],
+			DstIP:    uint32(randDark(dark, r)),
+			SrcPort:  ephemeralPort(r),
+			DstPort:  c.Ports[r.Intn(len(c.Ports))],
+			Protocol: flowtuple.ProtoUDP,
+			TTL:      uint8(30 + r.Intn(100)),
+			IPLen:    uint16(60 + r.Intn(240)),
+			Packets:  1,
+		})
+	}
+}
+
 // avoidScriptedPort steers incidental random-port probes off port 3387 so
 // the BackroomNet row keeps the paper's single-device signature.
 func avoidScriptedPort(p uint16) uint16 {
@@ -512,6 +425,12 @@ func randDark(dark netx.Prefix, r *rng.Source) netx.Addr {
 
 func ephemeralPort(r *rng.Source) uint16 {
 	return uint16(1024 + r.Intn(64512))
+}
+
+// chunkOf draws one record's packet count: 1 to k, and no more than the n
+// packets still owed.
+func chunkOf(r *rng.Source, n, k int) uint32 {
+	return uint32(min(1+r.Intn(k), n))
 }
 
 // RunStats summarizes a full dataset render.

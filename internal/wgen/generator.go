@@ -60,9 +60,7 @@ type actor struct {
 	udpTail   float64 // mean tail-port UDP pkts per active hour
 	icmpRate  float64
 	otherRate float64
-	victim    *victimState
-	scripted  []scriptedEvent
-	ext       *extBehaviour
+	events    []event // duty-free emissions, in emission order
 }
 
 type svcMembership struct {
@@ -73,29 +71,6 @@ type svcMembership struct {
 type groupMembership struct {
 	port uint16
 	rate float64
-}
-
-type victimState struct {
-	schedule map[int]float64 // hour -> backscatter packets
-	srcPort  uint16
-}
-
-type scriptedKind uint8
-
-const (
-	scriptBackroom scriptedKind = iota + 1
-	scriptSSHSpike
-	scriptPortSpike
-)
-
-type scriptedEvent struct {
-	kind         scriptedKind
-	hours        map[int]bool // nil for scriptBackroom (uses fromHour)
-	fromHour     int
-	packetsPerHr float64
-	port         uint16
-	ports        int // port-spike sweep width
-	dests        int
 }
 
 // New builds the world for a scenario: geo registry, inventory, compromised
@@ -136,11 +111,15 @@ func New(sc Scenario) (*Generator, error) {
 	}
 	g.assignVictims(g.root.Derive("victims"))
 	g.ensureAllEmit()
-	g.buildBackgroundPool()
+	g.bgPool = g.sourcePool(g.root.Derive("background"), sc.Background.Sources)
 	// Extension cohorts join last, from freshly-labelled streams, so the
-	// baseline population above is identical with or without them.
-	if err := g.applyExtensions(); err != nil {
-		return nil, err
+	// baseline population above is identical with or without them. Each
+	// enrols from the devices the ones before it left free, so this order
+	// is part of every dataset's bytes.
+	for _, x := range []extension{sc.MiraiWave, sc.UDPAmplification, sc.StealthScan, sc.CPSCampaign, sc.DiurnalBackground} {
+		if err := x.enrol(g); err != nil {
+			return nil, err
+		}
 	}
 	g.finalizeTruth()
 	g.haveGen = true
@@ -329,7 +308,7 @@ func (g *Generator) assignOnsets() {
 			// all visible within the first hours, keeping the hourly
 			// scanning-device count stationary (the Fig. 2 curve is daily,
 			// so the intra-day-one spread is immaterial).
-			a.onset = or.Intn(minInt(3, day1Hours))
+			a.onset = or.Intn(min(3, day1Hours))
 		case sc.Hours <= day1Hours || or.Bool(sc.Day1Fraction):
 			a.onset = or.Intn(day1Hours)
 		default:
@@ -427,7 +406,7 @@ func (g *Generator) assignBehaviours() {
 	sc := g.sc
 	r := g.root.Derive("behaviours")
 
-	consumer, cps := g.splitActors()
+	consumer, cps := splitRealm(g.actors)
 
 	// --- TCP scanners (Sec. IV-C / Table V).
 	nScan := scaleCount(sc.TCPScan.TotalScanners, sc.Scale)
@@ -442,17 +421,15 @@ func (g *Generator) assignBehaviours() {
 			continue
 		}
 		svcPkts := svc.PacketShare / 100 * totalScanPkts
-		g.addSvcMembers(r, scanCons, scaleCount(svc.ConsumerDevices, sc.Scale), si,
-			svcPkts*svc.ConsumerPacketFrac, svc.ConsumerDevices > 0)
-		g.addSvcMembers(r, scanCPS, scaleCount(svc.CPSDevices, sc.Scale), si,
-			svcPkts*(1-svc.ConsumerPacketFrac), svc.CPSDevices > 0)
+		join := func(a *actor, rate float64) { a.tcpSvcs = append(a.tcpSvcs, svcMembership{si, rate}) }
+		g.spread(r, scanCons, scaleCount(svc.ConsumerDevices, sc.Scale), svcPkts*svc.ConsumerPacketFrac, join)
+		g.spread(r, scanCPS, scaleCount(svc.CPSDevices, sc.Scale), svcPkts*(1-svc.ConsumerPacketFrac), join)
 	}
 	// Random-port scanning, CPS-heavy (drives Fig. 9's port-width gap).
 	tailPkts := sc.TCPScan.RandomPortShare / 100 * totalScanPkts
-	g.assignNormalized(scanCPS, tailPkts*sc.TCPScan.RandomPortCPSFrac,
-		func(a *actor, rate float64) { a.tcpRandom = rate })
-	g.assignNormalized(scanCons, tailPkts*(1-sc.TCPScan.RandomPortCPSFrac),
-		func(a *actor, rate float64) { a.tcpRandom = rate })
+	setRandom := func(a *actor, rate float64) { a.tcpRandom = rate }
+	g.spread(r, scanCPS, len(scanCPS), tailPkts*sc.TCPScan.RandomPortCPSFrac, setRandom)
+	g.spread(r, scanCons, len(scanCons), tailPkts*(1-sc.TCPScan.RandomPortCPSFrac), setRandom)
 
 	// --- UDP probers (Sec. IV-A / Table IV).
 	nProbe := scaleCount(sc.UDPProbe.TotalProbers, sc.Scale)
@@ -465,21 +442,25 @@ func (g *Generator) assignBehaviours() {
 	for _, pg := range sc.UDPProbe.PortGroups {
 		groupShareSum += pg.PacketShare
 	}
+	// CPS rates are discounted by the expected burst inflation so CPS
+	// bursts do not blow the UDP budget (Validate keeps it >= 1).
+	burstE := 1 + sc.UDPProbe.CPSBurstProb*(sc.UDPProbe.CPSBurstFactor-1)
 	for _, pg := range sc.UDPProbe.PortGroups {
 		pkts := pg.PacketShare / 100 * udpTotal
 		members := scaleCount(pg.Devices, sc.Scale)
 		// Membership split follows the prober pools (60/40).
 		mCons := int(float64(members)*sc.UDPProbe.ConsumerFrac + 0.5)
-		burstE := 1 + sc.UDPProbe.CPSBurstProb*(sc.UDPProbe.CPSBurstFactor-1)
-		g.addGroupMembers(r, probeCons, mCons, pg.Port, pkts*sc.UDPProbe.ConsumerPacketShare, 1)
-		g.addGroupMembers(r, probeCPS, members-mCons, pg.Port, pkts*(1-sc.UDPProbe.ConsumerPacketShare), burstE)
+		g.spread(r, probeCons, mCons, pkts*sc.UDPProbe.ConsumerPacketShare, func(a *actor, rate float64) {
+			a.udpGroups = append(a.udpGroups, groupMembership{pg.Port, rate})
+		})
+		g.spread(r, probeCPS, members-mCons, pkts*(1-sc.UDPProbe.ConsumerPacketShare), func(a *actor, rate float64) {
+			a.udpGroups = append(a.udpGroups, groupMembership{pg.Port, rate / burstE})
+		})
 	}
 	tailUDP := (100 - groupShareSum) / 100 * udpTotal
-	tailBurstE := 1 + sc.UDPProbe.CPSBurstProb*(sc.UDPProbe.CPSBurstFactor-1)
-	g.assignNormalized(probeCons, tailUDP*sc.UDPProbe.ConsumerPacketShare,
-		func(a *actor, rate float64) { a.udpTail = rate })
-	g.assignNormalized(probeCPS, tailUDP*(1-sc.UDPProbe.ConsumerPacketShare)/tailBurstE,
-		func(a *actor, rate float64) { a.udpTail = rate })
+	setTail := func(a *actor, rate float64) { a.udpTail = rate }
+	g.spread(r, probeCons, len(probeCons), tailUDP*sc.UDPProbe.ConsumerPacketShare, setTail)
+	g.spread(r, probeCPS, len(probeCPS), tailUDP*(1-sc.UDPProbe.ConsumerPacketShare)/burstE, setTail)
 
 	// --- ICMP scanners.
 	nICMP := scaleCount(sc.ICMPScan.TotalScanners, sc.Scale)
@@ -490,32 +471,23 @@ func (g *Generator) assignBehaviours() {
 	icmpCons := samplePool(r, consumer, nICMPCons)
 	icmpCPS := samplePool(r, cps, nICMP-nICMPCons)
 	icmpTotal := sc.ICMPScan.HourlyPackets * sc.Scale
-	g.assignNormalized(icmpCons, icmpTotal*sc.ICMPScan.ConsumerPacketShare,
-		func(a *actor, rate float64) { a.icmpRate = rate })
-	g.assignNormalized(icmpCPS, icmpTotal*(1-sc.ICMPScan.ConsumerPacketShare),
-		func(a *actor, rate float64) { a.icmpRate = rate })
+	setICMP := func(a *actor, rate float64) { a.icmpRate = rate }
+	g.spread(r, icmpCons, len(icmpCons), icmpTotal*sc.ICMPScan.ConsumerPacketShare, setICMP)
+	g.spread(r, icmpCPS, len(icmpCPS), icmpTotal*(1-sc.ICMPScan.ConsumerPacketShare), setICMP)
 
 	// --- Other-traffic emitters.
 	nOther := int(float64(len(g.actors))*sc.Other.EmitterFrac + 0.5)
 	otherActors := samplePool(r, g.actors, nOther)
 	otherTotal := sc.Other.HourlyPackets * sc.Scale
-	var oCons, oCPS []*actor
-	for _, a := range otherActors {
-		if a.dev.Category == devicedb.Consumer {
-			oCons = append(oCons, a)
-		} else {
-			oCPS = append(oCPS, a)
-		}
-	}
-	g.assignNormalized(oCPS, otherTotal*sc.Other.CPSFrac,
-		func(a *actor, rate float64) { a.otherRate = rate })
-	g.assignNormalized(oCons, otherTotal*(1-sc.Other.CPSFrac),
-		func(a *actor, rate float64) { a.otherRate = rate })
+	oCons, oCPS := splitRealm(otherActors)
+	setOther := func(a *actor, rate float64) { a.otherRate = rate }
+	g.spread(r, oCPS, len(oCPS), otherTotal*sc.Other.CPSFrac, setOther)
+	g.spread(r, oCons, len(oCons), otherTotal*(1-sc.Other.CPSFrac), setOther)
 }
 
-// splitActors partitions the compromised set by realm.
-func (g *Generator) splitActors() (consumer, cps []*actor) {
-	for _, a := range g.actors {
+// splitRealm partitions actors by realm, keeping their order.
+func splitRealm(actors []*actor) (consumer, cps []*actor) {
+	for _, a := range actors {
 		if a.dev.Category == devicedb.Consumer {
 			consumer = append(consumer, a)
 		} else {
@@ -578,47 +550,17 @@ func (g *Generator) rateUnit(members []*actor, pkts float64) float64 {
 	return unit
 }
 
-// assignNormalized spreads a per-hour packet budget over members via set.
-func (g *Generator) assignNormalized(members []*actor, pkts float64, set func(*actor, float64)) {
-	if pkts <= 0 || len(members) == 0 {
-		return
-	}
-	unit := g.rateUnit(members, pkts)
-	for _, a := range members {
-		set(a, unit)
-	}
-}
-
-// addSvcMembers enrolls count members from pool into TCP service si with a
-// shared packet budget.
-func (g *Generator) addSvcMembers(r *rng.Source, pool []*actor, count, si int, pkts float64, wanted bool) {
-	if !wanted || pkts <= 0 || len(pool) == 0 {
-		return
-	}
-	members := samplePool(r, pool, count)
-	if len(members) == 0 {
-		return
-	}
-	unit := g.rateUnit(members, pkts)
-	for _, a := range members {
-		a.tcpSvcs = append(a.tcpSvcs, svcMembership{svc: si, rate: unit})
-	}
-}
-
-// addGroupMembers enrolls count members from pool into a UDP port group.
-// burstE discounts the rate by the expected burst inflation so CPS bursts
-// do not blow the UDP budget.
-func (g *Generator) addGroupMembers(r *rng.Source, pool []*actor, count int, port uint16, pkts, burstE float64) {
+// spread shares a per-hour packet budget among count members sampled from
+// pool (all of it, without a draw, when count >= len(pool)), handing each
+// the group's rate unit through set. An empty budget samples nothing.
+func (g *Generator) spread(r *rng.Source, pool []*actor, count int, pkts float64, set func(*actor, float64)) {
 	if pkts <= 0 || count <= 0 || len(pool) == 0 {
 		return
 	}
-	if burstE < 1 {
-		burstE = 1
-	}
 	members := samplePool(r, pool, count)
-	unit := g.rateUnit(members, pkts) / burstE
+	unit := g.rateUnit(members, pkts)
 	for _, a := range members {
-		a.udpGroups = append(a.udpGroups, groupMembership{port: port, rate: unit})
+		set(a, unit)
 	}
 }
 
@@ -670,7 +612,7 @@ func (g *Generator) assignVictims(r *rng.Source) {
 	// Spill leftovers anywhere.
 	for leftovers > 0 {
 		a := g.actors[r.Intn(len(g.actors))]
-		if a.victim == nil {
+		if !a.victim() {
 			g.makeBaselineVictim(r, a)
 			leftovers--
 			continue
@@ -692,7 +634,7 @@ func pickVictim(r *rng.Source, m map[devicedb.Category][]*actor, want devicedb.C
 		start := r.Intn(len(pool))
 		for i := 0; i < len(pool); i++ {
 			a := pool[(start+i)%len(pool)]
-			if a.victim == nil {
+			if !a.victim() {
 				return a
 			}
 		}
@@ -731,7 +673,7 @@ func (g *Generator) makeBaselineVictim(r *rng.Source, a *actor) {
 	// Victims draw fire throughout the window (Fig. 7 shows backscatter in
 	// every interval), so a victim's first appearance lands on day one
 	// even when its own probing starts later.
-	if day1 := minInt(24, g.sc.Hours); a.onset >= day1 {
+	if day1 := min(24, g.sc.Hours); a.onset >= day1 {
 		a.onset = r.Intn(day1)
 	}
 	// CPS devices are "attacked more often and with higher intensity"
@@ -750,7 +692,17 @@ func (g *Generator) makeBaselineVictim(r *rng.Source, a *actor) {
 		h := a.onset + r.Intn(span)
 		schedule[h] += total / float64(hours)
 	}
-	a.victim = &victimState{schedule: schedule, srcPort: devicePort(a.dev)}
+	a.events = append(a.events, event{kind: evBackscatter, sched: schedule})
+}
+
+// victim reports whether the actor draws DoS backscatter.
+func (a *actor) victim() bool {
+	for _, ev := range a.events {
+		if ev.kind == evBackscatter {
+			return true
+		}
+	}
+	return false
 }
 
 // devicePort maps a device to the service port its backscatter carries
@@ -796,34 +748,34 @@ var cpsServicePorts = map[string]uint16{
 	"Foundation Fieldbus HSE":  1089,
 }
 
-// assignScripted wires the paper's narrated events to concrete devices.
+// assignScripted wires the paper's narrated events to concrete devices,
+// each on a distinct device, as events that pull its onset earlier.
 func (g *Generator) assignScripted() error {
 	sc := g.sc
 	r := g.root.Derive("scripted")
 	g.truth.EventVictims = make(map[string]int)
 	used := make(map[int]bool)
+	attach := func(a *actor, ev event, hours ...int) {
+		used[a.id] = true
+		a.events = append(a.events, ev)
+		for _, h := range hours {
+			a.onset = min(a.onset, h)
+		}
+	}
 
-	// DoS events, each on a distinct device.
+	// DoS events.
 	for _, ev := range sc.Backscatter.Events {
 		a := g.findActor(r, ev.Country, ev.Category, ev.Service, ev.DeviceType, used)
 		if a == nil {
 			return fmt.Errorf("wgen: no candidate device for DoS event %q", ev.Name)
 		}
-		used[a.id] = true
-		if a.victim == nil {
-			a.victim = &victimState{
-				schedule: make(map[int]float64),
-				srcPort:  devicePort(a.dev),
-			}
-		}
+		sched := make(map[int]float64)
 		for _, h := range ev.Hours {
 			if h < g.sc.Hours {
-				a.victim.schedule[h] += ev.PacketsPerHour * sc.Scale
-			}
-			if h < a.onset {
-				a.onset = h
+				sched[h] += ev.PacketsPerHour * sc.Scale
 			}
 		}
+		attach(a, event{kind: evBackscatter, sched: sched}, ev.Hours...)
 		g.truth.EventVictims[ev.Name] = a.id
 	}
 
@@ -834,57 +786,29 @@ func (g *Generator) assignScripted() error {
 		if a == nil {
 			continue
 		}
-		used[a.id] = true
-		ev := scriptedEvent{
-			kind:         scriptSSHSpike,
-			hours:        make(map[int]bool, len(spike.Hours)),
-			packetsPerHr: spike.PacketsPerHour * sc.Scale * m.PacketFrac,
-			port:         22,
-		}
+		sched := make(map[int]float64, len(spike.Hours))
 		for _, h := range spike.Hours {
-			ev.hours[h] = true
-			if h < a.onset {
-				a.onset = h
-			}
+			sched[h] = spike.PacketsPerHour * sc.Scale * m.PacketFrac
 		}
-		a.scripted = append(a.scripted, ev)
+		attach(a, event{kind: evSurge, sched: sched, ports: []uint16{22}}, spike.Hours...)
 	}
 
 	// BackroomNet scanner: a single CPS device.
-	if sc.TCPScan.BackroomPacketsPerHour > 0 {
-		a := g.findActor(r, sc.TCPScan.BackroomCountry, devicedb.CPS,
-			sc.TCPScan.BackroomService, 0, used)
+	if tcp := sc.TCPScan; tcp.BackroomPacketsPerHour > 0 {
+		a := g.findActor(r, tcp.BackroomCountry, devicedb.CPS, tcp.BackroomService, 0, used)
 		if a == nil {
 			a = g.findActor(r, "", devicedb.CPS, "", 0, used)
 		}
 		if a != nil {
-			used[a.id] = true
-			a.scripted = append(a.scripted, scriptedEvent{
-				kind:         scriptBackroom,
-				fromHour:     sc.TCPScan.BackroomStartHour,
-				packetsPerHr: sc.TCPScan.BackroomPacketsPerHour * sc.Scale,
-				port:         3387,
-			})
-			if sc.TCPScan.BackroomStartHour < a.onset {
-				a.onset = sc.TCPScan.BackroomStartHour
-			}
+			attach(a, event{kind: evSurge, from: tcp.BackroomStartHour, to: sc.Hours,
+				rate: tcp.BackroomPacketsPerHour * sc.Scale, ports: []uint16{3387}}, tcp.BackroomStartHour)
 		}
 	}
 
 	// Port-spike camera.
-	if sc.TCPScan.PortSpikePorts > 0 && sc.TCPScan.PortSpikeHour < sc.Hours {
-		a := g.findConsumerOfType(r, sc.TCPScan.PortSpikeCountry, devicedb.TypeIPCamera, used)
-		if a != nil {
-			used[a.id] = true
-			a.scripted = append(a.scripted, scriptedEvent{
-				kind:  scriptPortSpike,
-				hours: map[int]bool{sc.TCPScan.PortSpikeHour: true},
-				ports: sc.TCPScan.PortSpikePorts,
-				dests: sc.TCPScan.PortSpikeDests,
-			})
-			if sc.TCPScan.PortSpikeHour < a.onset {
-				a.onset = sc.TCPScan.PortSpikeHour
-			}
+	if h := sc.TCPScan.PortSpikeHour; sc.TCPScan.PortSpikePorts > 0 && h < sc.Hours {
+		if a := g.findActor(r, sc.TCPScan.PortSpikeCountry, devicedb.Consumer, "", devicedb.TypeIPCamera, used); a != nil {
+			attach(a, event{kind: evSweep, from: h, to: h + 1}, h)
 		}
 	}
 	return nil
@@ -931,11 +855,6 @@ func (g *Generator) findActor(r *rng.Source, country string, cat devicedb.Catego
 	return nil
 }
 
-func (g *Generator) findConsumerOfType(r *rng.Source, country string,
-	typ devicedb.DeviceType, used map[int]bool) *actor {
-	return g.findActor(r, country, devicedb.Consumer, "", typ, used)
-}
-
 func hasService(d devicedb.Device, svc string) bool {
 	for _, s := range d.Services {
 		if s == svc {
@@ -951,26 +870,26 @@ func hasService(d devicedb.Device, svc string) bool {
 func (g *Generator) ensureAllEmit() {
 	for _, a := range g.actors {
 		if len(a.tcpSvcs) == 0 && a.tcpRandom == 0 && len(a.udpGroups) == 0 &&
-			a.udpTail == 0 && a.icmpRate == 0 && a.otherRate == 0 &&
-			a.victim == nil && len(a.scripted) == 0 {
+			a.udpTail == 0 && a.icmpRate == 0 && a.otherRate == 0 && len(a.events) == 0 {
 			a.udpTail = 2 // a couple of packets per active hour
 		}
 	}
 }
 
-// buildBackgroundPool pre-draws the non-IoT source population.
-func (g *Generator) buildBackgroundPool() {
-	r := g.root.Derive("background")
-	n := scaleCount(g.sc.Background.Sources, g.sc.Scale)
-	g.bgPool = make([]uint32, 0, n)
+// sourcePool pre-draws a non-IoT source population of the full-scale size
+// sources from r: addresses in the registry, outside the inventory.
+func (g *Generator) sourcePool(r *rng.Source, sources int) []uint32 {
+	n := scaleCount(sources, g.sc.Scale)
+	pool := make([]uint32, 0, n)
 	nISPs := len(g.reg.ISPs)
-	for len(g.bgPool) < n {
+	for len(pool) < n {
 		a := g.reg.RandomAddr(r, r.Intn(nISPs))
 		if _, inInv := g.inv.LookupIP(a); inInv {
 			continue
 		}
-		g.bgPool = append(g.bgPool, uint32(a))
+		pool = append(pool, uint32(a))
 	}
+	return pool
 }
 
 // finalizeTruth snapshots the planted ground truth.
@@ -982,7 +901,7 @@ func (g *Generator) finalizeTruth() {
 		t.Compromised = append(t.Compromised, a.id)
 		t.OnsetHour[a.id] = a.onset
 		t.ActivityWeight[a.id] = g.actorWeight(a)
-		if a.victim != nil {
+		if a.victim() {
 			t.Victims = append(t.Victims, a.id)
 		}
 		if len(a.tcpSvcs) > 0 || a.tcpRandom > 0 {
@@ -1003,20 +922,4 @@ func (g *Generator) finalizeTruth() {
 	for _, ids := range t.Cohorts {
 		sort.Ints(ids)
 	}
-}
-
-// expectedHourlyPackets returns a rough expectation of total IoT packets
-// per hour at the scenario scale, used by tests as a sanity envelope.
-func (g *Generator) expectedHourlyPackets() float64 {
-	sc := g.sc
-	return (sc.TCPScan.HourlyPacketsConsumer + sc.TCPScan.HourlyPacketsCPS +
-		sc.UDPProbe.HourlyPackets + sc.ICMPScan.HourlyPackets +
-		sc.Other.HourlyPackets) * sc.Scale
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
