@@ -31,7 +31,6 @@ import (
 	"iotscope/internal/report"
 	"iotscope/internal/resultstore"
 	"iotscope/internal/rng"
-	"iotscope/internal/sketch"
 	"iotscope/internal/stream"
 	"iotscope/internal/threatintel"
 	"iotscope/internal/wgen"
@@ -282,39 +281,6 @@ func BenchmarkPipelineFullReport(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// --- Ablation of a shipped option (iotinfer -sketch; DESIGN.md Sec. 5).
-
-// BenchmarkAblationSketch compares exact unique-destination counting
-// against HyperLogLog during correlation.
-func BenchmarkAblationSketch(b *testing.B) {
-	ds, _ := benchFixture(b)
-	b.Run("exact-sets", func(b *testing.B) {
-		c := correlate.New(ds.Inventory, correlate.Options{Workers: 1})
-		for i := 0; i < b.N; i++ {
-			if _, err := c.ProcessDataset(context.Background(), ds.Dir); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("hyperloglog", func(b *testing.B) {
-		c := correlate.New(ds.Inventory, correlate.Options{Workers: 1, UseSketches: true})
-		for i := 0; i < b.N; i++ {
-			if _, err := c.ProcessDataset(context.Background(), ds.Dir); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("hll-standalone", func(b *testing.B) {
-		h, err := sketch.NewHLL(14)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			h.AddAddr(uint32(i))
-		}
-	})
 }
 
 // BenchmarkGenerateHour measures dataset synthesis itself (per hour).

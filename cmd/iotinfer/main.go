@@ -11,7 +11,7 @@
 //
 // Usage:
 //
-//	iotinfer -data DIR [-json] [-workers N] [-sketch] [-lenient]
+//	iotinfer -data DIR [-json] [-workers N] [-lenient]
 //	         [-shards N]
 //	         [-save store.irs] [-stage-report FILE|-]
 //	         [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -44,7 +44,6 @@ func run(args []string) error {
 		data        = fs.String("data", "", "dataset directory (required)")
 		asJSON      = fs.Bool("json", false, "emit machine-readable JSON")
 		workers     = fs.Int("workers", 0, "concurrent hour files (0 = GOMAXPROCS)")
-		sketch      = fs.Bool("sketch", false, "use HyperLogLog destination counters")
 		lenient     = fs.Bool("lenient", false, "quarantine unreadable hours instead of failing")
 		shards      = fs.Int("shards", 0, "partition correlation into N source-prefix shards (power of two, 0/1 = off)")
 		save        = fs.String("save", "", "write the analyzed correlation state to this result store file")
@@ -75,7 +74,6 @@ func run(args []string) error {
 	}
 	cfg := core.DefaultConfig(ds.Scenario.Scale, ds.Scenario.Seed)
 	cfg.Workers = *workers
-	cfg.UseSketches = *sketch
 	cfg.Lenient = *lenient
 	cfg.Shards = *shards
 	// The analysis pipeline, with the optional save-store stage appended so

@@ -38,7 +38,7 @@ func TestRunText(t *testing.T) {
 
 func TestRunJSON(t *testing.T) {
 	dir := testDataset(t)
-	if err := run([]string{"-data", dir, "-json", "-workers", "2", "-sketch"}); err != nil {
+	if err := run([]string{"-data", dir, "-json", "-workers", "2"}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -10,7 +10,8 @@
 // spikes with their dominant victim, new scan campaigns — to stdout, to a
 // crash-safe journal (-alert-log, defaulting next to the checkpoint), and
 // optionally over HTTP (-alerts-addr: long-poll /alerts, SSE
-// /alerts/stream).
+// /alerts/stream). That listener is the one HTTP alert feed; it has no
+// authentication, so bind it to loopback.
 //
 // Ingestion is fault tolerant and never aborts the watch: a structurally
 // corrupt hour is quarantined at once; an hour file that ends early (a
@@ -96,7 +97,7 @@ func run(args []string, stdout io.Writer) error {
 		alarm       = fs.Float64("alarm", 8, "DoS alarm threshold (x median backscatter hour; 0 disables)")
 		ckptDir     = fs.String("checkpoint-dir", "", "persist incremental state here after every sealed window and resume from it at startup")
 		alertLog    = fs.String("alert-log", "", "alert journal path (default <checkpoint-dir>/alerts.jsonl)")
-		alertsAddr  = fs.String("alerts-addr", "", "serve alerts over HTTP on this address (long-poll /alerts, SSE /alerts/stream)")
+		alertsAddr  = fs.String("alerts-addr", "", "serve alerts over HTTP on this address (long-poll /alerts, SSE /alerts/stream; no auth — bind loopback)")
 		retries     = fs.Int("retries", 3, "restarts of a crashed ingest loop before giving up (0 = never restart)")
 		backoff     = fs.Duration("backoff", 500*time.Millisecond, "base restart backoff (jittered, doubles per restart)")
 		stageReport = fs.String("stage-report", "", "write per-stage pipeline metrics JSON to this file (- = stderr)")
@@ -171,10 +172,7 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("GET /alerts", hub.ServeList)
-		mux.HandleFunc("GET /alerts/stream", hub.ServeStream)
-		hsrv := &http.Server{Handler: mux}
+		hsrv := alertsServer(hub)
 		// Close, not Shutdown: SSE streams are open-ended and would hold a
 		// graceful drain forever.
 		defer hsrv.Close()
@@ -214,6 +212,19 @@ func run(args []string, stdout io.Writer) error {
 		err = emitErr
 	}
 	return err
+}
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers (iotserve's value), so idle half-open connections cannot pile up.
+const readHeaderTimeout = 5 * time.Second
+
+// alertsServer serves the hub's long-poll and SSE feeds. It sets no
+// WriteTimeout: an SSE stream is open-ended.
+func alertsServer(hub *stream.Hub) *http.Server {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /alerts", hub.ServeList)
+	mux.HandleFunc("GET /alerts/stream", hub.ServeStream)
+	return &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 }
 
 // openIncremental builds the incremental correlator, resuming from the
@@ -299,9 +310,8 @@ func summary(w io.Writer, s stream.Stats) {
 	fmt.Fprintf(w, "followed to hour %d (watermark %d): %d windows sealed (%d partial), %d records in %d batches, %d quarantined\n",
 		s.MaxHour, s.Watermark, s.WindowsSealed, s.WindowsPartial,
 		s.RecordsIngested, s.BatchesIngested, s.HoursQuarantined)
-	fmt.Fprintf(w, "    alerts: %d emitted, %d suppressed as duplicates; late: %d hours, %d records (%d dropped); shed: %d batches; restarts: %d\n",
-		s.AlertsEmitted, s.AlertsSuppressed, s.LateHours, s.LateRecords, s.LateDropped,
-		s.ShedBatches, s.Restarts)
+	fmt.Fprintf(w, "    alerts: %d emitted, %d suppressed as duplicates; late: %d hours, %d records; restarts: %d\n",
+		s.AlertsEmitted, s.AlertsSuppressed, s.LateHours, s.LateRecords, s.Restarts)
 	fmt.Fprintf(w, "    checkpoints: %d committed, %d failed; %d bytes written, %d compactions, %d failed appends\n",
 		s.CheckpointWrites, s.CheckpointFailures,
 		s.CheckpointBytes, s.CheckpointCompactions, s.CheckpointAppendFailures)

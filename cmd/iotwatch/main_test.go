@@ -7,10 +7,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"iotscope/internal/core"
 	"iotscope/internal/correlate"
@@ -188,6 +191,46 @@ func TestPrintAlertsSurvivesOverflow(t *testing.T) {
 		if want := fmt.Sprintf("[hour %3d] ALERT test: k%d", i, i); line != want {
 			t.Fatalf("line %d = %q, want %q", i, line, want)
 		}
+	}
+}
+
+// The alert listener serves its two routes, and closes a connection that
+// never finishes its request headers instead of holding it for as long as
+// the client likes.
+func TestAlertsListenerHeaderTimeout(t *testing.T) {
+	t.Parallel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := alertsServer(stream.NewHub(nil))
+	go srv.Serve(ln)
+	defer srv.Close()
+	for _, path := range []string{"/alerts", "/alerts/stream"} {
+		resp, err := http.Get("http://" + ln.Addr().String() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d", path, resp.StatusCode)
+		}
+	}
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /alerts HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("the server answered a request whose headers never ended")
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("a connection with unfinished headers is still open after %v", time.Since(start).Round(time.Second))
 	}
 }
 

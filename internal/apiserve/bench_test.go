@@ -17,11 +17,17 @@ import (
 func benchPaths(b *testing.B) (summary, devicesFilter string) {
 	b.Helper()
 	s := loadServer(b)
-	page, _, _ := s.Current().Views().DevicesAfter("", "", -1, 1)
-	if len(page) == 0 {
+	first := -1
+	for id := range srvRes.Correlate.Devices {
+		if first < 0 || id < first {
+			first = id
+		}
+	}
+	d, ok := s.Current().Views().Device(first)
+	if !ok {
 		b.Fatal("fixture inferred no devices")
 	}
-	return "/v1/summary", fmt.Sprintf("/v1/devices?country=%s&limit=100", page[0].Country)
+	return "/v1/summary", fmt.Sprintf("/v1/devices?country=%s&limit=100", d.Country)
 }
 
 func benchServe(b *testing.B, h http.Handler, path string) {

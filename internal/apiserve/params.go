@@ -11,10 +11,7 @@ const maxInt = math.MaxInt
 // Query-parameter validation policy (the one validated-params helper):
 // every bounded parameter on a read endpoint is REJECTED with 400 and a
 // parameter-specific message when it is absent-from-range or unparsable —
-// never silently capped. The single documented exception is the alerts
-// long-poll ?wait, which is a latency-shaping knob, not a result bound:
-// it is clamped to the server's maximum (see stream.ServeList and
-// docs/API.md §parameters).
+// never silently capped.
 
 // intParam parses raw as an integer parameter: empty means def, anything
 // unparsable or outside [lo, hi] writes a 400 with msg and reports

@@ -3,15 +3,12 @@ package apiserve
 import (
 	"net/http"
 	"testing"
-
-	"iotscope/internal/stream"
 )
 
 // The parameter-validation contract, table-driven: every bounded query
 // parameter on a read endpoint rejects out-of-range or unparsable values
 // with 400 and a parameter-specific message — values are never silently
-// capped. (The alerts ?wait clamp is the one documented exception,
-// covered below.)
+// capped.
 func TestParamValidation(t *testing.T) {
 	s := loadServer(t)
 
@@ -72,28 +69,5 @@ func TestParamValidation(t *testing.T) {
 				t.Errorf("%s (%s): error %q, want %q", tc.path, tc.comment, got, tc.errMsg)
 			}
 		}
-	}
-}
-
-// The documented exception to reject-with-400: the alerts long-poll
-// ?wait is a latency knob, not a result bound, so oversized values are
-// clamped to the server maximum instead of rejected. Malformed values
-// are still 400s.
-func TestAlertsWaitClampException(t *testing.T) {
-	loadServer(t) // populate the shared srvDS/srvRes fixture
-	s, err := New(srvDS, srvRes, []string{testToken}, WithAlerts(stream.NewHub(nil)))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if code, body := get(t, s, "/v1/alerts?wait=bogus", testToken); code != http.StatusBadRequest ||
-		body["error"] != "bad wait duration" {
-		t.Fatalf("malformed wait: %d %v", code, body)
-	}
-	// wait=0 answers immediately with the (empty) backlog — the oversized
-	// clamp itself is pinned in the stream package tests, where the clock
-	// is controllable.
-	if code, _ := get(t, s, "/v1/alerts?wait=0s", testToken); code != http.StatusOK {
-		t.Fatalf("wait=0s: status %d", code)
 	}
 }

@@ -43,7 +43,6 @@ import (
 	"iotscope/internal/netx"
 	"iotscope/internal/pipeline"
 	"iotscope/internal/resilience"
-	"iotscope/internal/stream"
 )
 
 // Server serves analyzed datasets, one immutable snapshot at a time.
@@ -77,11 +76,6 @@ type Server struct {
 	// and conditional requests answered 304 from the client's cache.
 	requests    atomic.Uint64
 	notModified atomic.Uint64
-
-	// alerts, when wired via WithAlerts, serves the streaming collector's
-	// low-latency alert feed on /v1/alerts (long-poll) and
-	// /v1/alerts/stream (SSE).
-	alerts *stream.Hub
 }
 
 // Option customizes a Server at construction.
@@ -109,24 +103,6 @@ func WithRateLimit(rate float64, burst int) Option {
 			return err
 		}
 		s.rate = rl
-		return nil
-	}
-}
-
-// WithAlerts mounts a streaming collector's alert hub: GET /v1/alerts
-// answers with the journaled backlog after ?since=N and long-polls with
-// ?wait=DURATION; GET /v1/alerts/stream is a Server-Sent Events feed
-// whose event IDs are alert IDs, so Last-Event-ID reconnects resume
-// exactly. Both sit behind the same bearer-token auth as the rest of the
-// API. Note that WithRequestTimeout applies to these too — a cut stream
-// or long-poll is the client's cue to reconnect; no alert is lost, the
-// journal replays the gap.
-func WithAlerts(hub *stream.Hub) Option {
-	return func(s *Server) error {
-		if hub == nil {
-			return fmt.Errorf("apiserve: nil alert hub")
-		}
-		s.alerts = hub
 		return nil
 	}
 }
@@ -195,10 +171,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/malware", s.auth(s.view((*Snapshot).handleMalware)))
 	s.mux.HandleFunc("GET /v1/reports", s.auth(s.view((*Snapshot).handleReports)))
 	s.mux.HandleFunc("GET /v1/pipeline", s.auth(s.handlePipeline))
-	if s.alerts != nil {
-		s.mux.HandleFunc("GET /v1/alerts", s.auth(s.alerts.ServeList))
-		s.mux.HandleFunc("GET /v1/alerts/stream", s.auth(s.alerts.ServeStream))
-	}
 }
 
 // SetLoadReport publishes the per-stage report of the latest snapshot load

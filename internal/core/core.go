@@ -66,9 +66,6 @@ type Config struct {
 	Hours int
 	// Workers bounds concurrent hour-file processing during analysis.
 	Workers int
-	// UseSketches switches per-hour unique-destination counting to
-	// HyperLogLog (the telescope-scale mode).
-	UseSketches bool
 	// ExploreTopPerCategory is the full-scale Sec. V-A explored-device cut
 	// (scaled like everything else; the paper used 4,000 per realm).
 	ExploreTopPerCategory int
@@ -348,9 +345,8 @@ const (
 // wiring from.
 func (cfg Config) CorrelatorOptions() correlate.Options {
 	opts := correlate.Options{
-		Workers:     cfg.Workers,
-		UseSketches: cfg.UseSketches,
-		Shards:      cfg.Shards,
+		Workers: cfg.Workers,
+		Shards:  cfg.Shards,
 	}
 	if cfg.Lenient {
 		opts.FaultPolicy = correlate.Lenient

@@ -11,18 +11,12 @@ import (
 
 	"iotscope/internal/devicedb"
 	"iotscope/internal/flowtuple"
-	"iotscope/internal/sketch"
 )
 
 // Options tunes the correlator.
 type Options struct {
 	// Workers bounds concurrent hour files (default: GOMAXPROCS).
 	Workers int
-	// UseSketches switches the per-hour unique-destination counters from
-	// exact sets to HyperLogLogs — the telescope-scale mode.
-	UseSketches bool
-	// SketchPrecision is the HLL precision (default 14).
-	SketchPrecision int
 	// FaultPolicy selects strict (fail fast, the default) or lenient
 	// (quarantine unreadable hours and continue) ingestion.
 	FaultPolicy FaultPolicy
@@ -32,12 +26,14 @@ type Options struct {
 	Shards int
 }
 
+// bgPrecision is the precision of the HyperLogLog that counts distinct
+// background sources (2^14 registers, ≈ 0.8 % standard error). Checkpoints
+// carry it as BGPrecision, and a restore refuses any other.
+const bgPrecision = 14
+
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.SketchPrecision == 0 {
-		o.SketchPrecision = 14
 	}
 	if o.Shards <= 0 {
 		o.Shards = 1
@@ -189,10 +185,7 @@ func (c *Correlator) processDataset(ctx context.Context, dir string) (*Result, [
 // error — including cancellation — every plane is already back in the pool.
 // It reads nothing of inc the merger writes.
 func (inc *Incremental) readHour(ctx context.Context, dir string, hour int, routed []atomic.Uint64) (*hourScratch, error) {
-	w, err := inc.openWindow(hour)
-	if err != nil {
-		return nil, err
-	}
+	w := inc.openWindow(hour)
 	if err := w.feedFile(ctx, dir); err != nil {
 		w.Abort()
 		return nil, err
@@ -216,52 +209,6 @@ func newResult(hours int) *Result {
 		res.Hourly[i].Hour = i
 	}
 	return res
-}
-
-// destCounter counts unique destinations exactly or approximately. absorb
-// folds in another counter of the same mode (one correlator never mixes
-// them): an exact counter takes the union, an HLL the register-wise max,
-// either way the state one counter fed both streams would hold.
-type destCounter interface {
-	add(v uint32)
-	estimate() uint64
-	reset()
-	absorb(o destCounter)
-}
-
-// exactCounter is the exact mode, backed by the same open-addressed set the
-// rest of the dense path uses.
-type exactCounter struct{ s u64set }
-
-func newExactCounter() *exactCounter {
-	e := &exactCounter{}
-	e.s.init(1024)
-	return e
-}
-
-func (e *exactCounter) add(v uint32)         { e.s.add(uint64(v)) }
-func (e *exactCounter) estimate() uint64     { return uint64(e.s.used) }
-func (e *exactCounter) reset()               { e.s.reset() }
-func (e *exactCounter) absorb(o destCounter) { e.s.union(&o.(*exactCounter).s) }
-
-type hllCounter struct{ h *sketch.HLL }
-
-func (h hllCounter) add(v uint32)     { h.h.AddAddr(v) }
-func (h hllCounter) estimate() uint64 { return h.h.Estimate() }
-func (h hllCounter) reset()           { h.h.Reset() }
-
-func (h hllCounter) absorb(o destCounter) {
-	h.h.Merge(o.(hllCounter).h) //nolint:errcheck // same precision by construction
-}
-
-func (c *Correlator) newDestCounter() destCounter {
-	if c.opts.UseSketches {
-		h, err := sketch.NewHLL(c.opts.SketchPrecision)
-		if err == nil {
-			return hllCounter{h}
-		}
-	}
-	return newExactCounter()
 }
 
 // portBitset tracks unique 16-bit ports in 8 KiB.

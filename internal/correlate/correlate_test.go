@@ -211,27 +211,6 @@ func TestPortBitset(t *testing.T) {
 	}
 }
 
-func TestSketchModeClose(t *testing.T) {
-	dir, inv := buildTinyDataset(t)
-	exact, err := New(inv, Options{}).ProcessDataset(context.Background(), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx, err := New(inv, Options{UseSketches: true}).ProcessDataset(context.Background(), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// At tiny cardinalities the HLL linear-counting regime is exact.
-	for h := 0; h < 2; h++ {
-		for ci := 0; ci < 2; ci++ {
-			e, a := exact.Hourly[h].PerCat[ci], approx.Hourly[h].PerCat[ci]
-			if e.ScanDstIPs != a.ScanDstIPs || e.UDPDstIPs != a.UDPDstIPs {
-				t.Fatalf("hour %d cat %d: exact %+v approx %+v", h, ci, e, a)
-			}
-		}
-	}
-}
-
 // End-to-end with the workload generator: ground truth must be recovered.
 func TestRecoverGroundTruth(t *testing.T) {
 	sc := wgen.Default(0.002, 77)

@@ -220,10 +220,7 @@ func (inc *Incremental) replay(d *CheckpointDelta) error {
 		if inc.hours[h] || inc.quarantined[h] {
 			return badf("checkpoint delta repeats settled hour %d", h)
 		}
-		s, err := inc.c.getScratch()
-		if err != nil {
-			return err
-		}
+		s := inc.c.getScratch()
 		if err := inc.c.loadScratch(s, hd); err != nil {
 			inc.c.putScratch(s)
 			return err

@@ -214,15 +214,15 @@ type hourScratch struct {
 	activeN      [2]int
 	udpDevN      [2]int
 	scanDevN     [2]int
-	udpDstIPs    [2]destCounter
-	scanDstIPs   [2]destCounter
+	udpDstIPs    [2]u64set
+	scanDstIPs   [2]u64set
 	udpDstPorts  [2]portBitset
 	scanDstPorts [2]portBitset
 
 	batch []flowtuple.Record
 }
 
-func (c *Correlator) newScratch() (*hourScratch, error) {
+func (c *Correlator) newScratch() *hourScratch {
 	c.scratchAllocs.Add(1)
 	n := c.inv.Len()
 	s := &hourScratch{
@@ -241,15 +241,12 @@ func (c *Correlator) newScratch() (*hourScratch, error) {
 	s.udpPortDev.init(4096)
 	s.tcpDevCon.init(4096)
 	s.tcpDevCPS.init(4096)
-	var err error
-	if s.bgSrcHLL, err = sketch.NewHLL(c.opts.SketchPrecision); err != nil {
-		return nil, err
-	}
+	s.bgSrcHLL, _ = sketch.NewHLL(bgPrecision) // a valid precision: cannot fail
 	for i := 0; i < 2; i++ {
-		s.udpDstIPs[i] = c.newDestCounter()
-		s.scanDstIPs[i] = c.newDestCounter()
+		s.udpDstIPs[i].init(1024)
+		s.scanDstIPs[i].init(1024)
 	}
-	return s, nil
+	return s
 }
 
 // reset clears the scratch for reuse, touching only what the last hour
@@ -293,9 +290,9 @@ func (s *hourScratch) reset() {
 	}
 }
 
-func (c *Correlator) getScratch() (*hourScratch, error) {
+func (c *Correlator) getScratch() *hourScratch {
 	if v := c.scratch.Get(); v != nil {
-		return v.(*hourScratch), nil
+		return v.(*hourScratch)
 	}
 	return c.newScratch()
 }
@@ -342,7 +339,7 @@ func (c *Correlator) accumulate(s *hourScratch, hour int, rec *flowtuple.Record)
 			s.devFlags[idx] |= devFlagUDP
 			s.udpDevN[ci]++
 		}
-		s.udpDstIPs[ci].add(rec.DstIP)
+		s.udpDstIPs[ci].add(uint64(rec.DstIP))
 		s.udpDstPorts[ci].add(rec.DstPort)
 		p := rec.DstPort
 		if !s.udpMark.has(p) {
@@ -358,7 +355,7 @@ func (c *Correlator) accumulate(s *hourScratch, hour int, rec *flowtuple.Record)
 			s.devFlags[idx] |= devFlagScan
 			s.scanDevN[ci]++
 		}
-		s.scanDstIPs[ci].add(rec.DstIP)
+		s.scanDstIPs[ci].add(uint64(rec.DstIP))
 		s.scanDstPorts[ci].add(rec.DstPort)
 		p := rec.DstPort
 		if !s.tcpMark.has(p) {
@@ -390,9 +387,9 @@ func (s *hourScratch) finalize(hour int) {
 		cat.ActiveDevices = s.activeN[ci]
 		cat.UDPDevices = s.udpDevN[ci]
 		cat.ScanDevices = s.scanDevN[ci]
-		cat.UDPDstIPs = s.udpDstIPs[ci].estimate()
+		cat.UDPDstIPs = uint64(s.udpDstIPs[ci].used)
 		cat.UDPDstPorts = s.udpDstPorts[ci].count()
-		cat.ScanDstIPs = s.scanDstIPs[ci].estimate()
+		cat.ScanDstIPs = uint64(s.scanDstIPs[ci].used)
 		cat.ScanDstPorts = s.scanDstPorts[ci].count()
 	}
 	for _, idx := range s.touched {
@@ -408,9 +405,9 @@ func (s *hourScratch) finalize(hour int) {
 // absorb folds o — another plane of the same hour, fed a disjoint set of
 // source addresses — into s, leaving s what one plane fed both record
 // streams would hold: per-device rows are disjoint and copy, packet and
-// device counters add, the port-device membership sets and the exact
-// destination sets union, HLL registers take the max, port bitsets OR. The
-// per-device dedup sets (devPort, devDest) only feed sweep counters that
+// device counters add, the port-device membership sets and the destination
+// sets union, the background HLL's registers take the max, port bitsets OR.
+// The per-device dedup sets (devPort, devDest) only feed sweep counters that
 // accumulate has already settled, so they stay behind. s must not be
 // finalized yet; o is left as it was, for its owner to recycle.
 func (s *hourScratch) absorb(o *hourScratch) {
@@ -454,8 +451,8 @@ func (s *hourScratch) absorb(o *hourScratch) {
 		s.activeN[ci] += o.activeN[ci]
 		s.udpDevN[ci] += o.udpDevN[ci]
 		s.scanDevN[ci] += o.scanDevN[ci]
-		s.udpDstIPs[ci].absorb(o.udpDstIPs[ci])
-		s.scanDstIPs[ci].absorb(o.scanDstIPs[ci])
+		s.udpDstIPs[ci].union(&o.udpDstIPs[ci])
+		s.scanDstIPs[ci].union(&o.scanDstIPs[ci])
 		s.udpDstPorts[ci].or(&o.udpDstPorts[ci])
 		s.scanDstPorts[ci].or(&o.scanDstPorts[ci])
 	}

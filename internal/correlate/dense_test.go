@@ -123,24 +123,6 @@ func TestDenseMatchesReferenceStrictError(t *testing.T) {
 	}
 }
 
-// Sketch mode: HLL merges are commutative max-folds, so the dense path must
-// still match the reference estimate for estimate.
-func TestDenseMatchesReferenceSketches(t *testing.T) {
-	dir, g := cleanDataset(t, 42, 6)
-	for _, workers := range []int{1, 8} {
-		c := New(g.Inventory(), Options{Workers: workers, UseSketches: true})
-		want, err := refProcessDataset(c, dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := c.ProcessDataset(context.Background(), dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireIdentical(t, want, got)
-	}
-}
-
 // The incremental path shares the dense engine; hour-at-a-time ingestion
 // must land on the reference batch result.
 func TestDenseIncrementalMatchesReference(t *testing.T) {

@@ -345,10 +345,15 @@ func (e *ResultExport) Result() (*Result, error) {
 		res.Devices[d.ID] = d
 	}
 	// Device-list membership is validated against a dense ID bitmap: the
-	// per-element map probe was a measurable share of the load profile.
-	valid := make([]bool, int(prevID)+1)
-	for i := range e.Devices {
-		valid[e.Devices[i].ID] = true
+	// per-element map probe was a measurable share of the load profile. The
+	// bitmap is sized by the largest ID, so it is built only while IDs are
+	// dense; one hostile row near 2³¹ would otherwise cost 2 GiB.
+	valid := knownDevices{rows: e.Devices}
+	if int(prevID) < 64*len(e.Devices)+4096 {
+		valid.table = make([]bool, int(prevID)+1)
+		for i := range e.Devices {
+			valid.table[e.Devices[i].ID] = true
+		}
 	}
 
 	var udpLists int
@@ -365,7 +370,7 @@ func (e *ResultExport) Result() (*Result, error) {
 	udpSlab := make([]PortAgg, len(e.UDPPorts))
 	for i := range e.UDPPorts {
 		pe := &e.UDPPorts[i]
-		devs, err := carveList(&udpBacking, pe.Devices, valid, "UDP", pe.Port)
+		devs, err := carveList(&udpBacking, pe.Devices, &valid, "UDP", pe.Port)
 		if err != nil {
 			return nil, err
 		}
@@ -387,11 +392,11 @@ func (e *ResultExport) Result() (*Result, error) {
 	tcpSlab := make([]TCPPortAgg, len(e.TCPScanPorts))
 	for i := range e.TCPScanPorts {
 		pe := &e.TCPScanPorts[i]
-		con, err := carveList(&tcpBacking, pe.DevicesConsumer, valid, "TCP", pe.Port)
+		con, err := carveList(&tcpBacking, pe.DevicesConsumer, &valid, "TCP", pe.Port)
 		if err != nil {
 			return nil, err
 		}
-		cps, err := carveList(&tcpBacking, pe.DevicesCPS, valid, "TCP", pe.Port)
+		cps, err := carveList(&tcpBacking, pe.DevicesCPS, &valid, "TCP", pe.Port)
 		if err != nil {
 			return nil, err
 		}
@@ -424,10 +429,30 @@ func (e *ResultExport) Result() (*Result, error) {
 	return res, nil
 }
 
+// knownDevices answers whether an ID is one of an export's device rows: from
+// the bitmap when there is one, else by binary search over the ascending rows.
+type knownDevices struct {
+	table []bool // nil when IDs are too sparse for a bitmap
+	rows  []DeviceExport
+}
+
+func (k *knownDevices) has(id int32) bool {
+	if k.table != nil {
+		return uint(id) < uint(len(k.table)) && k.table[id] // a negative id wraps high
+	}
+	return k.search(id)
+}
+
+// search is has without a bitmap, kept out of line so has inlines.
+func (k *knownDevices) search(id int32) bool {
+	_, ok := slices.BinarySearchFunc(k.rows, id, func(d DeviceExport, id int32) int { return cmp.Compare(d.ID, id) })
+	return ok
+}
+
 // carveList copies one ascending device list into the shared backing array
 // and returns the carved slice (nil when empty), validating order and that
 // every listed device exists in the result.
-func carveList(backing *[]int32, devs []int32, known []bool, proto string, port uint16) ([]int32, error) {
+func carveList(backing *[]int32, devs []int32, known *knownDevices, proto string, port uint16) ([]int32, error) {
 	if len(devs) == 0 {
 		return nil, nil
 	}
@@ -437,7 +462,7 @@ func carveList(backing *[]int32, devs []int32, known []bool, proto string, port 
 			return nil, badf("%s port %d device list not ascending at %d", proto, port, id)
 		}
 		prev = id
-		if id < 0 || int(id) >= len(known) || !known[id] {
+		if !known.has(id) {
 			return nil, badf("%s port %d lists unknown device %d", proto, port, id)
 		}
 	}
@@ -504,12 +529,12 @@ func (inc *Incremental) IngestedHours() []int {
 }
 
 // RestoreIncremental rebuilds an incremental correlator from a checkpoint
-// previously captured with Export. The correlator must be configured
-// compatibly with the one that wrote the checkpoint: same inventory (device
-// indices are validated against it) and same sketch precision (the running
-// HLL must merge with per-hour sketches). Any Deltas are replayed on top of
-// the base through the live merge path; a delta the base cannot take (an
-// hour out of range or already settled, a device outside the inventory) is
+// previously captured with Export. The checkpoint must have been written
+// over the same inventory (device indices are validated against it) and
+// with the background-sources HLL's precision, bgPrecision (the running HLL
+// must merge with per-hour sketches). Any Deltas are replayed on top of the
+// base through the live merge path; a delta the base cannot take (an hour
+// out of range or already settled, a device outside the inventory) is
 // ErrBadFormat. The restored instance's future behavior — fresh-device
 // notifications, merged statistics, Result — is identical to the
 // original's had it never stopped.
@@ -526,9 +551,9 @@ func (c *Correlator) RestoreIncremental(cp *CheckpointExport) (*Incremental, err
 	if err := c.checkShards(); err != nil {
 		return nil, err
 	}
-	if int(cp.BGPrecision) != c.opts.SketchPrecision {
+	if cp.BGPrecision != bgPrecision {
 		return nil, fmt.Errorf("correlate: checkpoint sketch precision %d, correlator uses %d",
-			cp.BGPrecision, c.opts.SketchPrecision)
+			cp.BGPrecision, bgPrecision)
 	}
 	res, err := cp.Result.Result()
 	if err != nil {

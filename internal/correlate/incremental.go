@@ -45,10 +45,7 @@ func (c *Correlator) NewIncremental(maxHours int) (*Incremental, error) {
 	if err := c.checkShards(); err != nil {
 		return nil, err
 	}
-	bg, err := sketch.NewHLL(c.opts.SketchPrecision)
-	if err != nil {
-		return nil, err
-	}
+	bg, _ := sketch.NewHLL(bgPrecision) // a valid precision: cannot fail
 	return &Incremental{
 		c:           c,
 		res:         newResult(maxHours),

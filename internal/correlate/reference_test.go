@@ -89,28 +89,6 @@ type refPartial struct {
 	perDevDest map[int]map[netx.Addr]struct{}
 }
 
-type refExactCounter struct{ m map[uint32]struct{} }
-
-func (e *refExactCounter) add(v uint32)     { e.m[v] = struct{}{} }
-func (e *refExactCounter) estimate() uint64 { return uint64(len(e.m)) }
-func (e *refExactCounter) reset()           { clear(e.m) }
-
-func (e *refExactCounter) absorb(o destCounter) {
-	for v := range o.(*refExactCounter).m {
-		e.m[v] = struct{}{}
-	}
-}
-
-func refDestCounter(c *Correlator) destCounter {
-	if c.opts.UseSketches {
-		h, err := sketch.NewHLL(c.opts.SketchPrecision)
-		if err == nil {
-			return hllCounter{h}
-		}
-	}
-	return &refExactCounter{m: make(map[uint32]struct{}, 1024)}
-}
-
 // refProcessHourFile streams one hour file into a map partial, one record
 // at a time through Reader.Next.
 func refProcessHourFile(c *Correlator, dir string, hour int) (*refPartial, error) {
@@ -125,7 +103,7 @@ func refProcessHourFile(c *Correlator, dir string, hour int) (*refPartial, error
 		perDevDest: make(map[int]map[netx.Addr]struct{}),
 	}
 	var err error
-	part.bgSrcHLL, err = sketch.NewHLL(c.opts.SketchPrecision)
+	part.bgSrcHLL, err = sketch.NewHLL(bgPrecision)
 	if err != nil {
 		return nil, err
 	}
@@ -134,18 +112,18 @@ func refProcessHourFile(c *Correlator, dir string, hour int) (*refPartial, error
 		active       [2]map[int]struct{}
 		udpDevs      [2]map[int]struct{}
 		scanDevs     [2]map[int]struct{}
-		udpDstIPs    [2]destCounter
+		udpDstIPs    [2]map[uint32]struct{}
 		udpDstPorts  [2]*portBitset
-		scanDstIPs   [2]destCounter
+		scanDstIPs   [2]map[uint32]struct{}
 		scanDstPorts [2]*portBitset
 	)
 	for i := 0; i < 2; i++ {
 		active[i] = make(map[int]struct{}, 1024)
 		udpDevs[i] = make(map[int]struct{}, 1024)
 		scanDevs[i] = make(map[int]struct{}, 1024)
-		udpDstIPs[i] = refDestCounter(c)
+		udpDstIPs[i] = make(map[uint32]struct{}, 1024)
 		udpDstPorts[i] = &portBitset{}
-		scanDstIPs[i] = refDestCounter(c)
+		scanDstIPs[i] = make(map[uint32]struct{}, 1024)
 		scanDstPorts[i] = &portBitset{}
 	}
 
@@ -194,7 +172,7 @@ func refProcessHourFile(c *Correlator, dir string, hour int) (*refPartial, error
 		switch cls {
 		case classify.UDP:
 			udpDevs[ci][devIdx] = struct{}{}
-			udpDstIPs[ci].add(rec.DstIP)
+			udpDstIPs[ci][rec.DstIP] = struct{}{}
 			udpDstPorts[ci].add(rec.DstPort)
 			pa := part.udpPorts[rec.DstPort]
 			if pa == nil {
@@ -210,7 +188,7 @@ func refProcessHourFile(c *Correlator, dir string, hour int) (*refPartial, error
 			ds.BackscatterHourly[hour] += pkts
 		case classify.ScanTCP:
 			scanDevs[ci][devIdx] = struct{}{}
-			scanDstIPs[ci].add(rec.DstIP)
+			scanDstIPs[ci][rec.DstIP] = struct{}{}
 			scanDstPorts[ci].add(rec.DstPort)
 			ta := part.tcpPorts[rec.DstPort]
 			if ta == nil {
@@ -249,9 +227,9 @@ func refProcessHourFile(c *Correlator, dir string, hour int) (*refPartial, error
 		cat.ActiveDevices = len(active[i])
 		cat.UDPDevices = len(udpDevs[i])
 		cat.ScanDevices = len(scanDevs[i])
-		cat.UDPDstIPs = udpDstIPs[i].estimate()
+		cat.UDPDstIPs = uint64(len(udpDstIPs[i]))
 		cat.UDPDstPorts = udpDstPorts[i].count()
-		cat.ScanDstIPs = scanDstIPs[i].estimate()
+		cat.ScanDstIPs = uint64(len(scanDstIPs[i]))
 		cat.ScanDstPorts = scanDstPorts[i].count()
 	}
 	for devIdx, ports := range part.perDevPort {
@@ -347,7 +325,7 @@ func refProcessDataset(c *Correlator, dir string) (*Result, error) {
 		wg      sync.WaitGroup
 	)
 	sem := make(chan struct{}, c.opts.Workers)
-	bgSources, err := sketch.NewHLL(c.opts.SketchPrecision)
+	bgSources, err := sketch.NewHLL(bgPrecision)
 	if err != nil {
 		return nil, err
 	}

@@ -13,9 +13,10 @@ import (
 // finalized and merged. A source IP — and therefore a device — lives in
 // exactly one plane, so per-device state is disjoint across planes and
 // per-port counters add; the only state different planes can both hold is
-// the unique-destination surface, which absorb unions (exact sets) or maxes
-// register-wise (HLL) — exactly the state an unpartitioned counter would
-// reach, which is what makes the sharded result identical, not merely close.
+// the unique-destination sets, which absorb unions, and the background-
+// sources HLL, whose registers it maxes — exactly the state an unpartitioned
+// counter would reach, which is what makes the sharded result identical, not
+// merely close.
 
 // ShardOf returns the shard owning a source address: the top log2(shards)
 // bits of the IP. shards must be a power of two; 1 maps everything to

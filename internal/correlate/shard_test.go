@@ -135,23 +135,6 @@ func TestShardedMatchesOracleLenient(t *testing.T) {
 	}
 }
 
-// Sketch mode: HLL register-wise max across shards must reproduce the
-// unpartitioned registers, hence identical estimates.
-func TestShardedMatchesOracleSketches(t *testing.T) {
-	dir, g := cleanDataset(t, 98, 5)
-	oracle, err := New(g.Inventory(), Options{Workers: 4, UseSketches: true, SketchPrecision: 12}).
-		ProcessDataset(context.Background(), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := New(g.Inventory(), Options{Workers: 4, UseSketches: true, SketchPrecision: 12, Shards: 4})
-	got, _, err := c.ProcessDatasetSharded(context.Background(), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameExport(t, oracle, got)
-}
-
 // Strict policy over a damaged dataset: the sharded run fails with the same
 // deterministic lowest-hour error as the unsharded one.
 func TestShardedStrictError(t *testing.T) {
@@ -222,47 +205,45 @@ func TestShardedCancellation(t *testing.T) {
 // same state once merged.
 func TestAbsorbEqualsUnsharded(t *testing.T) {
 	dir, g := cleanDataset(t, 104, 1)
-	for _, sketches := range []bool{false, true} {
-		fold := func(shards int) (HourStats, *CheckpointExport) {
-			t.Helper()
-			c := New(g.Inventory(), Options{UseSketches: sketches, SketchPrecision: 12, Shards: shards})
-			inc, err := c.NewIncremental(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, err := inc.OpenWindow(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := w.feedFile(context.Background(), dir); err != nil {
-				t.Fatal(err)
-			}
-			busy := 0
-			for _, s := range w.planes {
-				if s.stats.RecordsIoT > 0 {
-					busy++
-				}
-			}
-			if shards > 1 && busy < 2 {
-				t.Fatalf("shards=%d: IoT records reached %d plane(s); the fold is not exercised", shards, busy)
-			}
-			s := w.fold()
-			stats := s.stats
-			if err := inc.merge(s); err != nil {
-				t.Fatal(err)
-			}
-			return stats, inc.Export()
+	fold := func(shards int) (HourStats, *CheckpointExport) {
+		t.Helper()
+		c := New(g.Inventory(), Options{Shards: shards})
+		inc, err := c.NewIncremental(1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		wantStats, wantExport := fold(1)
-		for _, shards := range []int{2, 8} {
-			stats, export := fold(shards)
-			if !reflect.DeepEqual(wantStats, stats) {
-				t.Fatalf("sketches=%v shards=%d: hour stats diverged:\n one plane %+v\n absorbed  %+v",
-					sketches, shards, wantStats, stats)
+		w, err := inc.OpenWindow(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.feedFile(context.Background(), dir); err != nil {
+			t.Fatal(err)
+		}
+		busy := 0
+		for _, s := range w.planes {
+			if s.stats.RecordsIoT > 0 {
+				busy++
 			}
-			if !reflect.DeepEqual(wantExport, export) {
-				t.Fatalf("sketches=%v shards=%d: merged export diverged", sketches, shards)
-			}
+		}
+		if shards > 1 && busy < 2 {
+			t.Fatalf("shards=%d: IoT records reached %d plane(s); the fold is not exercised", shards, busy)
+		}
+		s := w.fold()
+		stats := s.stats
+		if err := inc.merge(s); err != nil {
+			t.Fatal(err)
+		}
+		return stats, inc.Export()
+	}
+	wantStats, wantExport := fold(1)
+	for _, shards := range []int{2, 8} {
+		stats, export := fold(shards)
+		if !reflect.DeepEqual(wantStats, stats) {
+			t.Fatalf("shards=%d: hour stats diverged:\n one plane %+v\n absorbed  %+v",
+				shards, wantStats, stats)
+		}
+		if !reflect.DeepEqual(wantExport, export) {
+			t.Fatalf("shards=%d: merged export diverged", shards)
 		}
 	}
 }

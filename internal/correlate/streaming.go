@@ -64,26 +64,22 @@ func (inc *Incremental) OpenWindow(hour int) (*Window, error) {
 	if err := inc.admits(hour); err != nil {
 		return nil, err
 	}
-	return inc.openWindow(hour)
+	return inc.openWindow(hour), nil
 }
 
 // openWindow draws the window's planes from the pool without consulting the
 // hour bookkeeping, which belongs to the goroutine that merges: batch
 // workers open windows concurrently with the merger and leave the guard to
 // merge.
-func (inc *Incremental) openWindow(hour int) (*Window, error) {
+func (inc *Incremental) openWindow(hour int) *Window {
 	w := &Window{inc: inc, hour: hour, planes: make([]*hourScratch, 0, inc.c.opts.Shards)}
 	for range inc.c.opts.Shards {
-		s, err := inc.c.getScratch()
-		if err != nil {
-			w.Abort()
-			return nil, err
-		}
+		s := inc.c.getScratch()
 		s.hour = hour
 		s.stats.Hour = hour
 		w.planes = append(w.planes, s)
 	}
-	return w, nil
+	return w
 }
 
 // Hour returns the window's event-time hour.

@@ -125,32 +125,13 @@ func (v *Views) ThreatCategories(id int) ([]string, bool) {
 	return v.threatCats[pos], true
 }
 
-// DeviceSlice answers offset pagination over one filter combination:
-// rows [offset, offset+limit) of the matching devices in ascending-ID
-// order, plus the total match count. An offset past the end yields an
-// empty (non-nil) page.
-func (v *Views) DeviceSlice(country, category string, offset, limit int) ([]Device, int) {
-	ids := v.filters[filterKey{country, category}]
-	total := len(ids)
-	if offset > total {
-		offset = total
-	}
-	ids = ids[offset:]
-	if limit >= 0 && len(ids) > limit {
-		ids = ids[:limit]
-	}
-	out := make([]Device, len(ids))
-	for i, pos := range ids {
-		out[i] = v.rows[pos]
-	}
-	return out, total
-}
-
 // AppendDeviceSliceBody appends the complete /v1/devices offset-mode
 // response body to buf from the pre-encoded rows — byte-identical to
 // encoding {"devices": …, "offset": …, "total": …} with a
-// two-space-indented json.Encoder, at concatenation cost. The echoed
-// offset is clamped to total, matching the pre-materialization handler.
+// two-space-indented json.Encoder, at concatenation cost: rows
+// [offset, offset+limit) of the matching devices in ascending-ID order. The
+// echoed offset is clamped to total, matching the pre-materialization
+// handler, so an offset past the end yields an empty page.
 // Appending into a caller-owned (typically pooled) buffer keeps the hot
 // list endpoint free of per-request body allocations.
 func (v *Views) AppendDeviceSliceBody(buf *bytes.Buffer, country, category string, offset, limit int) {
@@ -171,8 +152,10 @@ func (v *Views) AppendDeviceSliceBody(buf *bytes.Buffer, country, category strin
 
 // AppendDevicesAfterBody appends the complete /v1/devices cursor-mode
 // response body ({"devices": …, "nextCursor"?: …, "total": …}) to buf
-// from the pre-encoded rows. nextCursor is present iff matches remain
-// past the page.
+// from the pre-encoded rows: up to limit matching devices with ID strictly
+// greater than afterID. nextCursor is present iff matches remain past the
+// page. The position is found by binary search, so resuming deep into a
+// large list costs O(log n + page), not O(offset).
 func (v *Views) AppendDevicesAfterBody(buf *bytes.Buffer, country, category string, afterID, limit int) {
 	ids := v.filters[filterKey{country, category}]
 	total := len(ids)
@@ -220,25 +203,4 @@ func (v *Views) appendRowArray(buf *bytes.Buffer, page []int32) {
 		buf.Write(v.rowJSON[pos])
 	}
 	buf.WriteString("\n  ]")
-}
-
-// DevicesAfter answers cursor pagination: up to limit matching devices
-// with ID strictly greater than afterID, in ascending-ID order. more
-// reports whether matches remain past the returned page. The position is
-// found by binary search, so resuming deep into a large list costs
-// O(log n + page), not O(offset).
-func (v *Views) DevicesAfter(country, category string, afterID, limit int) (out []Device, total int, more bool) {
-	ids := v.filters[filterKey{country, category}]
-	total = len(ids)
-	lo := sort.Search(len(ids), func(i int) bool { return v.rows[ids[i]].ID > afterID })
-	page := ids[lo:]
-	if limit >= 0 && len(page) > limit {
-		page = page[:limit]
-		more = true
-	}
-	out = make([]Device, len(page))
-	for i, pos := range page {
-		out[i] = v.rows[pos]
-	}
-	return out, total, more
 }

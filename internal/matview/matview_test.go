@@ -4,6 +4,8 @@ package matview_test
 // internal/core (which itself imports matview for the materialize stage).
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"os"
 	"reflect"
@@ -110,59 +112,88 @@ func TestCursorRoundTrip(t *testing.T) {
 	}
 }
 
-// Offset paging and cursor paging must enumerate exactly the same rows.
+// devicesBody is a /v1/devices response body as either appender renders it.
+type devicesBody struct {
+	Devices    []matview.Device `json:"devices"`
+	Offset     int              `json:"offset"`
+	NextCursor string           `json:"nextCursor"`
+	Total      int              `json:"total"`
+}
+
+func decodeDevices(t *testing.T, buf *bytes.Buffer) devicesBody {
+	t.Helper()
+	var b devicesBody
+	if err := json.Unmarshal(buf.Bytes(), &b); err != nil {
+		t.Fatalf("devices body does not parse: %v\n%s", err, buf)
+	}
+	return b
+}
+
+func offsetPage(t *testing.T, v *matview.Views, country, category string, offset, limit int) devicesBody {
+	t.Helper()
+	var buf bytes.Buffer
+	v.AppendDeviceSliceBody(&buf, country, category, offset, limit)
+	return decodeDevices(t, &buf)
+}
+
+func cursorPage(t *testing.T, v *matview.Views, country, category string, afterID, limit int) devicesBody {
+	t.Helper()
+	var buf bytes.Buffer
+	v.AppendDevicesAfterBody(&buf, country, category, afterID, limit)
+	return decodeDevices(t, &buf)
+}
+
+// Offset paging and cursor paging must enumerate exactly the same rows:
+// following nextCursor through pages of 3 rebuilds the device array of the
+// one offset page that holds every match.
 func TestDeviceSliceMatchesDevicesAfter(t *testing.T) {
-	ds, _, v := fixture(t)
-	if v.NumDevices() == 0 {
+	_, _, v := fixture(t)
+	first := cursorPage(t, v, "", "", -1, 1)
+	if len(first.Devices) == 0 {
 		t.Fatal("fixture inferred no devices")
 	}
-	filters := [][2]string{{"", ""}, {"ZZ", ""}, {"", "consumer"}, {"", "cps"}}
-	if d, ok := v.Device(firstDeviceID(v)); ok {
-		filters = append(filters, [2]string{d.Country, ""}, [2]string{d.Country, d.Category})
-	}
-	_ = ds
+	d := first.Devices[0]
+	filters := [][2]string{{"", ""}, {"ZZ", ""}, {"", "consumer"}, {"", "cps"},
+		{d.Country, ""}, {d.Country, d.Category}}
 
 	for _, f := range filters {
 		country, category := f[0], f[1]
-		all, total := v.DeviceSlice(country, category, 0, -1)
-		if len(all) != total {
-			t.Fatalf("filter %v: slice %d rows, total %d", f, len(all), total)
+		all := offsetPage(t, v, country, category, 0, -1)
+		if len(all.Devices) != all.Total {
+			t.Fatalf("filter %v: offset body %d rows, total %d", f, len(all.Devices), all.Total)
 		}
 
 		var walked []matview.Device
 		afterID := -1
 		for {
-			page, cursorTotal, more := v.DevicesAfter(country, category, afterID, 3)
-			if cursorTotal != total {
-				t.Fatalf("filter %v: cursor total %d, offset total %d", f, cursorTotal, total)
+			page := cursorPage(t, v, country, category, afterID, 3)
+			if page.Total != all.Total {
+				t.Fatalf("filter %v: cursor total %d, offset total %d", f, page.Total, all.Total)
 			}
-			walked = append(walked, page...)
-			if !more {
+			walked = append(walked, page.Devices...)
+			if page.NextCursor == "" {
 				break
 			}
-			if len(page) == 0 {
-				t.Fatalf("filter %v: more=true with empty page", f)
+			if len(page.Devices) == 0 {
+				t.Fatalf("filter %v: nextCursor with an empty page", f)
 			}
-			afterID = page[len(page)-1].ID
+			c, cat, after, err := matview.DecodeCursor(page.NextCursor)
+			if err != nil || c != country || cat != category || after != page.Devices[len(page.Devices)-1].ID {
+				t.Fatalf("filter %v: nextCursor decodes to %q %q %d, %v", f, c, cat, after, err)
+			}
+			afterID = after
 		}
-		if !reflect.DeepEqual(walked, all) && !(len(walked) == 0 && len(all) == 0) {
-			t.Fatalf("filter %v: cursor walk %d rows != offset slice %d rows", f, len(walked), len(all))
+		if !reflect.DeepEqual(walked, all.Devices) && !(len(walked) == 0 && len(all.Devices) == 0) {
+			t.Fatalf("filter %v: cursor walk %d rows != offset body %d rows", f, len(walked), len(all.Devices))
 		}
 	}
 
-	// Offset past the end: empty non-nil page, stable total.
-	page, total := v.DeviceSlice("", "", v.NumDevices()+100, 10)
-	if page == nil || len(page) != 0 || total != v.NumDevices() {
-		t.Fatalf("past-end slice: %v total %d", page, total)
+	// Offset past the end: an empty page, the echoed offset clamped, a
+	// stable total.
+	past := offsetPage(t, v, "", "", v.NumDevices()+100, 10)
+	if past.Devices == nil || len(past.Devices) != 0 || past.Offset != v.NumDevices() || past.Total != v.NumDevices() {
+		t.Fatalf("past-end page: %+v", past)
 	}
-}
-
-func firstDeviceID(v *matview.Views) int {
-	page, _, _ := v.DevicesAfter("", "", -1, 1)
-	if len(page) == 0 {
-		return -1
-	}
-	return page[0].ID
 }
 
 func TestTopUDPPrefix(t *testing.T) {

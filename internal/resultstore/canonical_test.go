@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"iotscope/internal/correlate"
@@ -155,11 +156,42 @@ func TestInfoDigest(t *testing.T) {
 	}
 }
 
-// maxFuzzDevice bounds the device IDs FuzzResultCanonical lets through to
-// ResultExport.Result, which sizes a membership table by the largest one: a
-// mutated ID near 2³¹ is a 2 GiB table. That ceiling is ROADMAP item 2's to
-// set; this target is about which images are accepted, not what they cost.
-const maxFuzzDevice = 1 << 20
+// A store's largest device ID does not size what loading it allocates. One
+// row with ID 2²⁸ used to cost a 256 MiB membership table (2 GiB near 2³¹);
+// the table is now built only while IDs are dense, and a sparse store's port
+// lists are checked by binary search — which must still reject an ID that no
+// row has.
+func TestSparseDeviceIDsBoundedMemory(t *testing.T) {
+	const id = 1 << 28
+	re := seedExport()
+	re.Devices = []correlate.DeviceExport{{ID: id, Records: 1, DayMask: 1}}
+	re.UDPPorts = []correlate.PortExport{{Port: 53, Packets: 1, Devices: []int32{id}}}
+	re.TCPScanPorts = []correlate.TCPPortExport{{Port: 23, Packets: 2, DevicesCPS: []int32{id}}}
+	image := encode(KindResult, re, nil)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, _, _, err := decode(image, KindResult)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := got.Result()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 16<<20 {
+		t.Fatalf("loading one device with ID %d allocated %d MiB", id, grew>>20)
+	}
+	if res.Devices[id] == nil || res.UDPPorts[53].Devices[0] != id || res.TCPScanPorts[23].DevicesCPS[0] != id {
+		t.Fatalf("sparse store loaded wrong: %+v", res)
+	}
+
+	re.UDPPorts[0].Devices = []int32{id - 1}
+	if _, err := re.Result(); !errors.Is(err, correlate.ErrBadFormat) {
+		t.Fatalf("a port listing an unknown sparse ID: %v, want ErrBadFormat", err)
+	}
+}
 
 // FuzzResultCanonical is FuzzResultStore with the checksums repaired: each
 // input is re-framed and re-sealed before it is decoded, so a mutation
@@ -187,9 +219,6 @@ func FuzzResultCanonical(f *testing.F) {
 			if !errors.Is(err, ErrBadFormat) {
 				t.Fatalf("error outside taxonomy: %v", err)
 			}
-			return
-		}
-		if n := len(re.Devices); n > 0 && re.Devices[n-1].ID > maxFuzzDevice {
 			return
 		}
 		res, err := re.Result()

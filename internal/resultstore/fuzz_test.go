@@ -95,8 +95,8 @@ func seedCheckpoint(re *correlate.ResultExport) *correlate.CheckpointExport {
 	return &correlate.CheckpointExport{
 		MaxHours:      re.Hours,
 		IngestedHours: []int32{0, 1},
-		BGPrecision:   4,
-		BGRegisters:   make([]uint8, 16),
+		BGPrecision:   14,
+		BGRegisters:   make([]uint8, 1<<14),
 		Result:        re,
 	}
 }
@@ -117,7 +117,7 @@ func FuzzResultStore(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	c := correlate.New(g.Inventory(), correlate.Options{SketchPrecision: 4, FaultPolicy: correlate.Lenient})
+	c := correlate.New(g.Inventory(), correlate.Options{FaultPolicy: correlate.Lenient})
 	re := seedExport()
 	f.Add(encode(KindResult, re, nil))
 	f.Add(encode(KindCheckpoint, re, seedCheckpoint(re)))

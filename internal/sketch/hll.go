@@ -1,10 +1,11 @@
 // Package sketch provides streaming approximation structures for
 // telescope-scale analytics. The CAIDA telescope the paper draws from sees
-// over a billion packets per hour; counting unique destination addresses and
-// ports exactly per hour is feasible at our simulation scale but not at the
-// paper's, so the correlator can swap its exact per-hour destination sets
-// for a HyperLogLog. An ablation bench (BenchmarkAblationSketch) quantifies
-// the trade.
+// over a billion packets per hour, most of it from sources outside any
+// device inventory. The correlator counts those distinct background sources
+// with a HyperLogLog: fixed memory per hour, mergeable across hours and
+// workers, and checkpointable register by register. Per-hour unique
+// destinations are counted exactly; EXPERIMENTS.md records the HLL-versus-
+// exact measurement that settled that.
 package sketch
 
 import (

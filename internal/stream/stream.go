@@ -10,8 +10,12 @@
 // passes a window it is sealed — finalized into the result, its alerts
 // derived and journaled, and a checkpoint committed. Records that surface
 // behind the watermark are never merged and never silently dropped: they
-// land in a bounded late buffer and are counted, and an hour that first
-// appears behind the watermark is quarantined.
+// are counted, and an hour that first appears behind the watermark is
+// quarantined.
+//
+// Backpressure has one rule: the tailer blocks on a full event channel
+// (eventBuffer events), so a slow ingest loop slows the tailing, and the
+// cursor never passes a record the loop has not taken.
 //
 // Crash safety is the seal ordering: seal (in memory) → alert journal
 // append (durable, deduplicated by key) → checkpoint commit (one fsynced
@@ -64,24 +68,13 @@ type Config struct {
 	// hour (default 1). Larger values tolerate more out-of-order arrival;
 	// smaller values seal — and alert — sooner.
 	Lateness int
-	// BatchLen is the record batch size fed to windows (default
-	// flowtuple.BatchSize).
-	BatchLen int
-	// Buffer is the event channel capacity between tailer and ingest loop
-	// (default 64 events). This is the backpressure bound: a full channel
-	// blocks the tailer, or sheds when Shed is set.
-	Buffer int
-	// Shed makes a full event channel drop record batches (counted in
-	// Stats, re-offered next poll) instead of blocking the tailer.
-	Shed bool
-	// LateBuffer bounds how many late records are retained for inspection
-	// (default 4096); beyond it the oldest are dropped and counted.
-	LateBuffer int
 	// DoSAlarm is the dos-spike alert threshold as a multiple of the
 	// running median backscatter hour (default 8; negative disables).
 	DoSAlarm float64
 	// Campaigns enables new-campaign alerts: a campaign.Tracker follows the
 	// seals, re-profiling per window only the scanners the hour touched.
+	// Every caller sets it; it stays a field because tools/perfledger's
+	// struct literals name it.
 	Campaigns bool
 	// Drain makes the collector exit cleanly once a full sweep finds
 	// nothing new, force-sealing any still-open windows first.
@@ -98,15 +91,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.Lateness <= 0 {
 		cfg.Lateness = 1
-	}
-	if cfg.BatchLen <= 0 {
-		cfg.BatchLen = flowtuple.BatchSize
-	}
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = 64
-	}
-	if cfg.LateBuffer <= 0 {
-		cfg.LateBuffer = 4096
 	}
 	if cfg.DoSAlarm == 0 {
 		cfg.DoSAlarm = 8
@@ -132,12 +116,11 @@ func (cfg Config) withDefaults() Config {
 // fault path.
 type Opener func() (*correlate.Incremental, error)
 
-// LateRecord is a record that surfaced behind the watermark, retained in
-// the bounded late buffer.
-type LateRecord struct {
-	Hour int
-	Rec  flowtuple.Record
-}
+// eventBuffer is the capacity of the event channel between the tailer and
+// the ingest loop: the backpressure bound. A full channel blocks the tailer.
+// 64 full batches (≈ 6 MiB of records) let the tailer decode ahead while a
+// seal commits, and bound what a stalled loop holds.
+const eventBuffer = 64
 
 // Stats is a snapshot of collector counters. Counters are cumulative
 // across supervisor restarts; gauges (OpenWindows, MaxHour, Watermark)
@@ -150,11 +133,8 @@ type Stats struct {
 	HoursQuarantined   int
 	LateHours          int
 	LateRecords        uint64
-	LateBuffered       int
-	LateDropped        uint64
 	LateBytes          int64
-	ShedBatches        uint64
-	ShedRecords        uint64
+	ShedBatches        uint64 // always 0: the tailer blocks, never sheds; tools/perfledger reports it
 	Restarts           int
 	AlertsEmitted      uint64
 	AlertsSuppressed   uint64
@@ -185,9 +165,8 @@ type Collector struct {
 	open Opener
 	hub  *Hub
 
-	mu      sync.Mutex
-	stats   Stats
-	lateBuf []LateRecord
+	mu    sync.Mutex
+	stats Stats
 
 	// failpoint, when set by a test before Run, is invoked at the named
 	// crash points of the seal sequence ("sealed", "alerted",
@@ -197,6 +176,9 @@ type Collector struct {
 	// ckptFS, when set by a test before Run, replaces the file system under
 	// checkpoint commits (internal/faultfs fails its k-th operation).
 	ckptFS wal.FS
+	// batchLen, when set by a test before Run, replaces flowtuple.BatchSize
+	// as the most records one event carries.
+	batchLen int
 }
 
 // New validates the configuration and builds a Collector. hub may be nil
@@ -214,23 +196,11 @@ func New(cfg Config, open Opener, hub *Hub) (*Collector, error) {
 	return &Collector{cfg: cfg.withDefaults(), open: open, hub: hub}, nil
 }
 
-// Hub returns the alert hub serving this collector's alerts.
-func (c *Collector) Hub() *Hub { return c.hub }
-
 // Stats returns a snapshot of the collector's counters.
 func (c *Collector) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := c.stats
-	s.LateBuffered = len(c.lateBuf)
-	return s
-}
-
-// Late returns a copy of the late-record buffer (newest last).
-func (c *Collector) Late() []LateRecord {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]LateRecord(nil), c.lateBuf...)
+	return c.stats
 }
 
 // Run tails the dataset until ctx is done (clean stop, nil) or — in Drain
@@ -327,8 +297,12 @@ func (c *Collector) runOnce(ctx context.Context) (err error) {
 
 	tctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	events := make(chan event, c.cfg.Buffer)
-	tl := newTailer(c.cfg.Dir, c.cfg.BatchLen, c.cfg.Poll, c.cfg.Shed, skip, events, c.noteShed)
+	events := make(chan event, eventBuffer)
+	batchLen := flowtuple.BatchSize
+	if c.batchLen > 0 {
+		batchLen = c.batchLen
+	}
+	tl := newTailer(c.cfg.Dir, batchLen, c.cfg.Poll, skip, events)
 	done := make(chan struct{})
 	var tailErr error
 	go func() {
@@ -524,7 +498,7 @@ func (c *Collector) quarantine(st *ingest, h int, cause error) error {
 
 // late handles records (possibly none) for an hour behind the watermark:
 // the hour is quarantined on first late appearance, and the records are
-// counted and retained in the bounded buffer — never silently dropped.
+// counted — never silently dropped.
 func (c *Collector) late(st *ingest, h int, recs []flowtuple.Record) error {
 	if !st.sealed[h] {
 		c.mu.Lock()
@@ -534,19 +508,8 @@ func (c *Collector) late(st *ingest, h int, recs []flowtuple.Record) error {
 			return err
 		}
 	}
-	if len(recs) == 0 {
-		return nil
-	}
 	c.mu.Lock()
 	c.stats.LateRecords += uint64(len(recs))
-	for _, rec := range recs {
-		if len(c.lateBuf) >= c.cfg.LateBuffer {
-			drop := len(c.lateBuf) - c.cfg.LateBuffer + 1
-			c.lateBuf = c.lateBuf[drop:]
-			c.stats.LateDropped += uint64(drop)
-		}
-		c.lateBuf = append(c.lateBuf, LateRecord{Hour: h, Rec: rec})
-	}
 	c.mu.Unlock()
 	return nil
 }
@@ -646,13 +609,6 @@ func (c *Collector) fail(point string, hour int) error {
 		return nil
 	}
 	return c.failpoint(point, hour)
-}
-
-func (c *Collector) noteShed(batches, records int) {
-	c.mu.Lock()
-	c.stats.ShedBatches += uint64(batches)
-	c.stats.ShedRecords += uint64(records)
-	c.mu.Unlock()
 }
 
 // rebuildBsHours reconstructs the DoS-median history from the checkpointed

@@ -462,8 +462,7 @@ func TestChaosCheckpointCrashPoints(t *testing.T) {
 
 // TestLateArrivalQuarantinedNotDropped: an hour that first surfaces behind
 // the watermark is quarantined (persisted in the checkpoint) and every one
-// of its records is accounted for — buffered or counted as dropped, never
-// silently discarded.
+// of its records is counted, never silently discarded.
 func TestLateArrivalQuarantinedNotDropped(t *testing.T) {
 	dir, ds, cfg := genDataset(t, 23, 5)
 	latePath := flowtuple.HourPath(dir, 1)
@@ -476,7 +475,7 @@ func TestLateArrivalQuarantinedNotDropped(t *testing.T) {
 	}
 	ckpt := filepath.Join(t.TempDir(), "checkpoint.irs")
 	c, err := New(Config{
-		Dir: dir, CheckpointPath: ckpt, Poll: time.Millisecond, LateBuffer: 8,
+		Dir: dir, CheckpointPath: ckpt, Poll: time.Millisecond,
 	}, checkpointOpener(ds, cfg, ckpt), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -503,17 +502,6 @@ func TestLateArrivalQuarantinedNotDropped(t *testing.T) {
 	s := c.Stats()
 	if len(s.Faults) != 1 || s.Faults[0].Hour != 1 || !errors.Is(s.Faults[0].Err, ErrLateArrival) {
 		t.Fatalf("late hour not named in the fault list: %+v", s.Faults)
-	}
-	if int(s.LateDropped)+s.LateBuffered != n {
-		t.Fatalf("late records leak: dropped %d + buffered %d != %d", s.LateDropped, s.LateBuffered, n)
-	}
-	if s.LateDropped == 0 || s.LateBuffered != 8 {
-		t.Fatalf("late buffer bound not exercised: %+v (hour has %d records)", s, n)
-	}
-	for _, lr := range c.Late() {
-		if lr.Hour != 1 {
-			t.Fatalf("late buffer holds hour %d", lr.Hour)
-		}
 	}
 	cp, err := resultstore.ReadCheckpoint(ckpt)
 	if err != nil {
@@ -550,11 +538,12 @@ func TestSlowGrowTailing(t *testing.T) {
 	}
 	ckpt := filepath.Join(t.TempDir(), "checkpoint.irs")
 	c, err := New(Config{
-		Dir: dir, CheckpointPath: ckpt, Poll: time.Millisecond, BatchLen: 32,
+		Dir: dir, CheckpointPath: ckpt, Poll: time.Millisecond,
 	}, checkpointOpener(ds, cfg, ckpt), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.batchLen = 32
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- c.Run(ctx) }()
@@ -631,67 +620,6 @@ func TestCorruptHourQuarantined(t *testing.T) {
 		if !inc.Ingested(h) {
 			t.Fatalf("healthy hour %d not ingested", h)
 		}
-	}
-}
-
-// TestShedKeepsCursorAndRecovers pins the backpressure contract at the
-// tailer level: with shedding on and a full channel, batches are dropped
-// and counted, the cursor does not advance past them, and subsequent
-// sweeps re-offer the same records so nothing is lost or duplicated.
-func TestShedKeepsCursorAndRecovers(t *testing.T) {
-	dir, _, _ := genDataset(t, 26, 1)
-	total := countRecords(t, flowtuple.HourPath(dir, 0))
-	if total <= 16 {
-		t.Fatalf("fixture too small to shed: %d records", total)
-	}
-	out := make(chan event, 1)
-	var shedBatches, shedRecords int
-	tl := newTailer(dir, 8, 0, true, map[int]bool{}, out,
-		func(b, r int) { shedBatches += b; shedRecords += r })
-	ctx := context.Background()
-
-	// Deterministic phase: one sweep against a capacity-1 channel delivers
-	// exactly one batch, sheds at least one, and parks the cursor.
-	if _, err := tl.sweep(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 {
-		t.Fatalf("%d events queued, want 1", len(out))
-	}
-	ev := <-out
-	if ev.kind != evRecords || len(ev.recs) == 0 || len(ev.recs) > 8 {
-		t.Fatalf("first event: kind %d, %d records", ev.kind, len(ev.recs))
-	}
-	first := len(ev.recs)
-	if tl.cursor[0] != uint64(first) || !tl.pending[0] {
-		t.Fatalf("cursor %d pending %v after delivering %d", tl.cursor[0], tl.pending[0], first)
-	}
-	if shedBatches == 0 || shedRecords == 0 {
-		t.Fatal("full channel shed nothing")
-	}
-
-	// Recovery phase: with a live consumer the re-offered records flow
-	// through; the total delivered must be exact — shed loses no data.
-	counted := make(chan int)
-	go func() {
-		n := 0
-		for ev := range out {
-			switch ev.kind {
-			case evRecords:
-				n += len(ev.recs)
-			case evComplete:
-				counted <- n
-				return
-			}
-		}
-	}()
-	for !tl.finished[0] {
-		if _, err := tl.sweep(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if rest := <-counted; first+rest != total {
-		t.Fatalf("delivered %d of %d records across shedding", first+rest, total)
 	}
 }
 
@@ -809,9 +737,10 @@ func republish(staged, dir string, hours int) error {
 func TestDoSSpikeNamesDominantVictim(t *testing.T) {
 	dir, ds, cfg := genDataset(t, 21, 8)
 	ckpt := filepath.Join(t.TempDir(), "checkpoint.irs")
+	hub := NewHub(nil)
 	c, err := New(Config{
 		Dir: dir, CheckpointPath: ckpt, Poll: time.Millisecond, Drain: true,
-	}, checkpointOpener(ds, cfg, ckpt), nil)
+	}, checkpointOpener(ds, cfg, ckpt), hub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -827,7 +756,7 @@ func TestDoSSpikeNamesDominantVictim(t *testing.T) {
 		t.Fatal(err)
 	}
 	spikes := 0
-	for _, a := range c.Hub().Since(0) {
+	for _, a := range hub.Since(0) {
 		if a.Kind != KindDoSSpike {
 			continue
 		}
@@ -899,9 +828,10 @@ func TestCampaignRankFlipAlertsOnce(t *testing.T) {
 		2323: {Packets: 600, DevicesConsumer: []int32{1, 2, 3}},
 	}}
 	tracker := campaign.NewTracker(res, campaign.DefaultConfig())
+	hub := NewHub(nil)
 	c, err := New(Config{Dir: t.TempDir(), Campaigns: true}, func() (*correlate.Incremental, error) {
 		return nil, errors.New("unused")
-	}, nil)
+	}, hub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -913,7 +843,7 @@ func TestCampaignRankFlipAlertsOnce(t *testing.T) {
 	if err := c.emitCampaigns(tracker.Campaigns(), 1); err != nil {
 		t.Fatal(err)
 	}
-	alerts := c.Hub().Since(0)
+	alerts := hub.Since(0)
 	if len(alerts) != 1 || alerts[0].Key != "campaign/p23-2323" || !slices.Equal(alerts[0].Ports, []uint16{23, 2323}) {
 		t.Fatalf("journaled %+v, want one campaign/p23-2323 alert leading with port 23", alerts)
 	}

@@ -47,41 +47,30 @@ type event struct {
 // for hour boundaries. gzip cannot be resumed mid-stream, so every poll of
 // a grown file re-opens it and skips the records already delivered (the
 // cursor) — the cost of tailing a compressed format; only files whose size
-// changed are re-read. With shed enabled, record sends that would block
-// are dropped instead (counted via onShed) and the cursor holds, so the
-// same records are re-offered next poll: backpressure sheds work, never
-// data.
+// changed are re-read. Every send blocks, so the cursor advances only past
+// records the ingest loop has taken.
 type tailer struct {
-	dir    string
-	batch  []flowtuple.Record // decode buffer, reused by every poll
-	poll   time.Duration
-	shed   bool
-	out    chan<- event
-	onShed func(batches, records int)
+	dir   string
+	batch []flowtuple.Record // decode buffer, reused by every poll
+	poll  time.Duration
+	out   chan<- event
 
 	skip         map[int]bool   // settled before this run; never read
 	cursor       map[int]uint64 // records already delivered per hour
 	lastSize     map[int]int64  // size at last read, to skip unchanged files
-	pending      map[int]bool   // a shed left undelivered records behind
 	finished     map[int]bool   // footer read or hour ruled corrupt
 	finishedSize map[int]int64  // size when finished, to spot late growth
 }
 
-func newTailer(dir string, batchLen int, poll time.Duration, shed bool, skip map[int]bool, out chan<- event, onShed func(int, int)) *tailer {
-	if onShed == nil {
-		onShed = func(int, int) {}
-	}
+func newTailer(dir string, batchLen int, poll time.Duration, skip map[int]bool, out chan<- event) *tailer {
 	return &tailer{
 		dir:          dir,
 		batch:        make([]flowtuple.Record, batchLen),
 		poll:         poll,
-		shed:         shed,
 		out:          out,
-		onShed:       onShed,
 		skip:         skip,
 		cursor:       make(map[int]uint64),
 		lastSize:     make(map[int]int64),
-		pending:      make(map[int]bool),
 		finished:     make(map[int]bool),
 		finishedSize: make(map[int]int64),
 	}
@@ -123,14 +112,6 @@ func (t *tailer) sweep(ctx context.Context) (bool, error) {
 			return progressed, err
 		}
 	}
-	// Records shed this sweep are still owed: the sweep has not truly
-	// stalled, so drain mode must not conclude from it.
-	for h, p := range t.pending {
-		if p && !t.finished[h] {
-			progressed = true
-			break
-		}
-	}
 	return progressed, nil
 }
 
@@ -152,11 +133,10 @@ func (t *tailer) pollHour(ctx context.Context, h int) (bool, error) {
 		}
 		return true, nil
 	}
-	if size == t.lastSize[h] && !t.pending[h] {
+	if size == t.lastSize[h] {
 		return false, nil
 	}
 	t.lastSize[h] = size
-	t.pending[h] = false
 	return t.readHour(ctx, h, path)
 }
 
@@ -200,16 +180,8 @@ func (t *tailer) readHour(ctx context.Context, h int, path string) (bool, error)
 		if n > 0 {
 			recs := make([]flowtuple.Record, n)
 			copy(recs, batch[:n])
-			sent, aborted := t.sendRecords(ctx, h, recs)
-			if aborted {
+			if !t.send(ctx, event{kind: evRecords, hour: h, recs: recs}) {
 				return progressed, ctx.Err()
-			}
-			if !sent {
-				// Shed: leave the cursor where it is and mark the hour
-				// pending so the next poll re-reads it even if the file has
-				// not grown.
-				t.pending[h] = true
-				return progressed, nil
 			}
 			t.cursor[h] += uint64(n)
 			progressed = true
@@ -248,29 +220,9 @@ func (t *tailer) corrupt(ctx context.Context, h int, path string, err error) err
 	return nil
 }
 
-// sendRecords delivers a record batch: blocking by default, non-blocking
-// (shed on a full channel) when shed mode is on.
-func (t *tailer) sendRecords(ctx context.Context, h int, recs []flowtuple.Record) (sent, aborted bool) {
-	ev := event{kind: evRecords, hour: h, recs: recs}
-	if t.shed {
-		select {
-		case t.out <- ev:
-			return true, false
-		default:
-			t.onShed(1, len(recs))
-			return false, false
-		}
-	}
-	select {
-	case t.out <- ev:
-		return true, false
-	case <-ctx.Done():
-		return false, true
-	}
-}
-
-// send delivers a control event; these always block — they are rare and
-// losing one would wedge the state machine.
+// send delivers an event, blocking until the ingest loop takes it or ctx
+// ends: a full channel is the backpressure, and losing a control event
+// would wedge the state machine.
 func (t *tailer) send(ctx context.Context, ev event) bool {
 	select {
 	case t.out <- ev:
