@@ -15,7 +15,7 @@ RACE_PKGS = ./internal/correlate ./internal/flowtuple ./internal/apiserve \
 	./internal/resilience ./internal/pipeline ./internal/core \
 	./internal/resultstore ./internal/wal ./internal/faultfs \
 	./internal/outqueue ./internal/abusecontact ./internal/stream \
-	./cmd/iotwatch ./cmd/iotserve ./cmd/iotinfer ./cmd/iotreport \
+	./cmd/iotwatch ./cmd/iotserve ./cmd/iotinfer \
 	./cmd/iotnotify ./internal/wgen ./internal/telescope
 
 .PHONY: check build test vet race fuzz bench chaos perf perfdiff loc

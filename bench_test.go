@@ -616,8 +616,13 @@ func BenchmarkMatviewBuild(b *testing.B) {
 		Result: res.Correlate, Analyzer: res.Analyzer, Summary: res.Summary,
 		StatTests: res.StatTests, Malware: res.Malware,
 		Inventory: ds.Inventory, Registry: ds.Registry, Threat: ds.Threat,
+		MalwareDB: ds.Malware, Catalog: ds.Catalog,
 	}
-	bundles := notify.Build(res.Correlate, ds.Inventory, ds.Registry, ds.Threat, notify.DefaultConfig())
+	bundleSrc := notify.Sources{
+		Result: res.Correlate, Inventory: ds.Inventory, Registry: ds.Registry,
+		Threat: ds.Threat, Malware: ds.Malware, Catalog: ds.Catalog,
+	}
+	bundles := notify.BuildBundles(bundleSrc, notify.DefaultConfig())
 	for _, part := range []struct {
 		name string
 		run  func() error
@@ -625,7 +630,7 @@ func BenchmarkMatviewBuild(b *testing.B) {
 		{"build", func() error { _, err := matview.Build(src); return err }},
 		{"digest", func() error { _, err := resultstore.DigestResult(res.Correlate); return err }},
 		{"bundles", func() error {
-			if len(notify.Build(res.Correlate, ds.Inventory, ds.Registry, ds.Threat, notify.DefaultConfig())) == 0 {
+			if len(notify.BuildBundles(bundleSrc, notify.DefaultConfig())) == 0 {
 				return fmt.Errorf("no bundles")
 			}
 			return nil

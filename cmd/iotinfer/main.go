@@ -1,5 +1,8 @@
 // Command iotinfer runs the paper's inference pipeline over a dataset
-// directory and emits the headline results (optionally as JSON).
+// directory and prints the whole paper reproduction: a header line naming
+// the dataset's scale, seed and window, then every table and figure of the
+// evaluation (Sec. III–V), headline numbers first. -json emits the headline
+// results as JSON instead.
 //
 // The analysis runs through the staged pipeline engine (correlate →
 // characterize → stat-tests → threat-intel → malware); -stage-report dumps
@@ -8,6 +11,11 @@
 // -save FILE additionally persists the analyzed correlation state as a
 // versioned result store artifact (internal/resultstore) once the analysis
 // succeeds; iotserve -snapshot serves straight from it without re-analyzing.
+//
+// To reproduce the reference report (docs/report-scale-0.02.txt):
+//
+//	darksim -out DIR -scale 0.02 -seed 1
+//	iotinfer -data DIR
 //
 // Usage:
 //
@@ -22,6 +30,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 
@@ -32,13 +41,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "iotinfer:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("iotinfer", flag.ContinueOnError)
 	var (
 		data        = fs.String("data", "", "dataset directory (required)")
@@ -108,9 +117,11 @@ func run(args []string) error {
 			"datasetHours":     ds.Scenario.Hours,
 			"inventoryDevices": ds.Inventory.Len(),
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(out)
 	}
-	return report.Headline(os.Stdout, res)
+	fmt.Fprintf(stdout, "iotscope paper reproduction — scale %v, seed %d, %d hours\n\n",
+		ds.Scenario.Scale, ds.Scenario.Seed, ds.Scenario.Hours)
+	return report.WriteAll(stdout, res, ds)
 }

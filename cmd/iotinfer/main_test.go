@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"io"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"iotscope/internal/core"
@@ -21,25 +25,48 @@ func testDataset(t *testing.T) string {
 }
 
 func TestRunValidation(t *testing.T) {
-	if err := run(nil); err == nil {
+	if err := run(nil, io.Discard); err == nil {
 		t.Fatal("missing -data accepted")
 	}
-	if err := run([]string{"-data", t.TempDir()}); err == nil {
+	if err := run([]string{"-data", t.TempDir()}, io.Discard); err == nil {
 		t.Fatal("empty dataset dir accepted")
 	}
 }
 
+// Text mode is the whole paper reproduction: the header line, then every
+// section report.WriteAll renders, in the paper's order.
 func TestRunText(t *testing.T) {
 	dir := testDataset(t)
-	if err := run([]string{"-data", dir}); err != nil {
+	var buf bytes.Buffer
+	if err := run([]string{"-data", dir}, &buf); err != nil {
 		t.Fatal(err)
+	}
+	out := buf.String()
+	if head := "iotscope paper reproduction — scale 0.002, seed 3, 4 hours\n\nHeadline inference (Sec. III-B)\n"; !strings.HasPrefix(out, head) {
+		t.Fatalf("output does not open with %q:\n%s", head, out)
+	}
+	at := 0
+	for _, title := range []string{
+		"Fig. 1a", "Fig. 1b", "Fig. 2", "Fig. 3", "Table I ", "Table II ", "Table III ",
+		"Fig. 4", "Fig. 5", "Table IV ", "Fig. 6", "Fig. 7", "Fig. 8a", "Fig. 8b", "Fig. 9",
+		"Table V ", "Fig. 10", "Fig. 11", "Table VI ", "Table VII ",
+	} {
+		i := strings.Index(out[at:], "\n"+title)
+		if i < 0 {
+			t.Fatalf("section %q missing or out of order", title)
+		}
+		at += i + 1
 	}
 }
 
 func TestRunJSON(t *testing.T) {
 	dir := testDataset(t)
-	if err := run([]string{"-data", dir, "-json", "-workers", "2"}); err != nil {
+	var buf bytes.Buffer
+	if err := run([]string{"-data", dir, "-json", "-workers", "2"}, &buf); err != nil {
 		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"datasetSeed": 3`) {
+		t.Fatalf("JSON output lacks the dataset seed:\n%s", buf.String())
 	}
 }
 
@@ -49,7 +76,7 @@ func TestRunJSON(t *testing.T) {
 func TestRunSave(t *testing.T) {
 	dir := testDataset(t)
 	store := filepath.Join(t.TempDir(), "store.irs")
-	if err := run([]string{"-data", dir, "-save", store}); err != nil {
+	if err := run([]string{"-data", dir, "-save", store}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	info, err := resultstore.Verify(store)
@@ -73,5 +100,41 @@ func TestRunSave(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res.Correlate, loaded) {
 		t.Fatal("saved store differs from direct analysis")
+	}
+}
+
+// The committed reference report is what generating the paper-default
+// dataset at scale 0.02, seed 1 and running iotinfer over it prints, byte
+// for byte. EXPERIMENTS.md's verdicts are read off that file.
+func TestReferenceReport(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates and analyzes a scale-0.02 dataset")
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "docs", "report-scale-0.02.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := core.Generate(core.DefaultConfig(0.02, 1), dir); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run([]string{"-data", dir}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != string(want) {
+		gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < max(len(gotLines), len(wantLines)); i++ {
+			var g, w string
+			if i < len(gotLines) {
+				g = gotLines[i]
+			}
+			if i < len(wantLines) {
+				w = wantLines[i]
+			}
+			if g != w {
+				t.Fatalf("report diverges from docs/report-scale-0.02.txt at line %d:\ngot  %q\nwant %q", i+1, g, w)
+			}
+		}
 	}
 }

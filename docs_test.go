@@ -63,9 +63,9 @@ func TestDocsNameExistingBenchmarks(t *testing.T) {
 }
 
 // The docs cite command lines in code spans (`iotinfer -save FILE`, `go run
-// ./cmd/iotwatch -once`). Every -flag such a span gives a command must be one
-// that command's flag set defines, so deleting a flag cannot leave the docs
-// telling a reader to pass it.
+// ./cmd/iotwatch -once`) and in fenced shell blocks. Every -flag such a line
+// gives a command must be one that command's flag set defines, so deleting a
+// flag cannot leave the docs telling a reader to pass it.
 func TestDocsNameExistingFlags(t *testing.T) {
 	mains, err := filepath.Glob("cmd/*/main.go")
 	if err != nil {
@@ -85,6 +85,62 @@ func TestDocsNameExistingFlags(t *testing.T) {
 		defined[filepath.Base(filepath.Dir(main))] = flags
 	}
 
+	cited := map[string]bool{}
+	for _, c := range docCommands(t) {
+		cmd, _, args := citedCommand(c.words)
+		if defined[cmd] == nil {
+			continue
+		}
+		for _, arg := range args {
+			arg = strings.Trim(arg, "[]()|,;")
+			name, _, _ := strings.Cut(strings.TrimLeft(arg, "-"), "=")
+			if !strings.HasPrefix(arg, "-") || name == "" || name[0] < 'a' || name[0] > 'z' {
+				continue
+			}
+			cited[cmd+" -"+name] = true
+			if !defined[cmd][name] {
+				t.Errorf("%s cites `%s -%s`, which cmd/%s does not define", c.doc, cmd, name, cmd)
+			}
+		}
+	}
+	if len(cited) == 0 {
+		t.Fatal("no command flag found in the docs: the pattern has rotted")
+	}
+}
+
+// A `go run ./cmd/<name>` or `go run ./examples/<name>` the docs cite must
+// name a directory that exists, so deleting a program cannot leave the docs
+// telling a reader to run it.
+func TestDocsRunExistingPackages(t *testing.T) {
+	runs := 0
+	for _, c := range docCommands(t) {
+		_, dir, _ := citedCommand(c.words)
+		if dir == "" || strings.Contains(dir, "<") { // ./cmd/<name> is a placeholder
+			continue
+		}
+		runs++
+		if st, err := os.Stat(dir); err != nil || !st.IsDir() {
+			t.Errorf("%s runs `go run %s`, which is not a directory", c.doc, dir)
+		}
+	}
+	if runs == 0 {
+		t.Fatal("no go run found in the docs: the pattern has rotted")
+	}
+}
+
+// docCommand is one command line a doc cites: its words and the doc.
+type docCommand struct {
+	doc   string
+	words []string
+}
+
+// docCommands collects the command lines the docs cite: every code span,
+// and every line of a fenced block with its backslash continuations joined
+// and its trailing # comment dropped. A line is split at the shell's
+// command separators (pipes, ;, &&, ||, &, and $( substitutions), so each
+// piece is read as one command.
+func docCommands(t *testing.T) []docCommand {
+	t.Helper()
 	docs, err := filepath.Glob("docs/*.md")
 	if err != nil {
 		t.Fatal(err)
@@ -94,49 +150,62 @@ func TestDocsNameExistingFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	span := regexp.MustCompile("`([^`\n]+)`")
-	cited := map[string]bool{}
+	comment := regexp.MustCompile(`(^|\s)#.*$`)
+	separator := regexp.MustCompile(`\|\||&&|[|;&]|\$\(`)
+	var out []docCommand
+	add := func(doc, line string) {
+		for _, piece := range separator.Split(line, -1) {
+			if words := strings.Fields(piece); len(words) > 0 {
+				out = append(out, docCommand{doc, words})
+			}
+		}
+	}
 	for _, doc := range append(append(docs, notes...), "README.md", "DESIGN.md", "EXPERIMENTS.md") {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range span.FindAllSubmatch(text, -1) {
-			cmd, args := citedCommand(strings.Fields(string(m[1])))
-			if defined[cmd] == nil {
+		fenced, joined := false, ""
+		for _, line := range strings.Split(string(text), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
 				continue
 			}
-			for _, arg := range args {
-				arg = strings.Trim(arg, "[]()|,;")
-				name, _, _ := strings.Cut(strings.TrimLeft(arg, "-"), "=")
-				if !strings.HasPrefix(arg, "-") || name == "" || name[0] < 'a' || name[0] > 'z' {
-					continue
+			if !fenced {
+				for _, m := range span.FindAllStringSubmatch(line, -1) {
+					add(doc, m[1])
 				}
-				cited[cmd+" -"+name] = true
-				if !defined[cmd][name] {
-					t.Errorf("%s cites `%s -%s`, which cmd/%s does not define", doc, cmd, name, cmd)
-				}
+				continue
 			}
+			line = comment.ReplaceAllString(line, "")
+			if cont, ok := strings.CutSuffix(strings.TrimRight(line, " "), "\\"); ok {
+				joined += cont + " "
+				continue
+			}
+			add(doc, joined+line)
+			joined = ""
 		}
 	}
-	if len(cited) == 0 {
-		t.Fatal("no command flag found in the docs: the pattern has rotted")
-	}
+	return out
 }
 
-// citedCommand splits a code span's words into the command it runs — its
-// first word, or the ./cmd/<name> of a `go run` — and that command's
-// arguments.
-func citedCommand(words []string) (string, []string) {
+// citedCommand splits a command line's words into the command it runs — its
+// first word, or the ./cmd/<name> of a `go run` — that command's arguments,
+// and the package directory a `go run` names ("" for any other command).
+func citedCommand(words []string) (cmd, dir string, args []string) {
 	if len(words) >= 2 && words[0] == "go" && words[1] == "run" {
 		for i, w := range words[2:] {
-			if name, ok := strings.CutPrefix(w, "./cmd/"); ok {
-				return name, words[2+i+1:]
+			if strings.HasPrefix(w, "./") {
+				if name, ok := strings.CutPrefix(w, "./cmd/"); ok {
+					cmd = name
+				}
+				return cmd, w, words[2+i+1:]
 			}
 		}
-		return "", nil
+		return "", "", nil
 	}
 	if len(words) == 0 {
-		return "", nil
+		return "", "", nil
 	}
-	return words[0], words[1:]
+	return words[0], "", words[1:]
 }

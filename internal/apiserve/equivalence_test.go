@@ -167,7 +167,8 @@ func equivalenceGrid(t *testing.T, ds *core.Dataset, res *core.Results) []string
 // past the largest bundle, and MaxInt. Floors the fixed rows above already
 // ask are skipped.
 func reportFloorPaths(ds *core.Dataset, res *core.Results) []string {
-	bundles := notify.Build(res.Correlate, ds.Inventory, ds.Registry, ds.Threat, notify.DefaultConfig())
+	bundles := notify.BuildBundles(notify.Sources{Result: res.Correlate, Inventory: ds.Inventory, Registry: ds.Registry},
+		notify.DefaultConfig())
 	seen := map[int]bool{2: true, 3: true, 1000000: true}
 	var paths []string
 	add := func(floor int) {

@@ -290,8 +290,10 @@ func (sn *legacySnap) handleReports(w http.ResponseWriter, r *http.Request) {
 		legacyWriteError(w, http.StatusBadRequest, "minDevices must be >= 1")
 		return
 	}
-	bundles := notify.Build(sn.res.Correlate, sn.ds.Inventory, sn.ds.Registry,
-		sn.ds.Threat, notify.Config{MinDevices: minDevices, MinPackets: 1})
+	bundles := notify.BuildBundles(notify.Sources{
+		Result: sn.res.Correlate, Inventory: sn.ds.Inventory, Registry: sn.ds.Registry,
+		Threat: sn.ds.Threat, Malware: sn.ds.Malware, Catalog: sn.ds.Catalog,
+	}, notify.Config{MinDevices: minDevices, MinPackets: 1})
 	legacyWriteJSON(w, http.StatusOK, map[string]any{"reports": bundles})
 }
 

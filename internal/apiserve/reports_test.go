@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"iotscope/internal/core"
+	"iotscope/internal/matview"
+	"iotscope/internal/notify"
 )
 
 // sliceWriter is a ResponseWriter that keeps the slices it was handed
@@ -105,5 +107,37 @@ func TestReportsCostIsTheAnswer(t *testing.T) {
 	w = serve(big, "/v1/reports?minDevices=2")
 	if len(w.writes) != 2 || &w.writes[0][0] != &stored[0] || len(w.writes[0]) >= len(stored) {
 		t.Fatalf("minDevices=2 made %d writes; want a prefix of the stored body, then the tail", len(w.writes))
+	}
+}
+
+// /v1/reports carries the malware evidence iotnotify's complaints carry: the
+// served body is the rendering of the bundles built from every evidence
+// source the dataset has, the sandbox corpus and family catalog included.
+func TestReportsCarryMalwareEvidence(t *testing.T) {
+	s := loadServer(t)
+	bundles := notify.BuildBundles(notify.Sources{
+		Result: srvRes.Correlate, Inventory: srvDS.Inventory, Registry: srvDS.Registry,
+		Threat: srvDS.Threat, Malware: srvDS.Malware, Catalog: srvDS.Catalog,
+	}, notify.DefaultConfig())
+	hits := 0
+	for _, b := range bundles {
+		for _, d := range b.Devices {
+			if len(d.MalwareHashes) > 0 {
+				hits++
+			}
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no inferred device has a sandbox hit; the fixture cannot show the evidence")
+	}
+	table, err := matview.RenderReports(bundles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, tail := table.Body(1)
+	want := string(head) + string(tail)
+	if code, body := rawGet(t, s, "/v1/reports"); code != http.StatusOK || body != want {
+		t.Fatalf("/v1/reports: status %d, %d bytes; want the %d-byte rendering of bundles with %d sandbox-hit devices",
+			code, len(body), len(want), hits)
 	}
 }

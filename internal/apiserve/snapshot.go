@@ -76,6 +76,8 @@ func (s *Server) Swap(ds *core.Dataset, res *core.Results) (uint64, error) {
 			Inventory: ds.Inventory,
 			Registry:  ds.Registry,
 			Threat:    ds.Threat,
+			MalwareDB: ds.Malware,
+			Catalog:   ds.Catalog,
 		})
 		if err != nil {
 			return 0, fmt.Errorf("apiserve: materialize views: %w", err)

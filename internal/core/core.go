@@ -495,6 +495,8 @@ func (ds *Dataset) DownstreamStages(cfg Config, out *Results) []pipeline.Stage {
 				Inventory: ds.Inventory,
 				Registry:  ds.Registry,
 				Threat:    ds.Threat,
+				MalwareDB: ds.Malware,
+				Catalog:   ds.Catalog,
 				Digest:    out.storeDigest,
 			})
 			if err != nil {

@@ -145,7 +145,7 @@ func TestScenarioStealthScan(t *testing.T) {
 	if maxCohortPackets >= floor {
 		t.Fatalf("cohort not sub-threshold: loudest emits %d >= floor %d", maxCohortPackets, floor)
 	}
-	bundles := notify.Build(res.Correlate, ds.Inventory, ds.Registry, nil,
+	bundles := notify.BuildBundles(notify.Sources{Result: res.Correlate, Inventory: ds.Inventory, Registry: ds.Registry},
 		notify.Config{MinDevices: 1, MinPackets: floor})
 	if len(bundles) == 0 {
 		t.Fatal("noise floor silenced the loud baseline too")

@@ -43,9 +43,12 @@ import (
 
 // Sources collects the analysis outputs a Views is materialized from.
 // Result, Analyzer, Inventory, and Registry are required; Threat is
-// optional (nil yields empty threat lookups). Digest, when not zero, is
-// resultstore.DigestResult(Result) already known — a store's loader reads it
-// off the file — and spares Build the export and encode that compute it.
+// optional (nil yields empty threat lookups). MalwareDB and Catalog are the
+// dataset's sandbox corpus and family catalog, from which /v1/reports takes
+// the same malware evidence iotnotify's complaints carry (a nil MalwareDB
+// omits it). Digest, when not zero, is resultstore.DigestResult(Result)
+// already known — a store's loader reads it off the file — and spares Build
+// the export and encode that compute it.
 type Sources struct {
 	Result    *correlate.Result
 	Analyzer  *analysis.Analyzer
@@ -55,6 +58,8 @@ type Sources struct {
 	Inventory *devicedb.Inventory
 	Registry  *geo.Registry
 	Threat    *threatintel.Repository
+	MalwareDB *malwaredb.DB
+	Catalog   *malwaredb.Catalog
 	Digest    uint32
 }
 
@@ -132,8 +137,10 @@ func Build(src Sources) (*Views, error) {
 	}
 	v.buildSpikeIndex(src.Result)
 	v.udpRows = src.Analyzer.TopUDPPorts(0)
-	v.reports, err = RenderReports(notify.Build(src.Result, src.Inventory, src.Registry, src.Threat,
-		notify.Config{MinDevices: 1, MinPackets: 1}))
+	v.reports, err = RenderReports(notify.BuildBundles(notify.Sources{
+		Result: src.Result, Inventory: src.Inventory, Registry: src.Registry,
+		Threat: src.Threat, Malware: src.MalwareDB, Catalog: src.Catalog,
+	}, notify.Config{MinDevices: 1, MinPackets: 1}))
 	if err != nil {
 		return nil, err
 	}

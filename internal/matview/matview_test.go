@@ -240,13 +240,16 @@ func reportFloors(bundles []notify.Bundle) []int {
 }
 
 // The prefix of the rendered MinDevices=1 body must be, byte for byte, what
-// the encoder writes for the bundles built with the larger floor — the
-// property the /v1/reports materialization depends on.
+// the encoder writes for the bundles built with the larger floor from every
+// evidence source the dataset has — the property the /v1/reports
+// materialization depends on.
 func TestReportsMatchesNotifyBuild(t *testing.T) {
 	ds, res, v := fixture(t)
 	build := func(min int) []notify.Bundle {
-		return notify.Build(res.Correlate, ds.Inventory, ds.Registry, ds.Threat,
-			notify.Config{MinDevices: min, MinPackets: 1})
+		return notify.BuildBundles(notify.Sources{
+			Result: res.Correlate, Inventory: ds.Inventory, Registry: ds.Registry,
+			Threat: ds.Threat, Malware: ds.Malware, Catalog: ds.Catalog,
+		}, notify.Config{MinDevices: min, MinPackets: 1})
 	}
 	all := build(1)
 	if len(all) < 2 || len(all[0].Devices) == len(all[len(all)-1].Devices) {

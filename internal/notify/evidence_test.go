@@ -111,7 +111,7 @@ func TestFilterPrecedesAggregation(t *testing.T) {
 func TestFilteredTotalsAreConsistent(t *testing.T) {
 	g, res, _ := buildWorld(t)
 	cfg := Config{MinDevices: 1, MinPackets: 50}
-	bundles := Build(res, g.Inventory(), g.Registry(), nil, cfg)
+	bundles := BuildBundles(Sources{Result: res, Inventory: g.Inventory(), Registry: g.Registry()}, cfg)
 	var want uint64
 	for _, ds := range res.Devices {
 		if ds.TotalPackets() >= cfg.MinPackets {

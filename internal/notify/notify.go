@@ -91,14 +91,6 @@ type Sources struct {
 	Catalog   *malwaredb.Catalog
 }
 
-// Build assembles per-ISP bundles from a correlation result, ordered by
-// descending device count. The threat repository is optional (nil skips
-// corroboration flags). It is the compatibility form of BuildBundles.
-func Build(res *correlate.Result, inv *devicedb.Inventory, reg *geo.Registry,
-	repo *threatintel.Repository, cfg Config) []Bundle {
-	return BuildBundles(Sources{Result: res, Inventory: inv, Registry: reg, Threat: repo}, cfg)
-}
-
 // BuildBundles assembles per-ISP bundles with full per-device evidence,
 // ordered by descending device count. Filtering precedes aggregation:
 // devices under the MinPackets floor are dropped first and contribute to no

@@ -54,7 +54,8 @@ func noise(g *wgen.Generator, n int) (out []netx.Addr) {
 
 func TestBuildBundles(t *testing.T) {
 	g, res, repo := buildWorld(t)
-	bundles := Build(res, g.Inventory(), g.Registry(), repo, DefaultConfig())
+	bundles := BuildBundles(Sources{Result: res, Inventory: g.Inventory(), Registry: g.Registry(), Threat: repo},
+		DefaultConfig())
 	if len(bundles) == 0 {
 		t.Fatal("no bundles")
 	}
@@ -94,8 +95,9 @@ func TestBuildBundles(t *testing.T) {
 
 func TestBuildFilters(t *testing.T) {
 	g, res, _ := buildWorld(t)
+	src := Sources{Result: res, Inventory: g.Inventory(), Registry: g.Registry()}
 	cfg := Config{MinDevices: 3, MinPackets: 1}
-	bundles := Build(res, g.Inventory(), g.Registry(), nil, cfg)
+	bundles := BuildBundles(src, cfg)
 	for _, b := range bundles {
 		if len(b.Devices) < 3 {
 			t.Fatalf("bundle below MinDevices: %+v", b)
@@ -103,14 +105,15 @@ func TestBuildFilters(t *testing.T) {
 	}
 	// High packet floor drops low-volume devices.
 	cfg = Config{MinDevices: 1, MinPackets: 1 << 40}
-	if got := Build(res, g.Inventory(), g.Registry(), nil, cfg); len(got) != 0 {
+	if got := BuildBundles(src, cfg); len(got) != 0 {
 		t.Fatalf("packet floor ignored: %d bundles", len(got))
 	}
 }
 
 func TestThreatCorroboration(t *testing.T) {
 	g, res, repo := buildWorld(t)
-	bundles := Build(res, g.Inventory(), g.Registry(), repo, DefaultConfig())
+	src := Sources{Result: res, Inventory: g.Inventory(), Registry: g.Registry(), Threat: repo}
+	bundles := BuildBundles(src, DefaultConfig())
 	flagged := 0
 	for _, b := range bundles {
 		for _, d := range b.Devices {
@@ -121,7 +124,8 @@ func TestThreatCorroboration(t *testing.T) {
 		t.Fatal("no threat corroboration despite a populated repository")
 	}
 	// Without a repository there are no flags.
-	bundles = Build(res, g.Inventory(), g.Registry(), nil, DefaultConfig())
+	src.Threat = nil
+	bundles = BuildBundles(src, DefaultConfig())
 	for _, b := range bundles {
 		for _, d := range b.Devices {
 			if len(d.ThreatFlags) != 0 {
@@ -185,12 +189,12 @@ func TestRenderEmptyISPMetadata(t *testing.T) {
 // MinDevices below 1 is normalized up rather than panicking.
 func TestBuildMinDevicesBoundaries(t *testing.T) {
 	g, res, _ := buildWorld(t)
-	if got := Build(res, g.Inventory(), g.Registry(), nil,
-		Config{MinDevices: 1 << 30, MinPackets: 1}); len(got) != 0 {
+	src := Sources{Result: res, Inventory: g.Inventory(), Registry: g.Registry()}
+	if got := BuildBundles(src, Config{MinDevices: 1 << 30, MinPackets: 1}); len(got) != 0 {
 		t.Fatalf("MinDevices 2^30 produced %d bundles", len(got))
 	}
-	zero := Build(res, g.Inventory(), g.Registry(), nil, Config{MinDevices: 0, MinPackets: 1})
-	one := Build(res, g.Inventory(), g.Registry(), nil, Config{MinDevices: 1, MinPackets: 1})
+	zero := BuildBundles(src, Config{MinDevices: 0, MinPackets: 1})
+	one := BuildBundles(src, Config{MinDevices: 1, MinPackets: 1})
 	if len(zero) != len(one) {
 		t.Fatalf("MinDevices 0 (%d bundles) not normalized to 1 (%d bundles)",
 			len(zero), len(one))
@@ -199,7 +203,8 @@ func TestBuildMinDevicesBoundaries(t *testing.T) {
 
 func TestRender(t *testing.T) {
 	g, res, repo := buildWorld(t)
-	bundles := Build(res, g.Inventory(), g.Registry(), repo, DefaultConfig())
+	bundles := BuildBundles(Sources{Result: res, Inventory: g.Inventory(), Registry: g.Registry(), Threat: repo},
+		DefaultConfig())
 	var buf bytes.Buffer
 	if err := bundles[0].Render(&buf); err != nil {
 		t.Fatal(err)

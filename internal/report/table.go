@@ -1,5 +1,5 @@
 // Package report renders the reproduced tables and figures as aligned text
-// — the output surface of cmd/iotreport and the benchmark harness. Tables
+// — the output surface of cmd/iotinfer and the benchmark harness. Tables
 // are fixed-width aligned; figure series render as sparklines with
 // min/mean/max annotations so spike locations and trends are visible in a
 // terminal.

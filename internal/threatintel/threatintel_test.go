@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -260,6 +261,18 @@ func TestInvestigate(t *testing.T) {
 		if len(f.Categories) == 0 {
 			t.Fatalf("finding %d with no categories", f.Device)
 		}
+	}
+	// The malware-flagged realm split (paper: 91 CPS vs 26 consumer)
+	// partitions exactly the flagged devices in the malware category.
+	malwareFlagged := 0
+	for _, f := range inv.Flagged {
+		if slices.Contains(f.Categories, Malware) {
+			malwareFlagged++
+		}
+	}
+	if malwareFlagged == 0 || inv.MalwareCPS+inv.MalwareConsumer != malwareFlagged {
+		t.Errorf("malware-flagged split %d CPS + %d consumer, want %d > 0 in all",
+			inv.MalwareCPS, inv.MalwareConsumer, malwareFlagged)
 	}
 }
 
