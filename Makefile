@@ -8,15 +8,19 @@ GO ?= go
 # and the durable-write primitive under it,
 # the notification pipeline (outbound queue drain, contact resolver shared
 # across stages), the streaming collector (tailer goroutine, bounded
-# event channel, alert hub fan-out), and the generator, which renders hours
+# event channel, alert hub fan-out), the generator, which renders hours
 # on worker goroutines that each own a telescope collector and share the
-# flowtuple writer pools.
+# flowtuple writer pools, and the view builder, whose digest, UDP table,
+# reports body and campaign detection run as tasks beside the device index
+# (core.Open's table loads, the other cold-start fan-out, run under
+# ./internal/core).
 RACE_PKGS = ./internal/correlate ./internal/flowtuple ./internal/apiserve \
 	./internal/resilience ./internal/pipeline ./internal/core \
 	./internal/resultstore ./internal/wal ./internal/faultfs \
 	./internal/outqueue ./internal/abusecontact ./internal/stream \
 	./cmd/iotwatch ./cmd/iotserve ./cmd/iotinfer \
-	./cmd/iotnotify ./internal/wgen ./internal/telescope
+	./cmd/iotnotify ./internal/wgen ./internal/telescope \
+	./internal/matview
 
 .PHONY: check build test vet race fuzz bench chaos perf perfdiff loc
 

@@ -560,8 +560,10 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 
 // BenchmarkColdStart measures what iotserve -snapshot pays before it can
 // answer: core.LoadSnapshotOpts over the reference fixture and its saved
-// store, then apiserve.New. The store is read while the dataset opens, so
-// run it with -cpu 1,2 (docs/PERFORMANCE.md §Snapshot load vs re-analysis).
+// store, then apiserve.New. The store is read while the dataset's tables
+// load, each on its own goroutine, and the views build as concurrent tasks,
+// so run it with -cpu 1,2 (docs/PERFORMANCE.md §Snapshot load vs
+// re-analysis).
 func BenchmarkColdStart(b *testing.B) {
 	ds, res := benchFixture(b)
 	path := filepath.Join(b.TempDir(), "snapshot.irs")
@@ -606,10 +608,13 @@ func BenchmarkSnapshotAnalyze(b *testing.B) {
 // BenchmarkMatviewBuild measures the materialize stage every analysis, cold
 // start and reload ends with, whole and by its port-table-sized parts, so
 // the next profile of the layer is one command (docs/PERFORMANCE.md §Build
-// cost model): the content digest (Result.Export plus the store encoding),
-// the per-ISP bundles (the port → device transpose), their rendering into
-// the /v1/reports body, the UDP table (the one sort by packets) and campaign
-// detection.
+// cost model): build as an analysis runs it (digest computed), build-stored
+// as a cold start and a reload run it (digest read off the store), the
+// content digest (Result.Export plus the store encoding), the per-ISP
+// bundles (the port → device transpose), their rendering into the
+// /v1/reports body, the UDP table (walked, then radix-sorted by packets) and
+// campaign detection. The build's terms run as concurrent tasks, so run it
+// with -cpu 1,2.
 func BenchmarkMatviewBuild(b *testing.B) {
 	ds, res := benchFixture(b)
 	src := matview.Sources{
@@ -618,6 +623,8 @@ func BenchmarkMatviewBuild(b *testing.B) {
 		Inventory: ds.Inventory, Registry: ds.Registry, Threat: ds.Threat,
 		MalwareDB: ds.Malware, Catalog: ds.Catalog,
 	}
+	stored := src
+	stored.Digest = res.Views.Digest()
 	bundleSrc := notify.Sources{
 		Result: res.Correlate, Inventory: ds.Inventory, Registry: ds.Registry,
 		Threat: ds.Threat, Malware: ds.Malware, Catalog: ds.Catalog,
@@ -628,6 +635,7 @@ func BenchmarkMatviewBuild(b *testing.B) {
 		run  func() error
 	}{
 		{"build", func() error { _, err := matview.Build(src); return err }},
+		{"build-stored", func() error { _, err := matview.Build(stored); return err }},
 		{"digest", func() error { _, err := resultstore.DigestResult(res.Correlate); return err }},
 		{"bundles", func() error {
 			if len(notify.BuildBundles(bundleSrc, notify.DefaultConfig())) == 0 {

@@ -1,9 +1,7 @@
 package analysis
 
 import (
-	"cmp"
 	"context"
-	"slices"
 	"sort"
 
 	"iotscope/internal/classify"
@@ -66,30 +64,66 @@ type UDPPortRow struct {
 	Devices int
 }
 
-// TopUDPPorts reproduces Table IV.
+// TopUDPPorts reproduces Table IV: the rows by descending packets, ties by
+// ascending port. The table is walked in port order and then radix-sorted
+// on packets, so no row is compared with another.
 func (a *Analyzer) TopUDPPorts(n int) []UDPPortRow {
 	var totalUDP uint64
-	for _, pa := range a.res.UDPPorts {
-		totalUDP += pa.Packets
-	}
 	rows := make([]UDPPortRow, 0, len(a.res.UDPPorts))
-	for port, pa := range a.res.UDPPorts {
-		pct := 0.0
-		if totalUDP > 0 {
-			pct = 100 * float64(pa.Packets) / float64(totalUDP)
-		}
-		rows = append(rows, UDPPortRow{
-			Port: port, Packets: pa.Packets, Pct: pct, Devices: len(pa.Devices),
-		})
-	}
-	slices.SortFunc(rows, func(x, y UDPPortRow) int {
-		if x.Packets != y.Packets {
-			return cmp.Compare(y.Packets, x.Packets)
-		}
-		return cmp.Compare(x.Port, y.Port)
+	correlate.WalkUDPPorts(a.res.UDPPorts, func(port uint16, pa *correlate.PortAgg) {
+		totalUDP += pa.Packets
+		rows = append(rows, UDPPortRow{Port: port, Packets: pa.Packets, Devices: len(pa.Devices)})
 	})
+	if totalUDP > 0 {
+		for i := range rows {
+			rows[i].Pct = 100 * float64(rows[i].Packets) / float64(totalUDP)
+		}
+	}
+	rows = sortByPacketsDesc(rows)
 	if n > 0 && len(rows) > n {
 		rows = rows[:n]
+	}
+	return rows
+}
+
+// sortByPacketsDesc is a stable LSD radix sort of rows on ^Packets, one
+// counting pass per byte, skipping every byte all the keys share. Stability
+// keeps the input order among equal packets. It returns the sorted rows,
+// which may be rows itself or a buffer of the same length.
+func sortByPacketsDesc(rows []UDPPortRow) []UDPPortRow {
+	if len(rows) < 2 {
+		return rows
+	}
+	and, or := ^uint64(0), uint64(0)
+	for i := range rows {
+		k := ^rows[i].Packets
+		and &= k
+		or |= k
+	}
+	varying := and ^ or // a bit set where two keys differ
+	var buf []UDPPortRow
+	for shift := 0; shift < 64; shift += 8 {
+		if (varying>>shift)&0xff == 0 {
+			continue
+		}
+		if buf == nil {
+			buf = make([]UDPPortRow, len(rows))
+		}
+		var count [256]int
+		for i := range rows {
+			count[byte(^rows[i].Packets>>shift)]++
+		}
+		pos := 0
+		for b, c := range count {
+			count[b] = pos
+			pos += c
+		}
+		for i := range rows {
+			b := byte(^rows[i].Packets >> shift)
+			buf[count[b]] = rows[i]
+			count[b]++
+		}
+		rows, buf = buf, rows
 	}
 	return rows
 }

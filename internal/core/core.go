@@ -24,6 +24,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"iotscope/internal/analysis"
 	"iotscope/internal/correlate"
@@ -249,49 +250,80 @@ func readJSON(path string, v any) error {
 	return json.NewDecoder(f).Decode(v)
 }
 
-// Open loads a previously generated dataset.
-func Open(dir string) (*Dataset, error) {
+// Open loads a previously generated dataset. open loads its tables on
+// goroutines, so it takes a context; this signature has none to give it,
+// because tools/perfledger, frozen with the benchmark it defines, calls Open
+// as it is.
+func Open(dir string) (*Dataset, error) { return open(context.Background(), dir) }
+
+// open reads the dataset's files. None of the tables needs the scenario, so
+// each loads as its own task — inventory, threat events, malware reports,
+// catalog, and truth followed by the provenance check — while the caller
+// reads the scenario and rebuilds the registry from it. All are joined
+// before any result is read, and the error is the one the loads would have
+// returned run one after another: scenario, registry, inventory, threat,
+// malware, catalog, truth, provenance. A context already done stops the
+// open before it starts; once started, the loads run to their end.
+func open(ctx context.Context, dir string) (*Dataset, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	ds := &Dataset{Dir: dir}
-	if err := readJSON(filepath.Join(dir, ScenarioFile), &ds.Scenario); err != nil {
-		return nil, fmt.Errorf("core: read scenario: %w", err)
+	var (
+		wg                                                           sync.WaitGroup
+		m                                                            *scenario.RunManifest
+		invErr, threatErr, malwareErr, catalogErr, truthErr, provErr error
+	)
+	task := func(run func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
 	}
-	var err error
-	ds.Registry, err = geo.Build(ds.Scenario.Geo, ds.Scenario.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("core: rebuild registry: %w", err)
-	}
-	ds.Inventory, err = devicedb.LoadFile(filepath.Join(dir, InventoryFile))
-	if err != nil {
-		return nil, fmt.Errorf("core: load inventory: %w", err)
-	}
-	ds.Threat, err = threatintel.LoadFile(filepath.Join(dir, ThreatFile))
-	if err != nil {
-		return nil, fmt.Errorf("core: load threat repo: %w", err)
-	}
-	ds.Malware, ds.MalwareSource, err = malwaredb.LoadReportsFile(filepath.Join(dir, MalwareReportsFile))
-	if err != nil {
-		return nil, fmt.Errorf("core: load malware reports: %w", err)
-	}
-	ds.Catalog, err = malwaredb.LoadCatalogFile(filepath.Join(dir, MalwareCatalogFile))
-	if err != nil {
-		return nil, fmt.Errorf("core: load malware catalog: %w", err)
-	}
-	if err := readJSON(filepath.Join(dir, TruthFile), &ds.Truth); err != nil {
-		return nil, fmt.Errorf("core: load truth: %w", err)
-	}
-	m, err := scenario.VerifyDir(dir)
-	switch {
-	case errors.Is(err, fs.ErrNotExist):
-		// Legacy dataset from before provenance stamping: usable, unstamped.
-	case err != nil:
-		return nil, fmt.Errorf("core: verify provenance: %w", err)
-	default:
-		// The manifest must also agree with the dataset it travels with.
-		if m.Seed != ds.Scenario.Seed || m.Scale != ds.Scenario.Scale || m.Hours != ds.Scenario.Hours {
-			return nil, fmt.Errorf("core: verify provenance: %w: manifest run inputs (seed=%d scale=%v hours=%d) disagree with scenario (seed=%d scale=%v hours=%d)",
-				scenario.ErrManifestMismatch, m.Seed, m.Scale, m.Hours,
-				ds.Scenario.Seed, ds.Scenario.Scale, ds.Scenario.Hours)
+	task(func() { ds.Inventory, invErr = devicedb.LoadFile(filepath.Join(dir, InventoryFile)) })
+	task(func() { ds.Threat, threatErr = threatintel.LoadFile(filepath.Join(dir, ThreatFile)) })
+	task(func() {
+		ds.Malware, ds.MalwareSource, malwareErr = malwaredb.LoadReportsFile(filepath.Join(dir, MalwareReportsFile))
+	})
+	task(func() { ds.Catalog, catalogErr = malwaredb.LoadCatalogFile(filepath.Join(dir, MalwareCatalogFile)) })
+	task(func() {
+		if truthErr = readJSON(filepath.Join(dir, TruthFile), &ds.Truth); truthErr == nil {
+			m, provErr = scenario.VerifyDir(dir)
 		}
+	})
+	scenarioErr := readJSON(filepath.Join(dir, ScenarioFile), &ds.Scenario)
+	var registryErr error
+	if scenarioErr == nil {
+		ds.Registry, registryErr = geo.Build(ds.Scenario.Geo, ds.Scenario.Seed)
+	}
+	wg.Wait()
+
+	switch {
+	case scenarioErr != nil:
+		return nil, fmt.Errorf("core: read scenario: %w", scenarioErr)
+	case registryErr != nil:
+		return nil, fmt.Errorf("core: rebuild registry: %w", registryErr)
+	case invErr != nil:
+		return nil, fmt.Errorf("core: load inventory: %w", invErr)
+	case threatErr != nil:
+		return nil, fmt.Errorf("core: load threat repo: %w", threatErr)
+	case malwareErr != nil:
+		return nil, fmt.Errorf("core: load malware reports: %w", malwareErr)
+	case catalogErr != nil:
+		return nil, fmt.Errorf("core: load malware catalog: %w", catalogErr)
+	case truthErr != nil:
+		return nil, fmt.Errorf("core: load truth: %w", truthErr)
+	case errors.Is(provErr, fs.ErrNotExist):
+		// Legacy dataset from before provenance stamping: usable, unstamped.
+	case provErr != nil:
+		return nil, fmt.Errorf("core: verify provenance: %w", provErr)
+	case m.Seed != ds.Scenario.Seed || m.Scale != ds.Scenario.Scale || m.Hours != ds.Scenario.Hours:
+		// The manifest must also agree with the dataset it travels with.
+		return nil, fmt.Errorf("core: verify provenance: %w: manifest run inputs (seed=%d scale=%v hours=%d) disagree with scenario (seed=%d scale=%v hours=%d)",
+			scenario.ErrManifestMismatch, m.Seed, m.Scale, m.Hours,
+			ds.Scenario.Seed, ds.Scenario.Scale, ds.Scenario.Hours)
+	default:
 		ds.Manifest = m
 	}
 	return ds, nil
@@ -486,7 +518,7 @@ func (ds *Dataset) DownstreamStages(cfg Config, out *Results) []pipeline.Stage {
 			// Read-side materialization: precompute every aggregate the
 			// serving layer answers from, so request cost is O(answer)
 			// regardless of dataset size (see internal/matview).
-			v, err := matview.Build(matview.Sources{
+			v, err := matview.BuildContext(ctx, matview.Sources{
 				Result:    out.Correlate,
 				Analyzer:  out.Analyzer,
 				Summary:   out.Summary,

@@ -166,7 +166,7 @@ func LoadSnapshotOpts(ctx context.Context, dir string, opts LoadOptions) (*Datas
 	rep, err := pipeline.New("load-snapshot",
 		pipeline.Func(StageOpen, func(ctx context.Context, st *pipeline.State) error {
 			var err error
-			if ds, err = Open(dir); err != nil {
+			if ds, err = open(ctx, dir); err != nil {
 				return err
 			}
 			pipeline.Meter(ctx).Note = "malware: " + ds.MalwareSource

@@ -25,8 +25,10 @@ package matview
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"sync"
 	"time"
 
 	"iotscope/internal/analysis"
@@ -115,39 +117,69 @@ type ThreatEvent struct {
 	Day      int    `json:"day"`
 }
 
-// Build materializes every view from the analysis outputs. It is called
-// from the pipeline's materialize stage, so both the analyze path and the
-// snapshot-load path pay the build exactly once per swap.
-func Build(src Sources) (*Views, error) {
+// Build is BuildContext that cannot be cancelled. BuildContext runs its
+// terms on goroutines, so it takes a context; this signature has none to
+// give it, because tools/perfledger, frozen with the benchmark it defines,
+// calls Build as it is.
+func Build(src Sources) (*Views, error) { return BuildContext(context.Background(), src) }
+
+// BuildContext materializes every view from the analysis outputs. It is
+// called from the pipeline's materialize stage, so both the analyze path and
+// the snapshot-load path pay the build exactly once per swap.
+//
+// The terms that share no output run as concurrent tasks: the digest (when
+// src.Digest is zero), the UDP table, the reports body and campaign
+// detection each on its own goroutine while the caller builds the device
+// and spike indexes. All are joined before any is read; an error is the one
+// the terms would have returned run in that order, and the static bodies
+// are encoded after the join. A context already done stops the build before
+// it starts; once started, the terms run to their end.
+func BuildContext(ctx context.Context, src Sources) (*Views, error) {
 	if src.Result == nil || src.Analyzer == nil || src.Inventory == nil || src.Registry == nil {
 		return nil, fmt.Errorf("matview: result, analyzer, inventory, and registry are required")
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	start := time.Now()
 	v := &Views{inv: src.Inventory, threat: src.Threat, digest: src.Digest}
 
-	var err error
+	var (
+		wg                                 sync.WaitGroup
+		digestErr, reportsErr, campaignErr error
+		campaigns                          []campaign.Campaign
+	)
+	task := func(run func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
 	if v.digest == 0 {
-		if v.digest, err = resultstore.DigestResult(src.Result); err != nil {
-			return nil, fmt.Errorf("matview: digest: %w", err)
-		}
+		task(func() { v.digest, digestErr = resultstore.DigestResult(src.Result) })
 	}
-
-	if err := v.buildDeviceIndex(src); err != nil {
-		return nil, err
-	}
+	task(func() { v.udpRows = src.Analyzer.TopUDPPorts(0) })
+	task(func() {
+		v.reports, reportsErr = RenderReports(notify.BuildBundles(notify.Sources{
+			Result: src.Result, Inventory: src.Inventory, Registry: src.Registry,
+			Threat: src.Threat, Malware: src.MalwareDB, Catalog: src.Catalog,
+		}, notify.Config{MinDevices: 1, MinPackets: 1}))
+	})
+	task(func() { campaigns, campaignErr = campaign.Detect(src.Result, campaign.DefaultConfig()) })
+	indexErr := v.buildDeviceIndex(src)
 	v.buildSpikeIndex(src.Result)
-	v.udpRows = src.Analyzer.TopUDPPorts(0)
-	v.reports, err = RenderReports(notify.BuildBundles(notify.Sources{
-		Result: src.Result, Inventory: src.Inventory, Registry: src.Registry,
-		Threat: src.Threat, Malware: src.MalwareDB, Catalog: src.Catalog,
-	}, notify.Config{MinDevices: 1, MinPackets: 1}))
-	if err != nil {
-		return nil, err
-	}
+	wg.Wait()
 
-	campaigns, err := campaign.Detect(src.Result, campaign.DefaultConfig())
-	if err != nil {
-		return nil, fmt.Errorf("matview: campaigns: %w", err)
+	switch {
+	case digestErr != nil:
+		return nil, fmt.Errorf("matview: digest: %w", digestErr)
+	case indexErr != nil:
+		return nil, indexErr
+	case reportsErr != nil:
+		return nil, reportsErr
+	case campaignErr != nil:
+		return nil, fmt.Errorf("matview: campaigns: %w", campaignErr)
 	}
 
 	scanRows := src.Analyzer.TopScanServices(analysis.DefaultScanServices())

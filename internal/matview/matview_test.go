@@ -9,12 +9,15 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 
 	"iotscope/internal/core"
 	"iotscope/internal/matview"
 	"iotscope/internal/notify"
+	"iotscope/internal/scenario"
 )
 
 var (
@@ -322,6 +325,89 @@ func TestDoSSpikesMatchesAnalysis(t *testing.T) {
 				t.Fatalf("threshold %v spike %d: %+v vs analyzer %+v", threshold, i, g, sp)
 			}
 		}
+	}
+}
+
+// viewBytes is everything a Views answers with, by name: the five static
+// bodies, the reports body, every page of the device list and the UDP
+// table.
+func viewBytes(t *testing.T, v *matview.Views) map[string][]byte {
+	t.Helper()
+	udp, err := json.Marshal(v.TopUDP(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, tail := v.ReportsBody(1)
+	out := map[string][]byte{
+		"digest":     []byte(v.Stats().Digest),
+		"summary":    v.SummaryBody(),
+		"tcp ports":  v.TCPPortsBody(),
+		"signatures": v.SignaturesBody(),
+		"campaigns":  v.CampaignsBody(),
+		"malware":    v.MalwareBody(),
+		"reports":    append(append([]byte(nil), head...), tail...),
+		"udp":        udp,
+	}
+	for page, after := 0, -1; ; page++ {
+		var buf bytes.Buffer
+		v.AppendDevicesAfterBody(&buf, "", "", after, 25)
+		out["devices page "+strconv.Itoa(page)] = buf.Bytes()
+		b := decodeDevices(t, &buf)
+		if b.NextCursor == "" {
+			break
+		}
+		after = b.Devices[len(b.Devices)-1].ID
+	}
+	return out
+}
+
+// The build's terms run as concurrent tasks, so nothing about it may depend
+// on how they interleave: every bundled scenario, built ten times at one P
+// and ten at four, gives the first build's bytes every time.
+func TestBuildSameBytesAnyGOMAXPROCS(t *testing.T) {
+	for _, m := range scenario.List() {
+		t.Run(m.Name, func(t *testing.T) {
+			rs, err := scenario.Resolve(m.Ref(), scenario.Options{Scale: 0.001, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := core.DefaultConfig(0.001, 5)
+			ds, err := core.GenerateScenario(cfg, rs, t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := ds.Analyze(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := matview.Sources{
+				Result: res.Correlate, Analyzer: res.Analyzer, Summary: res.Summary,
+				StatTests: res.StatTests, Malware: res.Malware,
+				Inventory: ds.Inventory, Registry: ds.Registry, Threat: ds.Threat,
+				MalwareDB: ds.Malware, Catalog: ds.Catalog,
+			}
+			first := viewBytes(t, res.Views)
+			for _, procs := range []int{1, 4} {
+				func() {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					for i := 0; i < 10; i++ {
+						v, err := matview.Build(src)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got := viewBytes(t, v)
+						if len(got) != len(first) {
+							t.Fatalf("GOMAXPROCS=%d build %d: %d parts, the first build %d", procs, i, len(got), len(first))
+						}
+						for name, want := range first {
+							if !bytes.Equal(got[name], want) {
+								t.Fatalf("GOMAXPROCS=%d build %d: %s differs from the first build's", procs, i, name)
+							}
+						}
+					}
+				}()
+			}
+		})
 	}
 }
 
