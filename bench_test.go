@@ -251,7 +251,7 @@ func BenchmarkPipelineCorrelateSharded(b *testing.B) {
 func BenchmarkPipelineStaged(b *testing.B) {
 	ds, _ := benchFixture(b)
 	c := correlate.New(ds.Inventory, correlate.Options{})
-	stage := pipeline.Func("correlate", func(ctx context.Context, st *pipeline.State) error {
+	stage := pipeline.Func("correlate", func(ctx context.Context) error {
 		res, err := c.ProcessDataset(ctx, ds.Dir)
 		if err != nil {
 			return err
@@ -264,7 +264,7 @@ func BenchmarkPipelineStaged(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pipeline.New("bench", stage).Run(context.Background(), nil); err != nil {
+		if _, err := pipeline.New("bench", stage).Run(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

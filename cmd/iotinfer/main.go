@@ -5,8 +5,9 @@
 // results as JSON instead.
 //
 // The analysis runs through the staged pipeline engine (correlate →
-// characterize → stat-tests → threat-intel → malware); -stage-report dumps
-// the per-stage metrics, and an interrupt cancels the run mid-stage.
+// characterize → stat-tests → threat-intel → malware → materialize);
+// -stage-report dumps the per-stage metrics, and an interrupt cancels the
+// run mid-stage.
 //
 // -save FILE additionally persists the analyzed correlation state as a
 // versioned result store artifact (internal/resultstore) once the analysis
@@ -92,7 +93,7 @@ func run(args []string, stdout io.Writer) error {
 	if *save != "" {
 		stages = append(stages, core.SaveSnapshotStage(*save, res))
 	}
-	rep, err := pipeline.New("analyze", stages...).Run(ctx, nil)
+	rep, err := pipeline.New("analyze", stages...).Run(ctx)
 	if emitErr := pipeline.EmitReport(rep, *stageReport); emitErr != nil && err == nil {
 		err = emitErr
 	}

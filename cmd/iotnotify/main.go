@@ -27,6 +27,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -41,13 +42,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "iotnotify:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("iotnotify", flag.ContinueOnError)
 	var (
 		data        = fs.String("data", "", "dataset directory")
@@ -65,6 +66,9 @@ func run(args []string) error {
 	}
 	if *data == "" && !(*queueDir != "" && *drain) {
 		return fmt.Errorf("-data is required (omit it only for -queue-dir with -drain)")
+	}
+	if *top < 0 {
+		return fmt.Errorf("-top must be >= 0")
 	}
 	if *minDevices < 1 {
 		return fmt.Errorf("-min-devices must be >= 1")
@@ -90,7 +94,7 @@ func run(args []string) error {
 		}
 	}
 
-	var bundles []notify.Bundle
+	res := &core.Results{}
 	if *data != "" {
 		ds, err := core.Open(*data)
 		if err != nil {
@@ -98,36 +102,18 @@ func run(args []string) error {
 		}
 		cfg := core.DefaultConfig(ds.Scenario.Scale, ds.Scenario.Seed)
 		cfg.Lenient = *lenient
-		res := &core.Results{}
-		stages = append(ds.AnalysisStages(cfg, res),
-			pipeline.Func("notify", func(ctx context.Context, st *pipeline.State) error {
-				bundles = notify.BuildBundles(notify.Sources{
-					Result:    res.Correlate,
-					Inventory: ds.Inventory,
-					Registry:  ds.Registry,
-					Threat:    ds.Threat,
-					Malware:   ds.Malware,
-					Catalog:   ds.Catalog,
-				}, notify.Config{MinDevices: *minDevices, MinPackets: 1})
-				m := pipeline.Meter(ctx)
-				m.RecordsIn = uint64(len(res.Correlate.Devices))
-				m.RecordsOut = uint64(len(bundles))
-				return nil
-			}))
+		stages = ds.AnalysisStages(cfg, res)
 		if q != nil {
 			resolver := abusecontact.NewResolver(
 				abusecontact.Derive(ds.Registry, ds.Scenario.Seed))
-			eventHour := func() int {
-				if res.Correlate.Hours > 0 {
-					return res.Correlate.Hours - 1
-				}
-				return 0
-			}
-			contacts := make(map[int]abusecontact.Contact)
-			var complaints []outqueue.Notification
-
+			var (
+				bundles    []notify.Bundle
+				contacts   = make(map[int]abusecontact.Contact)
+				complaints []outqueue.Notification
+			)
 			stages = append(stages,
-				pipeline.Func("resolve", func(ctx context.Context, st *pipeline.State) error {
+				pipeline.Func("resolve", func(ctx context.Context) error {
+					bundles = res.Views.Bundles(*minDevices)
 					unresolved := 0
 					for _, b := range bundles {
 						c, err := resolver.Resolve(b.ISPIndex)
@@ -146,8 +132,8 @@ func run(args []string) error {
 					}
 					return nil
 				}),
-				pipeline.Func("render", func(ctx context.Context, st *pipeline.State) error {
-					hour := eventHour()
+				pipeline.Func("render", func(ctx context.Context) error {
+					hour := max(res.Correlate.Hours-1, 0) // the window's last hour
 					for _, b := range bundles {
 						c, ok := contacts[b.ISPIndex]
 						if !ok {
@@ -183,7 +169,7 @@ func run(args []string) error {
 					m.RecordsOut = uint64(len(complaints))
 					return nil
 				}),
-				pipeline.Func("enqueue", func(ctx context.Context, st *pipeline.State) error {
+				pipeline.Func("enqueue", func(ctx context.Context) error {
 					_, es, err := q.Enqueue(complaints...)
 					if err != nil {
 						return err
@@ -200,8 +186,8 @@ func run(args []string) error {
 	var drainStats outqueue.DrainStats
 	if *drain {
 		stages = append(stages,
-			pipeline.Func("deliver", func(ctx context.Context, st *pipeline.State) error {
-				sink, closeSink, err := openSink(*sinkPath)
+			pipeline.Func("deliver", func(ctx context.Context) error {
+				sink, closeSink, err := openSink(*sinkPath, stdout)
 				if err != nil {
 					return err
 				}
@@ -228,7 +214,7 @@ func run(args []string) error {
 			}))
 	}
 
-	rep, err := pipeline.New("notify", stages...).Run(ctx, nil)
+	rep, err := pipeline.New("notify", stages...).Run(ctx)
 	if emitErr := pipeline.EmitReport(rep, *stageReport); emitErr != nil && err == nil {
 		err = emitErr
 	}
@@ -239,23 +225,24 @@ func run(args []string) error {
 	switch {
 	case q != nil:
 		qs := q.Stats()
-		fmt.Printf("queue %s: %d items (%d pending, %d sent, %d failed, %d suppressed) across %d operators\n",
+		fmt.Fprintf(stdout, "queue %s: %d items (%d pending, %d sent, %d failed, %d suppressed) across %d operators\n",
 			q.Dir(), qs.Items, qs.Pending, qs.Sent, qs.Failed, qs.Suppressed, qs.Keys)
 		if *drain {
-			fmt.Printf("drain: delivered %d, failed %d, attempts %d, remaining %d\n",
+			fmt.Fprintf(stdout, "drain: delivered %d, failed %d, attempts %d, remaining %d\n",
 				drainStats.Delivered, drainStats.Failed, drainStats.Attempts, drainStats.Remaining)
 		}
 	default:
-		fmt.Printf("%d operators host inferred compromised IoT devices\n\n", len(bundles))
+		bundles := res.Views.Bundles(*minDevices)
+		fmt.Fprintf(stdout, "%d operators host inferred compromised IoT devices\n\n", len(bundles))
 		n := len(bundles)
 		if *top > 0 && *top < n {
 			n = *top
 		}
 		for i := 0; i < n; i++ {
-			if err := bundles[i].Render(os.Stdout); err != nil {
+			if err := bundles[i].Render(stdout); err != nil {
 				return err
 			}
-			fmt.Println("----------------------------------------------------------------")
+			fmt.Fprintln(stdout, "----------------------------------------------------------------")
 		}
 	}
 	return nil
@@ -263,9 +250,9 @@ func run(args []string) error {
 
 // openSink builds the drain sink: "-" renders to stdout, anything else is
 // an idempotent append-only delivery log.
-func openSink(path string) (outqueue.Sink, func(), error) {
+func openSink(path string, stdout io.Writer) (outqueue.Sink, func(), error) {
 	if path == "-" || path == "" {
-		return &outqueue.WriterSink{W: os.Stdout}, func() {}, nil
+		return &outqueue.WriterSink{W: stdout}, func() {}, nil
 	}
 	fsink, err := outqueue.NewFileSink(path)
 	if err != nil {

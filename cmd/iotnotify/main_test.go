@@ -3,32 +3,40 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
+	"iotscope/internal/abusecontact"
 	"iotscope/internal/core"
+	"iotscope/internal/notify"
 	"iotscope/internal/outqueue"
 )
 
 func TestRunValidation(t *testing.T) {
-	if err := run(nil); err == nil {
+	if err := run(nil, io.Discard); err == nil {
 		t.Fatal("missing -data accepted")
 	}
-	if err := run([]string{"-data", "x", "-min-devices", "0"}); err == nil {
-		t.Fatal("min-devices 0 accepted")
-	}
-	if err := run([]string{"-data", t.TempDir()}); err == nil {
+	if err := run([]string{"-data", t.TempDir()}, io.Discard); err == nil {
 		t.Fatal("empty dataset accepted")
 	}
-	if err := run([]string{"-data", "x", "-rate", "-1"}); err == nil {
-		t.Fatal("negative rate accepted")
-	}
-	if err := run([]string{"-data", "x", "-drain"}); err == nil {
+	if err := run([]string{"-data", "x", "-drain"}, io.Discard); err == nil {
 		t.Fatal("-drain without -queue-dir accepted")
 	}
-	if err := run([]string{"-drain", "-queue-dir", t.TempDir() + "/q"}); err != nil {
+	if err := run([]string{"-drain", "-queue-dir", t.TempDir() + "/q"}, io.Discard); err != nil {
 		t.Fatalf("drain-only mode rejected: %v", err)
+	}
+	// A value out of range is an error naming its flag, raised before the
+	// dataset (missing here) is opened.
+	missing := filepath.Join(t.TempDir(), "missing")
+	for _, bad := range [][]string{{"-top", "-1"}, {"-min-devices", "0"}, {"-rate", "-1"}} {
+		err := run(append([]string{"-data", missing}, bad...), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), bad[0]) {
+			t.Fatalf("%v: %v, want an error naming the flag", bad, err)
+		}
 	}
 }
 
@@ -39,31 +47,115 @@ func TestRunRendersBundles(t *testing.T) {
 	if _, err := core.Generate(cfg, dir); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-data", dir, "-top", "3"}); err != nil {
+	if err := run([]string{"-data", dir, "-top", "3"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 
 	// -top boundaries: 0 means "all", and a value far beyond the bundle
 	// count clamps instead of indexing out of range.
-	if err := run([]string{"-data", dir, "-top", "0"}); err != nil {
+	if err := run([]string{"-data", dir, "-top", "0"}, io.Discard); err != nil {
 		t.Fatalf("-top 0: %v", err)
 	}
-	if err := run([]string{"-data", dir, "-top", "1000000"}); err != nil {
+	if err := run([]string{"-data", dir, "-top", "1000000"}, io.Discard); err != nil {
 		t.Fatalf("-top beyond bundle count: %v", err)
 	}
 
 	// -min-devices boundaries: 1 is the floor; a huge threshold filters
 	// every operator but still exits cleanly.
-	if err := run([]string{"-data", dir, "-min-devices", "1"}); err != nil {
+	if err := run([]string{"-data", dir, "-min-devices", "1"}, io.Discard); err != nil {
 		t.Fatalf("-min-devices 1: %v", err)
 	}
-	if err := run([]string{"-data", dir, "-min-devices", "1000000"}); err != nil {
+	if err := run([]string{"-data", dir, "-min-devices", "1000000"}, io.Discard); err != nil {
 		t.Fatalf("-min-devices beyond device count: %v", err)
 	}
 
 	// PR 4's flag parity: -lenient is accepted like every other tool.
-	if err := run([]string{"-data", dir, "-lenient", "-top", "1"}); err != nil {
+	if err := run([]string{"-data", dir, "-lenient", "-top", "1"}, io.Discard); err != nil {
 		t.Fatalf("-lenient: %v", err)
+	}
+}
+
+// What iotnotify prints and enqueues is what notify.BuildBundles builds
+// from the analysis at the -min-devices floor: stdout is the header line
+// plus each bundle's Render, and every queued complaint is rendered from
+// the same bundles with the contact the resolver chain picks.
+func TestRunMatchesBuildBundles(t *testing.T) {
+	dir := t.TempDir()
+	cfg := core.DefaultConfig(0.003, 5)
+	cfg.Hours = 6
+	if _, err := core.Generate(cfg, dir); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := core.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ds.Analyze(core.DefaultConfig(ds.Scenario.Scale, ds.Scenario.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(minDevices int) []notify.Bundle {
+		return notify.BuildBundles(notify.Sources{
+			Result: res.Correlate, Inventory: ds.Inventory, Registry: ds.Registry,
+			Threat: ds.Threat, Malware: ds.Malware, Catalog: ds.Catalog,
+		}, notify.Config{MinDevices: minDevices, MinPackets: 1})
+	}
+	all := build(1)
+	if len(all) < 2 {
+		t.Fatalf("fixture has %d bundles; the floors below need at least 2", len(all))
+	}
+	for _, k := range []int{1, 2, len(all[0].Devices) + 1} {
+		var want bytes.Buffer
+		bundles := build(k)
+		fmt.Fprintf(&want, "%d operators host inferred compromised IoT devices\n\n", len(bundles))
+		for _, b := range bundles {
+			if err := b.Render(&want); err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintln(&want, "----------------------------------------------------------------")
+		}
+		var got bytes.Buffer
+		if err := run([]string{"-data", dir, "-top", "0", "-min-devices", strconv.Itoa(k)}, &got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("-min-devices %d: stdout differs from BuildBundles\ngot:\n%s\nwant:\n%s", k, got.Bytes(), want.Bytes())
+		}
+	}
+
+	queueDir := filepath.Join(t.TempDir(), "queue")
+	if err := run([]string{"-data", dir, "-queue-dir", queueDir}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	q, err := outqueue.Open(queueDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolver := abusecontact.NewResolver(abusecontact.Derive(ds.Registry, ds.Scenario.Seed))
+	var want []outqueue.Notification
+	for _, b := range all {
+		c, err := resolver.Resolve(b.ISPIndex)
+		if err != nil {
+			continue
+		}
+		complaint, err := notify.RenderComplaint(b, notify.ComplaintMeta{
+			Contact: c.Email, Tier: c.Source, WindowHours: outqueue.InitialWindowHours,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, outqueue.Notification{
+			DedupKey: fmt.Sprintf("as%d", b.ASN), Subject: complaint.Subject, Body: complaint.Body,
+		})
+	}
+	items := q.Items()
+	if len(items) != len(want) || len(want) == 0 {
+		t.Fatalf("queue holds %d items, want %d complaints", len(items), len(want))
+	}
+	for i, it := range items {
+		if it.DedupKey != want[i].DedupKey || it.Subject != want[i].Subject || it.Body != want[i].Body {
+			t.Fatalf("item %d (%s) differs from the complaint rendered from bundle %s", i, it.DedupKey, want[i].DedupKey)
+		}
 	}
 }
 
@@ -83,7 +175,7 @@ func TestEnqueueKillRestartDrainExactlyOnce(t *testing.T) {
 
 	// First run: analysis + enqueue, no drain. The process "dies" after run
 	// returns — nothing closes the queue; its durability is segment-based.
-	if err := run([]string{"-data", dir, "-queue-dir", queueDir}); err != nil {
+	if err := run([]string{"-data", dir, "-queue-dir", queueDir}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	q, err := outqueue.Open(queueDir)
@@ -97,7 +189,7 @@ func TestEnqueueKillRestartDrainExactlyOnce(t *testing.T) {
 
 	// Restart: same dataset, same queue. Every complaint is a repeat inside
 	// its operator's suppression window; nothing new becomes pending.
-	if err := run([]string{"-data", dir, "-queue-dir", queueDir}); err != nil {
+	if err := run([]string{"-data", dir, "-queue-dir", queueDir}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	q2, err := outqueue.Open(queueDir)
@@ -112,14 +204,14 @@ func TestEnqueueKillRestartDrainExactlyOnce(t *testing.T) {
 	}
 
 	// Drain-only restart (no -data): deliver everything to the file sink.
-	if err := run([]string{"-drain", "-queue-dir", queueDir, "-sink", sinkPath}); err != nil {
+	if err := run([]string{"-drain", "-queue-dir", queueDir, "-sink", sinkPath}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	// Drain again — idempotent; and drain after re-enqueueing the same world.
-	if err := run([]string{"-drain", "-queue-dir", queueDir, "-sink", sinkPath}); err != nil {
+	if err := run([]string{"-drain", "-queue-dir", queueDir, "-sink", sinkPath}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-data", dir, "-queue-dir", queueDir, "-drain", "-sink", sinkPath}); err != nil {
+	if err := run([]string{"-data", dir, "-queue-dir", queueDir, "-drain", "-sink", sinkPath}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 
@@ -161,7 +253,7 @@ func TestDrainRateFlag(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-drain", "-queue-dir", queueDir, "-rate", "200", "-sink", "-"}); err != nil {
+	if err := run([]string{"-drain", "-queue-dir", queueDir, "-rate", "200", "-sink", "-"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	q2, err := outqueue.Open(queueDir)

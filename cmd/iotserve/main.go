@@ -119,6 +119,17 @@ func run(args []string) error {
 	if *drain <= 0 {
 		return fmt.Errorf("-drain must be positive")
 	}
+	for _, f := range []struct {
+		name     string
+		negative bool
+	}{
+		{"max-inflight", *maxInFl < 0}, {"rate", *rate < 0}, {"burst", *burst < 0},
+		{"request-timeout", *reqTimeout < 0}, {"reload-poll", *reloadPoll < 0}, {"reload-timeout", *reloadTO < 0},
+	} {
+		if f.negative {
+			return fmt.Errorf("-%s must not be negative", f.name)
+		}
+	}
 
 	fmt.Fprintf(os.Stderr, "loading and verifying dataset %s ...\n", *data)
 	// At boot a bad store falls back to raw analysis (RequireStore false):

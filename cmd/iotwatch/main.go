@@ -194,7 +194,7 @@ func run(args []string, stdout io.Writer) error {
 	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stopSig()
 	rep, err := pipeline.New("watch",
-		pipeline.Func("stream-ingest", func(ctx context.Context, st *pipeline.State) error {
+		pipeline.Func("stream-ingest", func(ctx context.Context) error {
 			err := col.Run(ctx)
 			s := col.Stats()
 			m := pipeline.Meter(ctx)
@@ -204,7 +204,7 @@ func run(args []string, stdout io.Writer) error {
 			m.QuarantinedHours = s.HoursQuarantined
 			return err
 		}),
-	).Run(ctx, nil)
+	).Run(ctx)
 	close(stopPrint)
 	<-printed
 	summary(stdout, col.Stats())

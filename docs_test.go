@@ -7,6 +7,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"iotscope/internal/core"
 )
 
 // The docs cite benchmarks by name (DESIGN.md §4 indexes one per figure and
@@ -59,6 +61,29 @@ func TestDocsNameExistingBenchmarks(t *testing.T) {
 	}
 	if names == 0 {
 		t.Fatal("no benchmark name found in the docs: the pattern has rotted")
+	}
+}
+
+// docs/PIPELINE.md draws the analysis pipeline as one arrow line; it must
+// name the stages core.AnalysisStages returns, in their order.
+func TestDocsAnalysisStageLine(t *testing.T) {
+	var names []string
+	for _, st := range (&core.Dataset{}).AnalysisStages(core.Config{}, &core.Results{}) {
+		names = append(names, st.Name())
+	}
+	text, err := os.ReadFile("docs/PIPELINE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var drawn string
+	for _, line := range strings.Split(string(text), "\n") {
+		if strings.HasPrefix(line, names[0]+" → ") {
+			drawn = line
+			break
+		}
+	}
+	if want := strings.Join(names, " → "); drawn != want {
+		t.Fatalf("docs/PIPELINE.md draws the analysis pipeline as %q, want %q", drawn, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package apiserve
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"net/http"
@@ -9,9 +10,9 @@ import (
 	"sort"
 	"testing"
 
-	"iotscope/internal/analysis"
 	"iotscope/internal/core"
 	"iotscope/internal/notify"
+	"iotscope/internal/pipeline"
 )
 
 // The equivalence suite: every /v1/* read endpoint must produce
@@ -190,7 +191,8 @@ func reportFloorPaths(ds *core.Dataset, res *core.Results) []string {
 // floor — the constant body, held to the legacy handler like the rest.
 func TestReportsEquivalenceNoDevices(t *testing.T) {
 	loadServer(t) // for the shared dataset
-	inc, err := srvDS.NewIncremental(core.DefaultConfig(0.004, 303))
+	cfg := core.DefaultConfig(0.004, 303)
+	inc, err := srvDS.NewIncremental(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +200,12 @@ func TestReportsEquivalenceNoDevices(t *testing.T) {
 	if len(empty.Devices) != 0 {
 		t.Fatalf("a correlator that ingested nothing inferred %d devices", len(empty.Devices))
 	}
-	res := &core.Results{Correlate: empty, Analyzer: analysis.New(empty, srvDS.Inventory, srvDS.Registry)}
+	// The production path from a correlation result to servable views: the
+	// downstream stages, materialize last.
+	res := &core.Results{Correlate: empty}
+	if _, err := pipeline.New("downstream", srvDS.DownstreamStages(cfg, res)...).Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	s, err := New(srvDS, res, []string{testToken})
 	if err != nil {
 		t.Fatal(err)

@@ -80,6 +80,27 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// Swap serves views and builds none: Results without them are rejected,
+// and the snapshot already installed keeps its generation and keeps
+// answering.
+func TestSwapRejectsResultsWithoutViews(t *testing.T) {
+	loadServer(t)
+	s, err := New(srvDS, srvRes, []string{testToken})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := s.Generation()
+	if _, err := s.Swap(srvDS, &core.Results{Correlate: srvRes.Correlate, Analyzer: srvRes.Analyzer}); err == nil {
+		t.Fatal("results without views swapped in")
+	}
+	if got := s.Generation(); got != gen {
+		t.Fatalf("rejected swap moved the generation %d -> %d", gen, got)
+	}
+	if code, body := get(t, s, "/v1/summary", testToken); code != http.StatusOK || body["summary"] == nil {
+		t.Fatalf("previous snapshot stopped answering /v1/summary: %d %v", code, body)
+	}
+}
+
 func TestHealthUnauthenticated(t *testing.T) {
 	s := loadServer(t)
 	code, body := get(t, s, "/healthz", "")

@@ -29,13 +29,6 @@ type Snapshot struct {
 	LoadedAt time.Time
 }
 
-// Dataset exposes the snapshot's dataset (read-only by convention).
-func (sn *Snapshot) Dataset() *core.Dataset { return sn.ds }
-
-// Results exposes the snapshot's analysis results (read-only by
-// convention).
-func (sn *Snapshot) Results() *core.Results { return sn.res }
-
 // Views exposes the snapshot's materialized read-side views.
 func (sn *Snapshot) Views() *matview.Views { return sn.views }
 
@@ -56,38 +49,21 @@ type reloadFailure struct {
 // failure. The previous snapshot keeps serving requests that already
 // loaded it.
 //
-// Results produced by the analysis pipeline arrive with their read-side
-// views already materialized (the materialize stage); hand-assembled
-// Results get the same materialization here, so a served snapshot always
-// has views. A failed build rejects the swap — the old snapshot keeps
-// serving, exactly like a failed reload.
+// res must carry the read-side views its materialize stage built (see
+// core.DownstreamStages); Swap serves them and builds none. Results
+// without views are rejected and the old snapshot keeps serving, exactly
+// like a failed reload.
 func (s *Server) Swap(ds *core.Dataset, res *core.Results) (uint64, error) {
 	if ds == nil || res == nil {
 		return 0, fmt.Errorf("apiserve: nil dataset or results")
 	}
-	views := res.Views
-	if views == nil {
-		v, err := matview.Build(matview.Sources{
-			Result:    res.Correlate,
-			Analyzer:  res.Analyzer,
-			Summary:   res.Summary,
-			StatTests: res.StatTests,
-			Malware:   res.Malware,
-			Inventory: ds.Inventory,
-			Registry:  ds.Registry,
-			Threat:    ds.Threat,
-			MalwareDB: ds.Malware,
-			Catalog:   ds.Catalog,
-		})
-		if err != nil {
-			return 0, fmt.Errorf("apiserve: materialize views: %w", err)
-		}
-		views = v
+	if res.Views == nil {
+		return 0, fmt.Errorf("apiserve: results carry no materialized views")
 	}
 	gen := s.gen.Add(1)
 	s.snap.Store(&Snapshot{
-		ds: ds, res: res, views: views,
-		etag:       fmt.Sprintf(`"g%d-%08x"`, gen, views.Digest()),
+		ds: ds, res: res, views: res.Views,
+		etag:       fmt.Sprintf(`"g%d-%08x"`, gen, res.Views.Digest()),
 		Generation: gen, LoadedAt: s.clock(),
 	})
 	s.reloadFail.Store(nil)

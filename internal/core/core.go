@@ -410,9 +410,10 @@ func classifyIngestErr(m *pipeline.StageMetrics, err error) {
 }
 
 // AnalysisStages returns the paper's pipeline as named stages — correlate
-// → characterize → stat-tests → threat-intel → malware — writing into out
-// as they run. Every cmd and LoadSnapshotOpts composes these same stages, so
-// there is exactly one wiring of the analysis path.
+// → characterize → stat-tests → threat-intel → malware → materialize —
+// writing into out as they run. Every cmd and LoadSnapshotOpts composes
+// these same stages, so there is exactly one wiring of the analysis path,
+// and out is the only state the stages share.
 func (ds *Dataset) AnalysisStages(cfg Config, out *Results) []pipeline.Stage {
 	return append([]pipeline.Stage{ds.correlateStage(cfg, out)}, ds.DownstreamStages(cfg, out)...)
 }
@@ -421,7 +422,7 @@ func (ds *Dataset) AnalysisStages(cfg Config, out *Results) []pipeline.Stage {
 // files through the correlator into out.Correlate. A sharded run attaches
 // one metrics record per shard (correlate/shard-K) under the stage's row.
 func (ds *Dataset) correlateStage(cfg Config, out *Results) pipeline.Stage {
-	return pipeline.Func(StageCorrelate, func(ctx context.Context, st *pipeline.State) error {
+	return pipeline.Func(StageCorrelate, func(ctx context.Context) error {
 		corr := correlate.New(ds.Inventory, cfg.CorrelatorOptions())
 		res, reports, err := corr.ProcessDatasetSharded(ctx, ds.Dir)
 		if len(reports) > 1 {
@@ -452,12 +453,14 @@ func (ds *Dataset) correlateStage(cfg Config, out *Results) pipeline.Stage {
 
 // DownstreamStages returns the analysis stages that consume an already
 // materialized correlation result (out.Correlate must be set before they
-// run) — characterize → stat-tests → threat-intel → malware. The
-// store-loading path composes these without the correlate stage: a loaded
-// snapshot replaces the inference, not the investigation.
+// run) — characterize → stat-tests → threat-intel → malware → materialize.
+// The store-loading path composes these without the correlate stage: a
+// loaded snapshot replaces the inference, not the investigation. The
+// materialize stage is the one place read-side views (and the per-ISP
+// notification bundles they hold) are built.
 func (ds *Dataset) DownstreamStages(cfg Config, out *Results) []pipeline.Stage {
 	return []pipeline.Stage{
-		pipeline.Func(StageCharacterize, func(ctx context.Context, st *pipeline.State) error {
+		pipeline.Func(StageCharacterize, func(ctx context.Context) error {
 			an := analysis.New(out.Correlate, ds.Inventory, ds.Registry)
 			out.Analyzer = an
 			out.Summary = an.Summary()
@@ -466,7 +469,7 @@ func (ds *Dataset) DownstreamStages(cfg Config, out *Results) []pipeline.Stage {
 			m.RecordsOut = uint64(out.Summary.Total)
 			return nil
 		}),
-		pipeline.Func(StageStatTests, func(ctx context.Context, st *pipeline.State) error {
+		pipeline.Func(StageStatTests, func(ctx context.Context) error {
 			var err error
 			out.StatTests, err = out.Analyzer.RunStatTests(ctx)
 			if err != nil {
@@ -474,7 +477,7 @@ func (ds *Dataset) DownstreamStages(cfg Config, out *Results) []pipeline.Stage {
 			}
 			return nil
 		}),
-		pipeline.Func(StageThreatIntel, func(ctx context.Context, st *pipeline.State) error {
+		pipeline.Func(StageThreatIntel, func(ctx context.Context) error {
 			// Sec. V-A: threat-repository correlation, cut scaled like the
 			// paper.
 			topCut := cfg.ExploreTopPerCategory
@@ -497,7 +500,7 @@ func (ds *Dataset) DownstreamStages(cfg Config, out *Results) []pipeline.Stage {
 			m.RecordsOut = uint64(len(out.Threat.Flagged))
 			return nil
 		}),
-		pipeline.Func(StageMalware, func(ctx context.Context, st *pipeline.State) error {
+		pipeline.Func(StageMalware, func(ctx context.Context) error {
 			// Sec. V-B: malware-database correlation over every inferred
 			// device.
 			ips := make(map[int]netx.Addr, len(out.Correlate.Devices))
@@ -514,7 +517,7 @@ func (ds *Dataset) DownstreamStages(cfg Config, out *Results) []pipeline.Stage {
 			m.RecordsOut = uint64(len(out.Malware.MatchedDevices))
 			return nil
 		}),
-		pipeline.Func(StageMaterialize, func(ctx context.Context, st *pipeline.State) error {
+		pipeline.Func(StageMaterialize, func(ctx context.Context) error {
 			// Read-side materialization: precompute every aggregate the
 			// serving layer answers from, so request cost is O(answer)
 			// regardless of dataset size (see internal/matview).
@@ -556,7 +559,7 @@ func (ds *Dataset) DownstreamStages(cfg Config, out *Results) []pipeline.Stage {
 // run and why.
 func (ds *Dataset) AnalyzeStaged(ctx context.Context, cfg Config) (*Results, *pipeline.Report, error) {
 	out := &Results{}
-	rep, err := pipeline.New("analyze", ds.AnalysisStages(cfg, out)...).Run(ctx, nil)
+	rep, err := pipeline.New("analyze", ds.AnalysisStages(cfg, out)...).Run(ctx)
 	if err != nil {
 		return nil, rep, err
 	}

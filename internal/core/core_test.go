@@ -43,6 +43,19 @@ func loadE2E(t *testing.T) (*Dataset, *Results) {
 	return e2eDS, e2eRes
 }
 
+// The analysis stages run in the paper's order and end with the one stage
+// that builds views; the stage names are what every -stage-report shows.
+func TestAnalysisStageOrder(t *testing.T) {
+	var got []string
+	for _, st := range (&Dataset{}).AnalysisStages(Config{}, &Results{}) {
+		got = append(got, st.Name())
+	}
+	want := []string{StageCorrelate, StageCharacterize, StageStatTests, StageThreatIntel, StageMalware, StageMaterialize}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("analysis stages %v, want %v", got, want)
+	}
+}
+
 func TestGenerateWritesAllArtifacts(t *testing.T) {
 	ds, _ := loadE2E(t)
 	for _, name := range []string{

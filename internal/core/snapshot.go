@@ -47,7 +47,7 @@ func SaveSnapshot(path string, res *Results) error {
 // SaveSnapshotStage wraps SaveSnapshot as a named pipeline stage, so
 // iotinfer -save reports the write alongside the analysis stages.
 func SaveSnapshotStage(path string, out *Results) pipeline.Stage {
-	return pipeline.Func(StageSaveStore, func(ctx context.Context, st *pipeline.State) error {
+	return pipeline.Func(StageSaveStore, func(ctx context.Context) error {
 		if err := SaveSnapshot(path, out); err != nil {
 			return fmt.Errorf("core: save store: %w", err)
 		}
@@ -164,7 +164,7 @@ func LoadSnapshotOpts(ctx context.Context, dir string, opts LoadOptions) (*Datas
 		}()
 	}
 	rep, err := pipeline.New("load-snapshot",
-		pipeline.Func(StageOpen, func(ctx context.Context, st *pipeline.State) error {
+		pipeline.Func(StageOpen, func(ctx context.Context) error {
 			var err error
 			if ds, err = open(ctx, dir); err != nil {
 				return err
@@ -172,7 +172,7 @@ func LoadSnapshotOpts(ctx context.Context, dir string, opts LoadOptions) (*Datas
 			pipeline.Meter(ctx).Note = "malware: " + ds.MalwareSource
 			return nil
 		}),
-		pipeline.Func(StageLoadStore, func(ctx context.Context, st *pipeline.State) error {
+		pipeline.Func(StageLoadStore, func(ctx context.Context) error {
 			m := pipeline.Meter(ctx)
 			if opts.Store == "" {
 				m.Note = "no store configured"
@@ -198,7 +198,7 @@ func LoadSnapshotOpts(ctx context.Context, dir string, opts LoadOptions) (*Datas
 			m.Note = fmt.Sprintf("loaded %s (read %.1fms, overlapping open)", opts.Store, float64(r.took.Microseconds())/1000)
 			return nil
 		}),
-		pipeline.Func(StageVerify, func(ctx context.Context, st *pipeline.State) error {
+		pipeline.Func(StageVerify, func(ctx context.Context) error {
 			m := pipeline.Meter(ctx)
 			if prov.Source == "store" {
 				m.Note = "store CRCs already replayed; raw hours not re-verified"
@@ -212,15 +212,15 @@ func LoadSnapshotOpts(ctx context.Context, dir string, opts LoadOptions) (*Datas
 		// The analysis sequence is composed at run time: the dataset (and
 		// with it the stage closures) only exists once "open" has run, and
 		// which stages run depends on whether load-store succeeded.
-		pipeline.Func(StageLoad, func(ctx context.Context, st *pipeline.State) error {
+		pipeline.Func(StageLoad, func(ctx context.Context) error {
 			cfg := DefaultConfig(ds.Scenario.Scale, ds.Scenario.Seed)
 			stages := ds.AnalysisStages(cfg, res)
 			if prov.Source == "store" {
 				stages = ds.DownstreamStages(cfg, res)
 			}
-			return pipeline.Sequence("analysis", stages...).Run(ctx, st)
+			return pipeline.Sequence("analysis", stages...).Run(ctx)
 		}),
-	).Run(ctx, nil)
+	).Run(ctx)
 	if err != nil {
 		return nil, nil, prov, rep, err
 	}

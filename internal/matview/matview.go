@@ -285,6 +285,11 @@ func (v *Views) ReportsBody(minDevices int) (head, tail []byte) {
 	return v.reports.Body(minDevices)
 }
 
+// Bundles returns the per-ISP notification bundles with at least
+// minDevices devices, in the order ReportsBody renders them (see
+// ReportsTable.Bundles).
+func (v *Views) Bundles(minDevices int) []notify.Bundle { return v.reports.Bundles(minDevices) }
+
 // ThreatEvents returns the wire-shaped intel events for ip. Never nil.
 func (v *Views) ThreatEvents(ip netx.Addr) []ThreatEvent {
 	if v.threat == nil {

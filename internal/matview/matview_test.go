@@ -263,9 +263,13 @@ func TestReportsMatchesNotifyBuild(t *testing.T) {
 	}
 	for _, min := range reportFloors(all) {
 		head, tail := v.ReportsBody(min)
-		want := encodeReports(t, build(min))
+		built := build(min)
+		want := encodeReports(t, built)
 		if got := string(head) + string(tail); got != want {
 			t.Fatalf("minDevices=%d: rendered reports diverge (%d bytes vs %d)", min, len(got), len(want))
+		}
+		if !reflect.DeepEqual(v.Bundles(min), built) {
+			t.Fatalf("minDevices=%d: Views.Bundles differs from BuildBundles", min)
 		}
 	}
 }

@@ -19,15 +19,14 @@ var (
 
 // ReportsTable is the /v1/reports answer for every minDevices floor,
 // rendered once: the whole MinDevices=1 response in one contiguous body,
-// the byte offset just past each bundle's array element, and each
-// bundle's device count. notify.BuildBundles sorts by descending device
-// count first, so the bundles with at least k devices are always a prefix
-// of the table and the answer for k is a prefix of the body plus a
-// constant tail.
+// the byte offset just past each bundle's array element, and the bundles
+// themselves. notify.BuildBundles sorts by descending device count first,
+// so the bundles with at least k devices are always a prefix of the table
+// and the answer for k is a prefix of the body plus a constant tail.
 type ReportsTable struct {
 	body    []byte
-	end     []int // end[i]: offset in body just past bundle i's element
-	devices []int // devices[i]: bundle i's device count, non-increasing
+	end     []int           // end[i]: offset in body just past bundle i's element
+	bundles []notify.Bundle // as rendered; device counts non-increasing
 }
 
 // RenderReports renders bundles (in notify.BuildBundles order) exactly as
@@ -35,9 +34,9 @@ type ReportsTable struct {
 // Build's reports step, exported so its price can be measured on its own.
 func RenderReports(bundles []notify.Bundle) (ReportsTable, error) {
 	if len(bundles) == 0 {
-		return ReportsTable{body: reportsEmpty}, nil
+		return ReportsTable{body: reportsEmpty, bundles: bundles}, nil
 	}
-	t := ReportsTable{end: make([]int, len(bundles)), devices: make([]int, len(bundles))}
+	t := ReportsTable{end: make([]int, len(bundles)), bundles: bundles}
 	var buf bytes.Buffer
 	buf.Write(reportsHead)
 	for i := range bundles {
@@ -56,7 +55,6 @@ func RenderReports(bundles []notify.Bundle) (ReportsTable, error) {
 			return ReportsTable{}, fmt.Errorf("matview: indent report for %s: %w", bundles[i].ISP, err)
 		}
 		t.end[i] = buf.Len()
-		t.devices[i] = len(bundles[i].Devices)
 	}
 	buf.Write(reportsTail)
 	t.body = buf.Bytes()
@@ -68,12 +66,21 @@ func RenderReports(bundles []notify.Bundle) (ReportsTable, error) {
 // must not mutate them. The tail is nil when the head is the whole answer
 // (every bundle qualifies, or none does).
 func (t *ReportsTable) Body(minDevices int) (head, tail []byte) {
-	n := sort.Search(len(t.devices), func(i int) bool { return t.devices[i] < minDevices })
+	n := len(t.Bundles(minDevices))
 	switch n {
-	case len(t.devices):
+	case len(t.bundles):
 		return t.body, nil
 	case 0:
 		return reportsEmpty, nil
 	}
 	return t.body[:t.end[n-1]], reportsTail
+}
+
+// Bundles returns the bundles with at least minDevices devices — the ones
+// Body renders for that floor, and what notify.BuildBundles returns at
+// MinDevices minDevices. The slice aliases the immutable table; callers
+// must not mutate it.
+func (t *ReportsTable) Bundles(minDevices int) []notify.Bundle {
+	n := sort.Search(len(t.bundles), func(i int) bool { return len(t.bundles[i].Devices) < minDevices })
+	return t.bundles[:n]
 }

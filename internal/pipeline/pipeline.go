@@ -1,10 +1,9 @@
 // Package pipeline is the staged execution engine the paper's methodology
 // maps onto: ingest flowtuples → infer compromised devices → characterize
 // traffic → investigate maliciousness → report. Each step is a Stage — a
-// named, context-aware unit of work over a shared State — and an Engine
-// runs a stage list sequentially, instrumenting every stage (wall time,
-// records in/out, retries, quarantined hours, error class) into a
-// JSON-serializable Report.
+// named, context-aware unit of work — and an Engine runs a stage list
+// sequentially, instrumenting every stage (wall time, records in/out,
+// retries, quarantined hours, error class) into a JSON-serializable Report.
 //
 // The engine is deliberately small: composition (Sequence) covers the
 // shapes the tools need, cancellation is first-class
@@ -26,55 +25,30 @@ import (
 	"time"
 )
 
-// Stage is one named unit of pipeline work. Run must honor ctx: a stage
-// that can block or loop checks ctx.Err() at its natural boundaries
-// (between hour files, between record batches) and returns the context's
-// error promptly when cancelled, leaving any pooled or shared state
-// reusable.
-type Stage interface {
-	Name() string
-	Run(ctx context.Context, st *State) error
-}
-
-// State is the keyed blackboard stages communicate through. Most stages
-// close over typed values instead; State exists for loosely coupled
-// composition (a cmd appending a custom stage after library stages) and is
-// safe for concurrent use.
-type State struct {
-	mu   sync.RWMutex
-	vals map[string]any
-}
-
-// NewState returns an empty state.
-func NewState() *State { return &State{vals: make(map[string]any)} }
-
-// Put stores a value under key.
-func (s *State) Put(key string, v any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.vals[key] = v
-}
-
-// Get returns the value stored under key.
-func (s *State) Get(key string) (any, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v, ok := s.vals[key]
-	return v, ok
-}
-
-type funcStage struct {
+// Stage is one named unit of pipeline work. Its function must honor ctx:
+// a stage that can block or loop checks ctx.Err() at its natural
+// boundaries (between hour files, between record batches) and returns the
+// context's error promptly when cancelled, leaving any pooled or shared
+// state reusable. Stages hand each other results by closing over the same
+// typed value (core.Results for the analysis stages), never through the
+// engine.
+type Stage struct {
 	name string
-	fn   func(ctx context.Context, st *State) error
+	run  func(ctx context.Context) error
 }
 
-// Func adapts a function to the Stage interface.
-func Func(name string, fn func(ctx context.Context, st *State) error) Stage {
-	return funcStage{name: name, fn: fn}
+// Func returns the stage called name that runs fn.
+func Func(name string, fn func(ctx context.Context) error) Stage {
+	return Stage{name: name, run: fn}
 }
 
-func (f funcStage) Name() string                             { return f.name }
-func (f funcStage) Run(ctx context.Context, st *State) error { return f.fn(ctx, st) }
+// Name is the stage's name in the report.
+func (s Stage) Name() string { return s.name }
+
+// Run runs the stage's function. A stage run inside another stage (as
+// LoadSnapshotOpts runs its analysis Sequence) reports into the enclosing
+// engine run's Report through ctx.
+func (s Stage) Run(ctx context.Context) error { return s.run(ctx) }
 
 // Stage status values recorded in StageMetrics.
 const (
@@ -247,12 +221,12 @@ func ErrorClass(err error) string {
 
 // instrument registers a metrics record for the stage in the run's report
 // and executes it, filling timing, status, and error fields.
-func instrument(ctx context.Context, st *State, stage Stage) error {
+func instrument(ctx context.Context, stage Stage) error {
 	m := &StageMetrics{Name: stage.Name()}
 	reportFrom(ctx).add(m)
 	ctx = context.WithValue(ctx, meterKey, m)
 	start := time.Now()
-	err := stage.Run(ctx, st)
+	err := stage.Run(ctx)
 	m.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
 	if errors.Is(err, ErrSkipped) {
 		m.Status = StatusSkipped
@@ -270,12 +244,6 @@ func instrument(ctx context.Context, st *State, stage Stage) error {
 	return nil
 }
 
-// skip records a stage as skipped (a prior stage failed or the run was
-// cancelled before it started).
-func skip(ctx context.Context, stage Stage) {
-	reportFrom(ctx).add(&StageMetrics{Name: stage.Name(), Status: StatusSkipped})
-}
-
 // Engine runs a named list of stages sequentially.
 type Engine struct {
 	name   string
@@ -287,18 +255,18 @@ func New(name string, stages ...Stage) *Engine {
 	return &Engine{name: name, stages: stages}
 }
 
-// Run executes the stages in order against st (nil allocates a fresh
-// State), stopping at the first failure; later stages are recorded as
-// skipped. The Report is returned even when Run fails — it describes how
-// far the pipeline got and why it stopped.
-func (e *Engine) Run(ctx context.Context, st *State) (*Report, error) {
-	if st == nil {
-		st = NewState()
-	}
+// Run executes the stages in order, stopping at the first failure; later
+// stages are recorded as skipped. The Report is returned even when Run
+// fails — it describes how far the pipeline got and why it stopped.
+//
+// The variadic is ignored. It exists only so that tools/perfledger, frozen
+// with the benchmark it defines, still compiles its Run(ctx, nil) calls;
+// every other caller writes Run(ctx).
+func (e *Engine) Run(ctx context.Context, _ ...*struct{}) (*Report, error) {
 	rep := &Report{Pipeline: e.name, StartedAt: time.Now().UTC()}
 	ctx = context.WithValue(ctx, reportKey, rep)
 	start := time.Now()
-	err := runSequence(ctx, st, e.stages)
+	err := runSequence(ctx, e.stages)
 	rep.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
 	if err != nil {
 		rep.Error = err.Error()
@@ -310,38 +278,28 @@ func (e *Engine) Run(ctx context.Context, st *State) (*Report, error) {
 // Sequence: first error stops the run, remaining stages are marked
 // skipped, and a context already cancelled before a stage starts skips it
 // and surfaces ctx.Err().
-func runSequence(ctx context.Context, st *State, stages []Stage) error {
+func runSequence(ctx context.Context, stages []Stage) error {
 	var firstErr error
 	for _, stage := range stages {
 		if firstErr == nil {
 			firstErr = ctx.Err()
 		}
 		if firstErr != nil {
-			skip(ctx, stage)
+			reportFrom(ctx).add(&StageMetrics{Name: stage.name, Status: StatusSkipped})
 			continue
 		}
-		if err := instrument(ctx, st, stage); err != nil {
+		if err := instrument(ctx, stage); err != nil {
 			firstErr = err
 		}
 	}
 	return firstErr
 }
 
-type seqStage struct {
-	name   string
-	stages []Stage
-}
-
 // Sequence groups stages into one composite stage that runs its children
 // in order. Children are instrumented individually in the enclosing run's
 // report.
 func Sequence(name string, stages ...Stage) Stage {
-	return &seqStage{name: name, stages: stages}
-}
-
-func (s *seqStage) Name() string { return s.name }
-func (s *seqStage) Run(ctx context.Context, st *State) error {
-	return runSequence(ctx, st, s.stages)
+	return Func(name, func(ctx context.Context) error { return runSequence(ctx, stages) })
 }
 
 // RetryPolicy bounds retry-with-backoff behavior for retryable failures:

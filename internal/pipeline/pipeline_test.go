@@ -13,23 +13,25 @@ import (
 )
 
 func TestEngineRunsStagesInOrder(t *testing.T) {
-	var order []string
+	var (
+		order []string
+		x     int // what "a" hands "b", through the closures alone
+	)
 	eng := New("test",
-		Func("a", func(ctx context.Context, st *State) error {
+		Func("a", func(ctx context.Context) error {
 			order = append(order, "a")
-			st.Put("x", 1)
+			x = 1
 			return nil
 		}),
-		Func("b", func(ctx context.Context, st *State) error {
+		Func("b", func(ctx context.Context) error {
 			order = append(order, "b")
-			v, ok := st.Get("x")
-			if !ok || v.(int) != 1 {
-				t.Errorf("state not threaded: %v %v", v, ok)
+			if x != 1 {
+				t.Errorf("b ran before a's write: x = %d", x)
 			}
 			return nil
 		}),
 	)
-	rep, err := eng.Run(context.Background(), nil)
+	rep, err := eng.Run(context.Background())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -56,11 +58,11 @@ func TestEngineSkipsAfterFailure(t *testing.T) {
 	boom := errors.New("boom")
 	ran := false
 	eng := New("test",
-		Func("ok", func(ctx context.Context, st *State) error { return nil }),
-		Func("fail", func(ctx context.Context, st *State) error { return boom }),
-		Func("after", func(ctx context.Context, st *State) error { ran = true; return nil }),
+		Func("ok", func(ctx context.Context) error { return nil }),
+		Func("fail", func(ctx context.Context) error { return boom }),
+		Func("after", func(ctx context.Context) error { ran = true; return nil }),
 	)
-	rep, err := eng.Run(context.Background(), nil)
+	rep, err := eng.Run(context.Background())
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -86,8 +88,8 @@ func TestEnginePreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	eng := New("test", Func("a", func(ctx context.Context, st *State) error { ran = true; return nil }))
-	rep, err := eng.Run(ctx, nil)
+	eng := New("test", Func("a", func(ctx context.Context) error { ran = true; return nil }))
+	rep, err := eng.Run(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want canceled", err)
 	}
@@ -100,14 +102,14 @@ func TestEnginePreCancelledContext(t *testing.T) {
 }
 
 func TestMeterRecordsWorkload(t *testing.T) {
-	eng := New("test", Func("work", func(ctx context.Context, st *State) error {
+	eng := New("test", Func("work", func(ctx context.Context) error {
 		m := Meter(ctx)
 		m.RecordsIn = 100
 		m.RecordsOut = 40
 		m.QuarantinedHours = 2
 		return nil
 	}))
-	rep, err := eng.Run(context.Background(), nil)
+	rep, err := eng.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +131,7 @@ func TestMeterOutsideEngineIsDetached(t *testing.T) {
 }
 
 func TestAttachRegistersExtraRecords(t *testing.T) {
-	eng := New("test", Func("correlate", func(ctx context.Context, st *State) error {
+	eng := New("test", Func("correlate", func(ctx context.Context) error {
 		for i := 0; i < 3; i++ {
 			m := Attach(ctx, fmt.Sprintf("correlate/shard-%d", i))
 			m.RecordsIn = uint64(10 * (i + 1))
@@ -137,7 +139,7 @@ func TestAttachRegistersExtraRecords(t *testing.T) {
 		}
 		return nil
 	}))
-	rep, err := eng.Run(context.Background(), nil)
+	rep, err := eng.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,10 +171,10 @@ func TestAttachOutsideEngineIsDetached(t *testing.T) {
 
 func TestSequenceCompositeRegistersChildren(t *testing.T) {
 	eng := New("test", Sequence("outer",
-		Func("c1", func(ctx context.Context, st *State) error { return nil }),
-		Func("c2", func(ctx context.Context, st *State) error { return nil }),
+		Func("c1", func(ctx context.Context) error { return nil }),
+		Func("c2", func(ctx context.Context) error { return nil }),
 	))
-	rep, err := eng.Run(context.Background(), nil)
+	rep, err := eng.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,11 +213,11 @@ func TestErrorClass(t *testing.T) {
 }
 
 func TestStagePresetErrorClassPreserved(t *testing.T) {
-	eng := New("test", Func("a", func(ctx context.Context, st *State) error {
+	eng := New("test", Func("a", func(ctx context.Context) error {
 		Meter(ctx).ErrorClass = "retryable"
 		return errors.New("ends early")
 	}))
-	rep, _ := eng.Run(context.Background(), nil)
+	rep, _ := eng.Run(context.Background())
 	if rep.Stage("a").ErrorClass != "retryable" {
 		t.Fatalf("class = %q, want retryable", rep.Stage("a").ErrorClass)
 	}
@@ -266,13 +268,13 @@ func TestSleepCancellable(t *testing.T) {
 
 func TestReportJSONRoundTrip(t *testing.T) {
 	eng := New("roundtrip",
-		Func("ok", func(ctx context.Context, st *State) error {
+		Func("ok", func(ctx context.Context) error {
 			Meter(ctx).RecordsIn = 7
 			return nil
 		}),
-		Func("fail", func(ctx context.Context, st *State) error { return context.Canceled }),
+		Func("fail", func(ctx context.Context) error { return context.Canceled }),
 	)
-	rep, _ := eng.Run(context.Background(), nil)
+	rep, _ := eng.Run(context.Background())
 	var buf strings.Builder
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -301,7 +303,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 }
 
 func TestEmitReport(t *testing.T) {
-	rep, _ := New("emit", Func("a", func(ctx context.Context, st *State) error { return nil })).Run(context.Background(), nil)
+	rep, _ := New("emit", Func("a", func(ctx context.Context) error { return nil })).Run(context.Background())
 
 	if err := EmitReport(rep, ""); err != nil {
 		t.Fatalf("empty path: %v", err)
@@ -329,19 +331,19 @@ func TestEmitReport(t *testing.T) {
 func TestErrSkippedStage(t *testing.T) {
 	ran := false
 	eng := New("test",
-		Func("opt-out", func(ctx context.Context, st *State) error {
+		Func("opt-out", func(ctx context.Context) error {
 			Meter(ctx).Note = "nothing to do"
 			return ErrSkipped
 		}),
-		Func("wrapped", func(ctx context.Context, st *State) error {
+		Func("wrapped", func(ctx context.Context) error {
 			return fmt.Errorf("no store configured: %w", ErrSkipped)
 		}),
-		Func("after", func(ctx context.Context, st *State) error {
+		Func("after", func(ctx context.Context) error {
 			ran = true
 			return nil
 		}),
 	)
-	rep, err := eng.Run(context.Background(), nil)
+	rep, err := eng.Run(context.Background())
 	if err != nil {
 		t.Fatalf("skipped stage failed the pipeline: %v", err)
 	}
