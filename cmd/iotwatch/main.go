@@ -310,8 +310,8 @@ func summary(w io.Writer, s stream.Stats) {
 	fmt.Fprintf(w, "followed to hour %d (watermark %d): %d windows sealed (%d partial), %d records in %d batches, %d quarantined\n",
 		s.MaxHour, s.Watermark, s.WindowsSealed, s.WindowsPartial,
 		s.RecordsIngested, s.BatchesIngested, s.HoursQuarantined)
-	fmt.Fprintf(w, "    alerts: %d emitted, %d suppressed as duplicates; late: %d hours, %d records; restarts: %d\n",
-		s.AlertsEmitted, s.AlertsSuppressed, s.LateHours, s.LateRecords, s.Restarts)
+	fmt.Fprintf(w, "    alerts: %d emitted in %d journal appends, %d suppressed as duplicates; late: %d hours, %d records; restarts: %d\n",
+		s.AlertsEmitted, s.JournalAppends, s.AlertsSuppressed, s.LateHours, s.LateRecords, s.Restarts)
 	fmt.Fprintf(w, "    checkpoints: %d committed, %d failed; %d bytes written, %d compactions, %d failed appends\n",
 		s.CheckpointWrites, s.CheckpointFailures,
 		s.CheckpointBytes, s.CheckpointCompactions, s.CheckpointAppendFailures)

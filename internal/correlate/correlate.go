@@ -185,7 +185,7 @@ func (c *Correlator) processDataset(ctx context.Context, dir string) (*Result, [
 // error — including cancellation — every plane is already back in the pool.
 // It reads nothing of inc the merger writes.
 func (inc *Incremental) readHour(ctx context.Context, dir string, hour int, routed []atomic.Uint64) (*hourScratch, error) {
-	w := inc.openWindow(hour)
+	w := inc.DrawWindow(hour)
 	if err := w.feedFile(ctx, dir); err != nil {
 		w.Abort()
 		return nil, err

@@ -23,8 +23,9 @@ import (
 // them into a single scratch before it is finalized, so everything after the
 // fold is the same for any plane count.
 //
-// Windows are not safe for concurrent use; the stream collector drives
-// them from a single ingest goroutine, and each batch worker owns its own.
+// A window is not safe for concurrent use, but it may change goroutines
+// between calls: the stream collector feeds its windows on one goroutine and
+// hands each to its ingest loop to seal, and each batch worker owns its own.
 
 // Window is one in-flight event-time hour being accumulated record batch
 // by record batch. It holds pooled scratches; every Window must end in
@@ -64,14 +65,16 @@ func (inc *Incremental) OpenWindow(hour int) (*Window, error) {
 	if err := inc.admits(hour); err != nil {
 		return nil, err
 	}
-	return inc.openWindow(hour), nil
+	return inc.DrawWindow(hour), nil
 }
 
-// openWindow draws the window's planes from the pool without consulting the
-// hour bookkeeping, which belongs to the goroutine that merges: batch
-// workers open windows concurrently with the merger and leave the guard to
-// merge.
-func (inc *Incremental) openWindow(hour int) *Window {
+// DrawWindow draws a window's planes from the pool without consulting the
+// hour bookkeeping, which belongs to the goroutine that merges, so it may
+// run concurrently with that goroutine: batch workers and the stream
+// collector's window stage open windows while another goroutine seals, and
+// leave the settled-hour guard to merge. The hour must be in
+// [0, MaxHours()); OpenWindow is the guarded form.
+func (inc *Incremental) DrawWindow(hour int) *Window {
 	w := &Window{inc: inc, hour: hour, planes: make([]*hourScratch, 0, inc.c.opts.Shards)}
 	for range inc.c.opts.Shards {
 		s := inc.c.getScratch()

@@ -276,13 +276,15 @@ var ErrInjected = errors.New("faultfs: injected I/O failure")
 // Injector stands between a durable writer and the os package and fails
 // the K-th operation of one kind — "write", "sync" or "rename" — counting
 // from 1 (K == 0 never fails, and just counts). A failed write is torn:
-// half the buffer reaches the file first. With Crash set the failure is
-// the process dying at that operation: every later operation fails too,
+// part of the buffer reaches the file first — half, or the first Tear(n)
+// of its n bytes when Tear is set. With Crash set the failure is the
+// process dying at that operation: every later operation fails too,
 // writing nothing, until Reboot. Its methods match wal.FS.
 type Injector struct {
 	Op    string
 	K     int
 	Crash bool
+	Tear  func(n int) int
 
 	counts  map[string]int
 	tripped bool
@@ -324,7 +326,11 @@ func (in *Injector) Write(f *os.File, p []byte) (int, error) {
 		if wasDead {
 			return 0, ErrInjected
 		}
-		n, _ := f.Write(p[:len(p)/2])
+		keep := len(p) / 2
+		if in.Tear != nil {
+			keep = in.Tear(len(p))
+		}
+		n, _ := f.Write(p[:keep])
 		return n, ErrInjected
 	}
 	return f.Write(p)

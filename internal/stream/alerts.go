@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -45,7 +46,7 @@ type Alert struct {
 }
 
 // AlertLog is the durable, deduplicating alert journal: a JSONL
-// write-ahead log fsynced per append (a wal.Appender). Replay on open
+// write-ahead log fsynced per batch (a wal.Appender). Replay on open
 // rebuilds the key set and the backlog; a partial trailing line (crash
 // mid-append, or a failed append the process survived) is truncated away,
 // which keeps the exactly-once contract — an alert whose append never
@@ -80,9 +81,10 @@ func openAlertLog(fsys wal.FS, path string) (*AlertLog, error) {
 	return l, nil
 }
 
-// replay loads every complete line. Appends are single writes + fsync, so
-// everything before the final newline is intact and whatever follows it is
-// a torn append.
+// replay loads every complete line. Each line is one alert and a batch is
+// one write, so everything before the final newline is intact — including
+// the whole lines of a torn batch, which keep their IDs — and whatever
+// follows it is a torn line.
 func (l *AlertLog) replay(data []byte) (int, error) {
 	keep := bytes.LastIndexByte(data, '\n') + 1
 	for _, line := range bytes.Split(data[:keep], []byte{'\n'}) {
@@ -105,31 +107,60 @@ func (l *AlertLog) replay(data []byte) (int, error) {
 	return keep, nil
 }
 
-// Append journals the alert unless its key was already emitted. The
-// returned alert carries the assigned ID; emitted is false for a
-// suppressed duplicate. The append is durable (fsync) before it returns —
-// publication to live subscribers must happen only after.
+// Append journals one alert: AppendBatch of a batch of one. The returned
+// alert carries the assigned ID; emitted is false for a suppressed
+// duplicate.
 func (l *AlertLog) Append(a Alert) (Alert, bool, error) {
+	out, err := l.AppendBatch([]Alert{a})
+	if err != nil || len(out) == 0 {
+		return a, false, err
+	}
+	return out[0], true, nil
+}
+
+// AppendBatch journals, in order, every alert of the batch whose key was
+// never emitted — neither before nor earlier in the batch — with one write
+// and one fsync, and returns those alerts with their IDs, assigned in
+// order. Nothing changes in memory until the write is durable: on an error
+// no alert is emitted, and a retry of the same batch assigns the same IDs.
+// Publication to live subscribers must happen only after it returns.
+func (l *AlertLog) AppendBatch(batch []Alert) ([]Alert, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, dup := l.keys[a.Key]; dup {
-		l.suppressed++
-		return a, false, nil
-	}
-	a.ID = l.nextID
-	if l.f != nil {
-		line, err := json.Marshal(a)
-		if err != nil {
-			return a, false, err
+	var (
+		out  []Alert
+		seen = make(map[string]struct{}, len(batch))
+		buf  bytes.Buffer
+		enc  = json.NewEncoder(&buf) // one line per alert, as json.Marshal plus '\n'
+	)
+	for _, a := range batch {
+		if _, dup := l.keys[a.Key]; dup {
+			continue
 		}
-		if err := l.f.Append(append(line, '\n')); err != nil {
-			return a, false, err
+		if _, dup := seen[a.Key]; dup {
+			continue
+		}
+		seen[a.Key] = struct{}{}
+		a.ID = l.nextID + uint64(len(out))
+		if l.f != nil {
+			if err := enc.Encode(a); err != nil {
+				return nil, err
+			}
+		}
+		out = append(out, a)
+	}
+	if l.f != nil && len(out) > 0 {
+		if err := l.f.Append(buf.Bytes()); err != nil {
+			return nil, err
 		}
 	}
-	l.nextID++
-	l.keys[a.Key] = struct{}{}
-	l.alerts = append(l.alerts, a)
-	return a, true, nil
+	for _, a := range out {
+		l.keys[a.Key] = struct{}{}
+	}
+	l.alerts = append(l.alerts, out...)
+	l.nextID += uint64(len(out))
+	l.suppressed += uint64(len(batch) - len(out))
+	return out, nil
 }
 
 // Since returns every alert with ID > id, in emission order.
@@ -191,27 +222,38 @@ func NewHub(log *AlertLog) *Hub {
 // Log returns the underlying alert log.
 func (h *Hub) Log() *AlertLog { return h.log }
 
-// Emit journals the alert (dedup + durable) and, if it was emitted,
-// broadcasts it to live subscribers.
+// Emit journals one alert: EmitBatch of a batch of one.
 func (h *Hub) Emit(a Alert) (Alert, bool, error) {
-	a, emitted, err := h.log.Append(a)
-	if err != nil || !emitted {
-		return a, emitted, err
+	out, err := h.EmitBatch([]Alert{a})
+	if err != nil || len(out) == 0 {
+		return a, false, err
+	}
+	return out[0], true, nil
+}
+
+// EmitBatch journals the batch (dedup, one durable append) and then
+// broadcasts the alerts it emitted to live subscribers, in ID order.
+func (h *Hub) EmitBatch(batch []Alert) ([]Alert, error) {
+	out, err := h.log.AppendBatch(batch)
+	if err != nil {
+		return nil, err
 	}
 	h.mu.Lock()
-	for ch := range h.subs {
-		select {
-		case ch <- a:
-		default:
-			// Buffer full: cut the subscriber loose. Its handler sees the
-			// closed channel and ends the response; the client reconnects
-			// with Last-Event-ID and replays the gap from the log.
-			delete(h.subs, ch)
-			close(ch)
+	for _, a := range out {
+		for ch := range h.subs {
+			select {
+			case ch <- a:
+			default:
+				// Buffer full: cut the subscriber loose. Its handler sees the
+				// closed channel and ends the response; the client reconnects
+				// with Last-Event-ID and replays the gap from the log.
+				delete(h.subs, ch)
+				close(ch)
+			}
 		}
 	}
 	h.mu.Unlock()
-	return a, true, nil
+	return out, nil
 }
 
 // Since returns every alert after id.
@@ -248,28 +290,39 @@ func (h *Hub) Subscribers() int {
 
 // sinceParam resolves the client's resume position: the since query
 // parameter, or for SSE reconnects the standard Last-Event-ID header.
-func sinceParam(r *http.Request) uint64 {
+// Neither is the zero position when it does not parse: resending the whole
+// journal to a client that asked for less is an error, answered with 400.
+func sinceParam(r *http.Request) (uint64, error) {
 	if v := r.URL.Query().Get("since"); v != "" {
-		if n, err := strconv.ParseUint(v, 10, 64); err == nil {
-			return n
+		n, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			return 0, errors.New("bad since position")
 		}
+		return n, nil
 	}
 	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		if n, err := strconv.ParseUint(v, 10, 64); err == nil {
-			return n
+		n, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			return 0, errors.New("bad Last-Event-ID")
 		}
+		return n, nil
 	}
-	return 0
+	return 0, nil
 }
 
 // maxLongPoll caps how long ServeList parks a long-poll request.
 const maxLongPoll = 60 * time.Second
 
-// ServeList answers GET with the alert backlog after ?since=N. With
+// ServeList answers GET with the alert backlog after ?since=N (a since
+// that is not an alert ID is a 400). With
 // ?wait=DURATION and an empty backlog it long-polls: the response is held
 // until an alert arrives, the wait expires, or the client goes away.
 func (h *Hub) ServeList(w http.ResponseWriter, r *http.Request) {
-	since := sinceParam(r)
+	since, err := sinceParam(r)
+	if err != nil {
+		http.Error(w, fmt.Sprintf(`{"error":%q}`, err), http.StatusBadRequest)
+		return
+	}
 	var wait time.Duration
 	if v := r.URL.Query().Get("wait"); v != "" {
 		d, err := time.ParseDuration(v)
@@ -316,7 +369,11 @@ func (h *Hub) ServeStream(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `{"error":"streaming unsupported"}`, http.StatusInternalServerError)
 		return
 	}
-	since := sinceParam(r)
+	since, err := sinceParam(r)
+	if err != nil {
+		http.Error(w, fmt.Sprintf(`{"error":%q}`, err), http.StatusBadRequest)
+		return
+	}
 	ch, cancel := h.Subscribe(64)
 	defer cancel()
 	w.Header().Set("Content-Type", "text/event-stream")

@@ -144,6 +144,128 @@ func TestAlertLogFailedAppendRetried(t *testing.T) {
 			}
 		}
 	}
+
+	// A sealed window's alerts are one batch: one write and one fsync after
+	// an alert already journaled. Torn at every byte of that write, or failed
+	// at its fsync, the batch still lands exactly once, whether the process
+	// dies (the journal is reopened and the same batch appended again) or
+	// survives and retries on the same log: every key once, IDs contiguous
+	// from 1, and every line that reached the file keeps its ID.
+	first := Alert{Kind: KindNewDevice, Key: "device/0", Hour: 0}
+	batch := []Alert{
+		{Kind: KindNewDevice, Key: "device/1", Hour: 1, Device: 1},
+		{Kind: KindDoSSpike, Key: "dos/h1", Hour: 1, Packets: 99, Ratio: 9.5},
+		{Kind: KindNewDevice, Key: "device/1", Hour: 1, Device: 1}, // repeated within the batch
+		{Kind: KindNewCampaign, Key: "campaign/p23-2323", Hour: 1, Devices: []int{1, 2}, Ports: []uint16{2323, 23}},
+	}
+	wantKeys := []string{"device/0", "device/1", "dos/h1", "campaign/p23-2323"}
+	runBatch := func(in *faultfs.Injector) {
+		t.Helper()
+		what := fmt.Sprintf("%s #%d (crash %v)", in.Op, in.K, in.Crash)
+		path := filepath.Join(t.TempDir(), "alerts.jsonl")
+		log, err := openAlertLog(in, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := log.Append(first); err != nil || !ok {
+			t.Fatalf("%s: first append: %v, %v", what, ok, err)
+		}
+		survivors := map[string]uint64{} // batch lines a dead process left whole
+		out, err := log.AppendBatch(batch)
+		if err == nil {
+			if in.Tripped() {
+				t.Fatalf("%s: a failed batch reported success", what)
+			}
+		} else {
+			if !errors.Is(err, faultfs.ErrInjected) || len(out) != 0 || log.Len() != 1 {
+				t.Fatalf("%s: failed batch: %v, emitted %d, log holds %d", what, err, len(out), log.Len())
+			}
+			if in.Crash {
+				log.Close()
+				in.Reboot()
+				if log, err = openAlertLog(in, path); err != nil {
+					t.Fatalf("%s: torn journal does not reopen: %v", what, err)
+				}
+				for _, a := range log.Since(1) {
+					survivors[a.Key] = a.ID
+				}
+			}
+			out, err = log.AppendBatch(batch) // the re-derived window
+			if err != nil {
+				t.Fatalf("%s: retried batch: %v", what, err)
+			}
+			if len(out)+len(survivors) != len(wantKeys)-1 {
+				t.Fatalf("%s: retry emitted %d beside %d surviving lines", what, len(out), len(survivors))
+			}
+		}
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		replayed, err := OpenAlertLog(path)
+		if err != nil {
+			t.Fatalf("%s: journal does not reopen: %v", what, err)
+		}
+		defer replayed.Close()
+		got := replayed.Since(0)
+		if len(got) != len(wantKeys) {
+			t.Fatalf("%s: journal holds %d alerts, want %d", what, len(got), len(wantKeys))
+		}
+		for i, a := range got {
+			if a.ID != uint64(i+1) || a.Key != wantKeys[i] {
+				t.Fatalf("%s: entry %d is %+v", what, i, a)
+			}
+			if id, ok := survivors[a.Key]; ok && id != a.ID {
+				t.Fatalf("%s: surviving %s moved from ID %d to %d", what, a.Key, id, a.ID)
+			}
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lines := strings.Count(string(data), "\n"); lines != len(wantKeys) {
+			t.Fatalf("%s: journal has %d lines, want %d", what, lines, len(wantKeys))
+		}
+	}
+	cleanBatch := &faultfs.Injector{}
+	runBatch(cleanBatch)
+	if cleanBatch.Count("write") != 2 || cleanBatch.Count("sync") != 2 {
+		t.Fatalf("a batch made %d writes and %d fsyncs, want one each",
+			cleanBatch.Count("write")-1, cleanBatch.Count("sync")-1)
+	}
+	size := batchBytes(t, batch)
+	for _, crash := range []bool{true, false} {
+		for k := 0; k < size; k++ {
+			in := &faultfs.Injector{Op: "write", K: 2, Crash: crash, Tear: func(int) int { return k }}
+			runBatch(in)
+			if !in.Tripped() {
+				t.Fatalf("write torn at %d never fired", k)
+			}
+		}
+		in := &faultfs.Injector{Op: "sync", K: 2, Crash: crash}
+		runBatch(in)
+		if !in.Tripped() {
+			t.Fatal("batch fsync failure never fired")
+		}
+	}
+}
+
+// batchBytes is the size of the one write that journals the batch.
+func batchBytes(t *testing.T, batch []Alert) int {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "alerts.jsonl")
+	log, err := OpenAlertLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	if _, err := log.AppendBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int(fi.Size())
 }
 
 // Damage before the journal's last newline is not a torn append: the open
@@ -253,6 +375,19 @@ func TestServeListLongPoll(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad wait: status %d", resp.StatusCode)
 	}
+
+	// A resume position that is not an alert ID is a 400, not a replay of
+	// the whole journal.
+	for _, q := range []string{"?since=abc", "?since=-1", "?since=1.5"} {
+		resp, err := http.Get(srv.URL + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d", q, resp.StatusCode)
+		}
+	}
 }
 
 func TestServeStreamSSEResume(t *testing.T) {
@@ -314,5 +449,26 @@ func TestServeStreamSSEResume(t *testing.T) {
 	}
 	if a := expect(3); a.Kind != KindNewCampaign {
 		t.Fatalf("live event: %+v", a)
+	}
+
+	// A malformed resume position is refused before the stream starts.
+	for _, bad := range []struct{ query, lastID string }{
+		{"?since=abc", ""}, {"?since=-1", ""}, {"", "junk"}, {"", "-1"},
+	} {
+		req, err := http.NewRequest("GET", srv.URL+bad.query, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bad.lastID != "" {
+			req.Header.Set("Last-Event-ID", bad.lastID)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || resp.Header.Get("Content-Type") == "text/event-stream" {
+			t.Fatalf("%+v: status %d, %s", bad, resp.StatusCode, resp.Header.Get("Content-Type"))
+		}
 	}
 }

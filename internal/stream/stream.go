@@ -3,6 +3,12 @@
 // incremental engine record-batch by record-batch, without waiting for
 // hour boundaries.
 //
+// A collector runs three stages, each on its own goroutine: the tailer
+// inflates and decodes the growing hour files; the window stage owns event
+// time, feeds record batches into open windows and decides every seal,
+// quarantine and late arrival; the ingest loop carries those decisions out
+// — seal, alerts, journal, checkpoint — in the order they were made.
+//
 // Event time is hour-granular (records carry no timestamps; the hour is
 // the file's identity), so the watermark is an hour number: it trails the
 // newest observed hour by a configurable lateness allowance. Hours at or
@@ -13,21 +19,23 @@
 // are counted, and an hour that first appears behind the watermark is
 // quarantined.
 //
-// Backpressure has one rule: the tailer blocks on a full event channel
-// (eventBuffer events), so a slow ingest loop slows the tailing, and the
-// cursor never passes a record the loop has not taken.
+// Backpressure has one rule at each hand-off: a full channel blocks the
+// sender. The tailer blocks on eventBuffer events, so its cursor never
+// passes a record the window stage has not taken; the window stage blocks
+// on the ingest loop, which holds at most one sealed window waiting.
 //
 // Crash safety is the seal ordering: seal (in memory) → alert journal
-// append (durable, deduplicated by key) → checkpoint commit (one fsynced
-// delta frame appended to the checkpoint file, or the file rewritten whole
-// when the frames would outgrow their base — see resultstore.CheckpointLog).
+// append (one durable write of the window's alerts, deduplicated by key) →
+// checkpoint commit (one fsynced delta frame appended to the checkpoint
+// file, or the file rewritten whole when the frames would outgrow their
+// base — see resultstore.CheckpointLog).
 // A crash at any point resumes from the last commit, re-tails the unsealed
 // hours, re-derives their alerts deterministically, and the journal's key
 // dedup suppresses any alert that already became durable — alerts are
 // exactly-once across kill-and-restart, and the resumed checkpoint
 // converges to the state a never-killed run produces, byte-identical once
-// re-encoded. A supervisor restarts a crashed ingest loop under
-// pipeline.RetryPolicy with jittered backoff.
+// re-encoded. A supervisor restarts a crashed ingest loop — stages and
+// all — under pipeline.RetryPolicy with jittered backoff.
 package stream
 
 import (
@@ -117,27 +125,31 @@ func (cfg Config) withDefaults() Config {
 type Opener func() (*correlate.Incremental, error)
 
 // eventBuffer is the capacity of the event channel between the tailer and
-// the ingest loop: the backpressure bound. A full channel blocks the tailer.
-// 64 full batches (≈ 6 MiB of records) let the tailer decode ahead while a
-// seal commits, and bound what a stalled loop holds.
+// the window stage: the backpressure bound on decoded records. A full
+// channel blocks the tailer. 64 full batches (≈ 6 MiB of records) let the
+// tailer decode ahead while the stage waits on a seal, and bound what a
+// stalled stage holds.
 const eventBuffer = 64
 
 // Stats is a snapshot of collector counters. Counters are cumulative
 // across supervisor restarts; gauges (OpenWindows, MaxHour, Watermark)
-// reflect the current ingest loop.
+// reflect the current window stage.
 type Stats struct {
-	RecordsIngested    uint64
-	BatchesIngested    uint64
-	WindowsSealed      int
-	WindowsPartial     int
-	HoursQuarantined   int
-	LateHours          int
-	LateRecords        uint64
-	LateBytes          int64
-	ShedBatches        uint64 // always 0: the tailer blocks, never sheds; tools/perfledger reports it
-	Restarts           int
-	AlertsEmitted      uint64
-	AlertsSuppressed   uint64
+	RecordsIngested  uint64
+	BatchesIngested  uint64
+	WindowsSealed    int
+	WindowsPartial   int
+	HoursQuarantined int
+	LateHours        int
+	LateRecords      uint64
+	LateBytes        int64
+	ShedBatches      uint64 // always 0: the tailer blocks, never sheds; tools/perfledger reports it
+	Restarts         int
+	AlertsEmitted    uint64
+	AlertsSuppressed uint64
+	// JournalAppends counts the alert batches that emitted anything: one
+	// journal write and fsync per sealed window with a new alert key.
+	JournalAppends     uint64
 	CheckpointWrites   uint64
 	CheckpointFailures uint64
 	// CheckpointBytes is the bytes all commits wrote to the checkpoint
@@ -157,9 +169,9 @@ type Stats struct {
 	Faults []correlate.HourFault
 }
 
-// Collector is the streaming ingestion engine: one tailer goroutine
-// feeding one ingest-loop goroutine through a bounded channel, supervised
-// by Run.
+// Collector is the streaming ingestion engine: a tailer goroutine feeding
+// a window-stage goroutine feeding an ingest-loop goroutine, through bounded
+// channels, supervised by Run.
 type Collector struct {
 	cfg  Config
 	open Opener
@@ -235,17 +247,54 @@ func (c *Collector) Run(ctx context.Context) error {
 
 // ingest is the per-run (per-restart) state of the ingest loop.
 type ingest struct {
-	inc      *correlate.Incremental
-	tracker  *campaign.Tracker          // nil without Config.Campaigns
-	ckpt     *resultstore.CheckpointLog // nil without a CheckpointPath
-	windows  map[int]*correlate.Window
-	sealed   map[int]bool // ingested, quarantined, or window sealed
-	maxHour  int
-	bsHours  []float64 // positive backscatter hours, for the DoS median
-	finished bool
+	inc     *correlate.Incremental
+	tracker *campaign.Tracker          // nil without Config.Campaigns
+	ckpt    *resultstore.CheckpointLog // nil without a CheckpointPath
+	bsHours []float64                  // positive backscatter hours, for the DoS median
 }
 
-func (st *ingest) watermark(lateness int) int { return st.maxHour - lateness }
+// windowStage is the per-run state of the window stage: event time and
+// accumulation. It shares nothing with the ingest loop but the decisions it
+// sends, the window pool it draws from and the collector's counters.
+type windowStage struct {
+	c        *Collector
+	inc      *correlate.Incremental // only DrawWindow is called on it
+	maxHours int                    // hours in range: [0, maxHours)
+	lateness int
+	open     map[int]*correlate.Window
+	sealed   map[int]bool // settled before this run, or decided by the stage
+	maxHour  int
+	out      chan<- decision
+}
+
+func (ws *windowStage) watermark() int { return ws.maxHour - ws.lateness }
+
+// decKind classifies what the window stage asks of the ingest loop.
+type decKind uint8
+
+const (
+	// decSeal hands over a window to seal; partial marks a watermark- or
+	// drain-forced seal of an hour whose file had no footer yet.
+	decSeal decKind = iota
+	// decQuarantine gives up on an hour, for cause.
+	decQuarantine
+	// decLate counts records (possibly none) that surfaced behind the
+	// watermark; first marks the hour's first late appearance, which
+	// quarantines it.
+	decLate
+)
+
+// decision is one step of the seal sequence the window stage has settled
+// and the ingest loop carries out, in the order sent.
+type decision struct {
+	kind    decKind
+	hour    int
+	w       *correlate.Window // decSeal
+	partial bool              // decSeal
+	cause   error             // decQuarantine
+	records int               // decLate
+	first   bool              // decLate
+}
 
 func (c *Collector) runOnce(ctx context.Context) (err error) {
 	defer func() {
@@ -257,12 +306,7 @@ func (c *Collector) runOnce(ctx context.Context) (err error) {
 	if err != nil {
 		return fmt.Errorf("stream: open incremental: %w", err)
 	}
-	st := &ingest{
-		inc:     inc,
-		windows: make(map[int]*correlate.Window),
-		sealed:  make(map[int]bool),
-		maxHour: -1,
-	}
+	st := &ingest{inc: inc}
 	if c.cfg.Campaigns {
 		// Bulk-loaded from whatever the checkpoint restored, so a resumed
 		// loop's tracker is the one an uninterrupted loop would hold.
@@ -272,196 +316,313 @@ func (c *Collector) runOnce(ctx context.Context) (err error) {
 		st.ckpt = resultstore.NewCheckpointLog(c.cfg.CheckpointPath, c.ckptFS)
 		defer st.ckpt.Close()
 	}
+	decisions := make(chan decision, 1)
+	ws := &windowStage{
+		c:        c,
+		inc:      inc,
+		maxHours: inc.MaxHours(),
+		lateness: c.cfg.Lateness,
+		open:     make(map[int]*correlate.Window),
+		sealed:   make(map[int]bool),
+		maxHour:  -1,
+		out:      decisions,
+	}
 	// Hours settled in the checkpoint are never re-tailed, and the
 	// watermark resumes at least past them.
 	skip := make(map[int]bool)
-	for _, h := range inc.IngestedHours() {
-		st.sealed[h], skip[h] = true, true
-		if h > st.maxHour {
-			st.maxHour = h
-		}
-	}
-	for _, h := range inc.QuarantinedHours() {
-		st.sealed[h], skip[h] = true, true
-		if h > st.maxHour {
-			st.maxHour = h
-		}
+	for _, h := range slices.Concat(inc.IngestedHours(), inc.QuarantinedHours()) {
+		ws.sealed[h], skip[h] = true, true
+		ws.maxHour = max(ws.maxHour, h)
 	}
 	st.bsHours = rebuildBsHours(inc)
 	c.mu.Lock()
-	c.stats.MaxHour = st.maxHour
-	c.stats.Watermark = st.watermark(c.cfg.Lateness)
+	c.stats.MaxHour = ws.maxHour
+	c.stats.Watermark = ws.watermark()
 	c.stats.OpenWindows = 0
 	c.stats.Faults = inc.Stats().Faults
 	c.mu.Unlock()
 
 	tctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	events := make(chan event, eventBuffer)
 	batchLen := flowtuple.BatchSize
 	if c.batchLen > 0 {
 		batchLen = c.batchLen
 	}
 	tl := newTailer(c.cfg.Dir, batchLen, c.cfg.Poll, skip, events)
-	done := make(chan struct{})
+	tailed := make(chan struct{})
 	var tailErr error
 	go func() {
-		defer close(done)
+		defer close(tailed)
 		tailErr = tl.run(tctx)
+	}()
+	var stageErr error
+	go func() {
+		defer close(decisions)
+		stageErr = ws.run(tctx, events, tailed, &tailErr)
+	}()
+	// However the loop ends, the stage stops, and every window it handed
+	// over that the loop did not seal goes back to the pool.
+	defer func() {
+		cancel()
+		for d := range decisions {
+			if d.w != nil {
+				d.w.Abort()
+			}
+		}
+		<-tailed
 	}()
 
 	for {
 		select {
-		case ev := <-events:
-			if err := c.handle(st, ev); err != nil {
-				cancel()
-				<-done
+		case d, ok := <-decisions:
+			if !ok {
+				return stageErr // nil: drained
+			}
+			if err := c.carry(st, d); err != nil {
 				return err
 			}
-			if st.finished {
-				cancel()
-				<-done
-				return nil
-			}
-		case <-done:
-			for {
-				select {
-				case ev := <-events:
-					if err := c.handle(st, ev); err != nil {
-						return err
-					}
-					if st.finished {
-						return nil
-					}
-				default:
-					return tailErr
-				}
-			}
 		case <-ctx.Done():
-			cancel()
-			<-done
 			return ctx.Err()
 		}
 	}
 }
 
-func (c *Collector) handle(st *ingest, ev event) error {
-	switch ev.kind {
-	case evRecords:
-		if err := c.observeHour(st, ev.hour); err != nil {
+// carry executes one decision of the window stage on the ingest loop.
+func (c *Collector) carry(st *ingest, d decision) error {
+	switch d.kind {
+	case decSeal:
+		return c.seal(st, d.hour, d.w, d.partial)
+	case decQuarantine:
+		return c.quarantine(st, d.hour, d.cause)
+	}
+	if d.first { // decLate
+		c.mu.Lock()
+		c.stats.LateHours++
+		c.mu.Unlock()
+		if err := c.quarantine(st, d.hour, ErrLateArrival); err != nil {
 			return err
 		}
-		if st.sealed[ev.hour] || ev.hour < st.watermark(c.cfg.Lateness) {
-			return c.late(st, ev.hour, ev.recs)
+	}
+	c.mu.Lock()
+	c.stats.LateRecords += uint64(d.records)
+	c.mu.Unlock()
+	return nil
+}
+
+// run is the window stage: it takes the tailer's events, keeps event
+// time, feeds record batches into open windows and decides every seal,
+// quarantine and late arrival, which the ingest loop carries out. It ends
+// nil once a drain has sealed everything, with the tailer's error once the
+// tailer has stopped and its events are handled, or with ctx's. Every
+// window still open when it ends is aborted.
+func (ws *windowStage) run(ctx context.Context, events <-chan event, tailed <-chan struct{}, tailErr *error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("stream: window stage panicked: %v", r)
 		}
-		w := st.windows[ev.hour]
-		if w == nil {
-			var err error
-			if w, err = st.inc.OpenWindow(ev.hour); err != nil {
+		for _, w := range ws.open {
+			w.Abort()
+		}
+	}()
+	for {
+		select {
+		case ev := <-events:
+			if finished, err := ws.handle(ctx, ev); finished || err != nil {
 				return err
 			}
-			st.windows[ev.hour] = w
-			c.mu.Lock()
-			c.stats.OpenWindows = len(st.windows)
-			c.mu.Unlock()
-		}
-		if err := w.Feed(ev.recs); err != nil {
-			return err
-		}
-		c.mu.Lock()
-		c.stats.RecordsIngested += uint64(len(ev.recs))
-		c.stats.BatchesIngested++
-		c.mu.Unlock()
-		return nil
-
-	case evComplete:
-		if err := c.observeHour(st, ev.hour); err != nil {
-			return err
-		}
-		if st.sealed[ev.hour] {
-			return nil // completed after a watermark partial-seal
-		}
-		w := st.windows[ev.hour]
-		if w == nil {
-			if ev.hour < st.watermark(c.cfg.Lateness) {
-				return c.late(st, ev.hour, nil) // a whole hour arriving late
-			}
-			var err error
-			if w, err = st.inc.OpenWindow(ev.hour); err != nil {
-				return err // an empty hour still seals (and checkpoints)
-			}
-		}
-		return c.seal(st, ev.hour, w, false)
-
-	case evCorrupt:
-		if err := c.observeHour(st, ev.hour); err != nil {
-			return err
-		}
-		if st.sealed[ev.hour] {
-			return nil // damage after the seal; nothing left to protect
-		}
-		return c.quarantine(st, ev.hour, ev.err)
-
-	case evLateGrowth:
-		c.mu.Lock()
-		c.stats.LateBytes += ev.bytes
-		c.mu.Unlock()
-		return nil
-
-	case evSweep:
-		if c.cfg.Drain && !ev.progressed {
-			for _, h := range sortedHours(st.windows) {
-				if err := c.seal(st, h, st.windows[h], true); err != nil {
-					return err
+		case <-tailed:
+			for {
+				select {
+				case ev := <-events:
+					if finished, err := ws.handle(ctx, ev); finished || err != nil {
+						return err
+					}
+				default:
+					return *tailErr
 				}
 			}
-			st.finished = true
+		case <-ctx.Done():
+			return ctx.Err()
 		}
-		return nil
 	}
-	return fmt.Errorf("stream: unknown event kind %d", ev.kind)
+}
+
+// handle applies one tailer event on the window stage; finished reports a
+// completed drain.
+func (ws *windowStage) handle(ctx context.Context, ev event) (finished bool, err error) {
+	switch ev.kind {
+	case evRecords:
+		if err := ws.observeHour(ctx, ev.hour); err != nil {
+			return false, err
+		}
+		if ws.sealed[ev.hour] || ev.hour < ws.watermark() {
+			return false, ws.late(ctx, ev.hour, len(ev.recs))
+		}
+		w := ws.open[ev.hour]
+		if w == nil {
+			var err error
+			if w, err = ws.draw(ev.hour); err != nil {
+				return false, err
+			}
+			ws.open[ev.hour] = w
+			ws.c.mu.Lock()
+			ws.c.stats.OpenWindows = len(ws.open)
+			ws.c.mu.Unlock()
+		}
+		if err := w.Feed(ev.recs); err != nil {
+			return false, err
+		}
+		ws.c.mu.Lock()
+		ws.c.stats.RecordsIngested += uint64(len(ev.recs))
+		ws.c.stats.BatchesIngested++
+		ws.c.mu.Unlock()
+		return false, nil
+
+	case evComplete:
+		if err := ws.observeHour(ctx, ev.hour); err != nil {
+			return false, err
+		}
+		if ws.sealed[ev.hour] {
+			return false, nil // completed after a watermark partial-seal
+		}
+		w := ws.open[ev.hour]
+		if w == nil {
+			if ev.hour < ws.watermark() {
+				return false, ws.late(ctx, ev.hour, 0) // a whole hour arriving late
+			}
+			var err error
+			if w, err = ws.draw(ev.hour); err != nil {
+				return false, err // an empty hour still seals (and checkpoints)
+			}
+		}
+		return false, ws.seal(ctx, ev.hour, w, false)
+
+	case evCorrupt:
+		if err := ws.observeHour(ctx, ev.hour); err != nil {
+			return false, err
+		}
+		if ws.sealed[ev.hour] {
+			return false, nil // damage after the seal; nothing left to protect
+		}
+		return false, ws.quarantine(ctx, ev.hour, ev.err)
+
+	case evLateGrowth:
+		ws.c.mu.Lock()
+		ws.c.stats.LateBytes += ev.bytes
+		ws.c.mu.Unlock()
+		return false, nil
+
+	case evSweep:
+		if !ws.c.cfg.Drain || ev.progressed {
+			return false, nil
+		}
+		for _, h := range sortedHours(ws.open) {
+			if err := ws.seal(ctx, h, ws.open[h], true); err != nil {
+				return false, err
+			}
+		}
+		return true, nil
+	}
+	return false, fmt.Errorf("stream: unknown event kind %d", ev.kind)
+}
+
+// draw opens a window for an hour the stage has not settled. The stage
+// cannot consult the incremental's bookkeeping, which the ingest loop
+// writes, so it checks the range itself and Seal re-checks the rest.
+func (ws *windowStage) draw(h int) (*correlate.Window, error) {
+	if h < 0 || h >= ws.maxHours {
+		return nil, fmt.Errorf("stream: hour %d outside [0, %d)", h, ws.maxHours)
+	}
+	return ws.inc.DrawWindow(h), nil
 }
 
 // observeHour advances the watermark for a newly seen hour, partial-
 // sealing every open window it passes, in hour order.
-func (c *Collector) observeHour(st *ingest, h int) error {
-	if h <= st.maxHour {
+func (ws *windowStage) observeHour(ctx context.Context, h int) error {
+	if h <= ws.maxHour {
 		return nil
 	}
-	st.maxHour = h
-	w := st.watermark(c.cfg.Lateness)
-	c.mu.Lock()
-	c.stats.MaxHour = h
-	c.stats.Watermark = w
-	c.mu.Unlock()
-	for _, hh := range sortedHours(st.windows) {
-		if hh >= w {
+	ws.maxHour = h
+	wm := ws.watermark()
+	ws.c.mu.Lock()
+	ws.c.stats.MaxHour = h
+	ws.c.stats.Watermark = wm
+	ws.c.mu.Unlock()
+	for _, hh := range sortedHours(ws.open) {
+		if hh >= wm {
 			break
 		}
-		if err := c.seal(st, hh, st.windows[hh], true); err != nil {
+		if err := ws.seal(ctx, hh, ws.open[hh], true); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// seal closes a window with the crash-safe ordering: finalize into the
-// result, journal the window's alerts (durable, deduplicated), then
-// checkpoint. partial marks a watermark- or drain-forced seal of an hour
-// whose file had no footer yet.
+// seal settles the hour on the stage and hands its window to the ingest
+// loop to seal. The window is the loop's from here, or — if the stage
+// stops before the loop takes it — aborted.
+func (ws *windowStage) seal(ctx context.Context, h int, w *correlate.Window, partial bool) error {
+	delete(ws.open, h)
+	ws.sealed[h] = true
+	ws.c.mu.Lock()
+	ws.c.stats.OpenWindows = len(ws.open)
+	ws.c.mu.Unlock()
+	if err := ws.send(ctx, decision{kind: decSeal, hour: h, w: w, partial: partial}); err != nil {
+		w.Abort()
+		return err
+	}
+	return nil
+}
+
+// quarantine settles the hour on the stage, discarding whatever its window
+// held, and asks the ingest loop to give it up.
+func (ws *windowStage) quarantine(ctx context.Context, h int, cause error) error {
+	if w := ws.open[h]; w != nil {
+		w.Abort()
+		delete(ws.open, h)
+		ws.c.mu.Lock()
+		ws.c.stats.OpenWindows = len(ws.open)
+		ws.c.mu.Unlock()
+	}
+	ws.sealed[h] = true
+	return ws.send(ctx, decision{kind: decQuarantine, hour: h, cause: cause})
+}
+
+// late handles records (possibly none) for an hour behind the watermark:
+// the hour is quarantined on first late appearance, and the records are
+// counted — never silently dropped.
+func (ws *windowStage) late(ctx context.Context, h int, records int) error {
+	first := !ws.sealed[h]
+	ws.sealed[h] = true
+	return ws.send(ctx, decision{kind: decLate, hour: h, records: records, first: first})
+}
+
+// send hands a decision to the ingest loop, blocking while the loop is
+// busy: the hand-off holds at most one decision, so at most one sealed
+// window — megabytes of scratch — waits between the stage and the loop.
+func (ws *windowStage) send(ctx context.Context, d decision) error {
+	select {
+	case ws.out <- d:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// seal closes a window on the ingest loop with the crash-safe ordering:
+// finalize into the result, journal the window's alerts (one durable,
+// deduplicated append), then checkpoint.
 func (c *Collector) seal(st *ingest, h int, w *correlate.Window, partial bool) error {
 	ws, err := w.Seal()
 	if err != nil {
 		return err
 	}
-	delete(st.windows, h)
-	st.sealed[h] = true
 	c.mu.Lock()
 	c.stats.WindowsSealed++
 	if partial {
 		c.stats.WindowsPartial++
 	}
-	c.stats.OpenWindows = len(st.windows)
 	c.mu.Unlock()
 	if err := c.fail("sealed", h); err != nil {
 		return err
@@ -479,14 +640,8 @@ func (c *Collector) seal(st *ingest, h int, w *correlate.Window, partial bool) e
 // quarantine abandons an hour through the incremental engine's lenient
 // fault path and persists that decision.
 func (c *Collector) quarantine(st *ingest, h int, cause error) error {
-	if w := st.windows[h]; w != nil {
-		w.Abort()
-		delete(st.windows, h)
-	}
 	st.inc.FailHour(h, cause)
-	st.sealed[h] = true
 	c.mu.Lock()
-	c.stats.OpenWindows = len(st.windows)
 	if st.inc.Quarantined(h) {
 		c.stats.HoursQuarantined++
 	}
@@ -496,81 +651,65 @@ func (c *Collector) quarantine(st *ingest, h int, cause error) error {
 	return c.fail("quarantined", h)
 }
 
-// late handles records (possibly none) for an hour behind the watermark:
-// the hour is quarantined on first late appearance, and the records are
-// counted — never silently dropped.
-func (c *Collector) late(st *ingest, h int, recs []flowtuple.Record) error {
-	if !st.sealed[h] {
-		c.mu.Lock()
-		c.stats.LateHours++
-		c.mu.Unlock()
-		if err := c.quarantine(st, h, ErrLateArrival); err != nil {
-			return err
-		}
-	}
-	c.mu.Lock()
-	c.stats.LateRecords += uint64(len(recs))
-	c.mu.Unlock()
-	return nil
-}
-
-// emitAlerts derives and journals a sealed window's alerts. Derivation is
-// deterministic given the checkpointed state, which is what makes resume
-// re-derivation + key dedup add up to exactly-once.
+// emitAlerts derives a sealed window's alerts — new-device, dos-spike,
+// new-campaign, in that order — and journals them as one batch.
+// Derivation is deterministic given the checkpointed state, which is what
+// makes resume re-derivation + key dedup add up to exactly-once.
 func (c *Collector) emitAlerts(st *ingest, ws correlate.WindowStats) error {
+	var batch []Alert
 	for _, id := range ws.Fresh {
-		if err := c.emit(Alert{
+		batch = append(batch, Alert{
 			Kind: KindNewDevice, Key: fmt.Sprintf("device/%d", id),
 			Hour: ws.Hour, Device: id,
-		}); err != nil {
-			return err
-		}
+		})
 	}
 	if c.cfg.DoSAlarm > 0 && ws.Backscatter > 0 {
 		if med := median(st.bsHours); med > 0 && float64(ws.Backscatter) > c.cfg.DoSAlarm*med {
-			if err := c.emit(Alert{
+			batch = append(batch, Alert{
 				Kind: KindDoSSpike, Key: fmt.Sprintf("dos/h%d", ws.Hour),
 				Hour: ws.Hour, Packets: ws.Backscatter,
 				Ratio:  float64(ws.Backscatter) / med,
 				Device: dominantVictim(st.inc.Result(), ws.Hour),
-			}); err != nil {
-				return err
-			}
+			})
 		}
 		st.bsHours = append(st.bsHours, float64(ws.Backscatter))
 	}
 	if st.tracker != nil {
 		st.tracker.Observe(st.inc.Result(), ws.TCPPorts, ws.TCPGained)
-		return c.emitCampaigns(st.tracker.Campaigns(), ws.Hour)
+		batch = append(batch, campaignAlerts(st.tracker.Campaigns(), ws.Hour)...)
 	}
-	return nil
+	return c.journal(batch)
 }
 
-// emitCampaigns journals one new-campaign alert per campaign; the journal's
+// campaignAlerts derives one new-campaign alert per campaign; the journal's
 // key dedup keeps the ones whose port set has not alerted before.
-func (c *Collector) emitCampaigns(camps []campaign.Campaign, hour int) error {
-	for _, cp := range camps {
-		if err := c.emit(Alert{
+func campaignAlerts(camps []campaign.Campaign, hour int) []Alert {
+	out := make([]Alert, len(camps))
+	for i, cp := range camps {
+		out[i] = Alert{
 			Kind: KindNewCampaign, Key: campaignKey(cp.Ports),
 			Hour: hour, Devices: cp.Devices, Ports: cp.Ports,
 			Packets: cp.Packets,
-		}); err != nil {
-			return err
 		}
 	}
-	return nil
+	return out
 }
 
-func (c *Collector) emit(a Alert) error {
-	_, emitted, err := c.hub.Emit(a)
+// journal emits a batch through the hub: one durable append when any of its
+// keys is new, then publication.
+func (c *Collector) journal(batch []Alert) error {
+	if len(batch) == 0 {
+		return nil
+	}
+	emitted, err := c.hub.EmitBatch(batch)
 	if err != nil {
 		return err // the journal is the durability contract; crash and retry
 	}
 	c.mu.Lock()
-	if emitted {
-		c.stats.AlertsEmitted++
-	} else {
-		c.stats.AlertsSuppressed++
+	c.stats.AlertsEmitted += uint64(len(emitted))
+	c.stats.AlertsSuppressed += uint64(len(batch) - len(emitted))
+	if len(emitted) > 0 {
+		c.stats.JournalAppends++
 	}
 	c.mu.Unlock()
 	return nil

@@ -206,6 +206,14 @@ func TestDrainMatchesBatch(t *testing.T) {
 	if st.AlertsEmitted != uint64(log.Len()) {
 		t.Fatalf("alert accounting: %+v vs log %d", st, log.Len())
 	}
+	// A window's alerts are one journal commit: one per window that alerted.
+	alerted := map[int]bool{}
+	for _, a := range log.Since(0) {
+		alerted[a.Hour] = true
+	}
+	if st.JournalAppends != uint64(len(alerted)) || st.JournalAppends > uint64(st.WindowsSealed) {
+		t.Fatalf("%d journal appends for %d alerting windows of %d sealed", st.JournalAppends, len(alerted), st.WindowsSealed)
+	}
 }
 
 // alertKeys counts the journal's alerts by key.
@@ -835,12 +843,12 @@ func TestCampaignRankFlipAlertsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.emitCampaigns(tracker.Campaigns(), 0); err != nil {
+	if err := c.journal(campaignAlerts(tracker.Campaigns(), 0)); err != nil {
 		t.Fatal(err)
 	}
 	res.TCPScanPorts[2323].Packets = 1800 // the next hour leans on 2323
 	tracker.Observe(res, []uint16{2323}, nil)
-	if err := c.emitCampaigns(tracker.Campaigns(), 1); err != nil {
+	if err := c.journal(campaignAlerts(tracker.Campaigns(), 1)); err != nil {
 		t.Fatal(err)
 	}
 	alerts := hub.Since(0)

@@ -12,8 +12,8 @@ import (
 	"iotscope/internal/pipeline"
 )
 
-// evKind classifies tailer events on the (bounded) channel to the ingest
-// loop.
+// evKind classifies tailer events on the (bounded) channel to the window
+// stage.
 type evKind uint8
 
 const (
@@ -43,12 +43,12 @@ type event struct {
 }
 
 // tailer follows the dataset directory, decoding each hour file's newly
-// appeared records and streaming them to the ingest loop without waiting
+// appeared records and streaming them to the window stage without waiting
 // for hour boundaries. gzip cannot be resumed mid-stream, so every poll of
 // a grown file re-opens it and skips the records already delivered (the
 // cursor) — the cost of tailing a compressed format; only files whose size
 // changed are re-read. Every send blocks, so the cursor advances only past
-// records the ingest loop has taken.
+// records the window stage has taken.
 type tailer struct {
 	dir   string
 	batch []flowtuple.Record // decode buffer, reused by every poll
@@ -207,7 +207,7 @@ func (t *tailer) readHour(ctx context.Context, h int, path string) (bool, error)
 }
 
 // corrupt retires the hour (no further reads) and reports it to the
-// ingest loop, which quarantines it.
+// window stage, which has the ingest loop quarantine it.
 func (t *tailer) corrupt(ctx context.Context, h int, path string, err error) error {
 	t.finished[h] = true
 	t.finishedSize[h] = t.lastSize[h]
@@ -220,7 +220,7 @@ func (t *tailer) corrupt(ctx context.Context, h int, path string, err error) err
 	return nil
 }
 
-// send delivers an event, blocking until the ingest loop takes it or ctx
+// send delivers an event, blocking until the window stage takes it or ctx
 // ends: a full channel is the backpressure, and losing a control event
 // would wedge the state machine.
 func (t *tailer) send(ctx context.Context, ev event) bool {
