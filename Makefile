@@ -51,8 +51,8 @@ race:
 # the inflater under it, the result store codec (as found, and with its
 # checksums repaired so mutations reach the parsers: one image per state),
 # the outbound-queue segment codec, the contact-resolver fault matrix, the
-# registry's prefix-lookup boundaries, the scenario config codec, the wal
-# frame walker (sealed container and open tail), and the malware report index;
+# scenario config codec, the wal frame walker (sealed container and open
+# tail), and the malware report index;
 # plus one equivalence fuzzer, the campaign tracker fed random hour deltas
 # against a fresh Detect.
 fuzz:
@@ -62,7 +62,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzResultCanonical -fuzztime=30s ./internal/resultstore
 	$(GO) test -fuzz=FuzzOutQueue -fuzztime=30s ./internal/outqueue
 	$(GO) test -fuzz=FuzzResolve -fuzztime=15s ./internal/abusecontact
-	$(GO) test -fuzz=FuzzLookup -fuzztime=15s ./internal/geo
 	$(GO) test -fuzz=FuzzScenarioDecode -fuzztime=30s ./internal/wgen
 	$(GO) test -fuzz=FuzzFrames -fuzztime=30s ./internal/wal
 	$(GO) test -fuzz=FuzzMalwareIndex -fuzztime=30s ./internal/malwaredb

@@ -57,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *out == "" {
 		return fmt.Errorf("-out is required")
 	}
-	if *scale <= 0 || *scale > 1 {
+	if !(*scale > 0 && *scale <= 1) { // NaN fails both comparisons
 		return fmt.Errorf("-scale %v out of range (0, 1]", *scale)
 	}
 	if *hours < 0 {

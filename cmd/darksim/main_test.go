@@ -22,6 +22,7 @@ func TestRunValidation(t *testing.T) {
 		{"zero scale", []string{"-out", "x", "-scale", "0"}},
 		{"negative scale", []string{"-out", "x", "-scale", "-0.5"}},
 		{"scale above one", []string{"-out", "x", "-scale", "1.5"}},
+		{"NaN scale", []string{"-out", "x", "-scale", "NaN"}},
 		{"negative hours", []string{"-out", "x", "-hours", "-1"}},
 		{"unknown scenario", []string{"-out", "x", "-scenario", "no-such-scenario"}},
 		{"unknown scenario version", []string{"-out", "x", "-scenario", "paper-default@99"}},

@@ -2,7 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +14,7 @@ import (
 	"testing"
 
 	"iotscope/internal/core"
+	"iotscope/internal/flowtuple"
 	"iotscope/internal/resultstore"
 )
 
@@ -30,6 +35,42 @@ func TestRunValidation(t *testing.T) {
 	}
 	if err := run([]string{"-data", t.TempDir()}, io.Discard); err == nil {
 		t.Fatal("empty dataset dir accepted")
+	}
+}
+
+// An hour missing from the scenario's span, in the middle or at the end,
+// fails strict analysis with an error naming it; -lenient analyzes the
+// rest and names the hour in the correlate stage's note.
+func TestRunRefusesIncompleteDataset(t *testing.T) {
+	dir := testDataset(t)
+	for _, hour := range []int{1, 3} {
+		path := flowtuple.HourPath(dir, hour)
+		aside := filepath.Join(t.TempDir(), "aside")
+		if err := os.Rename(path, aside); err != nil {
+			t.Fatal(err)
+		}
+		err := run([]string{"-data", dir}, io.Discard)
+		if !errors.Is(err, fs.ErrNotExist) || !strings.Contains(err.Error(), fmt.Sprintf("missing hour %d", hour)) {
+			t.Fatalf("hour %d missing: %v, want an error naming it", hour, err)
+		}
+		report := filepath.Join(t.TempDir(), "stages.json")
+		if err := run([]string{"-data", dir, "-lenient", "-stage-report", report}, io.Discard); err != nil {
+			t.Fatalf("hour %d missing, -lenient: %v", hour, err)
+		}
+		data, err := os.ReadFile(report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep struct{ Stages []struct{ Name, Note string } }
+		if err := json.Unmarshal(data, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("missing hours [%d]", hour); rep.Stages[0].Name != core.StageCorrelate || rep.Stages[0].Note != want {
+			t.Fatalf("hour %d missing, -lenient: first stage %+v, want correlate noting %q", hour, rep.Stages[0], want)
+		}
+		if err := os.Rename(aside, path); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"syscall"
@@ -73,8 +74,8 @@ func run(args []string, stdout io.Writer) error {
 	if *minDevices < 1 {
 		return fmt.Errorf("-min-devices must be >= 1")
 	}
-	if *rate < 0 {
-		return fmt.Errorf("-rate must be >= 0")
+	if !(*rate >= 0) || math.IsInf(*rate, 1) { // NaN fails every comparison
+		return fmt.Errorf("-rate must be a finite number >= 0")
 	}
 	if *drain && *queueDir == "" {
 		return fmt.Errorf("-drain requires -queue-dir")

@@ -2,16 +2,20 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
 	"iotscope/internal/abusecontact"
 	"iotscope/internal/core"
+	"iotscope/internal/flowtuple"
 	"iotscope/internal/notify"
 	"iotscope/internal/outqueue"
 )
@@ -32,10 +36,43 @@ func TestRunValidation(t *testing.T) {
 	// A value out of range is an error naming its flag, raised before the
 	// dataset (missing here) is opened.
 	missing := filepath.Join(t.TempDir(), "missing")
-	for _, bad := range [][]string{{"-top", "-1"}, {"-min-devices", "0"}, {"-rate", "-1"}} {
+	for _, bad := range [][]string{{"-top", "-1"}, {"-min-devices", "0"}, {"-rate", "-1"}, {"-rate", "NaN"}, {"-rate", "Inf"}} {
 		err := run(append([]string{"-data", missing}, bad...), io.Discard)
 		if err == nil || !strings.Contains(err.Error(), bad[0]) {
 			t.Fatalf("%v: %v, want an error naming the flag", bad, err)
+		}
+	}
+}
+
+// An hour missing from the scenario's span, in the middle or at the end,
+// fails the run with an error naming it before any complaint is built.
+func TestRunRefusesIncompleteDataset(t *testing.T) {
+	dir := t.TempDir()
+	cfg := core.DefaultConfig(0.002, 3)
+	cfg.Hours = 4
+	if _, err := core.Generate(cfg, dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, hour := range []int{1, 3} {
+		path := flowtuple.HourPath(dir, hour)
+		aside := filepath.Join(t.TempDir(), "aside")
+		if err := os.Rename(path, aside); err != nil {
+			t.Fatal(err)
+		}
+		queueDir := filepath.Join(t.TempDir(), "queue")
+		err := run([]string{"-data", dir, "-queue-dir", queueDir}, io.Discard)
+		if !errors.Is(err, fs.ErrNotExist) || !strings.Contains(err.Error(), fmt.Sprintf("missing hour %d", hour)) {
+			t.Fatalf("hour %d missing: %v, want an error naming it", hour, err)
+		}
+		q, err := outqueue.Open(queueDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := q.Stats().Items; n != 0 {
+			t.Fatalf("hour %d missing, yet %d complaints were queued", hour, n)
+		}
+		if err := os.Rename(aside, path); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -148,7 +185,7 @@ func TestRunMatchesBuildBundles(t *testing.T) {
 			DedupKey: fmt.Sprintf("as%d", b.ASN), Subject: complaint.Subject, Body: complaint.Body,
 		})
 	}
-	items := q.Items()
+	items := q.Pending()
 	if len(items) != len(want) || len(want) == 0 {
 		t.Fatalf("queue holds %d items, want %d complaints", len(items), len(want))
 	}
@@ -227,13 +264,16 @@ func TestEnqueueKillRestartDrainExactlyOnce(t *testing.T) {
 	if st.Pending != 0 || st.Sent != enqueued {
 		t.Fatalf("final queue state %+v, want %d sent", st, enqueued)
 	}
-	for _, it := range q3.Items() {
-		if it.State != outqueue.StateSent {
-			continue
-		}
-		marker := fmt.Sprintf("=== end report id=%d\n", it.ID)
-		if got := bytes.Count(data, []byte(marker)); got != 1 {
-			t.Fatalf("item %d delivered %d times", it.ID, got)
+	delivered := map[string]int{}
+	for _, m := range regexp.MustCompile(`(?m)^=== end report id=(\d+)$`).FindAllSubmatch(data, -1) {
+		delivered[string(m[1])]++
+	}
+	if len(delivered) != enqueued {
+		t.Fatalf("sink holds %d distinct reports, want %d", len(delivered), enqueued)
+	}
+	for id, n := range delivered {
+		if n != 1 {
+			t.Fatalf("item %s delivered %d times", id, n)
 		}
 	}
 }

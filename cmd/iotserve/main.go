@@ -60,6 +60,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -119,11 +120,14 @@ func run(args []string) error {
 	if *drain <= 0 {
 		return fmt.Errorf("-drain must be positive")
 	}
+	if !(*rate >= 0) || math.IsInf(*rate, 1) { // NaN fails every comparison
+		return fmt.Errorf("-rate must be a finite number, not negative")
+	}
 	for _, f := range []struct {
 		name     string
 		negative bool
 	}{
-		{"max-inflight", *maxInFl < 0}, {"rate", *rate < 0}, {"burst", *burst < 0},
+		{"max-inflight", *maxInFl < 0}, {"burst", *burst < 0},
 		{"request-timeout", *reqTimeout < 0}, {"reload-poll", *reloadPoll < 0}, {"reload-timeout", *reloadTO < 0},
 	} {
 		if f.negative {

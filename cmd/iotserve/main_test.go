@@ -22,11 +22,11 @@ func TestRunValidation(t *testing.T) {
 	if err := run([]string{"-data", "x", "-token", "x"}); err == nil {
 		t.Fatal("nonexistent dataset accepted")
 	}
-	// A negative value is an error naming its flag, raised before the
-	// dataset (missing here) is opened; zero keeps meaning "off".
+	// A negative or non-finite value is an error naming its flag, raised
+	// before the dataset (missing here) is opened; zero keeps meaning "off".
 	missing := filepath.Join(t.TempDir(), "missing")
 	for _, bad := range [][]string{
-		{"-max-inflight", "-1"}, {"-rate", "-1"}, {"-burst", "-1"},
+		{"-max-inflight", "-1"}, {"-rate", "-1"}, {"-rate", "NaN"}, {"-rate", "Inf"}, {"-burst", "-1"},
 		{"-request-timeout", "-1s"}, {"-reload-poll", "-1s"}, {"-reload-timeout", "-1s"},
 	} {
 		err := run(append([]string{"-data", missing, "-token", "x"}, bad...))

@@ -55,6 +55,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -113,6 +114,12 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *lateness < 1 {
 		return fmt.Errorf("-lateness must be at least 1 hour: the watermark trails the newest hour seen")
+	}
+	if !(*alarm >= 0) || math.IsInf(*alarm, 1) { // NaN fails every comparison
+		return fmt.Errorf("-alarm must be a finite number >= 0 (0 disables the DoS alarm)")
+	}
+	if *poll <= 0 {
+		return fmt.Errorf("-poll must be positive")
 	}
 	ds, err := core.Open(*data)
 	if err != nil {

@@ -45,6 +45,7 @@ func TestRunValidation(t *testing.T) {
 	}
 	for _, bad := range [][]string{
 		{"-retries", "-1"}, {"-backoff", "0"}, {"-lateness", "0"}, {"-lateness", "-1"},
+		{"-alarm", "NaN"}, {"-alarm", "-1"}, {"-alarm", "Inf"}, {"-poll", "0"}, {"-poll", "-1s"},
 	} {
 		err := run(append([]string{"-data", t.TempDir()}, bad...), io.Discard)
 		if err == nil || !strings.Contains(err.Error(), bad[0]) {
@@ -176,7 +177,7 @@ func TestPrintAlertsSurvivesOverflow(t *testing.T) {
 	}()
 	const burst = 8 * printBuffer
 	for i := 0; i < burst; i++ {
-		if _, _, err := hub.Emit(stream.Alert{Kind: "test", Key: fmt.Sprint("k", i), Hour: i}); err != nil {
+		if _, err := hub.EmitBatch([]stream.Alert{{Kind: "test", Key: fmt.Sprint("k", i), Hour: i}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -9,6 +9,3 @@
 // for the full system inventory and EXPERIMENTS.md for the per-table and
 // per-figure reproduction record.
 package iotscope
-
-// Version is the library version stamped into command-line tools.
-const Version = "1.0.0"

@@ -126,18 +126,12 @@ func slug(name string) string {
 	return strings.TrimSuffix(b.String(), "-")
 }
 
-// NumISPs returns how many operators the registry covers.
-func (r *Registry) NumISPs() int { return len(r.isps) }
-
-// PrimaryCoverage reports how many operators have a per-ISP mailbox.
-func (r *Registry) PrimaryCoverage() int { return len(r.primary) }
-
 // ErrUnknownISP marks a resolution against an operator index outside the
 // registry — a caller wiring error, never retryable.
 var ErrUnknownISP = errors.New("abusecontact: unknown ISP index")
 
 // ErrUnresolved marks a resolution in which no tier produced a contact.
-// Whether it is worth retrying depends on why: IsRetryable distinguishes
+// Whether it is worth retrying depends on why: isRetryable distinguishes
 // tier lookups that errored (transient backend trouble) from a chain that
 // genuinely has no record.
 var ErrUnresolved = errors.New("abusecontact: no tier resolved a contact")
@@ -149,9 +143,9 @@ type retryableErr struct{ err error }
 func (e retryableErr) Error() string { return e.err.Error() }
 func (e retryableErr) Unwrap() error { return e.err }
 
-// IsRetryable reports whether a Resolve failure may succeed on a later
+// isRetryable reports whether a Resolve failure may succeed on a later
 // attempt: at least one tier errored instead of cleanly missing.
-func IsRetryable(err error) bool {
+func isRetryable(err error) bool {
 	var r retryableErr
 	return errors.As(err, &r)
 }

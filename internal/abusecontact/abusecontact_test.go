@@ -57,14 +57,14 @@ func TestDeriveDeterminism(t *testing.T) {
 func TestCoverageShape(t *testing.T) {
 	g := smallGeo(t, 7)
 	reg := Derive(g, 7)
-	if reg.PrimaryCoverage() == reg.NumISPs() {
+	if len(reg.primary) == len(reg.isps) {
 		t.Fatal("no coverage holes: fallback tiers untestable")
 	}
-	if reg.PrimaryCoverage() == 0 {
+	if len(reg.primary) == 0 {
 		t.Fatal("empty primary registry")
 	}
 	r := NewResolver(reg)
-	for i := 0; i < reg.NumISPs(); i++ {
+	for i := 0; i < len(reg.isps); i++ {
 		c, err := r.Resolve(i)
 		if err != nil {
 			t.Fatalf("ISP %d unresolved with healthy chain: %v", i, err)
@@ -80,13 +80,13 @@ func TestCoverageShape(t *testing.T) {
 	if st.Unresolved != 0 {
 		t.Fatalf("healthy chain recorded %d unresolved", st.Unresolved)
 	}
-	if st.Registry.Resolved != reg.PrimaryCoverage() {
+	if st.Registry.Resolved != len(reg.primary) {
 		t.Fatalf("registry tier resolved %d, coverage is %d",
-			st.Registry.Resolved, reg.PrimaryCoverage())
+			st.Registry.Resolved, len(reg.primary))
 	}
-	if st.ASN.Resolved+st.Country.Resolved != reg.NumISPs()-reg.PrimaryCoverage() {
+	if st.ASN.Resolved+st.Country.Resolved != len(reg.isps)-len(reg.primary) {
 		t.Fatalf("fallback tiers resolved %d+%d, want %d",
-			st.ASN.Resolved, st.Country.Resolved, reg.NumISPs()-reg.PrimaryCoverage())
+			st.ASN.Resolved, st.Country.Resolved, len(reg.isps)-len(reg.primary))
 	}
 }
 
@@ -118,7 +118,7 @@ func TestFallbackChainDegradation(t *testing.T) {
 	if !errors.Is(err, ErrUnresolved) {
 		t.Fatalf("fully failed chain returned %v", err)
 	}
-	if !IsRetryable(err) {
+	if !isRetryable(err) {
 		t.Fatal("tier failures should make the resolution retryable")
 	}
 	st := r.Stats()
@@ -151,14 +151,14 @@ func TestUnresolvedMissIsPermanent(t *testing.T) {
 	if !errors.Is(err, ErrUnresolved) {
 		t.Fatalf("want ErrUnresolved, got %v", err)
 	}
-	if IsRetryable(err) {
+	if isRetryable(err) {
 		t.Fatal("clean misses must be permanent")
 	}
 
 	if _, err := r.Resolve(-1); !errors.Is(err, ErrUnknownISP) {
 		t.Fatalf("want ErrUnknownISP, got %v", err)
 	}
-	if _, err := r.Resolve(reg.NumISPs()); !errors.Is(err, ErrUnknownISP) {
+	if _, err := r.Resolve(len(reg.isps)); !errors.Is(err, ErrUnknownISP) {
 		t.Fatalf("want ErrUnknownISP, got %v", err)
 	}
 }
@@ -168,7 +168,7 @@ func TestUnresolvedMissIsPermanent(t *testing.T) {
 func TestResolverConcurrency(t *testing.T) {
 	g := smallGeo(t, 17)
 	r := NewResolver(Derive(g, 17))
-	n := r.reg.NumISPs()
+	n := len(r.reg.isps)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -19,6 +19,7 @@ var (
 	fixtureErr  error
 	fixture     *Analyzer
 	fixtureGen  *wgen.Generator
+	fixtureSc   wgen.Scenario
 )
 
 func loadFixture(t *testing.T) (*Analyzer, *wgen.Generator) {
@@ -45,7 +46,7 @@ func loadFixture(t *testing.T) (*Analyzer, *wgen.Generator) {
 			return
 		}
 		fixture = New(res, g.Inventory(), g.Registry())
-		fixtureGen = g
+		fixtureGen, fixtureSc = g, sc
 		os.RemoveAll(dir)
 	})
 	if fixtureErr != nil {
@@ -410,12 +411,12 @@ func TestFig9ScanSurfaces(t *testing.T) {
 }
 
 func TestFig9PortSweepInvestigation(t *testing.T) {
-	a, g := loadFixture(t)
+	a, _ := loadFixture(t)
 	finding, ok := a.WidestPortSweep()
 	if !ok {
 		t.Fatal("no port sweep found")
 	}
-	spikeHour := g.Scenario().TCPScan.PortSpikeHour
+	spikeHour := fixtureSc.TCPScan.PortSpikeHour
 	if finding.Hour != spikeHour {
 		t.Errorf("widest sweep at hour %d want %d", finding.Hour, spikeHour)
 	}
@@ -462,7 +463,7 @@ func TestTable5ScanServices(t *testing.T) {
 }
 
 func TestFig10ServiceSeries(t *testing.T) {
-	a, g := loadFixture(t)
+	a, _ := loadFixture(t)
 	defs := DefaultScanServices()
 	var telnet, ssh, backroom ScanServiceDef
 	for _, d := range defs {
@@ -487,7 +488,7 @@ func TestFig10ServiceSeries(t *testing.T) {
 		base += sshSeries[h]
 	}
 	base /= 4
-	for _, h := range g.Scenario().TCPScan.SSHSpike.Hours {
+	for _, h := range fixtureSc.TCPScan.SSHSpike.Hours {
 		if sshSeries[h] < 5*math.Max(base, 1) {
 			t.Errorf("SSH at spike hour %d = %v, baseline %v: no surge", h, sshSeries[h], base)
 		}
@@ -548,24 +549,11 @@ func TestBackscatterSummary(t *testing.T) {
 	}
 }
 
-func TestPerDeviceTotalsSorted(t *testing.T) {
-	a, _ := loadFixture(t)
-	totals := a.PerDeviceTotals()
-	for i := 1; i < len(totals); i++ {
-		if totals[i-1] > totals[i] {
-			t.Fatal("totals not sorted")
-		}
-	}
-	if len(totals) != len(a.res.Devices) {
-		t.Fatal("totals length mismatch")
-	}
-}
-
 func TestClassPacketConservation(t *testing.T) {
 	a, _ := loadFixture(t)
 	var byClass uint64
-	for _, cls := range classify.Classes() {
-		byClass += a.res.ClassPackets(cls, 0)
+	for i := 0; i < classify.NumClasses; i++ {
+		byClass += a.res.ClassPackets(classify.Class(i+1), 0)
 	}
 	if total := a.res.TotalIoTPackets(); byClass != total {
 		t.Fatalf("class packets %d != total %d", byClass, total)

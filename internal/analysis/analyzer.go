@@ -389,17 +389,6 @@ func (a *Analyzer) ProtocolBreakdown() ProtocolMix {
 	}
 }
 
-// PerDeviceTotals returns every inferred device's total packet count —
-// input to the Fig. 6/11 CDFs.
-func (a *Analyzer) PerDeviceTotals() []float64 {
-	out := make([]float64, 0, len(a.res.Devices))
-	for _, ds := range a.res.Devices {
-		out = append(out, float64(ds.TotalPackets()))
-	}
-	sort.Float64s(out)
-	return out
-}
-
 // CDF builds the Fig. 6/11 style log-binned cumulative distribution.
 func CDF(values []float64) *stats.LogHistogram {
 	h := stats.NewLogHistogram(0, 7) // 1 .. 10M packets

@@ -23,7 +23,7 @@ func benchPaths(b *testing.B) (summary, devicesFilter string) {
 			first = id
 		}
 	}
-	d, ok := s.Current().Views().Device(first)
+	d, ok := s.snap.Load().views.Device(first)
 	if !ok {
 		b.Fatal("fixture inferred no devices")
 	}

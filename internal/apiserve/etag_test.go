@@ -22,7 +22,7 @@ func TestETagAndConditionalRequests(t *testing.T) {
 		"/v1/ports/tcp", "/v1/ports/udp", "/v1/signatures",
 		"/v1/campaigns", "/v1/malware", "/v1/reports", "/v1/spikes",
 	}
-	etag := s.Current().ETag()
+	etag := s.snap.Load().etag
 	if !etagRe.MatchString(etag) {
 		t.Fatalf("etag %q does not match the documented shape", etag)
 	}
@@ -72,7 +72,7 @@ func TestETagAndConditionalRequests(t *testing.T) {
 // costs etagMatch no allocation, and the request is answered like any miss.
 func TestOversizedIfNoneMatchList(t *testing.T) {
 	s := loadServer(t)
-	etag := s.Current().ETag()
+	etag := s.snap.Load().etag
 	inm := strings.Repeat(`"g999-deadbeef", `, 1<<20/17) + `W/"other"`
 	if len(inm) < 1<<20-17 {
 		t.Fatalf("list is only %d bytes", len(inm))
@@ -101,11 +101,11 @@ func TestETagChangesAcrossSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := s.Current().ETag()
+	before := s.snap.Load().etag
 	if _, err := s.Swap(srvDS, srvRes); err != nil {
 		t.Fatal(err)
 	}
-	after := s.Current().ETag()
+	after := s.snap.Load().etag
 	if before == after {
 		t.Fatalf("swap did not change the etag: %q", before)
 	}
@@ -131,10 +131,10 @@ func TestDebugVarsAndHandler(t *testing.T) {
 
 	// Drive some traffic so the counters move: 2 requests, 1 revalidation.
 	doGet(s, "/v1/summary", "")
-	doGet(s, "/v1/summary", s.Current().ETag())
+	doGet(s, "/v1/summary", s.snap.Load().etag)
 
 	v := s.Vars()
-	if v.Generation != 1 || v.ETag != s.Current().ETag() {
+	if v.Generation != 1 || v.ETag != s.snap.Load().etag {
 		t.Fatalf("vars identity: %+v", v)
 	}
 	if v.Requests != 2 || v.NotModified != 1 || v.NotModifiedRatio != 0.5 {

@@ -34,8 +34,8 @@ func intParam(w http.ResponseWriter, raw string, def, lo, hi int, msg string) (i
 }
 
 // floatParamGreaterThan parses raw as a float parameter: empty means def,
-// anything unparsable or <= floor writes a 400 with msg and reports
-// ok=false.
+// anything unparsable, infinite or <= floor writes a 400 with msg and
+// reports ok=false.
 func floatParamGreaterThan(w http.ResponseWriter, raw string, def, floor float64, msg string) (float64, bool) {
 	v := def
 	if raw != "" {
@@ -46,9 +46,10 @@ func floatParamGreaterThan(w http.ResponseWriter, raw string, def, floor float64
 		}
 		v = parsed
 	}
-	// !(v > floor) rather than v <= floor so NaN is rejected too: the
-	// pre-refactor handler let NaN through and then failed mid-encode.
-	if !(v > floor) {
+	// !(v > floor) rather than v <= floor so NaN is rejected too, and +Inf
+	// by name: either passes a plain comparison and then fails mid-encode,
+	// since JSON has no non-finite numbers.
+	if !(v > floor) || math.IsInf(v, 1) {
 		writeError(w, http.StatusBadRequest, msg)
 		return 0, false
 	}

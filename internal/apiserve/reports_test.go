@@ -54,13 +54,13 @@ func TestReportsCostIsTheAnswer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bigStats, smallStats := big.Current().Views().Stats(), small.Current().Views().Stats()
+	bigStats, smallStats := big.snap.Load().views.Stats(), small.snap.Load().views.Stats()
 	if smallStats.Bundles < 2 || bigStats.Bundles < 4*smallStats.Bundles {
 		t.Fatalf("fixtures hold %d and %d bundles; want the larger at least 4x the smaller",
 			smallStats.Bundles, bigStats.Bundles)
 	}
 	for _, s := range []*Server{small, big} {
-		if _, tail := s.Current().Views().ReportsBody(2); tail == nil {
+		if _, tail := s.snap.Load().views.ReportsBody(2); tail == nil {
 			t.Fatal("minDevices=2 is not an interior prefix of a fixture; the grid below would skip that path")
 		}
 	}
@@ -97,7 +97,7 @@ func TestReportsCostIsTheAnswer(t *testing.T) {
 		}
 	}
 
-	stored, _ := big.Current().Views().ReportsBody(1)
+	stored, _ := big.snap.Load().views.ReportsBody(1)
 	w := serve(big, "/v1/reports")
 	if len(w.writes) != 1 || len(w.writes[0]) != len(stored) || &w.writes[0][0] != &stored[0] {
 		t.Fatalf("default request made %d writes; want one write of the view's stored %d-byte body",

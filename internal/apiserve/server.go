@@ -532,11 +532,6 @@ func (sn *Snapshot) handleUDPPorts(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"ports": sn.views.TopUDP(n)})
 }
 
-// Signature is a derived IoT attack signature (the paper's contribution 2:
-// "the analyzed traffic could be leveraged to design such signatures").
-// The table itself is materialized per snapshot; the type lives with it.
-type Signature = matview.Signature
-
 func (sn *Snapshot) handleSignatures(w http.ResponseWriter, _ *http.Request) {
 	writeBody(w, http.StatusOK, sn.views.SignaturesBody())
 }

@@ -288,8 +288,10 @@ func TestSpikes(t *testing.T) {
 	if first["victimShare"].(float64) <= 0 {
 		t.Fatalf("spike %v", first)
 	}
-	if code, _ := get(t, s, "/v1/spikes?threshold=0.5", testToken); code != http.StatusBadRequest {
-		t.Fatalf("bad threshold accepted: %d", code)
+	for _, bad := range []string{"0.5", "Inf", "infinity"} {
+		if code, _ := get(t, s, "/v1/spikes?threshold="+bad, testToken); code != http.StatusBadRequest {
+			t.Fatalf("threshold %s: %d, want 400", bad, code)
+		}
 	}
 }
 

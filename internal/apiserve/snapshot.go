@@ -29,13 +29,6 @@ type Snapshot struct {
 	LoadedAt time.Time
 }
 
-// Views exposes the snapshot's materialized read-side views.
-func (sn *Snapshot) Views() *matview.Views { return sn.views }
-
-// ETag is the snapshot's strong cache validator, quoted for direct use
-// in ETag / If-None-Match headers.
-func (sn *Snapshot) ETag() string { return sn.etag }
-
 // reloadFailure records the most recent failed reload; serving continues
 // from the previous snapshot but health reports degraded until a reload
 // succeeds.
@@ -83,14 +76,8 @@ func (s *Server) NoteReloadFailure(err error) {
 // Generation returns the generation of the currently served snapshot.
 func (s *Server) Generation() uint64 { return s.snap.Load().Generation }
 
-// Current returns the currently served snapshot.
-func (s *Server) Current() *Snapshot { return s.snap.Load() }
-
 // SetDraining flips the server's lifecycle state. While draining,
 // /healthz answers 503 with status "draining" so load balancers stop
 // routing new traffic; in-flight and late-arriving requests are still
 // served normally until the listener closes.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
-
-// Draining reports whether the server is shutting down.
-func (s *Server) Draining() bool { return s.draining.Load() }

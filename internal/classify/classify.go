@@ -52,11 +52,6 @@ func (c Class) String() string {
 // NumClasses is the number of traffic classes, for dense per-class arrays.
 const NumClasses = 5
 
-// Classes lists all classes in presentation order.
-func Classes() []Class {
-	return []Class{ScanTCP, ScanICMP, Backscatter, UDP, Other}
-}
-
 // Index returns a dense index in [0, NumClasses) for array-backed counters.
 func (c Class) Index() int { return int(c) - 1 }
 
@@ -115,6 +110,3 @@ func classifyICMP(rec flowtuple.Record) Class {
 	}
 	return Other
 }
-
-// IsScan reports whether the class is a probing class.
-func (c Class) IsScan() bool { return c == ScanTCP || c == ScanICMP }

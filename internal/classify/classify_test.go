@@ -71,9 +71,12 @@ func TestUDPAndUnknownProtocols(t *testing.T) {
 	}
 }
 
+// allClasses lists every class, in presentation order.
+var allClasses = []Class{ScanTCP, ScanICMP, Backscatter, UDP, Other}
+
 func TestClassStringsDistinct(t *testing.T) {
 	seen := make(map[string]bool)
-	for _, c := range Classes() {
+	for _, c := range allClasses {
 		s := c.String()
 		if seen[s] {
 			t.Fatalf("duplicate class string %q", s)
@@ -85,22 +88,11 @@ func TestClassStringsDistinct(t *testing.T) {
 	}
 }
 
-func TestIsScan(t *testing.T) {
-	if !ScanTCP.IsScan() || !ScanICMP.IsScan() {
-		t.Error("scan classes not IsScan")
-	}
-	for _, c := range []Class{Backscatter, UDP, Other} {
-		if c.IsScan() {
-			t.Errorf("%v reports IsScan", c)
-		}
-	}
-}
-
 // Property: classification is total and lands in a known class — a
 // partition of the record space.
 func TestClassificationIsPartition(t *testing.T) {
 	valid := make(map[Class]bool)
-	for _, c := range Classes() {
+	for _, c := range allClasses {
 		valid[c] = true
 	}
 	f := func(proto, flags, icmpType uint8) bool {

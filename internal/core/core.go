@@ -24,6 +24,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
 	"iotscope/internal/analysis"
@@ -421,8 +422,36 @@ func (ds *Dataset) AnalysisStages(cfg Config, out *Results) []pipeline.Stage {
 // correlateStage is the inference stage proper: stream the dataset's hour
 // files through the correlator into out.Correlate. A sharded run attaches
 // one metrics record per shard (correlate/shard-K) under the stage's row.
+// The hour files must first cover the scenario's span exactly: under the
+// strict policy a missing hour, or a file past the span, fails the stage
+// (a silent gap would skew every table downstream); a lenient run goes on
+// and names those hours in the stage's note.
 func (ds *Dataset) correlateStage(cfg Config, out *Results) pipeline.Stage {
 	return pipeline.Func(StageCorrelate, func(ctx context.Context) error {
+		missing, past, err := ds.spanGaps()
+		if err != nil {
+			return fmt.Errorf("core: correlate: %w", err)
+		}
+		var note string
+		switch {
+		case len(missing)+len(past) == 0:
+		case !cfg.Lenient && len(missing) > 0:
+			path := flowtuple.HourPath(ds.Dir, missing[0])
+			return fmt.Errorf("core: correlate: missing hour %d: %w", missing[0],
+				&fs.PathError{Op: "open", Path: path, Err: fs.ErrNotExist})
+		case !cfg.Lenient:
+			return fmt.Errorf("core: correlate: hour %d lies past the scenario's %d hours (%s)",
+				past[0], ds.Scenario.Hours, flowtuple.HourPath(ds.Dir, past[0]))
+		default:
+			var parts []string
+			if len(missing) > 0 {
+				parts = append(parts, fmt.Sprintf("missing hours %v", missing))
+			}
+			if len(past) > 0 {
+				parts = append(parts, fmt.Sprintf("hours past the %d-hour span %v", ds.Scenario.Hours, past))
+			}
+			note = strings.Join(parts, "; ")
+		}
 		corr := correlate.New(ds.Inventory, cfg.CorrelatorOptions())
 		res, reports, err := corr.ProcessDatasetSharded(ctx, ds.Dir)
 		if len(reports) > 1 {
@@ -446,9 +475,36 @@ func (ds *Dataset) correlateStage(cfg Config, out *Results) pipeline.Stage {
 		m.RecordsOut = uint64(len(res.Devices))
 		m.Retries = res.Ingest.HoursRetried
 		m.QuarantinedHours = res.Ingest.HoursQuarantined
+		m.Note = note
 		out.Correlate = res
 		return nil
 	})
+}
+
+// spanGaps compares the dataset's hour files with the scenario's span
+// [0, Hours): the hours missing inside it and the files past it, both
+// ascending. A scenario without a span (Hours <= 0) has no gaps.
+func (ds *Dataset) spanGaps() (missing, past []int, err error) {
+	if ds.Scenario.Hours <= 0 {
+		return nil, nil, nil
+	}
+	hours, err := flowtuple.DatasetHours(ds.Dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	present := make(map[int]bool, len(hours))
+	for _, h := range hours {
+		if h >= ds.Scenario.Hours {
+			past = append(past, h)
+		}
+		present[h] = true
+	}
+	for h := 0; h < ds.Scenario.Hours; h++ {
+		if !present[h] {
+			missing = append(missing, h)
+		}
+	}
+	return missing, past, nil
 }
 
 // DownstreamStages returns the analysis stages that consume an already

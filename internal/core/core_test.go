@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"iotscope/internal/devicedb"
+	"iotscope/internal/pipeline"
 )
 
 // Shared end-to-end fixture: generate once, analyze once.
@@ -243,7 +244,7 @@ func TestShardedAnalyzeMatches(t *testing.T) {
 	}
 	devs := 0
 	for k := 0; k < 4; k++ {
-		m := rep.Stage(fmt.Sprintf("correlate/shard-%d", k))
+		m := stageOf(rep, fmt.Sprintf("correlate/shard-%d", k))
 		if m == nil {
 			t.Fatalf("report missing correlate/shard-%d", k)
 		}
@@ -252,4 +253,14 @@ func TestShardedAnalyzeMatches(t *testing.T) {
 	if devs != len(sharded.Correlate.Devices) {
 		t.Fatalf("shard records count %d devices, result has %d", devs, len(sharded.Correlate.Devices))
 	}
+}
+
+// stageOf returns rep's metrics entry for the named stage, or nil.
+func stageOf(rep *pipeline.Report, name string) *pipeline.StageMetrics {
+	for _, m := range rep.Stages {
+		if m.Name == name {
+			return m
+		}
+	}
+	return nil
 }

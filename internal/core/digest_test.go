@@ -11,6 +11,7 @@ import (
 
 	"iotscope/internal/apiserve"
 	"iotscope/internal/core"
+	"iotscope/internal/pipeline"
 	"iotscope/internal/resultstore"
 	"iotscope/internal/scenario"
 )
@@ -59,13 +60,13 @@ func TestDigestOffTheBytes(t *testing.T) {
 				t.Fatalf("analyze path %08x, load path %08x, DigestResult of the loaded result %08x, of the analyzed %08x", a, l, recomputed, want)
 			}
 			tag := fmt.Sprintf("digest=%08x", want)
-			if note := repA.Stage(core.StageMaterialize).Note; !strings.HasPrefix(note, tag+" (computed) ") {
+			if note := stageOf(repA, core.StageMaterialize).Note; !strings.HasPrefix(note, tag+" (computed) ") {
 				t.Fatalf("analyze path's materialize note %q", note)
 			}
-			if note := repL.Stage(core.StageMaterialize).Note; !strings.HasPrefix(note, tag+" (store) ") {
+			if note := stageOf(repL, core.StageMaterialize).Note; !strings.HasPrefix(note, tag+" (store) ") {
 				t.Fatalf("load path's materialize note %q", note)
 			}
-			if note := repL.Stage(core.StageLoadStore).Note; !strings.Contains(note, "overlapping open") {
+			if note := stageOf(repL, core.StageLoadStore).Note; !strings.Contains(note, "overlapping open") {
 				t.Fatalf("load-store note %q does not say the read overlapped open", note)
 			}
 
@@ -88,4 +89,14 @@ func TestDigestOffTheBytes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// stageOf returns rep's metrics entry for the named stage, or nil.
+func stageOf(rep *pipeline.Report, name string) *pipeline.StageMetrics {
+	for _, m := range rep.Stages {
+		if m.Name == name {
+			return m
+		}
+	}
+	return nil
 }

@@ -103,7 +103,7 @@ func TestStagedAnalyzeEquivalence(t *testing.T) {
 				// The report must name the five analysis stages, all ok.
 				for _, stage := range []string{StageCorrelate, StageCharacterize,
 					StageStatTests, StageThreatIntel, StageMalware} {
-					m := rep.Stage(stage)
+					m := stageOf(rep, stage)
 					if m == nil || m.Status != "ok" {
 						t.Fatalf("stage %q = %+v, want ok", stage, m)
 					}

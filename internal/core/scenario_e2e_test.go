@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/bits"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"iotscope/internal/classify"
@@ -229,7 +231,15 @@ func TestScenarioSmartHomeDiurnal(t *testing.T) {
 	for _, i := range kept {
 		stripped.Actors = append(stripped.Actors, cfg.Actors[i])
 	}
-	rs, err := scenario.ResolveConfig(&stripped, scenario.Options{Scale: 0.002, Seed: 11, Hours: 24})
+	js, err := stripped.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "flat.json")
+	if err := os.WriteFile(path, js, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := scenario.Resolve(path, scenario.Options{Scale: 0.002, Seed: 11, Hours: 24})
 	if err != nil {
 		t.Fatal(err)
 	}

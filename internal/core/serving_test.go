@@ -53,7 +53,7 @@ func TestLoadSnapshotCleanDataset(t *testing.T) {
 	// the five expanded analysis stages, all ok.
 	for _, name := range []string{StageOpen, StageVerify, StageLoad,
 		StageCorrelate, StageCharacterize, StageStatTests, StageThreatIntel, StageMalware} {
-		m := rep.Stage(name)
+		m := stageOf(rep, name)
 		if m == nil || m.Status != "ok" {
 			t.Fatalf("load report stage %q = %+v, want ok", name, m)
 		}

@@ -57,17 +57,17 @@ func TestLoadSnapshotFromStore(t *testing.T) {
 	if res2.Summary.Total != res.Summary.Total {
 		t.Fatalf("summary diverged: %d != %d", res2.Summary.Total, res.Summary.Total)
 	}
-	if m := rep.Stage(StageLoadStore); m == nil || m.Status != pipeline.StatusOK {
+	if m := stageOf(rep, StageLoadStore); m == nil || m.Status != pipeline.StatusOK {
 		t.Fatalf("load-store stage = %+v, want ok", m)
 	}
-	if m := rep.Stage(StageVerify); m == nil || m.Status != pipeline.StatusSkipped {
+	if m := stageOf(rep, StageVerify); m == nil || m.Status != pipeline.StatusSkipped {
 		t.Fatalf("verify stage = %+v, want skipped", m)
 	}
-	if m := rep.Stage(StageCorrelate); m != nil {
+	if m := stageOf(rep, StageCorrelate); m != nil {
 		t.Fatalf("correlate ran despite store load: %+v", m)
 	}
 	for _, name := range []string{StageCharacterize, StageStatTests, StageThreatIntel, StageMalware} {
-		if m := rep.Stage(name); m == nil || m.Status != pipeline.StatusOK {
+		if m := stageOf(rep, name); m == nil || m.Status != pipeline.StatusOK {
 			t.Fatalf("stage %q = %+v, want ok", name, m)
 		}
 	}
@@ -89,13 +89,13 @@ func TestLoadSnapshotStoreFallback(t *testing.T) {
 	if prov.Source != "analyze" || prov.Fallback == "" {
 		t.Fatalf("provenance = %+v, want analyze with fallback reason", prov)
 	}
-	if m := rep.Stage(StageLoadStore); m == nil || m.Status != pipeline.StatusSkipped {
+	if m := stageOf(rep, StageLoadStore); m == nil || m.Status != pipeline.StatusSkipped {
 		t.Fatalf("load-store stage = %+v, want skipped", m)
 	} else if m.ErrorClass != "corrupt" {
 		t.Fatalf("load-store errorClass = %q, want corrupt", m.ErrorClass)
 	}
 	for _, name := range []string{StageVerify, StageCorrelate} {
-		if m := rep.Stage(name); m == nil || m.Status != pipeline.StatusOK {
+		if m := stageOf(rep, name); m == nil || m.Status != pipeline.StatusOK {
 			t.Fatalf("stage %q = %+v, want ok (full analysis fallback)", name, m)
 		}
 	}
@@ -121,7 +121,7 @@ func TestLoadSnapshotRequireStore(t *testing.T) {
 	if !errors.Is(err, resultstore.ErrTruncated) {
 		t.Fatalf("error %v does not wrap resultstore.ErrTruncated", err)
 	}
-	if m := rep.Stage(StageLoadStore); m == nil || m.Status != pipeline.StatusFailed {
+	if m := stageOf(rep, StageLoadStore); m == nil || m.Status != pipeline.StatusFailed {
 		t.Fatalf("load-store stage = %+v, want failed", m)
 	} else if m.ErrorClass != "retryable" {
 		t.Fatalf("load-store errorClass = %q, want retryable", m.ErrorClass)
@@ -270,7 +270,7 @@ func TestLoadSnapshotArms(t *testing.T) {
 						t.Helper()
 						var got []string
 						for _, stage := range []string{StageOpen, StageLoadStore, StageVerify, StageLoad} {
-							m := rep.Stage(stage)
+							m := stageOf(rep, stage)
 							if m == nil {
 								t.Fatalf("stage %q missing from the report", stage)
 							}
@@ -305,7 +305,7 @@ func TestLoadSnapshotArms(t *testing.T) {
 							t.Fatalf("provenance %+v, want %+v", prov, want)
 						}
 						shape("open=ok load-store=ok verify=skipped analyze=ok")
-						if rep.Stage(StageCorrelate) != nil {
+						if stageOf(rep, StageCorrelate) != nil {
 							t.Fatal("correlate ran although the store loaded")
 						}
 						if gotRes.Views.Digest() != res.Views.Digest() {
@@ -327,7 +327,7 @@ func TestLoadSnapshotArms(t *testing.T) {
 							t.Fatalf("provenance %+v, want analyze with the fallback's reason", prov)
 						}
 						shape("open=ok load-store=skipped/" + sc.class + " verify=ok analyze=ok")
-						if m := rep.Stage(StageCorrelate); m == nil || m.Status != "ok" {
+						if m := stageOf(rep, StageCorrelate); m == nil || m.Status != "ok" {
 							t.Fatalf("correlate stage %+v, want ok", m)
 						}
 						if gotRes.Views.Digest() != res.Views.Digest() {

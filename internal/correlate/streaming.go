@@ -85,12 +85,6 @@ func (inc *Incremental) DrawWindow(hour int) *Window {
 	return w
 }
 
-// Hour returns the window's event-time hour.
-func (w *Window) Hour() int { return w.hour }
-
-// Records returns how many records have been fed so far.
-func (w *Window) Records() uint64 { return w.records }
-
 // Feed folds a batch of records into the window, each into the plane its
 // source address belongs to. The batch is read, never retained, so callers
 // may reuse the backing slice.
@@ -229,9 +223,6 @@ func (inc *Incremental) FailHour(hour int, err error) {
 		inc.res.Ingest.HoursQuarantined++
 	}
 }
-
-// Ingested reports whether the hour has been folded into the result.
-func (inc *Incremental) Ingested(hour int) bool { return inc.hours[hour] }
 
 // QuarantinedHours returns the abandoned hours, ascending.
 func (inc *Incremental) QuarantinedHours() []int {

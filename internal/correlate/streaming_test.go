@@ -142,7 +142,7 @@ func TestWindowAbortDiscardsWhole(t *testing.T) {
 	if _, err := w.Seal(); err == nil {
 		t.Fatal("seal after abort accepted")
 	}
-	if inc.Ingested(0) {
+	if inc.hours[0] {
 		t.Fatal("aborted hour marked ingested")
 	}
 	feedHour(t, inc, dir, 0, 5)
@@ -181,7 +181,7 @@ func TestWindowGuards(t *testing.T) {
 	if err := w.Feed(nil); err == nil {
 		t.Fatal("feed after seal accepted")
 	}
-	if !inc.Ingested(2) {
+	if !inc.hours[2] {
 		t.Fatal("sealed empty window not marked ingested")
 	}
 }

@@ -47,15 +47,6 @@ func (inv *Inventory) LookupIP(addr netx.Addr) (int, bool) {
 // All returns the backing device slice. Callers must not modify it.
 func (inv *Inventory) All() []Device { return inv.devices }
 
-// CountByCategory tallies devices per category.
-func (inv *Inventory) CountByCategory() map[Category]int {
-	out := make(map[Category]int, 2)
-	for _, d := range inv.devices {
-		out[d.Category]++
-	}
-	return out
-}
-
 // deviceJSON is the JSONL persistence shape; enums are serialized as their
 // string forms so files diff and grep cleanly.
 type deviceJSON struct {

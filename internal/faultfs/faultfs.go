@@ -1,8 +1,7 @@
 // Package faultfs injects deterministic storage faults into dataset files
 // so that ingestion failure paths can be exercised by tests: byte-level
-// truncation, bit flips, clean mid-stream cuts, slow non-atomic writes
-// that emulate a legacy collector caught in the act, a single-stepped
-// Grower that reveals a live file prefix by prefix, and an Injector that
+// truncation, bit flips, clean mid-stream cuts, a single-stepped Grower
+// that reveals a live file prefix by prefix, and an Injector that
 // fails the k-th write, fsync or rename of a durable writer. Every file
 // operation is pure byte surgery — nothing here knows the flowtuple
 // framing — which keeps the injected faults honest stand-ins for real disk
@@ -16,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 )
 
 // BitFlip XORs mask into the byte at offset. Offsets are resolved from the
@@ -144,46 +142,11 @@ func UncompressedLen(path string) (int, error) {
 	return int(n), err
 }
 
-// WriteFileSlowly writes data to path directly (no atomic rename), chunk
-// bytes at a time, sleeping delay between chunks — a deterministic model
-// of a legacy collector whose in-progress output is visible to readers.
-// It blocks until the file is complete; run it in a goroutine to race a
-// reader against it.
-func WriteFileSlowly(path string, data []byte, chunk int, delay time.Duration) error {
-	if chunk <= 0 {
-		return fmt.Errorf("faultfs: chunk must be positive")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	for off := 0; off < len(data); off += chunk {
-		end := off + chunk
-		if end > len(data) {
-			end = len(data)
-		}
-		if _, err := f.Write(data[off:end]); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-		if delay > 0 && end < len(data) {
-			time.Sleep(delay)
-		}
-	}
-	return f.Close()
-}
-
 // Grower publishes a file's bytes in increments the test controls — the
-// partial-append / slow-grow fault mode for streaming ingestion. Unlike
-// WriteFileSlowly it never sleeps: each Grow call appends exactly the
-// requested bytes and returns, so a tailer can be single-stepped through
-// every intermediate prefix deterministically. The already-published
-// prefix can additionally be damaged mid-growth with CorruptPublished,
-// modelling a live file whose earlier bytes rot under the reader.
+// partial-append / slow-grow fault mode for streaming ingestion. It never
+// sleeps: each Grow call appends exactly the requested bytes and returns,
+// so a tailer can be single-stepped through every intermediate prefix
+// deterministically.
 type Grower struct {
 	path string
 	data []byte
@@ -198,12 +161,6 @@ func NewGrower(path string, data []byte) (*Grower, error) {
 	}
 	return &Grower{path: path, data: data}, nil
 }
-
-// Path returns the file being grown.
-func (g *Grower) Path() string { return g.path }
-
-// Offset reports how many bytes have been published so far.
-func (g *Grower) Offset() int { return g.off }
 
 // Remaining reports how many bytes are still unpublished.
 func (g *Grower) Remaining() int { return len(g.data) - g.off }
@@ -237,29 +194,6 @@ func (g *Grower) Grow(n int) (int, error) {
 	}
 	g.off += n
 	return n, f.Close()
-}
-
-// GrowAll publishes everything still unrevealed.
-func (g *Grower) GrowAll() error {
-	if g.Remaining() == 0 {
-		return nil
-	}
-	_, err := g.Grow(g.Remaining())
-	return err
-}
-
-// CorruptPublished flips mask into an already-published byte (negative
-// offsets resolve from the published end), so a test can damage the live
-// prefix a tailer has potentially already read.
-func (g *Grower) CorruptPublished(offset int64, mask byte) error {
-	if offset < 0 {
-		offset += int64(g.off)
-	}
-	if offset < 0 || offset >= int64(g.off) {
-		return fmt.Errorf("faultfs: offset %d outside published prefix of %d bytes", offset, g.off)
-	}
-	g.data[offset] ^= mask
-	return BitFlip(g.path, offset, mask)
 }
 
 func rewrite(path string, data []byte) error {

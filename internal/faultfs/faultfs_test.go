@@ -91,21 +91,6 @@ func TestRecompressPrefixAndUncompressedLen(t *testing.T) {
 	}
 }
 
-func TestWriteFileSlowly(t *testing.T) {
-	data := bytes.Repeat([]byte("xyz"), 100)
-	path := filepath.Join(t.TempDir(), "slow.bin")
-	if err := WriteFileSlowly(path, data, 7, 0); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := os.ReadFile(path)
-	if !bytes.Equal(got, data) {
-		t.Fatalf("slow write mangled data: %d bytes", len(got))
-	}
-	if err := WriteFileSlowly(path, data, 0, 0); err == nil {
-		t.Fatal("zero chunk accepted")
-	}
-}
-
 // The injector counts every operation, fails exactly the K-th of its kind
 // (a write torn half way), and with Crash keeps failing everything until
 // Reboot — the process is dead until it restarts.

@@ -61,18 +61,18 @@ func TestAbortLeavesNothing(t *testing.T) {
 	if err := w.Write(Record{Packets: 3}); err != nil {
 		t.Fatal(err)
 	}
-	w.Abort()
+	w.abort()
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("final path exists after Abort")
+		t.Fatal("final path exists after abort")
 	}
 	if _, err := os.Stat(path + TmpSuffix); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("tmp sibling survives Abort")
+		t.Fatal("tmp sibling survives abort")
 	}
 	if err := w.Write(Record{Packets: 1}); err == nil {
-		t.Fatal("write after Abort accepted")
+		t.Fatal("write after abort accepted")
 	}
 	if err := w.Close(); err == nil {
-		t.Fatal("close after Abort reported success")
+		t.Fatal("close after abort reported success")
 	}
 }
 
@@ -163,7 +163,7 @@ func TestWriterRecyclesCleanState(t *testing.T) {
 					}
 				}
 				if i%2 == 1 { // enough records that bufio has flushed some into gzip
-					w.Abort()
+					w.abort()
 					continue
 				}
 				if err := w.Close(); err != nil {

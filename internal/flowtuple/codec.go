@@ -2,7 +2,6 @@ package flowtuple
 
 import (
 	"encoding/binary"
-	"fmt"
 )
 
 // RecordSize is the fixed on-disk size of one encoded record in bytes.
@@ -23,16 +22,6 @@ func AppendRecord(dst []byte, r Record) []byte {
 	binary.LittleEndian.PutUint16(buf[15:], r.IPLen)
 	binary.LittleEndian.PutUint32(buf[17:], r.Packets)
 	return append(dst, buf[:]...)
-}
-
-// DecodeRecord decodes one record from the first RecordSize bytes of src.
-func DecodeRecord(src []byte) (Record, error) {
-	if len(src) < RecordSize {
-		return Record{}, fmt.Errorf("flowtuple: short record: %d bytes", len(src))
-	}
-	var r Record
-	decodeInto(&r, src)
-	return r, nil
 }
 
 // decodeInto decodes one record from src, which the caller guarantees holds

@@ -3,7 +3,6 @@ package flowtuple
 import (
 	"bufio"
 	"compress/gzip"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -169,12 +168,9 @@ func (w *Writer) errOrClosed() error {
 	return os.ErrClosed
 }
 
-// Count returns the number of records written so far.
-func (w *Writer) Count() uint32 { return w.count }
-
 // Close writes the footer, syncs the temp file, and atomically renames it
 // into place. On any failure the partial output is removed and the final
-// path is left untouched. Close after a write failure (or Abort) returns
+// path is left untouched. Close after a write failure (or abort) returns
 // the stored error without side effects.
 func (w *Writer) Close() error {
 	if w.f == nil {
@@ -211,9 +207,9 @@ func (w *Writer) Close() error {
 	return nil
 }
 
-// Abort discards the in-progress file without publishing it. Safe to call
+// abort discards the in-progress file without publishing it. Safe to call
 // after Close or a failed Write (no-op).
-func (w *Writer) Abort() {
+func (w *Writer) abort() {
 	if w.f != nil {
 		w.fail(errors.New("flowtuple: writer aborted"))
 	}
@@ -416,16 +412,4 @@ func DatasetHours(dir string) ([]int, error) {
 	}
 	sort.Ints(hours)
 	return hours, nil
-}
-
-// WalkHour opens the given hour file in dir and invokes fn for each record.
-func WalkHour(dir string, hour int, fn func(Record) error) error {
-	return WalkHourBatch(context.Background(), dir, hour, func(batch []Record) error {
-		for i := range batch {
-			if err := fn(batch[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 }

@@ -1,6 +1,7 @@
 package flowtuple
 
 import (
+	"context"
 	"errors"
 	"io"
 	"os"
@@ -12,10 +13,10 @@ import (
 
 func randomRecord(r *rng.Source) Record {
 	return Record{
-		SrcIP:    r.Uint32(),
-		DstIP:    r.Uint32(),
-		SrcPort:  uint16(r.Uint32()),
-		DstPort:  uint16(r.Uint32()),
+		SrcIP:    uint32(r.Uint64() >> 32),
+		DstIP:    uint32(r.Uint64() >> 32),
+		SrcPort:  uint16(uint32(r.Uint64() >> 32)),
+		DstPort:  uint16(uint32(r.Uint64() >> 32)),
 		Protocol: uint8(r.Intn(256)),
 		TTL:      uint8(r.Intn(256)),
 		TCPFlags: uint8(r.Intn(64)),
@@ -209,9 +210,11 @@ func TestWalkHour(t *testing.T) {
 
 	got := uint64(0)
 	n := 0
-	err := WalkHour(dir, 4, func(rec Record) error {
-		got += uint64(rec.Packets)
-		n++
+	err := WalkHourBatch(context.Background(), dir, 4, func(batch []Record) error {
+		for _, rec := range batch {
+			got += uint64(rec.Packets)
+			n++
+		}
 		return nil
 	})
 	if err != nil {
@@ -227,31 +230,12 @@ func TestWalkHourCallbackError(t *testing.T) {
 	writeHourFile(t, HourPath(dir, 9), 9, []Record{{Packets: 1}, {Packets: 2}})
 	sentinel := errors.New("stop")
 	calls := 0
-	err := WalkHour(dir, 9, func(Record) error {
+	err := WalkHourBatch(context.Background(), dir, 9, func([]Record) error {
 		calls++
 		return sentinel
 	})
 	if !errors.Is(err, sentinel) || calls != 1 {
 		t.Fatalf("err=%v calls=%d", err, calls)
-	}
-}
-
-func TestWriterCount(t *testing.T) {
-	dir := t.TempDir()
-	w, err := Create(HourPath(dir, 3), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := w.Write(Record{Packets: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if w.Count() != 10 {
-		t.Fatalf("Count = %d", w.Count())
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

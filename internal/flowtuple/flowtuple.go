@@ -59,12 +59,6 @@ type Record struct {
 // ICMPType returns the ICMP type for ICMP records.
 func (r Record) ICMPType() uint8 { return uint8(r.SrcPort) }
 
-// ICMPCode returns the ICMP code for ICMP records.
-func (r Record) ICMPCode() uint8 { return uint8(r.DstPort) }
-
-// HasFlags reports whether all bits in mask are set in TCPFlags.
-func (r Record) HasFlags(mask uint8) bool { return r.TCPFlags&mask == mask }
-
 // ProtoName returns a short protocol mnemonic.
 func ProtoName(p uint8) string {
 	switch p {

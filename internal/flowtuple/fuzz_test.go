@@ -23,8 +23,8 @@ func FuzzReader(f *testing.F) {
 	r := rng.New(7)
 	for i := 0; i < 32; i++ {
 		if err := w.Write(Record{
-			SrcIP: r.Uint32(), DstIP: r.Uint32(),
-			SrcPort: uint16(r.Uint32()), DstPort: uint16(r.Uint32()),
+			SrcIP: uint32(r.Uint64() >> 32), DstIP: uint32(r.Uint64() >> 32),
+			SrcPort: uint16(uint32(r.Uint64() >> 32)), DstPort: uint16(uint32(r.Uint64() >> 32)),
 			Protocol: uint8(r.Intn(256)), TCPFlags: uint8(r.Intn(64)),
 			Packets: uint32(1 + r.Intn(1000)),
 		}); err != nil {

@@ -111,8 +111,7 @@ func walkFrames(plain []byte, streamErr error) (recs []Record, class streamClass
 			if len(p) < 22 {
 				return recs, end
 			}
-			rec, _ := DecodeRecord(p[1:22])
-			recs = append(recs, rec)
+			recs = append(recs, decode(p[1:22]))
 			p = p[22:]
 		case p[0] == 0x00:
 			if len(p) < 5 {
@@ -212,8 +211,8 @@ func hourPlain(n int, seed uint64) []byte {
 	ports := [...]uint16{23, 2323, 80, 8080, 445, 5555}
 	for i := 0; i < n; i++ {
 		p = AppendRecord(append(p, tagRecord), Record{
-			SrcIP: r.Uint32(), DstIP: 10<<24 | r.Uint32()>>8,
-			SrcPort: uint16(r.Uint32()), DstPort: ports[r.Intn(len(ports))],
+			SrcIP: uint32(r.Uint64() >> 32), DstIP: 10<<24 | uint32(r.Uint64()>>32)>>8,
+			SrcPort: uint16(uint32(r.Uint64() >> 32)), DstPort: ports[r.Intn(len(ports))],
 			Protocol: ProtoTCP, TTL: uint8(40 + r.Intn(24)), TCPFlags: FlagSYN,
 			IPLen: uint16(40 + 4*r.Intn(3)), Packets: uint32(1 + r.Intn(3)),
 		})
@@ -407,7 +406,7 @@ func TestInflateEveryMatchLength(t *testing.T) {
 	r := rng.New(31)
 	history := make([]byte, histSize)
 	for i := range history {
-		history[i] = byte(r.Uint32())
+		history[i] = byte(uint32(r.Uint64() >> 32))
 	}
 	for _, dist := range []int{1, 2, 3, 4, 5, 6, 7, 8, histSize} {
 		for length := 3; length <= 258; length++ {
@@ -426,7 +425,7 @@ func TestInflateEveryMatchLength(t *testing.T) {
 					want = append(want, want[len(want)-dist])
 				}
 				for i := 0; i < tail; i++ {
-					c := byte(r.Uint32())
+					c := byte(uint32(r.Uint64() >> 32))
 					w.litlen(uint32(c))
 					want = append(want, c)
 				}
@@ -749,7 +748,7 @@ func TestInflateHostileClaims(t *testing.T) {
 	w.bits(15, 4) // HCLEN: all 19 code-length codes
 	r := rng.New(42)
 	for i := 0; i < 1<<16; i++ {
-		w.buf = append(w.buf, byte(r.Uint32()))
+		w.buf = append(w.buf, byte(uint32(r.Uint64()>>32)))
 	}
 	tables := append([]byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 0, 0xff}, w.buf...)
 

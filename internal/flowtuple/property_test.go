@@ -18,15 +18,15 @@ func TestFileRoundTripProperty(t *testing.T) {
 		recs := make([]Record, int(n)%64)
 		for i := range recs {
 			recs[i] = Record{
-				SrcIP:    r.Uint32(),
-				DstIP:    r.Uint32(),
-				SrcPort:  uint16(r.Uint32()),
-				DstPort:  uint16(r.Uint32()),
+				SrcIP:    uint32(r.Uint64() >> 32),
+				DstIP:    uint32(r.Uint64() >> 32),
+				SrcPort:  uint16(uint32(r.Uint64() >> 32)),
+				DstPort:  uint16(uint32(r.Uint64() >> 32)),
 				Protocol: uint8(r.Intn(256)),
 				TTL:      uint8(r.Intn(256)),
 				TCPFlags: uint8(r.Intn(256)),
-				IPLen:    uint16(r.Uint32()),
-				Packets:  r.Uint32(),
+				IPLen:    uint16(uint32(r.Uint64() >> 32)),
+				Packets:  uint32(r.Uint64() >> 32),
 			}
 		}
 		path := HourPath(dir, seq)

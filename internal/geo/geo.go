@@ -1,7 +1,7 @@
 // Package geo provides the synthetic Internet registry that substitutes for
 // the geolocation and WHOIS metadata the paper obtains alongside Shodan
 // records: a deterministic allocation of IPv4 prefixes to (country, ISP)
-// pairs and a longest-prefix-match lookup from any address to its operator.
+// pairs, from which the generator draws each device's address.
 //
 // The country set and the named ISPs mirror the ones appearing in the
 // paper's tables (JSC ER-Telecom, Rostelecom, Korea Telecom, PT Telkom,
@@ -29,12 +29,6 @@ type ISP struct {
 	Name    string
 	Country string // country code
 	ASN     uint32
-}
-
-// Info is the registry answer for one address.
-type Info struct {
-	Country string // country code
-	ISP     int    // index into Registry.ISPs
 }
 
 // Config controls registry construction.
@@ -116,12 +110,11 @@ var namedISPs = map[string][]string{
 	"TW": {"HiNet"},
 }
 
-// Registry maps addresses to operators and operators to address space.
+// Registry maps operators to address space.
 type Registry struct {
 	Countries []Country
 	ISPs      []ISP
 
-	trie        *netx.Trie[Info]
 	ispPrefixes [][]netx.Prefix // per ISP
 	byCountry   map[string][]int
 }
@@ -142,7 +135,6 @@ func Build(cfg Config, seed uint64) (*Registry, error) {
 
 	reg := &Registry{
 		Countries: append([]Country(nil), namedCountries...),
-		trie:      netx.NewTrie[Info](),
 		byCountry: make(map[string][]int),
 	}
 	for i := 0; i < cfg.FillerCountries; i++ {
@@ -180,7 +172,6 @@ func Build(cfg Config, seed uint64) (*Registry, error) {
 					return nil, err
 				}
 				prefixes = append(prefixes, p)
-				reg.trie.Insert(p, Info{Country: c.Code, ISP: idx})
 			}
 			reg.ispPrefixes = append(reg.ispPrefixes, prefixes)
 			reg.byCountry[c.Code] = append(reg.byCountry[c.Code], idx)
@@ -189,19 +180,9 @@ func Build(cfg Config, seed uint64) (*Registry, error) {
 	return reg, nil
 }
 
-// Lookup resolves an address to its operator.
-func (g *Registry) Lookup(a netx.Addr) (Info, bool) {
-	return g.trie.Lookup(a)
-}
-
 // ISPsIn returns the ISP indices registered in a country.
 func (g *Registry) ISPsIn(countryCode string) []int {
 	return g.byCountry[countryCode]
-}
-
-// Prefixes returns the blocks allocated to ISP i.
-func (g *Registry) Prefixes(i int) []netx.Prefix {
-	return g.ispPrefixes[i]
 }
 
 // RandomAddr draws a uniform address from ISP i's space.
@@ -248,34 +229,4 @@ func (a *allocator) next() (netx.Prefix, error) {
 	p := a.blocks[a.cursor]
 	a.cursor++
 	return p, nil
-}
-
-// CountryName returns the display name for a code, or the code itself.
-func (g *Registry) CountryName(code string) string {
-	for _, c := range g.Countries {
-		if c.Code == code {
-			return c.Name
-		}
-	}
-	return code
-}
-
-// NamedCountryCodes returns the codes of the paper's named countries in
-// table order (US first).
-func NamedCountryCodes() []string {
-	out := make([]string, len(namedCountries))
-	for i, c := range namedCountries {
-		out[i] = c.Code
-	}
-	return out
-}
-
-// FindISP returns the index of the first ISP with the given name, or -1.
-func (g *Registry) FindISP(name string) int {
-	for i, isp := range g.ISPs {
-		if isp.Name == name {
-			return i
-		}
-	}
-	return -1
 }

@@ -1,6 +1,8 @@
 package geo
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
 	"iotscope/internal/netx"
@@ -26,7 +28,7 @@ func TestBuildDeterministic(t *testing.T) {
 		if a.ISPs[i] != b.ISPs[i] {
 			t.Fatalf("ISP %d differs: %+v vs %+v", i, a.ISPs[i], b.ISPs[i])
 		}
-		ap, bp := a.Prefixes(i), b.Prefixes(i)
+		ap, bp := a.ispPrefixes[i], b.ispPrefixes[i]
 		for j := range ap {
 			if ap[j] != bp[j] {
 				t.Fatalf("prefix %d/%d differs", i, j)
@@ -44,7 +46,7 @@ func TestBuildSeedsDiffer(t *testing.T) {
 		n = len(b.ISPs)
 	}
 	for i := 0; i < n; i++ {
-		if len(a.Prefixes(i)) > 0 && len(b.Prefixes(i)) > 0 && a.Prefixes(i)[0] == b.Prefixes(i)[0] {
+		if len(a.ispPrefixes[i]) > 0 && len(b.ispPrefixes[i]) > 0 && a.ispPrefixes[i][0] == b.ispPrefixes[i][0] {
 			same++
 		}
 	}
@@ -57,13 +59,18 @@ func TestNamedISPsPresent(t *testing.T) {
 	g := build(t, 7)
 	for country, names := range namedISPs {
 		for _, name := range names {
-			idx := g.FindISP(name)
-			if idx < 0 {
-				t.Errorf("named ISP %q missing", name)
-				continue
+			found := false
+			for _, isp := range g.ISPs {
+				if isp.Name == name {
+					found = true
+					if isp.Country != country {
+						t.Errorf("ISP %q in country %q, want %q", name, isp.Country, country)
+					}
+					break
+				}
 			}
-			if g.ISPs[idx].Country != country {
-				t.Errorf("ISP %q in country %q, want %q", name, g.ISPs[idx].Country, country)
+			if !found {
+				t.Errorf("named ISP %q missing", name)
 			}
 		}
 	}
@@ -77,39 +84,15 @@ func TestCountryCount(t *testing.T) {
 	}
 }
 
-func TestLookupConsistency(t *testing.T) {
-	g := build(t, 11)
-	r := rng.New(5)
-	for i := range g.ISPs {
-		for trial := 0; trial < 3; trial++ {
-			a := g.RandomAddr(r, i)
-			info, ok := g.Lookup(a)
-			if !ok {
-				t.Fatalf("address %v from ISP %d not found", a, i)
-			}
-			if info.ISP != i {
-				t.Fatalf("address %v resolved to ISP %d want %d", a, info.ISP, i)
-			}
-			if info.Country != g.ISPs[i].Country {
-				t.Fatalf("address %v resolved to country %q want %q",
-					a, info.Country, g.ISPs[i].Country)
-			}
-		}
-	}
-}
-
 func TestDarknetExcluded(t *testing.T) {
 	g := build(t, 13)
 	dark := DefaultConfig().DarkPrefix
 	for i := range g.ISPs {
-		for _, p := range g.Prefixes(i) {
+		for _, p := range g.ispPrefixes[i] {
 			if p.Overlaps(dark) {
 				t.Fatalf("ISP %d prefix %v overlaps darknet %v", i, p, dark)
 			}
 		}
-	}
-	if _, ok := g.Lookup(netx.MustParseAddr("44.1.2.3")); ok {
-		t.Fatal("darknet address resolved to an operator")
 	}
 }
 
@@ -117,7 +100,7 @@ func TestPrefixesDisjoint(t *testing.T) {
 	g := build(t, 17)
 	seen := make(map[netx.Prefix]int)
 	for i := range g.ISPs {
-		for _, p := range g.Prefixes(i) {
+		for _, p := range g.ispPrefixes[i] {
 			if prev, dup := seen[p]; dup {
 				t.Fatalf("prefix %v allocated to ISPs %d and %d", p, prev, i)
 			}
@@ -141,23 +124,6 @@ func TestISPsIn(t *testing.T) {
 	}
 	if got := g.ISPsIn("ZZ"); got != nil {
 		t.Errorf("unknown country returned %v", got)
-	}
-}
-
-func TestCountryName(t *testing.T) {
-	g := build(t, 23)
-	if got := g.CountryName("US"); got != "United States" {
-		t.Errorf("CountryName(US) = %q", got)
-	}
-	if got := g.CountryName("??"); got != "??" {
-		t.Errorf("unknown code = %q", got)
-	}
-}
-
-func TestNamedCountryCodes(t *testing.T) {
-	codes := NamedCountryCodes()
-	if len(codes) != len(namedCountries) || codes[0] != "US" {
-		t.Fatalf("codes %v", codes)
 	}
 }
 
@@ -190,18 +156,196 @@ func TestASNsUnique(t *testing.T) {
 	}
 }
 
-func BenchmarkLookup(b *testing.B) {
-	g, err := Build(DefaultConfig(), 1)
+// allocationCase is one registry the allocation tests build: the default
+// config and the two small ones the determinism tests use.
+type allocationCase struct {
+	cfg  Config
+	seed uint64
+}
+
+func smallConfig(filler, lo, hi int) Config {
+	return Config{
+		DarkPrefix:        netx.MustParsePrefix("44.0.0.0/8"),
+		FillerCountries:   filler,
+		ISPsPerCountryMin: lo,
+		ISPsPerCountryMax: hi,
+		PrefixBits:        16,
+		PrefixesPerISP:    2,
+	}
+}
+
+var allocationCases = []allocationCase{
+	{DefaultConfig(), 11},
+	{smallConfig(8, 2, 4), 31},
+	{smallConfig(4, 1, 3), 7},
+}
+
+// owned is one allocated block and the ISP holding it.
+type owned struct {
+	block netx.Prefix
+	isp   int
+}
+
+// owners resolves an address to the block that holds it, by binary search
+// over every allocated block sorted by first address. The registry draws
+// addresses but resolves none, so the tests keep this index themselves;
+// building it fails the test if two blocks overlap.
+type owners []owned
+
+func ownersOf(t testing.TB, g *Registry) owners {
+	t.Helper()
+	var o owners
+	for i, ps := range g.ispPrefixes {
+		for _, p := range ps {
+			o = append(o, owned{p, i})
+		}
+	}
+	sort.Slice(o, func(i, j int) bool { return o[i].block.Nth(0) < o[j].block.Nth(0) })
+	for i := 1; i < len(o); i++ {
+		if o[i-1].block.Overlaps(o[i].block) {
+			t.Fatalf("blocks %v (ISP %d) and %v (ISP %d) overlap",
+				o[i-1].block, o[i-1].isp, o[i].block, o[i].isp)
+		}
+	}
+	return o
+}
+
+func (o owners) lookup(a netx.Addr) (owned, bool) {
+	k := sort.Search(len(o), func(j int) bool { return o[j].block.Nth(0) > a }) - 1
+	if k < 0 || !o[k].block.Contains(a) {
+		return owned{}, false
+	}
+	return o[k], true
+}
+
+// Every ISP is listed under a country the registry holds, RandomAddr(i)
+// lands in ISP i's blocks, and the dark prefix belongs to no operator.
+func TestLookupConsistency(t *testing.T) {
+	for _, tc := range allocationCases {
+		g, err := Build(tc.cfg, tc.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := ownersOf(t, g)
+		countries := map[string]bool{}
+		for _, c := range g.Countries {
+			countries[c.Code] = true
+		}
+		r := rng.New(5)
+		for i, isp := range g.ISPs {
+			if !countries[isp.Country] || !slices.Contains(g.ISPsIn(isp.Country), i) {
+				t.Fatalf("ISP %d (%s) is not listed under its country %q", i, isp.Name, isp.Country)
+			}
+			for trial := 0; trial < 20; trial++ {
+				a := g.RandomAddr(r, i)
+				if got, ok := o.lookup(a); !ok || got.isp != i {
+					t.Fatalf("RandomAddr(%d) = %v resolves to %+v (ok=%v), want ISP %d", i, a, got, ok, i)
+				}
+			}
+		}
+		for _, a := range []netx.Addr{tc.cfg.DarkPrefix.Nth(0), netx.MustParseAddr("44.1.2.3")} {
+			if got, ok := o.lookup(a); ok {
+				t.Fatalf("dark address %v resolves to %+v", a, got)
+			}
+		}
+	}
+}
+
+// Blocks are aligned, PrefixBits-sized and clear of the dark prefix and
+// every skipped /8; the first and last address of each block resolve to it,
+// and the addresses one step outside resolve to another block or to none.
+func TestLookupPrefixBoundaries(t *testing.T) {
+	for _, tc := range allocationCases {
+		g, err := Build(tc.cfg, tc.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := ownersOf(t, g)
+		size := uint64(1) << uint(32-tc.cfg.PrefixBits)
+		for _, b := range o {
+			p := b.block
+			if p.Overlaps(tc.cfg.DarkPrefix) {
+				t.Fatalf("ISP %d block %v overlaps the dark prefix", b.isp, p)
+			}
+			switch first := uint32(p.Nth(0)) >> 24; {
+			case first == 0 || first >= 224, first == 10, first == 127, first == 169, first == 172, first == 192:
+				t.Fatalf("ISP %d block %v lies in a skipped /8", b.isp, p)
+			}
+			first, last := p.Nth(0), p.Nth(p.NumAddrs()-1)
+			if p.NumAddrs() != size || uint64(first)%size != 0 {
+				t.Fatalf("ISP %d block %v is not an aligned /%d", b.isp, p, tc.cfg.PrefixBits)
+			}
+			for _, a := range []netx.Addr{first, last} {
+				if got, ok := o.lookup(a); !ok || got != b {
+					t.Fatalf("addr %v inside %v resolves to %+v (ok=%v), want ISP %d", a, p, got, ok, b.isp)
+				}
+			}
+			if before := first - 1; before < first {
+				if got, ok := o.lookup(before); ok && got.block == p {
+					t.Fatalf("addr %v before %v resolves into it", before, p)
+				}
+			}
+			if after := last + 1; after > last {
+				if got, ok := o.lookup(after); ok && got.block == p {
+					t.Fatalf("addr %v after %v resolves into it", after, p)
+				}
+			}
+		}
+	}
+}
+
+// FuzzLookup drives arbitrary addresses through two identically seeded
+// registries: at most one block holds an address, both builds agree on it,
+// the binary-search index finds the same block a full scan does, and the
+// dark prefix holds nothing.
+func FuzzLookup(f *testing.F) {
+	cfg := smallConfig(4, 1, 3)
+	a, err := Build(cfg, 7)
 	if err != nil {
-		b.Fatal(err)
+		f.Fatal(err)
 	}
-	r := rng.New(2)
-	addrs := make([]netx.Addr, 1024)
-	for i := range addrs {
-		addrs[i] = g.RandomAddr(r, r.Intn(len(g.ISPs)))
+	b, err := Build(cfg, 7)
+	if err != nil {
+		f.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Lookup(addrs[i&1023])
+	oa, ob := ownersOf(f, a), ownersOf(f, b)
+	// Seed with block boundaries, the off-by-one surface of the search.
+	for i := 0; i < len(a.ISPs) && i < 4; i++ {
+		for _, p := range a.ispPrefixes[i] {
+			f.Add(uint32(p.Nth(0)))
+			f.Add(uint32(p.Nth(p.NumAddrs() - 1)))
+			f.Add(uint32(p.Nth(0)) - 1)
+			f.Add(uint32(p.Nth(p.NumAddrs()-1)) + 1)
+		}
 	}
+	f.Add(uint32(0))
+	f.Add(uint32(0x2c000001)) // inside the 44/8 darknet
+
+	f.Fuzz(func(t *testing.T, raw uint32) {
+		addr := netx.Addr(raw)
+		gotA, okA := oa.lookup(addr)
+		gotB, okB := ob.lookup(addr)
+		if okA != okB || gotA != gotB {
+			t.Fatalf("lookup %v diverged across identical builds: %+v vs %+v", addr, gotA, gotB)
+		}
+		var scan []owned
+		for i, ps := range a.ispPrefixes {
+			for _, p := range ps {
+				if p.Contains(addr) {
+					scan = append(scan, owned{p, i})
+				}
+			}
+		}
+		switch {
+		case len(scan) > 1:
+			t.Fatalf("addr %v lies in %d blocks: %+v", addr, len(scan), scan)
+		case len(scan) == 1 && (!okA || gotA != scan[0]):
+			t.Fatalf("lookup %v = %+v (ok=%v), scan finds %+v", addr, gotA, okA, scan[0])
+		case len(scan) == 0 && okA:
+			t.Fatalf("lookup %v = %+v, but no block holds it", addr, gotA)
+		}
+		if okA && cfg.DarkPrefix.Contains(addr) {
+			t.Fatalf("dark address %v resolved to ISP %d", addr, gotA.isp)
+		}
+	})
 }

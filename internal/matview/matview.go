@@ -164,7 +164,7 @@ func BuildContext(ctx context.Context, src Sources) (*Views, error) {
 		v.reports, reportsErr = RenderReports(notify.BuildBundles(notify.Sources{
 			Result: src.Result, Inventory: src.Inventory, Registry: src.Registry,
 			Threat: src.Threat, Malware: src.MalwareDB, Catalog: src.Catalog,
-		}, notify.Config{MinDevices: 1, MinPackets: 1}))
+		}, notify.DefaultConfig()))
 	})
 	task(func() { campaigns, campaignErr = campaign.Detect(src.Result, campaign.DefaultConfig()) })
 	indexErr := v.buildDeviceIndex(src)

@@ -1,10 +1,8 @@
 // Package netx provides compact IPv4 address types tuned for telescope-scale
-// traffic analysis: a 4-byte address value, CIDR prefixes, a longest-prefix-
-// match radix trie for registry lookups, and exact address sets.
+// traffic analysis: a 4-byte address value and CIDR prefixes.
 //
-// Darknet analysis performs one or two prefix lookups per flowtuple (source
-// geolocation, inventory membership), so Addr is a plain uint32 wrapper and
-// the hot paths allocate nothing.
+// Darknet analysis joins every flowtuple's source against the inventory, so
+// Addr is a plain uint32 wrapper and the hot paths allocate nothing.
 package netx
 
 import (
@@ -60,11 +58,6 @@ func (a Addr) String() string {
 	return string(b)
 }
 
-// Octet returns the i-th octet (0 = most significant).
-func (a Addr) Octet(i int) byte {
-	return byte(a >> uint(24-8*i))
-}
-
 // Prefix is an IPv4 CIDR prefix.
 type Prefix struct {
 	addr Addr
@@ -112,9 +105,6 @@ func mask(bits int) Addr {
 	}
 	return Addr(^uint32(0) << uint(32-bits))
 }
-
-// Addr returns the network address of the prefix.
-func (p Prefix) Addr() Addr { return p.addr }
 
 // Bits returns the prefix length.
 func (p Prefix) Bits() int { return int(p.bits) }

@@ -46,15 +46,6 @@ func TestAddrStringRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAddrOctet(t *testing.T) {
-	a := MustParseAddr("1.2.3.4")
-	for i, want := range []byte{1, 2, 3, 4} {
-		if got := a.Octet(i); got != want {
-			t.Errorf("Octet(%d) = %d want %d", i, got, want)
-		}
-	}
-}
-
 func TestMustParseAddrPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -96,8 +96,8 @@ func TestCorruptionTable(t *testing.T) {
 			if !errors.Is(err, ErrBadFormat) {
 				t.Fatalf("error outside taxonomy: %v", err)
 			}
-			if got := IsRetryable(err); got != tc.retryable {
-				t.Fatalf("IsRetryable = %v, want %v (err: %v)", got, tc.retryable, err)
+			if got := isRetryable(err); got != tc.retryable {
+				t.Fatalf("isRetryable = %v, want %v (err: %v)", got, tc.retryable, err)
 			}
 			if truncated := errors.Is(err, ErrTruncated); truncated != tc.retryable {
 				t.Fatalf("ErrTruncated = %v, want %v (err: %v)", truncated, tc.retryable, err)

@@ -16,9 +16,9 @@ import (
 )
 
 // Sink is the pluggable delivery backend — the stand-in for an SMTP
-// submission or an abuse-desk API. Deliver must honor ctx; an error wrapped
-// by Permanent is never retried, anything else is classified by the drain's
-// retry policy.
+// submission or an abuse-desk API. Deliver must honor ctx; an error the
+// sink marks permanent (IsPermanent) is never retried, anything else is
+// classified by the drain's retry policy.
 type Sink interface {
 	Deliver(ctx context.Context, item Item) error
 }
@@ -30,23 +30,23 @@ type permanentErr struct{ err error }
 func (e permanentErr) Error() string { return e.err.Error() }
 func (e permanentErr) Unwrap() error { return e.err }
 
-// Permanent wraps err so IsPermanent(err) holds: the drain fails the item
+// permanent wraps err so IsPermanent(err) holds: the drain fails the item
 // immediately instead of burning its retry budget.
-func Permanent(err error) error {
+func permanent(err error) error {
 	if err == nil {
 		return nil
 	}
 	return permanentErr{err}
 }
 
-// IsPermanent reports whether a sink error was marked Permanent.
+// IsPermanent reports whether a sink error was marked permanent.
 func IsPermanent(err error) bool {
 	var p permanentErr
 	return errors.As(err, &p)
 }
 
 // RetryableDelivery is the default retryable-classifier for drain policies:
-// everything except Permanent-marked errors is worth another attempt.
+// everything except permanent-marked errors is worth another attempt.
 func RetryableDelivery(err error) bool { return err != nil && !IsPermanent(err) }
 
 // WriterSink delivers by rendering each notification to an io.Writer —
@@ -151,49 +151,8 @@ func (s *FileSink) Deliver(ctx context.Context, item Item) error {
 	return nil
 }
 
-// Delivered reports how many distinct items the log holds.
-func (s *FileSink) Delivered() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.delivered)
-}
-
 // Close closes the underlying file.
 func (s *FileSink) Close() error { return s.log.Close() }
-
-// FlakySink is the chaos sink for tests: each item fails its first
-// FailFirst attempts with a retryable error, and items whose dedup key
-// contains PermanentKey fail permanently. Delivered records successes in
-// order.
-type FlakySink struct {
-	FailFirst    int
-	PermanentKey string
-
-	mu        sync.Mutex
-	attempts  map[uint64]int
-	Delivered []uint64
-}
-
-// Deliver implements the flaky behavior.
-func (s *FlakySink) Deliver(ctx context.Context, item Item) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.attempts == nil {
-		s.attempts = make(map[uint64]int)
-	}
-	if s.PermanentKey != "" && strings.Contains(item.DedupKey, s.PermanentKey) {
-		return Permanent(fmt.Errorf("flaky sink: recipient %s rejected", item.DedupKey))
-	}
-	s.attempts[item.ID]++
-	if s.attempts[item.ID] <= s.FailFirst {
-		return fmt.Errorf("flaky sink: transient failure %d for item %d", s.attempts[item.ID], item.ID)
-	}
-	s.Delivered = append(s.Delivered, item.ID)
-	return nil
-}
 
 // DrainOptions tunes a drain pass.
 type DrainOptions struct {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -27,7 +28,7 @@ func TestDrainDeliversPendingInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustEnqueue(t, q, note("a", 0), note("b", 0), note("c", 0))
-	sink := &FlakySink{}
+	sink := &flakySink{}
 	st, err := q.Drain(context.Background(), sink, DrainOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +52,7 @@ func TestDrainRetriesTransientFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustEnqueue(t, q, note("a", 0), note("b", 0))
-	sink := &FlakySink{FailFirst: 2}
+	sink := &flakySink{FailFirst: 2}
 	st, err := q.Drain(context.Background(), sink, DrainOptions{Policy: retryPolicy(3)})
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +60,7 @@ func TestDrainRetriesTransientFailures(t *testing.T) {
 	if st.Delivered != 2 || st.Attempts != 6 {
 		t.Fatalf("stats %+v", st)
 	}
-	items := q.Items()
+	items := q.allItems()
 	if items[0].Attempts != 3 || items[0].State != StateSent {
 		t.Fatalf("item attempts not recorded: %+v", items[0])
 	}
@@ -71,7 +72,7 @@ func TestDrainExhaustsRetryBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustEnqueue(t, q, note("a", 0))
-	sink := &FlakySink{FailFirst: 10}
+	sink := &flakySink{FailFirst: 10}
 	st, err := q.Drain(context.Background(), sink, DrainOptions{Policy: retryPolicy(2)})
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +80,7 @@ func TestDrainExhaustsRetryBudget(t *testing.T) {
 	if st.Failed != 1 || st.Delivered != 0 || st.Attempts != 3 {
 		t.Fatalf("stats %+v", st)
 	}
-	it := q.Items()[0]
+	it := q.allItems()[0]
 	if it.State != StateFailed || !strings.Contains(it.Detail, "transient failure") {
 		t.Fatalf("failed item %+v", it)
 	}
@@ -91,7 +92,7 @@ func TestDrainPermanentErrorSkipsRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustEnqueue(t, q, note("bad-operator", 0), note("good", 0))
-	sink := &FlakySink{PermanentKey: "bad"}
+	sink := &flakySink{PermanentKey: "bad"}
 	st, err := q.Drain(context.Background(), sink, DrainOptions{Policy: retryPolicy(5)})
 	if err != nil {
 		t.Fatal(err)
@@ -103,28 +104,28 @@ func TestDrainPermanentErrorSkipsRetries(t *testing.T) {
 	if st.Attempts != 2 {
 		t.Fatalf("permanent error was retried: %d attempts", st.Attempts)
 	}
-	if it := q.Items()[0]; it.State != StateFailed {
+	if it := q.allItems()[0]; it.State != StateFailed {
 		t.Fatalf("item %+v", it)
 	}
 }
 
 func TestPermanentClassification(t *testing.T) {
 	base := errors.New("boom")
-	if IsPermanent(base) || !IsPermanent(Permanent(base)) {
+	if IsPermanent(base) || !IsPermanent(permanent(base)) {
 		t.Fatal("Permanent/IsPermanent broken")
 	}
-	if Permanent(nil) != nil {
-		t.Fatal("Permanent(nil) != nil")
+	if permanent(nil) != nil {
+		t.Fatal("permanent(nil) != nil")
 	}
-	wrapped := fmt.Errorf("delivering: %w", Permanent(base))
+	wrapped := fmt.Errorf("delivering: %w", permanent(base))
 	if !IsPermanent(wrapped) {
 		t.Fatal("IsPermanent must see through wrapping")
 	}
 	if RetryableDelivery(wrapped) || !RetryableDelivery(base) || RetryableDelivery(nil) {
 		t.Fatal("RetryableDelivery misclassifies")
 	}
-	if !errors.Is(Permanent(base), base) {
-		t.Fatal("Permanent must preserve the error chain")
+	if !errors.Is(permanent(base), base) {
+		t.Fatal("permanent must preserve the error chain")
 	}
 }
 
@@ -157,7 +158,7 @@ func TestDrainGracefulCancel(t *testing.T) {
 		t.Fatalf("queue stats after cancel %+v", qs)
 	}
 	// A fresh drain finishes the job.
-	st, err = q.Drain(context.Background(), &FlakySink{}, DrainOptions{})
+	st, err = q.Drain(context.Background(), &flakySink{}, DrainOptions{})
 	if err != nil || st.Delivered != 2 {
 		t.Fatalf("resumed drain: %+v %v", st, err)
 	}
@@ -179,7 +180,7 @@ func TestDrainRateLimited(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	st, err := q.Drain(context.Background(), &FlakySink{}, DrainOptions{Limiter: lim})
+	st, err := q.Drain(context.Background(), &flakySink{}, DrainOptions{Limiter: lim})
 	if err != nil || st.Delivered != 4 {
 		t.Fatalf("%+v %v", st, err)
 	}
@@ -231,8 +232,8 @@ func TestFileSinkIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sink2.Close()
-	if sink2.Delivered() != 1 {
-		t.Fatalf("reopened sink found %d delivered", sink2.Delivered())
+	if len(sink2.delivered) != 1 {
+		t.Fatalf("reopened sink found %d delivered", len(sink2.delivered))
 	}
 	st, err := q.Drain(context.Background(), sink2, DrainOptions{})
 	if err != nil || st.Delivered != 2 {
@@ -269,7 +270,7 @@ func TestFileSinkIdempotent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut at %d: %v", cut, err)
 		}
-		if s.Delivered() != 1 || !s.delivered[done.ID] {
+		if len(s.delivered) != 1 || !s.delivered[done.ID] {
 			t.Fatalf("cut at %d (%q): acknowledged %v, want only item %d", cut, entry[:cut], s.delivered, done.ID)
 		}
 		for _, it := range []Item{first, done, last} {
@@ -315,7 +316,7 @@ func TestChaosQueueCrashPoints(t *testing.T) {
 				return err
 			}
 			defer sink.Close()
-			if len(q.Items()) == 0 {
+			if len(q.allItems()) == 0 {
 				if _, _, err := q.Enqueue(notes...); err != nil {
 					return err
 				}
@@ -343,7 +344,7 @@ func TestChaosQueueCrashPoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return q.Fingerprint(), delivered
+		return q.fingerprint(), delivered
 	}
 
 	clean := &faultfs.Injector{}
@@ -390,4 +391,38 @@ func TestWriterSinkRendersReport(t *testing.T) {
 			t.Fatalf("rendered report missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// flakySink is the chaos sink: each item fails its first
+// FailFirst attempts with a retryable error, and items whose dedup key
+// contains PermanentKey fail permanently. Delivered records successes in
+// order.
+type flakySink struct {
+	FailFirst    int
+	PermanentKey string
+
+	mu        sync.Mutex
+	attempts  map[uint64]int
+	Delivered []uint64
+}
+
+// Deliver implements the flaky behavior.
+func (s *flakySink) Deliver(ctx context.Context, item Item) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.attempts == nil {
+		s.attempts = make(map[uint64]int)
+	}
+	if s.PermanentKey != "" && strings.Contains(item.DedupKey, s.PermanentKey) {
+		return permanent(fmt.Errorf("flaky sink: recipient %s rejected", item.DedupKey))
+	}
+	s.attempts[item.ID]++
+	if s.attempts[item.ID] <= s.FailFirst {
+		return fmt.Errorf("flaky sink: transient failure %d for item %d", s.attempts[item.ID], item.ID)
+	}
+	s.Delivered = append(s.Delivered, item.ID)
+	return nil
 }

@@ -24,7 +24,7 @@ func TestOpenToleratesEmptyTrailingSegment(t *testing.T) {
 	if err := q.MarkSent(1, 1); err != nil {
 		t.Fatal(err)
 	}
-	fp := q.Fingerprint()
+	fp := q.fingerprint()
 	segs := int(q.nextSeq) - 1
 
 	// Crash: the next segment's file exists but holds nothing.
@@ -35,7 +35,7 @@ func TestOpenToleratesEmptyTrailingSegment(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replay with empty trailing segment failed: %v", err)
 	}
-	if !bytes.Equal(fp, q2.Fingerprint()) {
+	if !bytes.Equal(fp, q2.fingerprint()) {
 		t.Fatal("empty trailing segment changed replayed state")
 	}
 	if got := q2.Stats().Segments; got != segs {
@@ -49,11 +49,11 @@ func TestOpenToleratesEmptyTrailingSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(q2.Fingerprint(), q3.Fingerprint()) {
+	if !bytes.Equal(q2.fingerprint(), q3.fingerprint()) {
 		t.Fatal("post-recovery enqueue not replayable")
 	}
-	if len(q3.Items()) != 3 {
-		t.Fatalf("%d items after recovery enqueue", len(q3.Items()))
+	if len(q3.allItems()) != 3 {
+		t.Fatalf("%d items after recovery enqueue", len(q3.allItems()))
 	}
 }
 

@@ -45,7 +45,7 @@ func TestQueueV1FixtureReplaysAndReencodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := hex.EncodeToString(q.Fingerprint()); got != strings.TrimSpace(string(want)) {
+	if got := hex.EncodeToString(q.fingerprint()); got != strings.TrimSpace(string(want)) {
 		t.Fatalf("fixture replays to fingerprint\n%s\nwant\n%s", got, want)
 	}
 	if err := q.MarkSent(2, 1); err != nil {

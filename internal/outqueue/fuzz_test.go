@@ -57,7 +57,7 @@ func FuzzOutQueue(f *testing.F) {
 			if !errors.Is(err, ErrBadFormat) {
 				t.Fatalf("error outside taxonomy: %v", err)
 			}
-			if errors.Is(err, ErrTruncated) != IsRetryable(err) {
+			if errors.Is(err, ErrTruncated) != isRetryable(err) {
 				t.Fatalf("taxonomy split inconsistent: %v", err)
 			}
 			return
@@ -65,9 +65,9 @@ func FuzzOutQueue(f *testing.F) {
 		if len(data) == 0 {
 			// A zero-length trailing (here: only) segment is a tolerated
 			// lost commit: the queue opens empty and reuses the sequence.
-			if len(q.Items()) != 0 || q.nextSeq != 1 {
+			if len(q.allItems()) != 0 || q.nextSeq != 1 {
 				t.Fatalf("empty segment replayed state: %d items, nextSeq %d",
-					len(q.Items()), q.nextSeq)
+					len(q.allItems()), q.nextSeq)
 			}
 		} else {
 			// Accepted input: decoding again must agree, and the canonical
@@ -86,7 +86,7 @@ func FuzzOutQueue(f *testing.F) {
 		if err != nil {
 			t.Fatalf("second open failed: %v", err)
 		}
-		if string(q.Fingerprint()) != string(q2.Fingerprint()) {
+		if string(q.fingerprint()) != string(q2.fingerprint()) {
 			t.Fatal("replay not deterministic")
 		}
 	})

@@ -70,11 +70,11 @@ var (
 	ErrTruncated = wal.ErrTruncated
 )
 
-// IsRetryable reports whether an Open failure may resolve on its own: a
+// isRetryable reports whether an Open failure may resolve on its own: a
 // truncated segment (a producer may still be writing on a non-atomic
 // transport) or a directory that does not exist yet. Structural corruption
 // is permanent.
-func IsRetryable(err error) bool {
+func isRetryable(err error) bool {
 	return errors.Is(err, ErrTruncated) || errors.Is(err, fs.ErrNotExist)
 }
 
@@ -449,8 +449,8 @@ func (q *Queue) apply(r record) error {
 	return badf("unknown record kind %d", r.kind)
 }
 
-// Items returns a copy of every queue item in ID order.
-func (q *Queue) Items() []Item {
+// allItems returns a copy of every queue item in ID order.
+func (q *Queue) allItems() []Item {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	out := make([]Item, len(q.items))
@@ -504,10 +504,10 @@ func (q *Queue) Stats() Stats {
 	return st
 }
 
-// Fingerprint returns a canonical encoding of the entire queue state —
+// fingerprint returns a canonical encoding of the entire queue state —
 // every item field plus every key's suppression window — so tests can
 // assert that a kill-and-restart reconstructs byte-identical state.
-func (q *Queue) Fingerprint() []byte {
+func (q *Queue) fingerprint() []byte {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	var e wal.Enc

@@ -53,10 +53,10 @@ func TestEnqueueRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(q.Fingerprint(), q2.Fingerprint()) {
+	if !bytes.Equal(q.fingerprint(), q2.fingerprint()) {
 		t.Fatal("reopened queue state diverges from live state")
 	}
-	items := q2.Items()
+	items := q2.allItems()
 	if len(items) != 2 {
 		t.Fatalf("%d items after reopen", len(items))
 	}
@@ -144,7 +144,7 @@ func TestSuppressionWindowDoubling(t *testing.T) {
 	if st.Suppressed != 2 || st.Pending != 4 {
 		t.Fatalf("stats %+v", st)
 	}
-	for _, it := range q.Items() {
+	for _, it := range q.allItems() {
 		if it.State == StateSuppressed && it.Subject != "" {
 			t.Fatal("suppressed item stored a rendered body")
 		}
@@ -216,13 +216,13 @@ func TestKillRestartByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		f(q)
-		fp := q.Fingerprint()
+		fp := q.fingerprint()
 		// q abandoned here: simulated SIGKILL.
 		q2, err := Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := q2.Fingerprint(); !bytes.Equal(fp, got) {
+		if got := q2.fingerprint(); !bytes.Equal(fp, got) {
 			t.Fatalf("restart state diverged after step")
 		}
 		return fp
@@ -259,7 +259,7 @@ func TestOpenDiscardsTmpLeftovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustEnqueue(t, q, note("a", 0))
-	fp := q.Fingerprint()
+	fp := q.fingerprint()
 
 	tmp := filepath.Join(dir, segName(2)+".tmp")
 	if err := os.WriteFile(tmp, []byte("half-written segment"), 0o644); err != nil {
@@ -269,7 +269,7 @@ func TestOpenDiscardsTmpLeftovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(fp, q2.Fingerprint()) {
+	if !bytes.Equal(fp, q2.fingerprint()) {
 		t.Fatal("tmp leftover changed queue state")
 	}
 	if _, err := os.Stat(tmp); !errors.Is(err, os.ErrNotExist) {
@@ -315,7 +315,7 @@ func TestOpenRejectsSegmentGap(t *testing.T) {
 	if !errors.Is(err, ErrBadFormat) || errors.Is(err, ErrTruncated) {
 		t.Fatalf("gap error %v", err)
 	}
-	if IsRetryable(err) {
+	if isRetryable(err) {
 		t.Fatal("segment gap must be permanent")
 	}
 }
@@ -338,7 +338,7 @@ func TestLargePayloadRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(q.Fingerprint(), q2.Fingerprint()) {
+	if !bytes.Equal(q.fingerprint(), q2.fingerprint()) {
 		t.Fatal("large payload state diverged")
 	}
 }

@@ -116,18 +116,6 @@ func (r *Report) add(m *StageMetrics) {
 	r.mu.Unlock()
 }
 
-// Stage returns the first metrics entry with the given name, or nil.
-func (r *Report) Stage(name string) *StageMetrics {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, m := range r.Stages {
-		if m.Name == name {
-			return m
-		}
-	}
-	return nil
-}
-
 // WriteJSON renders the report as indented JSON.
 func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

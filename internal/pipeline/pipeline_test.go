@@ -71,13 +71,13 @@ func TestEngineSkipsAfterFailure(t *testing.T) {
 	}
 	want := map[string]string{"ok": StatusOK, "fail": StatusFailed, "after": StatusSkipped}
 	for name, status := range want {
-		m := rep.Stage(name)
+		m := stageOf(rep, name)
 		if m == nil || m.Status != status {
 			t.Errorf("stage %s = %+v, want status %s", name, m, status)
 		}
 	}
-	if rep.Stage("fail").ErrorClass != "internal" {
-		t.Errorf("fail class = %q, want internal", rep.Stage("fail").ErrorClass)
+	if stageOf(rep, "fail").ErrorClass != "internal" {
+		t.Errorf("fail class = %q, want internal", stageOf(rep, "fail").ErrorClass)
 	}
 	if rep.Error != "boom" {
 		t.Errorf("report error = %q", rep.Error)
@@ -96,7 +96,7 @@ func TestEnginePreCancelledContext(t *testing.T) {
 	if ran {
 		t.Fatal("stage ran under cancelled context")
 	}
-	if m := rep.Stage("a"); m == nil || m.Status != StatusSkipped {
+	if m := stageOf(rep, "a"); m == nil || m.Status != StatusSkipped {
 		t.Fatalf("stage a = %+v, want skipped", m)
 	}
 }
@@ -113,7 +113,7 @@ func TestMeterRecordsWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := rep.Stage("work")
+	m := stageOf(rep, "work")
 	if m.RecordsIn != 100 || m.RecordsOut != 40 || m.QuarantinedHours != 2 {
 		t.Fatalf("metrics not recorded: %+v", m)
 	}
@@ -148,7 +148,7 @@ func TestAttachRegistersExtraRecords(t *testing.T) {
 		t.Fatalf("report has %d rows, want 4: %+v", len(rep.Stages), rep.Stages)
 	}
 	for i := 0; i < 3; i++ {
-		m := rep.Stage(fmt.Sprintf("correlate/shard-%d", i))
+		m := stageOf(rep, fmt.Sprintf("correlate/shard-%d", i))
 		if m == nil {
 			t.Fatalf("shard %d record missing", i)
 		}
@@ -218,8 +218,8 @@ func TestStagePresetErrorClassPreserved(t *testing.T) {
 		return errors.New("ends early")
 	}))
 	rep, _ := eng.Run(context.Background())
-	if rep.Stage("a").ErrorClass != "retryable" {
-		t.Fatalf("class = %q, want retryable", rep.Stage("a").ErrorClass)
+	if stageOf(rep, "a").ErrorClass != "retryable" {
+		t.Fatalf("class = %q, want retryable", stageOf(rep, "a").ErrorClass)
 	}
 }
 
@@ -351,7 +351,7 @@ func TestErrSkippedStage(t *testing.T) {
 		t.Fatal("stage after a skip did not run")
 	}
 	for _, name := range []string{"opt-out", "wrapped"} {
-		m := rep.Stage(name)
+		m := stageOf(rep, name)
 		if m == nil || m.Status != StatusSkipped {
 			t.Fatalf("stage %q = %+v, want skipped", name, m)
 		}
@@ -359,7 +359,17 @@ func TestErrSkippedStage(t *testing.T) {
 			t.Fatalf("skipped stage %q recorded error %q", name, m.Error)
 		}
 	}
-	if rep.Stage("opt-out").Note != "nothing to do" {
-		t.Fatalf("note lost: %+v", rep.Stage("opt-out"))
+	if stageOf(rep, "opt-out").Note != "nothing to do" {
+		t.Fatalf("note lost: %+v", stageOf(rep, "opt-out"))
 	}
+}
+
+// stageOf returns rep's metrics entry for the named stage, or nil.
+func stageOf(rep *Report, name string) *StageMetrics {
+	for _, m := range rep.Stages {
+		if m.Name == name {
+			return m
+		}
+	}
+	return nil
 }

@@ -57,9 +57,6 @@ func (l *Limiter) Acquire() bool {
 // Release returns a slot taken by a successful Acquire.
 func (l *Limiter) Release() { <-l.slots }
 
-// InFlight reports the number of currently held slots.
-func (l *Limiter) InFlight() int { return len(l.slots) }
-
 // LimiterStats is a point-in-time snapshot of admission counters.
 type LimiterStats struct {
 	InFlight int    `json:"inFlight"`

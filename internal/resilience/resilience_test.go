@@ -34,8 +34,8 @@ func TestLimiterAcquireRelease(t *testing.T) {
 	if l.Acquire() {
 		t.Fatal("over-capacity acquire granted")
 	}
-	if l.InFlight() != 2 {
-		t.Fatalf("inflight %d", l.InFlight())
+	if len(l.slots) != 2 {
+		t.Fatalf("inflight %d", len(l.slots))
 	}
 	l.Release()
 	if !l.Acquire() {

@@ -37,9 +37,6 @@ func (c *Categorical) Sample(r *Source) int {
 	return sort.SearchFloat64s(c.cum, math.Nextafter(u, math.Inf(1)))
 }
 
-// N returns the number of outcomes.
-func (c *Categorical) N() int { return len(c.cum) }
-
 // Zipf samples ranks 1..n with probability proportional to 1/rank^s.
 // Port and destination popularity in darknet traffic is heavy-tailed; Zipf
 // reproduces the "top 10 ports get ~10 % of packets, the rest spread over
@@ -107,36 +104,6 @@ func (r *Source) Poisson(lambda float64) int {
 		}
 		k++
 	}
-}
-
-// Binomial returns a Binomial(n, p) variate by direct simulation for small n
-// and a normal approximation for large n.
-func (r *Source) Binomial(n int, p float64) int {
-	if n <= 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	if n > 128 {
-		mean := float64(n) * p
-		sd := math.Sqrt(float64(n) * p * (1 - p))
-		v := int(mean + sd*r.NormFloat64() + 0.5)
-		if v < 0 {
-			return 0
-		}
-		if v > n {
-			return n
-		}
-		return v
-	}
-	k := 0
-	for i := 0; i < n; i++ {
-		if r.Float64() < p {
-			k++
-		}
-	}
-	return k
 }
 
 // SampleK draws k distinct ints from [0, n) without replacement using a

@@ -93,9 +93,6 @@ func (r *Source) Uint64() uint64 {
 	return result
 }
 
-// Uint32 returns a uniformly distributed 32-bit value.
-func (r *Source) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (r *Source) Intn(n int) int {
 	if n <= 0 {
@@ -165,14 +162,6 @@ func (r *Source) Bool(p float64) bool {
 	}
 }
 
-// Range returns a uniform int in [lo, hi] inclusive. It panics if hi < lo.
-func (r *Source) Range(lo, hi int) int {
-	if hi < lo {
-		panic("rng: Range called with hi < lo")
-	}
-	return lo + r.Intn(hi-lo+1)
-}
-
 // NormFloat64 returns a normally distributed float64 with mean 0 and
 // standard deviation 1, via the Box-Muller transform.
 func (r *Source) NormFloat64() float64 {
@@ -180,22 +169,6 @@ func (r *Source) NormFloat64() float64 {
 	u1 := 1 - r.Float64()
 	u2 := r.Float64()
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
-// ExpFloat64 returns an exponentially distributed float64 with rate 1.
-func (r *Source) ExpFloat64() float64 {
-	return -math.Log(1 - r.Float64())
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := 1; i < n; i++ {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }
 
 // Shuffle pseudo-randomizes the order of n elements using swap.

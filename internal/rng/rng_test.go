@@ -168,25 +168,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestRangeInclusive(t *testing.T) {
-	r := New(31)
-	sawLo, sawHi := false, false
-	for i := 0; i < 10000; i++ {
-		v := r.Range(3, 5)
-		if v < 3 || v > 5 {
-			t.Fatalf("Range(3,5) = %d", v)
-		}
-		sawLo = sawLo || v == 3
-		sawHi = sawHi || v == 5
-	}
-	if !sawLo || !sawHi {
-		t.Fatal("Range(3,5) never produced an endpoint")
-	}
-	if got := r.Range(4, 4); got != 4 {
-		t.Fatalf("Range(4,4) = %d", got)
-	}
-}
-
 func TestNormFloat64Moments(t *testing.T) {
 	r := New(37)
 	const draws = 200000
@@ -203,39 +184,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 	if math.Abs(variance-1) > 0.03 {
 		t.Errorf("normal variance %v", variance)
-	}
-}
-
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(41)
-	const draws = 200000
-	sum := 0.0
-	for i := 0; i < draws; i++ {
-		v := r.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("negative exponential variate %v", v)
-		}
-		sum += v
-	}
-	if mean := sum / draws; math.Abs(mean-1) > 0.02 {
-		t.Errorf("exponential mean %v", mean)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(43)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has len %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
 	}
 }
 

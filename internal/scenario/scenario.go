@@ -169,12 +169,6 @@ func Resolve(ref string, opts Options) (*Resolved, error) {
 	return resolve(cfg, source, opts)
 }
 
-// ResolveConfig resolves an already decoded config (e.g. one constructed
-// programmatically). Source is recorded as "config:<name>@<version>".
-func ResolveConfig(cfg *wgen.Config, opts Options) (*Resolved, error) {
-	return resolve(cfg, fmt.Sprintf("config:%s@%d", cfg.Name, cfg.Version), opts)
-}
-
 func resolve(cfg *wgen.Config, source string, opts Options) (*Resolved, error) {
 	sc, err := cfg.Scenario(opts.Scale, opts.Seed)
 	if err != nil {

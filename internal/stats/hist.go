@@ -37,9 +37,6 @@ func (h *LogHistogram) Observe(v float64) {
 	h.Counts[i]++
 }
 
-// Total returns the number of observations.
-func (h *LogHistogram) Total() int { return h.total }
-
 // CumFraction returns the fraction of observations at or below each edge:
 // one value per edge, the paper's CDF-over-log-bins series.
 func (h *LogHistogram) CumFraction() []float64 {

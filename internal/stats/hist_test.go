@@ -19,8 +19,8 @@ func TestLogHistogramBuckets(t *testing.T) {
 			t.Errorf("bucket %d = %d want %d (all %v)", i, h.Counts[i], w, h.Counts)
 		}
 	}
-	if h.Total() != 6 {
-		t.Errorf("Total = %d", h.Total())
+	if h.total != 6 {
+		t.Errorf("total = %d", h.total)
 	}
 }
 

@@ -174,20 +174,6 @@ func (l *AlertLog) Since(id uint64) []Alert {
 	return append([]Alert(nil), l.alerts[i:]...)
 }
 
-// Len reports how many alerts have been emitted.
-func (l *AlertLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.alerts)
-}
-
-// Suppressed reports how many appends were deduplicated.
-func (l *AlertLog) Suppressed() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.suppressed
-}
-
 // Close closes the backing file, if any.
 func (l *AlertLog) Close() error {
 	l.mu.Lock()
@@ -217,18 +203,6 @@ func NewHub(log *AlertLog) *Hub {
 		log, _ = OpenAlertLog("")
 	}
 	return &Hub{log: log, subs: make(map[chan Alert]struct{})}
-}
-
-// Log returns the underlying alert log.
-func (h *Hub) Log() *AlertLog { return h.log }
-
-// Emit journals one alert: EmitBatch of a batch of one.
-func (h *Hub) Emit(a Alert) (Alert, bool, error) {
-	out, err := h.EmitBatch([]Alert{a})
-	if err != nil || len(out) == 0 {
-		return a, false, err
-	}
-	return out[0], true, nil
 }
 
 // EmitBatch journals the batch (dedup, one durable append) and then
@@ -279,13 +253,6 @@ func (h *Hub) Subscribe(buf int) (<-chan Alert, func()) {
 		h.mu.Unlock()
 	}
 	return ch, cancel
-}
-
-// Subscribers reports the live subscriber count.
-func (h *Hub) Subscribers() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.subs)
 }
 
 // sinceParam resolves the client's resume position: the since query

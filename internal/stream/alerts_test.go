@@ -33,8 +33,8 @@ func TestAlertLogReplayAndDedup(t *testing.T) {
 	if _, ok, _ := log.Append(Alert{Kind: KindNewDevice, Key: "device/1", Hour: 3, Device: 1}); ok {
 		t.Fatal("duplicate key emitted")
 	}
-	if log.Suppressed() != 1 {
-		t.Fatalf("suppressed = %d", log.Suppressed())
+	if log.suppressed != 1 {
+		t.Fatalf("suppressed = %d", log.suppressed)
 	}
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
@@ -56,8 +56,8 @@ func TestAlertLogReplayAndDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer log.Close()
-	if log.Len() != 2 {
-		t.Fatalf("replayed %d alerts, want 2", log.Len())
+	if len(log.alerts) != 2 {
+		t.Fatalf("replayed %d alerts, want 2", len(log.alerts))
 	}
 	a3, ok, err := log.Append(Alert{Kind: KindDoSSpike, Key: "dos/h4", Hour: 4, Packets: 99})
 	if err != nil || !ok || a3.ID != 3 {
@@ -177,8 +177,8 @@ func TestAlertLogFailedAppendRetried(t *testing.T) {
 				t.Fatalf("%s: a failed batch reported success", what)
 			}
 		} else {
-			if !errors.Is(err, faultfs.ErrInjected) || len(out) != 0 || log.Len() != 1 {
-				t.Fatalf("%s: failed batch: %v, emitted %d, log holds %d", what, err, len(out), log.Len())
+			if !errors.Is(err, faultfs.ErrInjected) || len(out) != 0 || len(log.alerts) != 1 {
+				t.Fatalf("%s: failed batch: %v, emitted %d, log holds %d", what, err, len(out), len(log.alerts))
 			}
 			if in.Crash {
 				log.Close()
@@ -292,7 +292,7 @@ func TestHubOverflowClosesSubscriber(t *testing.T) {
 	ch, cancel := hub.Subscribe(1)
 	defer cancel()
 	for i := 0; i < 3; i++ {
-		if _, _, err := hub.Emit(Alert{Kind: KindNewDevice, Key: "device/" + string(rune('a'+i)), Hour: i}); err != nil {
+		if _, err := hub.EmitBatch([]Alert{{Kind: KindNewDevice, Key: "device/" + string(rune('a'+i)), Hour: i}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -304,8 +304,11 @@ func TestHubOverflowClosesSubscriber(t *testing.T) {
 	if _, open := <-ch; open {
 		t.Fatal("overflowed subscription still open")
 	}
-	if hub.Subscribers() != 0 {
-		t.Fatalf("%d subscribers after overflow", hub.Subscribers())
+	hub.mu.Lock()
+	subs := len(hub.subs)
+	hub.mu.Unlock()
+	if subs != 0 {
+		t.Fatalf("%d subscribers after overflow", subs)
 	}
 	// The dropped client recovers the gap from the log.
 	if missed := hub.Since(1); len(missed) != 2 {
@@ -317,7 +320,7 @@ func TestServeListLongPoll(t *testing.T) {
 	hub := NewHub(nil)
 	srv := httptest.NewServer(http.HandlerFunc(hub.ServeList))
 	defer srv.Close()
-	if _, _, err := hub.Emit(Alert{Kind: KindNewDevice, Key: "device/7", Hour: 0, Device: 7}); err != nil {
+	if _, err := hub.EmitBatch([]Alert{{Kind: KindNewDevice, Key: "device/7", Hour: 0, Device: 7}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -354,7 +357,7 @@ func TestServeListLongPoll(t *testing.T) {
 		got <- polled{a, l}
 	}()
 	time.Sleep(50 * time.Millisecond) // let the poller park
-	if _, _, err := hub.Emit(Alert{Kind: KindDoSSpike, Key: "dos/h2", Hour: 2, Packets: 10}); err != nil {
+	if _, err := hub.EmitBatch([]Alert{{Kind: KindDoSSpike, Key: "dos/h2", Hour: 2, Packets: 10}}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -395,7 +398,7 @@ func TestServeStreamSSEResume(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(hub.ServeStream))
 	defer srv.Close()
 	for i := 1; i <= 2; i++ {
-		if _, _, err := hub.Emit(Alert{Kind: KindNewDevice, Key: "device/" + string(rune('0'+i)), Hour: i, Device: i}); err != nil {
+		if _, err := hub.EmitBatch([]Alert{{Kind: KindNewDevice, Key: "device/" + string(rune('0'+i)), Hour: i, Device: i}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -444,7 +447,7 @@ func TestServeStreamSSEResume(t *testing.T) {
 		}
 	}
 	expect(2)
-	if _, _, err := hub.Emit(Alert{Kind: KindNewCampaign, Key: "campaign/p23", Hour: 3, Ports: []uint16{23}}); err != nil {
+	if _, err := hub.EmitBatch([]Alert{{Kind: KindNewCampaign, Key: "campaign/p23", Hour: 3, Ports: []uint16{23}}}); err != nil {
 		t.Fatal(err)
 	}
 	if a := expect(3); a.Kind != KindNewCampaign {

@@ -23,20 +23,14 @@ func New(prefix netx.Prefix) *Telescope {
 	return &Telescope{prefix: prefix}
 }
 
-// Prefix returns the monitored space.
-func (t *Telescope) Prefix() netx.Prefix { return t.prefix }
-
 // Contains reports whether addr is a dark address.
 func (t *Telescope) Contains(addr netx.Addr) bool { return t.prefix.Contains(addr) }
 
-// RandomAddr draws a uniform dark address, the way a spoofing DoS attacker
+// randomAddr draws a uniform dark address, the way a spoofing DoS attacker
 // or a random scanner would hit the telescope.
-func (t *Telescope) RandomAddr(r *rng.Source) netx.Addr {
+func (t *Telescope) randomAddr(r *rng.Source) netx.Addr {
 	return t.prefix.Nth(r.Uint64n(t.prefix.NumAddrs()))
 }
-
-// NumAddrs returns the size of the dark space.
-func (t *Telescope) NumAddrs() uint64 { return t.prefix.NumAddrs() }
 
 // CollectorStats summarizes one capture run.
 type CollectorStats struct {

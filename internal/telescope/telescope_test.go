@@ -2,6 +2,7 @@ package telescope
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"io/fs"
@@ -25,8 +26,8 @@ func TestContains(t *testing.T) {
 	if tel.Contains(netx.MustParseAddr("45.0.0.0")) {
 		t.Error("lit address contained")
 	}
-	if tel.NumAddrs() != 1<<24 {
-		t.Errorf("NumAddrs = %d", tel.NumAddrs())
+	if tel.prefix.NumAddrs() != 1<<24 {
+		t.Errorf("NumAddrs = %d", tel.prefix.NumAddrs())
 	}
 }
 
@@ -34,7 +35,7 @@ func TestRandomAddrInside(t *testing.T) {
 	tel := newTestTelescope()
 	r := rng.New(1)
 	for i := 0; i < 1000; i++ {
-		if a := tel.RandomAddr(r); !tel.Contains(a) {
+		if a := tel.randomAddr(r); !tel.Contains(a) {
 			t.Fatalf("random dark address %v outside prefix", a)
 		}
 	}
@@ -71,8 +72,8 @@ func TestCollectorAggregates(t *testing.T) {
 	}
 
 	var recs []flowtuple.Record
-	if err := flowtuple.WalkHour(dir, 0, func(r flowtuple.Record) error {
-		recs = append(recs, r)
+	if err := flowtuple.WalkHourBatch(context.Background(), dir, 0, func(batch []flowtuple.Record) error {
+		recs = append(recs, batch...)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -165,8 +166,8 @@ func TestCollectorMultipleHours(t *testing.T) {
 		}
 		for i := 0; i < 100; i++ {
 			rec := flowtuple.Record{
-				SrcIP:    r.Uint32(),
-				DstIP:    uint32(tel.RandomAddr(r)),
+				SrcIP:    uint32(r.Uint64() >> 32),
+				DstIP:    uint32(tel.randomAddr(r)),
 				DstPort:  uint16(r.Intn(1024)),
 				Protocol: flowtuple.ProtoTCP,
 				TCPFlags: flowtuple.FlagSYN,
@@ -210,8 +211,8 @@ func TestCollectorDeterministicOrder(t *testing.T) {
 		}
 		c.EndHour()
 		var recs []flowtuple.Record
-		flowtuple.WalkHour(dir, 0, func(rec flowtuple.Record) error {
-			recs = append(recs, rec)
+		flowtuple.WalkHourBatch(context.Background(), dir, 0, func(batch []flowtuple.Record) error {
+			recs = append(recs, batch...)
 			return nil
 		})
 		return recs
@@ -240,7 +241,7 @@ func TestCollectorPacketConservation(t *testing.T) {
 		sent += uint64(p)
 		c.Observe(flowtuple.Record{
 			SrcIP:    uint32(r.Intn(100)),
-			DstIP:    uint32(tel.RandomAddr(r)),
+			DstIP:    uint32(tel.randomAddr(r)),
 			DstPort:  uint16(r.Intn(10)),
 			Protocol: flowtuple.ProtoUDP,
 			Packets:  p,
@@ -248,8 +249,10 @@ func TestCollectorPacketConservation(t *testing.T) {
 	}
 	c.EndHour()
 	var got uint64
-	flowtuple.WalkHour(dir, 0, func(rec flowtuple.Record) error {
-		got += uint64(rec.Packets)
+	flowtuple.WalkHourBatch(context.Background(), dir, 0, func(batch []flowtuple.Record) error {
+		for _, rec := range batch {
+			got += uint64(rec.Packets)
+		}
 		return nil
 	})
 	if got != sent {
@@ -303,8 +306,8 @@ func TestCollectorSurvivesFailedHour(t *testing.T) {
 		r := rng.New(uint64(hour))
 		for i := 0; i < flows; i++ {
 			if err := c.Observe(flowtuple.Record{
-				SrcIP:    r.Uint32(),
-				DstIP:    uint32(tel.RandomAddr(r)),
+				SrcIP:    uint32(r.Uint64() >> 32),
+				DstIP:    uint32(tel.randomAddr(r)),
 				DstPort:  uint16(r.Intn(1024)),
 				Protocol: flowtuple.ProtoUDP,
 				Packets:  1 + uint32(r.Intn(9)),

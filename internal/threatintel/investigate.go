@@ -17,11 +17,6 @@ type InvestigateConfig struct {
 	TopPerCategory int
 }
 
-// DefaultInvestigateConfig mirrors Sec. V-A at full scale.
-func DefaultInvestigateConfig() InvestigateConfig {
-	return InvestigateConfig{TopPerCategory: 4000}
-}
-
 // CategoryCount is one Table VI row.
 type CategoryCount struct {
 	Category Category

@@ -212,8 +212,7 @@ func TestInvestigate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultInvestigateConfig()
-	cfg.TopPerCategory = 60
+	cfg := InvestigateConfig{TopPerCategory: 60}
 	inv, err := Investigate(context.Background(), cfg, res, g.Inventory(), repo)
 	if err != nil {
 		t.Fatal(err)

@@ -135,9 +135,6 @@ func (g *Generator) Inventory() *devicedb.Inventory { return g.inv }
 // Truth exposes the planted ground truth (for validation only).
 func (g *Generator) Truth() GroundTruth { return g.truth }
 
-// Scenario returns the generating scenario.
-func (g *Generator) Scenario() Scenario { return g.sc }
-
 // scaleCount scales a full-scale population, keeping non-zero populations
 // alive at small scales.
 func scaleCount(n int, scale float64) int {

@@ -113,7 +113,7 @@ func TestBehaviourPopulations(t *testing.T) {
 	}
 	nVict := len(truth.Victims)
 	wantVict := scaleCount(839, 0.01)
-	if nVict < wantVict-2 || nVict > wantVict+len(g.Scenario().Backscatter.Events)+2 {
+	if nVict < wantVict-2 || nVict > wantVict+len(g.sc.Backscatter.Events)+2 {
 		t.Errorf("victims %d want ~%d", nVict, wantVict)
 	}
 	if len(truth.ICMPScanners) == 0 {
@@ -121,7 +121,7 @@ func TestBehaviourPopulations(t *testing.T) {
 	}
 
 	// Event victims resolved.
-	for _, ev := range g.Scenario().Backscatter.Events {
+	for _, ev := range g.sc.Backscatter.Events {
 		if _, ok := truth.EventVictims[ev.Name]; !ok {
 			t.Errorf("event %q has no victim", ev.Name)
 		}
@@ -136,7 +136,7 @@ func TestOnsetDistribution(t *testing.T) {
 		if h < 24 {
 			day1++
 		}
-		if h < 0 || h >= g.Scenario().Hours {
+		if h < 0 || h >= g.sc.Hours {
 			t.Fatalf("onset %d out of window", h)
 		}
 		total++
@@ -186,7 +186,7 @@ func TestEmitHourBounds(t *testing.T) {
 	if err := g.EmitHour(-1, func(flowtuple.Record) {}); err == nil {
 		t.Error("negative hour accepted")
 	}
-	if err := g.EmitHour(g.Scenario().Hours, func(flowtuple.Record) {}); err == nil {
+	if err := g.EmitHour(g.sc.Hours, func(flowtuple.Record) {}); err == nil {
 		t.Error("hour beyond window accepted")
 	}
 }
@@ -201,7 +201,7 @@ func TestTrafficComposition(t *testing.T) {
 	// Sample a few mid-window hours.
 	for _, h := range []int{30, 31, 60, 61, 100} {
 		err := g.EmitHour(h, func(rec flowtuple.Record) {
-			if !g.Scenario().DarkPrefix().Contains(netx.Addr(rec.DstIP)) {
+			if !g.sc.DarkPrefix().Contains(netx.Addr(rec.DstIP)) {
 				t.Fatalf("record destined outside darknet: %v", rec)
 			}
 			synToDark++
@@ -307,7 +307,7 @@ func maxInt(a, b int) int {
 func TestPortSpikeEvent(t *testing.T) {
 	g := testGenerator(t, 0.005, 37)
 	ports := make(map[uint16]bool)
-	spikeHour := g.Scenario().TCPScan.PortSpikeHour
+	spikeHour := g.sc.TCPScan.PortSpikeHour
 	err := g.EmitHour(spikeHour, func(rec flowtuple.Record) {
 		if rec.Protocol == flowtuple.ProtoTCP && rec.TCPFlags == flowtuple.FlagSYN {
 			ports[rec.DstPort] = true
@@ -349,8 +349,10 @@ func TestRunWritesDataset(t *testing.T) {
 	// Files readable and non-empty overall.
 	var total uint64
 	for _, h := range hours {
-		if err := flowtuple.WalkHour(dir, h, func(rec flowtuple.Record) error {
-			total += uint64(rec.Packets)
+		if err := flowtuple.WalkHourBatch(context.Background(), dir, h, func(batch []flowtuple.Record) error {
+			for _, rec := range batch {
+				total += uint64(rec.Packets)
+			}
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -394,7 +396,7 @@ func BenchmarkEmitHour(b *testing.B) {
 	g := testGenerator(b, 0.005, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := g.EmitHour(i%g.Scenario().Hours, func(flowtuple.Record) {}); err != nil {
+		if err := g.EmitHour(i%g.sc.Hours, func(flowtuple.Record) {}); err != nil {
 			b.Fatal(err)
 		}
 	}
