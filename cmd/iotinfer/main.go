@@ -67,6 +67,14 @@ func run(args []string, stdout io.Writer) error {
 	if *data == "" {
 		return fmt.Errorf("-data is required")
 	}
+	// 0 means the default; the correlator would read a negative value as
+	// 0 too, silently.
+	if *workers < 0 {
+		return fmt.Errorf("-workers must not be negative")
+	}
+	if *shards < 0 {
+		return fmt.Errorf("-shards must not be negative")
+	}
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
 		return err

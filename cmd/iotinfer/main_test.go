@@ -36,6 +36,12 @@ func TestRunValidation(t *testing.T) {
 	if err := run([]string{"-data", t.TempDir()}, io.Discard); err == nil {
 		t.Fatal("empty dataset dir accepted")
 	}
+	for _, flag := range []string{"-workers", "-shards"} {
+		err := run([]string{"-data", t.TempDir(), flag, "-2"}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), flag+" must not be negative") {
+			t.Fatalf("%s -2: %v, want it refused", flag, err)
+		}
+	}
 }
 
 // An hour missing from the scenario's span, in the middle or at the end,

@@ -167,3 +167,89 @@ func TestFailedHoursRecycleScratch(t *testing.T) {
 		}
 	}
 }
+
+// A scratch goes back to the pool dirty and is reset when drawn, so every
+// draw must see a clean one. An aborted window leaves its half-fed planes
+// in the pool; the next draw, by a checkpoint replay or by an Ingest of the
+// same hour, must land byte for byte where a fresh correlator does — a
+// dirty device row would fail replay's repeated-device check as a spurious
+// ErrBadFormat — and must construct no scratch.
+func TestAbortedScratchDrawsClean(t *testing.T) {
+	dir, g := cleanDataset(t, 709, 2)
+	ctx := context.Background()
+
+	fresh := New(g.Inventory(), Options{Workers: 1})
+	live, err := fresh.NewIncremental(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := live.Ingest(ctx, dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	live.Delta()
+	base := live.Export()
+	if _, err := live.Ingest(ctx, dir, 1); err != nil {
+		t.Fatal(err)
+	}
+	d, ok := live.Delta()
+	if !ok || d.Hour == nil {
+		t.Fatalf("hour 1 not expressible as a delta: %+v", d)
+	}
+	base.Deltas = []*CheckpointDelta{cloneDelta(d)}
+	want := live.Result()
+
+	rd, err := flowtuple.Open(flowtuple.HourPath(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]flowtuple.Record, 512)
+	n, err := rd.NextBatch(batch)
+	rd.Close()
+	if n == 0 || (err != nil && err != io.EOF) {
+		t.Fatalf("no records to feed: n=%d err=%v", n, err)
+	}
+	batch = batch[:n]
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, shards := range []int{1, 4} {
+		c := New(g.Inventory(), Options{Workers: 1, Shards: shards})
+		inc, err := c.NewIncremental(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		abort := func() {
+			t.Helper()
+			w, err := inc.OpenWindow(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Feed(batch); err != nil {
+				t.Fatal(err)
+			}
+			w.Abort()
+		}
+		abort()
+		allocs := c.scratchAllocs.Load()
+
+		restored, err := c.RestoreIncremental(base)
+		if err != nil {
+			t.Fatalf("shards=%d: replay over an aborted scratch: %v", shards, err)
+		}
+		requireIdentical(t, want, restored.Result())
+
+		abort()
+		if _, err := inc.Ingest(ctx, dir, 0); err != nil {
+			t.Fatal(err)
+		}
+		abort()
+		if _, err := inc.Ingest(ctx, dir, 1); err != nil {
+			t.Fatalf("shards=%d: ingest over an aborted scratch: %v", shards, err)
+		}
+		requireIdentical(t, want, inc.Result())
+
+		if grew := c.scratchAllocs.Load() - allocs; grew != 0 && !profiling.RaceEnabled {
+			t.Errorf("shards=%d: drawing back aborted scratches constructed %d fresh ones", shards, grew)
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package correlate
 
 import (
+	"slices"
+
 	"iotscope/internal/classify"
 	"iotscope/internal/devicedb"
 )
@@ -45,8 +47,8 @@ type RegisterDelta struct {
 
 // HourDelta is the serializable form of what one sealed hour merged into
 // the running result. The key lists hold port<<32|device membership keys
-// the global sets gained from this hour; entries keep the scratch's
-// first-touch order, which replay does not depend on.
+// the global sets gained from this hour, ascending; the other entries keep
+// the scratch's first-touch order. Replay depends on neither order.
 type HourDelta struct {
 	Stats       HourStats // Stats.Hour names the hour
 	BGRecords   uint64
@@ -105,11 +107,13 @@ func (d *HourDelta) capture(s *hourScratch, raised []RegisterDelta, udp, con, cp
 }
 
 // loadScratch rebuilds the scratch a sealed hour left behind from its delta,
-// as a fed and folded window would have, validating everything the
+// as a fed and folded window would have — the membership keys straight into
+// the ascending runs the merge inserts from — validating everything the
 // merge indexes with: an entry that names a device outside the inventory,
-// repeats a device or port, or a membership key whose device or port the
-// hour never touched is ErrBadFormat, never a panic or a silently skewed
-// result. On error the scratch is dirty and must be recycled.
+// repeats a device (finds its row dirty) or port, or a membership key whose
+// device or port the hour never touched is ErrBadFormat, never a panic or a
+// silently skewed result. s must be freshly drawn; on error it is dirty and
+// must be recycled.
 func (c *Correlator) loadScratch(s *hourScratch, d *HourDelta) error {
 	hour := d.Stats.Hour
 	s.hour = hour
@@ -163,25 +167,27 @@ func (c *Correlator) loadScratch(s *hourScratch, d *HourDelta) error {
 		s.tcpPkts[pd.Port] = pd.Packets
 		s.tcpPktsCon[pd.Port] = pd.PacketsConsumer
 	}
-	loadKeys := func(set *u64set, keys []uint64, mark *portBitset, what string, consumer func(uint8) bool) error {
+	loadKeys := func(run *[]uint64, keys []uint64, mark *portBitset, what string, consumer func(uint8) bool) error {
 		for _, k := range keys {
 			port, dev := k>>32, k&0xffffffff
 			if port > 0xffff || !mark.has(uint16(port)) || dev >= uint64(len(s.devs)) ||
 				s.devs[dev].Records == 0 || !consumer(c.devCat[dev]) {
 				return badf("hour %d delta %s key %#x names a port or device the hour did not touch", hour, what, k)
 			}
-			set.add(k)
 		}
+		*run = append((*run)[:0], keys...)
+		slices.Sort(*run)
+		*run = slices.Compact(*run)
 		return nil
 	}
 	isCon := func(cat uint8) bool { return cat == uint8(devicedb.Consumer) }
-	if err := loadKeys(&s.udpPortDev, d.UDPKeys, &s.udpMark, "UDP", func(uint8) bool { return true }); err != nil {
+	if err := loadKeys(&s.udpKeys, d.UDPKeys, &s.udpMark, "UDP", func(uint8) bool { return true }); err != nil {
 		return err
 	}
-	if err := loadKeys(&s.tcpDevCon, d.ConKeys, &s.tcpMark, "consumer", isCon); err != nil {
+	if err := loadKeys(&s.conKeys, d.ConKeys, &s.tcpMark, "consumer", isCon); err != nil {
 		return err
 	}
-	return loadKeys(&s.tcpDevCPS, d.CPSKeys, &s.tcpMark, "CPS", func(cat uint8) bool { return !isCon(cat) })
+	return loadKeys(&s.cpsKeys, d.CPSKeys, &s.tcpMark, "CPS", func(cat uint8) bool { return !isCon(cat) })
 }
 
 // Delta returns what changed since the previous Delta call as one

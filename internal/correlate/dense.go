@@ -3,6 +3,7 @@ package correlate
 import (
 	"math/bits"
 	"slices"
+	"sync"
 
 	"iotscope/internal/classify"
 	"iotscope/internal/devicedb"
@@ -15,8 +16,8 @@ import (
 // accumulators are flat arrays indexed by device index or port — the
 // inventory is dense and its length is known up front, so nothing on the
 // per-record path touches a Go map or allocates. A completed scratch is
-// folded into the running Result by Incremental.merge, which then resets
-// and recycles it.
+// folded into the running Result by Incremental.merge and recycled; the
+// next draw from the pool resets it.
 
 const fibMult = 0x9E3779B97F4A7C15 // 2^64 / golden ratio, for index hashing
 
@@ -103,12 +104,27 @@ func (s *u64set) union(o *u64set) {
 	}
 }
 
-// addTo inserts every key into dst and appends the ones dst did not hold
-// to gained, which it returns.
-func (s *u64set) addTo(dst *u64set, gained []uint64) []uint64 {
+// sortedKeys returns the set's keys in dst's storage, ascending.
+func (s *u64set) sortedKeys(dst []uint64) []uint64 {
+	dst = dst[:0]
+	if s.used == 0 {
+		return dst
+	}
 	for _, k := range s.slots {
-		if k != 0 && dst.add(k-1) {
-			gained = append(gained, k-1)
+		if k != 0 {
+			dst = append(dst, k-1)
+		}
+	}
+	slices.Sort(dst)
+	return dst
+}
+
+// addKeys inserts keys and appends the ones s did not hold to gained,
+// which it returns.
+func (s *u64set) addKeys(keys, gained []uint64) []uint64 {
+	for _, k := range keys {
+		if s.add(k) {
+			gained = append(gained, k)
 		}
 	}
 	return gained
@@ -171,10 +187,10 @@ const (
 )
 
 // hourScratch holds every accumulator needed to process one hour file.
-// Instances are recycled through the correlator's sync.Pool: after a merge
-// folds a scratch into the running Result it is reset (touched lists bound
-// the clearing cost) and reused, so steady-state correlation allocates
-// nothing per record and almost nothing per hour.
+// Instances are recycled through the correlator's sync.Pool: a merged or
+// aborted scratch goes back as it is, and the goroutine that draws it next
+// resets it (touched lists bound the clearing cost), so steady-state
+// correlation allocates nothing per record and almost nothing per hour.
 type hourScratch struct {
 	hour      int
 	stats     HourStats
@@ -205,10 +221,15 @@ type hourScratch struct {
 	udpMark    portBitset
 	tcpMark    portBitset
 
-	// Per-(port, device) membership feeding the Result's port→device sets.
+	// Per-(port, device) membership feeding the Result's port→device sets,
+	// and the same keys as ascending runs, which finalize extracts on the
+	// window's goroutine so the merger only inserts them.
 	udpPortDev u64set
 	tcpDevCon  u64set
 	tcpDevCPS  u64set
+	udpKeys    []uint64
+	conKeys    []uint64
+	cpsKeys    []uint64
 
 	// Per-category hour surface counters (CatHour).
 	activeN      [2]int
@@ -236,11 +257,13 @@ func (c *Correlator) newScratch() *hourScratch {
 		tcpPktsCon: make([]uint64, 1<<16),
 		batch:      make([]flowtuple.Record, flowtuple.BatchSize),
 	}
-	s.devPort.init(4096)
+	// An hour holds tens to about a thousand keys in each of these but
+	// devDest; they grow on demand and keep their size.
+	s.devPort.init(0)
 	s.devDest.init(4096)
-	s.udpPortDev.init(4096)
-	s.tcpDevCon.init(4096)
-	s.tcpDevCPS.init(4096)
+	s.udpPortDev.init(0)
+	s.tcpDevCon.init(0)
+	s.tcpDevCPS.init(0)
 	s.bgSrcHLL, _ = sketch.NewHLL(bgPrecision) // a valid precision: cannot fail
 	for i := 0; i < 2; i++ {
 		s.udpDstIPs[i].init(1024)
@@ -276,6 +299,7 @@ func (s *hourScratch) reset() {
 	s.udpPortDev.reset()
 	s.tcpDevCon.reset()
 	s.tcpDevCPS.reset()
+	s.udpKeys, s.conKeys, s.cpsKeys = s.udpKeys[:0], s.conKeys[:0], s.cpsKeys[:0]
 	s.stats = HourStats{}
 	s.bgRecords, s.bgPackets = 0, 0
 	s.bgSrcHLL.Reset()
@@ -290,17 +314,19 @@ func (s *hourScratch) reset() {
 	}
 }
 
+// getScratch draws a clean scratch: a recycled one is reset here, on the
+// drawing goroutine, so neither the merger nor an Abort pays for it.
 func (c *Correlator) getScratch() *hourScratch {
 	if v := c.scratch.Get(); v != nil {
-		return v.(*hourScratch)
+		s := v.(*hourScratch)
+		s.reset()
+		return s
 	}
 	return c.newScratch()
 }
 
-func (c *Correlator) putScratch(s *hourScratch) {
-	s.reset()
-	c.scratch.Put(s)
-}
+// putScratch recycles a scratch, dirty: see getScratch.
+func (c *Correlator) putScratch(s *hourScratch) { c.scratch.Put(s) }
 
 // accumulate folds one record into the scratch — the innermost loop of the
 // whole pipeline. Every data structure it touches is a flat array.
@@ -378,9 +404,10 @@ func (c *Correlator) accumulate(s *hourScratch, hour int, rec *flowtuple.Record)
 	}
 }
 
-// finalize computes the hour's CatHour surface counters and folds the
+// finalize computes the hour's CatHour surface counters, folds the
 // per-device port sweeps into running maxima, mirroring the epilogue of the
-// historical map-based path.
+// historical map-based path, and extracts the membership keys the merge
+// inserts.
 func (s *hourScratch) finalize(hour int) {
 	for ci := 0; ci < 2; ci++ {
 		cat := &s.stats.PerCat[ci]
@@ -400,6 +427,9 @@ func (s *hourScratch) finalize(hour int) {
 			d.MaxScanDests = int(s.scanDests[idx])
 		}
 	}
+	s.udpKeys = s.udpPortDev.sortedKeys(s.udpKeys)
+	s.conKeys = s.tcpDevCon.sortedKeys(s.conKeys)
+	s.cpsKeys = s.tcpDevCPS.sortedKeys(s.cpsKeys)
 }
 
 // absorb folds o — another plane of the same hour, fed a disjoint set of
@@ -486,8 +516,8 @@ type portHourPkts struct {
 // amortizing the Result's pointer allocations, dense by-index/by-port pointer
 // tables replacing every map the merge loop used to probe, and the global
 // (port, device) membership sets behind the Result's per-port device lists.
-// Aggregates enter the Result's maps at first touch; what a merge leaves
-// pending — port-hour cells and newly gained membership keys — is folded in
+// What a merge leaves pending — first-touched ports, port-hour cells and
+// newly gained membership keys — is folded into the Result's maps and lists
 // by finalizeResult, whose cost therefore follows what changed since the
 // last finalize, not what has accumulated.
 type mergeState struct {
@@ -505,11 +535,13 @@ type mergeState struct {
 	con u64set // port<<32 | device, TCP scans from consumer devices
 	cps u64set // port<<32 | device, TCP scans from CPS devices
 
-	// Pending since the last finalizeResult: each (port, hour) cell is
-	// produced by exactly one hour's merge, so the merger appends instead of
-	// inserting into a growing map; the gained lists hold the keys each
-	// membership set did not have before, which name the ports whose device
-	// lists are stale.
+	// Pending since the last finalizeResult: ports whose aggregate is not
+	// yet in the Result's map; each (port, hour) cell is produced by exactly
+	// one hour's merge, so the merger appends instead of inserting into a
+	// growing map; the gained lists hold the keys each membership set did
+	// not have before, which name the ports whose device lists are stale.
+	udpNew    []uint16
+	tcpNew    []uint16
 	portHours []portHourPkts
 	udpGained []uint64
 	conGained []uint64
@@ -548,25 +580,76 @@ func (st *mergeState) newTCPPortAgg() *TCPPortAgg {
 	return a
 }
 
+// concurrentFinalize is the pending work (entries across finalizeResult's
+// lists) above which its folds run as concurrent tasks: a batch run's one
+// finalize is far above it, a followed window's far below.
+const concurrentFinalize = 8192
+
 // finalizeResult brings the Result's reader-facing views up to date with
-// the merges since the last call: pending port-hour cells are folded into
-// TCPPortHour (presized when this is the first fold, the batch case), and
-// the device list of every port whose membership set gained a key is
-// re-merged — untouched ports keep their lists. Idempotent and free when
-// nothing is pending; callers invoke it before handing res to a reader.
+// the merges since the last call: first-touched ports enter the port maps
+// and pending port-hour cells TCPPortHour (each map presized when this is
+// its first fold, the batch case), and the device list of every port whose
+// membership set gained a key is re-merged — untouched ports keep their
+// lists. Its four folds touch disjoint state, so a large finalize runs them
+// as concurrent tasks. Idempotent and free when nothing is pending; callers
+// invoke it before handing res to a reader.
 func (st *mergeState) finalizeResult(res *Result) {
-	if len(st.portHours) > 0 {
-		if len(res.TCPPortHour) == 0 {
-			res.TCPPortHour = make(map[PortHour]uint64, len(st.portHours))
-		}
-		for _, e := range st.portHours {
-			res.TCPPortHour[e.key] += e.pkts
-		}
-		st.portHours = st.portHours[:0]
+	pending := len(st.portHours) + len(st.udpNew) + len(st.tcpNew) +
+		len(st.udpGained) + len(st.conGained) + len(st.cpsGained)
+	if pending == 0 {
+		return
 	}
-	st.udpGained = mergeLists(st.udpGained, func(p uint16) *[]int32 { return &st.udpByPort[p].Devices })
-	st.conGained = mergeLists(st.conGained, func(p uint16) *[]int32 { return &st.tcpByPort[p].DevicesConsumer })
-	st.cpsGained = mergeLists(st.cpsGained, func(p uint16) *[]int32 { return &st.tcpByPort[p].DevicesCPS })
+	folds := [...]func(){
+		func() {
+			res.TCPPortHour = insertPending(res.TCPPortHour, st.portHours, func(e portHourPkts) (PortHour, uint64) { return e.key, e.pkts })
+			st.portHours = st.portHours[:0]
+		},
+		func() {
+			res.UDPPorts = insertPending(res.UDPPorts, st.udpNew, func(p uint16) (uint16, *PortAgg) { return p, st.udpByPort[p] })
+			st.udpNew = st.udpNew[:0]
+			st.udpGained = mergeLists(st.udpGained, func(p uint16) *[]int32 { return &st.udpByPort[p].Devices })
+		},
+		func() {
+			res.TCPScanPorts = insertPending(res.TCPScanPorts, st.tcpNew, func(p uint16) (uint16, *TCPPortAgg) { return p, st.tcpByPort[p] })
+			st.tcpNew = st.tcpNew[:0]
+			st.conGained = mergeLists(st.conGained, func(p uint16) *[]int32 { return &st.tcpByPort[p].DevicesConsumer })
+		},
+		func() {
+			st.cpsGained = mergeLists(st.cpsGained, func(p uint16) *[]int32 { return &st.tcpByPort[p].DevicesCPS })
+		},
+	}
+	if pending < concurrentFinalize {
+		for _, f := range folds {
+			f()
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	for _, f := range folds[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f()
+		}()
+	}
+	folds[0]()
+	wg.Wait()
+}
+
+// insertPending stores entry(e) for every pending e in m and returns m,
+// presized first when it is empty.
+func insertPending[K comparable, V, E any](m map[K]V, pending []E, entry func(E) (K, V)) map[K]V {
+	if len(pending) == 0 {
+		return m
+	}
+	if len(m) == 0 {
+		m = make(map[K]V, len(pending))
+	}
+	for _, e := range pending {
+		k, v := entry(e)
+		m[k] = v
+	}
+	return m
 }
 
 // mergeLists folds the gained membership keys into the per-port device
@@ -704,7 +787,7 @@ func mergeDense(res *Result, s *hourScratch, bgSources *sketch.HLL, st *mergeSta
 		if g == nil {
 			g = st.newPortAgg()
 			st.udpByPort[p] = g
-			res.UDPPorts[p] = g
+			st.udpNew = append(st.udpNew, p)
 		}
 		g.Packets += s.udpPkts[p]
 	}
@@ -713,16 +796,17 @@ func mergeDense(res *Result, s *hourScratch, bgSources *sketch.HLL, st *mergeSta
 		if g == nil {
 			g = st.newTCPPortAgg()
 			st.tcpByPort[p] = g
-			res.TCPScanPorts[p] = g
+			st.tcpNew = append(st.tcpNew, p)
 		}
 		g.Packets += s.tcpPkts[p]
 		g.PacketsConsumer += s.tcpPktsCon[p]
 		st.portHours = append(st.portHours,
 			portHourPkts{key: PortHour{Port: p, Hour: uint16(s.hour)}, pkts: s.tcpPkts[p]})
 	}
-	// Per-port device membership folds into the merger's global sets; the
-	// keys they gain are what finalizeResult re-merges lists from.
-	st.udpGained = s.udpPortDev.addTo(&st.udp, st.udpGained)
-	st.conGained = s.tcpDevCon.addTo(&st.con, st.conGained)
-	st.cpsGained = s.tcpDevCPS.addTo(&st.cps, st.cpsGained)
+	// Per-port device membership folds into the merger's global sets from
+	// the hour's ascending key runs; the keys they gain are what
+	// finalizeResult re-merges lists from.
+	st.udpGained = st.udp.addKeys(s.udpKeys, st.udpGained)
+	st.conGained = st.con.addKeys(s.conKeys, st.conGained)
+	st.cpsGained = st.cps.addKeys(s.cpsKeys, st.cpsGained)
 }

@@ -155,9 +155,9 @@ func (inc *Incremental) Stats() IngestStats {
 func (inc *Incremental) HoursIngested() int { return len(inc.hours) }
 
 // Result returns the live running result. The caller must not retain it
-// across Ingest calls if it needs a stable snapshot. The per-port device
-// lists are materialized here (not per Ingest), so ingestion itself stays
-// allocation-light.
+// across Ingest calls if it needs a stable snapshot. The port maps and the
+// per-port device lists are brought up to date here (not per Ingest), so
+// ingestion itself stays allocation-light.
 func (inc *Incremental) Result() *Result {
 	inc.st.finalizeResult(inc.res)
 	inc.res.Background.Sources = inc.bg.Estimate()

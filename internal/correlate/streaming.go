@@ -55,7 +55,8 @@ type WindowStats struct {
 	// in first-touch order.
 	TCPPorts []uint16
 	// TCPGained are the port<<32|device keys the seal added to those ports'
-	// device lists, consumer realm then CPS: one key per list entry gained.
+	// device lists, consumer realm then CPS, each ascending: one key per list
+	// entry gained.
 	TCPGained []uint64
 }
 
@@ -133,7 +134,9 @@ func (w *Window) feedFile(ctx context.Context, dir string) error {
 
 // fold ends accumulation: planes 1…N-1 are absorbed into plane 0 and
 // recycled, and plane 0 — now the scratch an unsharded window would hold —
-// is finalized and handed to the caller, who owes it to merge.
+// is finalized and handed to the caller, who owes it to merge. Everything
+// the merge reads of the hour alone, its membership keys as ascending runs
+// included, is settled here, on the window's goroutine.
 func (w *Window) fold() *hourScratch {
 	w.done = true
 	s := w.planes[0]

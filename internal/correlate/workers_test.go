@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"reflect"
 	"testing"
 
 	"iotscope/internal/flowtuple"
@@ -14,10 +13,14 @@ import (
 )
 
 // Worker-count invariance: merges are commutative, so 1 worker and many
-// workers must produce identical results down to every counter.
+// workers must produce identical results down to every counter and list
+// entry. The dataset is sized so the batch run's one finalize takes the
+// concurrent fold, and the serial run is held to the map-based reference
+// (reference_test.go), so a fold that is wrong the same way at every worker
+// count fails too.
 func TestWorkerCountInvariance(t *testing.T) {
-	sc := wgen.Default(0.002, 321)
-	sc.Hours = 10
+	sc := wgen.Default(0.004, 321)
+	sc.Hours = 12
 	g, err := wgen.New(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -31,51 +34,27 @@ func TestWorkerCountInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := New(g.Inventory(), Options{Workers: 8}).ProcessDataset(context.Background(), dir)
+	pending := len(serial.TCPPortHour) + len(serial.UDPPorts) + len(serial.TCPScanPorts)
+	for _, a := range serial.UDPPorts {
+		pending += len(a.Devices)
+	}
+	for _, a := range serial.TCPScanPorts {
+		pending += len(a.DevicesConsumer) + len(a.DevicesCPS)
+	}
+	if pending < concurrentFinalize {
+		t.Fatalf("the finalize folds %d entries, below the concurrent threshold %d", pending, concurrentFinalize)
+	}
+	want, err := refProcessDataset(New(g.Inventory(), Options{Workers: 1}), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if len(serial.Devices) != len(parallel.Devices) {
-		t.Fatalf("device counts differ: %d vs %d", len(serial.Devices), len(parallel.Devices))
-	}
-	for id, a := range serial.Devices {
-		b := parallel.Devices[id]
-		if b == nil {
-			t.Fatalf("device %d missing in parallel run", id)
+	requireIdentical(t, want, serial)
+	for _, workers := range []int{2, 8} {
+		parallel, err := New(g.Inventory(), Options{Workers: workers}).ProcessDataset(context.Background(), dir)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if a.FirstSeen != b.FirstSeen || a.Records != b.Records ||
-			a.Packets != b.Packets || a.DayMask != b.DayMask ||
-			a.MaxScanPorts != b.MaxScanPorts {
-			t.Fatalf("device %d diverged:\n serial  %+v\n parallel %+v", id, a, b)
-		}
-		if !reflect.DeepEqual(a.BackscatterHourly, b.BackscatterHourly) {
-			t.Fatalf("device %d backscatter hourly diverged", id)
-		}
-	}
-	if !reflect.DeepEqual(serial.Hourly, parallel.Hourly) {
-		t.Fatal("hourly aggregates diverged")
-	}
-	if !reflect.DeepEqual(serial.TCPPortHour, parallel.TCPPortHour) {
-		t.Fatal("port-hour series diverged")
-	}
-	for port, a := range serial.UDPPorts {
-		b := parallel.UDPPorts[port]
-		if b == nil || a.Packets != b.Packets || len(a.Devices) != len(b.Devices) {
-			t.Fatalf("UDP port %d diverged", port)
-		}
-	}
-	for port, a := range serial.TCPScanPorts {
-		b := parallel.TCPScanPorts[port]
-		if b == nil || a.Packets != b.Packets || a.PacketsConsumer != b.PacketsConsumer ||
-			len(a.DevicesConsumer) != len(b.DevicesConsumer) ||
-			len(a.DevicesCPS) != len(b.DevicesCPS) {
-			t.Fatalf("TCP port %d diverged", port)
-		}
-	}
-	if serial.Background.Records != parallel.Background.Records ||
-		serial.Background.Packets != parallel.Background.Packets {
-		t.Fatal("background diverged")
+		requireIdentical(t, serial, parallel)
 	}
 }
 
