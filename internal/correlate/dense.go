@@ -580,19 +580,14 @@ func (st *mergeState) newTCPPortAgg() *TCPPortAgg {
 	return a
 }
 
-// concurrentFinalize is the pending work (entries across finalizeResult's
-// lists) above which its folds run as concurrent tasks: a batch run's one
-// finalize is far above it, a followed window's far below.
-const concurrentFinalize = 8192
-
 // finalizeResult brings the Result's reader-facing views up to date with
 // the merges since the last call: first-touched ports enter the port maps
 // and pending port-hour cells TCPPortHour (each map presized when this is
 // its first fold, the batch case), and the device list of every port whose
 // membership set gained a key is re-merged — untouched ports keep their
-// lists. Its four folds touch disjoint state, so a large finalize runs them
-// as concurrent tasks. Idempotent and free when nothing is pending; callers
-// invoke it before handing res to a reader.
+// lists. Its four folds touch disjoint state, so they run as concurrent
+// tasks. Idempotent and free when nothing is pending; callers invoke it
+// before handing res to a reader.
 func (st *mergeState) finalizeResult(res *Result) {
 	pending := len(st.portHours) + len(st.udpNew) + len(st.tcpNew) +
 		len(st.udpGained) + len(st.conGained) + len(st.cpsGained)
@@ -617,12 +612,6 @@ func (st *mergeState) finalizeResult(res *Result) {
 		func() {
 			st.cpsGained = mergeLists(st.cpsGained, func(p uint16) *[]int32 { return &st.tcpByPort[p].DevicesCPS })
 		},
-	}
-	if pending < concurrentFinalize {
-		for _, f := range folds {
-			f()
-		}
-		return
 	}
 	var wg sync.WaitGroup
 	for _, f := range folds[1:] {
