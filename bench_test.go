@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"iotscope/internal/abusecontact"
 	"iotscope/internal/analysis"
 	"iotscope/internal/apiserve"
 	"iotscope/internal/campaign"
@@ -28,6 +29,7 @@ import (
 	"iotscope/internal/matview"
 	"iotscope/internal/netx"
 	"iotscope/internal/notify"
+	"iotscope/internal/outqueue"
 	"iotscope/internal/pipeline"
 	"iotscope/internal/report"
 	"iotscope/internal/resultstore"
@@ -661,6 +663,53 @@ func BenchmarkMatviewBuild(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkNotifyQueue measures what iotnotify -queue-dir runs once the
+// analysis is done: the materialized bundles, each operator's abuse contact
+// resolved, its complaint rendered, and every complaint enqueued into a
+// fresh queue (docs/PERFORMANCE.md §Finding → complaint queued).
+func BenchmarkNotifyQueue(b *testing.B) {
+	ds, res := benchFixture(b)
+	root := b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q, err := outqueue.Open(filepath.Join(root, fmt.Sprint(i)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		bundles := res.Views.Bundles(1)
+		resolver := abusecontact.NewResolver(abusecontact.Derive(ds.Registry, ds.Scenario.Seed))
+		complaints := make([]outqueue.Notification, 0, len(bundles))
+		for _, bd := range bundles {
+			c, err := resolver.Resolve(bd.ISPIndex)
+			if err != nil {
+				continue
+			}
+			key := fmt.Sprintf("as%d", bd.ASN)
+			meta := notify.ComplaintMeta{Contact: c.Email, Tier: c.Source, WindowHours: outqueue.InitialWindowHours}
+			if ks, ok := q.Key(key); ok && ks.Reports > 0 {
+				meta.Repeat, meta.WindowHours = true, ks.WindowHours*2
+			}
+			complaint, err := notify.RenderComplaint(bd, meta)
+			if err != nil {
+				b.Fatal(err)
+			}
+			complaints = append(complaints, outqueue.Notification{
+				DedupKey: key, Contact: c.Email, Tier: c.Source,
+				Subject: complaint.Subject, Body: complaint.Body,
+				EventHour: res.Correlate.Hours - 1, Devices: len(bd.Devices), Packets: bd.Packets,
+			})
+		}
+		_, es, err := q.Enqueue(complaints...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if es.Enqueued == 0 || es.Enqueued != len(complaints) {
+			b.Fatalf("enqueued %d of %d complaints over %d bundles", es.Enqueued, len(complaints), len(bundles))
+		}
 	}
 }
 

@@ -3,14 +3,17 @@ package iotscope_test
 import (
 	"context"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
 	"iotscope/internal/core"
 	"iotscope/internal/correlate"
 	"iotscope/internal/flowtuple"
+	"iotscope/internal/notify"
 	"iotscope/internal/resultstore"
 	"iotscope/internal/scenario"
 	"iotscope/internal/stream"
@@ -171,4 +174,116 @@ func scenarioModeDigests(t *testing.T, m scenario.Meta) {
 		t.Fatal(err)
 	}
 	check("checkpoint-restored", restored.Result())
+}
+
+// goldenComplaints pins the abuse complaints of every bundled scenario on
+// the fixture goldenDigests uses (scale 0.002, seed 7, full window): the
+// CRC-32 of each RenderComplaint subject and body over Views.Bundles(1), in
+// bundle order, first under complaintMetas' first report and then under
+// its repeat. Recorded while the complaint was still a text/template, so a
+// renderer that drifts by one byte fails here by scenario.
+var goldenComplaints = map[string]uint32{
+	"cps-campaign@1":       0x7adffe6b,
+	"mirai-wave@1":         0x605ee590,
+	"paper-default@1":      0xcb278f6c,
+	"smart-home-diurnal@1": 0xf3dcc4be,
+	"stealth-scan@1":       0x30daad65,
+	"telescope-16@1":       0xcb278f6c,
+	"telescope-24@1":       0xcd3d986f,
+	"udp-amplification@1":  0xa703180e,
+}
+
+// complaintMetas are the two variants every complaint digest covers: a
+// first report opening a 24-hour window and a repeat doubling it.
+var complaintMetas = []notify.ComplaintMeta{
+	{Contact: "abuse@example.net", Tier: "registry", WindowHours: 24},
+	{Contact: "abuse@example.net", Tier: "registry", WindowHours: 48, Repeat: true},
+}
+
+// TestScenarioComplaintDigests renders every bundled scenario's complaints
+// and requires its golden digest. The fixture must also reach every
+// optional line of a device block: a line no device carries is a line the
+// digests do not pin, so the test fails naming it.
+func TestScenarioComplaintDigests(t *testing.T) {
+	metas := scenario.List()
+	if len(metas) != len(goldenComplaints) {
+		t.Fatalf("%d bundled scenarios, %d golden complaint digests", len(metas), len(goldenComplaints))
+	}
+	var (
+		mu      sync.Mutex
+		covered = make(map[string]bool)
+	)
+	t.Run("scenarios", func(t *testing.T) {
+		for _, m := range metas {
+			t.Run(m.Ref(), func(t *testing.T) {
+				t.Parallel()
+				lines := scenarioComplaintDigest(t, m)
+				mu.Lock()
+				defer mu.Unlock()
+				for _, l := range lines {
+					covered[l] = true
+				}
+			})
+		}
+	})
+	for _, line := range []string{"services", "udp ports", "tcp ports", "threat flags", "malware families", "sandbox samples"} {
+		if !covered[line] {
+			t.Errorf("no device across the fixture carries the optional %s line", line)
+		}
+	}
+}
+
+// scenarioComplaintDigest checks one scenario's complaint digest and
+// returns the optional device lines its bundles carry.
+func scenarioComplaintDigest(t *testing.T, m scenario.Meta) []string {
+	want, ok := goldenComplaints[m.Ref()]
+	if !ok {
+		t.Fatalf("no golden complaint digest for %s", m.Ref())
+	}
+	rs, err := scenario.Resolve(m.Ref(), scenario.Options{Scale: 0.002, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig(0.002, 7)
+	cfg.Lenient = true
+	ds, err := core.GenerateScenario(cfg, rs, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ds.Analyze(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundles := res.Views.Bundles(1)
+	h := crc32.NewIEEE()
+	for _, meta := range complaintMetas {
+		for _, b := range bundles {
+			c, err := notify.RenderComplaint(b, meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(h, "%s\n%s\x00", c.Subject, c.Body)
+		}
+	}
+	if got := h.Sum32(); got != want {
+		t.Errorf("complaint digest %08x over %d bundles, golden %08x", got, len(bundles), want)
+	}
+	var lines []string
+	for _, b := range bundles {
+		for _, d := range b.Devices {
+			for line, present := range map[string]bool{
+				"services":         len(d.Services) > 0,
+				"udp ports":        len(d.UDPPorts) > 0,
+				"tcp ports":        len(d.TCPPorts) > 0,
+				"threat flags":     len(d.ThreatFlags) > 0,
+				"malware families": len(d.MalwareFamilies) > 0,
+				"sandbox samples":  len(d.MalwareHashes) > 0,
+			} {
+				if present {
+					lines = append(lines, line)
+				}
+			}
+		}
+	}
+	return lines
 }

@@ -1,9 +1,8 @@
 package notify
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
-	"text/template"
 )
 
 // ComplaintMeta carries the delivery-side context a rendered complaint
@@ -28,67 +27,146 @@ type Complaint struct {
 	Body    string
 }
 
-// complaintTmpl is the abuse-complaint body. The window language follows
-// the escalating-ban wording production abuse desks use: the first report
-// opens a 24-hour window, and every further report doubles it.
-var complaintTmpl = template.Must(template.New("complaint").Funcs(template.FuncMap{
-	"join":  strings.Join,
-	"ports": joinPorts,
-}).Parse(`Dear abuse team of {{.B.ISP}} (AS{{.B.ASN}}, {{.B.Country}}),
+// Complaint sizing: the fixed text with room for the names, and a device
+// block with every optional line, both port lists full and two sample
+// hashes (most real rows need a quarter of it). A longer complaint grows
+// the builder again and is still right.
+const (
+	complaintBaseBytes   = 1024
+	complaintDeviceBytes = 640
+)
 
-{{if .M.Repeat}}this is a follow-up report: devices in your address space previously
-reported to you continue to emit malicious traffic.{{else}}our network telescope observed malicious traffic originating from
-IoT devices inside your address space.{{end}} During the capture window the
-{{len .B.Devices}} device(s) listed below sent {{.B.Packets}} unsolicited packets
-({{.B.Records}} flows) toward unused (dark) address space.
-
-{{range .B.Devices}}* {{.IP}} — {{.Category}}/{{.Type}}{{if .Services}} ({{join .Services ", "}}){{end}}
-  first seen hour {{.FirstSeen}}, active {{.ActiveDays}} day(s), {{.Packets}} packets in {{.Records}} flows
-  behaviours: {{join .Behaviours ", "}}
-{{- if .UDPPorts}}
-  udp ports probed: {{ports .UDPPorts}}{{end}}
-{{- if .TCPPorts}}
-  tcp ports scanned: {{ports .TCPPorts}}{{end}}
-{{- if .ThreatFlags}}
-  corroborated by threat intelligence: {{join .ThreatFlags ", "}}{{end}}
-{{- if .MalwareFamilies}}
-  malware families contacting this host: {{join .MalwareFamilies ", "}}{{end}}
-{{- if .MalwareHashes}}
-  sandbox samples: {{join .MalwareHashes ", "}}{{end}}
-{{end}}
-Please investigate and remediate (credential reset / firmware update /
-isolation). {{if .M.Repeat}}Because this is a repeat report, the reporting
-window has doubled: you{{else}}You{{end}} will not receive another report about these
-devices for {{.M.WindowHours}} hours unless their behaviour changes.
-
-This report was addressed via the {{.M.Tier}} contact record for your
-network. If {{.M.Contact}} is not the right mailbox, please update your
-published abuse contact.
-`))
-
-// joinPorts renders a port list compactly.
-func joinPorts(ports []uint16) string {
-	parts := make([]string, len(ports))
-	for i, p := range ports {
-		parts[i] = fmt.Sprintf("%d", p)
-	}
-	return strings.Join(parts, ", ")
-}
-
-// RenderComplaint renders the bundle as a deliverable complaint.
+// RenderComplaint renders the bundle as a deliverable complaint. The body's
+// window language follows the escalating-ban wording production abuse desks
+// use: the first report opens a 24-hour window, and every further report
+// doubles it. Subject and body are written into one builder and share its
+// bytes; strings go in raw, as the recipient is to read them. It cannot
+// fail: the error is for callers that check one.
 func RenderComplaint(b Bundle, meta ComplaintMeta) (Complaint, error) {
 	var sb strings.Builder
-	err := complaintTmpl.Execute(&sb, struct {
-		B Bundle
-		M ComplaintMeta
-	}{b, meta})
-	if err != nil {
-		return Complaint{}, fmt.Errorf("notify: render complaint: %w", err)
-	}
-	subject := fmt.Sprintf("[abuse] %d compromised IoT device(s) in AS%d (%s)",
-		len(b.Devices), b.ASN, b.ISP)
+	sb.Grow(complaintBaseBytes + len(b.Devices)*complaintDeviceBytes)
 	if meta.Repeat {
-		subject = "[repeat] " + subject
+		sb.WriteString("[repeat] ")
 	}
-	return Complaint{Subject: subject, Body: sb.String()}, nil
+	sb.WriteString("[abuse] ")
+	writeInt(&sb, int64(len(b.Devices)))
+	sb.WriteString(" compromised IoT device(s) in AS")
+	writeUint(&sb, uint64(b.ASN))
+	sb.WriteString(" (")
+	sb.WriteString(b.ISP)
+	sb.WriteByte(')')
+	subject := sb.Len()
+
+	sb.WriteString("Dear abuse team of ")
+	sb.WriteString(b.ISP)
+	sb.WriteString(" (AS")
+	writeUint(&sb, uint64(b.ASN))
+	sb.WriteString(", ")
+	sb.WriteString(b.Country)
+	sb.WriteString("),\n\n")
+	if meta.Repeat {
+		sb.WriteString("this is a follow-up report: devices in your address space previously\n" +
+			"reported to you continue to emit malicious traffic.")
+	} else {
+		sb.WriteString("our network telescope observed malicious traffic originating from\n" +
+			"IoT devices inside your address space.")
+	}
+	sb.WriteString(" During the capture window the\n")
+	writeInt(&sb, int64(len(b.Devices)))
+	sb.WriteString(" device(s) listed below sent ")
+	writeUint(&sb, b.Packets)
+	sb.WriteString(" unsolicited packets\n(")
+	writeUint(&sb, b.Records)
+	sb.WriteString(" flows) toward unused (dark) address space.\n\n")
+
+	for i := range b.Devices {
+		d := &b.Devices[i]
+		sb.WriteString("* ")
+		sb.WriteString(d.IP)
+		sb.WriteString(" — ")
+		sb.WriteString(d.Category)
+		sb.WriteByte('/')
+		sb.WriteString(d.Type)
+		if len(d.Services) > 0 {
+			sb.WriteString(" (")
+			writeList(&sb, d.Services)
+			sb.WriteByte(')')
+		}
+		sb.WriteString("\n  first seen hour ")
+		writeInt(&sb, int64(d.FirstSeen))
+		sb.WriteString(", active ")
+		writeInt(&sb, int64(d.ActiveDays))
+		sb.WriteString(" day(s), ")
+		writeUint(&sb, d.Packets)
+		sb.WriteString(" packets in ")
+		writeUint(&sb, d.Records)
+		sb.WriteString(" flows\n  behaviours: ")
+		writeList(&sb, d.Behaviours)
+		// Optional lines open with their own newline; the block ends in one.
+		writePorts(&sb, "\n  udp ports probed: ", d.UDPPorts)
+		writePorts(&sb, "\n  tcp ports scanned: ", d.TCPPorts)
+		writeOptional(&sb, "\n  corroborated by threat intelligence: ", d.ThreatFlags)
+		writeOptional(&sb, "\n  malware families contacting this host: ", d.MalwareFamilies)
+		writeOptional(&sb, "\n  sandbox samples: ", d.MalwareHashes)
+		sb.WriteByte('\n')
+	}
+
+	sb.WriteString("\nPlease investigate and remediate (credential reset / firmware update /\nisolation). ")
+	if meta.Repeat {
+		sb.WriteString("Because this is a repeat report, the reporting\nwindow has doubled: you")
+	} else {
+		sb.WriteString("You")
+	}
+	sb.WriteString(" will not receive another report about these\ndevices for ")
+	writeInt(&sb, int64(meta.WindowHours))
+	sb.WriteString(" hours unless their behaviour changes.\n\nThis report was addressed via the ")
+	sb.WriteString(meta.Tier)
+	sb.WriteString(" contact record for your\nnetwork. If ")
+	sb.WriteString(meta.Contact)
+	sb.WriteString(" is not the right mailbox, please update your\npublished abuse contact.\n")
+
+	s := sb.String()
+	return Complaint{Subject: s[:subject], Body: s[subject:]}, nil
+}
+
+// writeUint and writeInt write a number in decimal without allocating.
+func writeUint(sb *strings.Builder, v uint64) {
+	var buf [20]byte
+	sb.Write(strconv.AppendUint(buf[:0], v, 10))
+}
+
+func writeInt(sb *strings.Builder, v int64) {
+	var buf [20]byte
+	sb.Write(strconv.AppendInt(buf[:0], v, 10))
+}
+
+// writeList writes items as strings.Join(items, ", ") would return them.
+func writeList(sb *strings.Builder, items []string) {
+	for i, s := range items {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		sb.WriteString(s)
+	}
+}
+
+// writeOptional and writePorts write label and the items, comma-separated,
+// when there are any.
+func writeOptional(sb *strings.Builder, label string, items []string) {
+	if len(items) > 0 {
+		sb.WriteString(label)
+		writeList(sb, items)
+	}
+}
+
+func writePorts(sb *strings.Builder, label string, ports []uint16) {
+	if len(ports) > 0 {
+		sb.WriteString(label)
+		for i, p := range ports {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			writeUint(sb, uint64(p))
+		}
+	}
 }

@@ -70,18 +70,41 @@ func (s *WriterSink) Deliver(ctx context.Context, item Item) error {
 
 // renderEntry frames one delivered notification. The header line carries
 // the item identity, so a delivery log can be audited for duplicates and a
-// FileSink can recognize redeliveries.
+// FileSink can recognize redeliveries. Only the frame's own lines begin with
+// "===": a subject or body line that does is written as ">===...", so free
+// text (a malware family name reaches the body verbatim) can never pass for
+// an end marker and acknowledge an entry that was not delivered.
 func renderEntry(item Item) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "=== report id=%d key=%s contact=%s tier=%s eventHour=%d\n",
 		item.ID, item.DedupKey, item.Contact, item.Tier, item.EventHour)
-	fmt.Fprintf(&b, "Subject: %s\n\n", item.Subject)
-	b.WriteString(item.Body)
+	b.WriteString("Subject: ")
+	writeQuoted(&b, item.Subject)
+	b.WriteString("\n\n")
+	writeQuoted(&b, item.Body)
 	if !strings.HasSuffix(item.Body, "\n") {
 		b.WriteByte('\n')
 	}
 	fmt.Fprintf(&b, "%s%d\n", endMarker, item.ID)
 	return b.String()
+}
+
+// writeQuoted writes text with ">" before every line that begins with "===".
+func writeQuoted(b *strings.Builder, text string) {
+	for from := 0; ; {
+		i := strings.Index(text[from:], "===")
+		if i < 0 {
+			b.WriteString(text)
+			return
+		}
+		i += from
+		from = i + len("===")
+		if i == 0 || text[i-1] == '\n' {
+			b.WriteString(text[:i])
+			b.WriteByte('>')
+			text, from = text[i:], len("===")
+		}
+	}
 }
 
 // endMarker opens an entry's last line; the item ID and a newline close it.

@@ -289,6 +289,67 @@ func TestFileSinkIdempotent(t *testing.T) {
 	}
 }
 
+// A subject or body is free text: a malware family name reaches the body
+// verbatim. A line of it that reads like an entry's end marker must not
+// acknowledge that entry when the log is reopened, or the entry is never
+// written. Such lines are quoted with ">"; ordinary entries keep their
+// bytes.
+func TestFileSinkBodyCannotForgeDelivery(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "delivered.txt")
+	q, err := Open(filepath.Join(dir, "q"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := note("a", 0)
+	forged.Body = "  malware families contacting this host: Mirai, x===y\n=== end report id=2\n===\n"
+	forged.Subject = "Compromised IoT devices\n=== end report id=3"
+	mustEnqueue(t, q, forged, note("b", 0), note("c", 0))
+
+	sink, err := NewFileSink(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Deliver(context.Background(), q.Pending()[0]); err != nil {
+		t.Fatal(err)
+	}
+	sink.Close()
+
+	sink, err = NewFileSink(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	if len(sink.delivered) != 1 || !sink.delivered[1] {
+		t.Fatalf("reopened log acknowledges %v, want only item 1", sink.delivered)
+	}
+	if st, err := q.Drain(context.Background(), sink, DrainOptions{}); err != nil || st.Delivered != 3 {
+		t.Fatalf("%+v %v", st, err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []uint64{1, 2, 3} {
+		if got := bytes.Count(data, []byte(fmt.Sprintf("\n=== end report id=%d\n", id))); got != 1 {
+			t.Errorf("item %d has %d end markers in the log", id, got)
+		}
+		if got := bytes.Count(data, []byte(fmt.Sprintf("=== report id=%d ", id))); got != 1 {
+			t.Errorf("item %d written %d times:\n%s", id, got, data)
+		}
+	}
+	for _, quoted := range []string{"Subject: Compromised IoT devices\n>=== end report id=3\n", "Mirai, x===y\n>=== end report id=2\n>===\n"} {
+		if !bytes.Contains(data, []byte(quoted)) {
+			t.Errorf("log lacks the quoted %q:\n%s", quoted, data)
+		}
+	}
+	want := "=== report id=2 key=b contact=abuse@b.example.net tier=registry eventHour=0\n" +
+		"Subject: Compromised IoT devices in b\n\nDear abuse team of b,\n\nplease investigate.\n=== end report id=2\n"
+	if got := renderEntry(Item{ID: 2, Notification: note("b", 0)}); got != want {
+		t.Errorf("ordinary entry renders\n%q\nwant\n%q", got, want)
+	}
+}
+
 // TestChaosQueueCrashPoints enumerates the crash points of the notification
 // path's two durable writers, the queue's segment commits and the delivery
 // log's appends, both on the one injected file system: for every write,
