@@ -157,8 +157,8 @@ func BenchmarkFig6(b *testing.B) {
 }
 
 func BenchmarkFig7(b *testing.B) {
-	ds, res := benchFixture(b)
-	renderBench(b, func(w io.Writer) error { return report.Fig7(w, res, ds) })
+	_, res := benchFixture(b)
+	renderBench(b, func(w io.Writer) error { return report.Fig7(w, res) })
 }
 
 func BenchmarkFig8(b *testing.B) {
@@ -689,11 +689,10 @@ func BenchmarkNotifyQueue(b *testing.B) {
 				continue
 			}
 			key := fmt.Sprintf("as%d", bd.ASN)
-			meta := notify.ComplaintMeta{Contact: c.Email, Tier: c.Source, WindowHours: outqueue.InitialWindowHours}
-			if ks, ok := q.Key(key); ok && ks.Reports > 0 {
-				meta.Repeat, meta.WindowHours = true, ks.WindowHours*2
-			}
-			complaint, err := notify.RenderComplaint(bd, meta)
+			ks, _ := q.Key(key)
+			complaint, err := notify.RenderComplaint(bd, notify.ComplaintMeta{
+				Contact: c.Email, Tier: c.Source, Repeat: ks.Reports > 0, WindowHours: ks.NextWindowHours(),
+			})
 			if err != nil {
 				b.Fatal(err)
 			}

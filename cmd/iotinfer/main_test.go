@@ -106,14 +106,60 @@ func TestRunText(t *testing.T) {
 	}
 }
 
+// -json emits exactly these twelve keys, each the encoding of the analysis
+// result or dataset field it is built from.
 func TestRunJSON(t *testing.T) {
 	dir := testDataset(t)
 	var buf bytes.Buffer
 	if err := run([]string{"-data", dir, "-json", "-workers", "2"}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"datasetSeed": 3`) {
-		t.Fatalf("JSON output lacks the dataset seed:\n%s", buf.String())
+	var got map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := core.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ds.Analyze(core.DefaultConfig(ds.Scenario.Scale, ds.Scenario.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]any{
+		"summary":          res.Summary,
+		"statTests":        res.StatTests,
+		"threatFlagged":    len(res.Threat.Flagged),
+		"threatExplored":   res.Threat.Explored,
+		"malwareHashes":    res.Malware.Hashes,
+		"malwareFamilies":  res.Malware.Families,
+		"malwareDomains":   len(res.Malware.Domains),
+		"background":       res.Correlate.Background,
+		"datasetScale":     ds.Scenario.Scale,
+		"datasetSeed":      ds.Scenario.Seed,
+		"datasetHours":     ds.Scenario.Hours,
+		"inventoryDevices": ds.Inventory.Len(),
+	}
+	if len(got) != len(want) {
+		t.Errorf("JSON has %d keys, want %d", len(got), len(want))
+	}
+	for key, v := range want {
+		raw, ok := got[key]
+		if !ok {
+			t.Errorf("JSON lacks %q", key)
+			continue
+		}
+		wantRaw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, raw); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(compact.Bytes(), wantRaw) {
+			t.Errorf("%s = %s, want %s", key, compact.Bytes(), wantRaw)
+		}
 	}
 }
 

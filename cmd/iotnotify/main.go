@@ -141,16 +141,13 @@ func run(args []string, stdout io.Writer) error {
 							continue
 						}
 						key := fmt.Sprintf("as%d", b.ASN)
-						meta := notify.ComplaintMeta{
+						ks, _ := q.Key(key) // the zero state for a first report
+						complaint, err := notify.RenderComplaint(b, notify.ComplaintMeta{
 							Contact:     c.Email,
 							Tier:        c.Source,
-							WindowHours: outqueue.InitialWindowHours,
-						}
-						if ks, ok := q.Key(key); ok && ks.Reports > 0 {
-							meta.Repeat = true
-							meta.WindowHours = ks.WindowHours * 2
-						}
-						complaint, err := notify.RenderComplaint(b, meta)
+							Repeat:      ks.Reports > 0,
+							WindowHours: ks.NextWindowHours(),
+						})
 						if err != nil {
 							return err
 						}

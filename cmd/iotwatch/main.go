@@ -95,7 +95,7 @@ func run(args []string, stdout io.Writer) error {
 		poll        = fs.Duration("poll", 2*time.Second, "directory poll interval")
 		once        = fs.Bool("once", false, "drain: ingest what is present, seal open windows, then exit")
 		lateness    = fs.Int("lateness", 1, "hours the watermark trails the newest hour seen (at least 1)")
-		alarm       = fs.Float64("alarm", 8, "DoS alarm threshold (x median backscatter hour; 0 disables)")
+		alarm       = fs.Float64("alarm", 8, "DoS alarm threshold (x median backscatter hour, > 1; 0 disables)")
 		ckptDir     = fs.String("checkpoint-dir", "", "persist incremental state here after every sealed window and resume from it at startup")
 		alertLog    = fs.String("alert-log", "", "alert journal path (default <checkpoint-dir>/alerts.jsonl)")
 		alertsAddr  = fs.String("alerts-addr", "", "serve alerts over HTTP on this address (long-poll /alerts, SSE /alerts/stream; no auth — bind loopback)")
@@ -115,8 +115,11 @@ func run(args []string, stdout io.Writer) error {
 	if *lateness < 1 {
 		return fmt.Errorf("-lateness must be at least 1 hour: the watermark trails the newest hour seen")
 	}
-	if !(*alarm >= 0) || math.IsInf(*alarm, 1) { // NaN fails every comparison
-		return fmt.Errorf("-alarm must be a finite number >= 0 (0 disables the DoS alarm)")
+	// A multiple of the median at or below 1 alarms on ordinary hours; the
+	// spike detector's threshold has the same floor. NaN fails every
+	// comparison.
+	if !(*alarm == 0 || *alarm > 1) || math.IsInf(*alarm, 1) {
+		return fmt.Errorf("-alarm must be 0 (off) or a finite number > 1")
 	}
 	if *poll <= 0 {
 		return fmt.Errorf("-poll must be positive")

@@ -45,7 +45,8 @@ func TestRunValidation(t *testing.T) {
 	}
 	for _, bad := range [][]string{
 		{"-retries", "-1"}, {"-backoff", "0"}, {"-lateness", "0"}, {"-lateness", "-1"},
-		{"-alarm", "NaN"}, {"-alarm", "-1"}, {"-alarm", "Inf"}, {"-poll", "0"}, {"-poll", "-1s"},
+		{"-alarm", "NaN"}, {"-alarm", "-1"}, {"-alarm", "Inf"}, {"-alarm", "0.5"}, {"-alarm", "1"},
+		{"-poll", "0"}, {"-poll", "-1s"},
 	} {
 		err := run(append([]string{"-data", t.TempDir()}, bad...), io.Discard)
 		if err == nil || !strings.Contains(err.Error(), bad[0]) {

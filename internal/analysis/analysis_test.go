@@ -319,43 +319,6 @@ func TestFig6CDFs(t *testing.T) {
 	}
 }
 
-func TestFig7SpikesAttributed(t *testing.T) {
-	a, g := loadFixture(t)
-	spikes := a.DetectDoSSpikes(8)
-	if len(spikes) < 3 {
-		t.Fatalf("detected %d spikes, want >= 3 scripted episodes", len(spikes))
-	}
-	truth := g.Truth()
-	// Every scripted event hour should fall inside some detected spike,
-	// and the attributed device must be the planted victim.
-	events := map[string][]int{
-		"cn-ethip-1": {6, 7, 8, 53, 54, 55, 56},
-		"cn-ethip-2": {99, 127},
-	}
-	for name, hours := range events {
-		wantID := truth.EventVictims[name]
-		for _, h := range hours {
-			found := false
-			for _, sp := range spikes {
-				if h >= sp.StartHour && h <= sp.EndHour {
-					found = true
-					if sp.TopDevice != wantID {
-						t.Errorf("spike %d-%d attributed to %d want %d (%s)",
-							sp.StartHour, sp.EndHour, sp.TopDevice, wantID, name)
-					}
-					if sp.TopShare < 0.70 {
-						t.Errorf("spike %d-%d top share %v want ~1 (single victim)",
-							sp.StartHour, sp.EndHour, sp.TopShare)
-					}
-				}
-			}
-			if !found {
-				t.Errorf("event %s hour %d not inside any detected spike", name, h)
-			}
-		}
-	}
-}
-
 func TestFig8VictimCountries(t *testing.T) {
 	a, _ := loadFixture(t)
 	byVictims := a.VictimsByCountry(15, false)

@@ -27,9 +27,6 @@ func New(res *correlate.Result, inv *devicedb.Inventory, reg *geo.Registry) *Ana
 	return &Analyzer{res: res, inv: inv, reg: reg}
 }
 
-// Result exposes the underlying correlation result.
-func (a *Analyzer) Result() *correlate.Result { return a.res }
-
 // CountryRow is one country's device counts (Figs. 1a/1b).
 type CountryRow struct {
 	Code           string

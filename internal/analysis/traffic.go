@@ -293,80 +293,6 @@ func (a *Analyzer) ScannerTotals() []float64 {
 	return out
 }
 
-// DoSSpike is one detected DoS episode (Sec. IV-B1).
-type DoSSpike struct {
-	StartHour int
-	EndHour   int // inclusive
-	Packets   uint64
-	TopDevice int     // device ID dominating the spike
-	TopShare  float64 // its share of the spike packets
-}
-
-// DetectDoSSpikes finds hours whose backscatter exceeds threshold times the
-// median positive hour, groups consecutive hours into episodes, and
-// attributes each to its dominant victim — the paper's investigation that a
-// single device generates almost all packets during every spike.
-func (a *Analyzer) DetectDoSSpikes(threshold float64) []DoSSpike {
-	if threshold <= 1 {
-		threshold = 5
-	}
-	series := a.res.HourlyClassSeries(classify.Backscatter, 0)
-	var positive []float64
-	for _, v := range series {
-		if v > 0 {
-			positive = append(positive, v)
-		}
-	}
-	if len(positive) == 0 {
-		return nil
-	}
-	median := stats.Quantile(positive, 0.5)
-	if median <= 0 {
-		median = 1
-	}
-	cut := median * threshold
-
-	var spikes []DoSSpike
-	inSpike := false
-	for h := 0; h <= len(series); h++ {
-		hot := h < len(series) && series[h] > cut
-		switch {
-		case hot && !inSpike:
-			spikes = append(spikes, DoSSpike{StartHour: h, EndHour: h})
-			inSpike = true
-		case hot && inSpike:
-			spikes[len(spikes)-1].EndHour = h
-		case !hot && inSpike:
-			inSpike = false
-		}
-	}
-	// Attribute each spike to its dominant victim.
-	for i := range spikes {
-		sp := &spikes[i]
-		perDevice := make(map[int]uint64)
-		for id, ds := range a.res.Devices {
-			for h := sp.StartHour; h <= sp.EndHour; h++ {
-				if v := ds.BackscatterHourly[h]; v > 0 {
-					perDevice[id] += v
-					sp.Packets += v
-				}
-			}
-		}
-		var bestID int
-		var bestPkts uint64
-		for id, v := range perDevice {
-			if v > bestPkts || (v == bestPkts && id < bestID) {
-				bestID, bestPkts = id, v
-			}
-		}
-		sp.TopDevice = bestID
-		if sp.Packets > 0 {
-			sp.TopShare = float64(bestPkts) / float64(sp.Packets)
-		}
-	}
-	return spikes
-}
-
 // VictimCountryRow is one Fig. 8 row.
 type VictimCountryRow struct {
 	Code            string

@@ -175,27 +175,6 @@ func TestUnitCPSServices(t *testing.T) {
 	}
 }
 
-func TestUnitDetectDoSSpikes(t *testing.T) {
-	a, _ := handWorld(t)
-	spikes := a.DetectDoSSpikes(5)
-	// Positive hours: 10, 1010, 8, 12 -> median 12 (sorted 8,10,12,1010 ->
-	// index 2). Cut = 60. Only hour 3 exceeds it.
-	if len(spikes) != 1 {
-		t.Fatalf("spikes %+v", spikes)
-	}
-	sp := spikes[0]
-	if sp.StartHour != 3 || sp.EndHour != 3 {
-		t.Fatalf("spike hours %+v", sp)
-	}
-	if sp.TopDevice != 2 {
-		t.Fatalf("attributed to %d", sp.TopDevice)
-	}
-	// Device 2 contributed 990 of 1010.
-	if sp.TopShare < 0.97 || sp.TopShare > 0.99 {
-		t.Fatalf("share %v", sp.TopShare)
-	}
-}
-
 func TestUnitVictimsByCountry(t *testing.T) {
 	a, _ := handWorld(t)
 	rows := a.VictimsByCountry(5, false)
@@ -257,9 +236,6 @@ func TestUnitEmptyResultSafety(t *testing.T) {
 	}
 	if tl := a.DiscoveryTimeline(); tl != nil {
 		t.Fatal("timeline from empty result")
-	}
-	if spikes := a.DetectDoSSpikes(5); spikes != nil {
-		t.Fatal("spikes from empty result")
 	}
 	if _, ok := a.WidestPortSweep(); ok {
 		t.Fatal("sweep from empty result")

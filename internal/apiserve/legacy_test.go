@@ -18,9 +18,11 @@ import (
 	"iotscope/internal/campaign"
 	"iotscope/internal/classify"
 	"iotscope/internal/core"
+	"iotscope/internal/correlate"
 	"iotscope/internal/devicedb"
 	"iotscope/internal/netx"
 	"iotscope/internal/notify"
+	"iotscope/internal/stats"
 )
 
 // legacySnap mirrors the old Snapshot's data access.
@@ -212,7 +214,7 @@ func (sn *legacySnap) handleSpikes(w http.ResponseWriter, r *http.Request) {
 		}
 		threshold = f
 	}
-	spikes := sn.res.Analyzer.DetectDoSSpikes(threshold)
+	spikes := legacyDetectDoSSpikes(sn.res.Correlate, threshold)
 	type spikeDTO struct {
 		StartHour int     `json:"startHour"`
 		EndHour   int     `json:"endHour"`
@@ -232,6 +234,77 @@ func (sn *legacySnap) handleSpikes(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	legacyWriteJSON(w, http.StatusOK, map[string]any{"threshold": threshold, "spikes": out})
+}
+
+// legacyDoSSpike and legacyDetectDoSSpikes are the analyzer's spike
+// detector as it stood before the materialized index replaced it.
+type legacyDoSSpike struct {
+	StartHour int
+	EndHour   int // inclusive
+	Packets   uint64
+	TopDevice int     // device ID dominating the spike
+	TopShare  float64 // its share of the spike packets
+}
+
+func legacyDetectDoSSpikes(res *correlate.Result, threshold float64) []legacyDoSSpike {
+	if threshold <= 1 {
+		threshold = 5
+	}
+	series := res.HourlyClassSeries(classify.Backscatter, 0)
+	var positive []float64
+	for _, v := range series {
+		if v > 0 {
+			positive = append(positive, v)
+		}
+	}
+	if len(positive) == 0 {
+		return nil
+	}
+	median := stats.Quantile(positive, 0.5)
+	if median <= 0 {
+		median = 1
+	}
+	cut := median * threshold
+
+	var spikes []legacyDoSSpike
+	inSpike := false
+	for h := 0; h <= len(series); h++ {
+		hot := h < len(series) && series[h] > cut
+		switch {
+		case hot && !inSpike:
+			spikes = append(spikes, legacyDoSSpike{StartHour: h, EndHour: h})
+			inSpike = true
+		case hot && inSpike:
+			spikes[len(spikes)-1].EndHour = h
+		case !hot && inSpike:
+			inSpike = false
+		}
+	}
+	// Attribute each spike to its dominant victim.
+	for i := range spikes {
+		sp := &spikes[i]
+		perDevice := make(map[int]uint64)
+		for id, ds := range res.Devices {
+			for h := sp.StartHour; h <= sp.EndHour; h++ {
+				if v := ds.BackscatterHourly[h]; v > 0 {
+					perDevice[id] += v
+					sp.Packets += v
+				}
+			}
+		}
+		var bestID int
+		var bestPkts uint64
+		for id, v := range perDevice {
+			if v > bestPkts || (v == bestPkts && id < bestID) {
+				bestID, bestPkts = id, v
+			}
+		}
+		sp.TopDevice = bestID
+		if sp.Packets > 0 {
+			sp.TopShare = float64(bestPkts) / float64(sp.Packets)
+		}
+	}
+	return spikes
 }
 
 func (sn *legacySnap) handleTCPPorts(w http.ResponseWriter, _ *http.Request) {

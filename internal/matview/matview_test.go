@@ -309,24 +309,48 @@ func TestRenderReportsEveryFloor(t *testing.T) {
 	}
 }
 
-// The inverted victim index must attribute spikes exactly like the
-// analyzer's per-episode device walk.
-func TestDoSSpikesMatchesAnalysis(t *testing.T) {
-	ds, res, v := fixture(t)
-	for _, threshold := range []float64{1.5, 2.5, 8, 100} {
-		want := res.Analyzer.DetectDoSSpikes(threshold)
-		got := v.DoSSpikes(threshold)
-		if len(got) != len(want) {
-			t.Fatalf("threshold %v: %d spikes, analyzer %d", threshold, len(got), len(want))
-		}
-		for i, sp := range want {
-			g := got[i]
-			d := ds.Inventory.At(sp.TopDevice)
-			if g.StartHour != sp.StartHour || g.EndHour != sp.EndHour ||
-				g.Packets != sp.Packets || g.Victim != sp.TopDevice ||
-				g.Share != sp.TopShare || g.Country != d.Country ||
-				g.Category != d.Category.String() {
-				t.Fatalf("threshold %v spike %d: %+v vs analyzer %+v", threshold, i, g, sp)
+// Fig. 7's planted DoS episodes are detected at the report's threshold and
+// attributed to their planted victims. The events reach hour 127, so this
+// needs the full 143-hour window, not the shared 48-hour fixture.
+func TestFig7SpikesAttributed(t *testing.T) {
+	cfg := core.DefaultConfig(0.006, 2024)
+	ds, err := core.Generate(cfg, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ds.Analyze(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spikes := res.Views.DoSSpikes(8)
+	if len(spikes) < 3 {
+		t.Fatalf("detected %d spikes, want >= 3 scripted episodes", len(spikes))
+	}
+	// Every scripted event hour should fall inside some detected spike,
+	// and the attributed device must be the planted victim.
+	events := map[string][]int{
+		"cn-ethip-1": {6, 7, 8, 53, 54, 55, 56},
+		"cn-ethip-2": {99, 127},
+	}
+	for name, hours := range events {
+		wantID := ds.Truth.EventVictims[name]
+		for _, h := range hours {
+			found := false
+			for _, sp := range spikes {
+				if h >= sp.StartHour && h <= sp.EndHour {
+					found = true
+					if sp.Victim != wantID {
+						t.Errorf("spike %d-%d attributed to %d want %d (%s)",
+							sp.StartHour, sp.EndHour, sp.Victim, wantID, name)
+					}
+					if sp.Share < 0.70 {
+						t.Errorf("spike %d-%d top share %v want ~1 (single victim)",
+							sp.StartHour, sp.EndHour, sp.Share)
+					}
+				}
+			}
+			if !found {
+				t.Errorf("event %s hour %d not inside any detected spike", name, h)
 			}
 		}
 	}

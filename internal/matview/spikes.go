@@ -57,11 +57,13 @@ func (v *Views) buildSpikeIndex(res *correlate.Result) {
 	}
 }
 
-// DoSSpikes detects DoS episodes at the given threshold over the
-// materialized index, reproducing analysis.DetectDoSSpikes exactly: hours
-// whose backscatter exceeds threshold × the median positive hour, grouped
-// into consecutive episodes, each attributed to the victim with the most
-// packets in the episode (ties to the lowest device ID). Never nil.
+// DoSSpikes is the one DoS-spike detector (Sec. IV-B1): the report's
+// Fig. 7 reads it at threshold 8 and /v1/spikes at the caller's. It finds
+// the hours whose backscatter exceeds threshold × the median positive
+// hour, groups consecutive ones into episodes, and attributes each to the
+// victim with the most packets in the episode (ties to the lowest device
+// ID), the paper's finding that one device generates almost all of every
+// spike. A threshold at or below 1 reads as 5. Never nil.
 func (v *Views) DoSSpikes(threshold float64) []Spike {
 	if threshold <= 1 {
 		threshold = 5

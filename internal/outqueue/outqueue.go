@@ -155,6 +155,19 @@ type KeyState struct {
 	WindowHours int
 }
 
+// NextWindowHours is the suppression window that one more accepted report
+// puts in force: InitialWindowHours after the first, then doubling on each
+// report while under the cap.
+func (ks KeyState) NextWindowHours() int {
+	switch {
+	case ks.WindowHours == 0:
+		return InitialWindowHours
+	case ks.WindowHours < maxWindowHours:
+		return ks.WindowHours * 2
+	}
+	return ks.WindowHours
+}
+
 // Stats summarizes queue state.
 type Stats struct {
 	Items      int `json:"items"`
@@ -327,11 +340,7 @@ func (q *Queue) Enqueue(ns ...Notification) ([]Disposition, EnqueueStats, error)
 		stats.Enqueued++
 		ks.Reports++
 		ks.LastHour = n.EventHour
-		if ks.WindowHours == 0 {
-			ks.WindowHours = InitialWindowHours
-		} else if ks.WindowHours < maxWindowHours {
-			ks.WindowHours *= 2
-		}
+		ks.WindowHours = ks.NextWindowHours()
 		shadow[n.DedupKey] = ks
 		recs = append(recs, record{kind: recEnqueue, item: Item{
 			ID:           nextID,
@@ -422,11 +431,7 @@ func (q *Queue) apply(r record) error {
 			it.State = StatePending
 			ks.Reports++
 			ks.LastHour = it.EventHour
-			if ks.WindowHours == 0 {
-				ks.WindowHours = InitialWindowHours
-			} else if ks.WindowHours < maxWindowHours {
-				ks.WindowHours *= 2
-			}
+			ks.WindowHours = ks.NextWindowHours()
 		}
 		q.items = append(q.items, &it)
 		return nil

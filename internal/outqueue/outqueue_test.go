@@ -133,6 +133,16 @@ func TestSuppressionWindowDoubling(t *testing.T) {
 	if ks.WindowHours != 96 || ks.Reports != 3 || ks.Suppressed != 2 {
 		t.Fatalf("key state %+v", ks)
 	}
+	// The window a complaint states is the one its acceptance will open;
+	// the doubling stops at the cap.
+	for _, tc := range []struct{ now, next int }{
+		{0, InitialWindowHours}, {96, 192}, {maxWindowHours / 2, maxWindowHours},
+		{maxWindowHours, maxWindowHours}, {3 * maxWindowHours / 2, 3 * maxWindowHours / 2},
+	} {
+		if got := (KeyState{WindowHours: tc.now}).NextWindowHours(); got != tc.next {
+			t.Errorf("window %d h: next %d, want %d", tc.now, got, tc.next)
+		}
+	}
 
 	// Other keys are independent.
 	if ds := mustEnqueue(t, q, note("as64513", 72)); ds[0] != Enqueued {

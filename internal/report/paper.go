@@ -170,14 +170,14 @@ func Fig6(w io.Writer, an *analysis.Analyzer) error {
 	return t.Render(w)
 }
 
-// Fig7 renders the backscatter series and spike attribution.
-func Fig7(w io.Writer, res *core.Results, ds *core.Dataset) error {
-	an := res.Analyzer
+// Fig7 renders the backscatter series and the spike attribution that
+// /v1/spikes serves at its default threshold.
+func Fig7(w io.Writer, res *core.Results) error {
 	if _, err := fmt.Fprintln(w, "Fig. 7 — Hourly backscatter packets and DoS spike attribution"); err != nil {
 		return err
 	}
-	cps := an.Result().HourlyClassSeries(classify.Backscatter, devicedb.CPS)
-	cons := an.Result().HourlyClassSeries(classify.Backscatter, devicedb.Consumer)
+	cps := res.Correlate.HourlyClassSeries(classify.Backscatter, devicedb.CPS)
+	cons := res.Correlate.HourlyClassSeries(classify.Backscatter, devicedb.Consumer)
 	if err := Series(w, "CPS backscatter", cps, sparkWidth); err != nil {
 		return err
 	}
@@ -188,11 +188,10 @@ func Fig7(w io.Writer, res *core.Results, ds *core.Dataset) error {
 		Title:   "Detected DoS episodes (single-victim attribution)",
 		Headers: []string{"Hours", "Packets", "Victim device", "Country", "Realm", "Share"},
 	}
-	for _, sp := range an.DetectDoSSpikes(8) {
-		d := ds.Inventory.At(sp.TopDevice)
+	for _, sp := range res.Views.DoSSpikes(8) {
 		t.AddRow(fmt.Sprintf("%d-%d", sp.StartHour, sp.EndHour), Comma(sp.Packets),
-			strconv.Itoa(sp.TopDevice), d.Country, d.Category.String(),
-			fmt.Sprintf("%.0f%%", 100*sp.TopShare))
+			strconv.Itoa(sp.Victim), sp.Country, sp.Category,
+			fmt.Sprintf("%.0f%%", 100*sp.Share))
 	}
 	return t.Render(w)
 }
@@ -378,7 +377,7 @@ func WriteAll(w io.Writer, res *core.Results, ds *core.Dataset) error {
 		func() error { return Fig5(w, an) },
 		func() error { return Table4(w, an) },
 		func() error { return Fig6(w, an) },
-		func() error { return Fig7(w, res, ds) },
+		func() error { return Fig7(w, res) },
 		func() error { return Fig8(w, an) },
 		func() error { return Fig9(w, res, ds) },
 		func() error { return Table5(w, an) },

@@ -54,6 +54,7 @@ import (
 	"iotscope/internal/flowtuple"
 	"iotscope/internal/pipeline"
 	"iotscope/internal/resultstore"
+	"iotscope/internal/stats"
 	"iotscope/internal/wal"
 )
 
@@ -664,7 +665,7 @@ func (c *Collector) emitAlerts(st *ingest, ws correlate.WindowStats) error {
 		})
 	}
 	if c.cfg.DoSAlarm > 0 && ws.Backscatter > 0 {
-		if med := median(st.bsHours); med > 0 && float64(ws.Backscatter) > c.cfg.DoSAlarm*med {
+		if med := stats.Quantile(st.bsHours, 0.5); med > 0 && float64(ws.Backscatter) > c.cfg.DoSAlarm*med {
 			batch = append(batch, Alert{
 				Kind: KindDoSSpike, Key: fmt.Sprintf("dos/h%d", ws.Hour),
 				Hour: ws.Hour, Packets: ws.Backscatter,
@@ -751,21 +752,15 @@ func (c *Collector) fail(point string, hour int) error {
 }
 
 // rebuildBsHours reconstructs the DoS-median history from the checkpointed
-// result: one entry per ingested hour with positive backscatter — exactly
-// what the live loop appended, so an alarm decision after resume matches
-// the uninterrupted run (the median is order-independent).
+// result: the positive hours of the backscatter series the spike detector
+// reads. Hours never ingested are zero there, so this is exactly what the
+// live loop appended, and an alarm decision after resume matches the
+// uninterrupted run (the median is order-independent).
 func rebuildBsHours(inc *correlate.Incremental) []float64 {
-	bsIdx := classify.Backscatter.Index()
-	res := inc.Result()
 	var bs []float64
-	for _, h := range inc.IngestedHours() {
-		hs := res.Hourly[h]
-		var v uint64
-		for ci := range hs.PerCat {
-			v += hs.PerCat[ci].Packets[bsIdx]
-		}
+	for _, v := range inc.Result().HourlyClassSeries(classify.Backscatter, 0) {
 		if v > 0 {
-			bs = append(bs, float64(v))
+			bs = append(bs, v)
 		}
 	}
 	return bs
@@ -778,19 +773,6 @@ func sortedHours(windows map[int]*correlate.Window) []int {
 	}
 	sort.Ints(hours)
 	return hours
-}
-
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	dup := append([]float64(nil), xs...)
-	sort.Float64s(dup)
-	if n := len(dup); n%2 == 1 {
-		return dup[n/2]
-	} else {
-		return (dup[n/2-1] + dup[n/2]) / 2
-	}
 }
 
 // dominantVictim finds the device with the most backscatter in the hour.

@@ -16,12 +16,14 @@ import (
 	"time"
 
 	"iotscope/internal/campaign"
+	"iotscope/internal/classify"
 	"iotscope/internal/core"
 	"iotscope/internal/correlate"
 	"iotscope/internal/faultfs"
 	"iotscope/internal/flowtuple"
 	"iotscope/internal/pipeline"
 	"iotscope/internal/resultstore"
+	"iotscope/internal/stats"
 )
 
 // genDataset generates a synthetic dataset and returns its directory, the
@@ -737,7 +739,10 @@ func republish(staged, dir string, hours int) error {
 }
 
 // TestDoSSpikeNamesDominantVictim: a dos-spike alert carries the hour's
-// dominant victim, as the sealed state holds it.
+// dominant victim, as the sealed state holds it. The alarm is the spike
+// detector's rule read online: exactly the hours whose backscatter, in the
+// detector's series, exceeds 8x the median of the positive hours before
+// them alarm, each with that ratio.
 func TestDoSSpikeNamesDominantVictim(t *testing.T) {
 	dir, ds, cfg := genDataset(t, 21, 8)
 	ckpt := filepath.Join(t.TempDir(), "checkpoint.irs")
@@ -759,6 +764,17 @@ func TestDoSSpikeNamesDominantVictim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ratios := make(map[int]float64)
+	var prior []float64
+	for h, bs := range inc.Result().HourlyClassSeries(classify.Backscatter, 0) {
+		if bs == 0 {
+			continue
+		}
+		if med := stats.Quantile(prior, 0.5); med > 0 && bs > 8*med {
+			ratios[h] = bs / med
+		}
+		prior = append(prior, bs)
+	}
 	spikes := 0
 	for _, a := range hub.Since(0) {
 		if a.Kind != KindDoSSpike {
@@ -768,22 +784,32 @@ func TestDoSSpikeNamesDominantVictim(t *testing.T) {
 		if want := dominantVictim(inc.Result(), a.Hour); want < 0 || a.Device != want {
 			t.Errorf("hour %d spike names device %d, dominant victim is %d", a.Hour, a.Device, want)
 		}
+		if want, ok := ratios[a.Hour]; !ok || a.Ratio != want {
+			t.Errorf("hour %d spike at ratio %v, want %v (alarmed: %t)", a.Hour, a.Ratio, want, ok)
+		}
 	}
 	if spikes == 0 {
 		t.Fatal("fixture raised no dos-spike")
 	}
+	if spikes != len(ratios) {
+		t.Errorf("%d dos-spike alerts, the rule alarms on %d hours", spikes, len(ratios))
+	}
 }
 
-// The DoS alarm's one median is the true one: an even count averages the
-// middle pair (the deleted poll loop took the upper of the two).
+// The DoS alarm's median is the spike detector's, and the true one: an
+// even count averages the middle pair (the deleted poll loop took the upper
+// of the two). With no history it is NaN, which fails the alarm's med > 0.
 func TestMedian(t *testing.T) {
 	for _, tc := range []struct {
 		xs   []float64
 		want float64
-	}{{nil, 0}, {[]float64{3, 1, 2}, 2}, {[]float64{4, 1, 3, 2}, 2.5}} {
-		if got := median(tc.xs); got != tc.want {
+	}{{[]float64{3, 1, 2}, 2}, {[]float64{4, 1, 3, 2}, 2.5}} {
+		if got := stats.Quantile(tc.xs, 0.5); got != tc.want {
 			t.Errorf("median(%v) = %v, want %v", tc.xs, got, tc.want)
 		}
+	}
+	if med := stats.Quantile(nil, 0.5); med > 0 {
+		t.Errorf("median of no hours = %v, want a value failing med > 0", med)
 	}
 }
 
