@@ -52,9 +52,10 @@ race:
 # checksums repaired so mutations reach the parsers: one image per state),
 # the outbound-queue segment codec, the contact-resolver fault matrix, the
 # scenario config codec, the wal frame walker (sealed container and open
-# tail), and the malware report index;
-# plus one equivalence fuzzer, the campaign tracker fed random hour deltas
-# against a fresh Detect.
+# tail), and the malware report index; differentially against
+# encoding/json, the three JSONL table loaders (inventory, threat events,
+# malware catalog); plus one equivalence fuzzer, the campaign tracker fed
+# random hour deltas against a fresh Detect.
 fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=30s ./internal/flowtuple
 	$(GO) test -fuzz=FuzzInflate -fuzztime=30s ./internal/flowtuple
@@ -65,6 +66,9 @@ fuzz:
 	$(GO) test -fuzz=FuzzScenarioDecode -fuzztime=30s ./internal/wgen
 	$(GO) test -fuzz=FuzzFrames -fuzztime=30s ./internal/wal
 	$(GO) test -fuzz=FuzzMalwareIndex -fuzztime=30s ./internal/malwaredb
+	$(GO) test -fuzz=FuzzLoadInventory -fuzztime=30s ./internal/devicedb
+	$(GO) test -fuzz=FuzzLoadThreat -fuzztime=30s ./internal/threatintel
+	$(GO) test -fuzz=FuzzLoadCatalog -fuzztime=30s ./internal/malwaredb
 	$(GO) test -fuzz=FuzzTrackerMatchesDetect -fuzztime=30s ./internal/campaign
 
 # Serving chaos suite: signal-driven lifecycle (SIGHUP reload under load,

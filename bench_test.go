@@ -26,6 +26,7 @@ import (
 	"iotscope/internal/devicedb"
 	"iotscope/internal/fingerprint"
 	"iotscope/internal/flowtuple"
+	"iotscope/internal/malwaredb"
 	"iotscope/internal/matview"
 	"iotscope/internal/netx"
 	"iotscope/internal/notify"
@@ -34,6 +35,7 @@ import (
 	"iotscope/internal/report"
 	"iotscope/internal/resultstore"
 	"iotscope/internal/rng"
+	"iotscope/internal/scenario"
 	"iotscope/internal/stream"
 	"iotscope/internal/threatintel"
 	"iotscope/internal/wgen"
@@ -739,6 +741,51 @@ func BenchmarkOpen(b *testing.B) {
 				}
 				if (opened.MalwareSource == "index") != (mode == "index") {
 					b.Fatalf("malware database arrived by %s", opened.MalwareSource)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkLoadTables times the three JSONL loaders over serve-mixed's
+// tables (mirai-wave@1, scale 0.016, seed 1). Beside each, floor reads the same file and
+// counts its newlines: the least any loader of it does
+// (docs/PERFORMANCE.md §Opening a dataset).
+func BenchmarkLoadTables(b *testing.B) {
+	rs, err := scenario.Resolve("mirai-wave@1", scenario.Options{Scale: 0.016, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds, err := core.GenerateScenario(core.DefaultConfig(0.016, 1), rs, b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, table := range []struct {
+		name, file string
+		load       func(string) error
+	}{
+		{"inventory", core.InventoryFile, func(p string) error { _, err := devicedb.LoadFile(p); return err }},
+		{"threat", core.ThreatFile, func(p string) error { _, err := threatintel.LoadFile(p); return err }},
+		{"catalog", core.MalwareCatalogFile, func(p string) error { _, err := malwaredb.LoadCatalogFile(p); return err }},
+	} {
+		path := filepath.Join(ds.Dir, table.file)
+		b.Run(table.name+"/load", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := table.load(path); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(table.name+"/floor", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if bytes.Count(raw, []byte{'\n'}) == 0 {
+					b.Fatal("empty table")
 				}
 			}
 		})

@@ -242,13 +242,17 @@ func writeSaved(fsys wal.FS, path string, save func(io.Writer) error) error {
 	return wal.WriteAtomic(fsys, path, buf.Bytes())
 }
 
+// readJSON decodes the one JSON document in path; anything but whitespace
+// after it is an error.
 func readJSON(path string, v any) error {
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return json.NewDecoder(f).Decode(v)
+	if err := json.Unmarshal(raw, v); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
 }
 
 // Open loads a previously generated dataset. open loads its tables on

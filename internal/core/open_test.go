@@ -108,3 +108,41 @@ func TestOpenErrorPrecedence(t *testing.T) {
 		}
 	}
 }
+
+// TestOpenRejectsTrailingBytes appends bytes after the one document in
+// scenario.json and truth.json. Whitespace is allowed; anything else fails
+// the open with an error naming the file.
+func TestOpenRejectsTrailingBytes(t *testing.T) {
+	cfg := DefaultConfig(0.002, 31)
+	cfg.Hours = 2
+	ds, err := Generate(cfg, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ file, tail, stage string }{
+		{ScenarioFile, "\n \t\r\n", ""},
+		{TruthFile, "\n\n", ""},
+		{ScenarioFile, `GARBAGE{"hours":5}`, "core: read scenario: "},
+		{TruthFile, "][junk", "core: load truth: "},
+		{TruthFile, "{}", "core: load truth: "},
+	} {
+		dir := copyDataset(t, ds.Dir)
+		f, err := os.OpenFile(filepath.Join(dir, tc.file), os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(tc.tail); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Open(dir)
+		switch {
+		case tc.stage == "" && err != nil:
+			t.Errorf("%s + %q: %v", tc.file, tc.tail, err)
+		case tc.stage != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.stage) || !strings.Contains(err.Error(), tc.file)):
+			t.Errorf("%s + %q: got %v, want an error starting %q and naming the file", tc.file, tc.tail, err, tc.stage)
+		}
+	}
+}

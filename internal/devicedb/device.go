@@ -60,7 +60,7 @@ const (
 	TypeCPS
 )
 
-var typeNames = map[DeviceType]string{
+var typeNames = [...]string{
 	TypeRouter:   "router",
 	TypeIPCamera: "ip-camera",
 	TypePrinter:  "printer",
@@ -72,16 +72,16 @@ var typeNames = map[DeviceType]string{
 
 // String implements fmt.Stringer.
 func (t DeviceType) String() string {
-	if s, ok := typeNames[t]; ok {
-		return s
+	if t >= TypeRouter && int(t) < len(typeNames) {
+		return typeNames[t]
 	}
 	return fmt.Sprintf("type-%d", uint8(t))
 }
 
 // ParseDeviceType inverts DeviceType.String.
 func ParseDeviceType(s string) (DeviceType, error) {
-	for t, name := range typeNames {
-		if name == s {
+	for t := TypeRouter; int(t) < len(typeNames); t++ {
+		if typeNames[t] == s {
 			return t, nil
 		}
 	}

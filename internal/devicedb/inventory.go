@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 
+	"iotscope/internal/jsonl"
 	"iotscope/internal/netx"
 )
 
@@ -80,28 +81,46 @@ func (inv *Inventory) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads a JSONL inventory.
+// Load reads a JSONL inventory (package jsonl states the grammar it
+// accepts).
 func Load(r io.Reader) (*Inventory, error) {
-	dec := json.NewDecoder(bufio.NewReaderSize(r, 1<<16))
 	var devices []Device
-	for line := 0; ; line++ {
+	err := jsonl.Each(r, func(o *jsonl.Object) error {
 		var rec deviceJSON
-		if err := dec.Decode(&rec); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("devicedb: line %d: %w", line+1, err)
+		for o.Next() {
+			switch string(o.Key()) {
+			case "id":
+				rec.ID = o.Int()
+			case "ip":
+				rec.IP = o.Text()
+			case "category":
+				rec.Category = o.Symbol()
+			case "type":
+				rec.Type = o.Symbol()
+			case "country":
+				rec.Country = o.Symbol()
+			case "isp":
+				rec.ISP = o.Int()
+			case "services":
+				rec.Services = o.Symbols()
+			default:
+				return o.UnknownKey()
+			}
+		}
+		if err := o.Err(); err != nil {
+			return err
 		}
 		ip, err := netx.ParseAddr(rec.IP)
 		if err != nil {
-			return nil, fmt.Errorf("devicedb: line %d: %w", line+1, err)
+			return err
 		}
 		cat, err := ParseCategory(rec.Category)
 		if err != nil {
-			return nil, fmt.Errorf("devicedb: line %d: %w", line+1, err)
+			return err
 		}
 		typ, err := ParseDeviceType(rec.Type)
 		if err != nil {
-			return nil, fmt.Errorf("devicedb: line %d: %w", line+1, err)
+			return err
 		}
 		devices = append(devices, Device{
 			ID:       rec.ID,
@@ -112,6 +131,10 @@ func Load(r io.Reader) (*Inventory, error) {
 			ISP:      rec.ISP,
 			Services: rec.Services,
 		})
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("devicedb: %w", err)
 	}
 	return NewInventory(devices)
 }

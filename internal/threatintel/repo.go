@@ -14,6 +14,7 @@ import (
 	"os"
 	"sort"
 
+	"iotscope/internal/jsonl"
 	"iotscope/internal/netx"
 )
 
@@ -183,26 +184,44 @@ func (r *Repository) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads a JSONL repository.
+// Load reads a JSONL repository (package jsonl states the grammar it
+// accepts).
 func Load(rd io.Reader) (*Repository, error) {
 	repo := NewRepository()
-	dec := json.NewDecoder(bufio.NewReaderSize(rd, 1<<16))
-	for line := 1; ; line++ {
+	err := jsonl.Each(rd, func(o *jsonl.Object) error {
 		var rec eventJSON
-		if err := dec.Decode(&rec); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("threatintel: line %d: %w", line, err)
+		for o.Next() {
+			switch string(o.Key()) {
+			case "ip":
+				rec.IP = o.Text()
+			case "category":
+				rec.Category = o.Symbol()
+			case "source":
+				rec.Source = o.Symbol()
+			case "day":
+				rec.Day = o.Int()
+			case "detail":
+				rec.Detail = o.Text()
+			default:
+				return o.UnknownKey()
+			}
+		}
+		if err := o.Err(); err != nil {
+			return err
 		}
 		ip, err := netx.ParseAddr(rec.IP)
 		if err != nil {
-			return nil, fmt.Errorf("threatintel: line %d: %w", line, err)
+			return err
 		}
 		cat, err := ParseCategory(rec.Category)
 		if err != nil {
-			return nil, fmt.Errorf("threatintel: line %d: %w", line, err)
+			return err
 		}
 		repo.Add(Event{IP: ip, Category: cat, Source: rec.Source, Day: rec.Day, Detail: rec.Detail})
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("threatintel: %w", err)
 	}
 	return repo, nil
 }
