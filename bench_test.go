@@ -592,18 +592,14 @@ func BenchmarkColdStart(b *testing.B) {
 }
 
 // BenchmarkSnapshotAnalyze is the baseline a valid store short-circuits
-// in core.LoadSnapshotOpts: verifying every raw hour file and re-deriving
-// the correlation state from them (the verify and correlate stages both
-// skip when a store loads).
+// in core.LoadSnapshotOpts: re-deriving the correlation state from the raw
+// hour files (the correlate stage does not run when a store loads).
 func BenchmarkSnapshotAnalyze(b *testing.B) {
 	ds, _ := benchFixture(b)
 	c := correlate.New(ds.Inventory, correlate.Options{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := ds.VerifyHours(context.Background()); err != nil {
-			b.Fatal(err)
-		}
 		if _, err := c.ProcessDataset(context.Background(), ds.Dir); err != nil {
 			b.Fatal(err)
 		}

@@ -191,13 +191,13 @@ func TestChaosSIGHUPReloadUnderLoad(t *testing.T) {
 // TestChaosCorruptReloadKeepsOldSnapshot corrupts an hour file, sends
 // SIGHUP, and requires: generation stays at 1, data endpoints keep
 // serving from the old snapshot, and /healthz reports degraded with the
-// verify error — the bad reload must never crash or blank the API.
+// correlate error — the bad reload must never crash or blank the API.
 func TestChaosCorruptReloadKeepsOldSnapshot(t *testing.T) {
 	dir := copyDataset(t, fixture(t))
 	base, done := startServer(t, dir)
 
-	// Structurally corrupt one hour file (bit flips mid-body): Verify
-	// must reject the reload.
+	// Structurally corrupt one hour file (bit flips mid-body): the strict
+	// correlate stage must reject the reload.
 	path := flowtuple.HourPath(dir, 1)
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -237,6 +237,59 @@ func TestChaosCorruptReloadKeepsOldSnapshot(t *testing.T) {
 	// The old snapshot still serves.
 	if code, _ := getJSON(t, base+"/v1/summary", chaosToken); code != http.StatusOK {
 		t.Fatalf("summary after corrupt reload: %d", code)
+	}
+	shutdown(t, done)
+}
+
+// TestReloadPollPicksUpRename boots without -snapshot under -reload-poll,
+// renames a file into the dataset directory, and requires the poll to
+// reload: the generation advances and /v1/pipeline shows the reload's
+// open, load-store (skipped, no store) and analyze stages, and no verify.
+func TestReloadPollPicksUpRename(t *testing.T) {
+	dir := copyDataset(t, fixture(t))
+	base, done := startServer(t, dir, "-reload-poll", "50ms")
+	if gen := generation(t, base); gen != 1 {
+		t.Fatalf("boot generation %d", gen)
+	}
+
+	// Publish hour 1 again the way a collector does: write aside, rename in.
+	raw, err := os.ReadFile(flowtuple.HourPath(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	aside := filepath.Join(t.TempDir(), "hour-001.ft.gz")
+	if err := os.WriteFile(aside, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(aside, flowtuple.HourPath(dir, 1)); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for generation(t, base) < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("the poll never reloaded")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	code, rep := getJSON(t, base+"/v1/pipeline", chaosToken)
+	if code != http.StatusOK {
+		t.Fatalf("/v1/pipeline code %d", code)
+	}
+	status := map[string]string{}
+	stages, _ := rep["stages"].([]any)
+	for _, st := range stages {
+		m, _ := st.(map[string]any)
+		name, _ := m["name"].(string)
+		status[name], _ = m["status"].(string)
+	}
+	for name, want := range map[string]string{"open": "ok", "load-store": "skipped", "analyze": "ok", "correlate": "ok"} {
+		if status[name] != want {
+			t.Errorf("stage %q = %q, want %q (stages %v)", name, status[name], want, status)
+		}
+	}
+	if _, ok := status["verify"]; ok {
+		t.Errorf("the reload ran a verify stage: %v", status)
 	}
 	shutdown(t, done)
 }

@@ -9,19 +9,19 @@
 //     in-flight requests finish (bounded by -drain), and a clean close
 //     exits 0.
 //   - SIGHUP hot-reloads the dataset: the load runs as a staged pipeline
-//     (open → load-store → verify → analyze, see core.LoadSnapshotOpts)
-//     under the -reload-timeout deadline before an atomic swap; a bad or
-//     overrun reload keeps the old snapshot serving and marks health
-//     degraded. -reload-poll additionally watches the dataset directory
-//     mtime and reloads when it changes. The latest load's per-stage
-//     report is served at /v1/pipeline and written to -stage-report.
+//     (open → load-store → analyze, see core.LoadSnapshotOpts) under the
+//     -reload-timeout deadline before an atomic swap; a bad or overrun
+//     reload keeps the old snapshot serving and marks health degraded.
+//     -reload-poll additionally watches the dataset directory mtime and
+//     reloads when it changes. The latest load's per-stage report is
+//     served at /v1/pipeline and written to -stage-report.
 //   - -snapshot FILE cold-starts from a result store artifact written by
-//     iotinfer -save, skipping verification and re-analysis. At boot a
-//     corrupt, truncated, or stale artifact falls back to raw analysis
-//     with the reason surfaced as degraded health; on hot reload the
-//     store is mandatory (a bad artifact keeps the old snapshot — a
-//     reload must never silently pay a full re-analysis). /healthz
-//     reports the provenance either way.
+//     iotinfer -save, skipping re-analysis. At boot a corrupt, truncated,
+//     or stale artifact falls back to raw analysis with the reason
+//     surfaced as degraded health; on hot reload the store is mandatory
+//     (a bad artifact keeps the old snapshot — a reload must never
+//     silently pay a full re-analysis). /healthz reports the provenance
+//     either way.
 //   - Admission control sheds load instead of collapsing: -max-inflight
 //     caps concurrency (503 + Retry-After), -rate/-burst rate-limit each
 //     token (429 + Retry-After), and -request-timeout propagates a
@@ -135,7 +135,7 @@ func run(args []string) error {
 		}
 	}
 
-	fmt.Fprintf(os.Stderr, "loading and verifying dataset %s ...\n", *data)
+	fmt.Fprintf(os.Stderr, "loading dataset %s ...\n", *data)
 	// At boot a bad store falls back to raw analysis (RequireStore false):
 	// better to come up degraded than not at all.
 	ds, res, prov, loadRep, err := core.LoadSnapshotOpts(context.Background(), *data,
@@ -269,14 +269,15 @@ func run(args []string) error {
 	}
 }
 
-// reload validates, analyzes, and swaps in the dataset at dir, running the
-// load pipeline under the reload deadline. With a store configured the
-// reload is gated on it verifying (RequireStore): a corrupt or stale
-// artifact rejects the reload and the old snapshot keeps serving — a hot
-// reload must never fall back to a surprise full re-analysis inside the
-// deadline. On any failure the current snapshot keeps serving and health
-// reports degraded. The per-stage report of the attempt (successful or
-// not) replaces the one served at /v1/pipeline.
+// reload analyzes and swaps in the dataset at dir, running the load
+// pipeline under the reload deadline; its strict correlate stage refuses a
+// missing or damaged hour file. With a store configured the reload is
+// gated on it verifying (RequireStore): a corrupt or stale artifact rejects
+// the reload and the old snapshot keeps serving — a hot reload must never
+// fall back to a surprise full re-analysis inside the deadline. On any
+// failure the current snapshot keeps serving and health reports degraded.
+// The per-stage report of the attempt (successful or not) replaces the one
+// served at /v1/pipeline.
 func reload(api *apiserve.Server, dir, store string, timeout time.Duration) {
 	ctx := context.Background()
 	if timeout > 0 {

@@ -26,6 +26,7 @@ var exportAllowlist = map[string]string{
 	// ROADMAP item 4 moves the ledger onto what the binaries call and
 	// empties this group.
 	"core.Dataset.OpenSnapshot":           "perfledger times the snapshot load through it",
+	"core.Dataset.VerifyHours":            "perfledger times the hour-file verify pass through it",
 	"correlate.Correlator.ProcessDataset": "perfledger times the batch join through it",
 	"correlate.Incremental.Ingest":        "perfledger times the incremental join through it",
 	"matview.Build":                       "perfledger times the view build through it",

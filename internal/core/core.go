@@ -372,7 +372,6 @@ const (
 const (
 	StageOpen      = "open"
 	StageLoadStore = "load-store"
-	StageVerify    = "verify"
 	StageLoad      = "analyze"
 	StageSaveStore = "save-store"
 )

@@ -9,10 +9,9 @@ import (
 
 // VerifyHours replays every hour file of the dataset end to end with
 // flowtuple.Verify (header, framing, footer count, gzip checksum) and
-// returns the first failure, wrapped with its hour. This is the
-// validation gate hot reload runs before committing to a snapshot: a
-// dataset that fails verification must never replace one that serves.
-// Cancellation is checked between hour files.
+// returns the first failure, wrapped with its hour. No load runs it: the
+// strict correlate stage reads the same bytes through the same reader and
+// rejects the same damage. Cancellation is checked between hour files.
 func (ds *Dataset) VerifyHours(ctx context.Context) error {
 	for h := 0; h < ds.Scenario.Hours; h++ {
 		if err := ctx.Err(); err != nil {

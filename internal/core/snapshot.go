@@ -128,21 +128,23 @@ func storeErrClass(err error) string {
 // LoadSnapshotOpts opens the dataset at dir and produces a complete,
 // servable (Dataset, Results) pair as stages of one pipeline:
 //
-//	open → load-store → verify → analyze
+//	open → load-store → analyze
 //
 // With a store configured, reading it (file, decode, live Result) needs only
 // its path, so it runs on its own goroutine from before open starts;
 // load-store joins it and then checks the result against the dataset as
 // OpenSnapshot does. A valid store installs its correlation result and the
-// digest the codec took off its bytes, verify is skipped (the codec already
-// replayed every checksum), and analyze runs only the downstream stages,
-// whose materialize stage has no digest left to compute. Without a store —
-// or when the configured one is corrupt, truncated, or stale and RequireStore
-// is false — load-store skips with the reason in its stage note, raw hours
-// are verified, and the full analysis runs. Either way the returned
-// Provenance says which path produced the state, so servers can surface
-// the fallback as degraded health. The report is returned even on failure
-// and records which stage stopped the load.
+// digest the codec took off its bytes (the codec already replayed every
+// checksum), and analyze runs only the downstream stages, whose materialize
+// stage has no digest left to compute. Without a store — or when the
+// configured one is corrupt, truncated, or stale and RequireStore is false —
+// load-store skips with the reason in its stage note and the full analysis
+// runs. Its strict correlate stage is the integrity gate: it refuses a
+// missing or out-of-span hour file before reading any, then reads every
+// hour to its footer and checksum and fails with the lowest damaged one.
+// Either way the returned Provenance says which path produced the state, so
+// servers can surface the fallback as degraded health. The report is
+// returned even on failure and records which stage stopped the load.
 func LoadSnapshotOpts(ctx context.Context, dir string, opts LoadOptions) (*Dataset, *Results, Provenance, *pipeline.Report, error) {
 	var ds *Dataset
 	res := &Results{}
@@ -197,17 +199,6 @@ func LoadSnapshotOpts(ctx context.Context, dir string, opts LoadOptions) (*Datas
 			m.RecordsOut = uint64(len(loaded.Devices))
 			m.Note = fmt.Sprintf("loaded %s (read %.1fms, overlapping open)", opts.Store, float64(r.took.Microseconds())/1000)
 			return nil
-		}),
-		pipeline.Func(StageVerify, func(ctx context.Context) error {
-			m := pipeline.Meter(ctx)
-			if prov.Source == "store" {
-				m.Note = "store CRCs already replayed; raw hours not re-verified"
-				return pipeline.ErrSkipped
-			}
-			m.RecordsIn = uint64(ds.Scenario.Hours)
-			err := ds.VerifyHours(ctx)
-			classifyIngestErr(m, err)
-			return err
 		}),
 		// The analysis sequence is composed at run time: the dataset (and
 		// with it the stage closures) only exists once "open" has run, and

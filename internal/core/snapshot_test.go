@@ -32,8 +32,8 @@ func saveE2ESnapshot(t *testing.T, res *Results) string {
 }
 
 // A valid store short-circuits inference: the loaded pair is byte-identical
-// to the analyzed one, the verify and correlate stages are skipped/absent,
-// and provenance names the store.
+// to the analyzed one, the correlate stage is absent, and provenance names
+// the store.
 func TestLoadSnapshotFromStore(t *testing.T) {
 	ds, res := loadE2E(t)
 	store := saveE2ESnapshot(t, res)
@@ -59,9 +59,6 @@ func TestLoadSnapshotFromStore(t *testing.T) {
 	}
 	if m := stageOf(rep, StageLoadStore); m == nil || m.Status != pipeline.StatusOK {
 		t.Fatalf("load-store stage = %+v, want ok", m)
-	}
-	if m := stageOf(rep, StageVerify); m == nil || m.Status != pipeline.StatusSkipped {
-		t.Fatalf("verify stage = %+v, want skipped", m)
 	}
 	if m := stageOf(rep, StageCorrelate); m != nil {
 		t.Fatalf("correlate ran despite store load: %+v", m)
@@ -94,7 +91,7 @@ func TestLoadSnapshotStoreFallback(t *testing.T) {
 	} else if m.ErrorClass != "corrupt" {
 		t.Fatalf("load-store errorClass = %q, want corrupt", m.ErrorClass)
 	}
-	for _, name := range []string{StageVerify, StageCorrelate} {
+	for _, name := range []string{StageCorrelate} {
 		if m := stageOf(rep, name); m == nil || m.Status != pipeline.StatusOK {
 			t.Fatalf("stage %q = %+v, want ok (full analysis fallback)", name, m)
 		}
@@ -269,7 +266,7 @@ func TestLoadSnapshotArms(t *testing.T) {
 					shape := func(want string) {
 						t.Helper()
 						var got []string
-						for _, stage := range []string{StageOpen, StageLoadStore, StageVerify, StageLoad} {
+						for _, stage := range []string{StageOpen, StageLoadStore, StageLoad} {
 							m := stageOf(rep, stage)
 							if m == nil {
 								t.Fatalf("stage %q missing from the report", stage)
@@ -295,7 +292,7 @@ func TestLoadSnapshotArms(t *testing.T) {
 						if gotDS != nil || gotRes != nil || prov != (Provenance{Source: "analyze"}) {
 							t.Fatalf("a failed open returned %v, %v, %+v", gotDS, gotRes, prov)
 						}
-						shape("open=failed/internal load-store=skipped verify=skipped analyze=skipped")
+						shape("open=failed/internal load-store=skipped analyze=skipped")
 					case sc.errIs == nil:
 						if err != nil {
 							t.Fatal(err)
@@ -304,7 +301,7 @@ func TestLoadSnapshotArms(t *testing.T) {
 						if prov != want {
 							t.Fatalf("provenance %+v, want %+v", prov, want)
 						}
-						shape("open=ok load-store=ok verify=skipped analyze=ok")
+						shape("open=ok load-store=ok analyze=ok")
 						if stageOf(rep, StageCorrelate) != nil {
 							t.Fatal("correlate ran although the store loaded")
 						}
@@ -318,7 +315,7 @@ func TestLoadSnapshotArms(t *testing.T) {
 						if gotDS != nil || gotRes != nil || prov != (Provenance{Source: "analyze"}) {
 							t.Fatalf("a refused store returned %v, %v, %+v", gotDS, gotRes, prov)
 						}
-						shape("open=ok load-store=failed/" + sc.class + " verify=skipped analyze=skipped")
+						shape("open=ok load-store=failed/" + sc.class + " analyze=skipped")
 					default:
 						if err != nil {
 							t.Fatal(err)
@@ -326,7 +323,7 @@ func TestLoadSnapshotArms(t *testing.T) {
 						if prov.Source != "analyze" || prov.StorePath != "" || prov.Fallback == "" {
 							t.Fatalf("provenance %+v, want analyze with the fallback's reason", prov)
 						}
-						shape("open=ok load-store=skipped/" + sc.class + " verify=ok analyze=ok")
+						shape("open=ok load-store=skipped/" + sc.class + " analyze=ok")
 						if m := stageOf(rep, StageCorrelate); m == nil || m.Status != "ok" {
 							t.Fatalf("correlate stage %+v, want ok", m)
 						}

@@ -99,8 +99,10 @@ func isCtxErr(err error) bool {
 // complete. Merges commute, so worker scheduling cannot change the result.
 //
 // Under the Strict policy the run fails with the lowest failing hour's
-// error; under Lenient a failing hour is booked and quarantined exactly as
-// an incremental caller that gave up on it would, and the rest ingested.
+// error, and no hour is dispatched once one has failed: hours go out in
+// ascending order, so none not yet dispatched could be the lowest. Under
+// Lenient a failing hour is booked and quarantined exactly as an
+// incremental caller that gave up on it would, and the rest ingested.
 //
 // Cancelling ctx stops the run promptly: workers check ctx between record
 // batches, no further hours are dispatched, in-flight windows are aborted
@@ -135,6 +137,9 @@ func (c *Correlator) processDataset(ctx context.Context, dir string) (*Result, [
 		routed  = make([]atomic.Uint64, c.opts.Shards)
 		errHour = -1
 		hourErr error
+		// failed is set by a strict worker whose hour failed, before it
+		// frees its slot, so the dispatcher sees it once the slot is won.
+		failed atomic.Bool
 	)
 	go func() {
 		defer close(done)
@@ -155,16 +160,20 @@ func (c *Correlator) processDataset(ctx context.Context, dir string) (*Result, [
 			}
 		}
 	}()
+	strict := c.opts.FaultPolicy != Lenient
 	for _, hour := range hours {
-		if ctx.Err() != nil {
+		sem <- struct{}{}
+		if ctx.Err() != nil || failed.Load() {
 			break // stop dispatching; drained below
 		}
 		wg.Add(1)
-		sem <- struct{}{}
 		go func(hour int) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			s, err := inc.readHour(ctx, dir, hour, routed)
+			if strict && err != nil && !isCtxErr(err) {
+				failed.Store(true)
+			}
 			parts <- hourOutcome{hour: hour, s: s, err: err}
 		}(hour)
 	}

@@ -5,6 +5,9 @@ import (
 	"errors"
 	"os"
 	"reflect"
+	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 
 	"iotscope/internal/faultfs"
@@ -92,6 +95,59 @@ func TestStrictFailsFastDeterministically(t *testing.T) {
 		if errors.Is(err, flowtuple.ErrTruncated) {
 			t.Fatalf("strict error should be hour 2's permanent corruption, got %v", err)
 		}
+	}
+}
+
+// With one worker, a strict run opens no hour file after the lowest damaged
+// one. Hours 3 and 5 become FIFOs: opening one for reading blocks until a
+// writer opens it too, so a watcher per FIFO learns of every open.
+func TestStrictStopsDispatchAfterFailure(t *testing.T) {
+	dir, g := damagedDataset(t)
+	var settled atomic.Bool
+	opened := make(chan int, 2)
+	var wg sync.WaitGroup
+	fifos := []int{3, 5}
+	for _, h := range fifos {
+		path := flowtuple.HourPath(dir, h)
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+		if err := syscall.Mkfifo(path, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w, err := os.OpenFile(path, os.O_WRONLY, 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			// The reader blocks on the empty FIFO until this close, so the
+			// run cannot have returned yet when an open by it is seen here.
+			if !settled.Load() {
+				opened <- h
+			}
+			w.Close()
+		}()
+	}
+	_, err := New(g.Inventory(), Options{Workers: 1}).ProcessDataset(context.Background(), dir)
+	settled.Store(true)
+	// Release the watchers whose FIFO nobody opened.
+	for _, h := range fifos {
+		r, err := os.OpenFile(flowtuple.HourPath(dir, h), os.O_RDONLY|syscall.O_NONBLOCK, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Close()
+	}
+	wg.Wait()
+	close(opened)
+	for h := range opened {
+		t.Errorf("strict run opened hour %d after hour 2 failed", h)
+	}
+	if !errors.Is(err, flowtuple.ErrBadFormat) || errors.Is(err, flowtuple.ErrTruncated) {
+		t.Fatalf("strict error %v, want hour 2's corruption", err)
 	}
 }
 

@@ -60,10 +60,10 @@ const (
 // ErrSkipped, returned by a stage's Run, marks the stage skipped without
 // failing the pipeline: the engine records StatusSkipped and continues with
 // the next stage. A stage that decides at run time it has nothing to do
-// (e.g. a snapshot loader with no store configured, or a verify pass made
-// redundant by a loaded store) returns ErrSkipped — optionally wrapped with
-// context — and sets Meter(ctx).Note to say why, so the decision is
-// surfaced in the report rather than silently absorbed.
+// (e.g. a snapshot loader with no store configured, or one whose store is
+// unusable and falls back to analysis) returns ErrSkipped — optionally
+// wrapped with context — and sets Meter(ctx).Note to say why, so the
+// decision is surfaced in the report rather than silently absorbed.
 var ErrSkipped = errors.New("pipeline: stage skipped")
 
 // StageMetrics is one stage's observability record. Stages fill the
@@ -187,8 +187,9 @@ func Attach(ctx context.Context, name string) *StageMetrics {
 }
 
 // ErrorClass buckets an error for the report: context cancellation and
-// deadlines are distinguished from missing inputs and everything else, and
-// errors may override the bucket by implementing ErrorClass() string.
+// deadlines are distinguished from missing inputs and everything else.
+// A stage with finer knowledge (retryable, corrupt, stale) sets
+// Meter(ctx).ErrorClass itself, and the engine keeps it.
 func ErrorClass(err error) string {
 	switch {
 	case err == nil:
@@ -199,10 +200,6 @@ func ErrorClass(err error) string {
 		return "deadline"
 	case errors.Is(err, fs.ErrNotExist):
 		return "missing"
-	}
-	var classed interface{ ErrorClass() string }
-	if errors.As(err, &classed) {
-		return classed.ErrorClass()
 	}
 	return "internal"
 }

@@ -187,11 +187,6 @@ func TestSequenceCompositeRegistersChildren(t *testing.T) {
 	}
 }
 
-type classedErr struct{}
-
-func (classedErr) Error() string      { return "bad frame" }
-func (classedErr) ErrorClass() string { return "corrupt" }
-
 func TestErrorClass(t *testing.T) {
 	cases := []struct {
 		err  error
@@ -201,8 +196,6 @@ func TestErrorClass(t *testing.T) {
 		{context.Canceled, "canceled"},
 		{context.DeadlineExceeded, "deadline"},
 		{fmt.Errorf("wrap: %w", os.ErrNotExist), "missing"},
-		{classedErr{}, "corrupt"},
-		{fmt.Errorf("wrap: %w", classedErr{}), "corrupt"},
 		{errors.New("plain"), "internal"},
 	}
 	for _, c := range cases {

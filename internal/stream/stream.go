@@ -251,7 +251,6 @@ type ingest struct {
 	inc     *correlate.Incremental
 	tracker *campaign.Tracker          // nil without Config.Campaigns
 	ckpt    *resultstore.CheckpointLog // nil without a CheckpointPath
-	bsHours []float64                  // positive backscatter hours, for the DoS median
 }
 
 // windowStage is the per-run state of the window stage: event time and
@@ -335,7 +334,6 @@ func (c *Collector) runOnce(ctx context.Context) (err error) {
 		ws.sealed[h], skip[h] = true, true
 		ws.maxHour = max(ws.maxHour, h)
 	}
-	st.bsHours = rebuildBsHours(inc)
 	c.mu.Lock()
 	c.stats.MaxHour = ws.maxHour
 	c.stats.Watermark = ws.watermark()
@@ -657,6 +655,7 @@ func (c *Collector) quarantine(st *ingest, h int, cause error) error {
 // Derivation is deterministic given the checkpointed state, which is what
 // makes resume re-derivation + key dedup add up to exactly-once.
 func (c *Collector) emitAlerts(st *ingest, ws correlate.WindowStats) error {
+	res := st.inc.Result()
 	var batch []Alert
 	for _, id := range ws.Fresh {
 		batch = append(batch, Alert{
@@ -665,18 +664,25 @@ func (c *Collector) emitAlerts(st *ingest, ws correlate.WindowStats) error {
 		})
 	}
 	if c.cfg.DoSAlarm > 0 && ws.Backscatter > 0 {
-		if med := stats.Quantile(st.bsHours, 0.5); med > 0 && float64(ws.Backscatter) > c.cfg.DoSAlarm*med {
+		// The history is the positive hours sealed before this one; hours
+		// not yet sealed are zero in the series, and the median ignores order.
+		var prior []float64
+		for h, v := range res.HourlyClassSeries(classify.Backscatter, 0) {
+			if v > 0 && h != ws.Hour {
+				prior = append(prior, v)
+			}
+		}
+		if med := stats.Quantile(prior, 0.5); med > 0 && float64(ws.Backscatter) > c.cfg.DoSAlarm*med {
 			batch = append(batch, Alert{
 				Kind: KindDoSSpike, Key: fmt.Sprintf("dos/h%d", ws.Hour),
 				Hour: ws.Hour, Packets: ws.Backscatter,
 				Ratio:  float64(ws.Backscatter) / med,
-				Device: dominantVictim(st.inc.Result(), ws.Hour),
+				Device: dominantVictim(res, ws.Hour),
 			})
 		}
-		st.bsHours = append(st.bsHours, float64(ws.Backscatter))
 	}
 	if st.tracker != nil {
-		st.tracker.Observe(st.inc.Result(), ws.TCPPorts, ws.TCPGained)
+		st.tracker.Observe(res, ws.TCPPorts, ws.TCPGained)
 		batch = append(batch, campaignAlerts(st.tracker.Campaigns(), ws.Hour)...)
 	}
 	return c.journal(batch)
@@ -749,21 +755,6 @@ func (c *Collector) fail(point string, hour int) error {
 		return nil
 	}
 	return c.failpoint(point, hour)
-}
-
-// rebuildBsHours reconstructs the DoS-median history from the checkpointed
-// result: the positive hours of the backscatter series the spike detector
-// reads. Hours never ingested are zero there, so this is exactly what the
-// live loop appended, and an alarm decision after resume matches the
-// uninterrupted run (the median is order-independent).
-func rebuildBsHours(inc *correlate.Incremental) []float64 {
-	var bs []float64
-	for _, v := range inc.Result().HourlyClassSeries(classify.Backscatter, 0) {
-		if v > 0 {
-			bs = append(bs, v)
-		}
-	}
-	return bs
 }
 
 func sortedHours(windows map[int]*correlate.Window) []int {
