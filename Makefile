@@ -90,32 +90,48 @@ bench:
 # The repository benchmark (BENCHMARK.json, tools/perfledger/README.md): one
 # workload's ten end-to-end metrics plus, traced, the per-layer ledger.
 # make perf W=batch-paper SEED=7
-W ?= stream-follow
+perf: W ?= stream-follow
 SEED ?= 1
 perf:
 	bash tools/perfledger/run.sh --workload $(W) --seed $(SEED) --seconds 24 --trace 1
 
-# The repository benchmark on two commits, judged: ten alternating pairs
-# (the guides' minimum; seeds 1-10) of the checkout against BASE, exported
-# into the build dir, then benchdiff's verdict per end-to-end metric under
-# BENCHMARK.json's bounds (docs/PERFORMANCE.md §Measuring). ≈15 minutes.
+# The workloads BENCHMARK.json declares, in its order.
+WORKLOADS = $(shell sed -n '/"workloads"/,/]/s/.*"name": *"\([^"]*\)".*/\1/p' BENCHMARK.json)
+
+# The repository benchmark on two commits, judged: for W, or for every
+# workload when W is unset, ten alternating pairs (the guides' minimum; seeds
+# 1-10) of the checkout against BASE, exported into the build dir, then one
+# benchdiff verdict table per workload under BENCHMARK.json's bounds
+# (docs/PERFORMANCE.md §Measuring). ≈15 minutes a workload. The first run
+# that fails or prints no result line stops the target, naming its side,
+# workload and seed; a regressed table fails it once every table is printed.
 #   make perfdiff BASE=HEAD~1 W=batch-paper
 perfdiff:
 	@test -n "$(BASE)" || { echo "usage: make perfdiff BASE=<rev> [W=<workload>]" >&2; exit 2; }
-	rm -rf .bench_build/base .bench_build/parent.jsonl .bench_build/change.jsonl
+	rm -rf .bench_build/base .bench_build/parent*.jsonl .bench_build/change*.jsonl
 	mkdir -p .bench_build/base
 	git archive $(BASE) | tar -x -C .bench_build/base
-	once() { bash tools/perfledger/run.sh --workload $(W) --seed $$1 --seconds 24 --trace 0 | tail -1; }; \
-	for i in 1 2 3 4 5 6 7 8 9 10; do \
-		if [ $$((i % 2)) = 1 ]; then \
-			(cd .bench_build/base && once $$i) >> .bench_build/parent.jsonl; \
-			once $$i >> .bench_build/change.jsonl; \
-		else \
-			once $$i >> .bench_build/change.jsonl; \
-			(cd .bench_build/base && once $$i) >> .bench_build/parent.jsonl; \
-		fi; \
-	done
-	$(GO) run ./tools/benchdiff -parent .bench_build/parent.jsonl -change .bench_build/change.jsonl
+	@once() { \
+		dir=.; [ $$1 = change ] || dir=.bench_build/base; \
+		out=$$(cd $$dir && bash tools/perfledger/run.sh --workload $$2 --seed $$3 --seconds 24 --trace 0) || \
+			{ echo "perfdiff: the $$1 run of $$2, seed $$3, exited $$?" >&2; return 1; }; \
+		line=$$(printf '%s\n' "$$out" | tail -1); \
+		case $$line in '{'*) ;; *) echo "perfdiff: the $$1 run of $$2, seed $$3, printed no result line" >&2; return 1 ;; esac; \
+		printf '%s\n' "$$line" >> .bench_build/$$1-$$2.jsonl; \
+	}; \
+	status=0; \
+	for w in $(or $(W),$(WORKLOADS)); do \
+		for i in 1 2 3 4 5 6 7 8 9 10; do \
+			if [ $$((i % 2)) = 1 ]; then \
+				once parent $$w $$i && once change $$w $$i || exit 1; \
+			else \
+				once change $$w $$i && once parent $$w $$i || exit 1; \
+			fi; \
+		done; \
+		echo "== $$w"; \
+		$(GO) run ./tools/benchdiff -parent .bench_build/parent-$$w.jsonl -change .bench_build/change-$$w.jsonl || status=1; \
+	done; \
+	exit $$status
 
 # Non-test and test Go lines per package, the figures pruning PRs quote in
 # CHANGES.md. make loc | grep -E 'correlate|core$$|iotinfer'

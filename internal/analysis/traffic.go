@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sort"
 
 	"iotscope/internal/classify"
@@ -214,10 +216,13 @@ func (a *Analyzer) TopScanServices(defs []ScanServiceDef) []ScanServiceRow {
 // one service definition.
 func (a *Analyzer) ServiceHourlySeries(def ScanServiceDef) []float64 {
 	out := make([]float64, a.res.Hours)
-	for _, port := range def.Ports {
-		for h := 0; h < a.res.Hours; h++ {
-			ph := correlate.PortHour{Port: port, Hour: uint16(h)}
-			out[h] += float64(a.res.TCPPortHour[ph])
+	for h, cells := range a.res.TCPPortHour {
+		for _, port := range def.Ports {
+			if i, ok := slices.BinarySearchFunc(cells, port, func(c correlate.PortDelta, p uint16) int {
+				return cmp.Compare(c.Port, p)
+			}); ok {
+				out[h] += float64(cells[i].Packets)
+			}
 		}
 	}
 	return out

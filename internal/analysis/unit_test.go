@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"reflect"
 	"testing"
 
 	"iotscope/internal/classify"
@@ -47,7 +48,7 @@ func handWorld(t *testing.T) (*Analyzer, *correlate.Result) {
 		Hourly:       make([]correlate.HourStats, 6),
 		UDPPorts:     make(map[uint16]*correlate.PortAgg),
 		TCPScanPorts: make(map[uint16]*correlate.TCPPortAgg),
-		TCPPortHour:  make(map[correlate.PortHour]uint64),
+		TCPPortHour:  make([][]correlate.PortDelta, 6),
 	}
 	// Device 0: scanner, 100 pkts, first seen hour 0.
 	res.Devices[0] = &correlate.DeviceStats{ID: 0, FirstSeen: 0, Records: 100, DayMask: 1}
@@ -214,6 +215,35 @@ func TestUnitProtocolBreakdownConservation(t *testing.T) {
 	}
 }
 
+// Fig. 10 by hand: Telnet's 23 and 2323 both carry cells in hour 0 and in
+// hours 2–3, its 23231 is never scanned, HTTP's 80 and 8080 and SSH's 22
+// share those hours without leaking into Telnet, and hour 1 has no cells.
+func TestUnitServiceHourlySeries(t *testing.T) {
+	res := &correlate.Result{
+		Hours: 4,
+		TCPPortHour: [][]correlate.PortDelta{
+			{{Port: 23, Packets: 5}, {Port: 80, Packets: 11}, {Port: 2323, Packets: 7}},
+			nil,
+			{{Port: 22, Packets: 3}, {Port: 23, Packets: 2}},
+			{{Port: 2323, Packets: 4}, {Port: 8080, Packets: 9}},
+		},
+	}
+	a := New(res, nil, nil)
+	for _, tc := range []struct {
+		def  ScanServiceDef
+		want []float64
+	}{
+		{ScanServiceDef{"Telnet", []uint16{23, 2323, 23231}}, []float64{12, 0, 2, 4}},
+		{ScanServiceDef{"HTTP", []uint16{80, 8080, 81}}, []float64{11, 0, 0, 9}},
+		{ScanServiceDef{"SSH", []uint16{22}}, []float64{0, 0, 3, 0}},
+		{ScanServiceDef{"CWMP", []uint16{7547}}, []float64{0, 0, 0, 0}},
+	} {
+		if got := a.ServiceHourlySeries(tc.def); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s series %v, want %v", tc.def.Name, got, tc.want)
+		}
+	}
+}
+
 func TestUnitEmptyResultSafety(t *testing.T) {
 	reg, err := geo.Build(geo.DefaultConfig(), 1)
 	if err != nil {
@@ -225,7 +255,7 @@ func TestUnitEmptyResultSafety(t *testing.T) {
 		Devices:      map[int]*correlate.DeviceStats{},
 		UDPPorts:     map[uint16]*correlate.PortAgg{},
 		TCPScanPorts: map[uint16]*correlate.TCPPortAgg{},
-		TCPPortHour:  map[correlate.PortHour]uint64{},
+		TCPPortHour:  [][]correlate.PortDelta{},
 	}
 	a := New(res, inv, reg)
 	if s := a.Summary(); s.Total != 0 {

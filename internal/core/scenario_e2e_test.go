@@ -178,14 +178,16 @@ func TestScenarioCPSCampaign(t *testing.T) {
 			t.Fatalf("port %d scanning not attributed to CPS devices", port)
 		}
 		var before, during uint64
-		for ph, n := range res.Correlate.TCPPortHour {
-			if ph.Port != port {
-				continue
-			}
-			if int(ph.Hour) < 30 {
-				before += n
-			} else {
-				during += n
+		for h, cells := range res.Correlate.TCPPortHour {
+			for _, c := range cells {
+				if c.Port != port {
+					continue
+				}
+				if h < 30 {
+					before += c.Packets
+				} else {
+					during += c.Packets
+				}
 			}
 		}
 		if during == 0 {

@@ -212,7 +212,7 @@ func newResult(hours int) *Result {
 		Hourly:       make([]HourStats, hours),
 		UDPPorts:     make(map[uint16]*PortAgg),
 		TCPScanPorts: make(map[uint16]*TCPPortAgg),
-		TCPPortHour:  make(map[PortHour]uint64),
+		TCPPortHour:  make([][]PortDelta, hours),
 	}
 	for i := range res.Hourly {
 		res.Hourly[i].Hour = i

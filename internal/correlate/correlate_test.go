@@ -2,6 +2,7 @@ package correlate
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"iotscope/internal/classify"
@@ -136,9 +137,9 @@ func TestProcessDatasetTiny(t *testing.T) {
 	if got := res.Hourly[0].Cat(devicedb.Consumer).ActiveDevices; got != 1 {
 		t.Fatalf("hour 0 consumer active %d", got)
 	}
-	// Per-hour time series of port 23.
-	if res.TCPPortHour[PortHour{Port: 23, Hour: 0}] != 2 ||
-		res.TCPPortHour[PortHour{Port: 23, Hour: 1}] != 3 {
+	// Per-hour TCP scanning cells, ascending by port.
+	wantCells := [][]PortDelta{{{Port: 23, Packets: 2}, {Port: 2323, Packets: 1}}, {{Port: 23, Packets: 3}}}
+	if !reflect.DeepEqual(res.TCPPortHour, wantCells) {
 		t.Fatalf("port-hour series %v", res.TCPPortHour)
 	}
 }

@@ -26,7 +26,8 @@ type DeviceDelta struct {
 	MaxScanDests int32
 }
 
-// PortDelta is one UDP port's packets within a single hour.
+// PortDelta is one port's packets within a single hour: a UDP port in an
+// HourDelta, a TCP scan port in Result.TCPPortHour.
 type PortDelta struct {
 	Port    uint16
 	Packets uint64

@@ -504,22 +504,14 @@ func (sl *deviceSlab) new(v DeviceStats) *DeviceStats {
 	return d
 }
 
-// portHourPkts is one (port, hour) cell buffered for the deferred
-// TCPPortHour build: each cell is produced by exactly one hour's merge, so
-// the merger appends instead of inserting into a growing map.
-type portHourPkts struct {
-	key  PortHour
-	pkts uint64
-}
-
 // mergeState is the merger's private accumulation state across hours: slabs
 // amortizing the Result's pointer allocations, dense by-index/by-port pointer
 // tables replacing every map the merge loop used to probe, and the global
 // (port, device) membership sets behind the Result's per-port device lists.
-// What a merge leaves pending — first-touched ports, port-hour cells and
-// newly gained membership keys — is folded into the Result's maps and lists
-// by finalizeResult, whose cost therefore follows what changed since the
-// last finalize, not what has accumulated.
+// What a merge leaves pending — first-touched ports and newly gained
+// membership keys — is folded into the Result's maps and lists by
+// finalizeResult, whose cost therefore follows what changed since the last
+// finalize, not what has accumulated.
 type mergeState struct {
 	slab    deviceSlab
 	udpSlab []PortAgg
@@ -536,13 +528,11 @@ type mergeState struct {
 	cps u64set // port<<32 | device, TCP scans from CPS devices
 
 	// Pending since the last finalizeResult: ports whose aggregate is not
-	// yet in the Result's map; each (port, hour) cell is produced by exactly
-	// one hour's merge, so the merger appends instead of inserting into a
-	// growing map; the gained lists hold the keys each membership set did
-	// not have before, which name the ports whose device lists are stale.
+	// yet in the Result's map; the gained lists hold the keys each
+	// membership set did not have before, which name the ports whose device
+	// lists are stale.
 	udpNew    []uint16
 	tcpNew    []uint16
-	portHours []portHourPkts
 	udpGained []uint64
 	conGained []uint64
 	cpsGained []uint64
@@ -582,23 +572,18 @@ func (st *mergeState) newTCPPortAgg() *TCPPortAgg {
 
 // finalizeResult brings the Result's reader-facing views up to date with
 // the merges since the last call: first-touched ports enter the port maps
-// and pending port-hour cells TCPPortHour (each map presized when this is
-// its first fold, the batch case), and the device list of every port whose
-// membership set gained a key is re-merged — untouched ports keep their
-// lists. Its four folds touch disjoint state, so they run as concurrent
-// tasks. Idempotent and free when nothing is pending; callers invoke it
-// before handing res to a reader.
+// (each map presized when this is its first fold, the batch case), and the
+// device list of every port whose membership set gained a key is re-merged
+// — untouched ports keep their lists. Its three folds touch disjoint state,
+// so they run as concurrent tasks. Idempotent and free when nothing is
+// pending; callers invoke it before handing res to a reader.
 func (st *mergeState) finalizeResult(res *Result) {
-	pending := len(st.portHours) + len(st.udpNew) + len(st.tcpNew) +
+	pending := len(st.udpNew) + len(st.tcpNew) +
 		len(st.udpGained) + len(st.conGained) + len(st.cpsGained)
 	if pending == 0 {
 		return
 	}
 	folds := [...]func(){
-		func() {
-			res.TCPPortHour = insertPending(res.TCPPortHour, st.portHours, func(e portHourPkts) (PortHour, uint64) { return e.key, e.pkts })
-			st.portHours = st.portHours[:0]
-		},
 		func() {
 			res.UDPPorts = insertPending(res.UDPPorts, st.udpNew, func(p uint16) (uint16, *PortAgg) { return p, st.udpByPort[p] })
 			st.udpNew = st.udpNew[:0]
@@ -789,8 +774,17 @@ func mergeDense(res *Result, s *hourScratch, bgSources *sketch.HLL, st *mergeSta
 		}
 		g.Packets += s.tcpPkts[p]
 		g.PacketsConsumer += s.tcpPktsCon[p]
-		st.portHours = append(st.portHours,
-			portHourPkts{key: PortHour{Port: p, Hour: uint16(s.hour)}, pkts: s.tcpPkts[p]})
+	}
+	// The hour's cells come off the mark bitset already ascending by port.
+	if len(s.tcpTouched) > 0 {
+		cells := make([]PortDelta, 0, len(s.tcpTouched))
+		for i, w := range s.tcpMark {
+			for ; w != 0; w &= w - 1 {
+				p := uint16(i<<6 | bits.TrailingZeros64(w))
+				cells = append(cells, PortDelta{Port: p, Packets: s.tcpPkts[p]})
+			}
+		}
+		res.TCPPortHour[s.hour] = cells
 	}
 	// Per-port device membership folds into the merger's global sets from
 	// the hour's ascending key runs; the keys they gain are what

@@ -93,10 +93,10 @@ type FaultExport struct {
 	Message   string
 }
 
-// ResultExport is the serializable form of a Result: every map flattened
-// to a slice in a canonical order (devices and ports ascending, port-hour
-// cells port-major), so encoding the same Result twice yields identical
-// bytes.
+// ResultExport is the serializable form of a Result: every map and per-hour
+// list flattened to a slice in a canonical order (devices and ports
+// ascending, port-hour cells port-major), so encoding the same Result twice
+// yields identical bytes.
 type ResultExport struct {
 	Hours        int
 	Devices      []DeviceExport
@@ -173,34 +173,30 @@ func (r *Result) Export() *ResultExport {
 // is all zero.
 var portSlots = sync.Pool{New: func() any { return new([1 << 16]uint32) }}
 
-// exportPortHour lays the (port, hour) cells out port-major, hour-minor by a
+// exportPortHour lays the per-hour cells out port-major, hour-minor by a
 // counting pass over the 16-bit port: each port's cells land in its run of
-// the output, and a run — at most one cell per hour, a handful on a real
-// capture — is put in hour order on its own.
-func exportPortHour(cells map[PortHour]uint64) []PortHourExport {
-	out := make([]PortHourExport, len(cells))
+// the output, and scattering the hours in ascending order fills every run
+// in hour order.
+func exportPortHour(hours [][]PortDelta) []PortHourExport {
 	slot := portSlots.Get().(*[1 << 16]uint32)
-	for k := range cells {
-		slot[k.Port]++
+	for _, cells := range hours {
+		for _, c := range cells {
+			slot[c.Port]++
+		}
 	}
 	next := uint32(0)
 	for p, n := range slot {
 		slot[p] = next
 		next += n
 	}
-	for k, pkts := range cells {
-		out[slot[k.Port]] = PortHourExport{Port: k.Port, Hour: k.Hour, Packets: pkts}
-		slot[k.Port]++
-	}
-	// Each slot has advanced to the end of its port's run.
-	lo := uint32(0)
-	for p, hi := range slot {
-		slot[p] = 0
-		if hi-lo > 1 {
-			slices.SortFunc(out[lo:hi], func(a, b PortHourExport) int { return cmp.Compare(a.Hour, b.Hour) })
+	out := make([]PortHourExport, next)
+	for h, cells := range hours {
+		for _, c := range cells {
+			out[slot[c.Port]] = PortHourExport{Port: c.Port, Hour: uint16(h), Packets: c.Packets}
+			slot[c.Port]++
 		}
-		lo = hi
 	}
+	*slot = [1 << 16]uint32{}
 	portSlots.Put(slot)
 	return out
 }
@@ -279,9 +275,9 @@ func (f *storedFault) Is(target error) bool {
 }
 
 // Result rebuilds a live Result from the export. The rebuilt value obeys
-// every invariant of a correlator-produced Result: non-nil maps, Hourly
-// indexed by hour, ascending nil-when-empty device lists (carved from one
-// shared backing per section). Structural violations
+// every invariant of a correlator-produced Result: non-nil maps, Hourly and
+// TCPPortHour indexed by hour, ascending nil-when-empty cell and device
+// lists (carved from one shared backing per section). Structural violations
 // in the export — wrong hour indexing, unsorted or duplicate keys,
 // out-of-range values — are rejected with an error rather than producing
 // a subtly wrong Result.
@@ -310,7 +306,6 @@ func (e *ResultExport) Result() (*Result, error) {
 	res.Devices = make(map[int]*DeviceStats, len(e.Devices))
 	res.UDPPorts = make(map[uint16]*PortAgg, len(e.UDPPorts))
 	res.TCPScanPorts = make(map[uint16]*TCPPortAgg, len(e.TCPScanPorts))
-	res.TCPPortHour = make(map[PortHour]uint64, len(e.TCPPortHour))
 	devSlab := make([]DeviceStats, len(e.Devices))
 
 	prevID := int32(-1)
@@ -409,6 +404,9 @@ func (e *ResultExport) Result() (*Result, error) {
 		res.TCPScanPorts[pe.Port] = &tcpSlab[i]
 	}
 
+	// The cells are port-major, so filling each hour's list in cell order
+	// leaves it ascending by port; the lists are carved from one backing.
+	perHour := make([]int, e.Hours)
 	prevKey := -1
 	for _, ph := range e.TCPPortHour {
 		key := int(ph.Port)<<16 | int(ph.Hour)
@@ -419,7 +417,17 @@ func (e *ResultExport) Result() (*Result, error) {
 		if int(ph.Hour) >= e.Hours {
 			return nil, badf("port-hour cell %d/%d outside %d hours", ph.Port, ph.Hour, e.Hours)
 		}
-		res.TCPPortHour[PortHour{Port: ph.Port, Hour: ph.Hour}] = ph.Packets
+		perHour[ph.Hour]++
+	}
+	cellBacking := make([]PortDelta, len(e.TCPPortHour))
+	for h, n := range perHour {
+		if n > 0 {
+			res.TCPPortHour[h] = cellBacking[:0:n]
+			cellBacking = cellBacking[n:]
+		}
+	}
+	for _, ph := range e.TCPPortHour {
+		res.TCPPortHour[ph.Hour] = append(res.TCPPortHour[ph.Hour], PortDelta{Port: ph.Port, Packets: ph.Packets})
 	}
 
 	var err error

@@ -1,11 +1,13 @@
 package correlate
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"io/fs"
 	"reflect"
+	"slices"
 	"testing"
 
 	"iotscope/internal/flowtuple"
@@ -111,6 +113,15 @@ func TestImportRejectsInvalid(t *testing.T) {
 		"port-hour range": func(e *ResultExport) {
 			e.TCPPortHour = append(e.TCPPortHour, PortHourExport{Port: 65535, Hour: uint16(e.Hours)})
 		},
+		"port-hour order": func(e *ResultExport) {
+			e.TCPPortHour[0], e.TCPPortHour[1] = e.TCPPortHour[1], e.TCPPortHour[0]
+		},
+		"port-hour duplicate": func(e *ResultExport) {
+			e.TCPPortHour = slices.Insert(e.TCPPortHour, 1, e.TCPPortHour[0])
+		},
+	}
+	if n := len(res.Export().TCPPortHour); n < 2 {
+		t.Fatalf("dataset has %d port-hour cells, the order rows need two", n)
 	}
 	for name, mutate := range mutations {
 		e := res.Export()
@@ -118,6 +129,23 @@ func TestImportRejectsInvalid(t *testing.T) {
 		if _, err := e.Result(); err == nil {
 			t.Errorf("%s: corrupted export imported cleanly", name)
 		}
+	}
+
+	// A cell whose port has no TCP aggregate is well formed: the loader
+	// places it in its hour's list.
+	e := res.Export()
+	port := uint16(1)
+	for slices.ContainsFunc(e.TCPScanPorts, func(a TCPPortExport) bool { return a.Port == port }) {
+		port++
+	}
+	at, _ := slices.BinarySearchFunc(e.TCPPortHour, port, func(c PortHourExport, p uint16) int { return cmp.Compare(c.Port, p) })
+	e.TCPPortHour = slices.Insert(e.TCPPortHour, at, PortHourExport{Port: port, Hour: 1, Packets: 9})
+	back, err := e.Result()
+	if err != nil {
+		t.Fatalf("cell on port %d without an aggregate: %v", port, err)
+	}
+	if !slices.Contains(back.TCPPortHour[1], PortDelta{Port: port, Packets: 9}) {
+		t.Fatalf("cell on port %d missing from hour 1: %v", port, back.TCPPortHour[1])
 	}
 }
 

@@ -1,7 +1,9 @@
 package correlate
 
 import (
+	"cmp"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -98,21 +100,34 @@ func TestWalkPortsConcurrent(t *testing.T) {
 
 // randomPortResult is a Result whose port tables and port-hour cells were
 // filled in random order: ports and hours drawn at random, several hours per
-// port, hours inserted out of order.
+// port, each hour's list sorted only once it is complete.
 func randomPortResult(rnd *rand.Rand, ports, hours int) *Result {
 	res := newResult(hours)
+	cells := make([]map[uint16]uint64, hours)
+	set := func(p uint16, h int, pkts uint64) {
+		if cells[h] == nil {
+			cells[h] = make(map[uint16]uint64)
+		}
+		cells[h][p] = pkts
+	}
 	for i := 0; i < ports; i++ {
 		p := uint16(rnd.Intn(1 << 16))
 		res.UDPPorts[uint16(rnd.Intn(1<<16))] = &PortAgg{Packets: uint64(i + 1)}
 		res.TCPScanPorts[p] = &TCPPortAgg{Packets: uint64(i + 1)}
 		for _, h := range rnd.Perm(hours)[:1+rnd.Intn(hours)] {
-			res.TCPPortHour[PortHour{Port: p, Hour: uint16(h)}] = uint64(h + 1)
+			set(p, h, uint64(h+1))
 		}
 	}
 	// Cells whose port has no aggregate: the export must not lean on one.
-	res.TCPPortHour[PortHour{Port: uint16(rnd.Intn(1 << 16)), Hour: 0}] = 1
-	res.TCPPortHour[PortHour{Port: 65535, Hour: uint16(hours - 1)}] = 1
-	res.TCPPortHour[PortHour{Port: 0, Hour: 0}] = 1
+	set(uint16(rnd.Intn(1<<16)), 0, 1)
+	set(65535, hours-1, 1)
+	set(0, 0, 1)
+	for h, m := range cells {
+		for p, n := range m {
+			res.TCPPortHour[h] = append(res.TCPPortHour[h], PortDelta{Port: p, Packets: n})
+		}
+		slices.SortFunc(res.TCPPortHour[h], func(a, b PortDelta) int { return cmp.Compare(a.Port, b.Port) })
+	}
 	return res
 }
 
@@ -121,11 +136,15 @@ func TestExportOrderIsCanonical(t *testing.T) {
 	for _, ports := range []int{0, 1, 3, 5000} {
 		res := randomPortResult(rnd, ports, 9)
 		e := res.Export()
+		var cells int
+		for _, hc := range res.TCPPortHour {
+			cells += len(hc)
+		}
 		if len(e.UDPPorts) != len(res.UDPPorts) || len(e.TCPScanPorts) != len(res.TCPScanPorts) ||
-			len(e.TCPPortHour) != len(res.TCPPortHour) {
+			len(e.TCPPortHour) != cells {
 			t.Fatalf("%d ports: export has %d/%d/%d rows for %d/%d/%d entries", ports,
 				len(e.UDPPorts), len(e.TCPScanPorts), len(e.TCPPortHour),
-				len(res.UDPPorts), len(res.TCPScanPorts), len(res.TCPPortHour))
+				len(res.UDPPorts), len(res.TCPScanPorts), cells)
 		}
 		for i, row := range e.UDPPorts {
 			if i > 0 && row.Port <= e.UDPPorts[i-1].Port {
@@ -150,12 +169,18 @@ func TestExportOrderIsCanonical(t *testing.T) {
 					t.Fatalf("cell %d: %d/%d after %d/%d", i, c.Port, c.Hour, prev.Port, prev.Hour)
 				}
 			}
-			if c.Packets != res.TCPPortHour[PortHour{Port: c.Port, Hour: c.Hour}] {
+			hc := res.TCPPortHour[c.Hour]
+			j, ok := slices.BinarySearchFunc(hc, c.Port, func(d PortDelta, p uint16) int { return cmp.Compare(d.Port, p) })
+			if !ok || c.Packets != hc[j].Packets {
 				t.Fatalf("cell %d/%d exported with another cell's packets", c.Port, c.Hour)
 			}
 		}
-		if _, err := e.Result(); err != nil {
+		back, err := e.Result()
+		if err != nil {
 			t.Fatalf("%d ports: export does not import: %v", ports, err)
+		}
+		if !reflect.DeepEqual(back.TCPPortHour, res.TCPPortHour) {
+			t.Fatalf("%d ports: port-hour cells change over an export round trip", ports)
 		}
 	}
 }
@@ -169,32 +194,5 @@ func TestExportAllocatesNoPortSizedTable(t *testing.T) {
 	res := randomPortResult(rand.New(rand.NewSource(24)), 3, 4)
 	if got := profiling.AllocBytes(20, func() { res.Export() }); got >= 1<<15 {
 		t.Fatalf("Export of a three-port result allocates %d bytes a call", got)
-	}
-}
-
-func TestPortHourText(t *testing.T) {
-	for _, ph := range []PortHour{{0, 0}, {65535, 65535}, {7547, 119}} {
-		text, err := ph.MarshalText()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back PortHour
-		if err := back.UnmarshalText(text); err != nil || back != ph {
-			t.Errorf("%v → %q → %v, %v", ph, text, back, err)
-		}
-	}
-	// Each of these named port 80 hour 3 (or wrapped to some other cell)
-	// while the lenient parser stood, so two JSON keys could land on one
-	// PortHour and the later silently replace the earlier.
-	for _, text := range []string{
-		"80/3junk", "80/3/9", " 80/3", "80/3 ", "+80/3", "80/+3", "-80/3", "80/", "/3", "/", "", "80",
-		"65536/1", "1/65536", "080/3", "80/03", "0x50/3", "8_0/3", "80 /3", "80/ 3", "80/3\n",
-	} {
-		got := PortHour{Port: 1, Hour: 2}
-		if err := got.UnmarshalText([]byte(text)); err == nil {
-			t.Errorf("%q accepted as %v", text, got)
-		} else if got != (PortHour{Port: 1, Hour: 2}) {
-			t.Errorf("%q rejected but left %v behind", text, got)
-		}
 	}
 }

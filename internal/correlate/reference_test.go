@@ -7,6 +7,7 @@ package correlate
 // between the two paths is a bug in the dense path.
 
 import (
+	"cmp"
 	"io"
 	"slices"
 	"sync"
@@ -81,7 +82,7 @@ type refPartial struct {
 	devices    map[int]*DeviceStats
 	udpPorts   map[uint16]*refPortAgg
 	tcpPorts   map[uint16]*refTCPPortAgg
-	portHour   map[PortHour]uint64
+	portHour   map[uint16]uint64 // TCP scan port → packets this hour
 	bgRecords  uint64
 	bgPackets  uint64
 	bgSrcHLL   *sketch.HLL
@@ -98,7 +99,7 @@ func refProcessHourFile(c *Correlator, dir string, hour int) (*refPartial, error
 		devices:    make(map[int]*DeviceStats),
 		udpPorts:   make(map[uint16]*refPortAgg),
 		tcpPorts:   make(map[uint16]*refTCPPortAgg),
-		portHour:   make(map[PortHour]uint64),
+		portHour:   make(map[uint16]uint64),
 		perDevPort: make(map[int]map[uint16]struct{}),
 		perDevDest: make(map[int]map[netx.Addr]struct{}),
 	}
@@ -205,7 +206,7 @@ func refProcessHourFile(c *Correlator, dir string, hour int) (*refPartial, error
 			} else {
 				ta.DevicesCPS[devIdx] = struct{}{}
 			}
-			part.portHour[PortHour{Port: rec.DstPort, Hour: uint16(hour)}] += pkts
+			part.portHour[rec.DstPort] += pkts
 
 			dp := part.perDevPort[devIdx]
 			if dp == nil {
@@ -303,8 +304,13 @@ func refMergePartial(res *Result, part *refPartial, bgSources *sketch.HLL, sets 
 		sets.add(sets.con, port, ta.DevicesConsumer)
 		sets.add(sets.cps, port, ta.DevicesCPS)
 	}
-	for ph, v := range part.portHour {
-		res.TCPPortHour[ph] += v
+	if len(part.portHour) > 0 {
+		cells := make([]PortDelta, 0, len(part.portHour))
+		for port, v := range part.portHour {
+			cells = append(cells, PortDelta{Port: port, Packets: v})
+		}
+		slices.SortFunc(cells, func(a, b PortDelta) int { return cmp.Compare(a.Port, b.Port) })
+		res.TCPPortHour[part.hour] = cells
 	}
 }
 

@@ -11,10 +11,6 @@
 package correlate
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
-
 	"iotscope/internal/classify"
 	"iotscope/internal/devicedb"
 )
@@ -93,36 +89,6 @@ type TCPPortAgg struct {
 	DevicesCPS      []int32
 }
 
-// PortHour keys the TCP scanning time series per (port, hour) for Fig. 10.
-type PortHour struct {
-	Port uint16
-	Hour uint16
-}
-
-// MarshalText renders the key as "port/hour" so maps keyed by PortHour are
-// JSON-serializable (encoding/json requires text-marshalable map keys, and
-// sorts them, so serialized results are deterministic).
-func (ph PortHour) MarshalText() ([]byte, error) {
-	return fmt.Appendf(nil, "%d/%d", ph.Port, ph.Hour), nil
-}
-
-// UnmarshalText parses the "port/hour" form and accepts nothing but what
-// MarshalText writes: two decimal 16-bit numbers, no sign, space or leading
-// zero, nothing before, between or after them. Two distinct JSON keys
-// therefore never decode to one PortHour, where the later would silently
-// overwrite the earlier.
-func (ph *PortHour) UnmarshalText(text []byte) error {
-	port, hour, _ := strings.Cut(string(text), "/")
-	p, perr := strconv.ParseUint(port, 10, 16)
-	h, herr := strconv.ParseUint(hour, 10, 16)
-	got := PortHour{Port: uint16(p), Hour: uint16(h)}
-	if canon, _ := got.MarshalText(); perr != nil || herr != nil || string(canon) != string(text) {
-		return fmt.Errorf("correlate: %q is not a port/hour key", text)
-	}
-	*ph = got
-	return nil
-}
-
 // BackgroundStats counts traffic from sources outside the inventory, which
 // the correlation discards.
 type BackgroundStats struct {
@@ -138,8 +104,12 @@ type Result struct {
 	Hourly       []HourStats
 	UDPPorts     map[uint16]*PortAgg
 	TCPScanPorts map[uint16]*TCPPortAgg
-	TCPPortHour  map[PortHour]uint64
-	Background   BackgroundStats
+	// TCPPortHour is the TCP scanning time series of Fig. 10, indexed by
+	// hour: each hour's per-port packets, ascending by port, nil for an
+	// hour that scanned no TCP port. An hour's list is set once, when the
+	// hour is merged or the result loaded, and is read-only after.
+	TCPPortHour [][]PortDelta
+	Background  BackgroundStats
 	// Ingest reports ingestion health: hours ingested, retried, and
 	// quarantined, with per-hour wrapped errors (see FaultPolicy).
 	Ingest IngestStats
